@@ -1,10 +1,9 @@
 """Simulation and verification lab for power-mixture forward performance criteria."""
 
-from .market import (BrownianPaths, MarketSpec, Schedule, TimeGrid, WealthPath,
-                     evolve_wealth, sharpe_ratio, simulate_brownian)
-from .mixture import (FppState, H0Spec, JSpec, MixtureFpp, RiskMixture,
-                      TrueFppConstants, VolatilityChoice, accumulate_fpp_state,
-                      check_admissibility_moments, drift_term, evaluate_fpp,
+from .market import (MarketSpec, Schedule, TimeGrid, brownian_batch,
+                     evolve_log_wealth_batch, sharpe_ratio)
+from .mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture, TrueFppConstants,
+                      VolatilityChoice, check_admissibility_moments, drift_term,
                       factor_j, hgamma, market_view_density, monotone_power_value,
                       optimal_portfolio, true_fpp_constants, vgamma_rate)
 from .pooling import (ComparisonResult, PoolSpec, UtilitySurface,

@@ -30,9 +30,10 @@ import numpy as np
 from . import pooling, two_power
 from .config import RunConfig, load_config
 from .errors import ConfigError, FpplabError
-from .market import TimeGrid, brownian_batch, simulate_brownian, write_paths_csv
-from .mixture import MixtureFpp
-from .three_power import ThreePowerFpp, ThreePowerSpec, concavity_discriminants
+from .market import TimeGrid, brownian_batch, write_paths_csv
+from .mixture import MixtureFpp, mixture_value
+from .three_power import (ThreePowerFpp, ThreePowerSpec, concavity_discriminants,
+                          three_power_value)
 from .verify import (MartingaleReport, VERDICT_MARTINGALE, VERDICT_VIOLATION,
                      martingale_test, structure_scan)
 
@@ -104,9 +105,9 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     states = [(m[b, k], qv[k], v[k]) for b, k in picks]
 
     def evaluate(state, x):
-        from .mixture import mixture_value
         sm, sqv, sv = state
-        return mixture_value(cfg.mixture.gammas, cfg.mixture.weights, x, sm, sqv, sv)
+        return mixture_value(cfg.mixture.gammas, cfg.mixture.weights, np.log(x),
+                             sm, sqv, sv)
 
     x_grid = np.geomspace(0.05, 20.0, 25)
     scan = structure_scan(evaluate, states, x_grid)
@@ -114,8 +115,9 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     ok = ok and scan.passed
 
     # per-path criterion states for a handful of paths
+    sample_ids = range(min(N_SAMPLE_PATHS, m.shape[0]))
     rows = []
-    for b, pid in enumerate(range(min(N_SAMPLE_PATHS, m.shape[0]))):
+    for b, pid in enumerate(sample_ids):
         for k, t in enumerate(grid.times):
             u = evaluate((m[b, k], qv[k], v[k]), np.array([1.0]))[0]
             for a in range(cfg.mixture.n_atoms):
@@ -123,9 +125,8 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
                              _fmt(v[k, a]), _fmt(u)])
     _write_csv(os.path.join(out_dir, "fpp_states.csv"),
                ["path_id", "t", "atom", "m", "qv_m", "v", "utility"], rows)
-    bundles = [simulate_brownian(grid, cfg.market.d_w, cfg.market.d_wperp,
-                                 cfg.sim.seed, pid) for pid in range(N_SAMPLE_PATHS)]
-    write_paths_csv(os.path.join(out_dir, "brownian_paths.csv"), grid, bundles)
+    write_paths_csv(os.path.join(out_dir, "brownian_paths.csv"), grid,
+                    dw[:len(sample_ids)], dwp[:len(sample_ids)], sample_ids)
     return 0 if ok else 1
 
 
@@ -258,7 +259,6 @@ def cmd_three_power(cfg: RunConfig, out_dir: str, gamma_flag, threads: int) -> i
     dw, _ = brownian_batch(grid, cfg.market.d_w, cfg.market.d_wperp,
                            cfg.sim.seed, range(N_SAMPLE_PATHS))
     log_z, i_path = fpp.accumulators(grid, dw)
-    from .three_power import three_power_value
     xs = cfg.three_power_x
     rows = []
     for b in range(dw.shape[0]):

@@ -1,4 +1,4 @@
-"""Market model, Brownian path generation, and wealth evolution.
+"""Market model and the batched Brownian and wealth engine.
 
 Model
 -----
@@ -122,10 +122,6 @@ class Schedule:
         i = int(np.searchsorted(self._knot_times, t, side="right")) - 1
         return self._knot_values[max(i, 0)]
 
-    @property
-    def is_constant(self) -> bool:
-        return self._const is not None
-
 
 # ---------------------------------------------------------------------------
 # Market specification
@@ -224,22 +220,6 @@ class MarketSpec:
 # Brownian increments (counter-based per-path streams)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BrownianPaths:
-    """Increments of (W, W_perp) on a grid for one path of one seed."""
-
-    dw: np.ndarray       # (N, d_w)
-    dwperp: np.ndarray   # (N, d_wperp)
-    seed: int
-    path_id: int
-
-    def cumulative(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, W_perp) levels at all grid times, starting from 0."""
-        w = np.vstack([np.zeros((1, self.dw.shape[1])), np.cumsum(self.dw, axis=0)])
-        wp = np.vstack([np.zeros((1, self.dwperp.shape[1])), np.cumsum(self.dwperp, axis=0)])
-        return w, wp
-
-
 def _path_state_template(seed: int):
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
         raise ValueError("seed must be an integer in [0, 2^64)")
@@ -274,23 +254,13 @@ def _normals_for_paths(grid: TimeGrid, n_cols: int, seed: int,
     return out
 
 
-def simulate_brownian(grid: TimeGrid, d_w: int, d_wperp: int, seed: int,
-                      path_id: int) -> BrownianPaths:
-    """Increments for one path; a pure function of (seed, path_id, grid, dims)."""
-    if d_w < 0 or d_wperp < 0:
-        raise ValueError("dimensions must be nonnegative")
-    z = _normals_for_paths(grid, d_w + d_wperp, seed, [path_id])[0]
-    scale = np.sqrt(grid.dt)[:, None]
-    z = z * scale
-    return BrownianPaths(dw=z[:, :d_w], dwperp=z[:, d_w:], seed=int(seed),
-                         path_id=int(path_id))
-
-
 def brownian_batch(grid: TimeGrid, d_w: int, d_wperp: int, seed: int,
                    path_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Increment arrays (B, N, d_w) and (B, N, d_wperp) for a batch of paths.
 
-    Row ``b`` equals ``simulate_brownian(..., path_ids[b])`` bit for bit.
+    Row ``b`` depends only on ``(seed, path_ids[b], grid, dims)``, so a single
+    path is the batch ``[path_id]`` and equals that row of any larger batch
+    bit for bit.
     """
     z = _normals_for_paths(grid, d_w + d_wperp, seed, path_ids)
     z *= np.sqrt(grid.dt)[None, :, None]
@@ -301,72 +271,20 @@ def brownian_batch(grid: TimeGrid, d_w: int, d_wperp: int, seed: int,
 # Wealth evolution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepState:
-    """What an allocation rule may look at when called on a grid cell."""
-
-    step: int
-    paths: BrownianPaths
-
-
-@dataclass(frozen=True)
-class WealthPath:
-    """Wealth along one path plus the sigma*pi actually applied per cell."""
-
-    x: np.ndarray            # (N+1,) strictly positive
-    log_x: np.ndarray        # (N+1,) running sum of log increments
-    allocations: np.ndarray  # (N, d_w) sigma*pi per grid cell
-
-
-def evolve_wealth(x0: float, strategy: Callable, market: MarketSpec,
-                  paths: BrownianPaths, grid: TimeGrid) -> WealthPath:
-    """Evolve wealth from ``x0`` under ``strategy(t, wealth, state) -> pi``.
-
-    ``pi`` has length ``n_stocks`` (a scalar is accepted for one stock).  The
-    log scheme guarantees x > 0 at every grid point; ``pi = 0`` reproduces
-    ``x0`` exactly.
-
-    Raises
-    ------
-    StrategyEvaluationError
-        If the rule returns a non-finite allocation; the message names the
-        grid time.
-    """
-    if x0 <= 0:
-        raise ValueError("initial wealth must be positive")
-    n = market.n_stocks
-    n_steps = grid.n_steps
-    x = np.empty(n_steps + 1)
-    x[0] = x0
-    log_x = np.empty(n_steps + 1)
-    log_x[0] = np.log(x0)
-    alloc = np.zeros((n_steps, market.d_w))
-    dt = grid.dt
-    for k in range(n_steps):
-        t = float(grid.times[k])
-        pi = np.atleast_1d(np.asarray(
-            strategy(t, float(x[k]), StepState(k, paths)), dtype=float))
-        if pi.shape != (n,):
-            raise StrategyEvaluationError(
-                f"allocation at t={t} has shape {pi.shape}, expected ({n},)")
-        if not np.all(np.isfinite(pi)):
-            raise StrategyEvaluationError(f"non-finite allocation at t={t}")
-        sp = market.sigma_at(t) @ pi
-        lam = market.sharpe_at(t)
-        dlog = (sp @ lam - 0.5 * (sp @ sp)) * dt[k] + sp @ paths.dw[k]
-        log_x[k + 1] = log_x[k] + dlog
-        x[k + 1] = x[k] * np.exp(dlog)  # exp(0) = 1 keeps the null portfolio exact
-        alloc[k] = sp
-    return WealthPath(x=x, log_x=log_x, allocations=alloc)
-
-
 def evolve_log_wealth_batch(x0: float, sp_rule: Callable, lam_path: np.ndarray,
                             grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
     """Vectorised log-wealth paths (B, N+1) for an ensemble.
 
     ``sp_rule(k, t, x_vec) -> sigma*pi`` may return shape (d_w,) or (B, d_w);
     it is applied at the left endpoint of cell ``k``.  ``lam_path`` is the
-    (N, d_w) Sharpe path on the same grid.
+    (N, d_w) Sharpe path on the same grid.  A zero allocation keeps log
+    wealth exactly at ``log(x0)``.
+
+    Raises
+    ------
+    StrategyEvaluationError
+        If the rule returns a non-finite allocation; the message names the
+        grid time.
     """
     n_paths, n_steps, d_w = dw.shape
     log_x = np.empty((n_paths, n_steps + 1))
@@ -375,6 +293,8 @@ def evolve_log_wealth_batch(x0: float, sp_rule: Callable, lam_path: np.ndarray,
     for k in range(n_steps):
         t = float(grid.times[k])
         sp = np.asarray(sp_rule(k, t, np.exp(log_x[:, k])), dtype=float)
+        if not np.all(np.isfinite(sp)):
+            raise StrategyEvaluationError(f"non-finite allocation at t={t}")
         if sp.ndim == 1:
             sp = np.broadcast_to(sp, (n_paths, d_w))
         drift = sp @ lam_path[k] - 0.5 * np.einsum("bd,bd->b", sp, sp)
@@ -382,36 +302,27 @@ def evolve_log_wealth_batch(x0: float, sp_rule: Callable, lam_path: np.ndarray,
     return log_x
 
 
-def constant_sp_rule(sp: np.ndarray) -> Callable:
-    """Allocation rule holding sigma*pi fixed at ``sp``."""
-    sp = np.atleast_1d(np.asarray(sp, dtype=float))
-
-    def rule(k, t, x):
-        return sp
-
-    return rule
-
-
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
 
-def write_paths_csv(path, grid: TimeGrid, bundles: Sequence[BrownianPaths]) -> None:
-    """Write cumulative (W, W_perp) levels: path_id, t, W_1.., Wp_1.. per row."""
+def write_paths_csv(path, grid: TimeGrid, dw: np.ndarray, dwperp: np.ndarray,
+                    path_ids: Sequence[int]) -> None:
+    """Write cumulative (W, W_perp) levels: path_id, t, W_1.., Wp_1.. per row.
+
+    ``dw`` and ``dwperp`` are ``brownian_batch`` increments for ``path_ids``.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if bundles:
-            d_w = bundles[0].dw.shape[1]
-            d_wp = bundles[0].dwperp.shape[1]
-        else:
-            d_w = d_wp = 0
+        d_w, d_wp = dw.shape[2], dwperp.shape[2]
         header = (["path_id", "t"] + [f"W_{i + 1}" for i in range(d_w)]
                   + [f"Wp_{j + 1}" for j in range(d_wp)])
         writer.writerow(header)
-        for b in bundles:
-            w, wp = b.cumulative()
+        for b, pid in enumerate(path_ids):
+            w = np.vstack([np.zeros((1, d_w)), np.cumsum(dw[b], axis=0)])
+            wp = np.vstack([np.zeros((1, d_wp)), np.cumsum(dwperp[b], axis=0)])
             for k, t in enumerate(grid.times):
-                row = [b.path_id, format(float(t), ".17g")]
+                row = [pid, format(float(t), ".17g")]
                 row += [format(v, ".17g") for v in w[k]]
                 row += [format(v, ".17g") for v in wp[k]]
                 writer.writerow(row)

@@ -104,10 +104,9 @@ class RiskMixture:
 class H0Spec:
     """Free process for the base aversion's W-loading.
 
-    Kinds: ``zero``; ``constant`` (a d_w vector); ``rule`` (callable
-    ``(t, state) -> vector``, usable only in single-path accumulation);
-    ``portfolio_inversion`` (derive h0 = gamma0 sigma(t) pi_bar - lam(t) from
-    a target allocation pi_bar, making that portfolio the optimiser).
+    Kinds: ``zero``; ``constant`` (a d_w vector); ``portfolio_inversion``
+    (derive h0 = gamma0 sigma(t) pi_bar - lam(t) from a target allocation
+    pi_bar, making that portfolio the optimiser).
     """
 
     kind: str
@@ -122,27 +121,17 @@ class H0Spec:
         return cls("constant", np.atleast_1d(np.asarray(vec, float)))
 
     @classmethod
-    def rule(cls, fn: Callable):
-        return cls("rule", fn)
-
-    @classmethod
     def portfolio_inversion(cls, target_pi):
         return cls("portfolio_inversion", np.atleast_1d(np.asarray(target_pi, float)))
 
-    def at(self, t: float, market: MarketSpec, gamma0: float, state=None) -> np.ndarray:
+    def at(self, t: float, market: MarketSpec, gamma0: float) -> np.ndarray:
         if self.kind == "zero":
             return np.zeros(market.d_w)
         if self.kind == "constant":
             return self.value
         if self.kind == "portfolio_inversion":
             return gamma0 * (market.sigma_at(t) @ self.value) - market.sharpe_at(t)
-        if self.kind == "rule":
-            return np.atleast_1d(np.asarray(self.value(t, state), float))
         raise ValueError(f"unknown h0 kind {self.kind!r}")
-
-    @property
-    def is_deterministic(self) -> bool:
-        return self.kind != "rule"
 
 
 @dataclass(frozen=True)
@@ -195,19 +184,6 @@ class VolatilityChoice:
     @classmethod
     def zero(cls) -> "VolatilityChoice":
         return cls(H0Spec.zero(), JSpec.zero())
-
-
-@dataclass(frozen=True)
-class FppState:
-    """Per-atom accumulated (m, <M>, V) along one path."""
-
-    m: np.ndarray      # (n_atoms,)
-    qv_m: np.ndarray   # (n_atoms,) nondecreasing
-    v: np.ndarray      # (n_atoms,) finite variation part
-
-    @classmethod
-    def initial(cls, n_atoms: int) -> "FppState":
-        return cls(np.zeros(n_atoms), np.zeros(n_atoms), np.zeros(n_atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -288,81 +264,21 @@ def monotone_power_value(x: float, lam_plus_h: np.ndarray, gamma: float) -> floa
                  / (1.0 - gamma))
 
 
-# ---------------------------------------------------------------------------
-# State accumulation and evaluation
-# ---------------------------------------------------------------------------
+def mixture_value(gammas: np.ndarray, weights: np.ndarray, log_x, m, qv, v):
+    """Mixture value at log wealth ``log_x`` given per-atom state (m, qv, v).
 
-def accumulate_fpp_state(state: FppState, mixture: RiskMixture, vol: VolatilityChoice,
-                         t: float, lam: np.ndarray, dw: np.ndarray, dwperp: np.ndarray,
-                         dt: float, market: MarketSpec = None,
-                         path_state=None) -> FppState:
-    """One left-endpoint accumulation step for every atom.
-
-    ``lam`` is the Sharpe vector on the cell starting at ``t``; ``market`` is
-    only needed for h0 kinds that must see sigma (portfolio inversion) or the
-    W_perp dimension.  Returns a new state; the input is not mutated.
-    """
-    lam = np.atleast_1d(np.asarray(lam, float))
-    dw = np.atleast_1d(np.asarray(dw, float))
-    dwperp = np.atleast_1d(np.asarray(dwperp, float)) if dwperp is not None \
-        else np.zeros(0)
-    if market is not None:
-        h0 = vol.h0.at(t, market, mixture.gamma0, state=path_state)
-    elif vol.h0.kind == "zero":
-        h0 = np.zeros_like(lam)
-    elif vol.h0.kind == "constant":
-        h0 = vol.h0.value
-    else:
-        raise ValueError(f"h0 kind {vol.h0.kind!r} needs the market argument")
-    if h0.shape != lam.shape:
-        raise ValueError(f"h0 has shape {h0.shape}, expected {lam.shape}")
-    m = state.m.copy()
-    qv = state.qv_m.copy()
-    v = state.v.copy()
-    perp_dims = _PerpDims(dwperp.size) if market is None else market
-    for i, (g, _) in enumerate(mixture.atoms):
-        hg = hgamma(g, mixture.gamma0, lam, h0)
-        jg = vol.j.for_atom(i, hg, perp_dims)
-        if jg.shape != dwperp.shape:
-            raise ValueError(
-                f"J for atom {i} has shape {jg.shape}, increments {dwperp.shape}")
-        m[i] += hg @ dw + (jg @ dwperp if dwperp.size else 0.0)
-        qv[i] += (hg @ hg + (jg @ jg if jg.size else 0.0)) * dt
-        v[i] += vgamma_rate(g, lam, hg) * dt
-    return FppState(m=m, qv_m=qv, v=v)
-
-
-class _PerpDims:
-    """Stand-in for a market when only d_wperp is needed."""
-
-    def __init__(self, d_wperp):
-        self.d_wperp = d_wperp
-
-
-def mixture_value(gammas: np.ndarray, weights: np.ndarray, x, m, qv, v):
-    """Evaluate a mixture with given per-atom state; atoms along the last axis.
-
-    Weights may carry signs (used by the explicit signed constructions);
-    ``RiskMixture``-validated criteria always pass positive ones.
+    Atoms lie along the last axis; computed in log space, so the value is
+    -inf where the sum genuinely diverges below.  Weights may carry signs
+    (used by the explicit signed constructions); ``RiskMixture``-validated
+    criteria always pass positive ones.
     """
     gammas = np.asarray(gammas, float)
     weights = np.asarray(weights, float)
     logs = (np.log(np.abs(weights)) - np.log(np.abs(1.0 - gammas))
-            + (1.0 - gammas) * np.log(np.asarray(x, float))[..., None]
+            + (1.0 - gammas) * np.asarray(log_x, float)[..., None]
             + m - 0.5 * qv + v)
     signs = np.sign(weights) * np.sign(1.0 - gammas)
     return signed_exp_sum(logs, signs)
-
-
-def evaluate_fpp(x: float, state: FppState, mixture: RiskMixture) -> float:
-    """Criterion value at wealth x given accumulated per-atom state.
-
-    Computed in log space; returns -inf if the sum genuinely diverges below.
-    """
-    if x <= 0:
-        raise ValueError("wealth must be positive")
-    return float(mixture_value(mixture.gammas, mixture.weights,
-                               np.asarray(x), state.m, state.qv_m, state.v))
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +288,10 @@ def evaluate_fpp(x: float, state: FppState, mixture: RiskMixture) -> float:
 class MixtureFpp:
     """A mixture criterion bound to a market, evaluated along path ensembles.
 
-    Requires deterministic h0 (zero, constant, or portfolio inversion of a
-    fixed target); rule-based h0 is only supported by the single-path
-    ``accumulate_fpp_state``.
+    A single path is an ensemble of one.
     """
 
     def __init__(self, mixture: RiskMixture, vol: VolatilityChoice, market: MarketSpec):
-        if not vol.h0.is_deterministic:
-            raise ValueError("path-ensemble evaluation needs a deterministic h0")
         self.mixture = mixture
         self.vol = vol
         self.market = market
@@ -405,7 +317,11 @@ class MixtureFpp:
         return (self.market.sharpe_at(t) + self.h0_at(t)) / self.mixture.gamma0
 
     def u0(self, x: float) -> float:
-        return evaluate_fpp(x, FppState.initial(self.mixture.n_atoms), self.mixture)
+        """U_0(x) = sum_i w_i x^(1-gamma_i)/(1-gamma_i)."""
+        if x <= 0:
+            raise ValueError("wealth must be positive")
+        return float(mixture_value(self.mixture.gammas, self.mixture.weights,
+                                   np.log(x), 0.0, 0.0, 0.0))
 
     def state_paths(self, grid: TimeGrid, dw: np.ndarray, dwperp: np.ndarray):
         """Accumulated (m, qv, v) along an ensemble.
@@ -441,12 +357,7 @@ class MixtureFpp:
                       log_x: np.ndarray) -> np.ndarray:
         """U_t(X_t) along the ensemble, shape (B, N+1); log_x is (B, N+1)."""
         m, qv, v = self.state_paths(grid, dw, dwperp)
-        gammas = self.mixture.gammas
-        weights = self.mixture.weights
-        logs = (np.log(weights) - np.log(np.abs(1.0 - gammas))
-                + (1.0 - gammas) * log_x[..., None] + m - 0.5 * qv + v)
-        signs = np.sign(1.0 - gammas)
-        return signed_exp_sum(logs, signs)
+        return mixture_value(self.mixture.gammas, self.mixture.weights, log_x, m, qv, v)
 
 
 # ---------------------------------------------------------------------------

@@ -222,21 +222,17 @@ def one_period_greedy(a_eff: float, d_eff: float, x: float, spec: PoolSpec,
     ``a_eff`` and ``d_eff`` are the investors' current multiplicative utility
     factors (A0 e^{alpha t} and D0 e^{delta t}); together with current wealth
     they weight the same closed form as the constant-z objective, applied
-    over one period of length ``dt``.
+    over one period of length ``dt``.  This is the rule ``compare_strategies``
+    applies per path, run on a batch of one.
     """
     if a_eff <= 0 or d_eff <= 0 or x <= 0:
         raise ValueError("effective coefficients and wealth must be positive")
     dt = spec.rebalance_dt if dt is None else dt
     if dt <= 0:
         raise ValueError("period length must be positive")
-    wa = a_eff * x ** spec.p
-    wd = d_eff * x ** spec.q
-    lam2t = spec.lam ** 2 * dt
-
-    def f(z):
-        return _weighted_objective(z, wa, wd, spec.p, spec.q, lam2t)
-
-    return _pick_global(_scan_local_maxima(f)).z_star
+    log_ratio = math.log(d_eff) - math.log(a_eff) + (spec.q - spec.p) * math.log(x)
+    return float(_greedy_z_batch(np.array([log_ratio]), spec.p, spec.q,
+                                 spec.lam ** 2 * dt)[0])
 
 
 def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,

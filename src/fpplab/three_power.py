@@ -51,10 +51,10 @@ class ThreePowerSpec:
         return np.array([1.0, -1.0, 1.0])
 
 
-def _term_logs(x, log_z, int_lam2, gamma):
+def _term_logs(log_x, log_z, int_lam2, gamma):
     """Log-magnitudes of the three summands; all signs are carried separately."""
     g = gamma
-    lx = np.log(np.asarray(x, float))
+    lx = np.asarray(log_x, float)
     i = np.asarray(int_lam2, float)
     lz = np.asarray(log_z, float)
     l1 = (1.0 - g) * lx - np.log(1.0 - g) - i / (8.0 * g) - lz
@@ -76,8 +76,8 @@ def three_power_value(x, z_factor, int_lam2, spec: ThreePowerSpec):
         raise ValueError("wealth must be positive")
     if np.any(z <= 0):
         raise ValueError("z_factor must be positive")
-    logs = _term_logs(x, np.log(z), int_lam2, spec.gamma)
-    out = signed_exp_sum(logs, np.array([1.0, -1.0, 1.0]))
+    logs = _term_logs(np.log(x), np.log(z), int_lam2, spec.gamma)
+    out = signed_exp_sum(logs, spec.weights)
     return float(out) if out.ndim == 0 else out
 
 
@@ -148,12 +148,5 @@ class ThreePowerFpp:
                       log_x: np.ndarray) -> np.ndarray:
         """U_t(X_t) along the ensemble, shape (B, N+1)."""
         log_z, i_path = self.accumulators(grid, dw)
-        g = self.spec.gamma
-        i = i_path[None, :]
-        l1 = (1.0 - g) * log_x - np.log(1.0 - g) - i / (8.0 * g) - log_z
-        l2 = ((1.0 - 2.0 * g) * log_x - np.log(1.0 - 2.0 * g)
-              - (1.0 - 2.0 * g) * i / (4.0 * g))
-        l3 = ((1.0 - 3.0 * g) * log_x - np.log(1.0 - 3.0 * g)
-              + (1.0 - 3.0 / (8.0 * g)) * i + log_z)
-        logs = np.stack([l1, l2, l3], axis=-1)
-        return signed_exp_sum(logs, np.array([1.0, -1.0, 1.0]))
+        logs = _term_logs(log_x, log_z, i_path[None, :], self.spec.gamma)
+        return signed_exp_sum(logs, self.spec.weights)

@@ -1,8 +1,10 @@
 """Command line front end: exit codes, CSV outputs, reproducibility."""
 
+import numpy as np
 import pytest
 
 from fpplab.cli import main
+from fpplab.market import TimeGrid, brownian_batch
 
 
 def run(tmp_path, *args, config=None):
@@ -186,3 +188,27 @@ def test_verify_fpp_csvs_reproducible(tmp_path):
     code = run(tmp_path, "verify-fpp", config=SMALL_SIM)
     assert code == 0
     assert (tmp_path / "out" / "verify_pi_star.csv").read_bytes() == first
+
+
+
+def test_verify_fpp_brownian_paths_are_cumulative_batch_draws(tmp_path):
+    # row (path_id, t_k) holds the running sum of brownian_batch row path_id
+    # over the first k cells, drawn at the config seed
+    config = """
+market: {n_stocks: 1, d_w: 1, d_wperp: 1, sigma: 0.2, mu: 0.04}
+simulation: {n_paths: 500, seed: 11, grid_step: 0.25, horizon: 1.0}
+"""
+    run(tmp_path, "verify-fpp", config=config)
+    lines = (tmp_path / "out" / "brownian_paths.csv").read_text().splitlines()
+    assert lines[0] == "path_id,t,W_1,Wp_1"
+    grid = TimeGrid.regular(1.0, 0.25)
+    dw, dwp = brownian_batch(grid, 1, 1, seed=11, path_ids=range(4))
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(rows) == 4 * (grid.n_steps + 1)
+    for pid in range(4):
+        incs = np.concatenate([dw[pid], dwp[pid]], axis=1)
+        levels = np.vstack([np.zeros((1, 2)), np.cumsum(incs, axis=0)])
+        for k, t in enumerate(grid.times):
+            row = rows[pid * (grid.n_steps + 1) + k]
+            assert row[:2] == [pid, t]
+            assert row[2:] == list(levels[k])

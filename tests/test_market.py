@@ -5,14 +5,27 @@ import pytest
 
 from fpplab.errors import (NoExactSolutionError, SingularMarketError,
                            StrategyEvaluationError)
-from fpplab.market import (BrownianPaths, MarketSpec, Schedule, TimeGrid,
-                           brownian_batch, evolve_log_wealth_batch, evolve_wealth,
-                           sharpe_ratio, simulate_brownian, solve_allocation,
+from fpplab.market import (MarketSpec, Schedule, TimeGrid, brownian_batch,
+                           evolve_log_wealth_batch, sharpe_ratio, solve_allocation,
                            write_paths_csv)
 
 
 def make_market(sigma=0.2, mu=0.04, d_wperp=0):
     return MarketSpec(n_stocks=1, d_w=1, d_wperp=d_wperp, sigma=sigma, mu=mu)
+
+
+def stepwise_log_wealth(x0, sp_at, lam_path, grid, dw_row):
+    """One path of the log scheme, one cell at a time: the batch engine's oracle.
+
+    ``sp_at(t)`` gives sigma*pi on the cell starting at ``t``; ``dw_row`` is
+    the (N, d_w) increment array of that path.
+    """
+    log_x = [np.log(x0)]
+    for k in range(grid.n_steps):
+        sp = np.atleast_1d(np.asarray(sp_at(float(grid.times[k])), float))
+        drift = sp @ lam_path[k] - 0.5 * (sp @ sp)
+        log_x.append(log_x[-1] + drift * grid.dt[k] + sp @ dw_row[k])
+    return np.array(log_x)
 
 
 # ---------------------------------------------------------------------------
@@ -101,27 +114,33 @@ def test_solve_allocation_residual_reported():
 
 def test_brownian_deterministic():
     grid = TimeGrid.regular(1.0, 1.0)
-    a = simulate_brownian(grid, 1, 0, seed=7, path_id=0)
-    b = simulate_brownian(grid, 1, 0, seed=7, path_id=0)
-    assert np.array_equal(a.dw, b.dw)
+    a, _ = brownian_batch(grid, 1, 0, seed=7, path_ids=[0])
+    b, _ = brownian_batch(grid, 1, 0, seed=7, path_ids=[0])
+    assert np.array_equal(a, b)
 
 
 def test_brownian_batch_matches_single_paths():
+    # every row of a batch equals the batch of one for its path id, and both
+    # equal a Philox stream opened directly at counter block [0, 0, pid, 0]
     grid = TimeGrid.regular(0.5, 0.1)
     dw, dwp = brownian_batch(grid, 2, 1, seed=3, path_ids=range(17))
     for pid in (0, 5, 16):
-        single = simulate_brownian(grid, 2, 1, seed=3, path_id=pid)
-        assert np.array_equal(dw[pid], single.dw)
-        assert np.array_equal(dwp[pid], single.dwperp)
+        single_dw, single_dwp = brownian_batch(grid, 2, 1, seed=3, path_ids=[pid])
+        assert np.array_equal(dw[pid], single_dw[0])
+        assert np.array_equal(dwp[pid], single_dwp[0])
+        gen = np.random.Generator(np.random.Philox(key=3, counter=[0, 0, pid, 0]))
+        ref = gen.standard_normal((grid.n_steps, 3)) * np.sqrt(grid.dt)[:, None]
+        assert np.array_equal(dw[pid], ref[:, :2])
+        assert np.array_equal(dwp[pid], ref[:, 2:])
 
 
 def test_brownian_paths_differ_across_ids_and_seeds():
     grid = TimeGrid.regular(1.0, 0.25)
-    a = simulate_brownian(grid, 1, 0, seed=7, path_id=0)
-    b = simulate_brownian(grid, 1, 0, seed=7, path_id=1)
-    c = simulate_brownian(grid, 1, 0, seed=8, path_id=0)
-    assert not np.array_equal(a.dw, b.dw)
-    assert not np.array_equal(a.dw, c.dw)
+    a, _ = brownian_batch(grid, 1, 0, seed=7, path_ids=[0])
+    b, _ = brownian_batch(grid, 1, 0, seed=7, path_ids=[1])
+    c, _ = brownian_batch(grid, 1, 0, seed=8, path_ids=[0])
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_brownian_ensemble_statistics():
@@ -143,8 +162,8 @@ def test_brownian_increment_variance_scales_with_dt():
 
 def test_brownian_no_perp_columns():
     grid = TimeGrid.regular(1.0, 0.5)
-    paths = simulate_brownian(grid, 2, 0, seed=1, path_id=0)
-    assert paths.dwperp.shape == (2, 0)
+    _, dwp = brownian_batch(grid, 2, 0, seed=1, path_ids=[0])
+    assert dwp.shape == (1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +173,10 @@ def test_brownian_no_perp_columns():
 def test_null_portfolio_is_exactly_constant():
     market = make_market()
     grid = TimeGrid.regular(1.0, 1 / 52)
-    paths = simulate_brownian(grid, 1, 0, seed=2, path_id=4)
-    wp = evolve_wealth(5.0, lambda t, x, s: 0.0, market, paths, grid)
-    assert np.all(wp.x == 5.0)
-    assert np.all(wp.allocations == 0.0)
+    dw, _ = brownian_batch(grid, 1, 0, seed=2, path_ids=[4])
+    log_x = evolve_log_wealth_batch(5.0, lambda k, t, x: np.zeros(1),
+                                    market.sharpe_path(grid), grid, dw)
+    assert np.all(log_x == np.log(5.0))
 
 
 def test_log_scheme_single_step_arithmetic():
@@ -165,77 +184,85 @@ def test_log_scheme_single_step_arithmetic():
     # dlog x = (0.4*0.2 - 0.5*0.16) + 0.4*0.5 = 0.2
     market = make_market()
     grid = TimeGrid(np.array([0.0, 1.0]))
-    paths = BrownianPaths(dw=np.array([[0.5]]), dwperp=np.zeros((1, 0)),
-                          seed=0, path_id=0)
-    wp = evolve_wealth(1.0, lambda t, x, s: 2.0, market, paths, grid)  # pi=2 -> sp=0.4
-    assert wp.log_x[-1] == pytest.approx(0.2, abs=1e-15)
-    assert wp.allocations[0, 0] == pytest.approx(0.4)
+    sp = market.sigma_at(0.0) @ np.array([2.0])  # pi = 2 -> sigma*pi = 0.4
+    log_x = evolve_log_wealth_batch(1.0, lambda k, t, x: sp, market.sharpe_path(grid),
+                                    grid, np.array([[[0.5]]]))
+    assert log_x[0, -1] == pytest.approx(0.2, abs=1e-15)
+    assert sp[0] == pytest.approx(0.4)
 
 
 def test_constant_allocation_matches_stochastic_exponential():
     # closed form: X_T = x0 exp((c lam - c^2/2) T + c W_T) for sigma*pi = c
     market = make_market()
     grid = TimeGrid.regular(2.0, 1 / 252)
-    paths = simulate_brownian(grid, 1, 0, seed=9, path_id=3)
+    dw, _ = brownian_batch(grid, 1, 0, seed=9, path_ids=[3])
     c = 0.7
-    pi = c / 0.2  # sigma = 0.2
-    wp = evolve_wealth(1.5, lambda t, x, s: pi, market, paths, grid)
-    w_t = np.concatenate([[0.0], np.cumsum(paths.dw[:, 0])])
+    log_x = evolve_log_wealth_batch(1.5, lambda k, t, x: np.array([c]),
+                                    market.sharpe_path(grid), grid, dw)
+    w_t = np.concatenate([[0.0], np.cumsum(dw[0, :, 0])])
     expected = 1.5 * np.exp((c * 0.2 - 0.5 * c * c) * grid.times + c * w_t)
-    np.testing.assert_allclose(wp.x, expected, rtol=1e-12)
+    np.testing.assert_allclose(np.exp(log_x[0]), expected, rtol=1e-12)
 
 
 def test_piecewise_constant_allocation_matches_closed_form():
     market = make_market()
     grid = TimeGrid.regular(1.0, 0.125)
-    paths = simulate_brownian(grid, 1, 0, seed=21, path_id=0)
+    dw, _ = brownian_batch(grid, 1, 0, seed=21, path_ids=[0])
 
-    def strategy(t, x, s):  # jumps at t = 0.5
-        return 1.0 if t < 0.5 else 3.0
+    def rule(k, t, x):  # pi jumps from 1 to 3 at t = 0.5
+        return market.sigma_at(t) @ np.array([1.0 if t < 0.5 else 3.0])
 
-    wp = evolve_wealth(1.0, strategy, market, paths, grid)
-    log_x = 0.0
+    log_x = evolve_log_wealth_batch(1.0, rule, market.sharpe_path(grid), grid, dw)
+    expected = 0.0
     for k in range(grid.n_steps):
         c = 0.2 * (1.0 if grid.times[k] < 0.5 else 3.0)
-        log_x += (c * 0.2 - 0.5 * c * c) * 0.125 + c * paths.dw[k, 0]
-    assert wp.log_x[-1] == pytest.approx(log_x, rel=1e-12)
+        expected += (c * 0.2 - 0.5 * c * c) * 0.125 + c * dw[0, k, 0]
+    assert log_x[0, -1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_wealth_stays_positive_for_wild_strategies():
+    # one batch of ten paths, each with its own scale: the rule returns (B, d_w)
     market = make_market()
     grid = TimeGrid.regular(1.0, 0.05)
-    rng = np.random.default_rng(0)
-    for pid in range(10):
-        paths = simulate_brownian(grid, 1, 0, seed=33, path_id=pid)
-        scale = rng.uniform(-40.0, 40.0)
-        wp = evolve_wealth(1.0, lambda t, x, s: scale * np.sin(37 * t), market,
-                           paths, grid)
-        assert np.all(wp.x > 0.0)
+    lam_path = market.sharpe_path(grid)
+    scales = np.random.default_rng(0).uniform(-40.0, 40.0, size=10)
+    dw, _ = brownian_batch(grid, 1, 0, seed=33, path_ids=range(10))
+    log_x = evolve_log_wealth_batch(
+        1.0, lambda k, t, x: 0.2 * scales[:, None] * np.sin(37 * t), lam_path, grid, dw)
+    assert np.all(np.isfinite(log_x))
+    assert np.all(np.exp(log_x) > 0.0)
+    for b in (0, 9):
+        ref = stepwise_log_wealth(1.0, lambda t: 0.2 * scales[b] * np.sin(37 * t),
+                                  lam_path, grid, dw[b])
+        np.testing.assert_allclose(log_x[b], ref, rtol=1e-12)
 
 
 def test_non_finite_allocation_names_grid_time():
     market = make_market()
     grid = TimeGrid.regular(1.0, 0.25)
-    paths = simulate_brownian(grid, 1, 0, seed=1, path_id=0)
+    dw, _ = brownian_batch(grid, 1, 0, seed=1, path_ids=[0])
 
-    def bad(t, x, s):
-        return np.nan if t >= 0.5 else 0.0
+    def bad(k, t, x):
+        return np.array([np.nan if t >= 0.5 else 0.0])
 
     with pytest.raises(StrategyEvaluationError, match="t=0.5"):
-        evolve_wealth(1.0, bad, market, paths, grid)
+        evolve_log_wealth_batch(1.0, bad, market.sharpe_path(grid), grid, dw)
 
 
 def test_batch_evolution_matches_single_path():
     market = make_market()
     grid = TimeGrid.regular(1.0, 0.1)
-    dw, _ = brownian_batch(grid, 1, 0, seed=6, path_ids=range(5))
     lam_path = market.sharpe_path(grid)
+    dw, _ = brownian_batch(grid, 1, 0, seed=6, path_ids=range(5))
     log_x = evolve_log_wealth_batch(2.0, lambda k, t, x: np.array([0.3]),
                                     lam_path, grid, dw)
     for pid in range(5):
-        paths = simulate_brownian(grid, 1, 0, seed=6, path_id=pid)
-        wp = evolve_wealth(2.0, lambda t, x, s: 0.3 / 0.2, market, paths, grid)
-        np.testing.assert_allclose(log_x[pid], wp.log_x, rtol=1e-13)
+        one, _ = brownian_batch(grid, 1, 0, seed=6, path_ids=[pid])
+        single = evolve_log_wealth_batch(2.0, lambda k, t, x: np.array([0.3]),
+                                         lam_path, grid, one)
+        assert np.array_equal(log_x[pid], single[0])
+        ref = stepwise_log_wealth(2.0, lambda t: 0.3, lam_path, grid, dw[pid])
+        np.testing.assert_allclose(log_x[pid], ref, rtol=1e-13)
 
 
 def test_piecewise_market_schedule_in_sharpe_path():
@@ -251,9 +278,9 @@ def test_piecewise_market_schedule_in_sharpe_path():
 
 def test_write_paths_csv(tmp_path):
     grid = TimeGrid.regular(1.0, 0.5)
-    bundles = [simulate_brownian(grid, 2, 1, seed=4, path_id=i) for i in range(3)]
+    dw, dwp = brownian_batch(grid, 2, 1, seed=4, path_ids=range(3))
     out = tmp_path / "paths.csv"
-    write_paths_csv(out, grid, bundles)
+    write_paths_csv(out, grid, dw, dwp, range(3))
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path_id,t,W_1,W_2,Wp_1"
     assert len(lines) == 1 + 3 * 3  # header + 3 paths x 3 grid times

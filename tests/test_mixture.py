@@ -6,18 +6,40 @@ from hypothesis import given, settings, strategies as st
 
 from fpplab.errors import (FactorDegeneracyError, InvalidExponentError,
                            NoExactSolutionError)
-from fpplab.market import MarketSpec, TimeGrid, brownian_batch, simulate_brownian
-from fpplab.mixture import (FppState, H0Spec, JSpec, MixtureFpp, RiskMixture,
-                            VolatilityChoice, accumulate_fpp_state,
-                            check_admissibility_moments, drift_term, evaluate_fpp,
-                            factor_j, hgamma, market_view_density,
-                            monotone_power_value, optimal_portfolio,
+from fpplab.market import MarketSpec, TimeGrid, brownian_batch
+from fpplab.mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture,
+                            VolatilityChoice, check_admissibility_moments,
+                            drift_term, factor_j, hgamma, market_view_density,
+                            mixture_value, monotone_power_value, optimal_portfolio,
                             true_fpp_constants, vgamma_rate)
 from fpplab.verify import structure_scan
 
 
 def base_market(d_wperp=0):
     return MarketSpec(n_stocks=1, d_w=1, d_wperp=d_wperp, sigma=0.2, mu=0.04)
+
+
+def initial_value(mix, x):
+    """U_0(x) of a mixture, through the ensemble evaluator."""
+    return MixtureFpp(mix, VolatilityChoice.zero(), base_market()).u0(x)
+
+
+def stepwise_state(mix, lam, h0, j_atoms, dw_row, dwp_row, dt):
+    """Per-atom (m, <M>, V) of one path, one cell at a time, from the formulas.
+
+    ``j_atoms[i]`` is atom i's W_perp loading; ``dw_row`` and ``dwp_row`` are
+    the (N, d_w) and (N, d_wperp) increments of the path.
+    """
+    g0 = mix.gamma0
+    m, qv, v = (np.zeros(mix.n_atoms) for _ in range(3))
+    for k in range(len(dt)):
+        for i, (g, _) in enumerate(mix.atoms):
+            hg = ((g - g0) / g0) * lam + (g / g0) * h0
+            jg = np.asarray(j_atoms[i], float)
+            m[i] += hg @ dw_row[k] + jg @ dwp_row[k]
+            qv[i] += (hg @ hg + jg @ jg) * dt[k]
+            v[i] += -(1 - g) / (2 * g) * ((lam + hg) @ (lam + hg)) * dt[k]
+    return m, qv, v
 
 
 # ---------------------------------------------------------------------------
@@ -210,57 +232,46 @@ def test_factor_j_degenerate():
 
 def test_accumulate_zero_dynamics():
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.0)
-    mix = RiskMixture.single(0.5)
-    vol = VolatilityChoice.zero()
-    state = FppState.initial(1)
-    state = accumulate_fpp_state(state, mix, vol, 0.0, [0.0], [0.3], [], 0.5,
-                                 market=market)
-    assert state.m == pytest.approx([0.0])
-    assert state.qv_m == pytest.approx([0.0])
-    assert state.v == pytest.approx([0.0])
+    fpp = MixtureFpp(RiskMixture.single(0.5), VolatilityChoice.zero(), market)
+    grid = TimeGrid(np.array([0.0, 0.5]))
+    m, qv, v = fpp.state_paths(grid, np.array([[[0.3]]]), np.zeros((1, 1, 0)))
+    assert m[0, -1] == pytest.approx([0.0])
+    assert qv[-1] == pytest.approx([0.0])
+    assert v[-1] == pytest.approx([0.0])
 
 
 def test_accumulate_single_atom_base_loading_vanishes():
     # h0 = 0 at the base aversion: M stays 0, V integrates the rate exactly
     mix = RiskMixture.single(0.5)
-    vol = VolatilityChoice.zero()
-    state = FppState.initial(1)
-    rng = np.random.default_rng(0)
-    dt = 0.1
-    for k in range(10):
-        state = accumulate_fpp_state(state, mix, vol, k * dt, [0.2],
-                                     rng.normal(size=1) * np.sqrt(dt), [], dt)
-    assert state.m == pytest.approx([0.0])
-    assert state.v == pytest.approx([-0.02], abs=1e-15)
-    assert evaluate_fpp(1.0, state, mix) == pytest.approx(2 * np.exp(-0.02))
+    fpp = MixtureFpp(mix, VolatilityChoice.zero(), base_market())
+    grid = TimeGrid.regular(1.0, 0.1)
+    dw, dwp = brownian_batch(grid, 1, 0, seed=0, path_ids=[0])
+    m, qv, v = fpp.state_paths(grid, dw, dwp)
+    assert m[0, -1] == pytest.approx([0.0])
+    assert v[-1] == pytest.approx([-0.02], abs=1e-15)
+    value = mixture_value(mix.gammas, mix.weights, np.log(1.0), m[0, -1], qv[-1], v[-1])
+    assert value == pytest.approx(2 * np.exp(-0.02))
 
 
 def test_accumulate_matches_brute_force_recomputation():
+    # two drivers with lam = (0.3, 0.1), one W_perp, per-atom J
+    market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1, sigma=np.eye(2), mu=[0.3, 0.1])
     mix = RiskMixture(atoms=((0.4, 1.0), (2.0, 0.7)), gamma0=0.4)
     vol = VolatilityChoice(h0=H0Spec.constant([0.1, -0.05]),
                            j=JSpec.constant([[0.2], [0.3]]))
+    fpp = MixtureFpp(mix, vol, market)
+    grid = TimeGrid.regular(1.0, 0.05)
     rng = np.random.default_rng(5)
-    dt = 0.05
-    lam = np.array([0.3, 0.1])
-    state = FppState.initial(2)
-    m_ref = np.zeros(2)
-    qv_ref = np.zeros(2)
-    v_ref = np.zeros(2)
-    for k in range(20):
-        dw = rng.normal(size=2) * np.sqrt(dt)
-        dwp = rng.normal(size=1) * np.sqrt(dt)
-        state = accumulate_fpp_state(state, mix, vol, k * dt, lam, dw, dwp, dt)
-        # independent step-by-step recomputation
-        for i, (g, _) in enumerate(mix.atoms):
-            hg = ((g - 0.4) / 0.4) * lam + (g / 0.4) * np.array([0.1, -0.05])
-            jg = np.array([[0.2], [0.3]][i])
-            m_ref[i] += hg @ dw + jg @ dwp
-            qv_ref[i] += (hg @ hg + jg @ jg) * dt
-            v_ref[i] += -(1 - g) / (2 * g) * ((lam + hg) @ (lam + hg)) * dt
-    assert state.m == pytest.approx(m_ref, rel=1e-12)
-    assert state.qv_m == pytest.approx(qv_ref, rel=1e-12)
-    assert state.v == pytest.approx(v_ref, rel=1e-12)
-    assert np.all(np.diff([0.0, *state.qv_m]) >= 0.0)
+    dw = rng.normal(size=(1, 20, 2)) * np.sqrt(0.05)
+    dwp = rng.normal(size=(1, 20, 1)) * np.sqrt(0.05)
+    m, qv, v = fpp.state_paths(grid, dw, dwp)
+    m_ref, qv_ref, v_ref = stepwise_state(mix, np.array([0.3, 0.1]),
+                                          np.array([0.1, -0.05]), [[0.2], [0.3]],
+                                          dw[0], dwp[0], grid.dt)
+    assert m[0, -1] == pytest.approx(m_ref, rel=1e-12)
+    assert qv[-1] == pytest.approx(qv_ref, rel=1e-12)
+    assert v[-1] == pytest.approx(v_ref, rel=1e-12)
+    assert np.all(np.diff(qv, axis=0) >= 0.0)
 
 
 def test_state_paths_match_stepwise_accumulation():
@@ -271,14 +282,11 @@ def test_state_paths_match_stepwise_accumulation():
     grid = TimeGrid.regular(1.0, 0.125)
     dw, dwp = brownian_batch(grid, 1, 1, seed=8, path_ids=[0])
     m, qv, v = fpp.state_paths(grid, dw, dwp)
-    state = FppState.initial(2)
-    for k in range(grid.n_steps):
-        state = accumulate_fpp_state(state, mix, vol, float(grid.times[k]),
-                                     market.sharpe_at(0.0), dw[0, k], dwp[0, k],
-                                     float(grid.dt[k]), market=market)
-    assert m[0, -1] == pytest.approx(state.m, rel=1e-12)
-    assert qv[-1] == pytest.approx(state.qv_m, rel=1e-12)
-    assert v[-1] == pytest.approx(state.v, rel=1e-12)
+    m_ref, qv_ref, v_ref = stepwise_state(mix, market.sharpe_at(0.0), np.array([0.1]),
+                                          [[0.2], [0.2]], dw[0], dwp[0], grid.dt)
+    assert m[0, -1] == pytest.approx(m_ref, rel=1e-12)
+    assert qv[-1] == pytest.approx(qv_ref, rel=1e-12)
+    assert v[-1] == pytest.approx(v_ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -286,41 +294,40 @@ def test_state_paths_match_stepwise_accumulation():
 # ---------------------------------------------------------------------------
 
 def test_evaluate_initial_condition_single_atom():
-    mix = RiskMixture.single(0.5)
-    assert evaluate_fpp(4.0, FppState.initial(1), mix) == pytest.approx(4.0)
+    assert initial_value(RiskMixture.single(0.5), 4.0) == pytest.approx(4.0)
 
 
 def test_evaluate_with_state():
     mix = RiskMixture.single(0.5)
-    state = FppState(m=np.array([0.0]), qv_m=np.array([0.0]), v=np.array([-0.02]))
-    assert evaluate_fpp(1.0, state, mix) == pytest.approx(2 * np.exp(-0.02))
+    value = mixture_value(mix.gammas, mix.weights, np.log(1.0), np.array([0.0]),
+                          np.array([0.0]), np.array([-0.02]))
+    assert value == pytest.approx(2 * np.exp(-0.02))
 
 
 def test_evaluate_two_atoms_initial():
     mix = RiskMixture(atoms=((0.9, 1.0), (0.7, 1.0)), gamma0=0.8)
     expected = 1 / 0.1 + 1 / 0.3
-    assert evaluate_fpp(1.0, FppState.initial(2), mix) == pytest.approx(expected)
+    assert initial_value(mix, 1.0) == pytest.approx(expected)
 
 
 def test_evaluate_rejects_nonpositive_wealth():
-    mix = RiskMixture.single(0.5)
     with pytest.raises(ValueError):
-        evaluate_fpp(0.0, FppState.initial(1), mix)
+        initial_value(RiskMixture.single(0.5), 0.0)
 
 
 def test_evaluate_negative_infinity_sentinel():
     # an aversion above one turns a diverging exponential into -inf
     mix = RiskMixture.single(2.0)
-    state = FppState(m=np.array([800.0]), qv_m=np.array([0.0]), v=np.array([0.0]))
-    assert np.isneginf(evaluate_fpp(1.0, state, mix))
+    value = mixture_value(mix.gammas, mix.weights, np.log(1.0), np.array([800.0]),
+                          np.array([0.0]), np.array([0.0]))
+    assert np.isneginf(value)
 
 
 def test_initial_condition_recovery_log_grid():
     mix = RiskMixture(atoms=((0.3, 0.4), (0.9, 1.1), (2.5, 0.2)), gamma0=0.9)
-    state = FppState.initial(3)
     for x in np.geomspace(1e-3, 1e3, 25):
         direct = sum(w * x ** (1 - g) / (1 - g) for g, w in mix.atoms)
-        assert evaluate_fpp(float(x), state, mix) == pytest.approx(direct, rel=1e-14)
+        assert initial_value(mix, float(x)) == pytest.approx(direct, rel=1e-14)
 
 
 @given(x=st.floats(min_value=1e-3, max_value=1e3),
@@ -329,9 +336,8 @@ def test_initial_condition_recovery_log_grid():
 def test_single_power_evaluation_matches_direct_formula(x, gamma):
     if abs(gamma - 1.0) < 1e-3:
         return
-    mix = RiskMixture.single(gamma)
     direct = x ** (1 - gamma) / (1 - gamma)
-    assert evaluate_fpp(x, FppState.initial(1), mix) == pytest.approx(direct, rel=1e-12)
+    assert initial_value(RiskMixture.single(gamma), x) == pytest.approx(direct, rel=1e-12)
 
 
 def test_pointwise_concavity_of_reachable_states():
@@ -344,11 +350,9 @@ def test_pointwise_concavity_of_reachable_states():
     m, qv, v = fpp.state_paths(grid, dw, dwp)
     states = [(m[b, k], qv[k], v[k]) for b in range(6) for k in (10, 20)]
 
-    from fpplab.mixture import mixture_value
-
     def evaluate(state, x):
         sm, sqv, sv = state
-        return mixture_value(mix.gammas, mix.weights, x, sm, sqv, sv)
+        return mixture_value(mix.gammas, mix.weights, np.log(x), sm, sqv, sv)
 
     report = structure_scan(evaluate, states, np.geomspace(1e-2, 1e2, 20))
     assert report.passed
@@ -402,7 +406,7 @@ def test_monotone_power_factorisation_along_path():
     m, qv, v = fpp.state_paths(grid, dw, dwp)
     lam_plus_h = market.sharpe_at(0.0) + h
     for x in (0.5, 1.0, 3.0):
-        full = evaluate_fpp(x, FppState(m[0, -1], qv[-1], v[-1]), mix)
+        full = mixture_value(mix.gammas, mix.weights, np.log(x), m[0, -1], qv[-1], v[-1])
         factored = (monotone_power_value(x, lam_plus_h, g)
                     * market_view_density(m[0, -1, 0], qv[-1, 0]))
         assert full == pytest.approx(factored, rel=1e-10)
@@ -494,21 +498,3 @@ def test_moments_reject_boundary_exponent():
     with pytest.raises(InvalidExponentError):
         check_admissibility_moments(lambda k, t, x: np.zeros(1), market, mix,
                                     v=1.0, u=2.0, n_paths=10, grid=grid, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# rule-based h0 through the single-path accumulator
-# ---------------------------------------------------------------------------
-
-def test_rule_h0_single_path_accumulation():
-    market = base_market()
-    mix = RiskMixture.single(0.5)
-    vol = VolatilityChoice(h0=H0Spec.rule(lambda t, s: [0.1 * t]), j=JSpec.zero())
-    grid = TimeGrid.regular(1.0, 0.5)
-    paths = simulate_brownian(grid, 1, 0, seed=2, path_id=0)
-    state = FppState.initial(1)
-    for k in range(grid.n_steps):
-        state = accumulate_fpp_state(state, mix, vol, float(grid.times[k]),
-                                     [0.2], paths.dw[k], [], 0.5, market=market)
-    expected_m = 0.0 * paths.dw[0, 0] + 0.05 * paths.dw[1, 0]
-    assert state.m[0] == pytest.approx(expected_m)

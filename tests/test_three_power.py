@@ -91,7 +91,7 @@ def test_matches_generic_signed_mixture_along_path():
             qv[i] += float(hg @ hg) * dt
             v[i] += vgamma_rate(gam, lam, hg) * dt
         x = 0.5 + k * 0.1  # arbitrary positive wealth probe per time
-        generic = float(mixture_value(gammas, weights, np.asarray(x), m, qv, v))
+        generic = float(mixture_value(gammas, weights, np.log(x), m, qv, v))
         explicit = three_power_value(x, float(np.exp(log_z[0, k + 1])),
                                      float(i_path[k + 1]), spec)
         assert explicit == pytest.approx(generic, rel=1e-10)
