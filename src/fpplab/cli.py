@@ -83,11 +83,11 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     runs = [("pi_star", sp_star, "martingale"),
             ("null", sp_null, "supermartingale"),
             ("perturbed", sp_perturbed, "supermartingale")]
+    reports = martingale_test(fpp, [(rule, mode) for _, rule, mode in runs],
+                              cfg.market, grid=grid, n_paths=cfg.sim.n_paths,
+                              seed=cfg.sim.seed, threads=threads)
     ok = True
-    for name, rule, mode in runs:
-        report = martingale_test(fpp, rule, cfg.market, grid=grid,
-                                 n_paths=cfg.sim.n_paths, seed=cfg.sim.seed,
-                                 mode=mode, threads=threads)
+    for (name, _, mode), report in zip(runs, reports):
         _write_report_csv(os.path.join(out_dir, f"verify_{name}.csv"), report)
         print(f"{name}:")
         print(report.to_text())
@@ -250,9 +250,9 @@ def cmd_three_power(cfg: RunConfig, out_dir: str, gamma_flag, threads: int) -> i
     def sp_star(k, t, x):
         return fpp.sp_star(t)
 
-    report = martingale_test(fpp, sp_star, cfg.market, grid=grid,
-                             n_paths=cfg.sim.n_paths, seed=cfg.sim.seed,
-                             mode="martingale", threads=threads)
+    [report] = martingale_test(fpp, [(sp_star, "martingale")], cfg.market, grid=grid,
+                               n_paths=cfg.sim.n_paths, seed=cfg.sim.seed,
+                               threads=threads)
     _write_report_csv(os.path.join(out_dir, "three_power_martingale.csv"), report)
     print(f"martingale check at the optimiser: {report.verdict}")
 

@@ -283,8 +283,8 @@ def evolve_log_wealth_batch(x0: float, sp_rule: Callable, lam_path: np.ndarray,
     Raises
     ------
     StrategyEvaluationError
-        If the rule returns a non-finite allocation; the message names the
-        grid time.
+        If the rule returns an allocation of another shape, or a non-finite
+        one; the message names the grid time.
     """
     n_paths, n_steps, d_w = dw.shape
     log_x = np.empty((n_paths, n_steps + 1))
@@ -293,6 +293,10 @@ def evolve_log_wealth_batch(x0: float, sp_rule: Callable, lam_path: np.ndarray,
     for k in range(n_steps):
         t = float(grid.times[k])
         sp = np.asarray(sp_rule(k, t, np.exp(log_x[:, k])), dtype=float)
+        if sp.shape not in ((d_w,), (n_paths, d_w)):
+            raise StrategyEvaluationError(
+                f"allocation of shape {sp.shape} at t={t}, expected ({d_w},) "
+                f"or ({n_paths}, {d_w})")
         if not np.all(np.isfinite(sp)):
             raise StrategyEvaluationError(f"non-finite allocation at t={t}")
         if sp.ndim == 1:

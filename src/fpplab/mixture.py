@@ -34,18 +34,22 @@ from .market import (MarketSpec, TimeGrid, brownian_batch,
 GAMMA_ONE_TOL = 1e-9  # risk aversions this close to 1 are rejected
 
 
-def signed_exp_sum(logs: np.ndarray, signs: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable ``sum(signs * exp(logs))`` along ``axis``.
+def signed_exp_sum(logs: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Stable ``sum_i signs[i] * exp(logs[i])``, one term per row of ``logs``.
 
-    Overflows only when the true value leaves float range, in which case the
-    IEEE infinity of the correct sign is returned (-inf is the legitimate
-    sentinel for criteria that diverge below).
+    The terms run along the first axis, so each step works on whole
+    contiguous rows.  Overflows only when the true value leaves float range,
+    in which case the IEEE infinity of the correct sign is returned (-inf is
+    the legitimate sentinel for criteria that diverge below).
     """
-    m = np.max(logs, axis=axis, keepdims=True)
+    m = np.max(logs, axis=0)
     m = np.where(np.isfinite(m), m, 0.0)
-    part = np.sum(signs * np.exp(logs - m), axis=axis)
+    terms = logs - m
+    np.exp(terms, out=terms)
+    terms *= np.reshape(signs, (-1,) + (1,) * m.ndim)
+    part = np.sum(terms, axis=0)
     with np.errstate(divide="ignore", over="ignore"):
-        return np.sign(part) * np.exp(np.squeeze(m, axis=axis) + np.log(np.abs(part)))
+        return np.sign(part) * np.exp(m + np.log(np.abs(part)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +128,15 @@ class H0Spec:
     def portfolio_inversion(cls, target_pi):
         return cls("portfolio_inversion", np.atleast_1d(np.asarray(target_pi, float)))
 
-    def at(self, t: float, market: MarketSpec, gamma0: float) -> np.ndarray:
+    def at(self, t: float, market: MarketSpec, gamma0: float,
+           lam: np.ndarray) -> np.ndarray:
+        """h0 at time t, given the market's Sharpe ratio ``lam`` there."""
         if self.kind == "zero":
             return np.zeros(market.d_w)
         if self.kind == "constant":
             return self.value
         if self.kind == "portfolio_inversion":
-            return gamma0 * (market.sigma_at(t) @ self.value) - market.sharpe_at(t)
+            return gamma0 * (market.sigma_at(t) @ self.value) - lam
         raise ValueError(f"unknown h0 kind {self.kind!r}")
 
 
@@ -267,16 +273,28 @@ def monotone_power_value(x: float, lam_plus_h: np.ndarray, gamma: float) -> floa
 def mixture_value(gammas: np.ndarray, weights: np.ndarray, log_x, m, qv, v):
     """Mixture value at log wealth ``log_x`` given per-atom state (m, qv, v).
 
-    Atoms lie along the last axis; computed in log space, so the value is
-    -inf where the sum genuinely diverges below.  Weights may carry signs
-    (used by the explicit signed constructions); ``RiskMixture``-validated
-    criteria always pass positive ones.
+    Atoms lie along the last axis of ``m``, ``qv`` and ``v`` (a scalar
+    applies to every atom); computed in log space, so the value is -inf where
+    the sum genuinely diverges below.  Weights may carry signs (used by the
+    explicit signed constructions); ``RiskMixture``-validated criteria always
+    pass positive ones.
     """
     gammas = np.asarray(gammas, float)
     weights = np.asarray(weights, float)
-    logs = (np.log(np.abs(weights)) - np.log(np.abs(1.0 - gammas))
-            + (1.0 - gammas) * np.asarray(log_x, float)[..., None]
-            + m - 0.5 * qv + v)
+    log_x = np.asarray(log_x, float)
+    n = gammas.size
+    m, qv, v = (np.broadcast_to(np.asarray(a, float), np.shape(a)[:-1] + (n,))
+                for a in (m, qv, v))
+    coef = np.log(np.abs(weights)) - np.log(np.abs(1.0 - gammas))
+    logs = np.empty((n,) + np.broadcast_shapes(log_x.shape, m.shape[:-1],
+                                               qv.shape[:-1], v.shape[:-1]))
+    for i in range(n):  # coef + (1-g) log_x + m - qv/2 + v; this order fixes the rounding
+        row = logs[i, ...]  # a view even when the value is a scalar
+        np.multiply(1.0 - gammas[i], log_x, out=row)
+        row += coef[i]
+        row += m[..., i]
+        row -= 0.5 * qv[..., i]
+        row += v[..., i]
     signs = np.sign(weights) * np.sign(1.0 - gammas)
     return signed_exp_sum(logs, signs)
 
@@ -296,25 +314,11 @@ class MixtureFpp:
         self.vol = vol
         self.market = market
 
-    def h0_at(self, t: float) -> np.ndarray:
-        return self.vol.h0.at(t, self.market, self.mixture.gamma0)
-
-    def h_matrix(self, t: float) -> np.ndarray:
-        """Per-atom W-loadings, shape (n_atoms, d_w)."""
-        lam = self.market.sharpe_at(t)
-        h0 = self.h0_at(t)
-        return np.stack([hgamma(g, self.mixture.gamma0, lam, h0)
-                         for g in self.mixture.gammas])
-
-    def j_matrix(self, t: float) -> np.ndarray:
-        """Per-atom W_perp-loadings, shape (n_atoms, d_wperp)."""
-        h = self.h_matrix(t)
-        return np.stack([self.vol.j.for_atom(i, h[i], self.market)
-                         for i in range(self.mixture.n_atoms)])
-
     def sp_star(self, t: float) -> np.ndarray:
         """Optimal sigma*pi = (lam + h0)/gamma0."""
-        return (self.market.sharpe_at(t) + self.h0_at(t)) / self.mixture.gamma0
+        lam = self.market.sharpe_at(t)
+        gamma0 = self.mixture.gamma0
+        return (lam + self.vol.h0.at(t, self.market, gamma0, lam)) / gamma0
 
     def u0(self, x: float) -> float:
         """U_0(x) = sum_i w_i x^(1-gamma_i)/(1-gamma_i)."""
@@ -327,20 +331,23 @@ class MixtureFpp:
         """Accumulated (m, qv, v) along an ensemble.
 
         Returns ``m`` of shape (B, N+1, n_atoms) and deterministic ``qv``,
-        ``v`` of shape (N+1, n_atoms).
+        ``v`` of shape (N+1, n_atoms): the ``state`` that ``utility_paths``
+        evaluates.
         """
         n_steps = grid.n_steps
         n_atoms = self.mixture.n_atoms
+        gamma0 = self.mixture.gamma0
         h = np.empty((n_steps, n_atoms, self.market.d_w))
         j = np.empty((n_steps, n_atoms, self.market.d_wperp))
         vr = np.empty((n_steps, n_atoms))
         lam_path = self.market.sharpe_path(grid)
         for k in range(n_steps):
-            t = float(grid.times[k])
-            h[k] = self.h_matrix(t)
-            j[k] = self.j_matrix(t)
+            lam = lam_path[k]
+            h0 = self.vol.h0.at(float(grid.times[k]), self.market, gamma0, lam)
             for i, g in enumerate(self.mixture.gammas):
-                vr[k, i] = vgamma_rate(g, lam_path[k], h[k, i])
+                h[k, i] = hgamma(g, gamma0, lam, h0)
+                j[k, i] = self.vol.j.for_atom(i, h[k, i], self.market)
+                vr[k, i] = vgamma_rate(g, lam, h[k, i])
         dt = grid.dt
         qv = np.vstack([np.zeros((1, n_atoms)),
                         np.cumsum((np.einsum("kad,kad->ka", h, h)
@@ -349,15 +356,21 @@ class MixtureFpp:
         dm = np.einsum("bkd,kad->bka", dw, h)
         if self.market.d_wperp:
             dm += np.einsum("bkd,kad->bka", dwperp, j)
-        m = np.concatenate([np.zeros((dw.shape[0], 1, n_atoms)),
-                            np.cumsum(dm, axis=1)], axis=1)
+        m = np.empty((dw.shape[0], n_steps + 1, n_atoms))
+        m[:, 0] = 0.0
+        np.cumsum(dm, axis=1, out=m[:, 1:])
         return m, qv, v
 
-    def utility_paths(self, grid: TimeGrid, dw: np.ndarray, dwperp: np.ndarray,
-                      log_x: np.ndarray) -> np.ndarray:
-        """U_t(X_t) along the ensemble, shape (B, N+1); log_x is (B, N+1)."""
-        m, qv, v = self.state_paths(grid, dw, dwperp)
-        return mixture_value(self.mixture.gammas, self.mixture.weights, log_x, m, qv, v)
+    def utility_paths(self, state, log_x: np.ndarray,
+                      cols: slice = slice(None)) -> np.ndarray:
+        """U_t(X_t) at the grid columns ``cols`` of a ``state_paths`` state.
+
+        ``log_x`` is log wealth at those columns, shape (B, len(cols)); so is
+        the result.
+        """
+        m, qv, v = state
+        return mixture_value(self.mixture.gammas, self.mixture.weights, log_x,
+                             m[:, cols], qv[cols], v[cols])
 
 
 # ---------------------------------------------------------------------------

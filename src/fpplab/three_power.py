@@ -52,7 +52,7 @@ class ThreePowerSpec:
 
 
 def _term_logs(log_x, log_z, int_lam2, gamma):
-    """Log-magnitudes of the three summands; all signs are carried separately."""
+    """Log-magnitudes of the three summands, one per row; signs are carried separately."""
     g = gamma
     lx = np.asarray(log_x, float)
     i = np.asarray(int_lam2, float)
@@ -61,7 +61,7 @@ def _term_logs(log_x, log_z, int_lam2, gamma):
     l2 = (1.0 - 2.0 * g) * lx - np.log(1.0 - 2.0 * g) - (1.0 - 2.0 * g) * i / (4.0 * g)
     l3 = ((1.0 - 3.0 * g) * lx - np.log(1.0 - 3.0 * g)
           + (1.0 - 3.0 / (8.0 * g)) * i + lz)
-    return np.stack(np.broadcast_arrays(l1, l2, l3), axis=-1)
+    return np.stack(np.broadcast_arrays(l1, l2, l3))
 
 
 def three_power_value(x, z_factor, int_lam2, spec: ThreePowerSpec):
@@ -144,9 +144,20 @@ class ThreePowerFpp:
             [[0.0], np.cumsum(np.einsum("kd,kd->k", lam_path, lam_path) * dt)])
         return log_z, i_path
 
-    def utility_paths(self, grid: TimeGrid, dw: np.ndarray, dwperp: np.ndarray,
-                      log_x: np.ndarray) -> np.ndarray:
-        """U_t(X_t) along the ensemble, shape (B, N+1)."""
-        log_z, i_path = self.accumulators(grid, dw)
-        logs = _term_logs(log_x, log_z, i_path[None, :], self.spec.gamma)
+    def state_paths(self, grid: TimeGrid, dw: np.ndarray, dwperp: np.ndarray):
+        """The ``accumulators``: the state ``utility_paths`` evaluates.
+
+        W_perp does not enter this criterion.
+        """
+        return self.accumulators(grid, dw)
+
+    def utility_paths(self, state, log_x: np.ndarray,
+                      cols: slice = slice(None)) -> np.ndarray:
+        """U_t(X_t) at the grid columns ``cols`` of a ``state_paths`` state.
+
+        ``log_x`` is log wealth at those columns, shape (B, len(cols)); so is
+        the result.
+        """
+        log_z, i_path = state
+        logs = _term_logs(log_x, log_z[:, cols], i_path[None, cols], self.spec.gamma)
         return signed_exp_sum(logs, self.spec.weights)

@@ -23,6 +23,7 @@ from .market import MarketSpec, TimeGrid, brownian_batch, evolve_log_wealth_batc
 SE_MULTIPLE = 3.0
 NEGINF_WARN_FRACTION = 1e-3
 DEFAULT_BATCH = 20_000
+TIME_CHUNK = 16  # grid times evaluated at once; bounds the per-batch working set
 
 VERDICT_MARTINGALE = "consistent-with-martingale"
 VERDICT_SUPER_STRICT = "supermartingale-strict"
@@ -52,72 +53,67 @@ class MartingaleReport:
         return self.reference + band - self.mean
 
     def to_text(self) -> str:
+        margins = self.margins()
+        k = 1 + int(np.argmin(margins[1:]))
         lines = [f"{self.mode} test: verdict={self.verdict} "
                  f"(n_paths={self.n_paths}, seed={self.seed})",
                  f"  reference U0 = {self.reference:.9g}",
                  f"  terminal mean = {self.mean[-1]:.9g} +- {self.se[-1]:.3g}",
-                 f"  worst margin = {float(np.min(self.margins()[1:])):.3g}",
+                 f"  worst margin = {margins[k]:.3g} at t = {self.t_grid[k]:.6g}",
                  f"  terminal kurtosis = {self.kurtosis_terminal:.3g}"]
         lines += [f"  warning: {w}" for w in self.warnings]
         return "\n".join(lines)
 
 
-def _batch_moments(fpp, sp_rule, market, grid, seed, path_ids, x0):
-    dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, path_ids)
-    lam_path = market.sharpe_path(grid)
-    log_x = evolve_log_wealth_batch(x0, sp_rule, lam_path, grid, dw)
-    u = fpp.utility_paths(grid, dw, dwp, log_x)
-    neg_inf = int(np.sum(np.isneginf(u).any(axis=1)))
-    finite = np.where(np.isfinite(u), u, 0.0)  # diverged paths counted, zeroed
-    return finite.sum(axis=0), (finite ** 2).sum(axis=0), neg_inf, u[:, -1]
+def _time_chunks(n_times: int) -> list[slice]:
+    """Column slices of ``TIME_CHUNK`` grid times, the last one never of width one.
 
-
-def martingale_test(fpp, sp_rule: Callable, market: MarketSpec, *, grid: TimeGrid,
-                    n_paths: int, seed: int, mode: str = "martingale",
-                    x0: float = 1.0, batch_size: int = DEFAULT_BATCH,
-                    threads: int = None) -> MartingaleReport:
-    """Ensemble test of E[U_t(X_t)] against U_0(x0).
-
-    ``fpp`` exposes ``utility_paths(grid, dw, dwperp, log_x)`` and ``u0(x)``;
-    ``sp_rule(k, t, x_vec)`` supplies sigma*pi per grid cell.  In martingale
-    mode the verdict is consistent iff every grid time stays inside the
-    3-standard-error band around U_0; in supermartingale mode the mean must
-    stay below U_0 plus the band everywhere, with a strict verdict when the
-    terminal mean separates below by more than the band.
-
-    Batches are combined in fixed order, so the report is bit-identical for
-    any ``threads`` setting.
+    numpy sums a one-column block over paths pairwise but a wider block row
+    by row, so a lone last column would round differently from the
+    full-horizon sum; it joins the chunk before it instead.
     """
-    if mode not in ("martingale", "supermartingale"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
-    n_times = grid.n_steps + 1
-    batches = [range(lo, min(lo + batch_size, n_paths))
-               for lo in range(0, n_paths, batch_size)]
+    starts = list(range(0, n_times, TIME_CHUNK))
+    if len(starts) > 1 and n_times - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_times])]
 
-    def work(ids):
-        return _batch_moments(fpp, sp_rule, market, grid, seed, ids, x0)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, batches))
-    else:
-        results = [work(ids) for ids in batches]
+def _streamed_moments(fpp, state, log_x):
+    """(sum U, sum U^2, -inf path count, terminal U) of one rule over one batch.
 
-    s1 = np.zeros(n_times)
-    s2 = np.zeros(n_times)
-    terminal_parts = []
-    neg_inf = 0
-    for bs1, bs2, bneg, bterm in results:  # fixed order keeps reduction deterministic
-        s1 += bs1
-        s2 += bs2
-        neg_inf += bneg
-        terminal_parts.append(bterm)
+    U is evaluated ``TIME_CHUNK`` grid times at a time, straight into the
+    per-time sums, so no full-horizon utility array is ever held.
+    """
+    n_paths, n_times = log_x.shape
+    s1 = np.empty(n_times)
+    s2 = np.empty(n_times)
+    diverged = np.zeros(n_paths, dtype=bool)
+    for cols in _time_chunks(n_times):
+        u = fpp.utility_paths(state, log_x[:, cols], cols)
+        diverged |= np.isneginf(u).any(axis=1)
+        finite = np.where(np.isfinite(u), u, 0.0)  # diverged paths counted, zeroed
+        s1[cols] = finite.sum(axis=0)
+        s2[cols] = (finite ** 2).sum(axis=0)
+    return s1, s2, int(np.sum(diverged)), u[:, -1].copy()
+
+
+def _batch_moments(fpp, rules, market, lam_path, grid, seed, path_ids, x0):
+    """``_streamed_moments`` of every rule over one batch.
+
+    The increments and the criterion state are built once and shared by all
+    rules (common random numbers).
+    """
+    dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, path_ids)
+    state = fpp.state_paths(grid, dw, dwp)
+    return [_streamed_moments(fpp, state,
+                              evolve_log_wealth_batch(x0, rule, lam_path, grid, dw))
+            for rule in rules]
+
+
+def _report(mode, s1, s2, neg_inf, terminal, reference, grid, n_paths, seed):
     mean = s1 / n_paths
     var = np.maximum(s2 / n_paths - mean ** 2, 0.0) * n_paths / (n_paths - 1)
     se = np.sqrt(var / n_paths)
-    terminal = np.concatenate(terminal_parts)
     t_fin = terminal[np.isfinite(terminal)]
     if t_fin.size > 3 and np.std(t_fin) > 0:
         zc = (t_fin - t_fin.mean()) / t_fin.std()
@@ -125,7 +121,6 @@ def martingale_test(fpp, sp_rule: Callable, market: MarketSpec, *, grid: TimeGri
     else:
         kurt = float("nan")
 
-    reference = float(fpp.u0(x0))
     band = SE_MULTIPLE * se[1:]
     dev = mean[1:] - reference
     if mode == "martingale":
@@ -146,6 +141,66 @@ def martingale_test(fpp, sp_rule: Callable, market: MarketSpec, *, grid: TimeGri
                             reference=reference, verdict=verdict, mode=mode,
                             n_paths=n_paths, seed=seed, kurtosis_terminal=kurt,
                             warnings=warnings)
+
+
+def martingale_test(fpp, runs: Sequence[tuple[Callable, str]], market: MarketSpec, *,
+                    grid: TimeGrid, n_paths: int, seed: int, x0: float = 1.0,
+                    batch_size: int = DEFAULT_BATCH,
+                    threads: int = None) -> list[MartingaleReport]:
+    """Ensemble tests of E[U_t(X_t)] against U_0(x0), one report per run.
+
+    ``runs`` is a list of ``(sp_rule, mode)``; a single test is a list of one.
+    ``sp_rule(k, t, x_vec)`` supplies sigma*pi per grid cell.  ``fpp``
+    exposes ``state_paths(grid, dw, dwperp)``, ``utility_paths(state, log_x,
+    cols)`` (U at log wealth ``log_x`` for the grid columns ``cols``) and
+    ``u0(x)``.  All runs ride the same Brownian batches and criterion state
+    (common random numbers), built once per batch.  In martingale mode the
+    verdict is consistent iff every grid time stays inside the
+    3-standard-error band around U_0; in supermartingale mode the mean must
+    stay below U_0 plus the band everywhere, with a strict verdict when the
+    terminal mean separates below by more than the band.
+
+    Batches are combined in fixed order, so the reports are bit-identical for
+    any ``threads`` setting and equal to those of one-run calls.
+    """
+    if not runs:
+        raise ValueError("need at least one run")
+    for _, mode in runs:
+        if mode not in ("martingale", "supermartingale"):
+            raise ValueError(f"unknown mode {mode!r}")
+    if n_paths < 2:
+        raise ValueError("need at least two paths")
+    n_times = grid.n_steps + 1
+    rules = [rule for rule, _ in runs]
+    lam_path = market.sharpe_path(grid)
+    batches = [range(lo, min(lo + batch_size, n_paths))
+               for lo in range(0, n_paths, batch_size)]
+
+    def work(ids):
+        return _batch_moments(fpp, rules, market, lam_path, grid, seed, ids, x0)
+
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, batches))
+    else:
+        results = [work(ids) for ids in batches]
+
+    reference = float(fpp.u0(x0))
+    reports = []
+    for r, (_, mode) in enumerate(runs):
+        s1 = np.zeros(n_times)
+        s2 = np.zeros(n_times)
+        terminal_parts = []
+        neg_inf = 0
+        for batch in results:  # fixed order keeps reduction deterministic
+            bs1, bs2, bneg, bterm = batch[r]
+            s1 += bs1
+            s2 += bs2
+            neg_inf += bneg
+            terminal_parts.append(bterm)
+        reports.append(_report(mode, s1, s2, neg_inf, np.concatenate(terminal_parts),
+                               reference, grid, n_paths, seed))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -36,17 +36,16 @@ def test_criterion_01_martingale_suite():
     mix = RiskMixture.single(0.5)
     fpp = MixtureFpp(mix, VolatilityChoice.zero(), BASE_MARKET)
     grid = TimeGrid.regular(1.0, 1 / 252)
-    report = martingale_test(fpp, lambda k, t, x: fpp.sp_star(t), BASE_MARKET,
-                             grid=grid, n_paths=100_000, seed=7)
+    [report] = martingale_test(fpp, [(lambda k, t, x: fpp.sp_star(t), "martingale")],
+                               BASE_MARKET, grid=grid, n_paths=100_000, seed=7)
     dev_terminal = abs(report.mean[-1] - report.reference)
     assert dev_terminal <= 3.0 * report.se[-1]
     assert report.verdict == VERDICT_MARTINGALE  # 3-se band at every grid time
 
     # null portfolio: wealth is frozen, so the criterion decays deterministically
     # at its finite-variation rate v and the mean must track U0 exp(v t)
-    null = martingale_test(fpp, lambda k, t, x: np.zeros(1), BASE_MARKET,
-                           grid=grid, n_paths=2_000, seed=7,
-                           mode="supermartingale")
+    [null] = martingale_test(fpp, [(lambda k, t, x: np.zeros(1), "supermartingale")],
+                             BASE_MARKET, grid=grid, n_paths=2_000, seed=7)
     rate = vgamma_rate(0.5, BASE_MARKET.sharpe_at(0.0), [0.0])
     predicted = null.reference * np.exp(rate * grid.times)
     band = 3.0 * null.se + 1e-9
@@ -76,11 +75,10 @@ def test_criterion_02_h_inversion():
     fpp = MixtureFpp(mix, vol, BASE_MARKET)
     assert fpp.sp_star(0.0) == pytest.approx([0.2 * 1.7])
     grid = TimeGrid.regular(1.0, 1 / 252)
-    at_target = martingale_test(fpp, lambda k, t, x: fpp.sp_star(t), BASE_MARKET,
-                                grid=grid, n_paths=10_000, seed=5)
-    at_null = martingale_test(fpp, lambda k, t, x: np.zeros(1), BASE_MARKET,
-                              grid=grid, n_paths=10_000, seed=5,
-                              mode="supermartingale")
+    at_target, at_null = martingale_test(
+        fpp, [(lambda k, t, x: fpp.sp_star(t), "martingale"),
+              (lambda k, t, x: np.zeros(1), "supermartingale")],
+        BASE_MARKET, grid=grid, n_paths=10_000, seed=5)
     assert at_target.verdict == VERDICT_MARTINGALE
     assert at_null.verdict == VERDICT_SUPER_STRICT
     print("criterion 2: PASS (100 round trips at 1e-10; suite at 1e4 paths)")
@@ -135,7 +133,8 @@ def test_criterion_03_two_power_characterisation():
                           gamma0=1 - p)
         vol = VolatilityChoice(h0=H0Spec.constant(a),
                                j=JSpec.constant([spec.a_perp, spec.d_perp]))
-        generic = MixtureFpp(mix, vol, market).utility_paths(grid, dw, dwp, log_x)
+        generic_fpp = MixtureFpp(mix, vol, market)
+        generic = generic_fpp.utility_paths(generic_fpp.state_paths(grid, dw, dwp), log_x)
         np.testing.assert_allclose(joint, generic, rtol=1e-10)
     print("criterion 3: PASS (1000 draws; zero-gap paths match to 1e-10)")
 
@@ -305,14 +304,14 @@ def test_criterion_08_three_power_suite():
 
     grid = TimeGrid.regular(1.0, 1 / 12)
     fpp = ThreePowerFpp(spec, BASE_MARKET)
-    at_opt = martingale_test(fpp, lambda k, t, x: fpp.sp_star(t), BASE_MARKET,
-                             grid=grid, n_paths=100_000, seed=7)
+    [at_opt] = martingale_test(fpp, [(lambda k, t, x: fpp.sp_star(t), "martingale")],
+                               BASE_MARKET, grid=grid, n_paths=100_000, seed=7)
     assert at_opt.verdict == VERDICT_MARTINGALE
 
     fpp1 = ThreePowerFpp(spec, UNIT_SHARPE_MARKET)
-    at_null = martingale_test(fpp1, lambda k, t, x: np.zeros(1),
-                              UNIT_SHARPE_MARKET, grid=grid, n_paths=100_000,
-                              seed=7, mode="supermartingale")
+    [at_null] = martingale_test(fpp1, [(lambda k, t, x: np.zeros(1), "supermartingale")],
+                                UNIT_SHARPE_MARKET, grid=grid, n_paths=100_000,
+                                seed=7)
     assert at_null.verdict == VERDICT_SUPER_STRICT
     elapsed = time.monotonic() - start
     assert elapsed < 60.0

@@ -249,6 +249,25 @@ def test_non_finite_allocation_names_grid_time():
         evolve_log_wealth_batch(1.0, bad, market.sharpe_path(grid), grid, dw)
 
 
+def test_allocation_of_wrong_shape_names_grid_time():
+    market = make_market()
+    grid = TimeGrid.regular(1.0, 0.25)
+    dw, _ = brownian_batch(grid, 1, 0, seed=1, path_ids=[0, 1])
+    lam_path = market.sharpe_path(grid)
+
+    def two_stocks(k, t, x):
+        return np.array([0.1, 0.2])
+
+    with pytest.raises(StrategyEvaluationError, match=r"shape \(2,\) at t=0\.0"):
+        evolve_log_wealth_batch(1.0, two_stocks, lam_path, grid, dw)
+
+    def wrong_batch(k, t, x):
+        return np.full((3, 1), 0.1) if t >= 0.5 else np.full((2, 1), 0.1)
+
+    with pytest.raises(StrategyEvaluationError, match=r"shape \(3, 1\) at t=0\.5"):
+        evolve_log_wealth_batch(1.0, wrong_batch, lam_path, grid, dw)
+
+
 def test_batch_evolution_matches_single_path():
     market = make_market()
     grid = TimeGrid.regular(1.0, 0.1)

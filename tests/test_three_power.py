@@ -104,7 +104,7 @@ def test_utility_paths_match_pointwise_values():
     grid = TimeGrid.regular(1.0, 0.25)
     dw, dwp = brownian_batch(grid, 1, 0, seed=3, path_ids=range(4))
     log_x = np.log(1.7) * np.ones((4, grid.n_steps + 1))
-    u = fpp.utility_paths(grid, dw, dwp, log_x)
+    u = fpp.utility_paths(fpp.state_paths(grid, dw, dwp), log_x)
     log_z, i_path = fpp.accumulators(grid, dw)
     for b in (0, 3):
         for k in (0, 2, 4):

@@ -201,7 +201,7 @@ def test_zero_gap_joint_process_matches_atom_sum():
         vol = VolatilityChoice(h0=H0Spec.constant(a),
                                j=JSpec.constant([a_perp, d_perp]))
         fpp = MixtureFpp(mix, vol, market)
-        generic = fpp.utility_paths(grid, dw, dwp, log_x)
+        generic = fpp.utility_paths(fpp.state_paths(grid, dw, dwp), log_x)
         np.testing.assert_allclose(joint, generic, rtol=1e-10)
         # and the shared optimiser matches the mixture allocation target
         sp = mixture_sp_target(p, q, a_path[0, -1], d_path[0, -1],
