@@ -52,6 +52,11 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _sp_star_path(fpp, grid: TimeGrid) -> np.ndarray:
+    """The optimiser sigma*pi* at the left endpoint of every grid cell, (N, d_w)."""
+    return np.array([fpp.sp_star(float(t)) for t in grid.times[:-1]])
+
+
 def _write_report_csv(path, report: MartingaleReport):
     margins = report.margins()
     rows = [[_fmt(t), _fmt(report.mean[k]), _fmt(report.se[k]),
@@ -69,21 +74,11 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     cfg.market.validate_on(grid)
     fpp = MixtureFpp(cfg.mixture, cfg.vol, cfg.market)
 
-    def sp_star(k, t, x):
-        return fpp.sp_star(t)
-
-    def sp_null(k, t, x):
-        return np.zeros(cfg.market.d_w)
-
-    scale = cfg.perturbed_scale
-
-    def sp_perturbed(k, t, x):
-        return scale * fpp.sp_star(t)
-
+    sp_star = _sp_star_path(fpp, grid)
     runs = [("pi_star", sp_star, "martingale"),
-            ("null", sp_null, "supermartingale"),
-            ("perturbed", sp_perturbed, "supermartingale")]
-    reports = martingale_test(fpp, [(rule, mode) for _, rule, mode in runs],
+            ("null", np.zeros_like(sp_star), "supermartingale"),
+            ("perturbed", cfg.perturbed_scale * sp_star, "supermartingale")]
+    reports = martingale_test(fpp, [(sp, mode) for _, sp, mode in runs],
                               cfg.market, grid=grid, n_paths=cfg.sim.n_paths,
                               seed=cfg.sim.seed, threads=threads)
     ok = True
@@ -247,12 +242,9 @@ def cmd_three_power(cfg: RunConfig, out_dir: str, gamma_flag, threads: int) -> i
     fpp = ThreePowerFpp(spec, cfg.market)
     grid = TimeGrid.regular(cfg.sim.horizon, cfg.sim.grid_step)
 
-    def sp_star(k, t, x):
-        return fpp.sp_star(t)
-
-    [report] = martingale_test(fpp, [(sp_star, "martingale")], cfg.market, grid=grid,
-                               n_paths=cfg.sim.n_paths, seed=cfg.sim.seed,
-                               threads=threads)
+    [report] = martingale_test(fpp, [(_sp_star_path(fpp, grid), "martingale")],
+                               cfg.market, grid=grid, n_paths=cfg.sim.n_paths,
+                               seed=cfg.sim.seed, threads=threads)
     _write_report_csv(os.path.join(out_dir, "three_power_martingale.csv"), report)
     print(f"martingale check at the optimiser: {report.verdict}")
 

@@ -10,7 +10,7 @@ class SingularMarketError(FpplabError, ValueError):
 
 
 class StrategyEvaluationError(FpplabError, RuntimeError):
-    """An allocation rule returned a non-finite or malformed allocation."""
+    """An allocation schedule is non-finite or of the wrong shape."""
 
 
 class NoExactSolutionError(FpplabError, ValueError):

@@ -6,7 +6,7 @@ Model
 ``d_wperp``-dimensional ``W_perp`` that never enters prices), volatility
 ``sigma(t)`` of shape ``(d_w, n)`` and drift ``mu(t)`` of length ``n``.  The
 market price of risk is ``lam(t) = pinv(sigma(t))' mu(t)``.  Wealth under an
-allocation rule ``pi`` (fractions of wealth per stock) follows
+allocation ``pi`` (fractions of wealth per stock) follows
 
     dX / X = (sigma pi)' lam dt + (sigma pi)' dW,
 
@@ -14,8 +14,8 @@ discretised in log space,
 
     dlog X = ((sigma pi)' lam - |sigma pi|^2 / 2) dt + (sigma pi)' dW,
 
-which keeps wealth strictly positive and is exact whenever ``sigma pi`` is
-constant on each grid cell (the case in every bundled experiment).
+which keeps wealth strictly positive and is exact because the engine's
+``sigma pi`` schedule is constant on each grid cell.
 
 Randomness is counter-based: path ``i`` under seed ``s`` is drawn from a
 Philox stream keyed by ``s`` with counter block ``i``, so a path is
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,6 +80,13 @@ class TimeGrid:
 # Deterministic coefficient schedules
 # ---------------------------------------------------------------------------
 
+def _finite_value(value, shape: tuple[int, ...], where: str) -> np.ndarray:
+    arr = np.broadcast_to(np.asarray(value, float), shape).copy()
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"non-finite value{where}")
+    return arr
+
+
 class Schedule:
     """Deterministic map t -> array, either constant or piecewise constant.
 
@@ -95,13 +102,15 @@ class Schedule:
             value = [(entry["t"], entry["value"]) for entry in value]
             self._init_piecewise(value)
         else:
-            self._const = np.broadcast_to(np.asarray(value, float), shape).copy()
+            self._const = _finite_value(value, shape, "")
             self._knot_times = None
             self._knot_values = None
 
     def _init_piecewise(self, knots):
-        knots = sorted((float(t), np.broadcast_to(np.asarray(v, float), self.shape).copy())
+        knots = sorted((float(t), _finite_value(v, self.shape, f" at knot t={t}"))
                        for t, v in knots)
+        if not all(np.isfinite(t) for t, _ in knots):
+            raise ValueError("non-finite knot time")
         if knots[0][0] > 0.0:
             raise ValueError("piecewise schedule must define a value at t = 0")
         self._knot_times = np.array([t for t, _ in knots])
@@ -189,8 +198,13 @@ class MarketSpec:
         self.n_stocks = int(n_stocks)
         self.d_w = int(d_w)
         self.d_wperp = int(d_wperp)
-        self.sigma = sigma if isinstance(sigma, Schedule) else Schedule(sigma, (d_w, n_stocks))
-        self.mu = mu if isinstance(mu, Schedule) else Schedule(mu, (n_stocks,))
+        for name, value, shape in (("sigma", sigma, (d_w, n_stocks)),
+                                   ("mu", mu, (n_stocks,))):
+            try:
+                setattr(self, name, value if isinstance(value, Schedule)
+                        else Schedule(value, shape))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
 
     def sigma_at(self, t: float) -> np.ndarray:
         return self.sigma.at(t)
@@ -271,38 +285,40 @@ def brownian_batch(grid: TimeGrid, d_w: int, d_wperp: int, seed: int,
 # Wealth evolution
 # ---------------------------------------------------------------------------
 
-def evolve_log_wealth_batch(x0: float, sp_rule: Callable, lam_path: np.ndarray,
+def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
                             grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
     """Vectorised log-wealth paths (B, N+1) for an ensemble.
 
-    ``sp_rule(k, t, x_vec) -> sigma*pi`` may return shape (d_w,) or (B, d_w);
-    it is applied at the left endpoint of cell ``k``.  ``lam_path`` is the
-    (N, d_w) Sharpe path on the same grid.  A zero allocation keeps log
-    wealth exactly at ``log(x0)``.
+    ``sp`` is the (N, d_w) sigma*pi schedule shared by every path: row ``k``
+    holds on grid cell ``k``.  ``lam_path`` is the (N, d_w) Sharpe path on
+    the same grid.  A zero allocation keeps log wealth exactly at
+    ``log(x0)``.
 
     Raises
     ------
     StrategyEvaluationError
-        If the rule returns an allocation of another shape, or a non-finite
-        one; the message names the grid time.
+        If the schedule is not of shape (N, d_w), naming both shapes, or if
+        it holds a non-finite value, naming the first such grid time.
     """
     n_paths, n_steps, d_w = dw.shape
+    sp = np.asarray(sp, dtype=float)
+    if sp.shape != (n_steps, d_w):
+        raise StrategyEvaluationError(
+            f"allocation of shape {sp.shape}, expected ({n_steps}, {d_w})")
+    bad = ~np.all(np.isfinite(sp), axis=1)
+    if bad.any():
+        raise StrategyEvaluationError(
+            f"non-finite allocation at t={float(grid.times[np.argmax(bad)])}")
+    # one drift per cell for every path; sp . lam left to right fixes the rounding
+    sp_lam = sp[:, 0] * lam_path[:, 0]
+    for d in range(1, d_w):
+        sp_lam = sp_lam + sp[:, d] * lam_path[:, d]
+    drift_dt = (sp_lam - 0.5 * np.einsum("kd,kd->k", sp, sp)) * grid.dt
     log_x = np.empty((n_paths, n_steps + 1))
     log_x[:, 0] = np.log(x0)
-    dt = grid.dt
     for k in range(n_steps):
-        t = float(grid.times[k])
-        sp = np.asarray(sp_rule(k, t, np.exp(log_x[:, k])), dtype=float)
-        if sp.shape not in ((d_w,), (n_paths, d_w)):
-            raise StrategyEvaluationError(
-                f"allocation of shape {sp.shape} at t={t}, expected ({d_w},) "
-                f"or ({n_paths}, {d_w})")
-        if not np.all(np.isfinite(sp)):
-            raise StrategyEvaluationError(f"non-finite allocation at t={t}")
-        if sp.ndim == 1:
-            sp = np.broadcast_to(sp, (n_paths, d_w))
-        drift = sp @ lam_path[k] - 0.5 * np.einsum("bd,bd->b", sp, sp)
-        log_x[:, k + 1] = log_x[:, k] + drift * dt[k] + np.einsum("bd,bd->b", sp, dw[:, k])
+        noise = np.einsum("bd,bd->b", np.broadcast_to(sp[k], (n_paths, d_w)), dw[:, k])
+        log_x[:, k + 1] = log_x[:, k] + drift_dt[k] + noise
     return log_x
 
 

@@ -23,7 +23,6 @@ Evaluation is done in log space; values live in R union {-inf}.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -449,37 +448,28 @@ class MomentReport:
                  "not a finiteness certificate")
 
 
-def check_admissibility_moments(sp_rule: Callable, market: MarketSpec,
+def check_admissibility_moments(sp: np.ndarray, market: MarketSpec,
                                 mixture: RiskMixture, v: float, u: float,
                                 n_paths: int, grid: TimeGrid, seed: int,
                                 x0: float = 1.0) -> MomentReport:
     """Estimate the time-integrated and running-sup admissibility moments.
 
-    ``sp_rule(k, t, x_vec) -> sigma*pi`` as in the ensemble evolver.  The
-    integral moment is sum_i w_i int E[X_t^(2v(1-g_i)) |sigma pi|^(2v)] dt
+    ``sp`` is the (N, d_w) sigma*pi schedule of ``evolve_log_wealth_batch``.
+    The integral moment is sum_i w_i int E[X_t^(2v(1-g_i)) |sigma pi|^(2v)] dt
     (left-endpoint rule on the grid); the sup moment is
     sup_t sum_i w_i E[X_t^(2uv(1-g_i))].
     """
     if v <= 1 or u <= 1:
         raise InvalidExponentError(f"need v > 1 and u > 1, got v={v}, u={u}")
-    dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, range(n_paths))
-    lam_path = market.sharpe_path(grid)
-    n_steps = grid.n_steps
-    sp_applied = np.empty((n_paths, n_steps, market.d_w))
-
-    def recording_rule(k, t, x):
-        sp = np.asarray(sp_rule(k, t, x), float)
-        sp_applied[:, k, :] = sp
-        return sp
-
-    log_x = evolve_log_wealth_batch(x0, recording_rule, lam_path, grid, dw)
+    dw, _ = brownian_batch(grid, market.d_w, market.d_wperp, seed, range(n_paths))
+    log_x = evolve_log_wealth_batch(x0, sp, market.sharpe_path(grid), grid, dw)
     gammas = mixture.gammas
     weights = mixture.weights
-    sp_norm = np.sqrt(np.einsum("bkd,bkd->bk", sp_applied, sp_applied))
+    sp_norm = np.sqrt(np.einsum("kd,kd->k", sp, sp))
     # integral moment, accumulated per path then averaged
     with np.errstate(divide="ignore"):
-        log_spv = 2.0 * v * np.log(sp_norm)  # -inf where sp = 0
-    integrand = np.zeros((n_paths, n_steps))
+        log_spv = 2.0 * v * np.log(sp_norm)  # -inf where sp = 0, one per cell
+    integrand = np.zeros((n_paths, grid.n_steps))
     for g, w in zip(gammas, weights):
         term = np.exp(2.0 * v * (1.0 - g) * log_x[:, :-1] + log_spv)
         integrand += w * term
@@ -488,7 +478,7 @@ def check_admissibility_moments(sp_rule: Callable, market: MarketSpec,
     integral_se = float(np.std(per_path_integral, ddof=1) / np.sqrt(n_paths)) \
         if n_paths > 1 else 0.0
     # sup moment over grid times
-    sup_vals = np.zeros((n_paths, n_steps + 1))
+    sup_vals = np.zeros_like(log_x)
     for g, w in zip(gammas, weights):
         sup_vals += w * np.exp(2.0 * u * v * (1.0 - g) * log_x)
     means = np.mean(sup_vals, axis=0)

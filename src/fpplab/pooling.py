@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import two_power
-from .market import TimeGrid, brownian_batch
+from .market import TimeGrid, brownian_batch, evolve_log_wealth_batch
 
 Z_EDGE = 1e-3       # scan clip: the objective has a pole at z = 1
 Z_SCAN_STEP = 1e-3
@@ -315,9 +315,9 @@ def simulated_expected_utility(spec: PoolSpec, z: float, t: float, n_paths: int,
         raise ValueError("t must be positive")
     grid = TimeGrid.regular(t, t / n_steps)
     dw, _ = brownian_batch(grid, 1, 0, seed, range(n_paths))
-    sp = spec.lam / (1.0 - z)
-    drift = (sp * spec.lam - 0.5 * sp * sp) * grid.dt
-    log_x = np.log(spec.x0) + np.sum(drift) + sp * dw[:, :, 0].sum(axis=1)
+    sp = np.full((grid.n_steps, 1), spec.lam / (1.0 - z))
+    lam_path = np.full((grid.n_steps, 1), spec.lam)
+    log_x = evolve_log_wealth_batch(spec.x0, sp, lam_path, grid, dw)[:, -1]
     alpha, delta = spec.drifts()
     u = (spec.a0 * np.exp(alpha * t + spec.p * log_x)
          + spec.d0 * np.exp(delta * t + spec.q * log_x))

@@ -79,7 +79,7 @@ def _time_chunks(n_times: int) -> list[slice]:
 
 
 def _streamed_moments(fpp, state, log_x):
-    """(sum U, sum U^2, -inf path count, terminal U) of one rule over one batch.
+    """(sum U, sum U^2, -inf path count, terminal U) of one run over one batch.
 
     U is evaluated ``TIME_CHUNK`` grid times at a time, straight into the
     per-time sums, so no full-horizon utility array is ever held.
@@ -97,17 +97,17 @@ def _streamed_moments(fpp, state, log_x):
     return s1, s2, int(np.sum(diverged)), u[:, -1].copy()
 
 
-def _batch_moments(fpp, rules, market, lam_path, grid, seed, path_ids, x0):
-    """``_streamed_moments`` of every rule over one batch.
+def _batch_moments(fpp, sps, market, lam_path, grid, seed, path_ids, x0):
+    """``_streamed_moments`` of every allocation schedule over one batch.
 
     The increments and the criterion state are built once and shared by all
-    rules (common random numbers).
+    runs (common random numbers).
     """
     dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, path_ids)
     state = fpp.state_paths(grid, dw, dwp)
     return [_streamed_moments(fpp, state,
-                              evolve_log_wealth_batch(x0, rule, lam_path, grid, dw))
-            for rule in rules]
+                              evolve_log_wealth_batch(x0, sp, lam_path, grid, dw))
+            for sp in sps]
 
 
 def _report(mode, s1, s2, neg_inf, terminal, reference, grid, n_paths, seed):
@@ -143,14 +143,15 @@ def _report(mode, s1, s2, neg_inf, terminal, reference, grid, n_paths, seed):
                             warnings=warnings)
 
 
-def martingale_test(fpp, runs: Sequence[tuple[Callable, str]], market: MarketSpec, *,
+def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], market: MarketSpec, *,
                     grid: TimeGrid, n_paths: int, seed: int, x0: float = 1.0,
                     batch_size: int = DEFAULT_BATCH,
                     threads: int = None) -> list[MartingaleReport]:
     """Ensemble tests of E[U_t(X_t)] against U_0(x0), one report per run.
 
-    ``runs`` is a list of ``(sp_rule, mode)``; a single test is a list of one.
-    ``sp_rule(k, t, x_vec)`` supplies sigma*pi per grid cell.  ``fpp``
+    ``runs`` is a list of ``(sp, mode)``; a single test is a list of one.
+    ``sp`` is the (N, d_w) sigma*pi schedule of ``evolve_log_wealth_batch``,
+    one row per grid cell, shared by all paths.  ``fpp``
     exposes ``state_paths(grid, dw, dwperp)``, ``utility_paths(state, log_x,
     cols)`` (U at log wealth ``log_x`` for the grid columns ``cols``) and
     ``u0(x)``.  All runs ride the same Brownian batches and criterion state
@@ -171,13 +172,13 @@ def martingale_test(fpp, runs: Sequence[tuple[Callable, str]], market: MarketSpe
     if n_paths < 2:
         raise ValueError("need at least two paths")
     n_times = grid.n_steps + 1
-    rules = [rule for rule, _ in runs]
+    sps = [sp for sp, _ in runs]
     lam_path = market.sharpe_path(grid)
     batches = [range(lo, min(lo + batch_size, n_paths))
                for lo in range(0, n_paths, batch_size)]
 
     def work(ids):
-        return _batch_moments(fpp, rules, market, lam_path, grid, seed, ids, x0)
+        return _batch_moments(fpp, sps, market, lam_path, grid, seed, ids, x0)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

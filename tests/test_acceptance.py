@@ -30,13 +30,18 @@ BASE_MARKET = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.04)  # la
 UNIT_SHARPE_MARKET = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.2)
 
 
+def star_path(fpp, grid):
+    """The optimiser's sigma*pi at the left endpoint of every grid cell."""
+    return np.array([fpp.sp_star(t) for t in grid.times[:-1]])
+
+
 def test_criterion_01_martingale_suite():
     """Single-atom criterion: martingale at the optimiser, exact decay at null."""
     start = time.monotonic()
     mix = RiskMixture.single(0.5)
     fpp = MixtureFpp(mix, VolatilityChoice.zero(), BASE_MARKET)
     grid = TimeGrid.regular(1.0, 1 / 252)
-    [report] = martingale_test(fpp, [(lambda k, t, x: fpp.sp_star(t), "martingale")],
+    [report] = martingale_test(fpp, [(star_path(fpp, grid), "martingale")],
                                BASE_MARKET, grid=grid, n_paths=100_000, seed=7)
     dev_terminal = abs(report.mean[-1] - report.reference)
     assert dev_terminal <= 3.0 * report.se[-1]
@@ -44,7 +49,7 @@ def test_criterion_01_martingale_suite():
 
     # null portfolio: wealth is frozen, so the criterion decays deterministically
     # at its finite-variation rate v and the mean must track U0 exp(v t)
-    [null] = martingale_test(fpp, [(lambda k, t, x: np.zeros(1), "supermartingale")],
+    [null] = martingale_test(fpp, [(np.zeros((grid.n_steps, 1)), "supermartingale")],
                              BASE_MARKET, grid=grid, n_paths=2_000, seed=7)
     rate = vgamma_rate(0.5, BASE_MARKET.sharpe_at(0.0), [0.0])
     predicted = null.reference * np.exp(rate * grid.times)
@@ -76,8 +81,8 @@ def test_criterion_02_h_inversion():
     assert fpp.sp_star(0.0) == pytest.approx([0.2 * 1.7])
     grid = TimeGrid.regular(1.0, 1 / 252)
     at_target, at_null = martingale_test(
-        fpp, [(lambda k, t, x: fpp.sp_star(t), "martingale"),
-              (lambda k, t, x: np.zeros(1), "supermartingale")],
+        fpp, [(star_path(fpp, grid), "martingale"),
+              (np.zeros((grid.n_steps, 1)), "supermartingale")],
         BASE_MARKET, grid=grid, n_paths=10_000, seed=5)
     assert at_target.verdict == VERDICT_MARTINGALE
     assert at_null.verdict == VERDICT_SUPER_STRICT
@@ -304,12 +309,12 @@ def test_criterion_08_three_power_suite():
 
     grid = TimeGrid.regular(1.0, 1 / 12)
     fpp = ThreePowerFpp(spec, BASE_MARKET)
-    [at_opt] = martingale_test(fpp, [(lambda k, t, x: fpp.sp_star(t), "martingale")],
+    [at_opt] = martingale_test(fpp, [(star_path(fpp, grid), "martingale")],
                                BASE_MARKET, grid=grid, n_paths=100_000, seed=7)
     assert at_opt.verdict == VERDICT_MARTINGALE
 
     fpp1 = ThreePowerFpp(spec, UNIT_SHARPE_MARKET)
-    [at_null] = martingale_test(fpp1, [(lambda k, t, x: np.zeros(1), "supermartingale")],
+    [at_null] = martingale_test(fpp1, [(np.zeros((grid.n_steps, 1)), "supermartingale")],
                                 UNIT_SHARPE_MARKET, grid=grid, n_paths=100_000,
                                 seed=7)
     assert at_null.verdict == VERDICT_SUPER_STRICT

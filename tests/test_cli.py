@@ -64,6 +64,23 @@ def test_verify_fpp_rejects_unit_aversion_atom(tmp_path, capsys):
     assert "mixture" in err
 
 
+@pytest.mark.parametrize("command", ["verify-fpp", "three-power"])
+@pytest.mark.parametrize("key, market", [
+    ("sigma", "sigma: .nan"),
+    ("sigma", "sigma: .inf"),
+    ("mu", "mu: -.inf"),
+    ("sigma", "sigma:\n    - {t: 0.0, value: 0.2}\n    - {t: 0.5, value: .nan}"),
+    ("mu", "mu:\n    - {t: 0.0, value: 0.04}\n    - {t: 0.5, value: .inf}"),
+], ids=["sigma-nan", "sigma-inf", "mu-minus-inf", "sigma-knot-nan", "mu-knot-inf"])
+def test_non_finite_market_is_a_config_error(tmp_path, capsys, command, key, market):
+    # a non-finite constant or piecewise knot is rejected when the config loads
+    config = SMALL_SIM + f"market:\n  {market}\n"
+    code = run(tmp_path, command, config=config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"market: {key}: non-finite value" in err
+
+
 def test_pool_optimize_fig1(tmp_path, capsys):
     code = run(tmp_path, "--preset", "fig1", "pool", "optimize", "--t", "30")
     out = capsys.readouterr().out

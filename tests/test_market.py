@@ -174,7 +174,7 @@ def test_null_portfolio_is_exactly_constant():
     market = make_market()
     grid = TimeGrid.regular(1.0, 1 / 52)
     dw, _ = brownian_batch(grid, 1, 0, seed=2, path_ids=[4])
-    log_x = evolve_log_wealth_batch(5.0, lambda k, t, x: np.zeros(1),
+    log_x = evolve_log_wealth_batch(5.0, np.zeros((grid.n_steps, 1)),
                                     market.sharpe_path(grid), grid, dw)
     assert np.all(log_x == np.log(5.0))
 
@@ -185,7 +185,7 @@ def test_log_scheme_single_step_arithmetic():
     market = make_market()
     grid = TimeGrid(np.array([0.0, 1.0]))
     sp = market.sigma_at(0.0) @ np.array([2.0])  # pi = 2 -> sigma*pi = 0.4
-    log_x = evolve_log_wealth_batch(1.0, lambda k, t, x: sp, market.sharpe_path(grid),
+    log_x = evolve_log_wealth_batch(1.0, sp[None, :], market.sharpe_path(grid),
                                     grid, np.array([[[0.5]]]))
     assert log_x[0, -1] == pytest.approx(0.2, abs=1e-15)
     assert sp[0] == pytest.approx(0.4)
@@ -197,7 +197,7 @@ def test_constant_allocation_matches_stochastic_exponential():
     grid = TimeGrid.regular(2.0, 1 / 252)
     dw, _ = brownian_batch(grid, 1, 0, seed=9, path_ids=[3])
     c = 0.7
-    log_x = evolve_log_wealth_batch(1.5, lambda k, t, x: np.array([c]),
+    log_x = evolve_log_wealth_batch(1.5, np.full((grid.n_steps, 1), c),
                                     market.sharpe_path(grid), grid, dw)
     w_t = np.concatenate([[0.0], np.cumsum(dw[0, :, 0])])
     expected = 1.5 * np.exp((c * 0.2 - 0.5 * c * c) * grid.times + c * w_t)
@@ -208,11 +208,10 @@ def test_piecewise_constant_allocation_matches_closed_form():
     market = make_market()
     grid = TimeGrid.regular(1.0, 0.125)
     dw, _ = brownian_batch(grid, 1, 0, seed=21, path_ids=[0])
-
-    def rule(k, t, x):  # pi jumps from 1 to 3 at t = 0.5
-        return market.sigma_at(t) @ np.array([1.0 if t < 0.5 else 3.0])
-
-    log_x = evolve_log_wealth_batch(1.0, rule, market.sharpe_path(grid), grid, dw)
+    # pi jumps from 1 to 3 at t = 0.5
+    sp = np.array([market.sigma_at(t) @ np.array([1.0 if t < 0.5 else 3.0])
+                   for t in grid.times[:-1]])
+    log_x = evolve_log_wealth_batch(1.0, sp, market.sharpe_path(grid), grid, dw)
     expected = 0.0
     for k in range(grid.n_steps):
         c = 0.2 * (1.0 if grid.times[k] < 0.5 else 3.0)
@@ -221,32 +220,33 @@ def test_piecewise_constant_allocation_matches_closed_form():
 
 
 def test_wealth_stays_positive_for_wild_strategies():
-    # one batch of ten paths, each with its own scale: the rule returns (B, d_w)
+    # ten paths, each with its own scale: one batch of one per path
     market = make_market()
     grid = TimeGrid.regular(1.0, 0.05)
     lam_path = market.sharpe_path(grid)
     scales = np.random.default_rng(0).uniform(-40.0, 40.0, size=10)
     dw, _ = brownian_batch(grid, 1, 0, seed=33, path_ids=range(10))
-    log_x = evolve_log_wealth_batch(
-        1.0, lambda k, t, x: 0.2 * scales[:, None] * np.sin(37 * t), lam_path, grid, dw)
-    assert np.all(np.isfinite(log_x))
-    assert np.all(np.exp(log_x) > 0.0)
-    for b in (0, 9):
-        ref = stepwise_log_wealth(1.0, lambda t: 0.2 * scales[b] * np.sin(37 * t),
+    wave = 0.2 * np.sin(37 * grid.times[:-1])
+    for b, scale in enumerate(scales):
+        log_x = evolve_log_wealth_batch(1.0, (scale * wave)[:, None], lam_path, grid,
+                                        dw[b:b + 1])
+        assert np.all(np.isfinite(log_x))
+        assert np.all(np.exp(log_x) > 0.0)
+        ref = stepwise_log_wealth(1.0, lambda t: 0.2 * scale * np.sin(37 * t),
                                   lam_path, grid, dw[b])
-        np.testing.assert_allclose(log_x[b], ref, rtol=1e-12)
+        np.testing.assert_allclose(log_x[0], ref, rtol=1e-12)
 
 
 def test_non_finite_allocation_names_grid_time():
+    # NaN from the cell starting at t = 0.5 on, then only in the last cell
     market = make_market()
     grid = TimeGrid.regular(1.0, 0.25)
     dw, _ = brownian_batch(grid, 1, 0, seed=1, path_ids=[0])
-
-    def bad(k, t, x):
-        return np.array([np.nan if t >= 0.5 else 0.0])
-
-    with pytest.raises(StrategyEvaluationError, match="t=0.5"):
-        evolve_log_wealth_batch(1.0, bad, market.sharpe_path(grid), grid, dw)
+    for first_bad, where in [(2, "t=0.5"), (grid.n_steps - 1, "t=0.75")]:
+        sp = np.zeros((grid.n_steps, 1))
+        sp[first_bad:] = np.nan
+        with pytest.raises(StrategyEvaluationError, match=where):
+            evolve_log_wealth_batch(1.0, sp, market.sharpe_path(grid), grid, dw)
 
 
 def test_allocation_of_wrong_shape_names_grid_time():
@@ -254,34 +254,52 @@ def test_allocation_of_wrong_shape_names_grid_time():
     grid = TimeGrid.regular(1.0, 0.25)
     dw, _ = brownian_batch(grid, 1, 0, seed=1, path_ids=[0, 1])
     lam_path = market.sharpe_path(grid)
-
-    def two_stocks(k, t, x):
-        return np.array([0.1, 0.2])
-
-    with pytest.raises(StrategyEvaluationError, match=r"shape \(2,\) at t=0\.0"):
-        evolve_log_wealth_batch(1.0, two_stocks, lam_path, grid, dw)
-
-    def wrong_batch(k, t, x):
-        return np.full((3, 1), 0.1) if t >= 0.5 else np.full((2, 1), 0.1)
-
-    with pytest.raises(StrategyEvaluationError, match=r"shape \(3, 1\) at t=0\.5"):
-        evolve_log_wealth_batch(1.0, wrong_batch, lam_path, grid, dw)
+    for sp, given in [(np.array([0.1, 0.2]), r"\(2,\)"),
+                      (np.full((4, 2), 0.1), r"\(4, 2\)"),
+                      (np.full((3, 1), 0.1), r"\(3, 1\)"),
+                      (np.full((2, 4, 1), 0.1), r"\(2, 4, 1\)")]:
+        with pytest.raises(StrategyEvaluationError,
+                           match=rf"shape {given}, expected \(4, 1\)"):
+            evolve_log_wealth_batch(1.0, sp, lam_path, grid, dw)
 
 
 def test_batch_evolution_matches_single_path():
     market = make_market()
     grid = TimeGrid.regular(1.0, 0.1)
     lam_path = market.sharpe_path(grid)
+    sp = np.full((grid.n_steps, 1), 0.3)
     dw, _ = brownian_batch(grid, 1, 0, seed=6, path_ids=range(5))
-    log_x = evolve_log_wealth_batch(2.0, lambda k, t, x: np.array([0.3]),
-                                    lam_path, grid, dw)
+    log_x = evolve_log_wealth_batch(2.0, sp, lam_path, grid, dw)
     for pid in range(5):
         one, _ = brownian_batch(grid, 1, 0, seed=6, path_ids=[pid])
-        single = evolve_log_wealth_batch(2.0, lambda k, t, x: np.array([0.3]),
-                                         lam_path, grid, one)
+        single = evolve_log_wealth_batch(2.0, sp, lam_path, grid, one)
         assert np.array_equal(log_x[pid], single[0])
         ref = stepwise_log_wealth(2.0, lambda t: 0.3, lam_path, grid, dw[pid])
         np.testing.assert_allclose(log_x[pid], ref, rtol=1e-13)
+
+
+def test_three_stock_evolution_is_bitwise_the_per_path_sum():
+    # log x_{k+1} = (log x_k + (sp.lam - |sp|^2/2) dt) + sp.dW, with sp.lam
+    # summed left to right and |sp|^2, sp.dW in einsum's order for three
+    # terms, (p0 + p2) + p1: every path of a batch, and the same path as a
+    # batch of one, gives exactly these bits
+    grid = TimeGrid.regular(1.0, 1 / 100)
+    rng = np.random.default_rng(3)
+    sp = rng.normal(scale=2.0, size=(grid.n_steps, 3))
+    lam_path = rng.normal(scale=1.0, size=(grid.n_steps, 3))
+    dw, _ = brownian_batch(grid, 3, 1, seed=12, path_ids=range(6))
+    log_x = evolve_log_wealth_batch(1.7, sp, lam_path, grid, dw)
+    for b in range(6):
+        ref = [np.log(1.7)]
+        for k in range(grid.n_steps):
+            s, lam, w = sp[k], lam_path[k], dw[b, k]
+            sp_lam = (s[0] * lam[0] + s[1] * lam[1]) + s[2] * lam[2]
+            sp_sq = (s[0] * s[0] + s[2] * s[2]) + s[1] * s[1]
+            sp_dw = (s[0] * w[0] + s[2] * w[2]) + s[1] * w[1]
+            ref.append(ref[-1] + (sp_lam - 0.5 * sp_sq) * grid.dt[k] + sp_dw)
+        assert np.array_equal(log_x[b], ref)
+        single = evolve_log_wealth_batch(1.7, sp, lam_path, grid, dw[b:b + 1])
+        assert np.array_equal(single[0], log_x[b])
 
 
 def test_piecewise_market_schedule_in_sharpe_path():

@@ -463,7 +463,7 @@ def test_moments_null_portfolio_integral_is_zero():
     mix = RiskMixture.single(0.5)
     grid = TimeGrid.regular(1.0, 0.25)
     report = check_admissibility_moments(
-        lambda k, t, x: np.zeros(1), market, mix, v=1.5, u=1.5,
+        np.zeros((grid.n_steps, 1)), market, mix, v=1.5, u=1.5,
         n_paths=200, grid=grid, seed=1)
     assert report.integral_mean == 0.0
     assert not report.any_nonfinite
@@ -478,7 +478,7 @@ def test_moments_match_lognormal_closed_form():
     grid = TimeGrid.regular(1.0, 1 / 12)
     v_exp, u_exp, c, lam, n = 1.5, 1.5, 0.3, 0.2, 40_000
     report = check_admissibility_moments(
-        lambda k, t, x: np.array([c]), market, mix, v=v_exp, u=u_exp,
+        np.full((grid.n_steps, 1), c), market, mix, v=v_exp, u=u_exp,
         n_paths=n, grid=grid, seed=44)
     a = 2 * v_exp * (1 - g)
     growth = a * (c * lam - 0.5 * c * c) + 0.5 * a * a * c * c
@@ -496,5 +496,5 @@ def test_moments_reject_boundary_exponent():
     mix = RiskMixture.single(0.5)
     grid = TimeGrid.regular(1.0, 0.5)
     with pytest.raises(InvalidExponentError):
-        check_admissibility_moments(lambda k, t, x: np.zeros(1), market, mix,
+        check_admissibility_moments(np.zeros((grid.n_steps, 1)), market, mix,
                                     v=1.0, u=2.0, n_paths=10, grid=grid, seed=0)

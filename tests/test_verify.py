@@ -32,10 +32,20 @@ def three_power_setup():
     return market, ThreePowerFpp(ThreePowerSpec(0.25), market)
 
 
-def three_runs(fpp):
-    return [(lambda k, t, x: fpp.sp_star(t), "martingale"),
-            (lambda k, t, x: np.zeros(fpp.market.d_w), "supermartingale"),
-            (lambda k, t, x: 0.5 * fpp.sp_star(t), "supermartingale")]
+def star_path(fpp, grid):
+    """The optimiser's sigma*pi at the left endpoint of every grid cell."""
+    return np.array([fpp.sp_star(t) for t in grid.times[:-1]])
+
+
+def null_path(grid, d_w=1):
+    return np.zeros((grid.n_steps, d_w))
+
+
+def three_runs(fpp, grid):
+    star = star_path(fpp, grid)
+    return [(star, "martingale"),
+            (null_path(grid, fpp.market.d_w), "supermartingale"),
+            (0.5 * star, "supermartingale")]
 
 
 def assert_same_report(a, b):
@@ -66,7 +76,7 @@ class InflatedFpp:
 def test_martingale_at_the_optimiser():
     market, fpp = single_atom_setup()
     grid = TimeGrid.regular(1.0, 1 / 12)
-    [report] = martingale_test(fpp, [(lambda k, t, x: fpp.sp_star(t), "martingale")],
+    [report] = martingale_test(fpp, [(star_path(fpp, grid), "martingale")],
                                market, grid=grid, n_paths=20_000, seed=7)
     assert report.verdict == VERDICT_MARTINGALE
     assert report.reference == pytest.approx(2.0)
@@ -80,7 +90,7 @@ def test_null_portfolio_tracks_exact_decay():
     # U_t = U_0 exp(v t) with v = -(1-g)/(2g) lam^2
     market, fpp = single_atom_setup()
     grid = TimeGrid.regular(1.0, 1 / 12)
-    [report] = martingale_test(fpp, [(lambda k, t, x: np.zeros(1), "supermartingale")],
+    [report] = martingale_test(fpp, [(null_path(grid), "supermartingale")],
                                market, grid=grid, n_paths=50, seed=1)
     assert report.verdict == VERDICT_SUPER_STRICT
     expected = 2.0 * np.exp(-0.02 * grid.times)
@@ -92,7 +102,7 @@ def test_intermediate_allocation_is_strict_supermartingale():
     market, fpp = single_atom_setup(lam=1.0)
     grid = TimeGrid.regular(1.0, 1 / 12)
     [report] = martingale_test(
-        fpp, [(lambda k, t, x: 0.5 * fpp.sp_star(t), "supermartingale")], market,
+        fpp, [(0.5 * star_path(fpp, grid), "supermartingale")], market,
         grid=grid, n_paths=20_000, seed=3)
     assert report.verdict == VERDICT_SUPER_STRICT
 
@@ -101,7 +111,7 @@ def test_martingale_mode_detects_inflated_criterion():
     market, fpp = single_atom_setup()
     grid = TimeGrid.regular(1.0, 1 / 12)
     wrong = InflatedFpp(fpp, grid)
-    [report] = martingale_test(wrong, [(lambda k, t, x: fpp.sp_star(t), "martingale")],
+    [report] = martingale_test(wrong, [(star_path(fpp, grid), "martingale")],
                                market, grid=grid, n_paths=20_000, seed=7)
     assert report.verdict == VERDICT_VIOLATION
 
@@ -110,7 +120,7 @@ def test_supermartingale_mode_detects_upward_drift():
     market, fpp = single_atom_setup()
     grid = TimeGrid.regular(1.0, 1 / 12)
     wrong = InflatedFpp(fpp, grid)
-    [report] = martingale_test(wrong, [(lambda k, t, x: np.zeros(1), "supermartingale")],
+    [report] = martingale_test(wrong, [(null_path(grid), "supermartingale")],
                                market, grid=grid, n_paths=500, seed=7)
     assert report.verdict == VERDICT_VIOLATION
 
@@ -118,7 +128,7 @@ def test_supermartingale_mode_detects_upward_drift():
 def test_reports_identical_across_thread_counts():
     market, fpp = single_atom_setup()
     grid = TimeGrid.regular(0.5, 1 / 12)
-    runs = [(lambda k, t, x: fpp.sp_star(t), "martingale")]
+    runs = [(star_path(fpp, grid), "martingale")]
     [a] = martingale_test(fpp, runs, market, grid=grid, n_paths=6000, seed=5,
                           threads=1, batch_size=1000)
     [b] = martingale_test(fpp, runs, market, grid=grid, n_paths=6000, seed=5,
@@ -132,7 +142,7 @@ def test_multi_run_reports_equal_one_run_calls(setup):
     market, fpp = setup()
     grid = TimeGrid.regular(1.0, 1 / 40)
     assert (grid.n_steps + 1) % TIME_CHUNK != 0
-    runs = three_runs(fpp)
+    runs = three_runs(fpp, grid)
     kw = dict(grid=grid, n_paths=500, seed=11, batch_size=170)  # 170 does not divide 500
     singles = [martingale_test(fpp, [run], market, threads=1, **kw)[0] for run in runs]
     for threads in (1, 2):
@@ -152,13 +162,11 @@ def test_streamed_sums_equal_full_horizon_sums(n_steps):
     grid = TimeGrid(np.linspace(0.0, 1.0, n_steps + 1))
     n = 300
 
-    def rule(k, t, x):
-        return 1.5 * fpp.sp_star(t)
-
-    [report] = martingale_test(fpp, [(rule, "supermartingale")], market,
+    sp = 1.5 * star_path(fpp, grid)
+    [report] = martingale_test(fpp, [(sp, "supermartingale")], market,
                                grid=grid, n_paths=n, seed=4)
     dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, 4, range(n))
-    log_x = evolve_log_wealth_batch(1.0, rule, market.sharpe_path(grid), grid, dw)
+    log_x = evolve_log_wealth_batch(1.0, sp, market.sharpe_path(grid), grid, dw)
     u = fpp.utility_paths(fpp.state_paths(grid, dw, dwp), log_x)
     mean = u.sum(axis=0) / n
     var = np.maximum((u ** 2).sum(axis=0) / n - mean ** 2, 0.0) * n / (n - 1)
@@ -172,10 +180,11 @@ def test_paired_sampling_reduces_variance():
     dw, dwp = brownian_batch(grid, 1, 0, seed=9, path_ids=range(4000))
     lam_path = market.sharpe_path(grid)
     state = fpp.state_paths(grid, dw, dwp)
+    star = star_path(fpp, grid)
     u_star = fpp.utility_paths(state, evolve_log_wealth_batch(
-        1.0, lambda k, t, x: fpp.sp_star(t), lam_path, grid, dw))[:, -1]
+        1.0, star, lam_path, grid, dw))[:, -1]
     u_half = fpp.utility_paths(state, evolve_log_wealth_batch(
-        1.0, lambda k, t, x: 0.5 * fpp.sp_star(t), lam_path, grid, dw))[:, -1]
+        1.0, 0.5 * star, lam_path, grid, dw))[:, -1]
     assert np.var(u_star - u_half) < np.var(u_star) + np.var(u_half)
 
 
@@ -183,10 +192,11 @@ def test_false_alarm_rate_under_true_martingale():
     # the 3-se band flags at most 1 of 100 seeds when the claim is true
     market, fpp = single_atom_setup()
     grid = TimeGrid.regular(1.0, 1 / 12)
+    runs = [(star_path(fpp, grid), "martingale")]
     failures = 0
     for seed in range(100):
-        [report] = martingale_test(fpp, [(lambda k, t, x: fpp.sp_star(t), "martingale")],
-                                   market, grid=grid, n_paths=4000, seed=seed)
+        [report] = martingale_test(fpp, runs, market, grid=grid, n_paths=4000,
+                                   seed=seed)
         failures += report.verdict != VERDICT_MARTINGALE
     assert failures <= 1
 
@@ -207,8 +217,7 @@ def test_degenerate_utility_warning():
             u[: max(1, len(u) // 50), -1] = -np.inf  # 2% of paths diverge
             return u
 
-    [report] = martingale_test(Degenerate(), [(lambda k, t, x: np.zeros(1),
-                                               "supermartingale")],
+    [report] = martingale_test(Degenerate(), [(null_path(grid), "supermartingale")],
                                market, grid=grid, n_paths=500, seed=0)
     assert report.warnings and "degenerate" in report.warnings[0]
 
@@ -237,8 +246,7 @@ def test_neg_inf_paths_counted_once_across_chunks():
                     u[b, k - first] = -np.inf
             return u
 
-    [report] = martingale_test(Diverging(), [(lambda k, t, x: np.zeros(1),
-                                              "supermartingale")],
+    [report] = martingale_test(Diverging(), [(null_path(grid), "supermartingale")],
                                market, grid=grid, n_paths=10, seed=0)
     assert report.warnings == ("degenerate utility: 2 of 10 paths hit -inf",)
 
