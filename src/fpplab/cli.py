@@ -52,11 +52,6 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _sp_star_path(fpp, grid: TimeGrid) -> np.ndarray:
-    """The optimiser sigma*pi* at the left endpoint of every grid cell, (N, d_w)."""
-    return np.array([fpp.sp_star(float(t)) for t in grid.times[:-1]])
-
-
 def _write_report_csv(path, report: MartingaleReport):
     margins = report.margins()
     rows = [[_fmt(t), _fmt(report.mean[k]), _fmt(report.se[k]),
@@ -71,16 +66,14 @@ def _write_report_csv(path, report: MartingaleReport):
 
 def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     grid = TimeGrid.regular(cfg.sim.horizon, cfg.sim.grid_step)
-    cfg.market.validate_on(grid)
-    fpp = MixtureFpp(cfg.mixture, cfg.vol, cfg.market)
+    fpp = MixtureFpp(cfg.mixture, cfg.vol, cfg.market, grid)
 
-    sp_star = _sp_star_path(fpp, grid)
-    runs = [("pi_star", sp_star, "martingale"),
-            ("null", np.zeros_like(sp_star), "supermartingale"),
-            ("perturbed", cfg.perturbed_scale * sp_star, "supermartingale")]
+    runs = [("pi_star", fpp.sp_star, "martingale"),
+            ("null", np.zeros_like(fpp.sp_star), "supermartingale"),
+            ("perturbed", cfg.perturbed_scale * fpp.sp_star, "supermartingale")]
     reports = martingale_test(fpp, [(sp, mode) for _, sp, mode in runs],
-                              cfg.market, grid=grid, n_paths=cfg.sim.n_paths,
-                              seed=cfg.sim.seed, threads=threads)
+                              n_paths=cfg.sim.n_paths, seed=cfg.sim.seed,
+                              threads=threads)
     ok = True
     for (name, _, mode), report in zip(runs, reports):
         _write_report_csv(os.path.join(out_dir, f"verify_{name}.csv"), report)
@@ -94,7 +87,7 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     # structural scan over states sampled from a small ensemble
     dw, dwp = brownian_batch(grid, cfg.market.d_w, cfg.market.d_wperp,
                              cfg.sim.seed, range(8))
-    m, qv, v = fpp.state_paths(grid, dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp)
     picks = [(b, k) for b in range(m.shape[0])
              for k in (grid.n_steps // 2, grid.n_steps)]
     states = [(m[b, k], qv[k], v[k]) for b, k in picks]
@@ -109,15 +102,15 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     print(scan.to_text())
     ok = ok and scan.passed
 
-    # per-path criterion states for a handful of paths
+    # per-path criterion states, and U at wealth 1, for a handful of paths
     sample_ids = range(min(N_SAMPLE_PATHS, m.shape[0]))
+    u = fpp.utility_paths((m, qv, v), np.zeros(m.shape[:2]))
     rows = []
     for b, pid in enumerate(sample_ids):
         for k, t in enumerate(grid.times):
-            u = evaluate((m[b, k], qv[k], v[k]), np.array([1.0]))[0]
             for a in range(cfg.mixture.n_atoms):
                 rows.append([pid, _fmt(t), a, _fmt(m[b, k, a]), _fmt(qv[k, a]),
-                             _fmt(v[k, a]), _fmt(u)])
+                             _fmt(v[k, a]), _fmt(u[b, k])])
     _write_csv(os.path.join(out_dir, "fpp_states.csv"),
                ["path_id", "t", "atom", "m", "qv_m", "v", "utility"], rows)
     write_paths_csv(os.path.join(out_dir, "brownian_paths.csv"), grid,
@@ -239,26 +232,26 @@ def cmd_three_power(cfg: RunConfig, out_dir: str, gamma_flag, threads: int) -> i
     mono, conc = concavity_discriminants(spec.gamma)
     print(f"gamma = {spec.gamma:g}: discriminants ({mono:.9g}, {conc:.9g})")
 
-    fpp = ThreePowerFpp(spec, cfg.market)
     grid = TimeGrid.regular(cfg.sim.horizon, cfg.sim.grid_step)
+    fpp = ThreePowerFpp(spec, cfg.market, grid)
 
-    [report] = martingale_test(fpp, [(_sp_star_path(fpp, grid), "martingale")],
-                               cfg.market, grid=grid, n_paths=cfg.sim.n_paths,
-                               seed=cfg.sim.seed, threads=threads)
+    [report] = martingale_test(fpp, [(fpp.sp_star, "martingale")],
+                               n_paths=cfg.sim.n_paths, seed=cfg.sim.seed,
+                               threads=threads)
     _write_report_csv(os.path.join(out_dir, "three_power_martingale.csv"), report)
     print(f"martingale check at the optimiser: {report.verdict}")
 
     dw, _ = brownian_batch(grid, cfg.market.d_w, cfg.market.d_wperp,
                            cfg.sim.seed, range(N_SAMPLE_PATHS))
-    log_z, i_path = fpp.accumulators(grid, dw)
+    log_z, i_path = fpp.accumulators(dw)
+    z = np.exp(log_z)
     xs = cfg.three_power_x
+    u = three_power_value(np.array(xs), z[:, :, None], i_path[None, :, None], spec)
     rows = []
     for b in range(dw.shape[0]):
         for k, t in enumerate(grid.times):
-            row = [b, _fmt(t), _fmt(np.exp(log_z[b, k])), _fmt(i_path[k])]
-            row += [_fmt(three_power_value(x, np.exp(log_z[b, k]), i_path[k], spec))
-                    for x in xs]
-            rows.append(row)
+            rows.append([b, _fmt(t), _fmt(z[b, k]), _fmt(i_path[k])]
+                        + [_fmt(val) for val in u[b, k]])
     header = ["path_id", "t", "Z", "I"] + [f"U_x={x:g}" for x in xs]
     _write_csv(os.path.join(out_dir, "three_power_paths.csv"), header, rows)
     return 0 if report.verdict == VERDICT_MARTINGALE else 1

@@ -9,6 +9,7 @@ the offending key.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -205,12 +206,13 @@ def _simulation_from(cfg: dict) -> SimulationConfig:
     sim = SimulationConfig(n_paths=int(cfg["n_paths"]), seed=int(cfg["seed"]),
                            grid_step=float(cfg["grid_step"]),
                            horizon=float(cfg["horizon"]))
-    if sim.n_paths < 1:
-        raise ConfigError("simulation.n_paths: must be at least 1")
-    if sim.seed < 0:
-        raise ConfigError("simulation.seed: must be nonnegative")
-    if sim.grid_step <= 0 or sim.horizon <= 0:
-        raise ConfigError("simulation: grid_step and horizon must be positive")
+    if sim.n_paths < 2:
+        raise ConfigError("simulation.n_paths: must be at least 2")
+    if not 0 <= sim.seed < 2 ** 64:
+        raise ConfigError("simulation.seed: must be an integer in [0, 2^64)")
+    for key in ("grid_step", "horizon"):
+        if not 0 < getattr(sim, key) < math.inf:
+            raise ConfigError(f"simulation.{key}: must be positive and finite")
     return sim
 
 

@@ -216,18 +216,17 @@ class MarketSpec:
         return sharpe_ratio(self.sigma_at(t), self.mu_at(t))
 
     def sharpe_path(self, grid: TimeGrid) -> np.ndarray:
-        """lam evaluated at the left endpoint of every grid cell, shape (N, d_w)."""
-        lam = np.empty((grid.n_steps, self.d_w))
-        for k in range(grid.n_steps):
-            lam[k] = self.sharpe_at(float(grid.times[k]))
-        return lam
+        """lam at the left endpoint of every grid cell, shape (N, d_w).
 
-    def validate_on(self, grid: TimeGrid) -> None:
-        """Check rank and Sharpe boundedness at every grid time; raise on failure."""
-        for t in grid.times:
-            lam = self.sharpe_at(float(t))
-            if not np.all(np.isfinite(lam)):
+        Raises SingularMarketError at the first grid time, the horizon
+        included, where sigma is rank deficient or lam is not finite.
+        """
+        lam = np.empty((grid.n_steps + 1, self.d_w))
+        for k, t in enumerate(grid.times):
+            lam[k] = self.sharpe_at(float(t))
+            if not np.all(np.isfinite(lam[k])):
                 raise SingularMarketError(f"non-finite Sharpe ratio at t={t}")
+        return lam[:-1]
 
 
 # ---------------------------------------------------------------------------

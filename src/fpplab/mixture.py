@@ -303,21 +303,38 @@ def mixture_value(gammas: np.ndarray, weights: np.ndarray, log_x, m, qv, v):
 # ---------------------------------------------------------------------------
 
 class MixtureFpp:
-    """A mixture criterion bound to a market, evaluated along path ensembles.
+    """A mixture criterion bound to a market and a time grid.
 
-    A single path is an ensemble of one.
+    Everything set by lam(t) and h0(t) is computed once, here: ``lam_path``
+    and ``sp_star`` = (lam + h0)/gamma0, (N, d_w) at the left endpoints, the
+    loadings ``h`` and ``j``, and the deterministic ``qv`` and ``v``.
     """
 
-    def __init__(self, mixture: RiskMixture, vol: VolatilityChoice, market: MarketSpec):
+    def __init__(self, mixture: RiskMixture, vol: VolatilityChoice,
+                 market: MarketSpec, grid: TimeGrid):
         self.mixture = mixture
-        self.vol = vol
         self.market = market
-
-    def sp_star(self, t: float) -> np.ndarray:
-        """Optimal sigma*pi = (lam + h0)/gamma0."""
-        lam = self.market.sharpe_at(t)
-        gamma0 = self.mixture.gamma0
-        return (lam + self.vol.h0.at(t, self.market, gamma0, lam)) / gamma0
+        self.grid = grid
+        n_steps, n_atoms, gamma0 = grid.n_steps, mixture.n_atoms, mixture.gamma0
+        self.h = h = np.empty((n_steps, n_atoms, market.d_w))
+        self.j = j = np.empty((n_steps, n_atoms, market.d_wperp))
+        vr = np.empty((n_steps, n_atoms))
+        self.lam_path = market.sharpe_path(grid)
+        self.sp_star = np.empty((n_steps, market.d_w))
+        for k in range(n_steps):
+            lam = self.lam_path[k]
+            h0 = vol.h0.at(float(grid.times[k]), market, gamma0, lam)
+            self.sp_star[k] = (lam + h0) / gamma0
+            for i, g in enumerate(mixture.gammas):
+                h[k, i] = hgamma(g, gamma0, lam, h0)
+                j[k, i] = vol.j.for_atom(i, h[k, i], market)
+                vr[k, i] = vgamma_rate(g, lam, h[k, i])
+        dt = grid.dt
+        self.qv = np.vstack([np.zeros((1, n_atoms)),
+                             np.cumsum((np.einsum("kad,kad->ka", h, h)
+                                        + np.einsum("kad,kad->ka", j, j)) * dt[:, None],
+                                       axis=0)])
+        self.v = np.vstack([np.zeros((1, n_atoms)), np.cumsum(vr * dt[:, None], axis=0)])
 
     def u0(self, x: float) -> float:
         """U_0(x) = sum_i w_i x^(1-gamma_i)/(1-gamma_i)."""
@@ -326,39 +343,20 @@ class MixtureFpp:
         return float(mixture_value(self.mixture.gammas, self.mixture.weights,
                                    np.log(x), 0.0, 0.0, 0.0))
 
-    def state_paths(self, grid: TimeGrid, dw: np.ndarray, dwperp: np.ndarray):
+    def state_paths(self, dw: np.ndarray, dwperp: np.ndarray):
         """Accumulated (m, qv, v) along an ensemble.
 
         Returns ``m`` of shape (B, N+1, n_atoms) and deterministic ``qv``,
         ``v`` of shape (N+1, n_atoms): the ``state`` that ``utility_paths``
         evaluates.
         """
-        n_steps = grid.n_steps
-        n_atoms = self.mixture.n_atoms
-        gamma0 = self.mixture.gamma0
-        h = np.empty((n_steps, n_atoms, self.market.d_w))
-        j = np.empty((n_steps, n_atoms, self.market.d_wperp))
-        vr = np.empty((n_steps, n_atoms))
-        lam_path = self.market.sharpe_path(grid)
-        for k in range(n_steps):
-            lam = lam_path[k]
-            h0 = self.vol.h0.at(float(grid.times[k]), self.market, gamma0, lam)
-            for i, g in enumerate(self.mixture.gammas):
-                h[k, i] = hgamma(g, gamma0, lam, h0)
-                j[k, i] = self.vol.j.for_atom(i, h[k, i], self.market)
-                vr[k, i] = vgamma_rate(g, lam, h[k, i])
-        dt = grid.dt
-        qv = np.vstack([np.zeros((1, n_atoms)),
-                        np.cumsum((np.einsum("kad,kad->ka", h, h)
-                                   + np.einsum("kad,kad->ka", j, j)) * dt[:, None], axis=0)])
-        v = np.vstack([np.zeros((1, n_atoms)), np.cumsum(vr * dt[:, None], axis=0)])
-        dm = np.einsum("bkd,kad->bka", dw, h)
+        dm = np.einsum("bkd,kad->bka", dw, self.h)
         if self.market.d_wperp:
-            dm += np.einsum("bkd,kad->bka", dwperp, j)
-        m = np.empty((dw.shape[0], n_steps + 1, n_atoms))
+            dm += np.einsum("bkd,kad->bka", dwperp, self.j)
+        m = np.empty((dw.shape[0], self.grid.n_steps + 1, self.mixture.n_atoms))
         m[:, 0] = 0.0
         np.cumsum(dm, axis=1, out=m[:, 1:])
-        return m, qv, v
+        return m, self.qv, self.v
 
     def utility_paths(self, state, log_x: np.ndarray,
                       cols: slice = slice(None)) -> np.ndarray:

@@ -120,36 +120,38 @@ def three_power_drift_factors(x: float, z_factor: float, int_lam2: float,
 
 
 class ThreePowerFpp:
-    """The signed criterion bound to a market, evaluated along ensembles."""
+    """The signed criterion bound to a market and a time grid.
 
-    def __init__(self, spec: ThreePowerSpec, market: MarketSpec):
+    ``lam_path`` and ``sp_star`` = lam/(2 gamma), (N, d_w) at the left
+    endpoints, and I = int |lam|^2 ds, (N+1,), are computed once, here.
+    """
+
+    def __init__(self, spec: ThreePowerSpec, market: MarketSpec, grid: TimeGrid):
         self.spec = spec
         self.market = market
-
-    def sp_star(self, t: float) -> np.ndarray:
-        """Optimal allocation target lam/(2 gamma)."""
-        return self.market.sharpe_at(t) / (2.0 * self.spec.gamma)
+        self.grid = grid
+        self.lam_path = market.sharpe_path(grid)
+        self.sp_star = self.lam_path / (2.0 * spec.gamma)
+        self.i_path = np.concatenate(
+            [[0.0], np.cumsum(np.einsum("kd,kd->k", self.lam_path, self.lam_path)
+                              * grid.dt)])
 
     def u0(self, x: float) -> float:
         return three_power_value(x, 1.0, 0.0, self.spec)
 
-    def accumulators(self, grid: TimeGrid, dw: np.ndarray):
+    def accumulators(self, dw: np.ndarray):
         """(log Z, I) along an ensemble: log Z is (B, N+1), I is (N+1,)."""
-        lam_path = self.market.sharpe_path(grid)
-        dt = grid.dt
         log_z = np.concatenate(
             [np.zeros((dw.shape[0], 1)),
-             np.cumsum(0.5 * np.einsum("bkd,kd->bk", dw, lam_path), axis=1)], axis=1)
-        i_path = np.concatenate(
-            [[0.0], np.cumsum(np.einsum("kd,kd->k", lam_path, lam_path) * dt)])
-        return log_z, i_path
+             np.cumsum(0.5 * np.einsum("bkd,kd->bk", dw, self.lam_path), axis=1)], axis=1)
+        return log_z, self.i_path
 
-    def state_paths(self, grid: TimeGrid, dw: np.ndarray, dwperp: np.ndarray):
+    def state_paths(self, dw: np.ndarray, dwperp: np.ndarray):
         """The ``accumulators``: the state ``utility_paths`` evaluates.
 
         W_perp does not enter this criterion.
         """
-        return self.accumulators(grid, dw)
+        return self.accumulators(dw)
 
     def utility_paths(self, state, log_x: np.ndarray,
                       cols: slice = slice(None)) -> np.ndarray:

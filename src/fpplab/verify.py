@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .market import MarketSpec, TimeGrid, brownian_batch, evolve_log_wealth_batch
+from .market import brownian_batch, evolve_log_wealth_batch
 
 SE_MULTIPLE = 3.0
 NEGINF_WARN_FRACTION = 1e-3
@@ -97,16 +97,17 @@ def _streamed_moments(fpp, state, log_x):
     return s1, s2, int(np.sum(diverged)), u[:, -1].copy()
 
 
-def _batch_moments(fpp, sps, market, lam_path, grid, seed, path_ids, x0):
+def _batch_moments(fpp, sps, seed, path_ids, x0):
     """``_streamed_moments`` of every allocation schedule over one batch.
 
     The increments and the criterion state are built once and shared by all
     runs (common random numbers).
     """
+    grid, market = fpp.grid, fpp.market
     dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, path_ids)
-    state = fpp.state_paths(grid, dw, dwp)
+    state = fpp.state_paths(dw, dwp)
     return [_streamed_moments(fpp, state,
-                              evolve_log_wealth_batch(x0, sp, lam_path, grid, dw))
+                              evolve_log_wealth_batch(x0, sp, fpp.lam_path, grid, dw))
             for sp in sps]
 
 
@@ -143,18 +144,20 @@ def _report(mode, s1, s2, neg_inf, terminal, reference, grid, n_paths, seed):
                             warnings=warnings)
 
 
-def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], market: MarketSpec, *,
-                    grid: TimeGrid, n_paths: int, seed: int, x0: float = 1.0,
+def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
+                    n_paths: int, seed: int, x0: float = 1.0,
                     batch_size: int = DEFAULT_BATCH,
                     threads: int = None) -> list[MartingaleReport]:
     """Ensemble tests of E[U_t(X_t)] against U_0(x0), one report per run.
 
     ``runs`` is a list of ``(sp, mode)``; a single test is a list of one.
     ``sp`` is the (N, d_w) sigma*pi schedule of ``evolve_log_wealth_batch``,
-    one row per grid cell, shared by all paths.  ``fpp``
-    exposes ``state_paths(grid, dw, dwperp)``, ``utility_paths(state, log_x,
-    cols)`` (U at log wealth ``log_x`` for the grid columns ``cols``) and
-    ``u0(x)``.  All runs ride the same Brownian batches and criterion state
+    one row per grid cell, shared by all paths.  ``fpp`` is a criterion
+    bound to its grid: it exposes ``grid``, ``market`` (for the Brownian
+    dimensions), ``lam_path`` (the (N, d_w) Sharpe path),
+    ``state_paths(dw, dwperp)``, ``utility_paths(state, log_x, cols)`` (U at
+    log wealth ``log_x`` for the grid columns ``cols``) and ``u0(x)``.  All
+    runs ride the same Brownian batches and criterion state
     (common random numbers), built once per batch.  In martingale mode the
     verdict is consistent iff every grid time stays inside the
     3-standard-error band around U_0; in supermartingale mode the mean must
@@ -171,14 +174,14 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], market: MarketS
             raise ValueError(f"unknown mode {mode!r}")
     if n_paths < 2:
         raise ValueError("need at least two paths")
+    grid = fpp.grid
     n_times = grid.n_steps + 1
     sps = [sp for sp, _ in runs]
-    lam_path = market.sharpe_path(grid)
     batches = [range(lo, min(lo + batch_size, n_paths))
                for lo in range(0, n_paths, batch_size)]
 
     def work(ids):
-        return _batch_moments(fpp, sps, market, lam_path, grid, seed, ids, x0)
+        return _batch_moments(fpp, sps, seed, ids, x0)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

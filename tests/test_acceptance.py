@@ -30,19 +30,14 @@ BASE_MARKET = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.04)  # la
 UNIT_SHARPE_MARKET = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.2)
 
 
-def star_path(fpp, grid):
-    """The optimiser's sigma*pi at the left endpoint of every grid cell."""
-    return np.array([fpp.sp_star(t) for t in grid.times[:-1]])
-
-
 def test_criterion_01_martingale_suite():
     """Single-atom criterion: martingale at the optimiser, exact decay at null."""
     start = time.monotonic()
     mix = RiskMixture.single(0.5)
-    fpp = MixtureFpp(mix, VolatilityChoice.zero(), BASE_MARKET)
     grid = TimeGrid.regular(1.0, 1 / 252)
-    [report] = martingale_test(fpp, [(star_path(fpp, grid), "martingale")],
-                               BASE_MARKET, grid=grid, n_paths=100_000, seed=7)
+    fpp = MixtureFpp(mix, VolatilityChoice.zero(), BASE_MARKET, grid)
+    [report] = martingale_test(fpp, [(fpp.sp_star, "martingale")],
+                               n_paths=100_000, seed=7)
     dev_terminal = abs(report.mean[-1] - report.reference)
     assert dev_terminal <= 3.0 * report.se[-1]
     assert report.verdict == VERDICT_MARTINGALE  # 3-se band at every grid time
@@ -50,7 +45,7 @@ def test_criterion_01_martingale_suite():
     # null portfolio: wealth is frozen, so the criterion decays deterministically
     # at its finite-variation rate v and the mean must track U0 exp(v t)
     [null] = martingale_test(fpp, [(np.zeros((grid.n_steps, 1)), "supermartingale")],
-                             BASE_MARKET, grid=grid, n_paths=2_000, seed=7)
+                             n_paths=2_000, seed=7)
     rate = vgamma_rate(0.5, BASE_MARKET.sharpe_at(0.0), [0.0])
     predicted = null.reference * np.exp(rate * grid.times)
     band = 3.0 * null.se + 1e-9
@@ -77,13 +72,13 @@ def test_criterion_02_h_inversion():
     # one representative inverted criterion through the Monte Carlo suite
     mix = RiskMixture.single(0.5)
     vol = VolatilityChoice(h0=H0Spec.portfolio_inversion([1.7]), j=JSpec.zero())
-    fpp = MixtureFpp(mix, vol, BASE_MARKET)
-    assert fpp.sp_star(0.0) == pytest.approx([0.2 * 1.7])
     grid = TimeGrid.regular(1.0, 1 / 252)
+    fpp = MixtureFpp(mix, vol, BASE_MARKET, grid)
+    assert fpp.sp_star[0] == pytest.approx([0.2 * 1.7])
     at_target, at_null = martingale_test(
-        fpp, [(star_path(fpp, grid), "martingale"),
+        fpp, [(fpp.sp_star, "martingale"),
               (np.zeros((grid.n_steps, 1)), "supermartingale")],
-        BASE_MARKET, grid=grid, n_paths=10_000, seed=5)
+        n_paths=10_000, seed=5)
     assert at_target.verdict == VERDICT_MARTINGALE
     assert at_null.verdict == VERDICT_SUPER_STRICT
     print("criterion 2: PASS (100 round trips at 1e-10; suite at 1e4 paths)")
@@ -138,8 +133,8 @@ def test_criterion_03_two_power_characterisation():
                           gamma0=1 - p)
         vol = VolatilityChoice(h0=H0Spec.constant(a),
                                j=JSpec.constant([spec.a_perp, spec.d_perp]))
-        generic_fpp = MixtureFpp(mix, vol, market)
-        generic = generic_fpp.utility_paths(generic_fpp.state_paths(grid, dw, dwp), log_x)
+        generic_fpp = MixtureFpp(mix, vol, market, grid)
+        generic = generic_fpp.utility_paths(generic_fpp.state_paths(dw, dwp), log_x)
         np.testing.assert_allclose(joint, generic, rtol=1e-10)
     print("criterion 3: PASS (1000 draws; zero-gap paths match to 1e-10)")
 
@@ -308,15 +303,14 @@ def test_criterion_08_three_power_suite():
     assert scan.passed
 
     grid = TimeGrid.regular(1.0, 1 / 12)
-    fpp = ThreePowerFpp(spec, BASE_MARKET)
-    [at_opt] = martingale_test(fpp, [(star_path(fpp, grid), "martingale")],
-                               BASE_MARKET, grid=grid, n_paths=100_000, seed=7)
+    fpp = ThreePowerFpp(spec, BASE_MARKET, grid)
+    [at_opt] = martingale_test(fpp, [(fpp.sp_star, "martingale")],
+                               n_paths=100_000, seed=7)
     assert at_opt.verdict == VERDICT_MARTINGALE
 
-    fpp1 = ThreePowerFpp(spec, UNIT_SHARPE_MARKET)
+    fpp1 = ThreePowerFpp(spec, UNIT_SHARPE_MARKET, grid)
     [at_null] = martingale_test(fpp1, [(np.zeros((grid.n_steps, 1)), "supermartingale")],
-                                UNIT_SHARPE_MARKET, grid=grid, n_paths=100_000,
-                                seed=7)
+                                n_paths=100_000, seed=7)
     assert at_null.verdict == VERDICT_SUPER_STRICT
     elapsed = time.monotonic() - start
     assert elapsed < 60.0

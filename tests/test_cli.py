@@ -52,8 +52,8 @@ mixture:
     from fpplab.mixture import MixtureFpp
 
     cfg = load_config(str(tmp_path / "cfg.yaml"))
-    fpp = MixtureFpp(cfg.mixture, cfg.vol, cfg.market)
-    assert fpp.sp_star(0.0) == pytest.approx([0.6])
+    fpp = MixtureFpp(cfg.mixture, cfg.vol, cfg.market, TimeGrid.regular(1.0, 0.5))
+    assert fpp.sp_star[0] == pytest.approx([0.6])
 
 
 def test_verify_fpp_rejects_unit_aversion_atom(tmp_path, capsys):
@@ -229,3 +229,69 @@ simulation: {n_paths: 500, seed: 11, grid_step: 0.25, horizon: 1.0}
             row = rows[pid * (grid.n_steps + 1) + k]
             assert row[:2] == [pid, t]
             assert row[2:] == list(levels[k])
+
+
+@pytest.mark.parametrize("args, config", [
+    (["--paths", "1", "verify-fpp"], SMALL_SIM),
+    (["--paths", "1", "three-power"], SMALL_SIM),
+    (["--paths", "1", "--preset", "fig1", "pool", "compare"], None),
+    (["verify-fpp"], SMALL_SIM.replace("n_paths: 4000", "n_paths: 1")),
+    (["three-power"], SMALL_SIM.replace("n_paths: 4000", "n_paths: 1")),
+], ids=["verify-fpp-flag", "three-power-flag", "pool-compare-flag",
+        "verify-fpp-config", "three-power-config"])
+def test_one_path_is_a_config_error(tmp_path, capsys, args, config):
+    # the ensemble statistics need at least two paths
+    code = run(tmp_path, *args, config=config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error: simulation.n_paths: " in err
+
+
+@pytest.mark.parametrize("command", ["verify-fpp", "three-power"])
+@pytest.mark.parametrize("key, args, config", [
+    ("horizon", [], SMALL_SIM.replace("horizon: 1.0", "horizon: .inf")),
+    ("horizon", [], SMALL_SIM.replace("horizon: 1.0", "horizon: .nan")),
+    ("grid_step", [], SMALL_SIM.replace("grid_step: 0.08333333333333333",
+                                        "grid_step: .inf")),
+    ("grid_step", [], SMALL_SIM.replace("grid_step: 0.08333333333333333",
+                                        "grid_step: .nan")),
+    ("seed", ["--seed", str(2 ** 64)], SMALL_SIM),
+], ids=["horizon-inf", "horizon-nan", "step-inf", "step-nan", "seed-2-64"])
+def test_out_of_range_simulation_setting_is_a_config_error(tmp_path, capsys, command,
+                                                           key, args, config):
+    code = run(tmp_path, *args, command, config=config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"configuration error: simulation.{key}: " in err
+
+
+@pytest.mark.parametrize("command", ["verify-fpp", "three-power"])
+def test_market_singular_only_at_horizon_fails(tmp_path, capsys, command):
+    # sigma drops to zero at t = 1, the last grid time, where no cell starts
+    config = SMALL_SIM + """
+market:
+  sigma:
+    - {t: 0.0, value: 0.2}
+    - {t: 1.0, value: 0.0}
+"""
+    code = run(tmp_path, command, config=config)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "column-rank deficient" in err
+
+
+@pytest.mark.parametrize("command", ["verify-fpp", "three-power"])
+def test_sharpe_ratio_evaluated_once_per_grid_time(tmp_path, monkeypatch, command):
+    import fpplab.market
+
+    calls = []
+    original = fpplab.market.sharpe_ratio
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fpplab.market, "sharpe_ratio", counting)
+    code = run(tmp_path, "--paths", "200", command, config=SMALL_SIM)
+    assert code == 0
+    assert len(calls) == 12 + 1  # horizon 1, step 1/12

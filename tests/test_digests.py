@@ -1,0 +1,48 @@
+"""The benchmark's byte gate at the default seed, run as a test.
+
+The workloads and the recorded exit codes, verdicts and CSV SHA-256 come
+from ``perfbench/`` as they are, so a change to any seeded output byte fails
+here as well as in the benchmark.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from fpplab.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 7
+
+
+@pytest.fixture(scope="module")
+def bench():
+    # run.py imports its sibling spans.py by name
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["mix3-verify", "three-power-signed"])
+def test_outputs_match_recorded_digests(tmp_path, capsys, bench, workload):
+    wl = bench.WORKLOADS[workload]
+    config = dict(wl["config"])
+    config["simulation"] = dict(config.get("simulation", {}), seed=SEED)
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(json.dumps(config))  # JSON is valid YAML
+    out_dir = tmp_path / "out"
+    code = main(["--config", str(config_path), "--out", str(out_dir), "--threads", "1"]
+                + wl["argv"])
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload][str(SEED)]
+    assert code == recorded["rc"]
+    assert bench.parse_verdicts(workload, capsys.readouterr().out) == recorded["verdicts"]
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out_dir.iterdir()}
+    assert digests == recorded["csv"]

@@ -313,6 +313,17 @@ def test_piecewise_market_schedule_in_sharpe_path():
     assert lam[3, 0] == pytest.approx(0.1)
 
 
+
+def test_sharpe_path_checks_the_horizon():
+    # the horizon starts no cell, yet a market singular there is rejected
+    market = MarketSpec(
+        n_stocks=1, d_w=1, d_wperp=0,
+        sigma=Schedule.piecewise([(0.0, [[0.2]]), (1.0, [[0.0]])], (1, 1)),
+        mu=0.04)
+    assert market.sharpe_path(TimeGrid.regular(0.75, 0.25)).shape == (3, 1)
+    with pytest.raises(SingularMarketError, match="column-rank deficient"):
+        market.sharpe_path(TimeGrid.regular(1.0, 0.25))
+
 def test_write_paths_csv(tmp_path):
     grid = TimeGrid.regular(1.0, 0.5)
     dw, dwp = brownian_batch(grid, 2, 1, seed=4, path_ids=range(3))

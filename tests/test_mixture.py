@@ -21,7 +21,8 @@ def base_market(d_wperp=0):
 
 def initial_value(mix, x):
     """U_0(x) of a mixture, through the ensemble evaluator."""
-    return MixtureFpp(mix, VolatilityChoice.zero(), base_market()).u0(x)
+    grid = TimeGrid.regular(1.0, 1.0)
+    return MixtureFpp(mix, VolatilityChoice.zero(), base_market(), grid).u0(x)
 
 
 def stepwise_state(mix, lam, h0, j_atoms, dw_row, dwp_row, dt):
@@ -232,9 +233,9 @@ def test_factor_j_degenerate():
 
 def test_accumulate_zero_dynamics():
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.0)
-    fpp = MixtureFpp(RiskMixture.single(0.5), VolatilityChoice.zero(), market)
     grid = TimeGrid(np.array([0.0, 0.5]))
-    m, qv, v = fpp.state_paths(grid, np.array([[[0.3]]]), np.zeros((1, 1, 0)))
+    fpp = MixtureFpp(RiskMixture.single(0.5), VolatilityChoice.zero(), market, grid)
+    m, qv, v = fpp.state_paths(np.array([[[0.3]]]), np.zeros((1, 1, 0)))
     assert m[0, -1] == pytest.approx([0.0])
     assert qv[-1] == pytest.approx([0.0])
     assert v[-1] == pytest.approx([0.0])
@@ -243,10 +244,10 @@ def test_accumulate_zero_dynamics():
 def test_accumulate_single_atom_base_loading_vanishes():
     # h0 = 0 at the base aversion: M stays 0, V integrates the rate exactly
     mix = RiskMixture.single(0.5)
-    fpp = MixtureFpp(mix, VolatilityChoice.zero(), base_market())
     grid = TimeGrid.regular(1.0, 0.1)
+    fpp = MixtureFpp(mix, VolatilityChoice.zero(), base_market(), grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=0, path_ids=[0])
-    m, qv, v = fpp.state_paths(grid, dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp)
     assert m[0, -1] == pytest.approx([0.0])
     assert v[-1] == pytest.approx([-0.02], abs=1e-15)
     value = mixture_value(mix.gammas, mix.weights, np.log(1.0), m[0, -1], qv[-1], v[-1])
@@ -259,12 +260,12 @@ def test_accumulate_matches_brute_force_recomputation():
     mix = RiskMixture(atoms=((0.4, 1.0), (2.0, 0.7)), gamma0=0.4)
     vol = VolatilityChoice(h0=H0Spec.constant([0.1, -0.05]),
                            j=JSpec.constant([[0.2], [0.3]]))
-    fpp = MixtureFpp(mix, vol, market)
     grid = TimeGrid.regular(1.0, 0.05)
+    fpp = MixtureFpp(mix, vol, market, grid)
     rng = np.random.default_rng(5)
     dw = rng.normal(size=(1, 20, 2)) * np.sqrt(0.05)
     dwp = rng.normal(size=(1, 20, 1)) * np.sqrt(0.05)
-    m, qv, v = fpp.state_paths(grid, dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp)
     m_ref, qv_ref, v_ref = stepwise_state(mix, np.array([0.3, 0.1]),
                                           np.array([0.1, -0.05]), [[0.2], [0.3]],
                                           dw[0], dwp[0], grid.dt)
@@ -278,16 +279,36 @@ def test_state_paths_match_stepwise_accumulation():
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=1, sigma=0.25, mu=0.05)
     mix = RiskMixture(atoms=((0.5, 1.0), (0.8, 2.0)), gamma0=0.5)
     vol = VolatilityChoice(h0=H0Spec.constant([0.1]), j=JSpec.constant([0.2]))
-    fpp = MixtureFpp(mix, vol, market)
     grid = TimeGrid.regular(1.0, 0.125)
+    fpp = MixtureFpp(mix, vol, market, grid)
     dw, dwp = brownian_batch(grid, 1, 1, seed=8, path_ids=[0])
-    m, qv, v = fpp.state_paths(grid, dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp)
     m_ref, qv_ref, v_ref = stepwise_state(mix, market.sharpe_at(0.0), np.array([0.1]),
                                           [[0.2], [0.2]], dw[0], dwp[0], grid.dt)
     assert m[0, -1] == pytest.approx(m_ref, rel=1e-12)
     assert qv[-1] == pytest.approx(qv_ref, rel=1e-12)
     assert v[-1] == pytest.approx(v_ref, rel=1e-12)
 
+
+
+def test_sp_star_rows_equal_the_per_time_formula():
+    # sigma and mu jump inside the horizon; h0 inverts a target portfolio
+    market = MarketSpec(n_stocks=2, d_w=2, d_wperp=0,
+                        sigma=[{"t": 0.0, "value": [[0.2, 0.0], [0.05, 0.3]]},
+                               {"t": 0.4, "value": [[0.25, 0.02], [0.0, 0.15]]}],
+                        mu=[{"t": 0.0, "value": [0.04, 0.06]},
+                            {"t": 0.7, "value": [0.08, 0.01]}])
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.8, 0.5)), gamma0=0.6)
+    h0 = H0Spec.portfolio_inversion([0.5, 0.3])
+    grid = TimeGrid.regular(1.0, 0.1)
+    fpp = MixtureFpp(mix, VolatilityChoice(h0, JSpec.zero()), market, grid)
+    assert fpp.sp_star.shape == (grid.n_steps, 2)
+    for k, t in enumerate(grid.times[:-1]):
+        lam = market.sharpe_at(float(t))
+        assert np.array_equal(fpp.lam_path[k], lam)
+        expected = (lam + h0.at(float(t), market, 0.6, lam)) / 0.6
+        assert np.array_equal(fpp.sp_star[k], expected)
+    assert not np.array_equal(fpp.sp_star[0], fpp.sp_star[-1])
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -344,10 +365,10 @@ def test_pointwise_concavity_of_reachable_states():
     market = base_market(d_wperp=0)
     mix = RiskMixture(atoms=((0.5, 1.0), (2.0, 0.5)), gamma0=0.8)
     vol = VolatilityChoice(h0=H0Spec.constant([0.15]), j=JSpec.zero())
-    fpp = MixtureFpp(mix, vol, market)
     grid = TimeGrid.regular(1.0, 0.05)
+    fpp = MixtureFpp(mix, vol, market, grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=12, path_ids=range(6))
-    m, qv, v = fpp.state_paths(grid, dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp)
     states = [(m[b, k], qv[k], v[k]) for b in range(6) for k in (10, 20)]
 
     def evaluate(state, x):
@@ -375,11 +396,11 @@ def test_market_view_density_mc_mean_is_one():
     market = base_market()
     mix = RiskMixture.single(0.5)
     vol = VolatilityChoice(h0=H0Spec.constant([0.4]), j=JSpec.zero())
-    fpp = MixtureFpp(mix, vol, market)
     grid = TimeGrid.regular(1.0, 1 / 64)
+    fpp = MixtureFpp(mix, vol, market, grid)
     n = 100_000
     dw, dwp = brownian_batch(grid, 1, 0, seed=77, path_ids=range(n))
-    m, qv, _ = fpp.state_paths(grid, dw, dwp)
+    m, qv, _ = fpp.state_paths(dw, dwp)
     dens = market_view_density(m[:, -1, 0], qv[-1, 0])
     se = dens.std(ddof=1) / np.sqrt(n)
     assert abs(dens.mean() - 1.0) < 3 * se
@@ -400,10 +421,10 @@ def test_monotone_power_factorisation_along_path():
     mix = RiskMixture.single(g)
     h = 0.1
     vol = VolatilityChoice(h0=H0Spec.constant([h]), j=JSpec.zero())
-    fpp = MixtureFpp(mix, vol, market)
     grid = TimeGrid.regular(1.0, 1 / 128)  # T = 1 so int |lam+H|^2 = |lam+H|^2
+    fpp = MixtureFpp(mix, vol, market, grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=5, path_ids=[0])
-    m, qv, v = fpp.state_paths(grid, dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp)
     lam_plus_h = market.sharpe_at(0.0) + h
     for x in (0.5, 1.0, 3.0):
         full = mixture_value(mix.gammas, mix.weights, np.log(x), m[0, -1], qv[-1], v[-1])

@@ -81,8 +81,8 @@ def test_matches_generic_signed_mixture_along_path():
     m = np.zeros(3)
     qv = np.zeros(3)
     v = np.zeros(3)
-    fpp = ThreePowerFpp(spec, market)
-    log_z, i_path = fpp.accumulators(grid, dw)
+    fpp = ThreePowerFpp(spec, market, grid)
+    log_z, i_path = fpp.accumulators(dw)
     for k in range(grid.n_steps):
         dt = float(grid.dt[k])
         for i, gam in enumerate(gammas):
@@ -100,12 +100,12 @@ def test_matches_generic_signed_mixture_along_path():
 def test_utility_paths_match_pointwise_values():
     spec = ThreePowerSpec(0.2)
     market = base_market(lam=1.0)
-    fpp = ThreePowerFpp(spec, market)
     grid = TimeGrid.regular(1.0, 0.25)
+    fpp = ThreePowerFpp(spec, market, grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=3, path_ids=range(4))
     log_x = np.log(1.7) * np.ones((4, grid.n_steps + 1))
-    u = fpp.utility_paths(fpp.state_paths(grid, dw, dwp), log_x)
-    log_z, i_path = fpp.accumulators(grid, dw)
+    u = fpp.utility_paths(fpp.state_paths(dw, dwp), log_x)
+    log_z, i_path = fpp.accumulators(dw)
     for b in (0, 3):
         for k in (0, 2, 4):
             expected = three_power_value(1.7, float(np.exp(log_z[b, k])),
@@ -195,6 +195,19 @@ def test_positive_factor_over_random_states():
 
 def test_optimal_allocation_target():
     spec = ThreePowerSpec(0.25)
-    fpp = ThreePowerFpp(spec, base_market(lam=0.2))
-    assert fpp.sp_star(0.0) == pytest.approx([0.4])
+    fpp = ThreePowerFpp(spec, base_market(lam=0.2), TimeGrid.regular(1.0, 0.5))
+    assert fpp.sp_star[0] == pytest.approx([0.4])
     assert fpp.u0(1.0) == pytest.approx(10.0 / 3.0)
+
+
+def test_sp_star_rows_equal_the_per_time_formula():
+    spec = ThreePowerSpec(0.2)
+    market = MarketSpec(n_stocks=1, d_w=1, d_wperp=0,
+                        sigma=[{"t": 0.0, "value": 0.2}, {"t": 0.5, "value": 0.3}],
+                        mu=[{"t": 0.0, "value": 0.04}, {"t": 0.25, "value": 0.09}])
+    grid = TimeGrid.regular(1.0, 0.125)
+    fpp = ThreePowerFpp(spec, market, grid)
+    assert fpp.sp_star.shape == (grid.n_steps, 1)
+    for k, t in enumerate(grid.times[:-1]):
+        expected = market.sharpe_at(float(t)) / (2.0 * spec.gamma)
+        assert np.array_equal(fpp.sp_star[k], expected)

@@ -200,13 +200,13 @@ def test_zero_gap_joint_process_matches_atom_sum():
                           gamma0=(1 - p))
         vol = VolatilityChoice(h0=H0Spec.constant(a),
                                j=JSpec.constant([a_perp, d_perp]))
-        fpp = MixtureFpp(mix, vol, market)
-        generic = fpp.utility_paths(fpp.state_paths(grid, dw, dwp), log_x)
+        fpp = MixtureFpp(mix, vol, market, grid)
+        generic = fpp.utility_paths(fpp.state_paths(dw, dwp), log_x)
         np.testing.assert_allclose(joint, generic, rtol=1e-10)
         # and the shared optimiser matches the mixture allocation target
         sp = mixture_sp_target(p, q, a_path[0, -1], d_path[0, -1],
                                x_path[0, -1], lam, a, d)
-        assert sp == pytest.approx(fpp.sp_star(0.0), rel=1e-12)
+        assert sp == pytest.approx(fpp.sp_star[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
