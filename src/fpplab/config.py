@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import yaml
 
 from .errors import ConfigError
-from .market import MarketSpec
+from .market import MAX_STEPS, MarketSpec
 from .mixture import H0Spec, JSpec, RiskMixture, VolatilityChoice
 from .pooling import POOL_PRESETS, PoolSpec, preset as pool_preset
 from .three_power import ThreePowerSpec
@@ -213,6 +213,9 @@ def _simulation_from(cfg: dict) -> SimulationConfig:
     for key in ("grid_step", "horizon"):
         if not 0 < getattr(sim, key) < math.inf:
             raise ConfigError(f"simulation.{key}: must be positive and finite")
+    if not sim.horizon / sim.grid_step <= MAX_STEPS:
+        raise ConfigError(f"simulation.grid_step: horizon / grid_step must be at most "
+                          f"{MAX_STEPS} steps")
     return sim
 
 

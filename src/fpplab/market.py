@@ -33,6 +33,9 @@ import numpy as np
 from .errors import NoExactSolutionError, SingularMarketError, StrategyEvaluationError
 
 PINV_RCOND = 1e-10  # singular values below rcond * s_max are treated as zero
+# most grid steps (or rebalance periods) in one run: refuses a horizon / step
+# ratio that overflows round() or that no (B, N+1) batch array could hold
+MAX_STEPS = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +63,8 @@ class TimeGrid:
         """Uniform grid over [0, horizon] with the closest whole number of steps."""
         if horizon <= 0 or step <= 0:
             raise ValueError("horizon and step must be positive")
+        if not horizon / step <= MAX_STEPS:
+            raise ValueError(f"horizon / step must be at most {MAX_STEPS} steps")
         n = max(1, round(horizon / step))
         return cls(np.linspace(0.0, horizon, n + 1))
 

@@ -27,13 +27,13 @@ the current per-investor utility levels as weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from . import two_power
-from .market import TimeGrid, brownian_batch, evolve_log_wealth_batch
+from .market import MAX_STEPS, TimeGrid, brownian_batch, evolve_log_wealth_batch
 
 Z_EDGE = 1e-3       # scan clip: the objective has a pole at z = 1
 Z_SCAN_STEP = 1e-3
@@ -68,12 +68,18 @@ class PoolSpec:
     rebalance_dt: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not (0.0 < self.p < self.q < 1.0):
             raise ValueError(f"need 0 < p < q < 1, got p={self.p}, q={self.q}")
         for name in ("a0", "d0", "x0", "horizon", "rebalance_dt"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         n = self.horizon / self.rebalance_dt
+        if not 0.5 <= n <= MAX_STEPS:
+            raise ValueError(f"horizon / rebalance_dt must be between 1 and "
+                             f"{MAX_STEPS} periods")
         if abs(n - round(n)) > 1e-9:
             raise ValueError("horizon must be a whole number of rebalance periods")
 
@@ -242,12 +248,28 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     The objective only depends on the weights through their ratio, so paths
     are scanned jointly on the shared z-grid and refined with a fixed-length
     golden-section loop per path.
+
+    Only the grid window from the last point below ``p`` to the first point
+    above ``q`` is scanned: ``ea`` peaks at ``p`` and ``ed`` at ``q``, both
+    rise below ``p`` and fall above ``q``, so for every ratio the full-grid
+    argmax lies inside it.  The window values are the same elementwise
+    operations on the same z values as the full-grid columns, so the window
+    argmax is bit for bit the full-grid one.  A row whose window argmax falls
+    on a window edge that is not a grid edge (a flat objective, float ties
+    at a tiny ``lam2dt``) is scanned again on the full grid, which keeps the
+    full scan's first-maximum choice.
     """
     r = np.exp(log_ratio)[:, None]  # (B, 1)
     n = int(round((1.0 - 2.0 * Z_EDGE) / Z_SCAN_STEP)) + 1
     zs = np.linspace(Z_EDGE, 1.0 - Z_EDGE, n)
-    vals = _weighted_objective(zs[None, :], 1.0, r, p, q, lam2dt)  # (B, n)
-    idx = np.argmax(vals, axis=1)
+    w0 = max(int(np.searchsorted(zs, p)) - 1, 0)
+    w1 = min(int(np.searchsorted(zs, q)) + 1, n - 1)
+    vals = _weighted_objective(zs[None, w0:w1 + 1], 1.0, r, p, q, lam2dt)
+    idx = w0 + np.argmax(vals, axis=1)
+    edge = ((idx == w0) & (w0 > 0)) | ((idx == w1) & (w1 < n - 1))
+    if edge.any():
+        full = _weighted_objective(zs[None, :], 1.0, r[edge], p, q, lam2dt)
+        idx[edge] = np.argmax(full, axis=1)
     lo = zs[np.maximum(idx - 1, 0)]
     hi = zs[np.minimum(idx + 1, n - 1)]
 

@@ -256,13 +256,26 @@ def test_one_path_is_a_config_error(tmp_path, capsys, args, config):
     ("grid_step", [], SMALL_SIM.replace("grid_step: 0.08333333333333333",
                                         "grid_step: .nan")),
     ("seed", ["--seed", str(2 ** 64)], SMALL_SIM),
-], ids=["horizon-inf", "horizon-nan", "step-inf", "step-nan", "seed-2-64"])
+    ("grid_step", [], SMALL_SIM.replace("horizon: 1.0", "horizon: 1.0e+300")
+     .replace("grid_step: 0.08333333333333333", "grid_step: 1.0e-10")),
+], ids=["horizon-inf", "horizon-nan", "step-inf", "step-nan", "seed-2-64",
+        "step-count-overflow"])
 def test_out_of_range_simulation_setting_is_a_config_error(tmp_path, capsys, command,
                                                            key, args, config):
     code = run(tmp_path, *args, command, config=config)
     err = capsys.readouterr().err
     assert code == 2
     assert f"configuration error: simulation.{key}: " in err
+
+
+@pytest.mark.parametrize("setting", ["lam: .nan", "lam: .inf", "horizon: .inf",
+                                     "rebalance_dt: 1.0e-300", "horizon: 1.0e-12"])
+def test_out_of_range_pool_setting_is_a_config_error(tmp_path, capsys, setting):
+    code = run(tmp_path, "pool", "compare", config=f"pool:\n  preset: fig1\n  {setting}\n")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: pool: ")
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 @pytest.mark.parametrize("command", ["verify-fpp", "three-power"])

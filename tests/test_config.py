@@ -72,6 +72,15 @@ def test_unknown_pool_preset(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("key", ["p", "q", "a0", "d0", "lam", "x0", "horizon",
+                                 "rebalance_dt"])
+def test_non_finite_pool_setting_rejected(tmp_path, key, value):
+    path = write(tmp_path, f"pool:\n  preset: fig1\n  {key}: {value}\n")
+    with pytest.raises(ConfigError, match=f"^pool: {key} must be finite$"):
+        load_config(path)
+
+
 def test_mixture_preset_application():
     cfg = load_config(mixture_preset="power_base")
     assert cfg.mixture.gamma0 == 0.5

@@ -30,7 +30,8 @@ def bench():
     return module
 
 
-@pytest.mark.parametrize("workload", ["mix3-verify", "three-power-signed"])
+@pytest.mark.parametrize("workload", ["mix3-verify", "three-power-signed",
+                                      "pool-greedy"])
 def test_outputs_match_recorded_digests(tmp_path, capsys, bench, workload):
     wl = bench.WORKLOADS[workload]
     config = dict(wl["config"])

@@ -46,6 +46,14 @@ def test_time_grid_rejects_bad_input(times):
         TimeGrid(np.array(times))
 
 
+@pytest.mark.parametrize("horizon, step", [(1e300, 1e-10), (1e300, 1.0),
+                                           (float("nan"), 1.0)])
+def test_time_grid_regular_rejects_step_count_beyond_bound(horizon, step):
+    # 1e300 / 1e-10 overflows to inf, which round() cannot convert
+    with pytest.raises(ValueError, match="steps"):
+        TimeGrid.regular(horizon, step)
+
+
 def test_schedule_piecewise_left_continuous():
     sched = Schedule.piecewise([(0.0, 1.0), (2.0, 3.0)], shape=(1,))
     assert sched.at(0.0) == 1.0

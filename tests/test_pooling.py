@@ -1,9 +1,13 @@
 """Pooled investment: closed form, optimisers, surfaces, strategy comparison."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from fpplab.pooling import (PoolSpec, compare_strategies,
+from fpplab.pooling import (_INVPHI, Z_EDGE, Z_REFINE_TOL, Z_SCAN_STEP, PoolSpec,
+                            _greedy_z_batch, _weighted_objective, compare_strategies,
                             constant_z_expected_utility, one_period_greedy,
                             optimize_constant_z, preset,
                             simulated_expected_utility, utility_surface)
@@ -128,6 +132,62 @@ def test_greedy_matches_fine_grid_scan():
     brute = float(zs[int(np.argmax(wa * ea + wd * ed))])
     assert one_period_greedy(1.0, 1.0, 1.0, spec, dt=1.0) == pytest.approx(
         brute, abs=1e-4)
+
+
+def full_grid_greedy_z(log_ratio, p, q, lam2dt):
+    """Reference for ``_greedy_z_batch``: every row scored on the whole z-grid."""
+    r = np.exp(log_ratio)[:, None]
+    n = int(round((1.0 - 2.0 * Z_EDGE) / Z_SCAN_STEP)) + 1
+    zs = np.linspace(Z_EDGE, 1.0 - Z_EDGE, n)
+    idx = np.argmax(_weighted_objective(zs[None, :], 1.0, r, p, q, lam2dt), axis=1)
+    a = zs[np.maximum(idx - 1, 0)]
+    b = zs[np.minimum(idx + 1, n - 1)]
+
+    def fvec(z):
+        return _weighted_objective(z, 1.0, r[:, 0], p, q, lam2dt)
+
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fvec(c), fvec(d)
+    n_iter = int(math.ceil(math.log(Z_REFINE_TOL / (2 * Z_SCAN_STEP))
+                           / math.log(_INVPHI)))
+    for _ in range(n_iter):
+        left = fc >= fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        fc, fd = fvec(c), fvec(d)
+    return 0.5 * (a + b)
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_LOG10_LAM2DT = st.floats(min_value=-14.0, max_value=3.0)
+
+
+@given(p=_UNIT, q=_UNIT,
+       lam2dt=st.one_of(st.sampled_from([0.0, 1e-14]),
+                        _LOG10_LAM2DT.map(lambda e: 10.0 ** e)),
+       sd=st.sampled_from([1.0, 5.0, 50.0]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       extra=st.lists(st.floats(min_value=-700.0, max_value=700.0), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_greedy_window_matches_full_grid_scan(p, q, lam2dt, sd, seed, extra):
+    # the argmax over [p, q] (plus the edge rescan) is the full-grid argmax
+    assume(p < q)
+    normal = np.random.default_rng(seed).normal(0.0, sd, 256)
+    log_ratio = np.concatenate([np.clip(normal, -700.0, 700.0), extra, [-700.0, 700.0]])
+    assert np.array_equal(_greedy_z_batch(log_ratio, p, q, lam2dt),
+                          full_grid_greedy_z(log_ratio, p, q, lam2dt))
+
+
+def test_greedy_flat_objective_rescans_full_grid():
+    # at lam^2 dt = 0 every z ties, so each row's window argmax is the window's
+    # left edge; the full-grid rescan moves it to the first grid point
+    log_ratio = np.linspace(-5.0, 5.0, 11)
+    z = _greedy_z_batch(log_ratio, 0.1, 0.3, 0.0)
+    assert np.array_equal(z, full_grid_greedy_z(log_ratio, 0.1, 0.3, 0.0))
+    assert np.all((Z_EDGE <= z) & (z <= Z_EDGE + Z_SCAN_STEP))
 
 
 def test_greedy_short_period_continuity():
