@@ -13,6 +13,8 @@ two-power dual        closed-form dual maximiser of the double-aversion family
 two-power validate    monotonicity checks on sampled power paths
 three-power           discriminant table, sample paths, martingale check
 
+Settings resolve once, in ``config.load_config``: defaults < --config file <
+--preset < the other flags, which are overrides of configuration keys.
 Exit codes: 0 success, 1 check failure, 2 configuration error.  Output
 directory resolves from --out, then $FPPLAB_OUT, then the configured value.
 All CSV output is byte-stable for a fixed config and seed.
@@ -32,8 +34,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, FpplabError
 from .market import TimeGrid, brownian_batch, write_paths_csv
 from .mixture import MixtureFpp, mixture_value
-from .three_power import (ThreePowerFpp, ThreePowerSpec, concavity_discriminants,
-                          three_power_value)
+from .three_power import ThreePowerFpp, concavity_discriminants, three_power_value
 from .verify import (MartingaleReport, VERDICT_MARTINGALE, VERDICT_VIOLATION,
                      martingale_test, structure_scan)
 
@@ -122,13 +123,15 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
 # pool
 # ---------------------------------------------------------------------------
 
-def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag, preset_name,
-             n_paths, seed) -> int:
-    spec = pooling.preset(preset_name) if preset_name else cfg.pool
-    label = preset_name or "config"
+def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag) -> int:
+    spec = cfg.pool
+    label = cfg.pool_preset or "config"
     if subaction == "surface":
         z_grid = np.linspace(0.01, 0.99, 100)
         t_grid = np.arange(1.0, spec.horizon + 0.5, 1.0)
+        if t_grid.size == 0:
+            raise ConfigError(f"pool.horizon: the surface needs a horizon above 0.5, "
+                              f"got {spec.horizon:g}")
         surface = pooling.utility_surface(spec, z_grid, t_grid)
         rows = [[_fmt(z), _fmt(t), _fmt(surface.values[i, j])]
                 for i, t in enumerate(t_grid) for j, z in enumerate(z_grid)]
@@ -138,13 +141,16 @@ def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag, preset_name,
         return 0
     if subaction == "optimize":
         t = t_flag if t_flag is not None else spec.horizon
+        if not 0 < t < np.inf:
+            raise ConfigError(f"--t: must be positive and finite, got {t:g}")
         result = pooling.optimize_constant_z(spec, t)
         print(f"z_star = {result.z_star:.6f} (value {result.value:.9g}) at t = {t:g}")
         for z, val in result.local_maxima:
             print(f"  local maximum: z = {z:.6f}, value = {val:.9g}")
         return 0
     if subaction == "compare":
-        result = pooling.compare_strategies(spec, n_paths=n_paths, seed=seed)
+        result = pooling.compare_strategies(spec, n_paths=cfg.sim.n_paths,
+                                            seed=cfg.sim.seed)
         rows = []
         for name, stats in result.strategies.items():
             for k, t in enumerate(result.t_grid):
@@ -183,6 +189,10 @@ def cmd_two_power(cfg: RunConfig, subaction: str, y_flag, gamma_flag,
         if y_flag is None:
             raise ConfigError("two-power dual requires --y")
         gamma = gamma_flag if gamma_flag is not None else 0.25
+        if not 0 < y_flag < np.inf:
+            raise ConfigError(f"--y: must be positive and finite, got {y_flag:g}")
+        if not 0 < gamma < 0.5:
+            raise ConfigError(f"--gamma: must lie in (0, 1/2), got {gamma:g}")
         x_star, value = two_power.legendre_dual(y_flag, spec.a0, spec.d0, gamma)
         print(f"x_star = {x_star:.12g}")
         print(f"dual value = {value:.12g}")
@@ -205,8 +215,12 @@ def _read_power_paths(path):
                 raise ConfigError(f"{path}: need columns 'p' and 'q'")
             p_path, q_path = [], []
             for row in reader:
-                p_path.append(float(row["p"]))
-                q_path.append(float(row["q"]))
+                try:
+                    p_path.append(float(row["p"]))
+                    q_path.append(float(row["q"]))
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{path}: line {reader.line_num}: need numbers "
+                                      f"in 'p' and 'q'") from None
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return p_path, q_path
@@ -216,12 +230,8 @@ def _read_power_paths(path):
 # three-power
 # ---------------------------------------------------------------------------
 
-def cmd_three_power(cfg: RunConfig, out_dir: str, gamma_flag, threads: int) -> int:
-    try:
-        spec = ThreePowerSpec(gamma=gamma_flag) if gamma_flag is not None \
-            else cfg.three_power
-    except ValueError as exc:
-        raise ConfigError(f"three_power.gamma: {exc}") from exc
+def cmd_three_power(cfg: RunConfig, out_dir: str, threads: int) -> int:
+    spec = cfg.three_power
     grid_gammas = np.linspace(1.0 / 3.0 / 51.0, 1.0 / 3.0 * 50.0 / 51.0, 50)
     rows = []
     for g in grid_gammas:
@@ -300,31 +310,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overrides(args) -> dict:
+    """The flags that set configuration keys, as a ``load_config`` overrides dict."""
+    overrides = {}
+    if args.seed is not None:
+        overrides.setdefault("simulation", {})["seed"] = args.seed
+    if args.paths is not None:
+        overrides.setdefault("simulation", {})["n_paths"] = args.paths
+    if args.preset is not None and args.command == "verify-fpp":
+        overrides["preset"] = args.preset
+    if args.preset is not None and args.command == "pool":
+        overrides["pool"] = {"preset": args.preset}
+    if args.command == "three-power" and args.gamma is not None:
+        overrides["three_power"] = {"gamma": args.gamma}
+    return overrides
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = {}
-        if args.seed is not None:
-            overrides.setdefault("simulation", {})["seed"] = args.seed
-        if args.paths is not None:
-            overrides.setdefault("simulation", {})["n_paths"] = args.paths
-        mixture_preset = args.preset if args.command == "verify-fpp" else None
-        cfg = load_config(args.config, overrides=overrides,
-                          mixture_preset=mixture_preset)
+        cfg = load_config(args.config, overrides=_overrides(args))
         out_dir = args.out or os.environ.get("FPPLAB_OUT") or cfg.output_dir
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "verify-fpp":
             return cmd_verify_fpp(cfg, out_dir, args.threads)
         if args.command == "pool":
-            if args.preset is not None and args.preset not in pooling.POOL_PRESETS:
-                raise ConfigError(f"--preset: unknown pool preset {args.preset!r}")
-            return cmd_pool(cfg, out_dir, args.subaction, args.t, args.preset,
-                            n_paths=args.paths or 1000, seed=cfg.sim.seed)
+            return cmd_pool(cfg, out_dir, args.subaction, args.t)
         if args.command == "two-power":
             return cmd_two_power(cfg, args.subaction, args.y, args.gamma, args.file)
         if args.command == "three-power":
-            return cmd_three_power(cfg, out_dir, args.gamma, args.threads)
+            return cmd_three_power(cfg, out_dir, args.threads)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

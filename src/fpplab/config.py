@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import yaml
 
@@ -26,8 +26,8 @@ DEFAULT_CONFIG = {
     "mixture": {
         "atoms": [{"gamma": 0.5, "weight": 1.0}],
         "gamma0": 0.5,
-        "h0": {"kind": "zero"},
-        "j": {"kind": "zero"},
+        "h0": {},  # H0Spec and JSpec default to their zero kind
+        "j": {},
     },
     "two_power": {"p": 0.1, "q": 0.3, "a0": 1.0, "d0": 1.0,
                   "a_vol": [0.0], "d_vol": [0.0], "a_perp": [], "d_perp": []},
@@ -39,30 +39,15 @@ DEFAULT_CONFIG = {
     "output_dir": "out",
 }
 
-# named bundles pinning whole market + mixture sections
+# named bundles pinning whole market + mixture sections (power_base: the defaults)
 MIXTURE_PRESETS = {
-    "power_base": {
-        "market": {"n_stocks": 1, "d_w": 1, "d_wperp": 0, "sigma": 0.2, "mu": 0.04},
-        "mixture": {
-            "atoms": [{"gamma": 0.5, "weight": 1.0}],
-            "gamma0": 0.5,
-            "h0": {"kind": "zero"},
-            "j": {"kind": "zero"},
-        },
-    },
+    "power_base": {key: DEFAULT_CONFIG[key] for key in ("market", "mixture")},
 }
 
-_ALLOWED = {
-    "market": {"n_stocks", "d_w", "d_wperp", "sigma", "mu"},
-    "mixture": {"atoms", "gamma0", "h0", "j"},
-    "two_power": {"p", "q", "a0", "d0", "a_vol", "d_vol", "a_perp", "d_perp"},
-    "pool": {"preset", "p", "q", "a0", "d0", "lam", "x0", "horizon", "rebalance_dt"},
-    "three_power": {"gamma", "x_values"},
-    "simulation": {"n_paths", "seed", "grid_step", "horizon"},
-    "verify": {"perturbed_scale"},
-}
-_ALLOWED_H0 = {"kind", "value"}
-_ALLOWED_J = {"kind", "value", "rho", "a"}
+# the keys of each section: those of its defaults, and for pool every PoolSpec field
+_ALLOWED = {name: set(section) for name, section in DEFAULT_CONFIG.items()
+            if isinstance(section, dict)}
+_ALLOWED["pool"] |= {f.name for f in fields(PoolSpec)}
 _ALLOWED_ATOM = {"gamma", "weight"}
 
 
@@ -81,6 +66,7 @@ class RunConfig:
     vol: VolatilityChoice
     two_power: TwoPowerSpec
     pool: PoolSpec
+    pool_preset: str | None  # the named bundle behind ``pool``, if any
     three_power: ThreePowerSpec
     three_power_x: tuple[float, ...]
     sim: SimulationConfig
@@ -121,67 +107,54 @@ def _parse_yaml(path: str) -> dict:
     return data
 
 
-def _build(section_name, builder, *args):
+def _build(name: str, raw: dict, builder, *args):
+    """``builder(raw[name], *args)``; unknown keys and errors are keyed at ``name``."""
     try:
-        return builder(*args)
+        _reject_unknown(raw[name], _ALLOWED[name], name)
+        return builder(raw[name], *args)
     except ConfigError:
         raise
     except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"{section_name}: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _keyed(path: str, build, *args, **kwargs):
+    """``build(...)``, with a ValueError that names its field first keyed at ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def _market_from(cfg: dict) -> MarketSpec:
-    _reject_unknown(cfg, _ALLOWED["market"], "market")
-    return MarketSpec(n_stocks=cfg["n_stocks"], d_w=cfg["d_w"],
-                      d_wperp=cfg["d_wperp"], sigma=cfg["sigma"], mu=cfg["mu"])
+    return MarketSpec(**cfg)
 
 
-def _mixture_from(cfg: dict) -> tuple[RiskMixture, VolatilityChoice]:
-    _reject_unknown(cfg, _ALLOWED["mixture"], "mixture")
+def _volatility_spec(cls, cfg: dict, path: str, *dims):
+    _reject_unknown(cfg, {f.name for f in fields(cls)}, path)
+    spec = _keyed(path, cls, **cfg)
+    _keyed(path, spec.check, *dims)
+    return spec
+
+
+def _mixture_from(cfg: dict, market: MarketSpec) -> tuple[RiskMixture, VolatilityChoice]:
     atoms = []
     for i, atom in enumerate(cfg["atoms"]):
         _reject_unknown(atom, _ALLOWED_ATOM, f"mixture.atoms[{i}]")
         atoms.append((atom["gamma"], atom.get("weight", 1.0)))
-    try:
-        mixture = RiskMixture(atoms=tuple(atoms), gamma0=cfg["gamma0"])
-    except ValueError as exc:
-        raise ConfigError(f"mixture: {exc}") from exc
-
-    h0_cfg = cfg.get("h0", {"kind": "zero"})
-    _reject_unknown(h0_cfg, _ALLOWED_H0, "mixture.h0")
-    kind = h0_cfg.get("kind", "zero")
-    if kind == "zero":
-        h0 = H0Spec.zero()
-    elif kind == "constant":
-        h0 = H0Spec.constant(h0_cfg["value"])
-    elif kind == "portfolio_inversion":
-        h0 = H0Spec.portfolio_inversion(h0_cfg["value"])
-    else:
-        raise ConfigError(f"mixture.h0.kind: unknown kind {kind!r}")
-
-    j_cfg = cfg.get("j", {"kind": "zero"})
-    _reject_unknown(j_cfg, _ALLOWED_J, "mixture.j")
-    jkind = j_cfg.get("kind", "zero")
-    if jkind == "zero":
-        j = JSpec.zero()
-    elif jkind == "constant":
-        j = JSpec.constant(j_cfg["value"])
-    elif jkind == "factor":
-        j = JSpec.factor(j_cfg["rho"], j_cfg["a"])
-    else:
-        raise ConfigError(f"mixture.j.kind: unknown kind {jkind!r}")
+    mixture = RiskMixture(atoms=tuple(atoms), gamma0=cfg["gamma0"])
+    h0 = _volatility_spec(H0Spec, cfg["h0"], "mixture.h0", market)
+    j = _volatility_spec(JSpec, cfg["j"], "mixture.j", market, mixture.n_atoms)
     return mixture, VolatilityChoice(h0=h0, j=j)
 
 
-def _two_power_from(cfg: dict) -> TwoPowerSpec:
-    _reject_unknown(cfg, _ALLOWED["two_power"], "two_power")
-    return TwoPowerSpec(p=cfg["p"], q=cfg["q"], a0=cfg["a0"], d0=cfg["d0"],
-                        a_vol=cfg["a_vol"], d_vol=cfg["d_vol"],
-                        a_perp=cfg["a_perp"], d_perp=cfg["d_perp"])
+def _two_power_from(cfg: dict, market: MarketSpec) -> TwoPowerSpec:
+    spec = TwoPowerSpec(**cfg)
+    _keyed("two_power", spec.check, market.d_w)
+    return spec
 
 
 def _pool_from(cfg: dict) -> PoolSpec:
-    _reject_unknown(cfg, _ALLOWED["pool"], "pool")
     cfg = dict(cfg)
     name = cfg.pop("preset", None)
     if name is not None and name not in POOL_PRESETS:
@@ -193,16 +166,18 @@ def _pool_from(cfg: dict) -> PoolSpec:
 
 
 def _three_power_from(cfg: dict) -> tuple[ThreePowerSpec, tuple[float, ...]]:
-    _reject_unknown(cfg, _ALLOWED["three_power"], "three_power")
-    spec = ThreePowerSpec(gamma=cfg["gamma"])
-    xs = tuple(float(v) for v in cfg.get("x_values", [1.0]))
-    if any(v <= 0 for v in xs):
-        raise ConfigError("three_power.x_values: wealth values must be positive")
+    try:
+        spec = ThreePowerSpec(gamma=cfg["gamma"])
+    except ValueError as exc:
+        raise ConfigError(f"three_power.gamma: {exc}") from exc
+    xs = tuple(float(v) for v in cfg["x_values"])
+    if not all(0 < v < math.inf for v in xs):
+        raise ConfigError("three_power.x_values: wealth values must be positive "
+                          "and finite")
     return spec, xs
 
 
 def _simulation_from(cfg: dict) -> SimulationConfig:
-    _reject_unknown(cfg, _ALLOWED["simulation"], "simulation")
     sim = SimulationConfig(n_paths=int(cfg["n_paths"]), seed=int(cfg["seed"]),
                            grid_step=float(cfg["grid_step"]),
                            horizon=float(cfg["horizon"]))
@@ -219,16 +194,16 @@ def _simulation_from(cfg: dict) -> SimulationConfig:
     return sim
 
 
-def apply_mixture_preset(raw: dict, name: str) -> dict:
-    if name not in MIXTURE_PRESETS:
-        raise ConfigError(f"preset: unknown preset {name!r}, "
-                          f"choose from {sorted(MIXTURE_PRESETS)}")
-    return _deep_merge(raw, MIXTURE_PRESETS[name])
+def _perturbed_scale_from(cfg: dict) -> float:
+    scale = float(cfg["perturbed_scale"])
+    if not 0 <= scale < math.inf:
+        raise ConfigError("verify.perturbed_scale: must be nonnegative and finite")
+    return scale
 
 
-def load_config(path: str = None, overrides: dict = None,
-                mixture_preset: str = None) -> RunConfig:
-    """Assemble the run configuration from defaults, file, and CLI overrides."""
+def load_config(path: str = None, overrides: dict = None) -> RunConfig:
+    """Resolve every setting: defaults < file < ``overrides["preset"]`` (a
+    ``MIXTURE_PRESETS`` bundle) < the rest of ``overrides``, shaped like the file."""
     raw = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         user = _parse_yaml(path)
@@ -236,22 +211,24 @@ def load_config(path: str = None, overrides: dict = None,
             if key != "output_dir" and key not in _ALLOWED:
                 raise ConfigError(f"{key}: unknown section")
         raw = _deep_merge(raw, user)
-    if mixture_preset is not None:
-        raw = apply_mixture_preset(raw, mixture_preset)
-    if overrides:
-        raw = _deep_merge(raw, overrides)
+    overrides = dict(overrides or {})
+    preset = overrides.pop("preset", None)
+    if preset is not None:
+        if preset not in MIXTURE_PRESETS:
+            raise ConfigError(f"preset: unknown preset {preset!r}, "
+                              f"choose from {sorted(MIXTURE_PRESETS)}")
+        raw.update(copy.deepcopy(MIXTURE_PRESETS[preset]))
+    raw = _deep_merge(raw, overrides)
 
-    market = _build("market", _market_from, raw["market"])
-    mixture, vol = _build("mixture", _mixture_from, raw["mixture"])
-    two_power_spec = _build("two_power", _two_power_from, raw["two_power"])
-    pool_spec = _build("pool", _pool_from, raw["pool"])
-    three_spec, three_x = _build("three_power", _three_power_from, raw["three_power"])
-    sim = _build("simulation", _simulation_from, raw["simulation"])
-    _reject_unknown(raw["verify"], _ALLOWED["verify"], "verify")
-    scale = float(raw["verify"]["perturbed_scale"])
-    if scale < 0:
-        raise ConfigError("verify.perturbed_scale: must be nonnegative")
+    market = _build("market", raw, _market_from)
+    mixture, vol = _build("mixture", raw, _mixture_from, market)
+    two_power_spec = _build("two_power", raw, _two_power_from, market)
+    pool_spec = _build("pool", raw, _pool_from)
+    three_spec, three_x = _build("three_power", raw, _three_power_from)
+    sim = _build("simulation", raw, _simulation_from)
+    scale = _build("verify", raw, _perturbed_scale_from)
     return RunConfig(market=market, mixture=mixture, vol=vol,
                      two_power=two_power_spec, pool=pool_spec,
+                     pool_preset=raw["pool"].get("preset"),
                      three_power=three_spec, three_power_x=three_x, sim=sim,
                      perturbed_scale=scale, output_dir=str(raw["output_dir"]))

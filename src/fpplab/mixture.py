@@ -73,6 +73,8 @@ class RiskMixture:
         if not atoms:
             raise ValueError("mixture needs at least one atom")
         for g, w in atoms:
+            if not (np.isfinite(g) and np.isfinite(w)):
+                raise ValueError(f"atom ({g}, {w}) must be finite")
             if g <= 0:
                 raise ValueError(f"risk aversion must be positive, got {g}")
             if abs(g - 1.0) <= GAMMA_ONE_TOL:
@@ -103,17 +105,45 @@ class RiskMixture:
         return cls(atoms=((gamma, weight),), gamma0=gamma)
 
 
+def _check_kind(spec, kinds: dict) -> None:
+    """Check ``spec.kind`` and store the fields ``kinds[kind]`` as finite float arrays.
+
+    Errors name the offending field first (``value: ...``).
+    """
+    if spec.kind not in kinds:
+        raise ValueError(f"kind: unknown kind {spec.kind!r}, choose from {list(kinds)}")
+    for name in kinds[spec.kind]:
+        try:
+            arr = np.atleast_1d(np.asarray(getattr(spec, name), float))
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name}: kind {spec.kind!r} needs finite numbers")
+        object.__setattr__(spec, name, arr)
+
+
+def _check_shape(name: str, arr: np.ndarray, *shapes) -> None:
+    if arr.shape not in shapes:
+        raise ValueError(f"{name}: needs shape {' or '.join(map(str, shapes))}, "
+                         f"got {arr.shape}")
+
+
 @dataclass(frozen=True)
 class H0Spec:
     """Free process for the base aversion's W-loading.
 
     Kinds: ``zero``; ``constant`` (a d_w vector); ``portfolio_inversion``
     (derive h0 = gamma0 sigma(t) pi_bar - lam(t) from a target allocation
-    pi_bar, making that portfolio the optimiser).
+    pi_bar of n_stocks entries, making that portfolio the optimiser).
     """
 
-    kind: str
+    kind: str = "zero"
     value: object = None
+
+    KINDS = {"zero": (), "constant": ("value",), "portfolio_inversion": ("value",)}
+
+    def __post_init__(self):
+        _check_kind(self, self.KINDS)
 
     @classmethod
     def zero(cls):
@@ -121,22 +151,27 @@ class H0Spec:
 
     @classmethod
     def constant(cls, vec):
-        return cls("constant", np.atleast_1d(np.asarray(vec, float)))
+        return cls("constant", vec)
 
     @classmethod
     def portfolio_inversion(cls, target_pi):
-        return cls("portfolio_inversion", np.atleast_1d(np.asarray(target_pi, float)))
+        return cls("portfolio_inversion", target_pi)
+
+    def check(self, market: MarketSpec) -> None:
+        """Raise ValueError unless the value fits the market's dimensions."""
+        if self.kind == "constant":
+            _check_shape("value", self.value, (market.d_w,))
+        elif self.kind == "portfolio_inversion":
+            _check_shape("value", self.value, (market.n_stocks,))
 
     def at(self, t: float, market: MarketSpec, gamma0: float,
            lam: np.ndarray) -> np.ndarray:
         """h0 at time t, given the market's Sharpe ratio ``lam`` there."""
-        if self.kind == "zero":
-            return np.zeros(market.d_w)
         if self.kind == "constant":
             return self.value
         if self.kind == "portfolio_inversion":
             return gamma0 * (market.sigma_at(t) @ self.value) - lam
-        raise ValueError(f"unknown h0 kind {self.kind!r}")
+        return np.zeros(market.d_w)
 
 
 @dataclass(frozen=True)
@@ -144,14 +179,20 @@ class JSpec:
     """Per-atom loading on W_perp.
 
     Kinds: ``zero``; ``constant`` (one d_wperp vector shared by all atoms, or
-    a sequence of per-atom vectors); ``factor`` (J = A (rho'rho)^-1 rho' H,
-    generated by a factor correlation pair (rho, A)).
+    one per atom as an (n_atoms, d_wperp) array); ``factor`` (J = A
+    (rho'rho)^-1 rho' H, generated by a factor correlation pair (rho, A) of
+    shapes (d_w, k) and (d_wperp, k)).
     """
 
-    kind: str
+    kind: str = "zero"
     value: object = None
     rho: np.ndarray = None
     a: np.ndarray = None
+
+    KINDS = {"zero": (), "constant": ("value",), "factor": ("rho", "a")}
+
+    def __post_init__(self):
+        _check_kind(self, self.KINDS)
 
     @classmethod
     def zero(cls):
@@ -163,20 +204,24 @@ class JSpec:
 
     @classmethod
     def factor(cls, rho, a):
-        return cls("factor", rho=np.atleast_2d(np.asarray(rho, float)),
-                   a=np.atleast_2d(np.asarray(a, float)))
+        return cls("factor", rho=rho, a=a)
+
+    def check(self, market: MarketSpec, n_atoms: int) -> None:
+        """Raise ValueError unless the loadings fit the market and the atom count."""
+        if self.kind == "constant":
+            _check_shape("value", self.value, (market.d_wperp,),
+                         (n_atoms, market.d_wperp))
+        elif self.kind == "factor":
+            rho, a = np.atleast_2d(self.rho, self.a)
+            _check_shape("rho", rho, (market.d_w, rho.shape[1]))
+            _check_shape("a", a, (market.d_wperp, rho.shape[1]))
 
     def for_atom(self, atom_index: int, hg: np.ndarray, market: MarketSpec) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(market.d_wperp)
         if self.kind == "constant":
-            v = self.value
-            if isinstance(v, (list, tuple)) and v and not np.isscalar(v[0]):
-                v = v[atom_index]
-            return np.atleast_1d(np.asarray(v, float))
+            return self.value[atom_index] if self.value.ndim == 2 else self.value
         if self.kind == "factor":
             return factor_j(self.rho, self.a, hg)
-        raise ValueError(f"unknown J kind {self.kind!r}")
+        return np.zeros(market.d_wperp)
 
 
 @dataclass(frozen=True)

@@ -114,15 +114,21 @@ def preset(name: str, **overrides) -> PoolSpec:
 # Closed form and optimisers
 # ---------------------------------------------------------------------------
 
+def _objective_terms(z, p, q, lam2t):
+    """The two factors e^{-p(z-p)^2 s / (2(1-p)(1-z)^2)} and e^{...q...}, s = lam^2 t."""
+    z = np.asarray(z, float)
+    ea = np.exp(-p * (z - p) ** 2 * lam2t / (2.0 * (1.0 - p) * (1.0 - z) ** 2))
+    ed = np.exp(-q * (z - q) ** 2 * lam2t / (2.0 * (1.0 - q) * (1.0 - z) ** 2))
+    return ea, ed
+
+
 def _weighted_objective(z, wa, wd, p, q, lam2t):
-    """wa e^{-p(z-p)^2 s / (2(1-p)(1-z)^2)} + wd e^{...q...} with s = lam^2 t.
+    """wa ea(z) + wd ed(z) with the ``_objective_terms``.
 
     Broadcasts over z and over the weights, so one call can score a z-grid
     for a whole batch of weight pairs.
     """
-    z = np.asarray(z, float)
-    ea = np.exp(-p * (z - p) ** 2 * lam2t / (2.0 * (1.0 - p) * (1.0 - z) ** 2))
-    ed = np.exp(-q * (z - q) ** 2 * lam2t / (2.0 * (1.0 - q) * (1.0 - z) ** 2))
+    ea, ed = _objective_terms(z, p, q, lam2t)
     return wa * ea + wd * ed
 
 
@@ -249,27 +255,37 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     are scanned jointly on the shared z-grid and refined with a fixed-length
     golden-section loop per path.
 
-    Only the grid window from the last point below ``p`` to the first point
-    above ``q`` is scanned: ``ea`` peaks at ``p`` and ``ed`` at ``q``, both
-    rise below ``p`` and fall above ``q``, so for every ratio the full-grid
-    argmax lies inside it.  The window values are the same elementwise
-    operations on the same z values as the full-grid columns, so the window
-    argmax is bit for bit the full-grid one.  A row whose window argmax falls
-    on a window edge that is not a grid edge (a flat objective, float ties
-    at a tiny ``lam2dt``) is scanned again on the full grid, which keeps the
-    full scan's first-maximum choice.
+    Only a grid window around ``[p, q]`` is scanned: ``ea`` peaks at ``p``
+    and ``ed`` at ``q``, both rise below ``p`` and fall above ``q``.  Rounding
+    can break that monotonicity where the factors are flat to the last bit
+    (a tiny ``lam2dt``), so the window is widened until the computed ``ea``
+    and ``ed`` columns are non-decreasing left of it and non-increasing right
+    of it.  Rounding is monotone, so ``ea + r ed`` then is too, for every
+    ratio ``r``, and no grid point outside the window beats its edge.  The
+    window values are the full-grid columns themselves, so the window argmax
+    is bit for bit the full-grid one.  A row whose window argmax falls on a
+    window edge that is not a grid edge (a tie with the points beyond it) is
+    scanned again on the full grid, which keeps the full scan's first-maximum
+    choice.
     """
     r = np.exp(log_ratio)[:, None]  # (B, 1)
     n = int(round((1.0 - 2.0 * Z_EDGE) / Z_SCAN_STEP)) + 1
     zs = np.linspace(Z_EDGE, 1.0 - Z_EDGE, n)
+    ea, ed = _objective_terms(zs, p, q, lam2dt)
+    dea, ded = np.diff(ea), np.diff(ed)
     w0 = max(int(np.searchsorted(zs, p)) - 1, 0)
     w1 = min(int(np.searchsorted(zs, q)) + 1, n - 1)
-    vals = _weighted_objective(zs[None, w0:w1 + 1], 1.0, r, p, q, lam2dt)
+    not_rising = np.flatnonzero(~((dea >= 0) & (ded >= 0))[:w0])
+    if not_rising.size:
+        w0 = int(not_rising[0])
+    not_falling = np.flatnonzero(~((dea <= 0) & (ded <= 0))[w1:])
+    if not_falling.size:
+        w1 += int(not_falling[-1]) + 1
+    vals = ea[w0:w1 + 1] + r * ed[w0:w1 + 1]
     idx = w0 + np.argmax(vals, axis=1)
     edge = ((idx == w0) & (w0 > 0)) | ((idx == w1) & (w1 < n - 1))
     if edge.any():
-        full = _weighted_objective(zs[None, :], 1.0, r[edge], p, q, lam2dt)
-        idx[edge] = np.argmax(full, axis=1)
+        idx[edge] = np.argmax(ea + r[edge] * ed, axis=1)
     lo = zs[np.maximum(idx - 1, 0)]
     hi = zs[np.minimum(idx + 1, n - 1)]
 

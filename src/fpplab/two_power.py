@@ -45,12 +45,21 @@ class TwoPowerSpec:
 
     def __post_init__(self):
         for name in ("a_vol", "d_vol", "a_perp", "d_perp"):
-            object.__setattr__(self, name,
-                               np.atleast_1d(np.asarray(getattr(self, name), float)))
+            value = np.atleast_1d(np.asarray(getattr(self, name), float))
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name}: non-finite value")
+            object.__setattr__(self, name, value)
         if not (0.0 < self.p < self.q < 1.0):
             raise ValueError(f"need 0 < p < q < 1, got p={self.p}, q={self.q}")
-        if self.a0 <= 0 or self.d0 <= 0:
-            raise ValueError("initial coefficients must be strictly positive")
+        if not (0.0 < self.a0 < np.inf and 0.0 < self.d0 < np.inf):
+            raise ValueError("initial coefficients must be positive and finite")
+
+    def check(self, d_w: int) -> None:
+        """Raise ValueError unless each W loading has 1 (shared) or d_w entries."""
+        for name in ("a_vol", "d_vol"):
+            n = getattr(self, name).size
+            if n not in (1, d_w):
+                raise ValueError(f"{name}: must have 1 or d_w = {d_w} entries, got {n}")
 
     @classmethod
     def basic(cls, p, q, a0=1.0, d0=1.0, d_w=1, d_wperp=0) -> "TwoPowerSpec":

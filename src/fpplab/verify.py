@@ -231,7 +231,8 @@ def structure_scan(evaluate: Callable, states: Sequence, x_grid) -> StructureRep
 
     ``x_grid`` must be log-spaced with at least 8 points; divided differences
     handle the uneven spacing.  The worst margins across all states are
-    reported.
+    reported.  A non-finite divided difference (a NaN or infinite value)
+    fails the scan at the first state that has one, with its margins.
     """
     x = np.asarray(x_grid, float)
     if x.size < 8:
@@ -250,6 +251,9 @@ def structure_scan(evaluate: Callable, states: Sequence, x_grid) -> StructureRep
             / (h_plus + h_minus)
         inc = float(np.min(first))
         conc = float(np.max(second))
+        if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
+            return StructureReport(passed=False, worst_increase_margin=inc,
+                                   worst_concavity_margin=conc, worst_state_index=idx)
         if inc < worst_inc or conc > worst_conc:
             worst_idx = idx
         worst_inc = min(worst_inc, inc)

@@ -268,6 +268,91 @@ def test_out_of_range_simulation_setting_is_a_config_error(tmp_path, capsys, com
     assert f"configuration error: simulation.{key}: " in err
 
 
+def test_pool_compare_paths_from_config_equal_flag(tmp_path):
+    # pool compare takes its path count from simulation.n_paths; the default
+    # pool.preset (fig1) names the output
+    code = run(tmp_path, "pool", "compare", config="simulation:\n  n_paths: 64\n")
+    assert code == 0
+    from_file = (tmp_path / "out" / "pool_comparison_fig1.csv").read_bytes()
+    code = run(tmp_path, "--paths", "64", "pool", "compare")
+    assert code == 0
+    assert (tmp_path / "out" / "pool_comparison_fig1.csv").read_bytes() == from_file
+
+
+def test_pool_preset_flag_keeps_file_fields(tmp_path, monkeypatch):
+    # --preset sets pool.preset only; the file's other pool fields still apply
+    import fpplab.pooling
+
+    seen = []
+    original = fpplab.pooling.optimize_constant_z
+
+    def recording(spec, t):
+        seen.append(spec)
+        return original(spec, t)
+
+    monkeypatch.setattr(fpplab.pooling, "optimize_constant_z", recording)
+    code = run(tmp_path, "--preset", "fig3", "pool", "optimize",
+               config="pool:\n  x0: 2.0\n")
+    assert code == 0
+    assert seen == [fpplab.pooling.preset("fig3", x0=2.0)]
+
+
+POWER_CSV = "p,q\n0.2,0.6\n0.21,abc\n"
+
+# (key, argv, config): every input that must exit 2
+# with one stderr line "configuration error: <key>: ..."
+CONFIG_ERRORS = {
+    "h0-constant-length": ("mixture.h0.value", ["verify-fpp"],
+                           "mixture:\n  h0: {kind: constant, value: [0.1, 0.2]}\n"),
+    "h0-inversion-length": ("mixture.h0.value", ["verify-fpp"],
+                            "mixture:\n  h0: {kind: portfolio_inversion, "
+                            "value: [1.0, 2.0]}\n"),
+    "h0-unknown-kind": ("mixture.h0.kind", ["verify-fpp"],
+                        "mixture:\n  h0: {kind: wavelet}\n"),
+    "j-constant-length": ("mixture.j.value", ["verify-fpp"],
+                          "market: {d_wperp: 1}\n"
+                          "mixture:\n  j: {kind: constant, value: [0.1, 0.2]}\n"),
+    "atom-weight-nan": ("mixture", ["verify-fpp"],
+                        "mixture:\n  atoms: [{gamma: 0.5, weight: .nan}]\n"),
+    "atom-weight-inf": ("mixture", ["verify-fpp"],
+                        "mixture:\n  atoms: [{gamma: 0.5, weight: .inf}]\n"),
+    "perturbed-scale-nan": ("verify.perturbed_scale", ["verify-fpp"],
+                            "verify:\n  perturbed_scale: .nan\n"),
+    "x-values-nan": ("three_power.x_values", ["three-power"],
+                     "three_power:\n  x_values: [.nan, 1.0]\n"),
+    "three-power-gamma-flag": ("three_power.gamma", ["three-power", "--gamma", "0.4"],
+                               None),
+    "a-vol-length": ("two_power.a_vol", ["two-power", "drifts"],
+                     "two_power:\n  a_vol: [0.1, 0.2]\n"),
+    "a0-nan": ("two_power", ["two-power", "drifts"], "two_power:\n  a0: .nan\n"),
+    "verify-unknown-preset": ("preset", ["--preset", "fig9", "verify-fpp"], None),
+    "pool-unknown-preset": ("pool.preset", ["--preset", "power_base", "pool", "compare"],
+                            None),
+    "pool-optimize-negative-t": ("--t", ["pool", "optimize", "--t", "-1"], None),
+    "pool-optimize-nan-t": ("--t", ["pool", "optimize", "--t", "nan"], None),
+    "pool-surface-empty-grid": ("pool.horizon", ["pool", "surface"],
+                                "pool:\n  horizon: 0.4\n  rebalance_dt: 0.4\n"),
+    "dual-negative-y": ("--y", ["two-power", "dual", "--y", "-1"], None),
+    "dual-gamma-above-half": ("--gamma", ["two-power", "dual", "--y", "1",
+                                          "--gamma", "0.7"], None),
+    "validate-non-numeric": ("{csv}", ["two-power", "validate", "--file", "{csv}"],
+                             None),
+}
+
+
+@pytest.mark.parametrize("key, args, config", CONFIG_ERRORS.values(),
+                         ids=CONFIG_ERRORS.keys())
+def test_config_error_contract(tmp_path, capsys, key, args, config):
+    csv_path = tmp_path / "powers.csv"
+    csv_path.write_text(POWER_CSV)
+    key = key.format(csv=csv_path)
+    code = run(tmp_path, *[arg.format(csv=csv_path) for arg in args], config=config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"configuration error: {key}")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
 @pytest.mark.parametrize("setting", ["lam: .nan", "lam: .inf", "horizon: .inf",
                                      "rebalance_dt: 1.0e-300", "horizon: 1.0e-12"])
 def test_out_of_range_pool_setting_is_a_config_error(tmp_path, capsys, setting):

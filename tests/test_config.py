@@ -82,10 +82,10 @@ def test_non_finite_pool_setting_rejected(tmp_path, key, value):
 
 
 def test_mixture_preset_application():
-    cfg = load_config(mixture_preset="power_base")
+    cfg = load_config(overrides={"preset": "power_base"})
     assert cfg.mixture.gamma0 == 0.5
     with pytest.raises(ConfigError, match="preset"):
-        load_config(mixture_preset="nope")
+        load_config(overrides={"preset": "nope"})
 
 
 def test_h0_and_j_kinds(tmp_path):

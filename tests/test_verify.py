@@ -276,6 +276,21 @@ def test_structure_scan_flags_flipped_weight():
     assert "FAIL" in report.to_text()
 
 
+def test_structure_scan_fails_on_nan_values():
+    # min/max seeded with +-inf would keep their seeds past a NaN margin;
+    # the scan must fail instead, naming the first state with a bad value
+    def evaluate(state, x):
+        u = np.sqrt(x)
+        if state == 1:
+            u[3] = np.nan
+        return u
+
+    report = structure_scan(evaluate, [0, 1, 2], np.geomspace(0.1, 10.0, 16))
+    assert not report.passed
+    assert report.worst_state_index == 1
+    assert report.to_text().startswith("structure scan: FAIL")
+
+
 def test_structure_scan_validates_grid():
     with pytest.raises(ValueError):
         structure_scan(lambda s, x: x, [None], np.geomspace(1, 10, 4))
