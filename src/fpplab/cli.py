@@ -216,11 +216,14 @@ def _read_power_paths(path):
             p_path, q_path = [], []
             for row in reader:
                 try:
-                    p_path.append(float(row["p"]))
-                    q_path.append(float(row["q"]))
+                    p, q = float(row["p"]), float(row["q"])
                 except (TypeError, ValueError):
-                    raise ConfigError(f"{path}: line {reader.line_num}: need numbers "
-                                      f"in 'p' and 'q'") from None
+                    p = q = np.nan
+                if not (np.isfinite(p) and np.isfinite(q)):
+                    raise ConfigError(f"{path}: line {reader.line_num}: need finite "
+                                      f"numbers in 'p' and 'q'")
+                p_path.append(p)
+                q_path.append(q)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return p_path, q_path
@@ -317,10 +320,14 @@ def _overrides(args) -> dict:
         overrides.setdefault("simulation", {})["seed"] = args.seed
     if args.paths is not None:
         overrides.setdefault("simulation", {})["n_paths"] = args.paths
-    if args.preset is not None and args.command == "verify-fpp":
-        overrides["preset"] = args.preset
-    if args.preset is not None and args.command == "pool":
-        overrides["pool"] = {"preset": args.preset}
+    if args.preset is not None:
+        if args.command == "verify-fpp":
+            overrides["preset"] = args.preset
+        elif args.command == "pool":
+            overrides["pool"] = {"preset": args.preset}
+        else:
+            raise ConfigError(f"--preset: {args.command} takes no preset "
+                              f"(presets apply to verify-fpp and pool)")
     if args.command == "three-power" and args.gamma is not None:
         overrides["three_power"] = {"gamma": args.gamma}
     return overrides

@@ -289,14 +289,8 @@ def brownian_batch(grid: TimeGrid, d_w: int, d_wperp: int, seed: int,
 # Wealth evolution
 # ---------------------------------------------------------------------------
 
-def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
-                            grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
-    """Vectorised log-wealth paths (B, N+1) for an ensemble.
-
-    ``sp`` is the (N, d_w) sigma*pi schedule shared by every path: row ``k``
-    holds on grid cell ``k``.  ``lam_path`` is the (N, d_w) Sharpe path on
-    the same grid.  A zero allocation keeps log wealth exactly at
-    ``log(x0)``.
+def check_schedule(sp, grid: TimeGrid, d_w: int) -> np.ndarray:
+    """The sigma*pi schedule ``sp`` as a float (N, d_w) array, checked.
 
     Raises
     ------
@@ -304,26 +298,69 @@ def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
         If the schedule is not of shape (N, d_w), naming both shapes, or if
         it holds a non-finite value, naming the first such grid time.
     """
-    n_paths, n_steps, d_w = dw.shape
     sp = np.asarray(sp, dtype=float)
-    if sp.shape != (n_steps, d_w):
+    if sp.shape != (grid.n_steps, d_w):
         raise StrategyEvaluationError(
-            f"allocation of shape {sp.shape}, expected ({n_steps}, {d_w})")
+            f"allocation of shape {sp.shape}, expected ({grid.n_steps}, {d_w})")
     bad = ~np.all(np.isfinite(sp), axis=1)
     if bad.any():
         raise StrategyEvaluationError(
             f"non-finite allocation at t={float(grid.times[np.argmax(bad)])}")
-    # one drift per cell for every path; sp . lam left to right fixes the rounding
-    sp_lam = sp[:, 0] * lam_path[:, 0]
-    for d in range(1, d_w):
-        sp_lam = sp_lam + sp[:, d] * lam_path[:, d]
-    drift_dt = (sp_lam - 0.5 * np.einsum("kd,kd->k", sp, sp)) * grid.dt
-    log_x = np.empty((n_paths, n_steps + 1))
-    log_x[:, 0] = np.log(x0)
-    for k in range(n_steps):
-        noise = np.einsum("bd,bd->b", np.broadcast_to(sp[k], (n_paths, d_w)), dw[:, k])
-        log_x[:, k + 1] = log_x[:, k] + drift_dt[k] + noise
-    return log_x
+    return sp
+
+
+def chunk_cells(cols: slice, n_steps: int) -> tuple[int, slice]:
+    """(first column, cells) of the grid columns ``cols``.
+
+    The cells are the grid cells whose increments a chunk of columns needs:
+    those ending in ``cols``.  Column 0 holds the initial value, so the first
+    chunk has one cell fewer than columns, and any later chunk one per column.
+    """
+    lo, hi, _ = cols.indices(n_steps + 1)
+    return lo, slice(max(lo - 1, 0), hi - 1)
+
+
+def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
+                            grid: TimeGrid, dw: np.ndarray, cols: slice = None,
+                            start: np.ndarray = None) -> np.ndarray:
+    """Vectorised log-wealth paths (B, len(cols)) for an ensemble.
+
+    ``sp`` is the (N, d_w) sigma*pi schedule shared by every path: row ``k``
+    holds on grid cell ``k``.  ``lam_path`` is the (N, d_w) Sharpe path on
+    the same grid, and ``dw`` holds the (B, N, d_w) increments of the whole
+    grid.  ``cols`` is a slice of grid columns; ``None``, the whole horizon
+    (B, N+1), is the one-chunk case.  A chunk past column 0 continues from
+    ``start``, the (B,) log wealth at the column before it, so evolving
+    chunk by chunk from each chunk's last column gives the whole-horizon
+    paths bit for bit.  A zero allocation keeps log wealth exactly at
+    ``log(x0)``.
+
+    The whole-horizon call checks the schedule with ``check_schedule``
+    (and raises its ``StrategyEvaluationError``); a chunk call expects a
+    schedule that has passed it.
+    """
+    n_paths, n_steps, d_w = dw.shape
+    if cols is None:
+        sp = check_schedule(sp, grid, d_w)
+        cols = slice(None)
+    lo, cells = chunk_cells(cols, n_steps)
+    sp, lam = sp[cells], lam_path[cells]
+    # one row per grid column, so each step adds contiguous rows; row 0 is the
+    # column before the chunk, or log(x0) in the first chunk
+    out = np.empty((cells.stop - cells.start + 1, n_paths))
+    out[0] = np.log(x0) if lo == 0 else start
+    if not sp.any():
+        out[1:] = out[0]
+    else:
+        # one drift per cell for every path; sp . lam left to right fixes the rounding
+        sp_lam = sp[:, 0] * lam[:, 0]
+        for d in range(1, d_w):
+            sp_lam = sp_lam + sp[:, d] * lam[:, d]
+        drift_dt = (sp_lam - 0.5 * np.einsum("kd,kd->k", sp, sp)) * grid.dt[cells]
+        noise = np.einsum("bkd,kd->bk", dw[:, cells], sp).T
+        for k in range(drift_dt.size):
+            out[k + 1] = out[k] + drift_dt[k] + noise[k]
+    return np.ascontiguousarray((out[1:] if lo else out).T)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FactorDegeneracyError, InvalidExponentError
-from .market import (MarketSpec, TimeGrid, brownian_batch,
+from .market import (MarketSpec, TimeGrid, brownian_batch, chunk_cells,
                      evolve_log_wealth_batch, solve_allocation, PINV_RCOND)
 
 GAMMA_ONE_TOL = 1e-9  # risk aversions this close to 1 are rejected
@@ -39,15 +39,22 @@ def signed_exp_sum(logs: np.ndarray, signs: np.ndarray) -> np.ndarray:
     The terms run along the first axis, so each step works on whole
     contiguous rows.  Overflows only when the true value leaves float range,
     in which case the IEEE infinity of the correct sign is returned (-inf is
-    the legitimate sentinel for criteria that diverge below).
+    the legitimate sentinel for criteria that diverge below).  When every
+    sign is +1 the sign bookkeeping is skipped; that gives the same bits,
+    since ``1.0 * y == y`` and ``exp(m + log(part))`` equals
+    ``sign(part) * exp(m + log|part|)`` for ``part >= 0`` and for NaN.
     """
     m = np.max(logs, axis=0)
     m = np.where(np.isfinite(m), m, 0.0)
     terms = logs - m
     np.exp(terms, out=terms)
-    terms *= np.reshape(signs, (-1,) + (1,) * m.ndim)
+    same_sign = bool(np.all(np.asarray(signs) == 1.0))
+    if not same_sign:
+        terms *= np.reshape(signs, (-1,) + (1,) * m.ndim)
     part = np.sum(terms, axis=0)
     with np.errstate(divide="ignore", over="ignore"):
+        if same_sign:
+            return np.exp(m + np.log(part))
         return np.sign(part) * np.exp(m + np.log(np.abs(part)))
 
 
@@ -388,31 +395,42 @@ class MixtureFpp:
         return float(mixture_value(self.mixture.gammas, self.mixture.weights,
                                    np.log(x), 0.0, 0.0, 0.0))
 
-    def state_paths(self, dw: np.ndarray, dwperp: np.ndarray):
-        """Accumulated (m, qv, v) along an ensemble.
+    def state_paths(self, dw: np.ndarray, dwperp: np.ndarray,
+                    cols: slice = slice(None), prev=None):
+        """Accumulated (m, qv, v) along an ensemble, at the grid columns ``cols``.
 
-        Returns ``m`` of shape (B, N+1, n_atoms) and deterministic ``qv``,
-        ``v`` of shape (N+1, n_atoms): the ``state`` that ``utility_paths``
-        evaluates.
+        Returns ``m`` of shape (B, len(cols), n_atoms) and the deterministic
+        ``qv``, ``v`` of shape (N+1, n_atoms): the ``state`` that
+        ``utility_paths`` evaluates at the same ``cols``.  ``dw`` and
+        ``dwperp`` are the increments of the whole grid.  The whole horizon is
+        the one-chunk case; a chunk past column 0 continues from ``prev``, the
+        state of the chunk just before it, so chunk-by-chunk states equal the
+        whole-horizon ``m`` bit for bit.
         """
-        dm = np.einsum("bkd,kad->bka", dw, self.h)
+        lo, cells = chunk_cells(cols, self.grid.n_steps)
+        dm = np.einsum("bkd,kad->bka", dw[:, cells], self.h[cells])
         if self.market.d_wperp:
-            dm += np.einsum("bkd,kad->bka", dwperp, self.j)
-        m = np.empty((dw.shape[0], self.grid.n_steps + 1, self.mixture.n_atoms))
-        m[:, 0] = 0.0
-        np.cumsum(dm, axis=1, out=m[:, 1:])
+            dm += np.einsum("bkd,kad->bka", dwperp[:, cells], self.j[cells])
+        if lo == 0:  # t = 0 is written, not added: 0.0 + -0.0 would flip a sign bit
+            m = np.empty((dm.shape[0], dm.shape[1] + 1, dm.shape[2]))
+            m[:, 0] = 0.0
+            np.cumsum(dm, axis=1, out=m[:, 1:])
+        else:
+            dm[:, 0] += prev[0][:, -1]
+            m = np.cumsum(dm, axis=1, out=dm)
         return m, self.qv, self.v
 
     def utility_paths(self, state, log_x: np.ndarray,
                       cols: slice = slice(None)) -> np.ndarray:
-        """U_t(X_t) at the grid columns ``cols`` of a ``state_paths`` state.
+        """U_t(X_t) at the grid columns ``cols``.
 
+        ``state`` is the ``state_paths`` state of the same ``cols``, and
         ``log_x`` is log wealth at those columns, shape (B, len(cols)); so is
         the result.
         """
         m, qv, v = state
         return mixture_value(self.mixture.gammas, self.mixture.weights, log_x,
-                             m[:, cols], qv[cols], v[cols])
+                             m, qv[cols], v[cols])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketSpec, TimeGrid
+from .market import MarketSpec, TimeGrid, chunk_cells
 from .mixture import signed_exp_sum
 
 
@@ -139,27 +139,42 @@ class ThreePowerFpp:
     def u0(self, x: float) -> float:
         return three_power_value(x, 1.0, 0.0, self.spec)
 
-    def accumulators(self, dw: np.ndarray):
-        """(log Z, I) along an ensemble: log Z is (B, N+1), I is (N+1,)."""
-        log_z = np.concatenate(
-            [np.zeros((dw.shape[0], 1)),
-             np.cumsum(0.5 * np.einsum("bkd,kd->bk", dw, self.lam_path), axis=1)], axis=1)
+    def accumulators(self, dw: np.ndarray, cols: slice = slice(None), start=None):
+        """(log Z, I) along an ensemble, at the grid columns ``cols``.
+
+        log Z is (B, len(cols)) and I is (N+1,).  ``dw`` holds the increments
+        of the whole grid.  The whole horizon is the one-chunk case; a chunk
+        past column 0 continues from ``start``, the (B,) log Z at the column
+        before it.
+        """
+        lo, cells = chunk_cells(cols, self.grid.n_steps)
+        inc = 0.5 * np.einsum("bkd,kd->bk", dw[:, cells], self.lam_path[cells])
+        if lo == 0:  # t = 0 is written, not added: 0.0 + -0.0 would flip a sign bit
+            log_z = np.empty((inc.shape[0], inc.shape[1] + 1))
+            log_z[:, 0] = 0.0
+            np.cumsum(inc, axis=1, out=log_z[:, 1:])
+        else:
+            inc[:, 0] += start
+            log_z = np.cumsum(inc, axis=1, out=inc)
         return log_z, self.i_path
 
-    def state_paths(self, dw: np.ndarray, dwperp: np.ndarray):
-        """The ``accumulators``: the state ``utility_paths`` evaluates.
+    def state_paths(self, dw: np.ndarray, dwperp: np.ndarray,
+                    cols: slice = slice(None), prev=None):
+        """The ``accumulators`` at ``cols``: the state ``utility_paths`` evaluates.
 
-        W_perp does not enter this criterion.
+        ``prev`` is the state of the chunk before ``cols``, as in
+        ``MixtureFpp.state_paths``.  W_perp does not enter this criterion.
         """
-        return self.accumulators(dw)
+        return self.accumulators(dw, cols, None if prev is None else prev[0][:, -1])
 
     def utility_paths(self, state, log_x: np.ndarray,
                       cols: slice = slice(None)) -> np.ndarray:
-        """U_t(X_t) at the grid columns ``cols`` of a ``state_paths`` state.
+        """U_t(X_t) at the grid columns ``cols``.
 
+        ``state`` is the ``state_paths`` state of the same ``cols``, and
         ``log_x`` is log wealth at those columns, shape (B, len(cols)); so is
         the result.
         """
         log_z, i_path = state
-        logs = _term_logs(log_x, log_z[:, cols], i_path[None, cols], self.spec.gamma)
+        logs = _term_logs(log_x, log_z, i_path[None, cols], self.spec.gamma)
         return signed_exp_sum(logs, self.spec.weights)

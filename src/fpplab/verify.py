@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .market import brownian_batch, evolve_log_wealth_batch
+from .market import brownian_batch, check_schedule, evolve_log_wealth_batch
 
 SE_MULTIPLE = 3.0
 NEGINF_WARN_FRACTION = 1e-3
@@ -78,37 +78,38 @@ def _time_chunks(n_times: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_times])]
 
 
-def _streamed_moments(fpp, state, log_x):
-    """(sum U, sum U^2, -inf path count, terminal U) of one run over one batch.
-
-    U is evaluated ``TIME_CHUNK`` grid times at a time, straight into the
-    per-time sums, so no full-horizon utility array is ever held.
-    """
-    n_paths, n_times = log_x.shape
-    s1 = np.empty(n_times)
-    s2 = np.empty(n_times)
-    diverged = np.zeros(n_paths, dtype=bool)
-    for cols in _time_chunks(n_times):
-        u = fpp.utility_paths(state, log_x[:, cols], cols)
-        diverged |= np.isneginf(u).any(axis=1)
-        finite = np.where(np.isfinite(u), u, 0.0)  # diverged paths counted, zeroed
-        s1[cols] = finite.sum(axis=0)
-        s2[cols] = (finite ** 2).sum(axis=0)
-    return s1, s2, int(np.sum(diverged)), u[:, -1].copy()
-
-
 def _batch_moments(fpp, sps, seed, path_ids, x0):
-    """``_streamed_moments`` of every allocation schedule over one batch.
+    """(sum U, sum U^2, -inf path count, terminal U) of every schedule over one batch.
 
-    The increments and the criterion state are built once and shared by all
-    runs (common random numbers).
+    The increments are drawn once and shared by all runs (common random
+    numbers).  The batch is one pass over the grid, ``TIME_CHUNK`` columns at
+    a time: per chunk the criterion state continues from its previous chunk,
+    each run's log wealth from its own last column, and U goes straight into
+    the per-time sums, so no full-horizon wealth, state or utility array is
+    ever held.
     """
     grid, market = fpp.grid, fpp.market
     dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, path_ids)
-    state = fpp.state_paths(dw, dwp)
-    return [_streamed_moments(fpp, state,
-                              evolve_log_wealth_batch(x0, sp, fpp.lam_path, grid, dw))
-            for sp in sps]
+    n_times = grid.n_steps + 1
+    s1 = np.empty((len(sps), n_times))
+    s2 = np.empty((len(sps), n_times))
+    diverged = np.zeros((len(sps), len(path_ids)), dtype=bool)
+    last = [None] * len(sps)  # each run's log wealth at the last column done
+    terminal = [None] * len(sps)
+    state = None
+    for cols in _time_chunks(n_times):
+        state = fpp.state_paths(dw, dwp, cols, state)
+        for r, sp in enumerate(sps):
+            log_x = evolve_log_wealth_batch(x0, sp, fpp.lam_path, grid, dw, cols, last[r])
+            last[r] = log_x[:, -1].copy()
+            u = fpp.utility_paths(state, log_x, cols)
+            diverged[r] |= np.isneginf(u).any(axis=1)
+            finite = np.where(np.isfinite(u), u, 0.0)  # diverged paths counted, zeroed
+            s1[r, cols] = finite.sum(axis=0)
+            s2[r, cols] = (finite ** 2).sum(axis=0)
+            terminal[r] = u[:, -1].copy()
+    return [(s1[r], s2[r], int(np.sum(diverged[r])), terminal[r])
+            for r in range(len(sps))]
 
 
 def _report(mode, s1, s2, neg_inf, terminal, reference, grid, n_paths, seed):
@@ -155,10 +156,16 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
     one row per grid cell, shared by all paths.  ``fpp`` is a criterion
     bound to its grid: it exposes ``grid``, ``market`` (for the Brownian
     dimensions), ``lam_path`` (the (N, d_w) Sharpe path),
-    ``state_paths(dw, dwperp)``, ``utility_paths(state, log_x, cols)`` (U at
-    log wealth ``log_x`` for the grid columns ``cols``) and ``u0(x)``.  All
-    runs ride the same Brownian batches and criterion state
-    (common random numbers), built once per batch.  In martingale mode the
+    ``state_paths(dw, dwperp, cols, prev)`` (the state at the grid columns
+    ``cols``, continuing from ``prev``, the state of the chunk before them,
+    or None for the first chunk), ``utility_paths(state, log_x, cols)`` (U at
+    log wealth ``log_x`` for the same ``cols``) and ``u0(x)``.  Each schedule
+    is checked once, here.  All runs ride the same Brownian batches and
+    criterion state (common random numbers).  A batch is one pass over the
+    grid in ``TIME_CHUNK`` columns: the state and every run's log wealth are
+    extended chunk by chunk from their last column, and evaluated into the
+    per-time sums, so only the batch's increments and one chunk's work
+    arrays are held at a time.  In martingale mode the
     verdict is consistent iff every grid time stays inside the
     3-standard-error band around U_0; in supermartingale mode the mean must
     stay below U_0 plus the band everywhere, with a strict verdict when the
@@ -176,7 +183,7 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
         raise ValueError("need at least two paths")
     grid = fpp.grid
     n_times = grid.n_steps + 1
-    sps = [sp for sp, _ in runs]
+    sps = [check_schedule(sp, grid, fpp.market.d_w) for sp, _ in runs]
     batches = [range(lo, min(lo + batch_size, n_paths))
                for lo in range(0, n_paths, batch_size)]
 

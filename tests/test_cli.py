@@ -337,6 +337,10 @@ CONFIG_ERRORS = {
                                           "--gamma", "0.7"], None),
     "validate-non-numeric": ("{csv}", ["two-power", "validate", "--file", "{csv}"],
                              None),
+    "three-power-preset": ("--preset: three-power", ["--preset", "fig3", "three-power"],
+                           None),
+    "two-power-preset": ("--preset: two-power", ["two-power", "gap", "--preset",
+                                                 "power_base"], None),
 }
 
 
@@ -351,6 +355,17 @@ def test_config_error_contract(tmp_path, capsys, key, args, config):
     assert code == 2
     assert err.startswith(f"configuration error: {key}")
     assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_two_power_validate_rejects_nan_row(tmp_path, capsys):
+    # every comparison with NaN is false, so a NaN row would pass the checks
+    csv_path = tmp_path / "powers.csv"
+    csv_path.write_text("p,q\n0.2,0.6\nnan,0.5\n")
+    code = run(tmp_path, "two-power", "validate", "--file", str(csv_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"configuration error: {csv_path}: line 3: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("setting", ["lam: .nan", "lam: .inf", "horizon: .inf",

@@ -8,6 +8,7 @@ from fpplab.errors import (NoExactSolutionError, SingularMarketError,
 from fpplab.market import (MarketSpec, Schedule, TimeGrid, brownian_batch,
                            evolve_log_wealth_batch, sharpe_ratio, solve_allocation,
                            write_paths_csv)
+from fpplab.verify import _time_chunks
 
 
 def make_market(sigma=0.2, mu=0.04, d_wperp=0):
@@ -308,6 +309,26 @@ def test_three_stock_evolution_is_bitwise_the_per_path_sum():
         assert np.array_equal(log_x[b], ref)
         single = evolve_log_wealth_batch(1.7, sp, lam_path, grid, dw[b:b + 1])
         assert np.array_equal(single[0], log_x[b])
+
+
+@pytest.mark.parametrize("d_w", [1, 2, 3, 4])
+def test_chunked_evolution_equals_whole_horizon(d_w):
+    # chunks carried from each one's last column give the whole-horizon
+    # paths bit for bit; a zero schedule is exactly log(x0) in every chunk
+    grid = TimeGrid.regular(1.0, 1 / 50)
+    rng = np.random.default_rng(d_w)
+    lam_path = rng.normal(size=(grid.n_steps, d_w))
+    dw, _ = brownian_batch(grid, d_w, 0, seed=4, path_ids=range(40))
+    for sp in (rng.normal(scale=2.0, size=(grid.n_steps, d_w)),
+               np.zeros((grid.n_steps, d_w))):
+        whole = evolve_log_wealth_batch(1.3, sp, lam_path, grid, dw)
+        chunks, start = [], None
+        for cols in _time_chunks(grid.n_steps + 1):
+            chunks.append(evolve_log_wealth_batch(1.3, sp, lam_path, grid, dw, cols, start))
+            start = chunks[-1][:, -1]
+        assert np.array_equal(np.concatenate(chunks, axis=1).view(np.int64),
+                              whole.view(np.int64))
+    assert np.all(whole == np.log(1.3))
 
 
 def test_piecewise_market_schedule_in_sharpe_path():

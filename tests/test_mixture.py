@@ -11,8 +11,8 @@ from fpplab.mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture,
                             VolatilityChoice, check_admissibility_moments,
                             drift_term, factor_j, hgamma, market_view_density,
                             mixture_value, monotone_power_value, optimal_portfolio,
-                            true_fpp_constants, vgamma_rate)
-from fpplab.verify import structure_scan
+                            signed_exp_sum, true_fpp_constants, vgamma_rate)
+from fpplab.verify import _time_chunks, structure_scan
 
 
 def base_market(d_wperp=0):
@@ -289,6 +289,53 @@ def test_state_paths_match_stepwise_accumulation():
     assert qv[-1] == pytest.approx(qv_ref, rel=1e-12)
     assert v[-1] == pytest.approx(v_ref, rel=1e-12)
 
+
+
+@pytest.mark.parametrize("n_steps", [16, 40])
+def test_state_paths_chunks_equal_whole_horizon(n_steps):
+    # each chunk continues from the last column of the one before, and the
+    # chunks together are the whole-horizon state bit for bit
+    market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1, sigma=[[0.2, 0.0], [0.05, 0.3]],
+                        mu=[0.04, 0.06])
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5)
+    vol = VolatilityChoice(h0=H0Spec.zero(), j=JSpec.constant([[0.1], [0.0], [-0.2]]))
+    grid = TimeGrid(np.linspace(0.0, 1.0, n_steps + 1))
+    fpp = MixtureFpp(mix, vol, market, grid)
+    dw, dwp = brownian_batch(grid, 2, 1, seed=5, path_ids=range(30))
+    m, qv, v = fpp.state_paths(dw, dwp)
+    chunks, state = [], None
+    for cols in _time_chunks(grid.n_steps + 1):
+        state = fpp.state_paths(dw, dwp, cols, state)
+        chunks.append(state[0])
+    assert np.array_equal(np.concatenate(chunks, axis=1).view(np.int64),
+                          m.view(np.int64))
+
+
+def test_same_sign_exp_sum_matches_signed_path_bitwise():
+    # all signs +1 skips the sign bookkeeping; the bits, NaNs included, are
+    # those of the general signed formula
+    def signed_path(logs, signs):
+        m = np.max(logs, axis=0)
+        m = np.where(np.isfinite(m), m, 0.0)
+        terms = np.exp(logs - m) * np.reshape(signs, (-1,) + (1,) * m.ndim)
+        part = np.sum(terms, axis=0)
+        return np.sign(part) * np.exp(m + np.log(np.abs(part)))
+
+    rng = np.random.default_rng(4)
+    with np.errstate(all="ignore"):
+        for n_terms in (1, 2, 3, 5):
+            logs = rng.normal(scale=300.0, size=(n_terms, 400, 16))
+            cell = rng.random(logs.shape)
+            logs[cell < 0.1] = -np.inf
+            logs[(cell >= 0.1) & (cell < 0.13)] = np.nan
+            logs[(cell >= 0.13) & (cell < 0.15)] = -np.nan  # sign bit set
+            logs[(cell >= 0.15) & (cell < 0.17)] = np.inf
+            logs[:, 0] = -np.inf  # every term vanishes
+            signs = np.ones(n_terms)
+            got = signed_exp_sum(logs, signs)
+            want = signed_path(logs, signs)
+            assert np.isnan(want).any() and (want == 0.0).any()
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_sp_star_rows_equal_the_per_time_formula():

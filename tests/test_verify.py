@@ -1,14 +1,17 @@
 """Ensemble martingale tests and structure scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpplab.market import MarketSpec, TimeGrid, brownian_batch, evolve_log_wealth_batch
 from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture, VolatilityChoice
 from fpplab.three_power import ThreePowerFpp, ThreePowerSpec
 from fpplab.verify import (TIME_CHUNK, VERDICT_MARTINGALE, VERDICT_SUPER_STRICT,
-                           VERDICT_VIOLATION, MartingaleReport, martingale_test,
-                           structure_scan)
+                           VERDICT_VIOLATION, MartingaleReport, _report,
+                           martingale_test, structure_scan)
 
 
 def single_atom_setup(grid, lam=0.2, gamma=0.5):
@@ -60,8 +63,8 @@ class Wrapped:
     def u0(self, x):
         return self.fpp.u0(x)
 
-    def state_paths(self, dw, dwperp):
-        return self.fpp.state_paths(dw, dwperp)
+    def state_paths(self, dw, dwperp, cols=slice(None), prev=None):
+        return self.fpp.state_paths(dw, dwperp, cols, prev)
 
     def utility_paths(self, state, log_x, cols=slice(None)):
         return self.fpp.utility_paths(state, log_x, cols)
@@ -173,6 +176,94 @@ def test_streamed_sums_equal_full_horizon_sums(n_steps):
     var = np.maximum((u ** 2).sum(axis=0) / n - mean ** 2, 0.0) * n / (n - 1)
     assert np.array_equal(report.mean, mean)
     assert np.array_equal(report.se, np.sqrt(var / n))
+
+
+def whole_horizon_reports(fpp, runs, n_paths, seed, batch_size):
+    """``martingale_test`` recomputed from whole-horizon arrays: one-chunk
+    wealth, state and utility per batch, reduced over paths in the same order."""
+    grid, market = fpp.grid, fpp.market
+    sums = [[np.zeros(grid.n_steps + 1), np.zeros(grid.n_steps + 1), 0, []]
+            for _ in runs]
+    for lo in range(0, n_paths, batch_size):
+        ids = range(lo, min(lo + batch_size, n_paths))
+        dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, ids)
+        state = fpp.state_paths(dw, dwp)
+        for acc, (sp, _) in zip(sums, runs):
+            u = fpp.utility_paths(state, evolve_log_wealth_batch(
+                1.0, sp, fpp.lam_path, grid, dw))
+            finite = np.where(np.isfinite(u), u, 0.0)
+            acc[0] += finite.sum(axis=0)
+            acc[1] += (finite ** 2).sum(axis=0)
+            acc[2] += int(np.sum(np.isneginf(u).any(axis=1)))
+            acc[3].append(u[:, -1])
+    return [_report(mode, s1, s2, neg, np.concatenate(term), fpp.u0(1.0), grid,
+                    n_paths, seed)
+            for (s1, s2, neg, term), (_, mode) in zip(sums, runs)]
+
+
+def bits(x):
+    return np.asarray(x, float).view(np.int64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d_w=st.integers(1, 4), d_wperp=st.integers(0, 2), n_atoms=st.integers(1, 3),
+       n_steps=st.sampled_from([15, 16, 17, 33, 252]), three_power=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_streamed_engine_equals_whole_horizon_reference(d_w, d_wperp, n_atoms,
+                                                        n_steps, three_power, seed):
+    # chunk-by-chunk wealth and state, carried from each chunk's last column,
+    # give the whole-horizon reports bit for bit; 16 and 33 steps end on a
+    # width-one chunk that the chunking folds into the one before it
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(np.linspace(0.0, 1.0, n_steps + 1))
+    sigma = np.diag(rng.uniform(0.15, 0.4, d_w)) + np.triu(
+        rng.uniform(-0.05, 0.05, (d_w, d_w)), 1)
+    market = MarketSpec(n_stocks=d_w, d_w=d_w, d_wperp=d_wperp, sigma=sigma,
+                        mu=rng.uniform(0.0, 0.1, d_w))
+    if three_power:
+        fpp = ThreePowerFpp(ThreePowerSpec(rng.uniform(0.05, 0.3)), market, grid)
+    else:
+        gammas = rng.choice([0.3, 0.5, 0.8, 1.5, 3.0], n_atoms, replace=False)
+        mix = RiskMixture(atoms=tuple(zip(gammas, rng.uniform(0.2, 1.0, n_atoms))),
+                          gamma0=float(gammas.min()))
+        vol = VolatilityChoice(h0=H0Spec.constant(rng.normal(0.0, 0.1, d_w)),
+                               j=JSpec.constant(rng.normal(0.0, 0.2, d_wperp)))
+        fpp = MixtureFpp(mix, vol, market, grid)
+    runs = [(fpp.sp_star, "martingale"),
+            (null_path(grid, d_w), "supermartingale"),
+            (rng.normal(0.0, 1.0, (n_steps, d_w)), "supermartingale")]
+    kw = dict(n_paths=90, seed=seed % 1000, batch_size=40)
+    streamed = martingale_test(fpp, runs, **kw)
+    for got, want in zip(streamed, whole_horizon_reports(fpp, runs, **kw)):
+        assert np.array_equal(bits(got.mean), bits(want.mean))
+        assert np.array_equal(bits(got.se), bits(want.se))
+        assert bits(got.kurtosis_terminal) == bits(want.kurtosis_terminal)
+        assert got.warnings == want.warnings
+
+
+def test_martingale_test_memory_is_normals_plus_chunks():
+    # the batch's normals are the only O(N) array: the criterion state, log
+    # wealth and utility exist one TIME_CHUNK of columns at a time, so the
+    # allocation peak is the normals plus a few (B, TIME_CHUNK, n_atoms)
+    # arrays, not the 2 B N n_atoms doubles of a whole-horizon m and dm
+    grid = TimeGrid.regular(1.0, 1 / 252)
+    market = MarketSpec(n_stocks=3, d_w=3, d_wperp=1,
+                        sigma=[[0.2, 0.0, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.3]],
+                        mu=[0.04, 0.05, 0.06])
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (0.8, 0.25)), gamma0=0.5)
+    vol = VolatilityChoice(h0=H0Spec.portfolio_inversion([0.5, 0.3, 0.2]),
+                           j=JSpec.constant([0.1]))
+    fpp = MixtureFpp(mix, vol, market, grid)
+    n_paths = 4000
+    normals = n_paths * grid.n_steps * (market.d_w + market.d_wperp) * 8
+    chunk = n_paths * TIME_CHUNK * mix.n_atoms * 8
+    tracemalloc.start()
+    try:
+        martingale_test(fpp, three_runs(fpp, grid), n_paths=n_paths, seed=3, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < normals + 12 * chunk
 
 
 def test_paired_sampling_reduces_variance():
