@@ -128,9 +128,9 @@ def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag) -> int:
     label = cfg.pool_preset or "config"
     if subaction == "surface":
         z_grid = np.linspace(0.01, 0.99, 100)
-        t_grid = np.arange(1.0, spec.horizon + 0.5, 1.0)
+        t_grid = np.arange(1.0, np.floor(spec.horizon) + 0.5, 1.0)  # whole years
         if t_grid.size == 0:
-            raise ConfigError(f"pool.horizon: the surface needs a horizon above 0.5, "
+            raise ConfigError(f"pool.horizon: the surface needs a horizon of at least 1, "
                               f"got {spec.horizon:g}")
         surface = pooling.utility_surface(spec, z_grid, t_grid)
         rows = [[_fmt(z), _fmt(t), _fmt(surface.values[i, j])]

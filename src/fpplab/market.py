@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import NoExactSolutionError, SingularMarketError, StrategyEvaluationError
 
+NORMALS_BLOCK = 128  # paths per draw block: a (128, N, n_cols) buffer stays in L2
 PINV_RCOND = 1e-10  # singular values below rcond * s_max are treated as zero
 # most grid steps (or rebalance periods) in one run: refuses a horizon / step
 # ratio that overflows round() or that no (B, N+1) batch array could hold
@@ -246,29 +247,37 @@ def _path_state_template(seed: int):
 
 def _normals_for_paths(grid: TimeGrid, n_cols: int, seed: int,
                        path_ids: Sequence[int]) -> np.ndarray:
-    """Standard normals of shape (len(path_ids), N, n_cols), one stream per path.
+    """Standard normals of shape (n_cols, N, len(path_ids)), one stream per path.
 
     Path ``i`` occupies Philox counter block ``[0, 0, i, 0]`` under ``key=seed``,
-    which pins its draws independently of batching or execution order.
+    which pins its draws independently of batching or execution order.  The
+    batch is time-major: path ``b`` is ``out[:, :, b]``, its (N, n_cols) draw
+    transposed.  Paths are drawn ``NORMALS_BLOCK`` at a time into a small
+    path-major buffer, which one transposed assignment copies into the batch.
     """
     n = grid.n_steps
-    out = np.empty((len(path_ids), n, n_cols))
+    out = np.empty((n_cols, n, len(path_ids)))
     if out.size == 0:
         return out
     template = _path_state_template(seed)
     key = template["state"]["key"]
     bg = np.random.Philox(key=seed)
     gen = np.random.Generator(bg)
-    for row, pid in enumerate(path_ids):
-        if not (isinstance(pid, (int, np.integer)) and 0 <= pid < 2 ** 64):
-            raise ValueError("path_id must be an integer in [0, 2^64)")
-        st = dict(template)
-        st["state"] = {"counter": np.array([0, 0, pid, 0], dtype=np.uint64), "key": key}
-        st["buffer_pos"] = 4  # discard any buffered block
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        bg.state = st
-        out[row] = gen.standard_normal((n, n_cols))
+    block = np.empty((min(NORMALS_BLOCK, len(path_ids)), n, n_cols))
+    for b0 in range(0, len(path_ids), NORMALS_BLOCK):
+        ids = path_ids[b0:b0 + NORMALS_BLOCK]
+        for row, pid in enumerate(ids):
+            if not (isinstance(pid, (int, np.integer)) and 0 <= pid < 2 ** 64):
+                raise ValueError("path_id must be an integer in [0, 2^64)")
+            st = dict(template)
+            st["state"] = {"counter": np.array([0, 0, pid, 0], dtype=np.uint64),
+                           "key": key}
+            st["buffer_pos"] = 4  # discard any buffered block
+            st["has_uint32"] = 0
+            st["uinteger"] = 0
+            bg.state = st
+            gen.standard_normal(out=block[row])
+        out[:, :, b0:b0 + len(ids)] = block[:len(ids)].T
     return out
 
 
@@ -276,13 +285,48 @@ def brownian_batch(grid: TimeGrid, d_w: int, d_wperp: int, seed: int,
                    path_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Increment arrays (B, N, d_w) and (B, N, d_wperp) for a batch of paths.
 
-    Row ``b`` depends only on ``(seed, path_ids[b], grid, dims)``, so a single
-    path is the batch ``[path_id]`` and equals that row of any larger batch
-    bit for bit.
+    Both are transposed views of one time-major (d_w + d_wperp, N, B) array:
+    ``dw.T`` is C-ordered, so each driver's increments at one grid cell are a
+    contiguous row over the paths.  Row ``b`` depends only on
+    ``(seed, path_ids[b], grid, dims)``, so a single path is the batch
+    ``[path_id]`` and equals that row of any larger batch bit for bit.
     """
     z = _normals_for_paths(grid, d_w + d_wperp, seed, path_ids)
     z *= np.sqrt(grid.dt)[None, :, None]
-    return z[:, :, :d_w], z[:, :, d_w:]
+    return z[:d_w].T, z[d_w:].T
+
+
+def einsum_dot(x: np.ndarray, y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """``sum_i x[i] * y[i]`` over the first axis, in the order np.einsum sums it.
+
+    This is the contraction of ``np.einsum("bkd,kd->bk")`` and
+    ``np.einsum("bkd,kad->bka")`` over ``d``, written out as products of
+    whole rows so that it runs on time-major operands with the bits einsum
+    gives on path-major ones.  einsum keeps two partial sums (two SSE2
+    lanes): even terms go to lane 0 and odd terms to lane 1, each block of
+    eight is added as p6, p4, p2, p0 and p7, p5, p3, p1, the rest two at a
+    time, and each product is added to its lane's running sum.  Then
+    lane 0 + lane 1, then + 0.0: einsum adds into a zeroed output, so a sum
+    of -0.0 products comes back +0.0.  ``x[i]`` and ``y[i]`` broadcast
+    against each other into the result, written to ``out`` when given.
+    """
+    n = len(x)
+    full = n - n % 8
+    lane0 = ([s + j for s in range(0, full, 8) for j in (6, 4, 2, 0)]
+             + list(range(full, n, 2)))
+    lane1 = ([s + j for s in range(0, full, 8) for j in (7, 5, 3, 1)]
+             + list(range(full + 1, n, 2)))
+    out = np.multiply(x[lane0[0]], y[lane0[0]], out=out)
+    prod = np.empty_like(out)
+    for i in lane0[1:]:
+        out += np.multiply(x[i], y[i], out=prod)
+    if lane1:
+        odd = np.multiply(x[lane1[0]], y[lane1[0]])
+        for i in lane1[1:]:
+            odd += np.multiply(x[i], y[i], out=prod)
+        out += odd
+    out += 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +364,25 @@ def chunk_cells(cols: slice, n_steps: int) -> tuple[int, slice]:
     return lo, slice(max(lo - 1, 0), hi - 1)
 
 
+def accumulate_columns(acc: np.ndarray, lo: int, carry=None) -> np.ndarray:
+    """Running sum, in place, of the increments in ``acc`` along its time axis (-2).
+
+    ``acc`` holds one chunk of grid columns starting at column ``lo``.  In
+    the first chunk (``lo == 0``) column 0 is the t = 0 zero, written, not
+    added, since 0.0 + -0.0 would flip a sign bit, and column 1 is the first
+    increment itself.  A later chunk adds ``carry``, the value at the column
+    before it, to its first increment.  Columns are then added one at a
+    time, ``acc[k] = acc[k-1] + acc[k]``, the order of ``np.cumsum``.
+    """
+    if lo == 0:
+        acc[..., 0, :] = 0.0
+    else:
+        acc[..., 0, :] += carry
+    for k in range(2 if lo == 0 else 1, acc.shape[-2]):
+        np.add(acc[..., k - 1, :], acc[..., k, :], out=acc[..., k, :])
+    return acc
+
+
 def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
                             grid: TimeGrid, dw: np.ndarray, cols: slice = None,
                             start: np.ndarray = None) -> np.ndarray:
@@ -328,12 +391,13 @@ def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
     ``sp`` is the (N, d_w) sigma*pi schedule shared by every path: row ``k``
     holds on grid cell ``k``.  ``lam_path`` is the (N, d_w) Sharpe path on
     the same grid, and ``dw`` holds the (B, N, d_w) increments of the whole
-    grid.  ``cols`` is a slice of grid columns; ``None``, the whole horizon
-    (B, N+1), is the one-chunk case.  A chunk past column 0 continues from
-    ``start``, the (B,) log wealth at the column before it, so evolving
-    chunk by chunk from each chunk's last column gives the whole-horizon
-    paths bit for bit.  A zero allocation keeps log wealth exactly at
-    ``log(x0)``.
+    grid, as ``brownian_batch`` returns them.  ``cols`` is a slice of grid
+    columns; ``None``, the whole horizon (B, N+1), is the one-chunk case.  A
+    chunk past column 0 continues from ``start``, the (B,) log wealth at the
+    column before it, so evolving chunk by chunk from each chunk's last
+    column gives the whole-horizon paths bit for bit.  A zero allocation
+    keeps log wealth exactly at ``log(x0)``.  The result is the transposed
+    view of a time-major (len(cols), B) array.
 
     The whole-horizon call checks the schedule with ``check_schedule``
     (and raises its ``StrategyEvaluationError``); a chunk call expects a
@@ -357,10 +421,12 @@ def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
         for d in range(1, d_w):
             sp_lam = sp_lam + sp[:, d] * lam[:, d]
         drift_dt = (sp_lam - 0.5 * np.einsum("kd,kd->k", sp, sp)) * grid.dt[cells]
-        noise = np.einsum("bkd,kd->bk", dw[:, cells], sp).T
-        for k in range(drift_dt.size):
-            out[k + 1] = out[k] + drift_dt[k] + noise[k]
-    return np.ascontiguousarray((out[1:] if lo else out).T)
+        einsum_dot(dw.T[:, cells], sp.T[:, :, None], out=out[1:])  # the noise sp . dW
+        step = np.empty(n_paths)
+        for k in range(drift_dt.size):  # (log x_k + drift_k) + noise_k
+            np.add(out[k], drift_dt[k], out=step)
+            np.add(step, out[k + 1], out=out[k + 1])
+    return (out[1:] if lo else out).T
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FactorDegeneracyError, InvalidExponentError
-from .market import (MarketSpec, TimeGrid, brownian_batch, chunk_cells,
-                     evolve_log_wealth_batch, solve_allocation, PINV_RCOND)
+from .market import (MarketSpec, TimeGrid, accumulate_columns, brownian_batch,
+                     chunk_cells, einsum_dot, evolve_log_wealth_batch, solve_allocation,
+                     PINV_RCOND)
 
 GAMMA_ONE_TOL = 1e-9  # risk aversions this close to 1 are rejected
 
@@ -37,25 +38,32 @@ def signed_exp_sum(logs: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Stable ``sum_i signs[i] * exp(logs[i])``, one term per row of ``logs``.
 
     The terms run along the first axis, so each step works on whole
-    contiguous rows.  Overflows only when the true value leaves float range,
-    in which case the IEEE infinity of the correct sign is returned (-inf is
-    the legitimate sentinel for criteria that diverge below).  When every
-    sign is +1 the sign bookkeeping is skipped; that gives the same bits,
-    since ``1.0 * y == y`` and ``exp(m + log(part))`` equals
+    contiguous rows; ``logs`` is the scratch buffer and is overwritten.
+    Overflows only when the true value leaves float range, in which case
+    the IEEE infinity of the correct sign is returned (-inf is the
+    legitimate sentinel for criteria that diverge below).  When every sign
+    is +1 the sign bookkeeping is skipped; that gives the same bits, since
+    ``1.0 * y == y`` and ``exp(m + log(part))`` equals
     ``sign(part) * exp(m + log|part|)`` for ``part >= 0`` and for NaN.
     """
-    m = np.max(logs, axis=0)
-    m = np.where(np.isfinite(m), m, 0.0)
-    terms = logs - m
-    np.exp(terms, out=terms)
+    m = np.max(logs, axis=0, keepdims=True)  # kept axes: scalars stay arrays
+    m[~np.isfinite(m)] = 0.0
+    logs -= m
+    terms = np.exp(logs, out=logs)
     same_sign = bool(np.all(np.asarray(signs) == 1.0))
     if not same_sign:
-        terms *= np.reshape(signs, (-1,) + (1,) * m.ndim)
-    part = np.sum(terms, axis=0)
+        terms *= np.reshape(signs, (-1,) + (1,) * (m.ndim - 1))
+    part = np.sum(terms, axis=0, keepdims=True)
     with np.errstate(divide="ignore", over="ignore"):
         if same_sign:
-            return np.exp(m + np.log(part))
-        return np.sign(part) * np.exp(m + np.log(np.abs(part)))
+            np.log(part, out=part)
+        else:
+            sign = np.sign(part)
+            np.log(np.abs(part, out=part), out=part)
+        np.exp(np.add(m, part, out=part), out=part)
+    if not same_sign:
+        np.multiply(sign, part, out=part)
+    return part[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,36 +409,40 @@ class MixtureFpp:
 
         Returns ``m`` of shape (B, len(cols), n_atoms) and the deterministic
         ``qv``, ``v`` of shape (N+1, n_atoms): the ``state`` that
-        ``utility_paths`` evaluates at the same ``cols``.  ``dw`` and
-        ``dwperp`` are the increments of the whole grid.  The whole horizon is
-        the one-chunk case; a chunk past column 0 continues from ``prev``, the
-        state of the chunk just before it, so chunk-by-chunk states equal the
-        whole-horizon ``m`` bit for bit.
+        ``utility_paths`` evaluates at the same ``cols``.  ``m`` is the
+        transposed view of a time-major (n_atoms, len(cols), B) array.
+        ``dw`` and ``dwperp`` are the ``brownian_batch`` increments of the
+        whole grid.  The whole horizon is the one-chunk case; a chunk past
+        column 0 continues from ``prev``, the state of the chunk just before
+        it, so chunk-by-chunk states equal the whole-horizon ``m`` bit for
+        bit.
         """
         lo, cells = chunk_cells(cols, self.grid.n_steps)
-        dm = np.einsum("bkd,kad->bka", dw[:, cells], self.h[cells])
-        if self.market.d_wperp:
-            dm += np.einsum("bkd,kad->bka", dwperp[:, cells], self.j[cells])
-        if lo == 0:  # t = 0 is written, not added: 0.0 + -0.0 would flip a sign bit
-            m = np.empty((dm.shape[0], dm.shape[1] + 1, dm.shape[2]))
-            m[:, 0] = 0.0
-            np.cumsum(dm, axis=1, out=m[:, 1:])
-        else:
-            dm[:, 0] += prev[0][:, -1]
-            m = np.cumsum(dm, axis=1, out=dm)
-        return m, self.qv, self.v
+        first = 1 if lo == 0 else 0  # the first chunk also holds t = 0
+        m = np.empty((self.mixture.n_atoms, cells.stop - cells.start + first,
+                      dw.shape[0]))
+        dwt, dwpt = dw.T[:, cells], dwperp.T[:, cells]
+        for a in range(self.mixture.n_atoms):  # dm = H.dW + J.dW_perp per cell
+            dm = einsum_dot(dwt, self.h[cells, a].T[:, :, None], out=m[a, first:])
+            if self.market.d_wperp:
+                dm += einsum_dot(dwpt, self.j[cells, a].T[:, :, None])
+        carry = None if prev is None else prev[0].T[:, -1]
+        return accumulate_columns(m, lo, carry).T, self.qv, self.v
 
     def utility_paths(self, state, log_x: np.ndarray,
                       cols: slice = slice(None)) -> np.ndarray:
         """U_t(X_t) at the grid columns ``cols``.
 
         ``state`` is the ``state_paths`` state of the same ``cols``, and
-        ``log_x`` is log wealth at those columns, shape (B, len(cols)); so is
-        the result.
+        ``log_x`` is log wealth at those columns, shape (B, len(cols)).  The
+        terms are evaluated time-major; the result is a C-ordered
+        (B, len(cols)) copy, the layout in which a sum over paths runs row
+        by row.
         """
         m, qv, v = state
-        return mixture_value(self.mixture.gammas, self.mixture.weights, log_x,
-                             m, qv[cols], v[cols])
+        u = mixture_value(self.mixture.gammas, self.mixture.weights, log_x.T,
+                          m.transpose(1, 0, 2), qv[cols, None], v[cols, None])
+        return np.ascontiguousarray(u.T)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +551,7 @@ def check_admissibility_moments(sp: np.ndarray, market: MarketSpec,
     integral_se = float(np.std(per_path_integral, ddof=1) / np.sqrt(n_paths)) \
         if n_paths > 1 else 0.0
     # sup moment over grid times
-    sup_vals = np.zeros_like(log_x)
+    sup_vals = np.zeros(log_x.shape)
     for g, w in zip(gammas, weights):
         sup_vals += w * np.exp(2.0 * u * v * (1.0 - g) * log_x)
     means = np.mean(sup_vals, axis=0)

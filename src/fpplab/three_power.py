@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketSpec, TimeGrid, chunk_cells
+from .market import MarketSpec, TimeGrid, accumulate_columns, chunk_cells, einsum_dot
 from .mixture import signed_exp_sum
 
 
@@ -52,16 +52,29 @@ class ThreePowerSpec:
 
 
 def _term_logs(log_x, log_z, int_lam2, gamma):
-    """Log-magnitudes of the three summands, one per row; signs are carried separately."""
+    """Log-magnitudes of the three summands, one per row; signs are carried separately.
+
+    The rows are written in place into one (3, ...) array, each in the
+    order of the closed form's left-to-right expression.
+    """
     g = gamma
     lx = np.asarray(log_x, float)
     i = np.asarray(int_lam2, float)
     lz = np.asarray(log_z, float)
-    l1 = (1.0 - g) * lx - np.log(1.0 - g) - i / (8.0 * g) - lz
-    l2 = (1.0 - 2.0 * g) * lx - np.log(1.0 - 2.0 * g) - (1.0 - 2.0 * g) * i / (4.0 * g)
-    l3 = ((1.0 - 3.0 * g) * lx - np.log(1.0 - 3.0 * g)
-          + (1.0 - 3.0 / (8.0 * g)) * i + lz)
-    return np.stack(np.broadcast_arrays(l1, l2, l3))
+    logs = np.empty((3,) + np.broadcast_shapes(lx.shape, i.shape, lz.shape))
+    l1, l2, l3 = (logs[k, ...] for k in range(3))  # views even for scalar terms
+    np.multiply(1.0 - g, lx, out=l1)
+    l1 -= np.log(1.0 - g)
+    l1 -= i / (8.0 * g)
+    l1 -= lz
+    np.multiply(1.0 - 2.0 * g, lx, out=l2)
+    l2 -= np.log(1.0 - 2.0 * g)
+    l2 -= (1.0 - 2.0 * g) * i / (4.0 * g)
+    np.multiply(1.0 - 3.0 * g, lx, out=l3)
+    l3 -= np.log(1.0 - 3.0 * g)
+    l3 += (1.0 - 3.0 / (8.0 * g)) * i
+    l3 += lz
+    return logs
 
 
 def three_power_value(x, z_factor, int_lam2, spec: ThreePowerSpec):
@@ -142,21 +155,19 @@ class ThreePowerFpp:
     def accumulators(self, dw: np.ndarray, cols: slice = slice(None), start=None):
         """(log Z, I) along an ensemble, at the grid columns ``cols``.
 
-        log Z is (B, len(cols)) and I is (N+1,).  ``dw`` holds the increments
-        of the whole grid.  The whole horizon is the one-chunk case; a chunk
-        past column 0 continues from ``start``, the (B,) log Z at the column
-        before it.
+        log Z is (B, len(cols)), the transposed view of a time-major
+        (len(cols), B) array, and I is (N+1,).  ``dw`` holds the
+        ``brownian_batch`` increments of the whole grid.  The whole horizon
+        is the one-chunk case; a chunk past column 0 continues from
+        ``start``, the (B,) log Z at the column before it.
         """
         lo, cells = chunk_cells(cols, self.grid.n_steps)
-        inc = 0.5 * np.einsum("bkd,kd->bk", dw[:, cells], self.lam_path[cells])
-        if lo == 0:  # t = 0 is written, not added: 0.0 + -0.0 would flip a sign bit
-            log_z = np.empty((inc.shape[0], inc.shape[1] + 1))
-            log_z[:, 0] = 0.0
-            np.cumsum(inc, axis=1, out=log_z[:, 1:])
-        else:
-            inc[:, 0] += start
-            log_z = np.cumsum(inc, axis=1, out=inc)
-        return log_z, self.i_path
+        first = 1 if lo == 0 else 0  # the first chunk also holds t = 0
+        log_z = np.empty((cells.stop - cells.start + first, dw.shape[0]))
+        inc = einsum_dot(dw.T[:, cells], self.lam_path[cells].T[:, :, None],
+                         out=log_z[first:])
+        inc *= 0.5  # half lam . dW per cell
+        return accumulate_columns(log_z, lo, start).T, self.i_path
 
     def state_paths(self, dw: np.ndarray, dwperp: np.ndarray,
                     cols: slice = slice(None), prev=None):
@@ -172,9 +183,10 @@ class ThreePowerFpp:
         """U_t(X_t) at the grid columns ``cols``.
 
         ``state`` is the ``state_paths`` state of the same ``cols``, and
-        ``log_x`` is log wealth at those columns, shape (B, len(cols)); so is
-        the result.
+        ``log_x`` is log wealth at those columns, shape (B, len(cols)).  As
+        in ``MixtureFpp.utility_paths`` the terms are evaluated time-major
+        and the result is a C-ordered (B, len(cols)) copy.
         """
         log_z, i_path = state
-        logs = _term_logs(log_x, log_z, i_path[None, cols], self.spec.gamma)
-        return signed_exp_sum(logs, self.spec.weights)
+        logs = _term_logs(log_x.T, log_z.T, i_path[cols, None], self.spec.gamma)
+        return np.ascontiguousarray(signed_exp_sum(logs, self.spec.weights).T)

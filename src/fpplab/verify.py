@@ -86,7 +86,9 @@ def _batch_moments(fpp, sps, seed, path_ids, x0):
     a time: per chunk the criterion state continues from its previous chunk,
     each run's log wealth from its own last column, and U goes straight into
     the per-time sums, so no full-horizon wealth, state or utility array is
-    ever held.
+    ever held.  ``utility_paths`` returns U as a C-ordered (B, w) copy, so
+    each sum over paths adds whole rows one path at a time, the order of the
+    whole-horizon sums.
     """
     grid, market = fpp.grid, fpp.market
     dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, path_ids)

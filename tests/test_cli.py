@@ -104,6 +104,15 @@ def test_pool_surface_csv(tmp_path):
     assert len(lines) == 1 + 100 * 30
 
 
+def test_pool_surface_stops_at_a_fractional_horizon(tmp_path):
+    # whole years up to the horizon: 2.6 gives t = 1 and 2, never 3
+    code = run(tmp_path, "pool", "surface",
+               config="pool:\n  horizon: 2.6\n  rebalance_dt: 0.2\n")
+    assert code == 0
+    lines = (tmp_path / "out" / "pool_surface_fig1.csv").read_text().splitlines()
+    assert {float(line.split(",")[1]) for line in lines[1:]} == {1.0, 2.0}
+
+
 def test_pool_surface_fig4_decays_fast():
     # the wide-aversion-gap preset loses most of its value by t = 30
     from fpplab.pooling import optimize_constant_z, preset

@@ -1,0 +1,135 @@
+"""The time-major engine: einsum's summation order, the normals blocks, and
+batch-of-one equality under the (driver, step, path) layout."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fpplab.market import (NORMALS_BLOCK, MarketSpec, TimeGrid, _normals_for_paths,
+                           brownian_batch, einsum_dot, evolve_log_wealth_batch)
+from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture, VolatilityChoice
+from fpplab.three_power import ThreePowerFpp, ThreePowerSpec
+from fpplab.verify import TIME_CHUNK
+
+
+def assert_same_values_and_zero_signs(got, want):
+    # values bit for bit, NaN positions included, and the sign of every zero;
+    # which NaN survives when two meet is left to the compiled loops, so NaN
+    # sign bits are not compared
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    nan = np.isnan(want)
+    assert np.array_equal(np.signbit(got)[~nan], np.signbit(want)[~nan])
+
+
+def with_specials(rng, x, fraction):
+    """``x`` with a ``fraction`` of its entries set to 0.0, -0.0, inf, -inf or NaN."""
+    cell = rng.random(x.shape)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    pick = rng.integers(0, specials.size, x.shape)
+    return np.where(cell < fraction, specials[pick], x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 12), n_atoms=st.integers(1, 4), width=st.integers(2, 17),
+       n_paths=st.integers(1, 9), fraction=st.sampled_from([0.0, 0.05, 0.3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_einsum_dot_matches_einsum_bit_for_bit(d, n_atoms, width, n_paths, fraction,
+                                               seed):
+    # the written-out order on time-major operands gives einsum's bits on the
+    # path-major ones, in both signatures the engine contracts
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 2.0, shape)
+        return with_specials(rng, x, fraction)
+
+    dw = draw(n_paths, width, d)
+    h = draw(width, n_atoms, d)
+    lam = draw(width, d)
+    dwt = np.ascontiguousarray(dw.T)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.einsum("bkd,kad->bka", dw, h)
+        got = einsum_dot(dwt[:, None], h.T[:, :, :, None]).T
+        assert_same_values_and_zero_signs(got, want)
+        want = np.einsum("bkd,kd->bk", dw, lam)
+        got = einsum_dot(dwt, lam.T[:, :, None]).T
+        assert_same_values_and_zero_signs(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 11])
+def test_einsum_dot_of_negative_zero_products_is_positive_zero(d):
+    x = np.full((d, 2, 5), -0.0)
+    y = np.ones((d, 2, 1))
+    out = einsum_dot(x, y)
+    want = np.einsum("bkd,kd->bk", x.T, y[:, :, 0].T).T
+    assert not np.signbit(want).any()
+    assert_same_values_and_zero_signs(out, want)
+
+
+@pytest.mark.parametrize("n_paths", [NORMALS_BLOCK - 1, NORMALS_BLOCK + 1,
+                                     2 * NORMALS_BLOCK + 1])
+def test_time_major_normals_are_the_per_path_draws(n_paths):
+    # batches straddling the draw blocks: column b of the time-major array is
+    # path b's own Philox stream, drawn as one (N, n_cols) block
+    grid = TimeGrid.regular(1.0, 0.25)
+    ids = range(5, 5 + n_paths)
+    z = _normals_for_paths(grid, 3, 11, ids)
+    assert z.shape == (3, grid.n_steps, n_paths) and z.flags.c_contiguous
+    for b, pid in enumerate(ids):
+        gen = np.random.Generator(np.random.Philox(key=11, counter=[0, 0, pid, 0]))
+        assert np.array_equal(z[:, :, b], gen.standard_normal((grid.n_steps, 3)).T)
+
+
+@pytest.mark.parametrize("d_w", [1, 2, 3, 4])
+def test_one_path_batch_equals_its_row(d_w):
+    # increments, log wealth, criterion state and U of a batch of one equal
+    # that path's row of a batch spanning two normals blocks, bit for bit
+    rng = np.random.default_rng(d_w)
+    grid = TimeGrid.regular(1.0, 1 / 20)
+    sigma = np.diag(rng.uniform(0.15, 0.4, d_w))
+    market = MarketSpec(n_stocks=d_w, d_w=d_w, d_wperp=1, sigma=sigma,
+                        mu=rng.uniform(0.0, 0.1, d_w))
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5)
+    vol = VolatilityChoice(h0=H0Spec.constant(rng.normal(0.0, 0.1, d_w)),
+                           j=JSpec.constant([0.2]))
+    criteria = [MixtureFpp(mix, vol, market, grid),
+                ThreePowerFpp(ThreePowerSpec(0.2), market, grid)]
+    sp = rng.normal(size=(grid.n_steps, d_w))
+
+    def engine(ids):
+        dw, dwp = brownian_batch(grid, d_w, 1, 3, ids)
+        log_x = evolve_log_wealth_batch(1.2, sp, criteria[0].lam_path, grid, dw)
+        out = [dw, dwp, log_x]
+        for fpp in criteria:
+            state = fpp.state_paths(dw, dwp)
+            out += [state[0], fpp.utility_paths(state, log_x)]
+        return out
+
+    batch = engine(range(NORMALS_BLOCK + 1))
+    for pid in (0, NORMALS_BLOCK - 1, NORMALS_BLOCK):
+        for whole, single in zip(batch, engine([pid])):
+            assert np.array_equal(whole[pid].view(np.int64), single[0].view(np.int64))
+
+
+def test_three_power_utility_builds_its_terms_in_place():
+    # one (3, TIME_CHUNK, B) term buffer, evaluated in place, plus a few
+    # (TIME_CHUNK, B) rows: no stacked copy and no per-operation temporaries
+    market = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.2)
+    grid = TimeGrid.regular(1.0, 1 / 64)
+    fpp = ThreePowerFpp(ThreePowerSpec(0.25), market, grid)
+    n_paths = 5000
+    dw, dwp = brownian_batch(grid, 1, 0, 7, range(n_paths))
+    cols = slice(TIME_CHUNK, 2 * TIME_CHUNK)
+    state = fpp.state_paths(dw, dwp, cols, fpp.state_paths(dw, dwp, slice(0, TIME_CHUNK)))
+    log_x = evolve_log_wealth_batch(1.0, fpp.sp_star, fpp.lam_path, grid, dw)[:, cols]
+    row = n_paths * TIME_CHUNK * 8
+    tracemalloc.start()
+    try:
+        fpp.utility_paths(state, log_x, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * row
