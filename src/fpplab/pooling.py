@@ -39,6 +39,12 @@ Z_EDGE = 1e-3       # scan clip: the objective has a pole at z = 1
 Z_SCAN_STEP = 1e-3
 Z_REFINE_TOL = 1e-6
 Z_TIE_TOL = 1e-12   # maxima closer than this in value tie-break to smaller z
+# Doubles in one row block of the greedy score scan: 64k x 8 B = 512 KB, small
+# enough to stay in a core's L2 cache between the multiply, the add and the
+# argmax that each pass over it.  On a 2-core x86-64 host (2 MB L2 per core)
+# budgets of 8k-1M elements scanned fig3's window within 30% of each other,
+# and all about 6x faster than the unblocked (20k rows x 203) 32 MB matrix.
+SCAN_BLOCK_ELEMS = 1 << 16
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -237,14 +243,32 @@ def one_period_greedy(a_eff: float, d_eff: float, x: float, spec: PoolSpec,
     over one period of length ``dt``.  This is the rule ``compare_strategies``
     applies per path, run on a batch of one.
     """
-    if a_eff <= 0 or d_eff <= 0 or x <= 0:
-        raise ValueError("effective coefficients and wealth must be positive")
     dt = spec.rebalance_dt if dt is None else dt
-    if dt <= 0:
-        raise ValueError("period length must be positive")
+    for name, value in (("a_eff", a_eff), ("d_eff", d_eff), ("x", x), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     log_ratio = math.log(d_eff) - math.log(a_eff) + (spec.q - spec.p) * math.log(x)
     return float(_greedy_z_batch(np.array([log_ratio]), spec.p, spec.q,
                                  spec.lam ** 2 * dt)[0])
+
+
+def _first_argmax(r: np.ndarray, ea: np.ndarray, ed: np.ndarray) -> np.ndarray:
+    """Each row's first argmax of ``ea + r[i] ed``, scanned in row blocks.
+
+    The ``(len(r), len(ea))`` score matrix is never built: rows are scored
+    ``SCAN_BLOCK_ELEMS // len(ea)`` at a time into one reused buffer.
+    """
+    n_rows, width = r.size, ea.size
+    rows = max(SCAN_BLOCK_ELEMS // width, 1)
+    buf = np.empty((min(rows, n_rows), width))
+    idx = np.empty(n_rows, dtype=np.intp)
+    for start in range(0, n_rows, rows):
+        stop = min(start + rows, n_rows)
+        blk = buf[:stop - start]
+        np.multiply(r[start:stop, None], ed, out=blk)
+        blk += ea
+        np.argmax(blk, axis=1, out=idx[start:stop])
+    return idx
 
 
 def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
@@ -267,8 +291,15 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     window edge that is not a grid edge (a tie with the points beyond it) is
     scanned again on the full grid, which keeps the full scan's first-maximum
     choice.
+
+    Both scans go through ``_first_argmax``, which scores the rows in blocks
+    of about ``SCAN_BLOCK_ELEMS`` doubles instead of building the whole
+    (batch, window) score matrix.  The bits cannot change: each score is the
+    same IEEE product ``r ed`` plus ``ea`` (addition is commutative, so
+    ``r ed + ea == ea + r ed`` exactly), a row's argmax reads only that row,
+    and ``np.argmax`` still takes the first maximum.
     """
-    r = np.exp(log_ratio)[:, None]  # (B, 1)
+    r = np.exp(log_ratio)
     n = int(round((1.0 - 2.0 * Z_EDGE) / Z_SCAN_STEP)) + 1
     zs = np.linspace(Z_EDGE, 1.0 - Z_EDGE, n)
     ea, ed = _objective_terms(zs, p, q, lam2dt)
@@ -281,16 +312,15 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     not_falling = np.flatnonzero(~((dea <= 0) & (ded <= 0))[w1:])
     if not_falling.size:
         w1 += int(not_falling[-1]) + 1
-    vals = ea[w0:w1 + 1] + r * ed[w0:w1 + 1]
-    idx = w0 + np.argmax(vals, axis=1)
+    idx = w0 + _first_argmax(r, ea[w0:w1 + 1], ed[w0:w1 + 1])
     edge = ((idx == w0) & (w0 > 0)) | ((idx == w1) & (w1 < n - 1))
     if edge.any():
-        idx[edge] = np.argmax(ea + r[edge] * ed, axis=1)
+        idx[edge] = _first_argmax(r[edge], ea, ed)
     lo = zs[np.maximum(idx - 1, 0)]
     hi = zs[np.minimum(idx + 1, n - 1)]
 
     def fvec(z):
-        return _weighted_objective(z, 1.0, r[:, 0], p, q, lam2dt)
+        return _weighted_objective(z, 1.0, r, p, q, lam2dt)
 
     a, b = lo.copy(), hi.copy()
     c = b - _INVPHI * (b - a)
@@ -351,6 +381,10 @@ def simulated_expected_utility(spec: PoolSpec, z: float, t: float, n_paths: int,
         raise ValueError(f"z must lie strictly inside (0, 1), got {z}")
     if t <= 0:
         raise ValueError("t must be positive")
+    if n_paths < 2:
+        raise ValueError("need at least two paths")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     grid = TimeGrid.regular(t, t / n_steps)
     dw, _ = brownian_batch(grid, 1, 0, seed, range(n_paths))
     sp = np.full((grid.n_steps, 1), spec.lam / (1.0 - z))

@@ -1,13 +1,16 @@
 """Pooled investment: closed form, optimisers, surfaces, strategy comparison."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fpplab.pooling import (_INVPHI, Z_EDGE, Z_REFINE_TOL, Z_SCAN_STEP, PoolSpec,
-                            _greedy_z_batch, _weighted_objective, compare_strategies,
+from fpplab import pooling
+from fpplab.pooling import (_INVPHI, SCAN_BLOCK_ELEMS, Z_EDGE, Z_REFINE_TOL,
+                            Z_SCAN_STEP, PoolSpec, _greedy_z_batch,
+                            _weighted_objective, compare_strategies,
                             constant_z_expected_utility, one_period_greedy,
                             optimize_constant_z, preset,
                             simulated_expected_utility, utility_surface)
@@ -68,6 +71,19 @@ def test_simulation_step_count_is_immaterial():
     b = simulated_expected_utility(FIG1, 0.3, 4.0, 500, seed=5, n_steps=16)
     assert a[0] != b[0]  # different increments, same law
     assert abs(a[0] - b[0]) < 3 * (a[1] + b[1])
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_simulation_needs_two_paths(n_paths):
+    # one path has no standard error and none has no mean
+    with pytest.raises(ValueError, match="need at least two paths"):
+        simulated_expected_utility(FIG1, 0.3, 4.0, n_paths, seed=5)
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_simulation_needs_one_step(n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        simulated_expected_utility(FIG1, 0.3, 4.0, 500, seed=5, n_steps=n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +207,72 @@ def test_greedy_flat_objective_rescans_full_grid():
     z = _greedy_z_batch(log_ratio, 0.1, 0.3, 0.0)
     assert np.array_equal(z, full_grid_greedy_z(log_ratio, 0.1, 0.3, 0.0))
     assert np.all((Z_EDGE <= z) & (z <= Z_EDGE + Z_SCAN_STEP))
+
+
+FIG3_LAM2DT = preset("fig3").lam ** 2 * preset("fig3").rebalance_dt
+
+
+def _scan_block_rows(p, q, lam2dt, monkeypatch):
+    """Rows per block of the last argmax scan a single row goes through:
+    the window scan, or the full-grid rescan when every row takes it."""
+    widths = []
+    first_argmax = pooling._first_argmax
+
+    def spy(r, ea, ed):
+        widths.append(ea.size)
+        return first_argmax(r, ea, ed)
+
+    with monkeypatch.context() as m:
+        m.setattr(pooling, "_first_argmax", spy)
+        _greedy_z_batch(np.zeros(1), p, q, lam2dt)
+    return SCAN_BLOCK_ELEMS // widths[-1]
+
+
+@pytest.mark.parametrize("lam2dt", [0.0, 1e-14, FIG3_LAM2DT])
+@pytest.mark.parametrize("size", ["one", "block-1", "block", "block+1", "blocks+short"])
+def test_greedy_blocked_scan_matches_full_grid(lam2dt, size, monkeypatch):
+    # batches that end just short of, on and past a block edge, and a batch of
+    # several blocks whose last one is short, all equal the unblocked scan
+    rows = _scan_block_rows(0.1, 0.3, lam2dt, monkeypatch)
+    assert rows > 2
+    n = {"one": 1, "block-1": rows - 1, "block": rows, "block+1": rows + 1,
+         "blocks+short": 3 * rows + rows // 2}[size]
+    log_ratio = np.random.default_rng(n).normal(0.0, 5.0, n)
+    assert np.array_equal(_greedy_z_batch(log_ratio, 0.1, 0.3, lam2dt),
+                          full_grid_greedy_z(log_ratio, 0.1, 0.3, lam2dt))
+
+
+@pytest.mark.parametrize("lam2dt", [1e-14, FIG3_LAM2DT])
+def test_greedy_row_does_not_depend_on_its_batch(lam2dt, monkeypatch):
+    rows = _scan_block_rows(0.1, 0.3, lam2dt, monkeypatch)
+    log_ratio = np.random.default_rng(3).normal(0.0, 5.0, 20_000)
+    z = _greedy_z_batch(log_ratio, 0.1, 0.3, lam2dt)
+    for i in (0, rows - 1, rows, 2 * rows + 1, 12_345, 19_999):
+        assert z[i] == _greedy_z_batch(log_ratio[i:i + 1], 0.1, 0.3, lam2dt)[0]
+
+
+@pytest.mark.parametrize("lam2dt", [1e-14, FIG3_LAM2DT])
+def test_greedy_scan_memory_is_bounded(lam2dt):
+    # 40k rows x 999 grid points would be 320 MB as one score matrix; the
+    # row blocks and the (B,) golden-section vectors need a few MB
+    log_ratio = np.random.default_rng(5).normal(0.0, 5.0, 40_000)
+    tracemalloc.start()
+    try:
+        _greedy_z_batch(log_ratio, 0.1, 0.3, lam2dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("arg", ["a_eff", "d_eff", "x", "dt"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_greedy_rejects_non_finite_inputs(arg, bad):
+    # argmax of NaN scores would silently return the first grid point
+    kwargs = dict(a_eff=1.0, d_eff=1.0, x=1.0, dt=1.0)
+    kwargs[arg] = bad
+    with pytest.raises(ValueError, match=rf"^{arg} must be positive and finite"):
+        one_period_greedy(spec=FIG1, **kwargs)
 
 
 def test_greedy_short_period_continuity():
