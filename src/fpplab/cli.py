@@ -35,8 +35,7 @@ from .errors import ConfigError, FpplabError
 from .market import TimeGrid, brownian_batch, write_paths_csv
 from .mixture import MixtureFpp, mixture_value
 from .three_power import ThreePowerFpp, concavity_discriminants, three_power_value
-from .verify import (MartingaleReport, VERDICT_MARTINGALE, VERDICT_VIOLATION,
-                     martingale_test, structure_scan)
+from .verify import MartingaleReport, martingale_test, structure_scan
 
 N_SAMPLE_PATHS = 4  # paths dumped to per-path CSVs
 
@@ -75,15 +74,11 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     reports = martingale_test(fpp, [(sp, mode) for _, sp, mode in runs],
                               n_paths=cfg.sim.n_paths, seed=cfg.sim.seed,
                               threads=threads)
-    ok = True
-    for (name, _, mode), report in zip(runs, reports):
+    for (name, _, _), report in zip(runs, reports):
         _write_report_csv(os.path.join(out_dir, f"verify_{name}.csv"), report)
         print(f"{name}:")
         print(report.to_text())
-        if mode == "martingale" and report.verdict != VERDICT_MARTINGALE:
-            ok = False
-        if mode == "supermartingale" and report.verdict == VERDICT_VIOLATION:
-            ok = False
+    ok = all(report.passed for report in reports)
 
     # structural scan over states sampled from a small ensemble
     dw, dwp = brownian_batch(grid, cfg.market.d_w, cfg.market.d_wperp,
@@ -148,22 +143,20 @@ def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag) -> int:
         for z, val in result.local_maxima:
             print(f"  local maximum: z = {z:.6f}, value = {val:.9g}")
         return 0
-    if subaction == "compare":
-        result = pooling.compare_strategies(spec, n_paths=cfg.sim.n_paths,
-                                            seed=cfg.sim.seed)
-        rows = []
-        for name, stats in result.strategies.items():
-            for k, t in enumerate(result.t_grid):
-                alloc = _fmt(stats.mean_allocation[k]) \
-                    if k < stats.mean_allocation.size else ""
-                rows.append([_fmt(t), name, _fmt(stats.mean_utility[k]),
-                             _fmt(stats.se_utility[k]), alloc])
-        path = os.path.join(out_dir, f"pool_comparison_{label}.csv")
-        _write_csv(path, ["t", "strategy", "mean_utility", "se", "mean_allocation"],
-                   rows)
-        print(f"comparison written to {path} (z_star = {result.z_star:.6f})")
-        return 0
-    raise ConfigError(f"unknown pool subaction {subaction!r}")
+    result = pooling.compare_strategies(spec, n_paths=cfg.sim.n_paths,
+                                        seed=cfg.sim.seed)
+    rows = []
+    for name, stats in result.strategies.items():
+        for k, t in enumerate(result.t_grid):
+            alloc = _fmt(stats.mean_allocation[k]) \
+                if k < stats.mean_allocation.size else ""
+            rows.append([_fmt(t), name, _fmt(stats.mean_utility[k]),
+                         _fmt(stats.se_utility[k]), alloc])
+    path = os.path.join(out_dir, f"pool_comparison_{label}.csv")
+    _write_csv(path, ["t", "strategy", "mean_utility", "se", "mean_allocation"],
+               rows)
+    print(f"comparison written to {path} (z_star = {result.z_star:.6f})")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +190,12 @@ def cmd_two_power(cfg: RunConfig, subaction: str, y_flag, gamma_flag,
         print(f"x_star = {x_star:.12g}")
         print(f"dual value = {value:.12g}")
         return 0
-    if subaction == "validate":
-        if file_flag is None:
-            raise ConfigError("two-power validate requires --file")
-        p_path, q_path = _read_power_paths(file_flag)
-        report = two_power.validate_power_paths(p_path, q_path)
-        print(report.to_text())
-        return 0 if report.ok else 1
-    raise ConfigError(f"unknown two-power subaction {subaction!r}")
+    if file_flag is None:
+        raise ConfigError("two-power validate requires --file")
+    p_path, q_path = _read_power_paths(file_flag)
+    report = two_power.validate_power_paths(p_path, q_path)
+    print(report.to_text())
+    return 0 if report.ok else 1
 
 
 def _read_power_paths(path):
@@ -267,7 +258,7 @@ def cmd_three_power(cfg: RunConfig, out_dir: str, threads: int) -> int:
                         + [_fmt(val) for val in u[b, k]])
     header = ["path_id", "t", "Z", "I"] + [f"U_x={x:g}" for x in xs]
     _write_csv(os.path.join(out_dir, "three_power_paths.csv"), header, rows)
-    return 0 if report.verdict == VERDICT_MARTINGALE else 1
+    return 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +304,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (command, flag) -> the one subaction that reads the flag; anywhere else it is an error
+SUBACTION_FLAGS = {("pool", "t"): "optimize", ("two-power", "y"): "dual",
+                   ("two-power", "gamma"): "dual", ("two-power", "file"): "validate"}
+
+
 def _overrides(args) -> dict:
     """The flags that set configuration keys, as a ``load_config`` overrides dict."""
+    for (command, flag), subaction in SUBACTION_FLAGS.items():
+        if (args.command == command and getattr(args, flag) is not None
+                and args.subaction != subaction):
+            raise ConfigError(f"--{flag}: {command} {args.subaction} does not read it "
+                              f"(it applies to {command} {subaction})")
     overrides = {}
     if args.seed is not None:
         overrides.setdefault("simulation", {})["seed"] = args.seed
@@ -346,9 +347,7 @@ def main(argv=None) -> int:
             return cmd_pool(cfg, out_dir, args.subaction, args.t)
         if args.command == "two-power":
             return cmd_two_power(cfg, args.subaction, args.y, args.gamma, args.file)
-        if args.command == "three-power":
-            return cmd_three_power(cfg, out_dir, args.threads)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_three_power(cfg, out_dir, args.threads)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

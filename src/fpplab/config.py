@@ -126,8 +126,16 @@ def _keyed(path: str, build, *args, **kwargs):
         raise ConfigError(f"{path}.{exc}") from exc
 
 
+def _integer(section: str, cfg: dict, key: str) -> int:
+    value = cfg[key]  # an int or an integral float; a bool is neither
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{section}.{key}: must be an integer, got {value!r}")
+
+
 def _market_from(cfg: dict) -> MarketSpec:
-    return MarketSpec(**cfg)
+    dims = {key: _integer("market", cfg, key) for key in ("n_stocks", "d_w", "d_wperp")}
+    return MarketSpec(**{**cfg, **dims})
 
 
 def _volatility_spec(cls, cfg: dict, path: str, *dims):
@@ -178,7 +186,8 @@ def _three_power_from(cfg: dict) -> tuple[ThreePowerSpec, tuple[float, ...]]:
 
 
 def _simulation_from(cfg: dict) -> SimulationConfig:
-    sim = SimulationConfig(n_paths=int(cfg["n_paths"]), seed=int(cfg["seed"]),
+    sim = SimulationConfig(n_paths=_integer("simulation", cfg, "n_paths"),
+                           seed=_integer("simulation", cfg, "seed"),
                            grid_step=float(cfg["grid_step"]),
                            horizon=float(cfg["horizon"]))
     if sim.n_paths < 2:

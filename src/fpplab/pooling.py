@@ -45,6 +45,10 @@ Z_TIE_TOL = 1e-12   # maxima closer than this in value tie-break to smaller z
 # budgets of 8k-1M elements scanned fig3's window within 30% of each other,
 # and all about 6x faster than the unblocked (20k rows x 203) 32 MB matrix.
 SCAN_BLOCK_ELEMS = 1 << 16
+# the z scan grid of both optimisers: (Z_EDGE, 1 - Z_EDGE) in steps of Z_SCAN_STEP
+Z_GRID = np.linspace(Z_EDGE, 1.0 - Z_EDGE,
+                     int(round((1.0 - 2.0 * Z_EDGE) / Z_SCAN_STEP)) + 1)
+Z_GRID.flags.writeable = False
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -97,6 +101,16 @@ class PoolSpec:
         """Time-monotone decay rates (alpha, delta) of the two investors."""
         return two_power.coefficient_drifts(self.p, self.q, [self.lam], [0.0], [0.0])
 
+    def weights(self) -> tuple[float, float]:
+        """The investors' utilities at x0 and time 0: (a0 x0^p, d0 x0^q)."""
+        return self.a0 * self.x0 ** self.p, self.d0 * self.x0 ** self.q
+
+    def utility(self, t: float, log_x: np.ndarray) -> np.ndarray:
+        """Pooled utility U1_t(x) + U2_t(x) = A0 e^{alpha t} x^p + D0 e^{delta t} x^q."""
+        alpha, delta = self.drifts()
+        return (self.a0 * np.exp(alpha * t + self.p * log_x)
+                + self.d0 * np.exp(delta * t + self.q * log_x))
+
 
 # the four bundled parameter sets behind the shipped surfaces/comparisons
 POOL_PRESETS: dict[str, PoolSpec] = {
@@ -144,8 +158,7 @@ def constant_z_expected_utility(z: float, t: float, spec: PoolSpec) -> float:
         raise ValueError(f"z must lie strictly inside (0, 1), got {z}")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    wa = spec.a0 * spec.x0 ** spec.p
-    wd = spec.d0 * spec.x0 ** spec.q
+    wa, wd = spec.weights()
     return float(_weighted_objective(z, wa, wd, spec.p, spec.q, spec.lam ** 2 * t))
 
 
@@ -166,30 +179,22 @@ def _golden_max(f: Callable, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_local_maxima(f: Callable, eps: float = Z_EDGE, step: float = Z_SCAN_STEP,
-                       tol: float = Z_REFINE_TOL) -> list[tuple[float, float]]:
-    """All interior local maxima of f on (eps, 1-eps), each golden-refined.
+def _scan_local_maxima(f: Callable) -> list[tuple[float, float]]:
+    """All interior local maxima of f on ``Z_GRID``, each golden-refined.
 
     Detection is by sign change of the discrete first difference on the scan
-    grid; each bracket is then refined to width ``tol``.  Degenerate
+    grid; each bracket is then refined to width ``Z_REFINE_TOL``.  Degenerate
     objectives without an interior sign change (flat or monotone) fall back
     to the grid argmax so a deterministic maximiser always exists.
     """
-    n = int(round((1.0 - 2.0 * eps) / step)) + 1
-    zs = np.linspace(eps, 1.0 - eps, n)
-    vals = f(zs)
-    d = np.diff(vals)
-    s = np.sign(d)
+    zs, vals = Z_GRID, f(Z_GRID)
+    s = np.sign(np.diff(vals))
+    peaks = [i for i in range(1, len(s)) if s[i - 1] > 0 and s[i] <= 0]
     maxima = []
-    for i in range(1, len(s)):
-        if s[i - 1] > 0 and s[i] <= 0:
-            z = _golden_max(f, zs[i - 1], zs[i + 1], tol)
-            maxima.append((float(z), float(f(z))))
-    if not maxima:
-        i = int(np.argmax(vals))
-        if 0 < i < n - 1:
-            z = _golden_max(f, zs[i - 1], zs[i + 1], tol)
-        else:
+    for i in peaks or [int(np.argmax(vals))]:
+        if 0 < i < zs.size - 1:
+            z = _golden_max(f, zs[i - 1], zs[i + 1], Z_REFINE_TOL)
+        else:  # a grid-edge argmax has no bracket to refine
             z = float(zs[i])
         maxima.append((float(z), float(f(z))))
     return maxima
@@ -223,8 +228,7 @@ def optimize_constant_z(spec: PoolSpec, t: float) -> OptimizeResult:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    wa = spec.a0 * spec.x0 ** spec.p
-    wd = spec.d0 * spec.x0 ** spec.q
+    wa, wd = spec.weights()
     lam2t = spec.lam ** 2 * t
 
     def f(z):
@@ -300,8 +304,7 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     and ``np.argmax`` still takes the first maximum.
     """
     r = np.exp(log_ratio)
-    n = int(round((1.0 - 2.0 * Z_EDGE) / Z_SCAN_STEP)) + 1
-    zs = np.linspace(Z_EDGE, 1.0 - Z_EDGE, n)
+    zs, n = Z_GRID, Z_GRID.size
     ea, ed = _objective_terms(zs, p, q, lam2dt)
     dea, ded = np.diff(ea), np.diff(ed)
     w0 = max(int(np.searchsorted(zs, p)) - 1, 0)
@@ -359,8 +362,7 @@ def utility_surface(spec: PoolSpec, z_grid, t_grid) -> UtilitySurface:
         raise ValueError("z grid must lie strictly inside (0, 1)")
     if np.any(t < 0.0):
         raise ValueError("t grid must be nonnegative")
-    wa = spec.a0 * spec.x0 ** spec.p
-    wd = spec.d0 * spec.x0 ** spec.q
+    wa, wd = spec.weights()
     lam2t = (spec.lam ** 2 * t)[:, None]
     vals = _weighted_objective(z[None, :], wa, wd, spec.p, spec.q, lam2t)
     return UtilitySurface(z_grid=z, t_grid=t, values=vals)
@@ -390,9 +392,7 @@ def simulated_expected_utility(spec: PoolSpec, z: float, t: float, n_paths: int,
     sp = np.full((grid.n_steps, 1), spec.lam / (1.0 - z))
     lam_path = np.full((grid.n_steps, 1), spec.lam)
     log_x = evolve_log_wealth_batch(spec.x0, sp, lam_path, grid, dw)[:, -1]
-    alpha, delta = spec.drifts()
-    u = (spec.a0 * np.exp(alpha * t + spec.p * log_x)
-         + spec.d0 * np.exp(delta * t + spec.q * log_x))
+    u = spec.utility(t, log_x)
     return float(np.mean(u)), float(np.std(u, ddof=1) / np.sqrt(n_paths))
 
 
@@ -448,8 +448,7 @@ def compare_strategies(spec: PoolSpec, n_paths: int, seed: int) -> ComparisonRes
         allocations = np.empty((n_paths, n_per))
         for k in range(n_per + 1):
             t = k * dt
-            utilities[:, k] = (spec.a0 * np.exp(alpha * t + p * log_x)
-                               + spec.d0 * np.exp(delta * t + q * log_x))
+            utilities[:, k] = spec.utility(t, log_x)
             if k == n_per:
                 break
             z = z_rule(k, t, log_x)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import TimeGrid, solve_allocation
+from .market import solve_allocation
 
 POWER_PATH_TOL = 1e-12  # monotonicity slack for sampled power paths
 
@@ -60,12 +60,6 @@ class TwoPowerSpec:
             n = getattr(self, name).size
             if n not in (1, d_w):
                 raise ValueError(f"{name}: must have 1 or d_w = {d_w} entries, got {n}")
-
-    @classmethod
-    def basic(cls, p, q, a0=1.0, d0=1.0, d_w=1, d_wperp=0) -> "TwoPowerSpec":
-        z = np.zeros(d_w)
-        zp = np.zeros(d_wperp)
-        return cls(p=p, q=q, a0=a0, d0=d0, a_vol=z, d_vol=z, a_perp=zp, d_perp=zp)
 
 
 def coefficient_drifts(p: float, q: float, lam, a_vol, d_vol) -> tuple[float, float]:
@@ -173,44 +167,6 @@ def legendre_dual(y: float, a_coeff: float, d_coeff: float,
 def dual_marginal(x: float, a_coeff: float, d_coeff: float, gamma: float) -> float:
     """U'(x) = A x^(-2g) + D x^(-g) for the double-aversion family."""
     return float(a_coeff * x ** (-2.0 * gamma) + d_coeff * x ** (-gamma))
-
-
-# ---------------------------------------------------------------------------
-# Coefficient path simulation
-# ---------------------------------------------------------------------------
-
-def evolve_coefficients(spec: TwoPowerSpec, grid: TimeGrid, lam_path: np.ndarray,
-                        dw: np.ndarray, dwperp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate (A_t, D_t) with the consistency drifts and the spec's loadings.
-
-    ``dw`` is (B, N, d_w), ``dwperp`` (B, N, d_wperp); returns two (B, N+1)
-    arrays.  Loadings are constant; drifts follow the Sharpe path.
-    """
-    n_paths, n_steps, _ = dw.shape
-    dt = grid.dt
-    qa = float(spec.a_vol @ spec.a_vol + spec.a_perp @ spec.a_perp)
-    qd = float(spec.d_vol @ spec.d_vol + spec.d_perp @ spec.d_perp)
-    log_a = np.empty((n_paths, n_steps + 1))
-    log_d = np.empty((n_paths, n_steps + 1))
-    log_a[:, 0] = np.log(spec.a0)
-    log_d[:, 0] = np.log(spec.d0)
-    for k in range(n_steps):
-        alpha, delta = coefficient_drifts(spec.p, spec.q, lam_path[k],
-                                          spec.a_vol, spec.d_vol)
-        noise_a = dw[:, k] @ spec.a_vol
-        noise_d = dw[:, k] @ spec.d_vol
-        if dwperp.shape[2]:
-            noise_a = noise_a + dwperp[:, k] @ spec.a_perp
-            noise_d = noise_d + dwperp[:, k] @ spec.d_perp
-        log_a[:, k + 1] = log_a[:, k] + (alpha - 0.5 * qa) * dt[k] + noise_a
-        log_d[:, k + 1] = log_d[:, k] + (delta - 0.5 * qd) * dt[k] + noise_d
-    return np.exp(log_a), np.exp(log_d)
-
-
-def joint_utility(spec: TwoPowerSpec, a_path: np.ndarray, d_path: np.ndarray,
-                  x_path: np.ndarray) -> np.ndarray:
-    """A_t x^p + D_t x^q elementwise along paths."""
-    return a_path * x_path ** spec.p + d_path * x_path ** spec.q
 
 
 # ---------------------------------------------------------------------------

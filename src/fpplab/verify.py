@@ -45,6 +45,11 @@ class MartingaleReport:
     kurtosis_terminal: float
     warnings: tuple[str, ...] = ()
 
+    @property
+    def passed(self) -> bool:
+        """Whether the run's check holds: every verdict but a violation passes."""
+        return self.verdict != VERDICT_VIOLATION
+
     def margins(self) -> np.ndarray:
         """Slack of each grid time against its acceptance band (>= 0 passes)."""
         band = SE_MULTIPLE * self.se

@@ -20,9 +20,8 @@ from fpplab.pooling import (compare_strategies, constant_z_expected_utility,
                             simulated_expected_utility, utility_surface)
 from fpplab.three_power import (ThreePowerFpp, ThreePowerSpec,
                                 concavity_discriminants, three_power_value)
-from fpplab.two_power import (TwoPowerSpec, consistency_gap, dual_marginal,
-                              evolve_coefficients, joint_drift, joint_utility,
-                              legendre_dual, zero_gap_d_vol)
+from fpplab.two_power import (coefficient_drifts, consistency_gap, dual_marginal,
+                              joint_drift, legendre_dual, zero_gap_d_vol)
 from fpplab.verify import (VERDICT_MARTINGALE, VERDICT_SUPER_STRICT,
                            martingale_test, structure_scan)
 
@@ -118,21 +117,25 @@ def test_criterion_03_two_power_characterisation():
             q = min(0.85, p + 0.05)
         a = rng.normal(size=1, scale=0.3)
         d = zero_gap_d_vol(p, q, lam, a)
-        spec = TwoPowerSpec(p=p, q=q, a0=1.1, d0=0.8, a_vol=a, d_vol=d,
-                            a_perp=rng.normal(size=1, scale=0.2),
-                            d_perp=rng.normal(size=1, scale=0.2))
+        a_perp = rng.normal(size=1, scale=0.2)
+        d_perp = rng.normal(size=1, scale=0.2)
         dw, dwp = brownian_batch(grid, 1, 1, seed=300 + trial, path_ids=range(2))
-        a_path, d_path = evolve_coefficients(spec, grid, market.sharpe_path(grid),
-                                             dw, dwp)
+        # constant loadings: A and D are exact lognormals in the running W, W_perp
+        alpha, delta = coefficient_drifts(p, q, lam, a, d)
+        t = grid.times
+        w_t = np.concatenate([np.zeros((2, 1, 1)), np.cumsum(dw, axis=1)], axis=1)
+        wp_t = np.concatenate([np.zeros((2, 1, 1)), np.cumsum(dwp, axis=1)], axis=1)
+        log_a = (np.log(1.1) + (alpha - 0.5 * (a @ a + a_perp @ a_perp)) * t
+                 + w_t @ a + wp_t @ a_perp)
+        log_d = (np.log(0.8) + (delta - 0.5 * (d @ d + d_perp @ d_perp)) * t
+                 + w_t @ d + wp_t @ d_perp)
         c = float((lam + a)[0] / (1 - p))
-        log_x = ((c * lam[0] - 0.5 * c * c) * grid.times[None, :]
-                 + c * np.concatenate([np.zeros((2, 1)),
-                                       np.cumsum(dw[:, :, 0], axis=1)], axis=1))
-        joint = joint_utility(spec, a_path, d_path, np.exp(log_x))
+        log_x = (c * lam[0] - 0.5 * c * c) * t + c * w_t[:, :, 0]
+        joint = np.exp(log_a + p * log_x) + np.exp(log_d + q * log_x)
         mix = RiskMixture(atoms=((1 - p, p * 1.1), (1 - q, q * 0.8)),
                           gamma0=1 - p)
         vol = VolatilityChoice(h0=H0Spec.constant(a),
-                               j=JSpec.constant([spec.a_perp, spec.d_perp]))
+                               j=JSpec.constant([a_perp, d_perp]))
         generic_fpp = MixtureFpp(mix, vol, market, grid)
         generic = generic_fpp.utility_paths(generic_fpp.state_paths(dw, dwp), log_x)
         np.testing.assert_allclose(joint, generic, rtol=1e-10)

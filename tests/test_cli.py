@@ -350,6 +350,20 @@ CONFIG_ERRORS = {
                            None),
     "two-power-preset": ("--preset: two-power", ["two-power", "gap", "--preset",
                                                  "power_base"], None),
+    "n-paths-inf": ("simulation.n_paths", ["three-power"],
+                    "simulation:\n  n_paths: .inf\n"),
+    "n-paths-nan": ("simulation.n_paths", ["three-power"],
+                    "simulation:\n  n_paths: .nan\n"),
+    "n-paths-fraction": ("simulation.n_paths", ["three-power"],
+                         "simulation:\n  n_paths: 2.7\n"),
+    "n-paths-bool": ("simulation.n_paths", ["three-power"],
+                     "simulation:\n  n_paths: true\n"),
+    "seed-inf": ("simulation.seed", ["three-power"], "simulation:\n  seed: .inf\n"),
+    "seed-fraction": ("simulation.seed", ["three-power"], "simulation:\n  seed: 7.5\n"),
+    "n-stocks-inf": ("market.n_stocks", ["three-power"], "market:\n  n_stocks: .inf\n"),
+    "d-w-fraction": ("market.d_w", ["three-power"], "market:\n  d_w: 1.5\n"),
+    "d-w-bool": ("market.d_w", ["three-power"], "market:\n  d_w: true\n"),
+    "d-wperp-inf": ("market.d_wperp", ["three-power"], "market:\n  d_wperp: .inf\n"),
 }
 
 
@@ -364,6 +378,23 @@ def test_config_error_contract(tmp_path, capsys, key, args, config):
     assert code == 2
     assert err.startswith(f"configuration error: {key}")
     assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["pool", "surface", "--t", "5"], "--t"),
+    (["pool", "compare", "--t", "5"], "--t"),
+    (["two-power", "gap", "--gamma", "0.3", "--y", "2", "--file", "nothere.csv"], "--y"),
+    (["two-power", "drifts", "--gamma", "0.3"], "--gamma"),
+    (["two-power", "validate", "--file", "nothere.csv", "--y", "2"], "--y"),
+    (["two-power", "dual", "--y", "2", "--file", "nothere.csv"], "--file"),
+])
+def test_flag_outside_its_subaction_is_a_config_error(tmp_path, capsys, args, flag):
+    code = run(tmp_path, *args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"configuration error: {flag}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()  # rejected before anything runs
 
 
 def test_two_power_validate_rejects_nan_row(tmp_path, capsys):

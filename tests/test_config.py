@@ -28,6 +28,15 @@ def test_partial_override_merges(tmp_path):
     assert cfg.sim.seed == DEFAULT_CONFIG["simulation"]["seed"]
 
 
+def test_integral_float_counts_are_accepted(tmp_path):
+    path = write(tmp_path, "simulation:\n  n_paths: 300.0\n  seed: 7.0\n"
+                           "market:\n  d_w: 1.0\n  d_wperp: 0.0\n")
+    cfg = load_config(path)
+    assert (cfg.sim.n_paths, cfg.sim.seed, cfg.market.d_w, cfg.market.d_wperp) \
+        == (300, 7, 1, 0)
+    assert type(cfg.sim.n_paths) is int and type(cfg.sim.seed) is int
+
+
 def test_unknown_section_rejected(tmp_path):
     path = write(tmp_path, "marketx:\n  d_w: 1\n")
     with pytest.raises(ConfigError, match="marketx"):

@@ -1,4 +1,4 @@
-"""The benchmark's byte gate at the default seed, run as a test.
+"""The benchmark's byte gate at the default seed, run as a test at 1 and 2 threads.
 
 The workloads and the recorded exit codes, verdicts and CSV SHA-256 come
 from ``perfbench/`` as they are, so a change to any seeded output byte fails
@@ -30,17 +30,21 @@ def bench():
     return module
 
 
-@pytest.mark.parametrize("workload", ["mix3-verify", "three-power-signed",
-                                      "pool-greedy"])
-def test_outputs_match_recorded_digests(tmp_path, capsys, bench, workload):
+# one worker thread keeps the plain workload id; the bytes must not depend on it
+@pytest.mark.parametrize("workload, threads", [
+    pytest.param(workload, threads, id=workload if threads == 1
+                 else f"{workload}-threads{threads}")
+    for threads in (1, 2) for workload in ("mix3-verify", "three-power-signed",
+                                           "pool-greedy")])
+def test_outputs_match_recorded_digests(tmp_path, capsys, bench, workload, threads):
     wl = bench.WORKLOADS[workload]
     config = dict(wl["config"])
     config["simulation"] = dict(config.get("simulation", {}), seed=SEED)
     config_path = tmp_path / "config.yaml"
     config_path.write_text(json.dumps(config))  # JSON is valid YAML
     out_dir = tmp_path / "out"
-    code = main(["--config", str(config_path), "--out", str(out_dir), "--threads", "1"]
-                + wl["argv"])
+    code = main(["--config", str(config_path), "--out", str(out_dir),
+                 "--threads", str(threads)] + wl["argv"])
     recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload][str(SEED)]
     assert code == recorded["rc"]
     assert bench.parse_verdicts(workload, capsys.readouterr().out) == recorded["verdicts"]

@@ -8,10 +8,9 @@ from fpplab.market import MarketSpec, TimeGrid, brownian_batch
 from fpplab.mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture,
                             VolatilityChoice)
 from fpplab.two_power import (TwoPowerSpec, coefficient_drifts, consistency_gap,
-                              dual_marginal, evolve_coefficients, joint_drift,
-                              joint_utility, legendre_dual, mixture_portfolio,
-                              mixture_sp_target, validate_power_paths,
-                              zero_gap_d_vol)
+                              dual_marginal, joint_drift, legendre_dual,
+                              mixture_portfolio, mixture_sp_target,
+                              validate_power_paths, zero_gap_d_vol)
 
 # frozen by hand: gap = |1/0.9 - 1/0.7| = 20/63, prefactor 0.0189/0.3, so the
 # drift at p=0.1, q=0.3, a=d=0, lam=1, A=D=x=1 is -(0.063)(400/3969) = -25.2/3969
@@ -20,9 +19,11 @@ JOINT_DRIFT_REFERENCE = -25.2 / 3969.0
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        TwoPowerSpec.basic(p=0.3, q=0.1)
+        TwoPowerSpec(p=0.3, q=0.1, a0=1.0, d0=1.0, a_vol=[0.0], d_vol=[0.0],
+                     a_perp=[], d_perp=[])
     with pytest.raises(ValueError):
-        TwoPowerSpec.basic(p=0.1, q=1.2)
+        TwoPowerSpec(p=0.1, q=1.2, a0=1.0, d0=1.0, a_vol=[0.0], d_vol=[0.0],
+                     a_perp=[], d_perp=[])
     with pytest.raises(ValueError):
         TwoPowerSpec(p=0.1, q=0.3, a0=0.0, d0=1.0, a_vol=[0.0], d_vol=[0.0],
                      a_perp=[], d_perp=[])
@@ -183,17 +184,20 @@ def test_zero_gap_joint_process_matches_atom_sum():
         d = zero_gap_d_vol(p, q, lam, a)
         a_perp = rng.normal(size=1, scale=0.2)
         d_perp = rng.normal(size=1, scale=0.2)
-        spec = TwoPowerSpec(p=p, q=q, a0=1.3, d0=0.6, a_vol=a, d_vol=d,
-                            a_perp=a_perp, d_perp=d_perp)
         dw, dwp = brownian_batch(grid, 1, 1, seed=100 + trial, path_ids=range(3))
-        a_path, d_path = evolve_coefficients(spec, grid, market.sharpe_path(grid),
-                                             dw, dwp)
+        # constant loadings: A and D are exact lognormals in the running W, W_perp
+        alpha, delta = coefficient_drifts(p, q, lam, a, d)
+        t = grid.times
+        w_t = np.concatenate([np.zeros((3, 1, 1)), np.cumsum(dw, axis=1)], axis=1)
+        wp_t = np.concatenate([np.zeros((3, 1, 1)), np.cumsum(dwp, axis=1)], axis=1)
+        a_path = np.exp(np.log(1.3) + (alpha - 0.5 * (a @ a + a_perp @ a_perp)) * t
+                        + w_t @ a + wp_t @ a_perp)
+        d_path = np.exp(np.log(0.6) + (delta - 0.5 * (d @ d + d_perp @ d_perp)) * t
+                        + w_t @ d + wp_t @ d_perp)
         c = float((lam + a)[0] / (1 - p))
-        log_x = (np.log(2.0) + (c * lam[0] - 0.5 * c * c) * grid.times[None, :]
-                 + c * np.concatenate([np.zeros((3, 1)),
-                                       np.cumsum(dw[:, :, 0], axis=1)], axis=1))
+        log_x = np.log(2.0) + (c * lam[0] - 0.5 * c * c) * t + c * w_t[:, :, 0]
         x_path = np.exp(log_x)
-        joint = joint_utility(spec, a_path, d_path, x_path)
+        joint = a_path * x_path ** p + d_path * x_path ** q
         # the same object through the generic mixture machinery: atoms at
         # aversions (1-p, 1-q) weighted so w x^p / p = a0 x^p, h0 = a
         mix = RiskMixture(atoms=(((1 - p), p * 1.3), ((1 - q), q * 0.6)),

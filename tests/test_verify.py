@@ -341,6 +341,17 @@ def test_report_text_names_time_of_worst_margin():
     assert "  worst margin = 0.1 at t = 0.5" in lines
 
 
+@pytest.mark.parametrize("mode", ["martingale", "supermartingale"])
+@pytest.mark.parametrize("verdict, passed", [(VERDICT_MARTINGALE, True),
+                                             (VERDICT_SUPER_STRICT, True),
+                                             (VERDICT_VIOLATION, False)])
+def test_report_passes_unless_violation(mode, verdict, passed):
+    report = MartingaleReport(t_grid=np.array([0.0, 1.0]), mean=np.ones(2),
+                              se=np.full(2, 0.1), reference=1.0, verdict=verdict,
+                              mode=mode, n_paths=100, seed=3, kurtosis_terminal=3.0)
+    assert report.passed is passed
+
+
 # ---------------------------------------------------------------------------
 # structure scan
 # ---------------------------------------------------------------------------
