@@ -3,9 +3,9 @@
 from .market import (MarketSpec, Schedule, TimeGrid, brownian_batch,
                      evolve_log_wealth_batch, sharpe_ratio)
 from .mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture, TrueFppConstants,
-                      VolatilityChoice, check_admissibility_moments, drift_term,
-                      factor_j, hgamma, market_view_density, monotone_power_value,
-                      optimal_portfolio, true_fpp_constants, vgamma_rate)
+                      check_admissibility_moments, drift_term, factor_j, hgamma,
+                      market_view_density, monotone_power_value, optimal_portfolio,
+                      true_fpp_constants, vgamma_rate)
 from .pooling import (ComparisonResult, PoolSpec, UtilitySurface,
                       compare_strategies, constant_z_expected_utility,
                       one_period_greedy, optimize_constant_z, utility_surface)

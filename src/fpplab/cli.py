@@ -66,7 +66,7 @@ def _write_report_csv(path, report: MartingaleReport):
 
 def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     grid = TimeGrid.regular(cfg.sim.horizon, cfg.sim.grid_step)
-    fpp = MixtureFpp(cfg.mixture, cfg.vol, cfg.market, grid)
+    fpp = MixtureFpp(cfg.mixture, cfg.market, grid)
 
     runs = [("pi_star", fpp.sp_star, "martingale"),
             ("null", np.zeros_like(fpp.sp_star), "supermartingale"),
@@ -83,7 +83,7 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     # structural scan over states sampled from a small ensemble
     dw, dwp = brownian_batch(grid, cfg.market.d_w, cfg.market.d_wperp,
                              cfg.sim.seed, range(8))
-    m, qv, v = fpp.state_paths(dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
     picks = [(b, k) for b in range(m.shape[0])
              for k in (grid.n_steps // 2, grid.n_steps)]
     states = [(m[b, k], qv[k], v[k]) for b, k in picks]
@@ -100,7 +100,7 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
     # per-path criterion states, and U at wealth 1, for a handful of paths
     sample_ids = range(min(N_SAMPLE_PATHS, m.shape[0]))
-    u = fpp.utility_paths((m, qv, v), np.zeros(m.shape[:2]))
+    u = fpp.utility_paths(m, np.zeros(m.shape[:2]))
     rows = []
     for b, pid in enumerate(sample_ids):
         for k, t in enumerate(grid.times):
@@ -247,14 +247,13 @@ def cmd_three_power(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
     dw, _ = brownian_batch(grid, cfg.market.d_w, cfg.market.d_wperp,
                            cfg.sim.seed, range(N_SAMPLE_PATHS))
-    log_z, i_path = fpp.accumulators(dw)
-    z = np.exp(log_z)
+    z = np.exp(fpp.accumulators(dw))
     xs = cfg.three_power_x
-    u = three_power_value(np.array(xs), z[:, :, None], i_path[None, :, None], spec)
+    u = three_power_value(np.array(xs), z[:, :, None], fpp.i_path[None, :, None], spec)
     rows = []
     for b in range(dw.shape[0]):
         for k, t in enumerate(grid.times):
-            rows.append([b, _fmt(t), _fmt(z[b, k]), _fmt(i_path[k])]
+            rows.append([b, _fmt(t), _fmt(z[b, k]), _fmt(fpp.i_path[k])]
                         + [_fmt(val) for val in u[b, k]])
     header = ["path_id", "t", "Z", "I"] + [f"U_x={x:g}" for x in xs]
     _write_csv(os.path.join(out_dir, "three_power_paths.csv"), header, rows)
@@ -316,6 +315,8 @@ def _overrides(args) -> dict:
                 and args.subaction != subaction):
             raise ConfigError(f"--{flag}: {command} {args.subaction} does not read it "
                               f"(it applies to {command} {subaction})")
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
     overrides = {}
     if args.seed is not None:
         overrides.setdefault("simulation", {})["seed"] = args.seed

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import yaml
 
 from .errors import ConfigError
 from .market import MAX_STEPS, MarketSpec
-from .mixture import H0Spec, JSpec, RiskMixture, VolatilityChoice
+from .mixture import H0Spec, JSpec, RiskMixture
 from .pooling import POOL_PRESETS, PoolSpec, preset as pool_preset
 from .three_power import ThreePowerSpec
 from .two_power import TwoPowerSpec
@@ -63,7 +63,6 @@ class SimulationConfig:
 class RunConfig:
     market: MarketSpec
     mixture: RiskMixture
-    vol: VolatilityChoice
     two_power: TwoPowerSpec
     pool: PoolSpec
     pool_preset: str | None  # the named bundle behind ``pool``, if any
@@ -126,15 +125,22 @@ def _keyed(path: str, build, *args, **kwargs):
         raise ConfigError(f"{path}.{exc}") from exc
 
 
-def _integer(section: str, cfg: dict, key: str) -> int:
-    value = cfg[key]  # an int or an integral float; a bool is neither
-    if type(value) is int or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{section}.{key}: must be an integer, got {value!r}")
+def _number(path: str, value):
+    """``value`` if it is an int or a float, not a bool; the spec checks its range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path}: must be a number, got {value!r}")
+
+
+def _integer(path: str, value) -> int:
+    number = _number(path, value)  # an int or an integral float
+    if isinstance(number, int) or number.is_integer():
+        return int(number)
+    raise ConfigError(f"{path}: must be an integer, got {value!r}")
 
 
 def _market_from(cfg: dict) -> MarketSpec:
-    dims = {key: _integer("market", cfg, key) for key in ("n_stocks", "d_w", "d_wperp")}
+    dims = {k: _integer(f"market.{k}", cfg[k]) for k in ("n_stocks", "d_w", "d_wperp")}
     return MarketSpec(**{**cfg, **dims})
 
 
@@ -145,18 +151,23 @@ def _volatility_spec(cls, cfg: dict, path: str, *dims):
     return spec
 
 
-def _mixture_from(cfg: dict, market: MarketSpec) -> tuple[RiskMixture, VolatilityChoice]:
+def _mixture_from(cfg: dict, market: MarketSpec) -> RiskMixture:
     atoms = []
     for i, atom in enumerate(cfg["atoms"]):
-        _reject_unknown(atom, _ALLOWED_ATOM, f"mixture.atoms[{i}]")
-        atoms.append((atom["gamma"], atom.get("weight", 1.0)))
-    mixture = RiskMixture(atoms=tuple(atoms), gamma0=cfg["gamma0"])
+        path = f"mixture.atoms[{i}]"
+        _reject_unknown(atom, _ALLOWED_ATOM, path)
+        atoms.append((_number(f"{path}.gamma", atom["gamma"]),
+                      _number(f"{path}.weight", atom.get("weight", 1.0))))
+    mixture = RiskMixture(atoms=tuple(atoms),
+                          gamma0=_number("mixture.gamma0", cfg["gamma0"]))
     h0 = _volatility_spec(H0Spec, cfg["h0"], "mixture.h0", market)
     j = _volatility_spec(JSpec, cfg["j"], "mixture.j", market, mixture.n_atoms)
-    return mixture, VolatilityChoice(h0=h0, j=j)
+    return replace(mixture, h0=h0, j=j)
 
 
 def _two_power_from(cfg: dict, market: MarketSpec) -> TwoPowerSpec:
+    for key in ("p", "q", "a0", "d0"):
+        _number(f"two_power.{key}", cfg[key])
     spec = TwoPowerSpec(**cfg)
     _keyed("two_power", spec.check, market.d_w)
     return spec
@@ -165,6 +176,8 @@ def _two_power_from(cfg: dict, market: MarketSpec) -> TwoPowerSpec:
 def _pool_from(cfg: dict) -> PoolSpec:
     cfg = dict(cfg)
     name = cfg.pop("preset", None)
+    for key, value in cfg.items():
+        _number(f"pool.{key}", value)
     if name is not None and name not in POOL_PRESETS:
         raise ConfigError(f"pool.preset: unknown preset {name!r}, "
                           f"choose from {sorted(POOL_PRESETS)}")
@@ -174,11 +187,13 @@ def _pool_from(cfg: dict) -> PoolSpec:
 
 
 def _three_power_from(cfg: dict) -> tuple[ThreePowerSpec, tuple[float, ...]]:
+    gamma = _number("three_power.gamma", cfg["gamma"])
     try:
-        spec = ThreePowerSpec(gamma=cfg["gamma"])
+        spec = ThreePowerSpec(gamma=gamma)
     except ValueError as exc:
         raise ConfigError(f"three_power.gamma: {exc}") from exc
-    xs = tuple(float(v) for v in cfg["x_values"])
+    xs = tuple(float(_number(f"three_power.x_values[{i}]", v))
+               for i, v in enumerate(cfg["x_values"]))
     if not all(0 < v < math.inf for v in xs):
         raise ConfigError("three_power.x_values: wealth values must be positive "
                           "and finite")
@@ -186,10 +201,11 @@ def _three_power_from(cfg: dict) -> tuple[ThreePowerSpec, tuple[float, ...]]:
 
 
 def _simulation_from(cfg: dict) -> SimulationConfig:
-    sim = SimulationConfig(n_paths=_integer("simulation", cfg, "n_paths"),
-                           seed=_integer("simulation", cfg, "seed"),
-                           grid_step=float(cfg["grid_step"]),
-                           horizon=float(cfg["horizon"]))
+    sim = SimulationConfig(
+        n_paths=_integer("simulation.n_paths", cfg["n_paths"]),
+        seed=_integer("simulation.seed", cfg["seed"]),
+        grid_step=float(_number("simulation.grid_step", cfg["grid_step"])),
+        horizon=float(_number("simulation.horizon", cfg["horizon"])))
     if sim.n_paths < 2:
         raise ConfigError("simulation.n_paths: must be at least 2")
     if not 0 <= sim.seed < 2 ** 64:
@@ -204,7 +220,7 @@ def _simulation_from(cfg: dict) -> SimulationConfig:
 
 
 def _perturbed_scale_from(cfg: dict) -> float:
-    scale = float(cfg["perturbed_scale"])
+    scale = float(_number("verify.perturbed_scale", cfg["perturbed_scale"]))
     if not 0 <= scale < math.inf:
         raise ConfigError("verify.perturbed_scale: must be nonnegative and finite")
     return scale
@@ -230,13 +246,13 @@ def load_config(path: str = None, overrides: dict = None) -> RunConfig:
     raw = _deep_merge(raw, overrides)
 
     market = _build("market", raw, _market_from)
-    mixture, vol = _build("mixture", raw, _mixture_from, market)
+    mixture = _build("mixture", raw, _mixture_from, market)
     two_power_spec = _build("two_power", raw, _two_power_from, market)
     pool_spec = _build("pool", raw, _pool_from)
     three_spec, three_x = _build("three_power", raw, _three_power_from)
     sim = _build("simulation", raw, _simulation_from)
     scale = _build("verify", raw, _perturbed_scale_from)
-    return RunConfig(market=market, mixture=mixture, vol=vol,
+    return RunConfig(market=market, mixture=mixture,
                      two_power=two_power_spec, pool=pool_spec,
                      pool_preset=raw["pool"].get("preset"),
                      three_power=three_spec, three_power_x=three_x, sim=sim,

@@ -94,46 +94,33 @@ def _finite_value(value, shape: tuple[int, ...], where: str) -> np.ndarray:
 
 
 class Schedule:
-    """Deterministic map t -> array, either constant or piecewise constant.
+    """Deterministic map t -> array, piecewise constant and left-continuous.
 
-    Piecewise schedules are built from ``(t_i, value_i)`` breakpoints (see
-    ``Schedule.piecewise``; in configuration files they appear as a list of
-    ``{t: ..., value: ...}`` entries) and are left-continuous: the value at
-    ``t`` is the one attached to the largest ``t_i <= t``.
+    Built from ``(t_i, value_i)`` breakpoints (see ``Schedule.piecewise``; in
+    configuration files they appear as a list of ``{t: ..., value: ...}``
+    entries): the value at ``t`` is the one attached to the largest
+    ``t_i <= t``.  A constant is the one breakpoint ``(0, value)``.
     """
 
     def __init__(self, value, shape: tuple[int, ...]):
-        self.shape = shape
         if isinstance(value, (list, tuple)) and value and isinstance(value[0], dict):
-            value = [(entry["t"], entry["value"]) for entry in value]
-            self._init_piecewise(value)
+            knots = sorted((float(entry["t"]), _finite_value(
+                entry["value"], shape, f" at knot t={entry['t']}")) for entry in value)
         else:
-            self._const = _finite_value(value, shape, "")
-            self._knot_times = None
-            self._knot_values = None
-
-    def _init_piecewise(self, knots):
-        knots = sorted((float(t), _finite_value(v, self.shape, f" at knot t={t}"))
-                       for t, v in knots)
+            knots = [(0.0, _finite_value(value, shape, ""))]
         if not all(np.isfinite(t) for t, _ in knots):
             raise ValueError("non-finite knot time")
         if knots[0][0] > 0.0:
             raise ValueError("piecewise schedule must define a value at t = 0")
         self._knot_times = np.array([t for t, _ in knots])
         self._knot_values = [v for _, v in knots]
-        self._const = None
 
     @classmethod
     def piecewise(cls, knots, shape: tuple[int, ...]) -> "Schedule":
         """Build from an iterable of (t, value) breakpoints."""
-        sched = cls.__new__(cls)
-        sched.shape = shape
-        sched._init_piecewise(knots)
-        return sched
+        return cls([{"t": t, "value": v} for t, v in knots], shape)
 
     def at(self, t: float) -> np.ndarray:
-        if self._const is not None:
-            return self._const
         i = int(np.searchsorted(self._knot_times, t, side="right")) - 1
         return self._knot_values[max(i, 0)]
 
@@ -385,7 +372,7 @@ def accumulate_columns(acc: np.ndarray, lo: int, carry=None) -> np.ndarray:
 
 def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
                             grid: TimeGrid, dw: np.ndarray, cols: slice = None,
-                            start: np.ndarray = None) -> np.ndarray:
+                            carry: np.ndarray = None) -> np.ndarray:
     """Vectorised log-wealth paths (B, len(cols)) for an ensemble.
 
     ``sp`` is the (N, d_w) sigma*pi schedule shared by every path: row ``k``
@@ -393,7 +380,7 @@ def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
     the same grid, and ``dw`` holds the (B, N, d_w) increments of the whole
     grid, as ``brownian_batch`` returns them.  ``cols`` is a slice of grid
     columns; ``None``, the whole horizon (B, N+1), is the one-chunk case.  A
-    chunk past column 0 continues from ``start``, the (B,) log wealth at the
+    chunk past column 0 continues from ``carry``, the (B,) log wealth at the
     column before it, so evolving chunk by chunk from each chunk's last
     column gives the whole-horizon paths bit for bit.  A zero allocation
     keeps log wealth exactly at ``log(x0)``.  The result is the transposed
@@ -412,7 +399,7 @@ def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
     # one row per grid column, so each step adds contiguous rows; row 0 is the
     # column before the chunk, or log(x0) in the first chunk
     out = np.empty((cells.stop - cells.start + 1, n_paths))
-    out[0] = np.log(x0) if lo == 0 else start
+    out[0] = np.log(x0) if lo == 0 else carry
     if not sp.any():
         out[1:] = out[0]
     else:

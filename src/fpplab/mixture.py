@@ -22,7 +22,7 @@ Evaluation is done in log space; values live in R union {-inf}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,56 +70,6 @@ def signed_exp_sum(logs: np.ndarray, signs: np.ndarray) -> np.ndarray:
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RiskMixture:
-    """Finite positive measure on risk aversions plus the base aversion.
-
-    Atoms are ``(gamma_i, w_i)`` with ``gamma_i > 0``, ``gamma_i != 1`` and
-    ``w_i > 0``; ``gamma0`` must lie in ``[min gamma_i, max gamma_i]``.
-    """
-
-    atoms: tuple[tuple[float, float], ...]
-    gamma0: float
-
-    def __post_init__(self):
-        atoms = tuple((float(g), float(w)) for g, w in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "gamma0", float(self.gamma0))
-        if not atoms:
-            raise ValueError("mixture needs at least one atom")
-        for g, w in atoms:
-            if not (np.isfinite(g) and np.isfinite(w)):
-                raise ValueError(f"atom ({g}, {w}) must be finite")
-            if g <= 0:
-                raise ValueError(f"risk aversion must be positive, got {g}")
-            if abs(g - 1.0) <= GAMMA_ONE_TOL:
-                raise ValueError(f"risk aversion {g} is too close to 1")
-            if w <= 0:
-                raise ValueError(f"atom weight must be positive, got {w}")
-        gs = [g for g, _ in atoms]
-        if not (min(gs) <= self.gamma0 <= max(gs)):
-            raise ValueError(
-                f"gamma0={self.gamma0} outside the atom range [{min(gs)}, {max(gs)}]")
-        if abs(self.gamma0 - 1.0) <= GAMMA_ONE_TOL:
-            raise ValueError("gamma0 is too close to 1")
-
-    @property
-    def gammas(self) -> np.ndarray:
-        return np.array([g for g, _ in self.atoms])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms])
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.atoms)
-
-    @classmethod
-    def single(cls, gamma: float, weight: float = 1.0) -> "RiskMixture":
-        return cls(atoms=((gamma, weight),), gamma0=gamma)
-
-
 def _check_kind(spec, kinds: dict) -> None:
     """Check ``spec.kind`` and store the fields ``kinds[kind]`` as finite float arrays.
 
@@ -159,10 +109,6 @@ class H0Spec:
 
     def __post_init__(self):
         _check_kind(self, self.KINDS)
-
-    @classmethod
-    def zero(cls):
-        return cls("zero")
 
     @classmethod
     def constant(cls, vec):
@@ -210,10 +156,6 @@ class JSpec:
         _check_kind(self, self.KINDS)
 
     @classmethod
-    def zero(cls):
-        return cls("zero")
-
-    @classmethod
     def constant(cls, vec_or_per_atom):
         return cls("constant", vec_or_per_atom)
 
@@ -240,15 +182,57 @@ class JSpec:
 
 
 @dataclass(frozen=True)
-class VolatilityChoice:
-    """The pair (h0, J-family) that pins down one mixture criterion."""
+class RiskMixture:
+    """One mixture criterion: a finite positive measure on risk aversions, the
+    base aversion and the free loadings ``h0`` and ``j``.
 
-    h0: H0Spec
-    j: JSpec
+    Atoms are ``(gamma_i, w_i)`` with ``gamma_i > 0``, ``gamma_i != 1`` and
+    ``w_i > 0``; ``gamma0`` must lie in ``[min gamma_i, max gamma_i]``.
+    ``h0`` and ``j`` default to their zero kind.
+    """
+
+    atoms: tuple[tuple[float, float], ...]
+    gamma0: float
+    h0: H0Spec = field(default_factory=H0Spec)
+    j: JSpec = field(default_factory=JSpec)
+
+    def __post_init__(self):
+        atoms = tuple((float(g), float(w)) for g, w in self.atoms)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "gamma0", float(self.gamma0))
+        if not atoms:
+            raise ValueError("mixture needs at least one atom")
+        for g, w in atoms:
+            if not (np.isfinite(g) and np.isfinite(w)):
+                raise ValueError(f"atom ({g}, {w}) must be finite")
+            if g <= 0:
+                raise ValueError(f"risk aversion must be positive, got {g}")
+            if abs(g - 1.0) <= GAMMA_ONE_TOL:
+                raise ValueError(f"risk aversion {g} is too close to 1")
+            if w <= 0:
+                raise ValueError(f"atom weight must be positive, got {w}")
+        gs = [g for g, _ in atoms]
+        if not (min(gs) <= self.gamma0 <= max(gs)):
+            raise ValueError(
+                f"gamma0={self.gamma0} outside the atom range [{min(gs)}, {max(gs)}]")
+        if abs(self.gamma0 - 1.0) <= GAMMA_ONE_TOL:
+            raise ValueError("gamma0 is too close to 1")
+
+    @property
+    def gammas(self) -> np.ndarray:
+        return np.array([g for g, _ in self.atoms])
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.array([w for _, w in self.atoms])
+
+    @property
+    def n_atoms(self) -> int:
+        return len(self.atoms)
 
     @classmethod
-    def zero(cls) -> "VolatilityChoice":
-        return cls(H0Spec.zero(), JSpec.zero())
+    def single(cls, gamma: float, weight: float = 1.0) -> "RiskMixture":
+        return cls(atoms=((gamma, weight),), gamma0=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +351,10 @@ class MixtureFpp:
 
     Everything set by lam(t) and h0(t) is computed once, here: ``lam_path``
     and ``sp_star`` = (lam + h0)/gamma0, (N, d_w) at the left endpoints, the
-    loadings ``h`` and ``j``, and the deterministic ``qv`` and ``v``.
+    loadings ``h`` and ``j``, and the deterministic (N+1, n_atoms) ``qv``, ``v``.
     """
 
-    def __init__(self, mixture: RiskMixture, vol: VolatilityChoice,
-                 market: MarketSpec, grid: TimeGrid):
+    def __init__(self, mixture: RiskMixture, market: MarketSpec, grid: TimeGrid):
         self.mixture = mixture
         self.market = market
         self.grid = grid
@@ -383,11 +366,11 @@ class MixtureFpp:
         self.sp_star = np.empty((n_steps, market.d_w))
         for k in range(n_steps):
             lam = self.lam_path[k]
-            h0 = vol.h0.at(float(grid.times[k]), market, gamma0, lam)
+            h0 = mixture.h0.at(float(grid.times[k]), market, gamma0, lam)
             self.sp_star[k] = (lam + h0) / gamma0
             for i, g in enumerate(mixture.gammas):
                 h[k, i] = hgamma(g, gamma0, lam, h0)
-                j[k, i] = vol.j.for_atom(i, h[k, i], market)
+                j[k, i] = mixture.j.for_atom(i, h[k, i], market)
                 vr[k, i] = vgamma_rate(g, lam, h[k, i])
         dt = grid.dt
         self.qv = np.vstack([np.zeros((1, n_atoms)),
@@ -404,18 +387,16 @@ class MixtureFpp:
                                    np.log(x), 0.0, 0.0, 0.0))
 
     def state_paths(self, dw: np.ndarray, dwperp: np.ndarray,
-                    cols: slice = slice(None), prev=None):
-        """Accumulated (m, qv, v) along an ensemble, at the grid columns ``cols``.
+                    cols: slice = slice(None), carry=None):
+        """Accumulated ``m`` along an ensemble, at the grid columns ``cols``.
 
-        Returns ``m`` of shape (B, len(cols), n_atoms) and the deterministic
-        ``qv``, ``v`` of shape (N+1, n_atoms): the ``state`` that
-        ``utility_paths`` evaluates at the same ``cols``.  ``m`` is the
-        transposed view of a time-major (n_atoms, len(cols), B) array.
-        ``dw`` and ``dwperp`` are the ``brownian_batch`` increments of the
-        whole grid.  The whole horizon is the one-chunk case; a chunk past
-        column 0 continues from ``prev``, the state of the chunk just before
-        it, so chunk-by-chunk states equal the whole-horizon ``m`` bit for
-        bit.
+        ``m`` is (B, len(cols), n_atoms), the transposed view of a time-major
+        (n_atoms, len(cols), B) array: the state that ``utility_paths``
+        evaluates at the same ``cols``.  ``dw`` and ``dwperp`` are the
+        ``brownian_batch`` increments of the whole grid.  The whole horizon
+        is the one-chunk case; a chunk past column 0 continues from
+        ``carry``, the (B, n_atoms) ``m`` at the column before it, so
+        chunk-by-chunk states equal the whole-horizon ``m`` bit for bit.
         """
         lo, cells = chunk_cells(cols, self.grid.n_steps)
         first = 1 if lo == 0 else 0  # the first chunk also holds t = 0
@@ -426,22 +407,20 @@ class MixtureFpp:
             dm = einsum_dot(dwt, self.h[cells, a].T[:, :, None], out=m[a, first:])
             if self.market.d_wperp:
                 dm += einsum_dot(dwpt, self.j[cells, a].T[:, :, None])
-        carry = None if prev is None else prev[0].T[:, -1]
-        return accumulate_columns(m, lo, carry).T, self.qv, self.v
+        return accumulate_columns(m, lo, None if carry is None else carry.T).T
 
     def utility_paths(self, state, log_x: np.ndarray,
                       cols: slice = slice(None)) -> np.ndarray:
         """U_t(X_t) at the grid columns ``cols``.
 
-        ``state`` is the ``state_paths`` state of the same ``cols``, and
+        ``state`` is the ``state_paths`` ``m`` of the same ``cols``, and
         ``log_x`` is log wealth at those columns, shape (B, len(cols)).  The
         terms are evaluated time-major; the result is a C-ordered
         (B, len(cols)) copy, the layout in which a sum over paths runs row
         by row.
         """
-        m, qv, v = state
         u = mixture_value(self.mixture.gammas, self.mixture.weights, log_x.T,
-                          m.transpose(1, 0, 2), qv[cols, None], v[cols, None])
+                          state.transpose(1, 0, 2), self.qv[cols, None], self.v[cols, None])
         return np.ascontiguousarray(u.T)
 
 

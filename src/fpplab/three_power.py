@@ -136,7 +136,7 @@ class ThreePowerFpp:
     """The signed criterion bound to a market and a time grid.
 
     ``lam_path`` and ``sp_star`` = lam/(2 gamma), (N, d_w) at the left
-    endpoints, and I = int |lam|^2 ds, (N+1,), are computed once, here.
+    endpoints, and ``i_path`` = int |lam|^2 ds, (N+1,), are computed once, here.
     """
 
     def __init__(self, spec: ThreePowerSpec, market: MarketSpec, grid: TimeGrid):
@@ -152,14 +152,14 @@ class ThreePowerFpp:
     def u0(self, x: float) -> float:
         return three_power_value(x, 1.0, 0.0, self.spec)
 
-    def accumulators(self, dw: np.ndarray, cols: slice = slice(None), start=None):
-        """(log Z, I) along an ensemble, at the grid columns ``cols``.
+    def accumulators(self, dw: np.ndarray, cols: slice = slice(None), carry=None):
+        """log Z along an ensemble, at the grid columns ``cols``.
 
         log Z is (B, len(cols)), the transposed view of a time-major
-        (len(cols), B) array, and I is (N+1,).  ``dw`` holds the
-        ``brownian_batch`` increments of the whole grid.  The whole horizon
-        is the one-chunk case; a chunk past column 0 continues from
-        ``start``, the (B,) log Z at the column before it.
+        (len(cols), B) array; I is the deterministic ``i_path``.  ``dw``
+        holds the ``brownian_batch`` increments of the whole grid.  The
+        whole horizon is the one-chunk case; a chunk past column 0 continues
+        from ``carry``, the (B,) log Z at the column before it.
         """
         lo, cells = chunk_cells(cols, self.grid.n_steps)
         first = 1 if lo == 0 else 0  # the first chunk also holds t = 0
@@ -167,26 +167,25 @@ class ThreePowerFpp:
         inc = einsum_dot(dw.T[:, cells], self.lam_path[cells].T[:, :, None],
                          out=log_z[first:])
         inc *= 0.5  # half lam . dW per cell
-        return accumulate_columns(log_z, lo, start).T, self.i_path
+        return accumulate_columns(log_z, lo, carry).T
 
     def state_paths(self, dw: np.ndarray, dwperp: np.ndarray,
-                    cols: slice = slice(None), prev=None):
+                    cols: slice = slice(None), carry=None):
         """The ``accumulators`` at ``cols``: the state ``utility_paths`` evaluates.
 
-        ``prev`` is the state of the chunk before ``cols``, as in
+        ``carry`` is the (B,) log Z at the column before ``cols``, as in
         ``MixtureFpp.state_paths``.  W_perp does not enter this criterion.
         """
-        return self.accumulators(dw, cols, None if prev is None else prev[0][:, -1])
+        return self.accumulators(dw, cols, carry)
 
     def utility_paths(self, state, log_x: np.ndarray,
                       cols: slice = slice(None)) -> np.ndarray:
         """U_t(X_t) at the grid columns ``cols``.
 
-        ``state`` is the ``state_paths`` state of the same ``cols``, and
+        ``state`` is the ``state_paths`` log Z of the same ``cols``, and
         ``log_x`` is log wealth at those columns, shape (B, len(cols)).  As
         in ``MixtureFpp.utility_paths`` the terms are evaluated time-major
         and the result is a C-ordered (B, len(cols)) copy.
         """
-        log_z, i_path = state
-        logs = _term_logs(log_x.T, log_z.T, i_path[cols, None], self.spec.gamma)
+        logs = _term_logs(log_x.T, state.T, self.i_path[cols, None], self.spec.gamma)
         return np.ascontiguousarray(signed_exp_sum(logs, self.spec.weights).T)

@@ -103,9 +103,10 @@ def _batch_moments(fpp, sps, seed, path_ids, x0):
     diverged = np.zeros((len(sps), len(path_ids)), dtype=bool)
     last = [None] * len(sps)  # each run's log wealth at the last column done
     terminal = [None] * len(sps)
-    state = None
+    carry = None  # the criterion state at the last column done
     for cols in _time_chunks(n_times):
-        state = fpp.state_paths(dw, dwp, cols, state)
+        state = fpp.state_paths(dw, dwp, cols, carry)
+        carry = state[:, -1]  # a view; a (B,) copy among the chunk arrays raised peak RSS
         for r, sp in enumerate(sps):
             log_x = evolve_log_wealth_batch(x0, sp, fpp.lam_path, grid, dw, cols, last[r])
             last[r] = log_x[:, -1].copy()
@@ -162,21 +163,21 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
     ``sp`` is the (N, d_w) sigma*pi schedule of ``evolve_log_wealth_batch``,
     one row per grid cell, shared by all paths.  ``fpp`` is a criterion
     bound to its grid: it exposes ``grid``, ``market`` (for the Brownian
-    dimensions), ``lam_path`` (the (N, d_w) Sharpe path),
-    ``state_paths(dw, dwperp, cols, prev)`` (the state at the grid columns
-    ``cols``, continuing from ``prev``, the state of the chunk before them,
-    or None for the first chunk), ``utility_paths(state, log_x, cols)`` (U at
-    log wealth ``log_x`` for the same ``cols``) and ``u0(x)``.  Each schedule
-    is checked once, here.  All runs ride the same Brownian batches and
-    criterion state (common random numbers).  A batch is one pass over the
-    grid in ``TIME_CHUNK`` columns: the state and every run's log wealth are
-    extended chunk by chunk from their last column, and evaluated into the
-    per-time sums, so only the batch's increments and one chunk's work
-    arrays are held at a time.  In martingale mode the
-    verdict is consistent iff every grid time stays inside the
-    3-standard-error band around U_0; in supermartingale mode the mean must
-    stay below U_0 plus the band everywhere, with a strict verdict when the
-    terminal mean separates below by more than the band.
+    dimensions), ``lam_path`` (the (N, d_w) Sharpe path), ``u0(x)``,
+    ``state_paths(dw, dwperp, cols, carry)`` (the state at the grid columns
+    ``cols``, one array of paths by columns, continuing from ``carry``, the
+    previous chunk's ``state[:, -1]``, or None for the first chunk) and
+    ``utility_paths(state, log_x, cols)`` (U at log wealth ``log_x`` for the
+    same ``cols``).  Each schedule is checked once, here.  All runs ride the
+    same Brownian batches and criterion state (common random numbers).  A
+    batch is one pass over the grid in ``TIME_CHUNK`` columns: the state and
+    every run's log wealth continue chunk by chunk from their carried last
+    column, and are evaluated into the per-time sums, so only the batch's
+    increments and one chunk's work arrays are held at a time.  In
+    martingale mode the verdict is consistent iff every grid time stays
+    inside the 3-standard-error band around U_0; in supermartingale mode the
+    mean must stay below U_0 plus the band everywhere, with a strict verdict
+    when the terminal mean separates below by more than the band.
 
     Batches are combined in fixed order, so the reports are bit-identical for
     any ``threads`` setting and equal to those of one-run calls.

@@ -12,8 +12,7 @@ import pytest
 
 from fpplab.errors import InvalidExponentError
 from fpplab.market import MarketSpec, TimeGrid, brownian_batch
-from fpplab.mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture,
-                            VolatilityChoice, optimal_portfolio,
+from fpplab.mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture, optimal_portfolio,
                             true_fpp_constants, vgamma_rate)
 from fpplab.pooling import (compare_strategies, constant_z_expected_utility,
                             optimize_constant_z, preset,
@@ -34,7 +33,7 @@ def test_criterion_01_martingale_suite():
     start = time.monotonic()
     mix = RiskMixture.single(0.5)
     grid = TimeGrid.regular(1.0, 1 / 252)
-    fpp = MixtureFpp(mix, VolatilityChoice.zero(), BASE_MARKET, grid)
+    fpp = MixtureFpp(mix, BASE_MARKET, grid)
     [report] = martingale_test(fpp, [(fpp.sp_star, "martingale")],
                                n_paths=100_000, seed=7)
     dev_terminal = abs(report.mean[-1] - report.reference)
@@ -69,10 +68,10 @@ def test_criterion_02_h_inversion():
         assert optimal_portfolio(lam, h0, g0, sigma) == pytest.approx(pi, abs=1e-10)
 
     # one representative inverted criterion through the Monte Carlo suite
-    mix = RiskMixture.single(0.5)
-    vol = VolatilityChoice(h0=H0Spec.portfolio_inversion([1.7]), j=JSpec.zero())
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5,
+                      h0=H0Spec.portfolio_inversion([1.7]))
     grid = TimeGrid.regular(1.0, 1 / 252)
-    fpp = MixtureFpp(mix, vol, BASE_MARKET, grid)
+    fpp = MixtureFpp(mix, BASE_MARKET, grid)
     assert fpp.sp_star[0] == pytest.approx([0.2 * 1.7])
     at_target, at_null = martingale_test(
         fpp, [(fpp.sp_star, "martingale"),
@@ -133,10 +132,9 @@ def test_criterion_03_two_power_characterisation():
         log_x = (c * lam[0] - 0.5 * c * c) * t + c * w_t[:, :, 0]
         joint = np.exp(log_a + p * log_x) + np.exp(log_d + q * log_x)
         mix = RiskMixture(atoms=((1 - p, p * 1.1), (1 - q, q * 0.8)),
-                          gamma0=1 - p)
-        vol = VolatilityChoice(h0=H0Spec.constant(a),
-                               j=JSpec.constant([a_perp, d_perp]))
-        generic_fpp = MixtureFpp(mix, vol, market, grid)
+                          gamma0=1 - p, h0=H0Spec.constant(a),
+                          j=JSpec.constant([a_perp, d_perp]))
+        generic_fpp = MixtureFpp(mix, market, grid)
         generic = generic_fpp.utility_paths(generic_fpp.state_paths(dw, dwp), log_x)
         np.testing.assert_allclose(joint, generic, rtol=1e-10)
     print("criterion 3: PASS (1000 draws; zero-gap paths match to 1e-10)")

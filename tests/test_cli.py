@@ -52,7 +52,7 @@ mixture:
     from fpplab.mixture import MixtureFpp
 
     cfg = load_config(str(tmp_path / "cfg.yaml"))
-    fpp = MixtureFpp(cfg.mixture, cfg.vol, cfg.market, TimeGrid.regular(1.0, 0.5))
+    fpp = MixtureFpp(cfg.mixture, cfg.market, TimeGrid.regular(1.0, 0.5))
     assert fpp.sp_star[0] == pytest.approx([0.6])
 
 
@@ -364,6 +364,30 @@ CONFIG_ERRORS = {
     "d-w-fraction": ("market.d_w", ["three-power"], "market:\n  d_w: 1.5\n"),
     "d-w-bool": ("market.d_w", ["three-power"], "market:\n  d_w: true\n"),
     "d-wperp-inf": ("market.d_wperp", ["three-power"], "market:\n  d_wperp: .inf\n"),
+    "grid-step-string": ("simulation.grid_step: must be a number, got 'abc'",
+                         ["three-power"], "simulation:\n  grid_step: abc\n"),
+    "horizon-bool": ("simulation.horizon: must be a number, got True", ["three-power"],
+                     "simulation:\n  horizon: true\n"),
+    "perturbed-scale-string": ("verify.perturbed_scale: must be a number",
+                               ["verify-fpp"], "verify:\n  perturbed_scale: abc\n"),
+    "three-power-gamma-bool": ("three_power.gamma: must be a number", ["three-power"],
+                               "three_power:\n  gamma: true\n"),
+    "x-values-bool": ("three_power.x_values[0]: must be a number", ["three-power"],
+                      "three_power:\n  x_values: [true, 1.0]\n"),
+    "pool-lam-bool": ("pool.lam: must be a number", ["pool", "optimize"],
+                      "pool: {lam: true}\n"),
+    "pool-horizon-string": ("pool.horizon: must be a number", ["pool", "compare"],
+                            "pool:\n  horizon: abc\n"),
+    "two-power-p-bool": ("two_power.p: must be a number", ["two-power", "gap"],
+                         "two_power:\n  p: true\n"),
+    "two-power-d0-string": ("two_power.d0: must be a number", ["two-power", "drifts"],
+                            "two_power:\n  d0: abc\n"),
+    "atom-weight-bool": ("mixture.atoms[0].weight: must be a number", ["verify-fpp"],
+                         "mixture:\n  atoms: [{gamma: 0.5, weight: true}]\n"),
+    "atom-gamma-string": ("mixture.atoms[0].gamma: must be a number", ["verify-fpp"],
+                          "mixture:\n  atoms: [{gamma: abc}]\n"),
+    "gamma0-string": ("mixture.gamma0: must be a number", ["verify-fpp"],
+                      "mixture:\n  gamma0: '0.5'\n"),
 }
 
 
@@ -394,6 +418,15 @@ def test_flag_outside_its_subaction_is_a_config_error(tmp_path, capsys, args, fl
     assert code == 2
     assert err.startswith(f"configuration error: {flag}: ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()  # rejected before anything runs
+
+
+@pytest.mark.parametrize("threads, command", [("0", "verify-fpp"), ("-3", "three-power")])
+def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads, command):
+    code = run(tmp_path, "--threads", threads, command)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"configuration error: --threads: must be at least 1, got {threads}\n"
     assert not (tmp_path / "out").exists()  # rejected before anything runs
 
 

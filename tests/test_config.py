@@ -107,7 +107,7 @@ mixture:
   j: {kind: zero}
 """)
     cfg = load_config(path)
-    assert cfg.vol.h0.kind == "portfolio_inversion"
+    assert cfg.mixture.h0.kind == "portfolio_inversion"
     bad = write(tmp_path, "mixture:\n  h0: {kind: wavelet}\n")
     with pytest.raises(ConfigError, match="wavelet"):
         load_config(bad)

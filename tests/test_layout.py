@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fpplab.market import (NORMALS_BLOCK, MarketSpec, TimeGrid, _normals_for_paths,
                            brownian_batch, einsum_dot, evolve_log_wealth_batch)
-from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture, VolatilityChoice
+from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture
 from fpplab.three_power import ThreePowerFpp, ThreePowerSpec
 from fpplab.verify import TIME_CHUNK
 
@@ -92,10 +92,10 @@ def test_one_path_batch_equals_its_row(d_w):
     sigma = np.diag(rng.uniform(0.15, 0.4, d_w))
     market = MarketSpec(n_stocks=d_w, d_w=d_w, d_wperp=1, sigma=sigma,
                         mu=rng.uniform(0.0, 0.1, d_w))
-    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5)
-    vol = VolatilityChoice(h0=H0Spec.constant(rng.normal(0.0, 0.1, d_w)),
-                           j=JSpec.constant([0.2]))
-    criteria = [MixtureFpp(mix, vol, market, grid),
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5,
+                      h0=H0Spec.constant(rng.normal(0.0, 0.1, d_w)),
+                      j=JSpec.constant([0.2]))
+    criteria = [MixtureFpp(mix, market, grid),
                 ThreePowerFpp(ThreePowerSpec(0.2), market, grid)]
     sp = rng.normal(size=(grid.n_steps, d_w))
 
@@ -105,7 +105,7 @@ def test_one_path_batch_equals_its_row(d_w):
         out = [dw, dwp, log_x]
         for fpp in criteria:
             state = fpp.state_paths(dw, dwp)
-            out += [state[0], fpp.utility_paths(state, log_x)]
+            out += [state, fpp.utility_paths(state, log_x)]
         return out
 
     batch = engine(range(NORMALS_BLOCK + 1))
@@ -123,7 +123,8 @@ def test_three_power_utility_builds_its_terms_in_place():
     n_paths = 5000
     dw, dwp = brownian_batch(grid, 1, 0, 7, range(n_paths))
     cols = slice(TIME_CHUNK, 2 * TIME_CHUNK)
-    state = fpp.state_paths(dw, dwp, cols, fpp.state_paths(dw, dwp, slice(0, TIME_CHUNK)))
+    carry = fpp.state_paths(dw, dwp, slice(0, TIME_CHUNK))[:, -1]
+    state = fpp.state_paths(dw, dwp, cols, carry)
     log_x = evolve_log_wealth_batch(1.0, fpp.sp_star, fpp.lam_path, grid, dw)[:, cols]
     row = n_paths * TIME_CHUNK * 8
     tracemalloc.start()

@@ -8,10 +8,11 @@ from fpplab.errors import (FactorDegeneracyError, InvalidExponentError,
                            NoExactSolutionError)
 from fpplab.market import MarketSpec, TimeGrid, brownian_batch
 from fpplab.mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture,
-                            VolatilityChoice, check_admissibility_moments,
-                            drift_term, factor_j, hgamma, market_view_density,
-                            mixture_value, monotone_power_value, optimal_portfolio,
-                            signed_exp_sum, true_fpp_constants, vgamma_rate)
+                            check_admissibility_moments, drift_term, factor_j,
+                            hgamma, market_view_density, mixture_value,
+                            monotone_power_value, optimal_portfolio, signed_exp_sum,
+                            true_fpp_constants, vgamma_rate)
+from fpplab.three_power import ThreePowerFpp, ThreePowerSpec
 from fpplab.verify import _time_chunks, structure_scan
 
 
@@ -22,7 +23,7 @@ def base_market(d_wperp=0):
 def initial_value(mix, x):
     """U_0(x) of a mixture, through the ensemble evaluator."""
     grid = TimeGrid.regular(1.0, 1.0)
-    return MixtureFpp(mix, VolatilityChoice.zero(), base_market(), grid).u0(x)
+    return MixtureFpp(mix, base_market(), grid).u0(x)
 
 
 def stepwise_state(mix, lam, h0, j_atoms, dw_row, dwp_row, dt):
@@ -234,8 +235,8 @@ def test_factor_j_degenerate():
 def test_accumulate_zero_dynamics():
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.0)
     grid = TimeGrid(np.array([0.0, 0.5]))
-    fpp = MixtureFpp(RiskMixture.single(0.5), VolatilityChoice.zero(), market, grid)
-    m, qv, v = fpp.state_paths(np.array([[[0.3]]]), np.zeros((1, 1, 0)))
+    fpp = MixtureFpp(RiskMixture.single(0.5), market, grid)
+    m, qv, v = fpp.state_paths(np.array([[[0.3]]]), np.zeros((1, 1, 0))), fpp.qv, fpp.v
     assert m[0, -1] == pytest.approx([0.0])
     assert qv[-1] == pytest.approx([0.0])
     assert v[-1] == pytest.approx([0.0])
@@ -245,9 +246,9 @@ def test_accumulate_single_atom_base_loading_vanishes():
     # h0 = 0 at the base aversion: M stays 0, V integrates the rate exactly
     mix = RiskMixture.single(0.5)
     grid = TimeGrid.regular(1.0, 0.1)
-    fpp = MixtureFpp(mix, VolatilityChoice.zero(), base_market(), grid)
+    fpp = MixtureFpp(mix, base_market(), grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=0, path_ids=[0])
-    m, qv, v = fpp.state_paths(dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
     assert m[0, -1] == pytest.approx([0.0])
     assert v[-1] == pytest.approx([-0.02], abs=1e-15)
     value = mixture_value(mix.gammas, mix.weights, np.log(1.0), m[0, -1], qv[-1], v[-1])
@@ -257,15 +258,14 @@ def test_accumulate_single_atom_base_loading_vanishes():
 def test_accumulate_matches_brute_force_recomputation():
     # two drivers with lam = (0.3, 0.1), one W_perp, per-atom J
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1, sigma=np.eye(2), mu=[0.3, 0.1])
-    mix = RiskMixture(atoms=((0.4, 1.0), (2.0, 0.7)), gamma0=0.4)
-    vol = VolatilityChoice(h0=H0Spec.constant([0.1, -0.05]),
-                           j=JSpec.constant([[0.2], [0.3]]))
+    mix = RiskMixture(atoms=((0.4, 1.0), (2.0, 0.7)), gamma0=0.4,
+                      h0=H0Spec.constant([0.1, -0.05]), j=JSpec.constant([[0.2], [0.3]]))
     grid = TimeGrid.regular(1.0, 0.05)
-    fpp = MixtureFpp(mix, vol, market, grid)
+    fpp = MixtureFpp(mix, market, grid)
     rng = np.random.default_rng(5)
     dw = rng.normal(size=(1, 20, 2)) * np.sqrt(0.05)
     dwp = rng.normal(size=(1, 20, 1)) * np.sqrt(0.05)
-    m, qv, v = fpp.state_paths(dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
     m_ref, qv_ref, v_ref = stepwise_state(mix, np.array([0.3, 0.1]),
                                           np.array([0.1, -0.05]), [[0.2], [0.3]],
                                           dw[0], dwp[0], grid.dt)
@@ -277,12 +277,12 @@ def test_accumulate_matches_brute_force_recomputation():
 
 def test_state_paths_match_stepwise_accumulation():
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=1, sigma=0.25, mu=0.05)
-    mix = RiskMixture(atoms=((0.5, 1.0), (0.8, 2.0)), gamma0=0.5)
-    vol = VolatilityChoice(h0=H0Spec.constant([0.1]), j=JSpec.constant([0.2]))
+    mix = RiskMixture(atoms=((0.5, 1.0), (0.8, 2.0)), gamma0=0.5,
+                      h0=H0Spec.constant([0.1]), j=JSpec.constant([0.2]))
     grid = TimeGrid.regular(1.0, 0.125)
-    fpp = MixtureFpp(mix, vol, market, grid)
+    fpp = MixtureFpp(mix, market, grid)
     dw, dwp = brownian_batch(grid, 1, 1, seed=8, path_ids=[0])
-    m, qv, v = fpp.state_paths(dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
     m_ref, qv_ref, v_ref = stepwise_state(mix, market.sharpe_at(0.0), np.array([0.1]),
                                           [[0.2], [0.2]], dw[0], dwp[0], grid.dt)
     assert m[0, -1] == pytest.approx(m_ref, rel=1e-12)
@@ -293,22 +293,24 @@ def test_state_paths_match_stepwise_accumulation():
 
 @pytest.mark.parametrize("n_steps", [16, 40])
 def test_state_paths_chunks_equal_whole_horizon(n_steps):
-    # each chunk continues from the last column of the one before, and the
-    # chunks together are the whole-horizon state bit for bit
+    # for both criteria each chunk continues from the carried last column of
+    # the one before, and the chunks together are the whole-horizon state bit
+    # for bit
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1, sigma=[[0.2, 0.0], [0.05, 0.3]],
                         mu=[0.04, 0.06])
-    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5)
-    vol = VolatilityChoice(h0=H0Spec.zero(), j=JSpec.constant([[0.1], [0.0], [-0.2]]))
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5,
+                      j=JSpec.constant([[0.1], [0.0], [-0.2]]))
     grid = TimeGrid(np.linspace(0.0, 1.0, n_steps + 1))
-    fpp = MixtureFpp(mix, vol, market, grid)
     dw, dwp = brownian_batch(grid, 2, 1, seed=5, path_ids=range(30))
-    m, qv, v = fpp.state_paths(dw, dwp)
-    chunks, state = [], None
-    for cols in _time_chunks(grid.n_steps + 1):
-        state = fpp.state_paths(dw, dwp, cols, state)
-        chunks.append(state[0])
-    assert np.array_equal(np.concatenate(chunks, axis=1).view(np.int64),
-                          m.view(np.int64))
+    for fpp in (MixtureFpp(mix, market, grid),
+                ThreePowerFpp(ThreePowerSpec(gamma=0.25), market, grid)):
+        whole = fpp.state_paths(dw, dwp)
+        chunks, carry = [], None
+        for cols in _time_chunks(grid.n_steps + 1):
+            chunks.append(fpp.state_paths(dw, dwp, cols, carry))
+            carry = chunks[-1][:, -1]
+        assert np.array_equal(np.concatenate(chunks, axis=1).view(np.int64),
+                              whole.view(np.int64))
 
 
 def test_same_sign_exp_sum_matches_signed_path_bitwise():
@@ -345,10 +347,10 @@ def test_sp_star_rows_equal_the_per_time_formula():
                                {"t": 0.4, "value": [[0.25, 0.02], [0.0, 0.15]]}],
                         mu=[{"t": 0.0, "value": [0.04, 0.06]},
                             {"t": 0.7, "value": [0.08, 0.01]}])
-    mix = RiskMixture(atoms=((0.3, 1.0), (0.8, 0.5)), gamma0=0.6)
     h0 = H0Spec.portfolio_inversion([0.5, 0.3])
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.8, 0.5)), gamma0=0.6, h0=h0)
     grid = TimeGrid.regular(1.0, 0.1)
-    fpp = MixtureFpp(mix, VolatilityChoice(h0, JSpec.zero()), market, grid)
+    fpp = MixtureFpp(mix, market, grid)
     assert fpp.sp_star.shape == (grid.n_steps, 2)
     for k, t in enumerate(grid.times[:-1]):
         lam = market.sharpe_at(float(t))
@@ -410,12 +412,12 @@ def test_single_power_evaluation_matches_direct_formula(x, gamma):
 
 def test_pointwise_concavity_of_reachable_states():
     market = base_market(d_wperp=0)
-    mix = RiskMixture(atoms=((0.5, 1.0), (2.0, 0.5)), gamma0=0.8)
-    vol = VolatilityChoice(h0=H0Spec.constant([0.15]), j=JSpec.zero())
+    mix = RiskMixture(atoms=((0.5, 1.0), (2.0, 0.5)), gamma0=0.8,
+                      h0=H0Spec.constant([0.15]))
     grid = TimeGrid.regular(1.0, 0.05)
-    fpp = MixtureFpp(mix, vol, market, grid)
+    fpp = MixtureFpp(mix, market, grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=12, path_ids=range(6))
-    m, qv, v = fpp.state_paths(dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
     states = [(m[b, k], qv[k], v[k]) for b in range(6) for k in (10, 20)]
 
     def evaluate(state, x):
@@ -441,13 +443,12 @@ def test_market_view_density_arithmetic():
 def test_market_view_density_mc_mean_is_one():
     # E exp(H W_T - H^2 T / 2) = 1 for constant H
     market = base_market()
-    mix = RiskMixture.single(0.5)
-    vol = VolatilityChoice(h0=H0Spec.constant([0.4]), j=JSpec.zero())
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5, h0=H0Spec.constant([0.4]))
     grid = TimeGrid.regular(1.0, 1 / 64)
-    fpp = MixtureFpp(mix, vol, market, grid)
+    fpp = MixtureFpp(mix, market, grid)
     n = 100_000
     dw, dwp = brownian_batch(grid, 1, 0, seed=77, path_ids=range(n))
-    m, qv, _ = fpp.state_paths(dw, dwp)
+    m, qv = fpp.state_paths(dw, dwp), fpp.qv
     dens = market_view_density(m[:, -1, 0], qv[-1, 0])
     se = dens.std(ddof=1) / np.sqrt(n)
     assert abs(dens.mean() - 1.0) < 3 * se
@@ -465,13 +466,12 @@ def test_monotone_power_factorisation_along_path():
     # single-atom criterion = time-monotone value times the market-view density
     market = base_market()
     g = 0.5
-    mix = RiskMixture.single(g)
     h = 0.1
-    vol = VolatilityChoice(h0=H0Spec.constant([h]), j=JSpec.zero())
+    mix = RiskMixture(atoms=((g, 1.0),), gamma0=g, h0=H0Spec.constant([h]))
     grid = TimeGrid.regular(1.0, 1 / 128)  # T = 1 so int |lam+H|^2 = |lam+H|^2
-    fpp = MixtureFpp(mix, vol, market, grid)
+    fpp = MixtureFpp(mix, market, grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=5, path_ids=[0])
-    m, qv, v = fpp.state_paths(dw, dwp)
+    m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
     lam_plus_h = market.sharpe_at(0.0) + h
     for x in (0.5, 1.0, 3.0):
         full = mixture_value(mix.gammas, mix.weights, np.log(x), m[0, -1], qv[-1], v[-1])

@@ -82,7 +82,7 @@ def test_matches_generic_signed_mixture_along_path():
     qv = np.zeros(3)
     v = np.zeros(3)
     fpp = ThreePowerFpp(spec, market, grid)
-    log_z, i_path = fpp.accumulators(dw)
+    log_z, i_path = fpp.accumulators(dw), fpp.i_path
     for k in range(grid.n_steps):
         dt = float(grid.dt[k])
         for i, gam in enumerate(gammas):
@@ -105,7 +105,7 @@ def test_utility_paths_match_pointwise_values():
     dw, dwp = brownian_batch(grid, 1, 0, seed=3, path_ids=range(4))
     log_x = np.log(1.7) * np.ones((4, grid.n_steps + 1))
     u = fpp.utility_paths(fpp.state_paths(dw, dwp), log_x)
-    log_z, i_path = fpp.accumulators(dw)
+    log_z, i_path = fpp.accumulators(dw), fpp.i_path
     for b in (0, 3):
         for k in (0, 2, 4):
             expected = three_power_value(1.7, float(np.exp(log_z[b, k])),

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpplab.market import MarketSpec, TimeGrid, brownian_batch
-from fpplab.mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture,
-                            VolatilityChoice)
+from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture
 from fpplab.two_power import (TwoPowerSpec, coefficient_drifts, consistency_gap,
                               dual_marginal, joint_drift, legendre_dual,
                               mixture_portfolio, mixture_sp_target,
@@ -201,10 +200,9 @@ def test_zero_gap_joint_process_matches_atom_sum():
         # the same object through the generic mixture machinery: atoms at
         # aversions (1-p, 1-q) weighted so w x^p / p = a0 x^p, h0 = a
         mix = RiskMixture(atoms=(((1 - p), p * 1.3), ((1 - q), q * 0.6)),
-                          gamma0=(1 - p))
-        vol = VolatilityChoice(h0=H0Spec.constant(a),
-                               j=JSpec.constant([a_perp, d_perp]))
-        fpp = MixtureFpp(mix, vol, market, grid)
+                          gamma0=(1 - p), h0=H0Spec.constant(a),
+                          j=JSpec.constant([a_perp, d_perp]))
+        fpp = MixtureFpp(mix, market, grid)
         generic = fpp.utility_paths(fpp.state_paths(dw, dwp), log_x)
         np.testing.assert_allclose(joint, generic, rtol=1e-10)
         # and the shared optimiser matches the mixture allocation target

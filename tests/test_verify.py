@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpplab.market import MarketSpec, TimeGrid, brownian_batch, evolve_log_wealth_batch
-from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture, VolatilityChoice
+from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture
 from fpplab.three_power import ThreePowerFpp, ThreePowerSpec
 from fpplab.verify import (TIME_CHUNK, VERDICT_MARTINGALE, VERDICT_SUPER_STRICT,
                            VERDICT_VIOLATION, MartingaleReport, _report,
@@ -17,17 +17,16 @@ from fpplab.verify import (TIME_CHUNK, VERDICT_MARTINGALE, VERDICT_SUPER_STRICT,
 def single_atom_setup(grid, lam=0.2, gamma=0.5):
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.2 * lam)
     mix = RiskMixture.single(gamma)
-    return market, MixtureFpp(mix, VolatilityChoice.zero(), market, grid)
+    return market, MixtureFpp(mix, market, grid)
 
 
 def three_atom_setup(grid):
     """Two stocks, one W_perp factor, an inverted h0 and a constant J."""
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1,
                         sigma=[[0.2, 0.0], [0.05, 0.3]], mu=[0.04, 0.06])
-    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5)
-    vol = VolatilityChoice(h0=H0Spec.portfolio_inversion([0.6, 0.4]),
-                           j=JSpec.constant([0.1]))
-    return market, MixtureFpp(mix, vol, market, grid)
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5,
+                      h0=H0Spec.portfolio_inversion([0.6, 0.4]), j=JSpec.constant([0.1]))
+    return market, MixtureFpp(mix, market, grid)
 
 
 def three_power_setup(grid):
@@ -63,8 +62,8 @@ class Wrapped:
     def u0(self, x):
         return self.fpp.u0(x)
 
-    def state_paths(self, dw, dwperp, cols=slice(None), prev=None):
-        return self.fpp.state_paths(dw, dwperp, cols, prev)
+    def state_paths(self, dw, dwperp, cols=slice(None), carry=None):
+        return self.fpp.state_paths(dw, dwperp, cols, carry)
 
     def utility_paths(self, state, log_x, cols=slice(None)):
         return self.fpp.utility_paths(state, log_x, cols)
@@ -225,10 +224,10 @@ def test_streamed_engine_equals_whole_horizon_reference(d_w, d_wperp, n_atoms,
     else:
         gammas = rng.choice([0.3, 0.5, 0.8, 1.5, 3.0], n_atoms, replace=False)
         mix = RiskMixture(atoms=tuple(zip(gammas, rng.uniform(0.2, 1.0, n_atoms))),
-                          gamma0=float(gammas.min()))
-        vol = VolatilityChoice(h0=H0Spec.constant(rng.normal(0.0, 0.1, d_w)),
-                               j=JSpec.constant(rng.normal(0.0, 0.2, d_wperp)))
-        fpp = MixtureFpp(mix, vol, market, grid)
+                          gamma0=float(gammas.min()),
+                          h0=H0Spec.constant(rng.normal(0.0, 0.1, d_w)),
+                          j=JSpec.constant(rng.normal(0.0, 0.2, d_wperp)))
+        fpp = MixtureFpp(mix, market, grid)
     runs = [(fpp.sp_star, "martingale"),
             (null_path(grid, d_w), "supermartingale"),
             (rng.normal(0.0, 1.0, (n_steps, d_w)), "supermartingale")]
@@ -250,10 +249,10 @@ def test_martingale_test_memory_is_normals_plus_chunks():
     market = MarketSpec(n_stocks=3, d_w=3, d_wperp=1,
                         sigma=[[0.2, 0.0, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.3]],
                         mu=[0.04, 0.05, 0.06])
-    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (0.8, 0.25)), gamma0=0.5)
-    vol = VolatilityChoice(h0=H0Spec.portfolio_inversion([0.5, 0.3, 0.2]),
-                           j=JSpec.constant([0.1]))
-    fpp = MixtureFpp(mix, vol, market, grid)
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (0.8, 0.25)), gamma0=0.5,
+                      h0=H0Spec.portfolio_inversion([0.5, 0.3, 0.2]),
+                      j=JSpec.constant([0.1]))
+    fpp = MixtureFpp(mix, market, grid)
     n_paths = 4000
     normals = n_paths * grid.n_steps * (market.d_w + market.d_wperp) * 8
     chunk = n_paths * TIME_CHUNK * mix.n_atoms * 8
