@@ -126,10 +126,29 @@ def _keyed(path: str, build, *args, **kwargs):
 
 
 def _number(path: str, value):
-    """``value`` if it is an int or a float, not a bool; the spec checks its range."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{path}: must be a number, got {value!r}")
+    """``value`` if it is an int or a float, not a bool, that a float can hold;
+    the spec checks its range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{path}: must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: must be a number, got an integer beyond float "
+                          f"range ({value.bit_length()} bits)") from None
+    return value
+
+
+def _numbers(path: str, value) -> None:
+    """Check every number in ``value``: a number, or lists and mappings of them
+    (a matrix, or a schedule's ``{t, value}`` knots), each keyed by its path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _numbers(f"{path}.{key}", item)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _numbers(f"{path}[{i}]", item)
+    else:
+        _number(path, value)
 
 
 def _integer(path: str, value) -> int:
@@ -141,11 +160,16 @@ def _integer(path: str, value) -> int:
 
 def _market_from(cfg: dict) -> MarketSpec:
     dims = {k: _integer(f"market.{k}", cfg[k]) for k in ("n_stocks", "d_w", "d_wperp")}
+    for key in ("sigma", "mu"):
+        _numbers(f"market.{key}", cfg[key])
     return MarketSpec(**{**cfg, **dims})
 
 
 def _volatility_spec(cls, cfg: dict, path: str, *dims):
     _reject_unknown(cfg, {f.name for f in fields(cls)}, path)
+    for key, value in cfg.items():
+        if key != "kind" and value is not None:
+            _numbers(f"{path}.{key}", value)
     spec = _keyed(path, cls, **cfg)
     _keyed(path, spec.check, *dims)
     return spec
@@ -168,6 +192,8 @@ def _mixture_from(cfg: dict, market: MarketSpec) -> RiskMixture:
 def _two_power_from(cfg: dict, market: MarketSpec) -> TwoPowerSpec:
     for key in ("p", "q", "a0", "d0"):
         _number(f"two_power.{key}", cfg[key])
+    for key in ("a_vol", "d_vol", "a_perp", "d_perp"):
+        _numbers(f"two_power.{key}", cfg[key])
     spec = TwoPowerSpec(**cfg)
     _keyed("two_power", spec.check, market.d_w)
     return spec

@@ -233,7 +233,7 @@ def _path_state_template(seed: int):
 
 
 def _normals_for_paths(grid: TimeGrid, n_cols: int, seed: int,
-                       path_ids: Sequence[int]) -> np.ndarray:
+                       path_ids: Sequence[int], out: np.ndarray = None) -> np.ndarray:
     """Standard normals of shape (n_cols, N, len(path_ids)), one stream per path.
 
     Path ``i`` occupies Philox counter block ``[0, 0, i, 0]`` under ``key=seed``,
@@ -241,9 +241,17 @@ def _normals_for_paths(grid: TimeGrid, n_cols: int, seed: int,
     batch is time-major: path ``b`` is ``out[:, :, b]``, its (N, n_cols) draw
     transposed.  Paths are drawn ``NORMALS_BLOCK`` at a time into a small
     path-major buffer, which one transposed assignment copies into the batch.
+    ``out``, when given, is the C-ordered float array of that shape to fill;
+    a caller that draws many batches reuses one, so its pages are touched
+    only once.
     """
     n = grid.n_steps
-    out = np.empty((n_cols, n, len(path_ids)))
+    shape = (n_cols, n, len(path_ids))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-ordered float64 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
     if out.size == 0:
         return out
     template = _path_state_template(seed)
@@ -269,16 +277,18 @@ def _normals_for_paths(grid: TimeGrid, n_cols: int, seed: int,
 
 
 def brownian_batch(grid: TimeGrid, d_w: int, d_wperp: int, seed: int,
-                   path_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+                   path_ids: Sequence[int],
+                   out: np.ndarray = None) -> tuple[np.ndarray, np.ndarray]:
     """Increment arrays (B, N, d_w) and (B, N, d_wperp) for a batch of paths.
 
-    Both are transposed views of one time-major (d_w + d_wperp, N, B) array:
-    ``dw.T`` is C-ordered, so each driver's increments at one grid cell are a
-    contiguous row over the paths.  Row ``b`` depends only on
-    ``(seed, path_ids[b], grid, dims)``, so a single path is the batch
-    ``[path_id]`` and equals that row of any larger batch bit for bit.
+    Both are transposed views of one time-major (d_w + d_wperp, N, B) array,
+    ``out`` when given (see ``_normals_for_paths``): ``dw.T`` is C-ordered,
+    so each driver's increments at one grid cell are a contiguous row over
+    the paths.  Row ``b`` depends only on ``(seed, path_ids[b], grid, dims)``,
+    so a single path is the batch ``[path_id]`` and equals that row of any
+    larger batch bit for bit.
     """
-    z = _normals_for_paths(grid, d_w + d_wperp, seed, path_ids)
+    z = _normals_for_paths(grid, d_w + d_wperp, seed, path_ids, out)
     z *= np.sqrt(grid.dt)[None, :, None]
     return z[:d_w].T, z[d_w:].T
 

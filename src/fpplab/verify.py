@@ -24,6 +24,12 @@ SE_MULTIPLE = 3.0
 NEGINF_WARN_FRACTION = 1e-3
 DEFAULT_BATCH = 20_000
 TIME_CHUNK = 16  # grid times evaluated at once; bounds the per-batch working set
+# paths of a batch drawn and evaluated at once; bounds the normals held per batch.
+# Median CPU s / peak RSS MB of 6 one-thread runs of perfbench's mix3-verify and
+# three-power-signed commands (2-core x86-64 host) at 2048, 4096 and 8192 paths:
+# mix3-verify 1.87 / 61, 1.78 / 80, 1.87 / 119 (229 MB untiled);
+# three-power-signed 1.16 / 48, 1.15 / 55, 1.22 / 68.
+TILE_PATHS = 4096
 
 VERDICT_MARTINGALE = "consistent-with-martingale"
 VERDICT_SUPER_STRICT = "supermartingale-strict"
@@ -83,39 +89,73 @@ def _time_chunks(n_times: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_times])]
 
 
+def _reduce_rows(sums: np.ndarray, rows: np.ndarray, first: bool) -> None:
+    """Add the rows of ``rows[1:]``, one path at a time, onto the per-time ``sums``.
+
+    ``rows`` is a C-ordered (n + 1, w) buffer, ``w >= 2``, whose rows
+    ``1..n`` hold one tile's values; numpy sums it over axis 0 row by row.
+    The batch's first tile sums its own rows alone.  A later tile puts the
+    running ``sums`` in row 0, so the batch's sum continues in path order,
+    as if all of its paths were one array.
+    """
+    if first:
+        sums[...] = rows[1:].sum(axis=0)
+    else:
+        rows[0] = sums
+        sums[...] = rows.sum(axis=0)
+
+
 def _batch_moments(fpp, sps, seed, path_ids, x0):
     """(sum U, sum U^2, -inf path count, terminal U) of every schedule over one batch.
 
-    The increments are drawn once and shared by all runs (common random
-    numbers).  The batch is one pass over the grid, ``TIME_CHUNK`` columns at
-    a time: per chunk the criterion state continues from its previous chunk,
-    each run's log wealth from its own last column, and U goes straight into
-    the per-time sums, so no full-horizon wealth, state or utility array is
-    ever held.  ``utility_paths`` returns U as a C-ordered (B, w) copy, so
-    each sum over paths adds whole rows one path at a time, the order of the
-    whole-horizon sums.
+    The batch runs ``TILE_PATHS`` paths at a time.  Each tile's increments
+    are drawn into one buffer, reused for every tile, and shared by all runs
+    (common random numbers).  A tile is one pass over the grid,
+    ``TIME_CHUNK`` columns at a time: per chunk the criterion state continues
+    from its previous chunk, each run's log wealth from its own last column,
+    and U goes straight into the per-time sums, so no full-horizon wealth,
+    state or utility array, and no batch-wide increments, are ever held.
+    ``utility_paths`` returns U as a C-ordered (B, w) copy, so each sum over
+    paths adds whole rows one path at a time; ``_reduce_rows`` carries that
+    order across tiles, so the sums are those of the whole batch at once.
     """
     grid, market = fpp.grid, fpp.market
-    dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, path_ids)
     n_times = grid.n_steps + 1
+    chunks = _time_chunks(n_times)
+    tile = min(TILE_PATHS, len(path_ids))
+    width = max(cols.stop - cols.start for cols in chunks)
+    n_cols = market.d_w + market.d_wperp
+    normals = np.empty(n_cols * grid.n_steps * tile)  # reused by every tile
+    rows = np.empty((tile + 1) * width)  # reused by every chunk's reduction
     s1 = np.empty((len(sps), n_times))
     s2 = np.empty((len(sps), n_times))
     diverged = np.zeros((len(sps), len(path_ids)), dtype=bool)
-    last = [None] * len(sps)  # each run's log wealth at the last column done
-    terminal = [None] * len(sps)
-    carry = None  # the criterion state at the last column done
-    for cols in _time_chunks(n_times):
-        state = fpp.state_paths(dw, dwp, cols, carry)
-        carry = state[:, -1]  # a view; a (B,) copy among the chunk arrays raised peak RSS
-        for r, sp in enumerate(sps):
-            log_x = evolve_log_wealth_batch(x0, sp, fpp.lam_path, grid, dw, cols, last[r])
-            last[r] = log_x[:, -1].copy()
-            u = fpp.utility_paths(state, log_x, cols)
-            diverged[r] |= np.isneginf(u).any(axis=1)
-            finite = np.where(np.isfinite(u), u, 0.0)  # diverged paths counted, zeroed
-            s1[r, cols] = finite.sum(axis=0)
-            s2[r, cols] = (finite ** 2).sum(axis=0)
-            terminal[r] = u[:, -1].copy()
+    terminal = np.empty((len(sps), len(path_ids)))
+    for lo in range(0, len(path_ids), tile):
+        ids = path_ids[lo:lo + tile]
+        paths = slice(lo, lo + len(ids))
+        dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, ids,
+                                 out=normals[:n_cols * grid.n_steps * len(ids)]
+                                 .reshape(n_cols, grid.n_steps, len(ids)))
+        last = [None] * len(sps)  # each run's log wealth at the last column done
+        carry = None  # the criterion state at the last column done
+        for cols in chunks:
+            state = fpp.state_paths(dw, dwp, cols, carry)
+            carry = state[:, -1]  # a view; a (B,) copy among the chunk arrays raised peak RSS
+            w = cols.stop - cols.start
+            buf = rows[:(len(ids) + 1) * w].reshape(len(ids) + 1, w)
+            for r, sp in enumerate(sps):
+                log_x = evolve_log_wealth_batch(x0, sp, fpp.lam_path, grid, dw, cols, last[r])
+                last[r] = log_x[:, -1].copy()
+                u = fpp.utility_paths(state, log_x, cols)
+                diverged[r, paths] |= np.isneginf(u).any(axis=1)
+                terminal[r, paths] = u[:, -1]
+                finite = buf[1:]
+                finite[...] = u
+                finite[~np.isfinite(u)] = 0.0  # diverged paths counted, zeroed
+                _reduce_rows(s1[r, cols], buf, lo == 0)
+                np.square(finite, out=finite)
+                _reduce_rows(s2[r, cols], buf, lo == 0)
     return [(s1[r], s2[r], int(np.sum(diverged[r])), terminal[r])
             for r in range(len(sps))]
 
@@ -169,18 +209,22 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
     previous chunk's ``state[:, -1]``, or None for the first chunk) and
     ``utility_paths(state, log_x, cols)`` (U at log wealth ``log_x`` for the
     same ``cols``).  Each schedule is checked once, here.  All runs ride the
-    same Brownian batches and criterion state (common random numbers).  A
-    batch is one pass over the grid in ``TIME_CHUNK`` columns: the state and
-    every run's log wealth continue chunk by chunk from their carried last
-    column, and are evaluated into the per-time sums, so only the batch's
-    increments and one chunk's work arrays are held at a time.  In
-    martingale mode the verdict is consistent iff every grid time stays
+    same Brownian batches and criterion state (common random numbers).
+    Paths are split into batches of ``batch_size``, the unit of the
+    reduction and of the thread split, and a batch runs ``TILE_PATHS`` paths
+    at a time.  A tile is one pass over the grid in ``TIME_CHUNK`` columns:
+    the state and every run's log wealth continue chunk by chunk from their
+    carried last column, and are evaluated into the per-time sums, so a
+    batch holds one tile's increments and one chunk's tile-sized work arrays
+    at a time, whatever ``batch_size``.  In martingale mode the verdict is consistent iff every grid time stays
     inside the 3-standard-error band around U_0; in supermartingale mode the
     mean must stay below U_0 plus the band everywhere, with a strict verdict
     when the terminal mean separates below by more than the band.
 
-    Batches are combined in fixed order, so the reports are bit-identical for
-    any ``threads`` setting and equal to those of one-run calls.
+    Batches are combined in fixed order, and a batch's sums run over its
+    paths in order across tiles, so the reports are bit-identical for any
+    ``threads`` setting and any ``TILE_PATHS``, and equal to those of one-run
+    calls.
     """
     if not runs:
         raise ValueError("need at least one run")

@@ -388,6 +388,35 @@ CONFIG_ERRORS = {
                           "mixture:\n  atoms: [{gamma: abc}]\n"),
     "gamma0-string": ("mixture.gamma0: must be a number", ["verify-fpp"],
                       "mixture:\n  gamma0: '0.5'\n"),
+    "sigma-bool": ("market.sigma: must be a number, got True", ["verify-fpp"],
+                   "market:\n  sigma: true\n"),
+    "mu-element-bool": ("market.mu[0]: must be a number", ["three-power"],
+                        "market:\n  mu: [true]\n"),
+    "sigma-matrix-bool": ("market.sigma[1][0]: must be a number", ["verify-fpp"],
+                          "market:\n  n_stocks: 2\n  d_w: 2\n"
+                          "  sigma: [[0.2, 0.0], [true, 0.3]]\n  mu: [0.04, 0.06]\n"),
+    "sigma-knot-value-bool": ("market.sigma[1].value: must be a number", ["verify-fpp"],
+                              "market:\n  sigma:\n    - {t: 0.0, value: 0.2}\n"
+                              "    - {t: 0.5, value: true}\n"),
+    "mu-knot-value-string": ("market.mu[0].value[0]: must be a number", ["three-power"],
+                             "market:\n  mu:\n    - {t: 0.0, value: [abc]}\n"),
+    "a-vol-bool": ("two_power.a_vol[0]: must be a number", ["two-power", "drifts"],
+                   "two_power:\n  a_vol: [true]\n"),
+    "d-vol-bool": ("two_power.d_vol: must be a number", ["two-power", "drifts"],
+                   "two_power:\n  d_vol: true\n"),
+    "a-perp-bool": ("two_power.a_perp[0]: must be a number", ["two-power", "drifts"],
+                    "two_power:\n  a_perp: [true]\n"),
+    "d-perp-string": ("two_power.d_perp[0]: must be a number", ["two-power", "drifts"],
+                      "two_power:\n  d_perp: [abc]\n"),
+    "h0-value-bool": ("mixture.h0.value[0]: must be a number", ["verify-fpp"],
+                      "mixture:\n  h0: {kind: constant, value: [true]}\n"),
+    "j-value-bool": ("mixture.j.value[0]: must be a number", ["verify-fpp"],
+                     "market: {d_wperp: 1}\n"
+                     "mixture:\n  j: {kind: constant, value: [true]}\n"),
+    "horizon-400-digits": ("simulation.horizon: must be a number", ["three-power"],
+                           f"simulation:\n  horizon: {10 ** 400}\n"),
+    "pool-lam-400-digits": ("pool.lam: must be a number", ["pool", "optimize"],
+                            f"pool:\n  lam: {10 ** 400}\n"),
 }
 
 

@@ -1,5 +1,7 @@
 """Configuration loading: defaults, merging, presets, rejection of bad keys."""
 
+import re
+
 import pytest
 
 from fpplab.config import DEFAULT_CONFIG, load_config
@@ -88,6 +90,22 @@ def test_non_finite_pool_setting_rejected(tmp_path, key, value):
     path = write(tmp_path, f"pool:\n  preset: fig1\n  {key}: {value}\n")
     with pytest.raises(ConfigError, match=f"^pool: {key} must be finite$"):
         load_config(path)
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"market": {"sigma": True}}, "market.sigma"),
+    ({"market": {"mu": [True]}}, "market.mu[0]"),
+    ({"mixture": {"h0": {"kind": "constant", "value": [True]}}}, "mixture.h0.value[0]"),
+    ({"simulation": {"horizon": 10 ** 400}}, "simulation.horizon"),
+    ({"pool": {"lam": 10 ** 400}}, "pool.lam"),
+    ({"market": {"sigma": [[10 ** 400]]}}, "market.sigma[0][0]"),
+], ids=["sigma-bool", "mu-element-bool", "h0-value-bool", "horizon-beyond-float",
+        "pool-lam-beyond-float", "sigma-beyond-float"])
+def test_non_number_override_names_its_key(overrides, key):
+    # a bool is a number to float() and np.asarray, and an int beyond float
+    # range raises OverflowError; both are config errors keyed at the value
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: must be a number, got "):
+        load_config(overrides=overrides)
 
 
 def test_mixture_preset_application():

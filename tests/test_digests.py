@@ -1,8 +1,11 @@
-"""The benchmark's byte gate at the default seed, run as a test at 1 and 2 threads.
+"""The benchmark's byte gate, run as a test.
 
-The workloads and the recorded exit codes, verdicts and CSV SHA-256 come
-from ``perfbench/`` as they are, so a change to any seeded output byte fails
-here as well as in the benchmark.
+Every workload runs at the default seed at 1 and 2 threads, and each ensemble
+workload also at one seed whose recorded verdict is a violation (exit code
+1), so the reduction is held at a failing check too.  The workloads and the
+recorded exit codes, verdicts and CSV SHA-256 come from ``perfbench/`` as
+they are, so a change to any seeded output byte fails here as well as in the
+benchmark.
 """
 
 import hashlib
@@ -30,22 +33,29 @@ def bench():
     return module
 
 
-# one worker thread keeps the plain workload id; the bytes must not depend on it
-@pytest.mark.parametrize("workload, threads", [
-    pytest.param(workload, threads, id=workload if threads == 1
+# recorded seeds whose verdict is a violation, one per ensemble workload
+FALSE_ALARM_SEEDS = {"mix3-verify": 24, "three-power-signed": 12}
+
+
+# the default seed at one worker thread keeps the plain workload id; the bytes
+# must not depend on the thread count
+@pytest.mark.parametrize("workload, seed, threads", [
+    pytest.param(workload, SEED, threads, id=workload if threads == 1
                  else f"{workload}-threads{threads}")
     for threads in (1, 2) for workload in ("mix3-verify", "three-power-signed",
-                                           "pool-greedy")])
-def test_outputs_match_recorded_digests(tmp_path, capsys, bench, workload, threads):
+                                           "pool-greedy")] + [
+    pytest.param(workload, seed, 1, id=f"{workload}-seed{seed}")
+    for workload, seed in FALSE_ALARM_SEEDS.items()])
+def test_outputs_match_recorded_digests(tmp_path, capsys, bench, workload, seed, threads):
     wl = bench.WORKLOADS[workload]
     config = dict(wl["config"])
-    config["simulation"] = dict(config.get("simulation", {}), seed=SEED)
+    config["simulation"] = dict(config.get("simulation", {}), seed=seed)
     config_path = tmp_path / "config.yaml"
     config_path.write_text(json.dumps(config))  # JSON is valid YAML
     out_dir = tmp_path / "out"
     code = main(["--config", str(config_path), "--out", str(out_dir),
                  "--threads", str(threads)] + wl["argv"])
-    recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload][str(SEED)]
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload][str(seed)]
     assert code == recorded["rc"]
     assert bench.parse_verdicts(workload, capsys.readouterr().out) == recorded["verdicts"]
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()

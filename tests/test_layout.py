@@ -83,6 +83,26 @@ def test_time_major_normals_are_the_per_path_draws(n_paths):
         assert np.array_equal(z[:, :, b], gen.standard_normal((grid.n_steps, 3)).T)
 
 
+def test_normals_fill_a_reused_buffer():
+    # a buffer that held an earlier tile's draws is overwritten with exactly
+    # the fresh draws, and the increments are views of it
+    grid = TimeGrid.regular(1.0, 0.25)
+    ids = range(3, 3 + NORMALS_BLOCK + 2)
+    buf = np.full((3, grid.n_steps, len(ids)), np.nan)
+    _normals_for_paths(grid, 3, 11, range(len(ids)), out=buf)
+    assert _normals_for_paths(grid, 3, 11, ids, out=buf) is buf
+    assert np.array_equal(buf, _normals_for_paths(grid, 3, 11, ids))
+    dw, dwp = brownian_batch(grid, 2, 1, 11, ids, out=buf)
+    want_dw, want_dwp = brownian_batch(grid, 2, 1, 11, ids)
+    assert np.shares_memory(dw, buf) and np.shares_memory(dwp, buf)
+    assert np.array_equal(dw, want_dw) and np.array_equal(dwp, want_dwp)
+    for bad in (np.empty((3, grid.n_steps, len(ids) + 1)),
+                np.empty((3, grid.n_steps, 2 * len(ids)))[:, :, ::2],
+                np.empty((3, grid.n_steps, len(ids)), dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-ordered float64"):
+            _normals_for_paths(grid, 3, 11, ids, out=bad)
+
+
 @pytest.mark.parametrize("d_w", [1, 2, 3, 4])
 def test_one_path_batch_equals_its_row(d_w):
     # increments, log wealth, criterion state and U of a batch of one equal

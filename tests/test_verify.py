@@ -4,14 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fpplab.market import MarketSpec, TimeGrid, brownian_batch, evolve_log_wealth_batch
 from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture
 from fpplab.three_power import ThreePowerFpp, ThreePowerSpec
-from fpplab.verify import (TIME_CHUNK, VERDICT_MARTINGALE, VERDICT_SUPER_STRICT,
-                           VERDICT_VIOLATION, MartingaleReport, _report,
-                           martingale_test, structure_scan)
+from fpplab import verify
+from fpplab.verify import (DEFAULT_BATCH, TILE_PATHS, TIME_CHUNK, VERDICT_MARTINGALE,
+                           VERDICT_SUPER_STRICT, VERDICT_VIOLATION, MartingaleReport,
+                           _report, martingale_test, structure_scan)
 
 
 def single_atom_setup(grid, lam=0.2, gamma=0.5):
@@ -240,11 +241,48 @@ def test_streamed_engine_equals_whole_horizon_reference(d_w, d_wperp, n_atoms,
         assert got.warnings == want.warnings
 
 
+@pytest.mark.parametrize("tile", [1, 3, 7, TILE_PATHS])
+@settings(max_examples=6, deadline=None)
+@given(three_power=st.booleans(), n_steps=st.sampled_from([15, 16, 33]),
+       full=st.integers(1, 2), rem=st.integers(1, 6), last=st.integers(1, 50),
+       seed=st.integers(0, 999))
+@example(three_power=False, n_steps=16, full=2, rem=1, last=1, seed=0)
+def test_tiled_reports_equal_whole_horizon_reference(tile, three_power, n_steps, full,
+                                                     rem, last, seed):
+    # each batch runs TILE_PATHS paths at a time: with a tile that does not
+    # divide the batch, down to a last tile of one path, the reports equal
+    # those reduced from whole-batch arrays, bit for bit
+    batch = full * tile + min(rem, tile - 1)  # a tile of 1 divides every batch
+    grid = TimeGrid(np.linspace(0.0, 1.0, n_steps + 1))
+    market, fpp = (three_power_setup if three_power else three_atom_setup)(grid)
+    runs = three_runs(fpp, grid)
+    kw = dict(n_paths=batch + last, seed=seed, batch_size=batch)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "TILE_PATHS", tile)
+        tiled = martingale_test(fpp, runs, **kw)
+    for got, want in zip(tiled, whole_horizon_reports(fpp, runs, **kw)):
+        assert np.array_equal(bits(got.mean), bits(want.mean))
+        assert np.array_equal(bits(got.se), bits(want.se))
+        assert bits(got.kurtosis_terminal) == bits(want.kurtosis_terminal)
+        assert got.warnings == want.warnings
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_martingale_test_memory_is_normals_plus_chunks():
-    # the batch's normals are the only O(N) array: the criterion state, log
-    # wealth and utility exist one TIME_CHUNK of columns at a time, so the
-    # allocation peak is the normals plus a few (B, TIME_CHUNK, n_atoms)
-    # arrays, not the 2 B N n_atoms doubles of a whole-horizon m and dm
+    # a batch runs TILE_PATHS paths at a time, and each tile's normals are the
+    # only O(N) array: the criterion state, log wealth and utility exist one
+    # TIME_CHUNK of columns at a time, so the allocation peak of a whole
+    # DEFAULT_BATCH batch is one tile's normals plus a few (TILE_PATHS,
+    # TIME_CHUNK, n_atoms) arrays, whatever the batch size; each worker
+    # thread holds its own, so two threads peak at about twice one
     grid = TimeGrid.regular(1.0, 1 / 252)
     market = MarketSpec(n_stocks=3, d_w=3, d_wperp=1,
                         sigma=[[0.2, 0.0, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.3]],
@@ -253,16 +291,18 @@ def test_martingale_test_memory_is_normals_plus_chunks():
                       h0=H0Spec.portfolio_inversion([0.5, 0.3, 0.2]),
                       j=JSpec.constant([0.1]))
     fpp = MixtureFpp(mix, market, grid)
-    n_paths = 4000
-    normals = n_paths * grid.n_steps * (market.d_w + market.d_wperp) * 8
-    chunk = n_paths * TIME_CHUNK * mix.n_atoms * 8
-    tracemalloc.start()
-    try:
-        martingale_test(fpp, three_runs(fpp, grid), n_paths=n_paths, seed=3, threads=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < normals + 12 * chunk
+    runs = three_runs(fpp, grid)
+    n_paths = DEFAULT_BATCH
+    assert n_paths >= 4 * TILE_PATHS
+    normals = TILE_PATHS * grid.n_steps * (market.d_w + market.d_wperp) * 8
+    chunk = TILE_PATHS * TIME_CHUNK * mix.n_atoms * 8
+    one_batch = traced_peak(lambda: martingale_test(fpp, runs, n_paths=n_paths,
+                                                    seed=3, threads=1))
+    assert one_batch < normals + 6 * chunk
+    two_batches = dict(n_paths=n_paths, seed=3, batch_size=n_paths // 2)
+    one_thread = traced_peak(lambda: martingale_test(fpp, runs, threads=1, **two_batches))
+    two_threads = traced_peak(lambda: martingale_test(fpp, runs, threads=2, **two_batches))
+    assert two_threads < 2.1 * one_thread
 
 
 def test_paired_sampling_reduces_variance():
@@ -305,27 +345,48 @@ def test_degenerate_utility_warning():
     assert report.warnings and "degenerate" in report.warnings[0]
 
 
+# (row, grid column) cells set to -inf in every utility_paths call: row 0
+# diverges in the first and the second chunk, row 1 only in the first; neither
+# in the last chunk, which holds the terminal column
+NEG_INF_CELLS = [(0, 2), (0, TIME_CHUNK + 3), (1, 1)]
+
+
+class Diverging(Wrapped):
+    def utility_paths(self, state, log_x, cols=slice(None)):
+        u = super().utility_paths(state, log_x, cols)
+        first = cols.start or 0
+        for b, k in NEG_INF_CELLS:
+            if b < len(u) and first <= k < first + u.shape[1]:
+                u[b, k - first] = -np.inf
+        return u
+
+
 def test_neg_inf_paths_counted_once_across_chunks():
     grid = TimeGrid.regular(1.0, 1 / 40)
     market, fpp = single_atom_setup(grid)
     n_times = grid.n_steps + 1
     assert n_times > 2 * TIME_CHUNK  # at least three chunks
-    # path 0 diverges in the first and the second chunk, path 1 only in the
-    # first; neither in the last chunk, which holds the terminal column
-    cells = [(0, 2), (0, TIME_CHUNK + 3), (1, 1)]
-
-    class Diverging(Wrapped):
-        def utility_paths(self, state, log_x, cols=slice(None)):
-            u = super().utility_paths(state, log_x, cols)
-            first = cols.start or 0
-            for b, k in cells:
-                if first <= k < first + u.shape[1]:
-                    u[b, k - first] = -np.inf
-            return u
-
+    assert TILE_PATHS >= 10  # one tile: rows are paths 0 and 1
     [report] = martingale_test(Diverging(fpp), [(null_path(grid), "supermartingale")],
                                n_paths=10, seed=0)
     assert report.warnings == ("degenerate utility: 2 of 10 paths hit -inf",)
+
+
+def test_neg_inf_paths_counted_once_per_tile(monkeypatch):
+    # with 3-path tiles a utility_paths call covers one tile, so rows 0 and 1
+    # are the first two paths of each tile: 10 paths give tiles of 3, 3, 3
+    # and 1, and the last holds row 0 alone
+    grid = TimeGrid.regular(1.0, 1 / 40)
+    market, fpp = single_atom_setup(grid)
+    tile, n_paths = 3, 10
+    monkeypatch.setattr(verify, "TILE_PATHS", tile)
+    rows = {b for b, _ in NEG_INF_CELLS}
+    expected = sum(sum(b < min(tile, n_paths - lo) for b in rows)
+                   for lo in range(0, n_paths, tile))
+    assert expected == 7
+    [report] = martingale_test(Diverging(fpp), [(null_path(grid), "supermartingale")],
+                               n_paths=n_paths, seed=0)
+    assert report.warnings == (f"degenerate utility: {expected} of 10 paths hit -inf",)
 
 
 def test_report_text_names_time_of_worst_margin():
