@@ -49,6 +49,7 @@ _ALLOWED = {name: set(section) for name, section in DEFAULT_CONFIG.items()
             if isinstance(section, dict)}
 _ALLOWED["pool"] |= {f.name for f in fields(PoolSpec)}
 _ALLOWED_ATOM = {"gamma", "weight"}
+_ALLOWED_KNOT = {"t", "value"}
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,13 @@ def _number(path: str, value):
 
 def _numbers(path: str, value) -> None:
     """Check every number in ``value``: a number, or lists and mappings of them
-    (a matrix, or a schedule's ``{t, value}`` knots), each keyed by its path."""
-    if isinstance(value, dict):
+    (a matrix, or a schedule's knots, each with exactly the keys ``t`` and
+    ``value``), each keyed by its path."""
+    if isinstance(value, dict):  # a schedule knot
+        _reject_unknown(value, _ALLOWED_KNOT, path)
+        missing = sorted(_ALLOWED_KNOT - value.keys())
+        if missing:
+            raise ConfigError(f"{path}.{missing[0]}: missing")
         for key, item in value.items():
             _numbers(f"{path}.{key}", item)
     elif isinstance(value, (list, tuple)):

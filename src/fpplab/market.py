@@ -77,10 +77,6 @@ class TimeGrid:
     def dt(self) -> np.ndarray:
         return np.diff(self.times)
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
 
 # ---------------------------------------------------------------------------
 # Deterministic coefficient schedules
@@ -350,34 +346,43 @@ def check_schedule(sp, grid: TimeGrid, d_w: int) -> np.ndarray:
     return sp
 
 
-def chunk_cells(cols: slice, n_steps: int) -> tuple[int, slice]:
-    """(first column, cells) of the grid columns ``cols``.
+def running_integral(loadings: np.ndarray, dw: np.ndarray, cols: slice = slice(None),
+                     carry: np.ndarray = None, start: float = 0.0,
+                     drift: np.ndarray = None, j: np.ndarray = None,
+                     dwperp: np.ndarray = None) -> np.ndarray:
+    """Running sums ``start + sum_k (drift_k + loadings_k . dW_k + j_k . dW_perp_k)``.
 
-    The cells are the grid cells whose increments a chunk of columns needs:
-    those ending in ``cols``.  Column 0 holds the initial value, so the first
-    chunk has one cell fewer than columns, and any later chunk one per column.
+    ``loadings`` and ``j`` are (N, rows, d_w) and (N, rows, d_wperp) arrays
+    of per-cell loadings on the whole-grid ``brownian_batch`` increments
+    ``dw`` and ``dwperp``; ``drift`` holds one value per cell of the chunk.
+    The result is the time-major (rows, len(cols), B) value at the grid
+    columns ``cols``.  The first chunk holds column 0, ``start``; a later
+    chunk continues from ``carry``, the (rows, B) or (B,) value at the
+    column before it, so chunks equal the whole horizon bit for bit.  Every
+    bit is fixed here: ``loadings . dW`` and ``j . dW_perp`` are separate
+    ``einsum_dot`` calls, added in that order, and a step is
+    ``x_{k-1} + inc_k``, or ``(x_{k-1} + drift_k) + inc_k``.
     """
+    n_steps = dw.shape[1]
     lo, hi, _ = cols.indices(n_steps + 1)
-    return lo, slice(max(lo - 1, 0), hi - 1)
-
-
-def accumulate_columns(acc: np.ndarray, lo: int, carry=None) -> np.ndarray:
-    """Running sum, in place, of the increments in ``acc`` along its time axis (-2).
-
-    ``acc`` holds one chunk of grid columns starting at column ``lo``.  In
-    the first chunk (``lo == 0``) column 0 is the t = 0 zero, written, not
-    added, since 0.0 + -0.0 would flip a sign bit, and column 1 is the first
-    increment itself.  A later chunk adds ``carry``, the value at the column
-    before it, to its first increment.  Columns are then added one at a
-    time, ``acc[k] = acc[k-1] + acc[k]``, the order of ``np.cumsum``.
-    """
-    if lo == 0:
-        acc[..., 0, :] = 0.0
+    cells = slice(max(lo - 1, 0), hi - 1)
+    dwt = dw.T[:, cells]
+    # row 0 of the time axis is the column before the chunk, or t = 0
+    acc = np.empty((loadings.shape[1], cells.stop - cells.start + 1, dw.shape[0]))
+    acc[:, 0] = start if lo == 0 else carry
+    for r in range(acc.shape[0]):
+        inc = einsum_dot(dwt, loadings[cells, r].T[:, :, None], out=acc[r, 1:])
+        if j is not None:
+            inc += einsum_dot(dwperp.T[:, cells], j[cells, r].T[:, :, None])
+    if drift is None:
+        for k in range(1, acc.shape[1]):
+            np.add(acc[:, k - 1], acc[:, k], out=acc[:, k])
     else:
-        acc[..., 0, :] += carry
-    for k in range(2 if lo == 0 else 1, acc.shape[-2]):
-        np.add(acc[..., k - 1, :], acc[..., k, :], out=acc[..., k, :])
-    return acc
+        step = np.empty(acc[:, 0].shape)
+        for k in range(1, acc.shape[1]):
+            np.add(acc[:, k - 1], drift[k - 1], out=step)
+            np.add(step, acc[:, k], out=acc[:, k])
+    return acc[:, 1:] if lo else acc
 
 
 def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
@@ -391,10 +396,9 @@ def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
     grid, as ``brownian_batch`` returns them.  ``cols`` is a slice of grid
     columns; ``None``, the whole horizon (B, N+1), is the one-chunk case.  A
     chunk past column 0 continues from ``carry``, the (B,) log wealth at the
-    column before it, so evolving chunk by chunk from each chunk's last
-    column gives the whole-horizon paths bit for bit.  A zero allocation
-    keeps log wealth exactly at ``log(x0)``.  The result is the transposed
-    view of a time-major (len(cols), B) array.
+    column before it, as in ``running_integral``.  A zero allocation keeps
+    log wealth exactly at ``log(x0)``.  The result is the transposed view of
+    a time-major (len(cols), B) array.
 
     The whole-horizon call checks the schedule with ``check_schedule``
     (and raises its ``StrategyEvaluationError``); a chunk call expects a
@@ -404,26 +408,19 @@ def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
     if cols is None:
         sp = check_schedule(sp, grid, d_w)
         cols = slice(None)
-    lo, cells = chunk_cells(cols, n_steps)
-    sp, lam = sp[cells], lam_path[cells]
-    # one row per grid column, so each step adds contiguous rows; row 0 is the
-    # column before the chunk, or log(x0) in the first chunk
-    out = np.empty((cells.stop - cells.start + 1, n_paths))
-    out[0] = np.log(x0) if lo == 0 else carry
-    if not sp.any():
-        out[1:] = out[0]
-    else:
-        # one drift per cell for every path; sp . lam left to right fixes the rounding
-        sp_lam = sp[:, 0] * lam[:, 0]
-        for d in range(1, d_w):
-            sp_lam = sp_lam + sp[:, d] * lam[:, d]
-        drift_dt = (sp_lam - 0.5 * np.einsum("kd,kd->k", sp, sp)) * grid.dt[cells]
-        einsum_dot(dw.T[:, cells], sp.T[:, :, None], out=out[1:])  # the noise sp . dW
-        step = np.empty(n_paths)
-        for k in range(drift_dt.size):  # (log x_k + drift_k) + noise_k
-            np.add(out[k], drift_dt[k], out=step)
-            np.add(step, out[k + 1], out=out[k + 1])
-    return (out[1:] if lo else out).T
+    lo, hi, _ = cols.indices(n_steps + 1)
+    cells = slice(max(lo - 1, 0), hi - 1)  # the cells ending in cols
+    if not sp[cells].any():
+        out = np.empty((hi - lo, n_paths))
+        out[...] = np.log(x0) if lo == 0 else carry
+        return out.T
+    # one drift per cell for every path; sp . lam left to right fixes the rounding
+    spc, lam = sp[cells], lam_path[cells]
+    sp_lam = spc[:, 0] * lam[:, 0]
+    for d in range(1, d_w):
+        sp_lam = sp_lam + spc[:, d] * lam[:, d]
+    drift_dt = (sp_lam - 0.5 * np.einsum("kd,kd->k", spc, spc)) * grid.dt[cells]
+    return running_integral(sp[:, None, :], dw, cols, carry, np.log(x0), drift_dt)[0].T
 
 
 # ---------------------------------------------------------------------------

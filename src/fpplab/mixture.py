@@ -22,14 +22,13 @@ Evaluation is done in log space; values live in R union {-inf}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import FactorDegeneracyError, InvalidExponentError
-from .market import (MarketSpec, TimeGrid, accumulate_columns, brownian_batch,
-                     chunk_cells, einsum_dot, evolve_log_wealth_batch, solve_allocation,
-                     PINV_RCOND)
+from .market import (MarketSpec, TimeGrid, brownian_batch, evolve_log_wealth_batch,
+                     running_integral, solve_allocation, PINV_RCOND)
 
 GAMMA_ONE_TOL = 1e-9  # risk aversions this close to 1 are rejected
 
@@ -73,10 +72,15 @@ def signed_exp_sum(logs: np.ndarray, signs: np.ndarray) -> np.ndarray:
 def _check_kind(spec, kinds: dict) -> None:
     """Check ``spec.kind`` and store the fields ``kinds[kind]`` as finite float arrays.
 
-    Errors name the offending field first (``value: ...``).
+    A field the kind does not read must be None.  Errors name the offending
+    field first (``value: ...``).
     """
     if spec.kind not in kinds:
         raise ValueError(f"kind: unknown kind {spec.kind!r}, choose from {list(kinds)}")
+    for f in fields(spec):
+        unread = f.name != "kind" and f.name not in kinds[spec.kind]
+        if unread and getattr(spec, f.name) is not None:
+            raise ValueError(f"{f.name}: kind {spec.kind!r} does not read it")
     for name in kinds[spec.kind]:
         try:
             arr = np.atleast_1d(np.asarray(getattr(spec, name), float))
@@ -395,19 +399,12 @@ class MixtureFpp:
         evaluates at the same ``cols``.  ``dw`` and ``dwperp`` are the
         ``brownian_batch`` increments of the whole grid.  The whole horizon
         is the one-chunk case; a chunk past column 0 continues from
-        ``carry``, the (B, n_atoms) ``m`` at the column before it, so
-        chunk-by-chunk states equal the whole-horizon ``m`` bit for bit.
+        ``carry``, the (B, n_atoms) ``m`` at the column before it, as in
+        ``running_integral``.
         """
-        lo, cells = chunk_cells(cols, self.grid.n_steps)
-        first = 1 if lo == 0 else 0  # the first chunk also holds t = 0
-        m = np.empty((self.mixture.n_atoms, cells.stop - cells.start + first,
-                      dw.shape[0]))
-        dwt, dwpt = dw.T[:, cells], dwperp.T[:, cells]
-        for a in range(self.mixture.n_atoms):  # dm = H.dW + J.dW_perp per cell
-            dm = einsum_dot(dwt, self.h[cells, a].T[:, :, None], out=m[a, first:])
-            if self.market.d_wperp:
-                dm += einsum_dot(dwpt, self.j[cells, a].T[:, :, None])
-        return accumulate_columns(m, lo, None if carry is None else carry.T).T
+        j = self.j if self.market.d_wperp else None  # dm = H.dW + J.dW_perp per cell
+        return running_integral(self.h, dw, cols, None if carry is None else carry.T,
+                                j=j, dwperp=dwperp).T
 
     def utility_paths(self, state, log_x: np.ndarray,
                       cols: slice = slice(None)) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketSpec, TimeGrid, accumulate_columns, chunk_cells, einsum_dot
+from .market import MarketSpec, TimeGrid, running_integral
 from .mixture import signed_exp_sum
 
 
@@ -40,11 +40,6 @@ class ThreePowerSpec:
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0 / 3.0):
             raise ValueError(f"gamma must lie in (0, 1/3), got {self.gamma}")
-
-    @property
-    def gammas(self) -> np.ndarray:
-        g = self.gamma
-        return np.array([g, 2.0 * g, 3.0 * g])
 
     @property
     def weights(self) -> np.ndarray:
@@ -136,7 +131,8 @@ class ThreePowerFpp:
     """The signed criterion bound to a market and a time grid.
 
     ``lam_path`` and ``sp_star`` = lam/(2 gamma), (N, d_w) at the left
-    endpoints, and ``i_path`` = int |lam|^2 ds, (N+1,), are computed once, here.
+    endpoints, the (N, 1, d_w) loading ``h`` = lam/2 of log Z, and
+    ``i_path`` = int |lam|^2 ds, (N+1,), are computed once, here.
     """
 
     def __init__(self, spec: ThreePowerSpec, market: MarketSpec, grid: TimeGrid):
@@ -145,6 +141,7 @@ class ThreePowerFpp:
         self.grid = grid
         self.lam_path = market.sharpe_path(grid)
         self.sp_star = self.lam_path / (2.0 * spec.gamma)
+        self.h = 0.5 * self.lam_path[:, None, :]
         self.i_path = np.concatenate(
             [[0.0], np.cumsum(np.einsum("kd,kd->k", self.lam_path, self.lam_path)
                               * grid.dt)])
@@ -161,13 +158,7 @@ class ThreePowerFpp:
         whole horizon is the one-chunk case; a chunk past column 0 continues
         from ``carry``, the (B,) log Z at the column before it.
         """
-        lo, cells = chunk_cells(cols, self.grid.n_steps)
-        first = 1 if lo == 0 else 0  # the first chunk also holds t = 0
-        log_z = np.empty((cells.stop - cells.start + first, dw.shape[0]))
-        inc = einsum_dot(dw.T[:, cells], self.lam_path[cells].T[:, :, None],
-                         out=log_z[first:])
-        inc *= 0.5  # half lam . dW per cell
-        return accumulate_columns(log_z, lo, carry).T
+        return running_integral(self.h, dw, cols, carry)[0].T
 
     def state_paths(self, dw: np.ndarray, dwperp: np.ndarray,
                     cols: slice = slice(None), carry=None):

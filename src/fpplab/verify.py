@@ -22,8 +22,13 @@ from .market import brownian_batch, check_schedule, evolve_log_wealth_batch
 
 SE_MULTIPLE = 3.0
 NEGINF_WARN_FRACTION = 1e-3
-DEFAULT_BATCH = 20_000
-TIME_CHUNK = 16  # grid times evaluated at once; bounds the per-batch working set
+X0 = 1.0  # initial wealth of every ensemble path
+DEFAULT_BATCH = 20_000  # paths per batch: the unit of the reduction and the thread split
+# grid times streamed at once, so a chunk's work arrays stay cache-sized (the tiles
+# bound memory).  perfbench, 2-core x86-64 host: unchunked 512-path tiles cut the
+# mix3-verify peak 79 -> 55 MB but cost 5% wall_rel there and 18-20% on
+# three-power-signed; chunking only the evaluation cost 8-16%.
+TIME_CHUNK = 16
 # paths of a batch drawn and evaluated at once; bounds the normals held per batch.
 # Median CPU s / peak RSS MB of 6 one-thread runs of perfbench's mix3-verify and
 # three-power-signed commands (2-core x86-64 host) at 2048, 4096 and 8192 paths:
@@ -38,7 +43,7 @@ VERDICT_VIOLATION = "violation"
 
 @dataclass(frozen=True)
 class MartingaleReport:
-    """Per-time ensemble means of U_t(X_t) against the reference U_0(x0)."""
+    """Per-time ensemble means of U_t(X_t) against the reference U_0(X0)."""
 
     t_grid: np.ndarray
     mean: np.ndarray
@@ -105,7 +110,7 @@ def _reduce_rows(sums: np.ndarray, rows: np.ndarray, first: bool) -> None:
         sums[...] = rows.sum(axis=0)
 
 
-def _batch_moments(fpp, sps, seed, path_ids, x0):
+def _batch_moments(fpp, sps, seed, path_ids):
     """(sum U, sum U^2, -inf path count, terminal U) of every schedule over one batch.
 
     The batch runs ``TILE_PATHS`` paths at a time.  Each tile's increments
@@ -145,7 +150,7 @@ def _batch_moments(fpp, sps, seed, path_ids, x0):
             w = cols.stop - cols.start
             buf = rows[:(len(ids) + 1) * w].reshape(len(ids) + 1, w)
             for r, sp in enumerate(sps):
-                log_x = evolve_log_wealth_batch(x0, sp, fpp.lam_path, grid, dw, cols, last[r])
+                log_x = evolve_log_wealth_batch(X0, sp, fpp.lam_path, grid, dw, cols, last[r])
                 last[r] = log_x[:, -1].copy()
                 u = fpp.utility_paths(state, log_x, cols)
                 diverged[r, paths] |= np.isneginf(u).any(axis=1)
@@ -194,10 +199,9 @@ def _report(mode, s1, s2, neg_inf, terminal, reference, grid, n_paths, seed):
 
 
 def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
-                    n_paths: int, seed: int, x0: float = 1.0,
-                    batch_size: int = DEFAULT_BATCH,
+                    n_paths: int, seed: int,
                     threads: int = None) -> list[MartingaleReport]:
-    """Ensemble tests of E[U_t(X_t)] against U_0(x0), one report per run.
+    """Ensemble tests of E[U_t(X_t)] against U_0(X0), one report per run.
 
     ``runs`` is a list of ``(sp, mode)``; a single test is a list of one.
     ``sp`` is the (N, d_w) sigma*pi schedule of ``evolve_log_wealth_batch``,
@@ -210,16 +214,18 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
     ``utility_paths(state, log_x, cols)`` (U at log wealth ``log_x`` for the
     same ``cols``).  Each schedule is checked once, here.  All runs ride the
     same Brownian batches and criterion state (common random numbers).
-    Paths are split into batches of ``batch_size``, the unit of the
-    reduction and of the thread split, and a batch runs ``TILE_PATHS`` paths
-    at a time.  A tile is one pass over the grid in ``TIME_CHUNK`` columns:
-    the state and every run's log wealth continue chunk by chunk from their
-    carried last column, and are evaluated into the per-time sums, so a
-    batch holds one tile's increments and one chunk's tile-sized work arrays
-    at a time, whatever ``batch_size``.  In martingale mode the verdict is consistent iff every grid time stays
-    inside the 3-standard-error band around U_0; in supermartingale mode the
-    mean must stay below U_0 plus the band everywhere, with a strict verdict
-    when the terminal mean separates below by more than the band.
+    Every path starts at wealth ``X0``.  Paths are split into batches of
+    ``DEFAULT_BATCH``, the unit of the reduction and of the thread split, and
+    a batch runs ``TILE_PATHS`` paths at a time.  A tile is one pass over the
+    grid in ``TIME_CHUNK`` columns: the state and every run's log wealth
+    continue chunk by chunk from their carried last column, and are
+    evaluated into the per-time sums, so a batch holds one tile's increments
+    and one chunk's tile-sized work arrays at a time, whatever the batch
+    size.  In martingale mode the verdict is consistent iff every grid time
+    stays inside the 3-standard-error band around U_0; in supermartingale
+    mode the mean must stay below U_0 plus the band everywhere, with a
+    strict verdict when the terminal mean separates below by more than the
+    band.
 
     Batches are combined in fixed order, and a batch's sums run over its
     paths in order across tiles, so the reports are bit-identical for any
@@ -236,11 +242,11 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
     grid = fpp.grid
     n_times = grid.n_steps + 1
     sps = [check_schedule(sp, grid, fpp.market.d_w) for sp, _ in runs]
-    batches = [range(lo, min(lo + batch_size, n_paths))
-               for lo in range(0, n_paths, batch_size)]
+    batches = [range(lo, min(lo + DEFAULT_BATCH, n_paths))
+               for lo in range(0, n_paths, DEFAULT_BATCH)]
 
     def work(ids):
-        return _batch_moments(fpp, sps, seed, ids, x0)
+        return _batch_moments(fpp, sps, seed, ids)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -248,7 +254,7 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
     else:
         results = [work(ids) for ids in batches]
 
-    reference = float(fpp.u0(x0))
+    reference = float(fpp.u0(X0))
     reports = []
     for r, (_, mode) in enumerate(runs):
         s1 = np.zeros(n_times)

@@ -413,6 +413,21 @@ CONFIG_ERRORS = {
     "j-value-bool": ("mixture.j.value[0]: must be a number", ["verify-fpp"],
                      "market: {d_wperp: 1}\n"
                      "mixture:\n  j: {kind: constant, value: [true]}\n"),
+    "h0-zero-value": ("mixture.h0.value: kind 'zero' does not read it", ["verify-fpp"],
+                      "mixture:\n  h0: {value: [0.5]}\n"),
+    "j-constant-rho": ("mixture.j.rho: kind 'constant' does not read it", ["verify-fpp"],
+                       "market: {d_wperp: 1}\n"
+                       "mixture:\n  j: {kind: constant, value: [0.1], rho: [[1.0]]}\n"),
+    "j-factor-value": ("mixture.j.value: kind 'factor' does not read it", ["verify-fpp"],
+                       "market: {d_wperp: 1}\n"
+                       "mixture:\n  j: {kind: factor, value: [0.1], rho: [[1.0]], "
+                       "a: [[0.5]]}\n"),
+    "sigma-knot-unknown-key": ("market.sigma[0].vale: unknown key", ["verify-fpp"],
+                               "market:\n  sigma: [{t: 0.0, value: 0.2, vale: 0.3}]\n"),
+    "sigma-knot-missing-t": ("market.sigma[1].t: missing", ["verify-fpp"],
+                             "market:\n  sigma: [{t: 0.0, value: 0.2}, {value: 0.3}]\n"),
+    "mu-knot-missing-value": ("market.mu[0].value: missing", ["three-power"],
+                              "market:\n  mu: [{t: 0.0}]\n"),
     "horizon-400-digits": ("simulation.horizon: must be a number", ["three-power"],
                            f"simulation:\n  horizon: {10 ** 400}\n"),
     "pool-lam-400-digits": ("pool.lam: must be a number", ["pool", "optimize"],
@@ -457,6 +472,17 @@ def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads, command)
     assert code == 2
     assert err == f"configuration error: --threads: must be at least 1, got {threads}\n"
     assert not (tmp_path / "out").exists()  # rejected before anything runs
+
+
+def test_two_power_drifts_print_the_coefficient_drifts(tmp_path, capsys):
+    from fpplab.two_power import coefficient_drifts
+
+    code = run(tmp_path, "two-power", "drifts",
+               config="two_power:\n  a_vol: [0.1]\n  d_vol: [-0.25]\n")
+    assert code == 0
+    # the default market's Sharpe ratio is 0.04 / 0.2
+    alpha, delta = coefficient_drifts(0.1, 0.3, [0.04 / 0.2], [0.1], [-0.25])
+    assert capsys.readouterr().out == f"alpha = {alpha:.9g}\ndelta = {delta:.9g}\n"
 
 
 def test_two_power_validate_rejects_nan_row(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from fpplab.config import DEFAULT_CONFIG, load_config
 from fpplab.errors import ConfigError
+from fpplab.pooling import PoolSpec
 
 
 def write(tmp_path, text):
@@ -75,6 +76,16 @@ def test_pool_preset_with_overrides(tmp_path):
     cfg = load_config(path)
     assert cfg.pool.lam == 4.0
     assert cfg.pool.x0 == 2.0
+
+
+def test_pool_section_without_preset(tmp_path):
+    # a null preset leaves the section's own fields, all of them required
+    path = write(tmp_path, "pool:\n  preset: null\n  p: 0.2\n  q: 0.4\n  a0: 1.0\n"
+                           "  d0: 2.0\n  lam: 0.5\n  x0: 1.5\n  horizon: 10.0\n")
+    cfg = load_config(path)
+    assert cfg.pool == PoolSpec(p=0.2, q=0.4, a0=1.0, d0=2.0, lam=0.5, x0=1.5,
+                                horizon=10.0)
+    assert cfg.pool_preset is None
 
 
 def test_unknown_pool_preset(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from fpplab.errors import (NoExactSolutionError, SingularMarketError,
                            StrategyEvaluationError)
 from fpplab.market import (MarketSpec, Schedule, TimeGrid, brownian_batch,
-                           evolve_log_wealth_batch, sharpe_ratio, solve_allocation,
-                           write_paths_csv)
+                           evolve_log_wealth_batch, running_integral, sharpe_ratio,
+                           solve_allocation, write_paths_csv)
 from fpplab.verify import _time_chunks
 
 
@@ -329,6 +329,53 @@ def test_chunked_evolution_equals_whole_horizon(d_w):
         assert np.array_equal(np.concatenate(chunks, axis=1).view(np.int64),
                               whole.view(np.int64))
     assert np.all(whole == np.log(1.3))
+
+
+def stepwise_running_integral(loadings, dw, start, drift=None, j=None, dwperp=None):
+    """The whole-horizon (rows, N+1, B) running sums, one grid cell at a time.
+
+    Each increment is ``np.einsum`` on C-ordered path-major copies (the bits
+    ``einsum_dot`` gives time-major), ``H.dW`` then ``+ J.dW_perp``, and each
+    step is ``x_{k-1} + inc_k``, or ``(x_{k-1} + drift_k) + inc_k``.
+    """
+    inc = np.einsum("bkd,kad->bka", np.ascontiguousarray(dw), loadings)
+    if j is not None:
+        inc = inc + np.einsum("bkd,kad->bka", np.ascontiguousarray(dwperp), j)
+    n_paths, n_steps, rows = inc.shape
+    x = np.empty((n_paths, n_steps + 1, rows))
+    x[:, 0] = start
+    for k in range(n_steps):
+        prev = x[:, k] if drift is None else x[:, k] + drift[k]
+        x[:, k + 1] = prev + inc[:, k]
+    return x.transpose(2, 1, 0)
+
+
+@pytest.mark.parametrize("with_drift", [False, True], ids=["no-drift", "drift"])
+@pytest.mark.parametrize("with_j", [False, True], ids=["no-j", "j"])
+@pytest.mark.parametrize("d_w, rows, n_steps", [(1, 1, 20), (3, 3, 40), (4, 2, 33)])
+def test_running_integral_matches_stepwise_reference(with_drift, with_j, d_w, rows,
+                                                     n_steps):
+    # whole-horizon and chunk-by-chunk calls, each chunk carried from the last
+    # column of the one before, both give the stepwise sums bit for bit
+    rng = np.random.default_rng(d_w * 100 + n_steps)
+    grid = TimeGrid(np.linspace(0.0, 1.0, n_steps + 1))
+    dw, dwp = brownian_batch(grid, d_w, 2, seed=3, path_ids=range(24))
+    loadings = rng.normal(size=(n_steps, rows, d_w))
+    j = rng.normal(size=(n_steps, rows, 2)) if with_j else None
+    drift = rng.normal(scale=0.01, size=n_steps) if with_drift else None
+    want = stepwise_running_integral(loadings, dw, 0.3, drift, j, dwp)
+    whole = running_integral(loadings, dw, start=0.3, drift=drift, j=j, dwperp=dwp)
+    assert np.array_equal(whole.view(np.int64), want.view(np.int64))
+    chunks, carry = [], None
+    for cols in _time_chunks(n_steps + 1):
+        lo, hi, _ = cols.indices(n_steps + 1)
+        cells = slice(max(lo - 1, 0), hi - 1)  # the cells ending in cols
+        chunks.append(running_integral(loadings, dw, cols, carry, 0.3,
+                                       None if drift is None else drift[cells], j, dwp))
+        carry = chunks[-1][:, -1]
+    assert len(chunks) > 1
+    assert np.array_equal(np.concatenate(chunks, axis=1).view(np.int64),
+                          want.view(np.int64))
 
 
 def test_piecewise_market_schedule_in_sharpe_path():

@@ -275,6 +275,39 @@ def test_accumulate_matches_brute_force_recomputation():
     assert np.all(np.diff(qv, axis=0) >= 0.0)
 
 
+def test_factor_loadings_enter_the_state():
+    # JSpec.factor gives atom i the W_perp loading A (rho'rho)^-1 rho' H_i on
+    # every cell, and the state and its quadratic variation carry it
+    market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1, sigma=np.eye(2), mu=[0.3, 0.1])
+    rho, a = [[1.0], [0.5]], [[0.4]]
+    lam, h0 = np.array([0.3, 0.1]), np.array([0.1, -0.05])
+    mix = RiskMixture(atoms=((0.4, 1.0), (2.0, 0.7)), gamma0=0.4,
+                      h0=H0Spec.constant(h0), j=JSpec.factor(rho, a))
+    mix.j.check(market, mix.n_atoms)
+    grid = TimeGrid.regular(1.0, 0.05)
+    fpp = MixtureFpp(mix, market, grid)
+    j_atoms = [factor_j(rho, a, hgamma(g, 0.4, lam, h0)) for g in mix.gammas]
+    assert j_atoms[0] != pytest.approx(j_atoms[1])
+    for k in range(grid.n_steps):
+        assert fpp.j[k] == pytest.approx(np.array(j_atoms), rel=1e-12)
+    dw, dwp = brownian_batch(grid, 2, 1, seed=3, path_ids=[0])
+    m, qv = fpp.state_paths(dw, dwp), fpp.qv
+    m_ref, qv_ref, _ = stepwise_state(mix, lam, h0, j_atoms, dw[0], dwp[0], grid.dt)
+    assert m[0, -1] == pytest.approx(m_ref, rel=1e-12)
+    assert qv[-1] == pytest.approx(qv_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho, a, field", [
+    ([[1.0], [0.5], [0.2]], [[0.4]], "rho"),
+    ([[1.0], [0.5]], [[0.4], [0.1]], "a"),
+    ([[1.0], [0.5]], [[0.4, 0.1]], "a"),
+])
+def test_factor_loadings_must_fit_the_market(rho, a, field):
+    market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1, sigma=np.eye(2), mu=[0.3, 0.1])
+    with pytest.raises(ValueError, match=f"^{field}: needs shape"):
+        JSpec.factor(rho, a).check(market, 2)
+
+
 def test_state_paths_match_stepwise_accumulation():
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=1, sigma=0.25, mu=0.05)
     mix = RiskMixture(atoms=((0.5, 1.0), (0.8, 2.0)), gamma0=0.5,

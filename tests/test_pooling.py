@@ -209,6 +209,28 @@ def test_greedy_flat_objective_rescans_full_grid():
     assert np.all((Z_EDGE <= z) & (z <= Z_EDGE + Z_SCAN_STEP))
 
 
+def test_greedy_window_widens_right_to_a_rise(monkeypatch):
+    # a rise in ed right of q, as rounding can make where it is flat to the
+    # last bit, widens the window up to it: rows that peak there still get
+    # the full-grid argmax
+    zs = pooling.Z_GRID
+    k = int(np.searchsorted(zs, 0.8))
+    terms = pooling._objective_terms
+
+    def bumped(z, p, q, lam2t):
+        ea, ed = terms(z, p, q, lam2t)
+        if np.shape(z)[-1:] == zs.shape:  # the grid scans, not the golden-section points
+            ed = ed.copy()
+            ed[..., k] = 1.5
+        return ea, ed
+
+    monkeypatch.setattr(pooling, "_objective_terms", bumped)
+    log_ratio = np.linspace(-5.0, 5.0, 41)
+    z = _greedy_z_batch(log_ratio, 0.1, 0.3, 1.0)
+    assert np.array_equal(z, full_grid_greedy_z(log_ratio, 0.1, 0.3, 1.0))
+    assert np.all(np.abs(z[log_ratio > 0.0] - zs[k]) <= Z_SCAN_STEP)
+
+
 FIG3_LAM2DT = preset("fig3").lam ** 2 * preset("fig3").rebalance_dt
 
 

@@ -132,23 +132,25 @@ def test_supermartingale_mode_detects_upward_drift():
     assert report.verdict == VERDICT_VIOLATION
 
 
-def test_reports_identical_across_thread_counts():
+def test_reports_identical_across_thread_counts(monkeypatch):
     grid = TimeGrid.regular(0.5, 1 / 12)
     market, fpp = single_atom_setup(grid)
     runs = [(fpp.sp_star, "martingale")]
-    [a] = martingale_test(fpp, runs, n_paths=6000, seed=5, threads=1, batch_size=1000)
-    [b] = martingale_test(fpp, runs, n_paths=6000, seed=5, threads=4, batch_size=1000)
+    monkeypatch.setattr(verify, "DEFAULT_BATCH", 1000)
+    [a] = martingale_test(fpp, runs, n_paths=6000, seed=5, threads=1)
+    [b] = martingale_test(fpp, runs, n_paths=6000, seed=5, threads=4)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.se, b.se)
 
 
 @pytest.mark.parametrize("setup", [three_atom_setup, three_power_setup])
-def test_multi_run_reports_equal_one_run_calls(setup):
+def test_multi_run_reports_equal_one_run_calls(setup, monkeypatch):
     grid = TimeGrid.regular(1.0, 1 / 40)
     market, fpp = setup(grid)
     assert (grid.n_steps + 1) % TIME_CHUNK != 0
     runs = three_runs(fpp, grid)
-    kw = dict(n_paths=500, seed=11, batch_size=170)  # 170 does not divide 500
+    monkeypatch.setattr(verify, "DEFAULT_BATCH", 170)  # 170 does not divide 500
+    kw = dict(n_paths=500, seed=11)
     singles = [martingale_test(fpp, [run], threads=1, **kw)[0] for run in runs]
     for threads in (1, 2):
         multi = martingale_test(fpp, runs, threads=threads, **kw)
@@ -232,9 +234,11 @@ def test_streamed_engine_equals_whole_horizon_reference(d_w, d_wperp, n_atoms,
     runs = [(fpp.sp_star, "martingale"),
             (null_path(grid, d_w), "supermartingale"),
             (rng.normal(0.0, 1.0, (n_steps, d_w)), "supermartingale")]
-    kw = dict(n_paths=90, seed=seed % 1000, batch_size=40)
-    streamed = martingale_test(fpp, runs, **kw)
-    for got, want in zip(streamed, whole_horizon_reports(fpp, runs, **kw)):
+    kw = dict(n_paths=90, seed=seed % 1000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "DEFAULT_BATCH", 40)
+        streamed = martingale_test(fpp, runs, **kw)
+    for got, want in zip(streamed, whole_horizon_reports(fpp, runs, batch_size=40, **kw)):
         assert np.array_equal(bits(got.mean), bits(want.mean))
         assert np.array_equal(bits(got.se), bits(want.se))
         assert bits(got.kurtosis_terminal) == bits(want.kurtosis_terminal)
@@ -256,11 +260,12 @@ def test_tiled_reports_equal_whole_horizon_reference(tile, three_power, n_steps,
     grid = TimeGrid(np.linspace(0.0, 1.0, n_steps + 1))
     market, fpp = (three_power_setup if three_power else three_atom_setup)(grid)
     runs = three_runs(fpp, grid)
-    kw = dict(n_paths=batch + last, seed=seed, batch_size=batch)
+    kw = dict(n_paths=batch + last, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "TILE_PATHS", tile)
+        mp.setattr(verify, "DEFAULT_BATCH", batch)
         tiled = martingale_test(fpp, runs, **kw)
-    for got, want in zip(tiled, whole_horizon_reports(fpp, runs, **kw)):
+    for got, want in zip(tiled, whole_horizon_reports(fpp, runs, batch_size=batch, **kw)):
         assert np.array_equal(bits(got.mean), bits(want.mean))
         assert np.array_equal(bits(got.se), bits(want.se))
         assert bits(got.kurtosis_terminal) == bits(want.kurtosis_terminal)
@@ -276,7 +281,7 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_martingale_test_memory_is_normals_plus_chunks():
+def test_martingale_test_memory_is_normals_plus_chunks(monkeypatch):
     # a batch runs TILE_PATHS paths at a time, and each tile's normals are the
     # only O(N) array: the criterion state, log wealth and utility exist one
     # TIME_CHUNK of columns at a time, so the allocation peak of a whole
@@ -299,9 +304,11 @@ def test_martingale_test_memory_is_normals_plus_chunks():
     one_batch = traced_peak(lambda: martingale_test(fpp, runs, n_paths=n_paths,
                                                     seed=3, threads=1))
     assert one_batch < normals + 6 * chunk
-    two_batches = dict(n_paths=n_paths, seed=3, batch_size=n_paths // 2)
-    one_thread = traced_peak(lambda: martingale_test(fpp, runs, threads=1, **two_batches))
-    two_threads = traced_peak(lambda: martingale_test(fpp, runs, threads=2, **two_batches))
+    monkeypatch.setattr(verify, "DEFAULT_BATCH", n_paths // 2)
+    one_thread = traced_peak(lambda: martingale_test(fpp, runs, n_paths=n_paths, seed=3,
+                                                     threads=1))
+    two_threads = traced_peak(lambda: martingale_test(fpp, runs, n_paths=n_paths, seed=3,
+                                                      threads=2))
     assert two_threads < 2.1 * one_thread
 
 
