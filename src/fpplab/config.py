@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import yaml
 
@@ -140,21 +140,32 @@ def _number(path: str, value):
 
 
 def _numbers(path: str, value) -> None:
-    """Check every number in ``value``: a number, or lists and mappings of them
-    (a matrix, or a schedule's knots, each with exactly the keys ``t`` and
-    ``value``), each keyed by its path."""
-    if isinstance(value, dict):  # a schedule knot
-        _reject_unknown(value, _ALLOWED_KNOT, path)
-        missing = sorted(_ALLOWED_KNOT - value.keys())
-        if missing:
-            raise ConfigError(f"{path}.{missing[0]}: missing")
-        for key, item in value.items():
-            _numbers(f"{path}.{key}", item)
-    elif isinstance(value, (list, tuple)):
+    """Check every number in ``value``: a number, or lists of them (a matrix),
+    each keyed by its path."""
+    if isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _numbers(f"{path}[{i}]", item)
     else:
         _number(path, value)
+
+
+def _schedule(path: str, value) -> None:
+    """Check a market schedule: numbers (see ``_numbers``), or, when its first
+    entry is a mapping, a list of knots, each a mapping with exactly the keys
+    ``t`` (a number) and ``value`` (numbers)."""
+    if not (isinstance(value, (list, tuple)) and value and isinstance(value[0], dict)):
+        _numbers(path, value)
+        return
+    for i, knot in enumerate(value):
+        knot_path = f"{path}[{i}]"
+        if not isinstance(knot, dict):
+            raise ConfigError(f"{knot_path}: not a {{t, value}} knot, got {knot!r}")
+        _reject_unknown(knot, _ALLOWED_KNOT, knot_path)
+        missing = sorted(_ALLOWED_KNOT - knot.keys())
+        if missing:
+            raise ConfigError(f"{knot_path}.{missing[0]}: missing")
+        _number(f"{knot_path}.t", knot["t"])
+        _numbers(f"{knot_path}.value", knot["value"])
 
 
 def _integer(path: str, value) -> int:
@@ -167,7 +178,7 @@ def _integer(path: str, value) -> int:
 def _market_from(cfg: dict) -> MarketSpec:
     dims = {k: _integer(f"market.{k}", cfg[k]) for k in ("n_stocks", "d_w", "d_wperp")}
     for key in ("sigma", "mu"):
-        _numbers(f"market.{key}", cfg[key])
+        _schedule(f"market.{key}", cfg[key])
     return MarketSpec(**{**cfg, **dims})
 
 
@@ -215,6 +226,11 @@ def _pool_from(cfg: dict) -> PoolSpec:
                           f"choose from {sorted(POOL_PRESETS)}")
     if name is not None:
         return pool_preset(name, **cfg)
+    missing = [f.name for f in fields(PoolSpec)
+               if f.default is MISSING and f.name not in cfg]
+    if missing:
+        raise ConfigError(f"pool.{missing[0]}: missing (without a preset, the "
+                          f"section lacks {', '.join(missing)})")
     return PoolSpec(**cfg)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -396,12 +397,21 @@ def simulated_expected_utility(spec: PoolSpec, z: float, t: float, n_paths: int,
     return float(np.mean(u)), float(np.std(u, ddof=1) / np.sqrt(n_paths))
 
 
+def _path_order_sum(x: np.ndarray, scratch: np.ndarray) -> np.float64:
+    """``x`` summed one path at a time, in path order, through ``scratch``.
+
+    This is the order in which numpy sums a column of a C-ordered
+    ``(B, w >= 2)`` array over axis 0, row by row; a lone ``(B,)`` vector it
+    sums pairwise.
+    """
+    return np.add.accumulate(x, out=scratch)[-1]
+
+
 @dataclass(frozen=True)
 class StrategyStats:
     mean_utility: np.ndarray     # (K+1,) ensemble mean of U_t(X_t)
     se_utility: np.ndarray       # (K+1,)
     mean_allocation: np.ndarray  # (K,) ensemble mean of z applied per period
-    utility_paths: np.ndarray    # (B, K+1) per-path joint utility
 
 
 @dataclass(frozen=True)
@@ -413,21 +423,32 @@ class ComparisonResult:
     strategies: dict[str, StrategyStats]
     n_paths: int
     seed: int
+    terminal_paired_se: dict[frozenset[str], float]  # one entry per pair of strategies
 
-    def paired_se(self, name_a: str, name_b: str, k: int = -1) -> float:
-        """Standard error of the paired utility difference at grid index k."""
-        diff = (self.strategies[name_a].utility_paths[:, k]
-                - self.strategies[name_b].utility_paths[:, k])
-        return float(np.std(diff, ddof=1) / np.sqrt(diff.size))
+    def paired_se(self, name_a: str, name_b: str) -> float:
+        """Standard error of the paired difference of terminal utilities, either order."""
+        return self.terminal_paired_se[frozenset((name_a, name_b))]
 
 
 def compare_strategies(spec: PoolSpec, n_paths: int, seed: int) -> ComparisonResult:
     """Run constant-z*, the wealth-feedback optimiser, and the greedy rule.
 
     All three are rebalanced on the same period grid and driven by the same
-    per-path increments.  Utility is the pooled U1 + U2 with the
-    time-monotone coefficient decay; allocations are recorded as the
-    proportion z solving sigma*pi = lam/(1-z).
+    per-path increments, in lockstep: each keeps only its ``(B,)`` log
+    wealth, and each period's utilities and allocations are reduced as they
+    are made.  Utility is the pooled U1 + U2 with the time-monotone
+    coefficient decay; allocations are recorded as the proportion z solving
+    sigma*pi = lam/(1-z).
+
+    Every statistic has the bits of the same reduction of the strategy's
+    whole-horizon arrays, ``(B, K+1)`` utilities and ``(B, K)``
+    allocations: numpy's ``.mean(axis=0)`` and ``.std(axis=0, ddof=1)`` of
+    such an array sum each column row by row, in path order, which
+    ``_path_order_sum`` repeats on one period's ``(B,)`` vector (``std`` is
+    the root of the summed squared deviations from that mean over
+    ``B - 1``).  numpy sums a one-wide array pairwise instead, so at K = 1
+    the allocation means are ``z.mean()``.  The paired standard errors are
+    ``np.std`` of the differences of the terminal utilities.
     """
     if n_paths < 2:
         raise ValueError("need at least two paths")
@@ -441,26 +462,7 @@ def compare_strategies(spec: PoolSpec, n_paths: int, seed: int) -> ComparisonRes
     dt = spec.rebalance_dt
     z_star = optimize_constant_z(spec, spec.horizon).z_star
     log_wr0 = math.log(spec.d0 / spec.a0)
-
-    def run(z_rule: Callable) -> StrategyStats:
-        log_x = np.full(n_paths, math.log(spec.x0))
-        utilities = np.empty((n_paths, n_per + 1))
-        allocations = np.empty((n_paths, n_per))
-        for k in range(n_per + 1):
-            t = k * dt
-            utilities[:, k] = spec.utility(t, log_x)
-            if k == n_per:
-                break
-            z = z_rule(k, t, log_x)
-            sp = lam / (1.0 - z)
-            log_x = log_x + (sp * lam - 0.5 * sp * sp) * dt + sp * dwk[:, k]
-            allocations[:, k] = z
-        return StrategyStats(
-            mean_utility=utilities.mean(axis=0),
-            se_utility=utilities.std(axis=0, ddof=1) / np.sqrt(n_paths),
-            mean_allocation=allocations.mean(axis=0),
-            utility_paths=utilities,
-        )
+    root_n = np.sqrt(n_paths)
 
     def constant_rule(k, t, log_x):
         return np.full(log_x.shape, z_star)
@@ -478,10 +480,36 @@ def compare_strategies(spec: PoolSpec, n_paths: int, seed: int) -> ComparisonRes
         log_r = log_wr0 + (delta - alpha) * t + (q - p) * log_x
         return _greedy_z_batch(log_r, p, q, lam * lam * dt)
 
-    strategies = {
-        "constant_z_star": run(constant_rule),
-        "pi_star": run(feedback_rule),
-        "pi_e": run(greedy_rule),
-    }
+    rules = {"constant_z_star": constant_rule, "pi_star": feedback_rule,
+             "pi_e": greedy_rule}
+    mean_u = np.empty((len(rules), n_per + 1))
+    se_u = np.empty((len(rules), n_per + 1))
+    mean_z = np.empty((len(rules), n_per))
+    log_x = [np.full(n_paths, math.log(spec.x0)) for _ in rules]
+    terminal = []
+    scratch = np.empty(n_paths)
+    for k in range(n_per + 1):
+        t = k * dt
+        for j, rule in enumerate(rules.values()):
+            u = spec.utility(t, log_x[j])
+            mean_u[j, k] = _path_order_sum(u, scratch) / n_paths
+            np.subtract(u, mean_u[j, k], out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            se_u[j, k] = np.sqrt(_path_order_sum(scratch, scratch) / (n_paths - 1)) / root_n
+            if k == n_per:
+                terminal.append(u)
+                continue
+            z = rule(k, t, log_x[j])
+            mean_z[j, k] = (z.mean() if n_per == 1
+                            else _path_order_sum(z, scratch) / n_paths)
+            sp = lam / (1.0 - z)
+            log_x[j] = log_x[j] + (sp * lam - 0.5 * sp * sp) * dt + sp * dwk[:, k]
+
+    paired = {frozenset((a, b)): float(np.std(u_a - u_b, ddof=1) / root_n)
+              for (a, u_a), (b, u_b) in combinations(zip(rules, terminal), 2)}
+    strategies = {name: StrategyStats(mean_utility=mean_u[j], se_utility=se_u[j],
+                                      mean_allocation=mean_z[j])
+                  for j, name in enumerate(rules)}
     return ComparisonResult(t_grid=grid.times.copy(), z_star=z_star,
-                            strategies=strategies, n_paths=n_paths, seed=seed)
+                            strategies=strategies, n_paths=n_paths, seed=seed,
+                            terminal_paired_se=paired)

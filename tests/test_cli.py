@@ -428,6 +428,10 @@ CONFIG_ERRORS = {
                              "market:\n  sigma: [{t: 0.0, value: 0.2}, {value: 0.3}]\n"),
     "mu-knot-missing-value": ("market.mu[0].value: missing", ["three-power"],
                               "market:\n  mu: [{t: 0.0}]\n"),
+    "mu-value-after-knot": ("market.mu[1]: not a {{t, value}} knot", ["three-power"],
+                            "market:\n  mu: [{t: 0.0, value: 0.1}, 0.3]\n"),
+    "pool-no-preset-missing": ("pool.q: missing", ["pool", "optimize"],
+                               "pool:\n  preset: null\n  p: 0.2\n"),
     "horizon-400-digits": ("simulation.horizon: must be a number", ["three-power"],
                            f"simulation:\n  horizon: {10 ** 400}\n"),
     "pool-lam-400-digits": ("pool.lam: must be a number", ["pool", "optimize"],

@@ -88,6 +88,27 @@ def test_pool_section_without_preset(tmp_path):
     assert cfg.pool_preset is None
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"market": {"mu": [{"t": 0.0, "value": 0.1}, 0.3]}},
+     "market.mu[1]: not a {t, value} knot, got 0.3"),
+    ({"market": {"sigma": [0.2, {"t": 0.0, "value": 0.1}]}},
+     "market.sigma[1]: must be a number, got {"),
+    ({"market": {"sigma": [{"t": [0.0], "value": 0.2}]}},
+     "market.sigma[0].t: must be a number, got [0.0]"),
+    ({"pool": {"preset": None, "p": 0.2}},
+     "pool.q: missing (without a preset, the section lacks q, a0, d0, lam, x0, horizon)"),
+    ({"pool": {"preset": None, "p": 0.2, "q": 0.4, "a0": 1.0, "d0": 1.0, "lam": 1.0,
+               "x0": 1.0}},
+     "pool.horizon: missing"),
+], ids=["value-after-knot", "knot-after-value", "knot-time-list", "pool-no-preset-q",
+        "pool-no-preset-horizon"])
+def test_malformed_entry_names_its_key(overrides, message):
+    # a schedule mixing knots and values, or a preset-less pool short of a
+    # field, is an exit-2 config error keyed at the entry, not Python's message
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}"):
+        load_config(overrides=overrides)
+
+
 def test_unknown_pool_preset(tmp_path):
     path = write(tmp_path, "pool:\n  preset: fig9\n")
     with pytest.raises(ConfigError, match="fig9"):

@@ -2,7 +2,9 @@
 
 Every workload runs at the default seed at 1 and 2 threads, and each ensemble
 workload also at one seed whose recorded verdict is a violation (exit code
-1), so the reduction is held at a failing check too.  The workloads and the
+1), so the reduction is held at a failing check too.  ``pool-greedy`` also
+runs at the first and the last recorded seed, so its streamed statistics are
+held at more than one ensemble.  The workloads and the
 recorded exit codes, verdicts and CSV SHA-256 come from ``perfbench/`` as
 they are, so a change to any seeded output byte fails here as well as in the
 benchmark.
@@ -35,6 +37,8 @@ def bench():
 
 # recorded seeds whose verdict is a violation, one per ensemble workload
 FALSE_ALARM_SEEDS = {"mix3-verify": 24, "three-power-signed": 12}
+# the first and the last recorded seed of pool-greedy
+POOL_SEEDS = (0, 99)
 
 
 # the default seed at one worker thread keeps the plain workload id; the bytes
@@ -45,7 +49,8 @@ FALSE_ALARM_SEEDS = {"mix3-verify": 24, "three-power-signed": 12}
     for threads in (1, 2) for workload in ("mix3-verify", "three-power-signed",
                                            "pool-greedy")] + [
     pytest.param(workload, seed, 1, id=f"{workload}-seed{seed}")
-    for workload, seed in FALSE_ALARM_SEEDS.items()])
+    for workload, seed in [*FALSE_ALARM_SEEDS.items(),
+                           *(("pool-greedy", seed) for seed in POOL_SEEDS)]])
 def test_outputs_match_recorded_digests(tmp_path, capsys, bench, workload, seed, threads):
     wl = bench.WORKLOADS[workload]
     config = dict(wl["config"])

@@ -1,5 +1,6 @@
 """Pooled investment: closed form, optimisers, surfaces, strategy comparison."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fpplab import pooling
+from fpplab.market import TimeGrid, brownian_batch
 from fpplab.pooling import (_INVPHI, SCAN_BLOCK_ELEMS, Z_EDGE, Z_REFINE_TOL,
                             Z_SCAN_STEP, PoolSpec, _greedy_z_batch,
                             _weighted_objective, compare_strategies,
@@ -381,11 +383,84 @@ def test_compare_allocations_within_bounds():
 
 def test_compare_common_random_numbers_shrink_variance():
     result = compare_strategies(FIG1, n_paths=256, seed=8)
-    a = result.strategies["constant_z_star"].utility_paths[:, -1]
-    b = result.strategies["pi_star"].utility_paths[:, -1]
-    paired_var = np.var(a - b, ddof=1)
-    assert paired_var < np.var(a, ddof=1) + np.var(b, ddof=1)
-    assert result.paired_se("constant_z_star", "pi_star") > 0.0
+    se_a = result.strategies["constant_z_star"].se_utility[-1]
+    se_b = result.strategies["pi_star"].se_utility[-1]
+    paired = result.paired_se("constant_z_star", "pi_star")
+    assert 0.0 < paired ** 2 < se_a ** 2 + se_b ** 2
+    assert result.paired_se("pi_star", "constant_z_star") == paired
+
+
+def whole_horizon_comparison(spec, n_paths, seed):
+    """Reference for ``compare_strategies``: each strategy run alone over the
+    whole horizon, keeping its (B, K+1) utilities and (B, K) allocations."""
+    grid = TimeGrid.regular(spec.horizon, spec.rebalance_dt)
+    dw, _ = brownian_batch(grid, 1, 0, seed, range(n_paths))
+    n_per, dt, lam, p, q = spec.n_periods, spec.rebalance_dt, spec.lam, spec.p, spec.q
+    alpha, delta = spec.drifts()
+    z_star = optimize_constant_z(spec, spec.horizon).z_star
+    log_wr0 = math.log(spec.d0 / spec.a0)
+
+    def feedback(t, log_x):
+        omega = pooling._sigmoid(-(math.log(q / p) + log_wr0 + (delta - alpha) * t
+                                   + (q - p) * log_x))
+        return omega * p + (1.0 - omega) * q
+
+    def greedy(t, log_x):
+        return _greedy_z_batch(log_wr0 + (delta - alpha) * t + (q - p) * log_x,
+                               p, q, lam * lam * dt)
+
+    rules = {"constant_z_star": lambda t, log_x: np.full(log_x.shape, z_star),
+             "pi_star": feedback, "pi_e": greedy}
+    runs = {}
+    for name, rule in rules.items():
+        log_x = np.full(n_paths, math.log(spec.x0))
+        utilities = np.empty((n_paths, n_per + 1))
+        allocations = np.empty((n_paths, n_per))
+        for k in range(n_per + 1):
+            utilities[:, k] = spec.utility(k * dt, log_x)
+            if k == n_per:
+                break
+            z = rule(k * dt, log_x)
+            sp = lam / (1.0 - z)
+            log_x = log_x + (sp * lam - 0.5 * sp * sp) * dt + sp * dw[:, k, 0]
+            allocations[:, k] = z
+        runs[name] = utilities, allocations
+    return runs
+
+
+@pytest.mark.parametrize("n_paths", [2, 3, 17, 256])
+@pytest.mark.parametrize("spec", [
+    *(preset(name) for name in ("fig1", "fig2", "fig3", "fig4")),
+    preset("fig3", horizon=1.0), preset("fig3", horizon=2.0)],
+    ids=["fig1", "fig2", "fig3", "fig4", "fig3-one-period", "fig3-two-periods"])
+def test_compare_streamed_statistics_match_whole_horizon_arrays(spec, n_paths):
+    # the per-period path-order sums give the bits of per-strategy (B, K+1)
+    # and (B, K) arrays, also where K = 1 makes the allocations one column wide
+    result = compare_strategies(spec, n_paths, seed=7)
+    runs = whole_horizon_comparison(spec, n_paths, seed=7)
+    for name, (utilities, allocations) in runs.items():
+        stats = result.strategies[name]
+        assert np.array_equal(stats.mean_utility, utilities.mean(axis=0))
+        assert np.array_equal(stats.se_utility,
+                              utilities.std(axis=0, ddof=1) / np.sqrt(n_paths))
+        assert np.array_equal(stats.mean_allocation, allocations.mean(axis=0))
+    for a, b in itertools.permutations(runs, 2):
+        diff = runs[a][0][:, -1] - runs[b][0][:, -1]
+        assert result.paired_se(a, b) == float(np.std(diff, ddof=1) / np.sqrt(n_paths))
+
+
+@pytest.mark.parametrize("horizon", [30.0, 60.0])
+def test_compare_memory_is_the_increments_plus_a_few_path_vectors(horizon):
+    # no per-strategy (B, K+1) array: beyond the (B, K) increments the peak
+    # is a fixed number of (B,) vectors, whatever the horizon
+    spec, n_paths = preset("fig3", horizon=horizon), 8192
+    tracemalloc.start()
+    try:
+        compare_strategies(spec, n_paths, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spec.n_periods * n_paths * 8 + 48 * n_paths * 8
 
 
 def test_compare_all_strategies_coincide_at_time_zero():
