@@ -116,9 +116,12 @@ class Schedule:
         """Build from an iterable of (t, value) breakpoints."""
         return cls([{"t": t, "value": v} for t, v in knots], shape)
 
+    def knot_index(self, t) -> np.ndarray:
+        """Index of the breakpoint in force at each time of ``t``."""
+        return np.maximum(np.searchsorted(self._knot_times, t, side="right") - 1, 0)
+
     def at(self, t: float) -> np.ndarray:
-        i = int(np.searchsorted(self._knot_times, t, side="right")) - 1
-        return self._knot_values[max(i, 0)]
+        return self._knot_values[int(self.knot_index(t))]
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +210,24 @@ class MarketSpec:
     def sharpe_path(self, grid: TimeGrid) -> np.ndarray:
         """lam at the left endpoint of every grid cell, shape (N, d_w).
 
-        Raises SingularMarketError at the first grid time, the horizon
-        included, where sigma is rank deficient or lam is not finite.
+        ``sharpe_ratio`` runs once per run of grid times that share their
+        sigma and mu breakpoints, at the first time of the run, and its
+        result fills every row of the run.  Raises SingularMarketError at
+        the first grid time, the horizon included, where sigma is rank
+        deficient or lam is not finite, and names that time.
         """
-        lam = np.empty((grid.n_steps + 1, self.d_w))
-        for k, t in enumerate(grid.times):
-            lam[k] = self.sharpe_at(float(t))
-            if not np.all(np.isfinite(lam[k])):
+        times = grid.times
+        changed = ((np.diff(self.sigma.knot_index(times)) != 0)
+                   | (np.diff(self.mu.knot_index(times)) != 0))
+        bounds = [0, *(np.flatnonzero(changed) + 1).tolist(), times.size]
+        lam = np.empty((times.size, self.d_w))
+        for lo, hi in zip(bounds, bounds[1:]):
+            t = float(times[lo])
+            try:
+                lam[lo:hi] = self.sharpe_at(t)
+            except SingularMarketError as exc:
+                raise SingularMarketError(f"{exc} at t={t}") from exc
+            if not np.all(np.isfinite(lam[lo])):
                 raise SingularMarketError(f"non-finite Sharpe ratio at t={t}")
         return lam[:-1]
 
@@ -221,12 +235,6 @@ class MarketSpec:
 # ---------------------------------------------------------------------------
 # Brownian increments (counter-based per-path streams)
 # ---------------------------------------------------------------------------
-
-def _path_state_template(seed: int):
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
-        raise ValueError("seed must be an integer in [0, 2^64)")
-    return np.random.Philox(key=seed).state
-
 
 def _normals_for_paths(grid: TimeGrid, n_cols: int, seed: int,
                        path_ids: Sequence[int], out: np.ndarray = None) -> np.ndarray:
@@ -241,6 +249,8 @@ def _normals_for_paths(grid: TimeGrid, n_cols: int, seed: int,
     a caller that draws many batches reuses one, so its pages are touched
     only once.
     """
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
+        raise ValueError("seed must be an integer in [0, 2^64)")
     n = grid.n_steps
     shape = (n_cols, n, len(path_ids))
     if out is None:
@@ -250,24 +260,27 @@ def _normals_for_paths(grid: TimeGrid, n_cols: int, seed: int,
                          f"got {out.dtype} {out.shape}")
     if out.size == 0:
         return out
-    template = _path_state_template(seed)
-    key = template["state"]["key"]
     bg = np.random.Philox(key=seed)
     gen = np.random.Generator(bg)
+    # One plain-int state for the whole call, reset in place per path.  The
+    # setter copies every field into the generator, so each path starts from
+    # counter block [0, 0, pid, 0], the key and an empty buffer (buffer_pos 4
+    # discards it), whatever the path before it drew.
+    counter = [0, 0, 0, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter,
+                       "key": [int(k) for k in bg.state["state"]["key"]]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     block = np.empty((min(NORMALS_BLOCK, len(path_ids)), n, n_cols))
+    rows = list(block)
     for b0 in range(0, len(path_ids), NORMALS_BLOCK):
         ids = path_ids[b0:b0 + NORMALS_BLOCK]
-        for row, pid in enumerate(ids):
+        for row, pid in zip(rows, ids):
             if not (isinstance(pid, (int, np.integer)) and 0 <= pid < 2 ** 64):
                 raise ValueError("path_id must be an integer in [0, 2^64)")
-            st = dict(template)
-            st["state"] = {"counter": np.array([0, 0, pid, 0], dtype=np.uint64),
-                           "key": key}
-            st["buffer_pos"] = 4  # discard any buffered block
-            st["has_uint32"] = 0
-            st["uinteger"] = 0
-            bg.state = st
-            gen.standard_normal(out=block[row])
+            counter[2] = int(pid)
+            bg.state = state
+            gen.standard_normal(out=row)
         out[:, :, b0:b0 + len(ids)] = block[:len(ids)].T
     return out
 

@@ -526,7 +526,8 @@ market:
 
 
 @pytest.mark.parametrize("command", ["verify-fpp", "three-power"])
-def test_sharpe_ratio_evaluated_once_per_grid_time(tmp_path, monkeypatch, command):
+def test_sharpe_ratio_evaluated_once_for_a_constant_market(tmp_path, monkeypatch,
+                                                         command):
     import fpplab.market
 
     calls = []
@@ -539,4 +540,4 @@ def test_sharpe_ratio_evaluated_once_per_grid_time(tmp_path, monkeypatch, comman
     monkeypatch.setattr(fpplab.market, "sharpe_ratio", counting)
     code = run(tmp_path, "--paths", "200", command, config=SMALL_SIM)
     assert code == 0
-    assert len(calls) == 12 + 1  # horizon 1, step 1/12
+    assert len(calls) == 1  # one knot run over the 13 grid times

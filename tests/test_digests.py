@@ -2,9 +2,9 @@
 
 Every workload runs at the default seed at 1 and 2 threads, and each ensemble
 workload also at one seed whose recorded verdict is a violation (exit code
-1), so the reduction is held at a failing check too.  ``pool-greedy`` also
-runs at the first and the last recorded seed, so its streamed statistics are
-held at more than one ensemble.  The workloads and the
+1), so the reduction is held at a failing check too.  Every workload also
+runs at the first and the last recorded seed, so its draws and its streamed
+statistics are held at more than one ensemble.  The workloads and the
 recorded exit codes, verdicts and CSV SHA-256 come from ``perfbench/`` as
 they are, so a change to any seeded output byte fails here as well as in the
 benchmark.
@@ -35,10 +35,11 @@ def bench():
     return module
 
 
+WORKLOADS = ("mix3-verify", "three-power-signed", "pool-greedy")
 # recorded seeds whose verdict is a violation, one per ensemble workload
 FALSE_ALARM_SEEDS = {"mix3-verify": 24, "three-power-signed": 12}
-# the first and the last recorded seed of pool-greedy
-POOL_SEEDS = (0, 99)
+# the first and the last recorded seed, run for every workload
+EDGE_SEEDS = (0, 99)
 
 
 # the default seed at one worker thread keeps the plain workload id; the bytes
@@ -46,11 +47,11 @@ POOL_SEEDS = (0, 99)
 @pytest.mark.parametrize("workload, seed, threads", [
     pytest.param(workload, SEED, threads, id=workload if threads == 1
                  else f"{workload}-threads{threads}")
-    for threads in (1, 2) for workload in ("mix3-verify", "three-power-signed",
-                                           "pool-greedy")] + [
+    for threads in (1, 2) for workload in WORKLOADS] + [
     pytest.param(workload, seed, 1, id=f"{workload}-seed{seed}")
     for workload, seed in [*FALSE_ALARM_SEEDS.items(),
-                           *(("pool-greedy", seed) for seed in POOL_SEEDS)]])
+                           *((workload, seed) for workload in WORKLOADS
+                             for seed in EDGE_SEEDS)]])
 def test_outputs_match_recorded_digests(tmp_path, capsys, bench, workload, seed, threads):
     wl = bench.WORKLOADS[workload]
     config = dict(wl["config"])

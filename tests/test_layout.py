@@ -83,6 +83,29 @@ def test_time_major_normals_are_the_per_path_draws(n_paths):
         assert np.array_equal(z[:, :, b], gen.standard_normal((grid.n_steps, 3)).T)
 
 
+# unsorted and repeated ids, ids at the top of the counter range, a numpy
+# integer id, and a batch of two full draw blocks and a partial one whose ids
+# repeat across the blocks
+STREAM_IDS = {"mixed": [9, 2 ** 64 - 1, 3, 2 ** 63, np.uint64(5), 3, 0, 9, 2 ** 63],
+              "300": [(37 * i) % 256 for i in range(2 * NORMALS_BLOCK + 44)]}
+
+
+@pytest.mark.parametrize("ids", list(STREAM_IDS.values()), ids=list(STREAM_IDS))
+@pytest.mark.parametrize("n_cols", [1, 4])
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 1])
+def test_each_path_draws_its_own_fresh_stream(seed, n_cols, ids):
+    # every path of a call starts its stream afresh, whatever the paths before
+    # it drew; the counter is passed as uint64, because a list holding 2^64 - 1
+    # is cast through float64
+    grid = TimeGrid.regular(1.0, 1 / 12)
+    z = _normals_for_paths(grid, n_cols, seed, ids)
+    for b, pid in enumerate(ids):
+        counter = np.array([0, 0, pid, 0], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+        want = gen.standard_normal((grid.n_steps, n_cols))
+        assert np.array_equal(z[:, :, b].T.view(np.int64), want.view(np.int64))
+
+
 def test_normals_fill_a_reused_buffer():
     # a buffer that held an earlier tile's draws is overwritten with exactly
     # the fresh draws, and the increments are views of it

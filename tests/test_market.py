@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fpplab.market
 from fpplab.errors import (NoExactSolutionError, SingularMarketError,
                            StrategyEvaluationError)
 from fpplab.market import (MarketSpec, Schedule, TimeGrid, brownian_batch,
@@ -141,6 +142,16 @@ def test_brownian_batch_matches_single_paths():
         ref = gen.standard_normal((grid.n_steps, 3)) * np.sqrt(grid.dt)[:, None]
         assert np.array_equal(dw[pid], ref[:, :2])
         assert np.array_equal(dwp[pid], ref[:, 2:])
+
+
+@pytest.mark.parametrize("seed, ids, name", [
+    (7, [0, -1], "path_id"), (7, [0, 2 ** 64], "path_id"), (7, [0, 1.5], "path_id"),
+    (-1, [0], "seed"), (2 ** 64, [0], "seed")],
+    ids=["id-negative", "id-2-64", "id-fraction", "seed-negative", "seed-2-64"])
+def test_brownian_batch_rejects_out_of_range_ids_and_seeds(seed, ids, name):
+    grid = TimeGrid.regular(1.0, 0.25)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, 2\^64\)"):
+        brownian_batch(grid, 1, 1, seed=seed, path_ids=ids)
 
 
 def test_brownian_paths_differ_across_ids_and_seeds():
@@ -399,6 +410,38 @@ def test_sharpe_path_checks_the_horizon():
     assert market.sharpe_path(TimeGrid.regular(0.75, 0.25)).shape == (3, 1)
     with pytest.raises(SingularMarketError, match="column-rank deficient"):
         market.sharpe_path(TimeGrid.regular(1.0, 0.25))
+
+def test_sharpe_path_solves_each_knot_run_once(monkeypatch):
+    # sigma and mu change at knots on and between grid times: every row holds
+    # sharpe_at of its own time bit for bit, from one solve per run of times
+    # that share both knots
+    sigma = Schedule.piecewise([(0.0, [[0.3, 0.1], [0.0, 0.2]]),
+                                (0.3, [[0.25, 0.0], [0.05, 0.4]]),
+                                (0.5, [[0.2, 0.1], [0.1, 0.3]])], (2, 2))
+    mu = Schedule.piecewise([(0.0, [0.05, 0.02]), (0.75, [0.01, 0.07])], (2,))
+    market = MarketSpec(n_stocks=2, d_w=2, d_wperp=0, sigma=sigma, mu=mu)
+    grid = TimeGrid.regular(1.0, 0.125)
+    calls = []
+    original = fpplab.market.sharpe_ratio
+    monkeypatch.setattr(fpplab.market, "sharpe_ratio",
+                        lambda *args: calls.append(args) or original(*args))
+    lam = market.sharpe_path(grid)
+    assert len(calls) == 4  # [0, 0.3), [0.3, 0.5), [0.5, 0.75), [0.75, 1]
+    for k, t in enumerate(grid.times[:-1]):
+        assert np.array_equal(lam[k].view(np.int64),
+                              original(sigma.at(t), mu.at(t)).view(np.int64))
+
+
+def test_sharpe_path_names_the_first_singular_time():
+    # sigma turns rank deficient at t = 0.55, between grid times: the error
+    # names 0.75, the first grid time at or after that knot
+    sigma = Schedule.piecewise([(0.0, [[0.2, 0.1], [0.0, 0.3]]),
+                                (0.55, [[0.2, 0.1], [0.4, 0.2]])], (2, 2))
+    market = MarketSpec(n_stocks=2, d_w=2, d_wperp=0, sigma=sigma, mu=[0.05, 0.02])
+    assert market.sharpe_path(TimeGrid.regular(0.5, 0.25)).shape == (2, 2)
+    with pytest.raises(SingularMarketError, match=r"column-rank deficient .* at t=0\.75$"):
+        market.sharpe_path(TimeGrid.regular(1.0, 0.25))
+
 
 def test_write_paths_csv(tmp_path):
     grid = TimeGrid.regular(1.0, 0.5)
