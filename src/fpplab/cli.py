@@ -138,6 +138,9 @@ def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag) -> int:
         t = t_flag if t_flag is not None else spec.horizon
         if not 0 < t < np.inf:
             raise ConfigError(f"--t: must be positive and finite, got {t:g}")
+        if not np.isfinite(spec.lam ** 2 * t):
+            raise ConfigError(f"--t: lam^2 t must be finite, got t = {t:g} at "
+                              f"lam = {spec.lam:g}")
         result = pooling.optimize_constant_z(spec, t)
         print(f"z_star = {result.z_star:.6f} (value {result.value:.9g}) at t = {t:g}")
         for z, val in result.local_maxima:

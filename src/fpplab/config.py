@@ -224,14 +224,17 @@ def _pool_from(cfg: dict) -> PoolSpec:
     if name is not None and name not in POOL_PRESETS:
         raise ConfigError(f"pool.preset: unknown preset {name!r}, "
                           f"choose from {sorted(POOL_PRESETS)}")
-    if name is not None:
-        return pool_preset(name, **cfg)
     missing = [f.name for f in fields(PoolSpec)
                if f.default is MISSING and f.name not in cfg]
-    if missing:
+    if name is None and missing:
         raise ConfigError(f"pool.{missing[0]}: missing (without a preset, the "
                           f"section lacks {', '.join(missing)})")
-    return PoolSpec(**cfg)
+    try:
+        return PoolSpec(**cfg) if name is None else pool_preset(name, **cfg)
+    except ValueError as exc:
+        if str(exc).partition(":")[0] in _ALLOWED["pool"]:  # it names its field
+            raise ConfigError(f"pool.{exc}") from exc
+        raise
 
 
 def _three_power_from(cfg: dict) -> tuple[ThreePowerSpec, tuple[float, ...]]:

@@ -93,6 +93,9 @@ class PoolSpec:
                              f"{MAX_STEPS} periods")
         if abs(n - round(n)) > 1e-9:
             raise ValueError("horizon must be a whole number of rebalance periods")
+        if not math.isfinite(self.lam * self.lam * self.horizon):
+            raise ValueError(f"lam: lam^2 horizon must be finite, got lam = "
+                             f"{self.lam:g} at horizon = {self.horizon:g}")
 
     @property
     def n_periods(self) -> int:
@@ -252,9 +255,12 @@ def one_period_greedy(a_eff: float, d_eff: float, x: float, spec: PoolSpec,
     for name, value in (("a_eff", a_eff), ("d_eff", d_eff), ("x", x), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    lam2dt = spec.lam ** 2 * dt
+    if not math.isfinite(lam2dt):
+        raise ValueError(f"dt must keep lam^2 dt finite, got dt = {dt:g} at "
+                         f"lam = {spec.lam:g}")
     log_ratio = math.log(d_eff) - math.log(a_eff) + (spec.q - spec.p) * math.log(x)
-    return float(_greedy_z_batch(np.array([log_ratio]), spec.p, spec.q,
-                                 spec.lam ** 2 * dt)[0])
+    return float(_greedy_z_batch(np.array([log_ratio]), spec.p, spec.q, lam2dt)[0])
 
 
 def _first_argmax(r: np.ndarray, ea: np.ndarray, ed: np.ndarray) -> np.ndarray:
@@ -276,13 +282,23 @@ def _first_argmax(r: np.ndarray, ea: np.ndarray, ed: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _reached(node: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``node`` (all in [0, size)) in ascending order,
+    and each entry's position among them."""
+    seen = np.zeros(size, dtype=bool)
+    seen[node] = True
+    rank = np.cumsum(seen)
+    rank -= 1
+    return np.flatnonzero(seen), rank[node]
+
+
 def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
                     lam2dt: float) -> np.ndarray:
     """Vectorised greedy z for a batch of weight ratios log(wd/wa).
 
     The objective only depends on the weights through their ratio, so paths
-    are scanned jointly on the shared z-grid and refined with a fixed-length
-    golden-section loop per path.
+    are scanned jointly on the shared z-grid and then refined by a
+    fixed-length golden-section loop on a shared tree of brackets.
 
     Only a grid window around ``[p, q]`` is scanned: ``ea`` peaks at ``p``
     and ``ed`` at ``q``, both rise below ``p`` and fall above ``q``.  Rounding
@@ -303,6 +319,23 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     same IEEE product ``r ed`` plus ``ea`` (addition is commutative, so
     ``r ed + ea == ea + r ed`` exactly), a row's argmax reads only that row,
     and ``np.argmax`` still takes the first maximum.
+
+    The refinement starts each row on the bracket ``[z_{i-1}, z_{i+1}]``
+    around its grid argmax ``i`` and takes ``n_iter`` golden-section steps:
+    score ``ea + r ed`` at the bracket's two inner points ``c < d``, keep
+    ``[a, d]`` when ``f(c) >= f(d)`` and ``[c, b]`` otherwise (also when a
+    score is NaN).  A bracket, its inner points and their factors ``ea`` and
+    ``ed`` depend only on the bracket, never on ``r``, and rows share
+    brackets: every row starts on one of at most ``Z_GRID.size`` (all on one
+    at the first period of a comparison), and rows with close ratios walk
+    the same brackets down for many steps.  So the brackets alive at a step
+    are kept once each in a table, sorted and compacted to the ones some row
+    reached: each row holds the index of its bracket, the factors are
+    computed once per bracket, and each row only gathers them to form its
+    own two scores.  The left child of bracket ``t`` is ``2t`` and the right
+    one ``2t + 1``.  Every value is the same elementwise IEEE expression of
+    the same operands as in a per-row loop, so each row gets that loop's
+    bits (``full_grid_greedy_z`` in the tests is that loop).
     """
     r = np.exp(log_ratio)
     zs, n = Z_GRID, Z_GRID.size
@@ -320,26 +353,44 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     edge = ((idx == w0) & (w0 > 0)) | ((idx == w1) & (w1 < n - 1))
     if edge.any():
         idx[edge] = _first_argmax(r[edge], ea, ed)
-    lo = zs[np.maximum(idx - 1, 0)]
-    hi = zs[np.minimum(idx + 1, n - 1)]
-
-    def fvec(z):
-        return _weighted_objective(z, 1.0, r, p, q, lam2dt)
-
-    a, b = lo.copy(), hi.copy()
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fvec(c), fvec(d)
     n_iter = int(math.ceil(math.log(Z_REFINE_TOL / (2 * Z_SCAN_STEP))
                            / math.log(_INVPHI)))
+    # A table can hold a bracket per row (at the second period of a
+    # comparison it nearly does), so each array is dropped as soon as it is
+    # dead: idx here, the factors after each point, and each of a step's
+    # table arrays as soon as the next table no longer needs it.  That keeps
+    # the heap peak below the per-row loop's, and the RSS at its level
+    # (dropping the step's arrays only at its end, or building the children
+    # with np.where, left the pool-greedy peak 0.2 MB higher).
+    kids, node = _reached(idx, n)  # the root brackets: the distinct grid argmaxes
+    del idx
+    a = zs[np.maximum(kids - 1, 0)]
+    b = zs[np.minimum(kids + 1, n - 1)]
+    fc, fd = np.empty(r.size), np.empty(r.size)
     for _ in range(n_iter):
-        left = fc >= fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        fc, fd = fvec(c), fvec(d)
-    return 0.5 * (a + b)
+        for z, f in ((c, fc), (d, fd)):
+            ea, ed = _objective_terms(z, p, q, lam2dt)
+            np.take(ed, node, out=f)
+            f *= r
+            f += ea[node]
+            del ea, ed
+        node *= 2
+        node += ~(fc >= fd)
+        kids, node = _reached(node, 2 * a.size)
+        parent, right = kids >> 1, (kids & 1).astype(bool)
+        del kids
+        # the left child keeps [a, d], the right one [c, b]
+        a = a[parent]
+        np.copyto(a, c[parent], where=right)
+        del c
+        hi = d[parent]
+        del d
+        np.copyto(hi, b[parent], where=right)
+        b = hi
+        del parent, right, hi
+    return (0.5 * (a + b))[node]
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,23 @@ CONFIG_ERRORS = {
                             None),
     "pool-optimize-negative-t": ("--t", ["pool", "optimize", "--t", "-1"], None),
     "pool-optimize-nan-t": ("--t", ["pool", "optimize", "--t", "nan"], None),
+    "pool-optimize-overflowing-t": ("--t: lam^2 t must be finite",
+                                    ["--preset", "fig3", "pool", "optimize", "--t", "1e308"],
+                                    None),
+    "pool-compare-overflowing-lam": ("pool.lam: lam^2 horizon must be finite",
+                                     ["pool", "compare"],
+                                     "pool: {preset: fig1, lam: 1.0e+200}\n"),
+    "pool-surface-overflowing-lam": ("pool.lam: lam^2 horizon must be finite",
+                                     ["pool", "surface"],
+                                     "pool: {preset: fig1, lam: 1.0e+200}\n"),
+    "pool-optimize-overflowing-lam": ("pool.lam: lam^2 horizon must be finite",
+                                      ["pool", "optimize"],
+                                      "pool: {preset: fig1, lam: 1.0e+200}\n"),
+    "pool-no-preset-overflowing-lam": ("pool.lam: lam^2 horizon must be finite",
+                                       ["pool", "compare"],
+                                       "pool: {preset: null, p: 0.1, q: 0.3, a0: 1.0, "
+                                       "d0: 1.0, lam: 1.0e+154, x0: 1.0, horizon: 2.0e+4, "
+                                       "rebalance_dt: 1.0e+3}\n"),
     "pool-surface-empty-grid": ("pool.horizon", ["pool", "surface"],
                                 "pool:\n  horizon: 0.4\n  rebalance_dt: 0.4\n"),
     "dual-negative-y": ("--y", ["two-power", "dual", "--y", "-1"], None),

@@ -152,6 +152,9 @@ def test_greedy_matches_fine_grid_scan():
         brute, abs=1e-4)
 
 
+N_ITER = int(math.ceil(math.log(Z_REFINE_TOL / (2 * Z_SCAN_STEP)) / math.log(_INVPHI)))
+
+
 def full_grid_greedy_z(log_ratio, p, q, lam2dt):
     """Reference for ``_greedy_z_batch``: every row scored on the whole z-grid."""
     r = np.exp(log_ratio)[:, None]
@@ -167,9 +170,7 @@ def full_grid_greedy_z(log_ratio, p, q, lam2dt):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fvec(c), fvec(d)
-    n_iter = int(math.ceil(math.log(Z_REFINE_TOL / (2 * Z_SCAN_STEP))
-                           / math.log(_INVPHI)))
-    for _ in range(n_iter):
+    for _ in range(N_ITER):
         left = fc >= fd
         b = np.where(left, d, b)
         a = np.where(left, a, c)
@@ -200,6 +201,94 @@ def test_greedy_window_matches_full_grid_scan(p, q, lam2dt, sd, seed, extra):
     log_ratio = np.concatenate([np.clip(normal, -700.0, 700.0), extra, [-700.0, 700.0]])
     assert np.array_equal(_greedy_z_batch(log_ratio, p, q, lam2dt),
                           full_grid_greedy_z(log_ratio, p, q, lam2dt))
+
+
+@pytest.mark.parametrize("lam2dt", [1e-14, 1.0, 16.0])
+@pytest.mark.parametrize("rows", ["all-equal", "two-interleaved", "one-outlier",
+                                  "overflowing"])
+def test_greedy_repeated_rows_match_full_grid_scan(rows, lam2dt):
+    # rows that share their brackets: one ratio (every path at the first
+    # period), two alternating ones, one ratio with a single outlier, and
+    # ratios whose exp overflows, so that inf * 0 makes NaN scores
+    log_ratio = {"all-equal": np.full(1000, 0.3),
+                 "two-interleaved": np.resize([-1.5, 2.0], 1000),
+                 "one-outlier": np.where(np.arange(1000) == 617, 40.0, -0.7),
+                 "overflowing": np.resize([750.0, -750.0, 0.0], 1000)}[rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _greedy_z_batch(log_ratio, 0.1, 0.3, lam2dt)
+        assert np.array_equal(z, full_grid_greedy_z(log_ratio, 0.1, 0.3, lam2dt))
+
+
+def greedy_log_ratios(spec, n_paths, seed):
+    """The (B,) log weight ratios that ``compare_strategies`` hands its greedy
+    rule, one vector per period, rebuilt by running that rule alone."""
+    grid = TimeGrid.regular(spec.horizon, spec.rebalance_dt)
+    dw, _ = brownian_batch(grid, 1, 0, seed, range(n_paths))
+    p, q, lam, dt = spec.p, spec.q, spec.lam, spec.rebalance_dt
+    alpha, delta = spec.drifts()
+    log_wr0 = math.log(spec.d0 / spec.a0)
+    log_x = np.full(n_paths, math.log(spec.x0))
+    for k in range(spec.n_periods):
+        log_r = log_wr0 + (delta - alpha) * (k * dt) + (q - p) * log_x
+        yield log_r
+        sp = lam / (1.0 - _greedy_z_batch(log_r, p, q, lam * lam * dt))
+        log_x = log_x + (sp * lam - 0.5 * sp * sp) * dt + sp * dw[:, k, 0]
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_greedy_matches_full_grid_scan_on_comparison_traffic(name):
+    # the ratios a comparison really serves: all equal at the first period,
+    # then spreading out, rows sharing their brackets for part of the walk
+    spec = preset(name)
+    lam2dt = spec.lam * spec.lam * spec.rebalance_dt
+    for log_ratio in greedy_log_ratios(spec, 2000, seed=7):
+        assert np.array_equal(_greedy_z_batch(log_ratio, spec.p, spec.q, lam2dt),
+                              full_grid_greedy_z(log_ratio, spec.p, spec.q, lam2dt))
+
+
+def _refinement_points(log_ratio, lam2dt, monkeypatch):
+    """How many z points one call's golden-section refinement scores."""
+    points = []
+    terms = pooling._objective_terms
+
+    def spy(z, p, q, lam2t):
+        if z is not pooling.Z_GRID:  # not one of the grid scans
+            points.append(np.size(z))
+        return terms(z, p, q, lam2t)
+
+    with monkeypatch.context() as m:
+        m.setattr(pooling, "_objective_terms", spy)
+        _greedy_z_batch(log_ratio, 0.1, 0.3, lam2dt)
+    return sum(points)
+
+
+def test_greedy_refinement_scores_a_shared_bracket_once(monkeypatch):
+    # 20k equal rows walk one bracket down: a per-row loop scored
+    # 2 (n_iter + 1) points for every row
+    points = _refinement_points(np.full(20_000, 0.3), FIG3_LAM2DT, monkeypatch)
+    assert points <= 2 * (N_ITER + 1)
+
+
+@pytest.mark.parametrize("lam2dt", [1e-14, 1.0, 16.0])
+def test_greedy_refinement_scores_no_more_than_per_row(lam2dt, monkeypatch):
+    log_ratio = np.random.default_rng(11).normal(0.0, 5.0, 20_000)
+    assert (_refinement_points(log_ratio, lam2dt, monkeypatch)
+            <= 2 * (N_ITER + 1) * log_ratio.size)
+
+
+def test_greedy_refinement_memory_on_distinct_brackets():
+    # at fig3's second period nearly every row ends on a bracket of its own,
+    # so the last bracket tables hold about a bracket per row; the call
+    # still peaks below 16 (B,) doubles, which the per-row loop exceeded
+    spec = preset("fig3")
+    log_ratio = list(itertools.islice(greedy_log_ratios(spec, 20_000, seed=7), 2))[1]
+    tracemalloc.start()
+    try:
+        _greedy_z_batch(log_ratio, spec.p, spec.q, FIG3_LAM2DT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * log_ratio.size * 8
 
 
 def test_greedy_flat_objective_rescans_full_grid():
@@ -297,6 +386,14 @@ def test_greedy_rejects_non_finite_inputs(arg, bad):
     kwargs[arg] = bad
     with pytest.raises(ValueError, match=rf"^{arg} must be positive and finite"):
         one_period_greedy(spec=FIG1, **kwargs)
+
+
+def test_overflowing_lam_squared_is_rejected():
+    # lam^2 t past the largest double made NaN scores, or an OverflowError
+    with pytest.raises(ValueError, match=r"^lam: lam\^2 horizon must be finite"):
+        preset("fig1", lam=1e200)
+    with pytest.raises(ValueError, match=r"^dt must keep lam\^2 dt finite"):
+        one_period_greedy(1.0, 1.0, 1.0, preset("fig3"), dt=1e308)
 
 
 def test_greedy_short_period_continuity():
