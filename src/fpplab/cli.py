@@ -138,10 +138,10 @@ def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag) -> int:
         t = t_flag if t_flag is not None else spec.horizon
         if not 0 < t < np.inf:
             raise ConfigError(f"--t: must be positive and finite, got {t:g}")
-        if not np.isfinite(spec.lam ** 2 * t):
-            raise ConfigError(f"--t: lam^2 t must be finite, got t = {t:g} at "
-                              f"lam = {spec.lam:g}")
-        result = pooling.optimize_constant_z(spec, t)
+        try:
+            result = pooling.optimize_constant_z(spec, t)
+        except ValueError as exc:
+            raise ConfigError(f"--t: {exc}") from exc
         print(f"z_star = {result.z_star:.6f} (value {result.value:.9g}) at t = {t:g}")
         for z, val in result.local_maxima:
             print(f"  local maximum: z = {z:.6f}, value = {val:.9g}")
@@ -189,7 +189,10 @@ def cmd_two_power(cfg: RunConfig, subaction: str, y_flag, gamma_flag,
             raise ConfigError(f"--y: must be positive and finite, got {y_flag:g}")
         if not 0 < gamma < 0.5:
             raise ConfigError(f"--gamma: must lie in (0, 1/2), got {gamma:g}")
-        x_star, value = two_power.legendre_dual(y_flag, spec.a0, spec.d0, gamma)
+        try:
+            x_star, value = two_power.legendre_dual(y_flag, spec.a0, spec.d0, gamma)
+        except ValueError as exc:
+            raise ConfigError(f"--y: {exc}") from exc
         print(f"x_star = {x_star:.12g}")
         print(f"dual value = {value:.12g}")
         return 0

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import FactorDegeneracyError, InvalidExponentError
-from .market import (MarketSpec, TimeGrid, brownian_batch, evolve_log_wealth_batch,
-                     running_integral, solve_allocation, PINV_RCOND)
+from .market import (MarketSpec, TimeGrid, check_schedule, running_integral,
+                     solve_allocation, PINV_RCOND)
 
 GAMMA_ONE_TOL = 1e-9  # risk aversions this close to 1 are rejected
 
@@ -478,65 +478,55 @@ def true_fpp_constants(v: float, u: float, p1: float, p2: float, p3: float,
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Monte Carlo snapshot of the admissibility moments of a strategy.
+    """The admissibility moments of a deterministic sigma*pi schedule.
 
-    A sampling-based indicator only: finiteness of an expectation cannot be
-    established from finitely many paths, and the report says so.
+    Under such a schedule log wealth on the grid is Gaussian, so both
+    moments are closed forms: the values are exact, not estimates.
     """
 
     integral_mean: float
-    integral_se: float
     sup_moment: float
-    sup_moment_se: float
     sup_time: float
-    n_paths: int
     v: float
     u: float
-    any_nonfinite: bool
-    note: str = ("sampling-based indicator of the moment conditions, "
-                 "not a finiteness certificate")
 
 
 def check_admissibility_moments(sp: np.ndarray, market: MarketSpec,
                                 mixture: RiskMixture, v: float, u: float,
-                                n_paths: int, grid: TimeGrid, seed: int,
-                                x0: float = 1.0) -> MomentReport:
-    """Estimate the time-integrated and running-sup admissibility moments.
+                                grid: TimeGrid, x0: float = 1.0) -> MomentReport:
+    """The time-integrated and running-sup admissibility moments, exactly.
 
     ``sp`` is the (N, d_w) sigma*pi schedule of ``evolve_log_wealth_batch``.
-    The integral moment is sum_i w_i int E[X_t^(2v(1-g_i)) |sigma pi|^(2v)] dt
+    Along it ``log X_{t_k}`` is N(mu_k, s_k), with
+    mu_k = log x0 + sum_{j<k} (sp_j . lam_j - |sp_j|^2/2) dt_j and
+    s_k = sum_{j<k} |sp_j|^2 dt_j, so E[X_{t_k}^a] = exp(a mu_k + a^2 s_k/2).
+    The integral moment is sum_i w_i int E[X_t^(2v(1-g_i))] |sigma pi|^(2v) dt
     (left-endpoint rule on the grid); the sup moment is
-    sup_t sum_i w_i E[X_t^(2uv(1-g_i))].
+    max_k sum_i w_i E[X_{t_k}^(2uv(1-g_i))], first attained at ``sup_time``.
+    Both are summed in log space, so a moment past float range reads inf.
     """
     if v <= 1 or u <= 1:
         raise InvalidExponentError(f"need v > 1 and u > 1, got v={v}, u={u}")
-    dw, _ = brownian_batch(grid, market.d_w, market.d_wperp, seed, range(n_paths))
-    log_x = evolve_log_wealth_batch(x0, sp, market.sharpe_path(grid), grid, dw)
-    gammas = mixture.gammas
-    weights = mixture.weights
-    sp_norm = np.sqrt(np.einsum("kd,kd->k", sp, sp))
-    # integral moment, accumulated per path then averaged
-    with np.errstate(divide="ignore"):
-        log_spv = 2.0 * v * np.log(sp_norm)  # -inf where sp = 0, one per cell
-    integrand = np.zeros((n_paths, grid.n_steps))
-    for g, w in zip(gammas, weights):
-        term = np.exp(2.0 * v * (1.0 - g) * log_x[:, :-1] + log_spv)
-        integrand += w * term
-    per_path_integral = integrand @ grid.dt
-    integral_mean = float(np.mean(per_path_integral))
-    integral_se = float(np.std(per_path_integral, ddof=1) / np.sqrt(n_paths)) \
-        if n_paths > 1 else 0.0
-    # sup moment over grid times
-    sup_vals = np.zeros(log_x.shape)
-    for g, w in zip(gammas, weights):
-        sup_vals += w * np.exp(2.0 * u * v * (1.0 - g) * log_x)
-    means = np.mean(sup_vals, axis=0)
-    k_star = int(np.argmax(means))
-    sup_se = float(np.std(sup_vals[:, k_star], ddof=1) / np.sqrt(n_paths)) \
-        if n_paths > 1 else 0.0
-    nonfinite = bool(~np.all(np.isfinite(per_path_integral))
-                     or ~np.all(np.isfinite(sup_vals)))
-    return MomentReport(integral_mean=integral_mean, integral_se=integral_se,
-                        sup_moment=float(means[k_star]), sup_moment_se=sup_se,
-                        sup_time=float(grid.times[k_star]), n_paths=n_paths,
-                        v=v, u=u, any_nonfinite=nonfinite)
+    if not 0 < x0 < np.inf:
+        raise ValueError("wealth must be positive and finite")
+    sp = check_schedule(sp, grid, market.d_w)
+    norm = np.hypot.reduce(sp, axis=1)  # |sp| per cell, without overflow
+    sp_lam = np.einsum("kd,kd->k", sp, market.sharpe_path(grid))
+    log_w = np.log(mixture.weights)[:, None]
+
+    def log_moment(c):  # log sum_i w_i E[X_{t_k}^(c (1-g_i))], k = 0..N
+        a = c * (1.0 - mixture.gammas)[:, None]
+        # a mu + a^2 s/2 per cell; a (a-1)/2 goes first so a = 1 reads 0, not 0 * inf
+        cells = (a * sp_lam + 0.5 * a * (a - 1.0) * norm * norm) * grid.dt
+        log_ex = a * np.log(x0) + np.pad(np.cumsum(cells, axis=1), ((0, 0), (1, 0)))
+        return np.logaddexp.reduce(log_w + log_ex, axis=0)
+
+    with np.errstate(over="ignore"):
+        live = norm > 0  # a cell with sp = 0 adds exactly 0
+        log_cells = (2.0 * v * np.log(norm[live]) + np.log(grid.dt[live])
+                     + log_moment(2.0 * v)[:-1][live])
+        integral = float(np.sum(np.exp(log_cells)))
+        sup = np.exp(log_moment(2.0 * u * v))
+    k_star = int(np.argmax(sup))
+    return MomentReport(integral_mean=integral, sup_moment=float(sup[k_star]),
+                        sup_time=float(grid.times[k_star]), v=v, u=u)

@@ -156,6 +156,19 @@ def _weighted_objective(z, wa, wd, p, q, lam2t):
     return wa * ea + wd * ed
 
 
+def _lam2t(spec: PoolSpec, t, lead: str = "lam^2 t must be finite, got t"):
+    """``lam^2 t`` for a horizon ``t`` (a number or an array of them).
+
+    Raises ValueError, led by ``lead`` (which names the argument), unless
+    every entry is finite: past float range the closed form scores NaN.
+    """
+    with np.errstate(over="ignore"):
+        lam2t = spec.lam ** 2 * t
+    if not np.all(np.isfinite(lam2t)):
+        raise ValueError(f"{lead} = {np.max(t):g} at lam = {spec.lam:g}")
+    return lam2t
+
+
 def constant_z_expected_utility(z: float, t: float, spec: PoolSpec) -> float:
     """Expected joint utility of holding sigma*pi = lam/(1-z) up to time t."""
     if not (0.0 < z < 1.0):
@@ -163,7 +176,7 @@ def constant_z_expected_utility(z: float, t: float, spec: PoolSpec) -> float:
     if t < 0:
         raise ValueError("t must be nonnegative")
     wa, wd = spec.weights()
-    return float(_weighted_objective(z, wa, wd, spec.p, spec.q, spec.lam ** 2 * t))
+    return float(_weighted_objective(z, wa, wd, spec.p, spec.q, _lam2t(spec, t)))
 
 
 def _golden_max(f: Callable, a: float, b: float, tol: float) -> float:
@@ -233,7 +246,7 @@ def optimize_constant_z(spec: PoolSpec, t: float) -> OptimizeResult:
     if t <= 0:
         raise ValueError("t must be positive")
     wa, wd = spec.weights()
-    lam2t = spec.lam ** 2 * t
+    lam2t = _lam2t(spec, t)
 
     def f(z):
         return _weighted_objective(z, wa, wd, spec.p, spec.q, lam2t)
@@ -255,10 +268,7 @@ def one_period_greedy(a_eff: float, d_eff: float, x: float, spec: PoolSpec,
     for name, value in (("a_eff", a_eff), ("d_eff", d_eff), ("x", x), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    lam2dt = spec.lam ** 2 * dt
-    if not math.isfinite(lam2dt):
-        raise ValueError(f"dt must keep lam^2 dt finite, got dt = {dt:g} at "
-                         f"lam = {spec.lam:g}")
+    lam2dt = _lam2t(spec, dt, "dt must keep lam^2 dt finite, got dt")
     log_ratio = math.log(d_eff) - math.log(a_eff) + (spec.q - spec.p) * math.log(x)
     return float(_greedy_z_batch(np.array([log_ratio]), spec.p, spec.q, lam2dt)[0])
 
@@ -415,7 +425,7 @@ def utility_surface(spec: PoolSpec, z_grid, t_grid) -> UtilitySurface:
     if np.any(t < 0.0):
         raise ValueError("t grid must be nonnegative")
     wa, wd = spec.weights()
-    lam2t = (spec.lam ** 2 * t)[:, None]
+    lam2t = _lam2t(spec, t)[:, None]
     vals = _weighted_objective(z[None, :], wa, wd, spec.p, spec.q, lam2t)
     return UtilitySurface(z_grid=z, t_grid=t, values=vals)
 

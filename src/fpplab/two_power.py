@@ -148,7 +148,8 @@ def legendre_dual(y: float, a_coeff: float, d_coeff: float,
 
     Returns the maximiser x* = ((-D + sqrt(D^2 + 4Ay)) / (2A))^(-1/g) of
     U(x) - xy and the dual value there; the first-order condition
-    A x*^(-2g) + D x*^(-g) = y holds to machine precision.
+    A x*^(-2g) + D x*^(-g) = y holds to machine precision.  Raises
+    ValueError naming ``y`` when x* or the dual value leaves float range.
     """
     if y <= 0:
         raise ValueError("marginal utility y must be positive")
@@ -156,12 +157,18 @@ def legendre_dual(y: float, a_coeff: float, d_coeff: float,
         raise ValueError("coefficients must be positive")
     if not (0.0 < gamma < 0.5):
         raise ValueError("gamma must lie in (0, 1/2) so both powers are in (0, 1)")
-    # (-D + sqrt(D^2 + 4Ay)) / (2A) in its cancellation-free form
-    root = 2.0 * y / (d_coeff + np.sqrt(d_coeff ** 2 + 4.0 * a_coeff * y))
-    x_star = float(root ** (-1.0 / gamma))
-    u = (a_coeff * x_star ** (1.0 - 2.0 * gamma) / (1.0 - 2.0 * gamma)
-         + d_coeff * x_star ** (1.0 - gamma) / (1.0 - gamma))
-    return x_star, float(u - x_star * y)
+    # (-D + sqrt(D^2 + 4Ay)) / (2A) in its cancellation-free form; the hypot
+    # keeps D^2 + 4Ay from overflowing
+    root = y / (0.5 * (d_coeff + np.hypot(d_coeff, 2.0 * np.sqrt(a_coeff) * np.sqrt(y))))
+    with np.errstate(over="ignore"):
+        x_star = float(root ** (-1.0 / gamma))
+        u = (a_coeff * x_star ** (1.0 - 2.0 * gamma) / (1.0 - 2.0 * gamma)
+             + d_coeff * x_star ** (1.0 - gamma) / (1.0 - gamma))
+        value = float(u - x_star * y)
+    if not (0.0 < x_star < np.inf and np.isfinite(value)):
+        raise ValueError(f"y = {y:g} puts x* or the dual value outside float "
+                         f"range at gamma = {gamma:g}")
+    return x_star, value
 
 
 def dual_marginal(x: float, a_coeff: float, d_coeff: float, gamma: float) -> float:

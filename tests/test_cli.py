@@ -158,6 +158,16 @@ def test_two_power_dual_unit_case(tmp_path, capsys):
     assert float(out.split("x_star = ")[1].splitlines()[0]) == pytest.approx(1.0)
 
 
+def test_two_power_dual_huge_y_stays_finite(tmp_path, capsys):
+    # D^2 + 4Ay overflows here, yet x* ~ 5.18e-315 is a representable subnormal
+    code = run(tmp_path, "two-power", "dual", "--y", "1e308", "--gamma", "0.49")
+    out = capsys.readouterr().out
+    assert code == 0
+    x_star = float(out.split("x_star = ")[1].splitlines()[0])
+    assert x_star == pytest.approx(5.18e-315, rel=1e-3)
+    assert np.isfinite(float(out.split("dual value = ")[1].splitlines()[0]))
+
+
 def test_two_power_validate_flags_violation(tmp_path, capsys):
     csv_path = tmp_path / "powers.csv"
     rows = ["p,q"] + [f"0.2,{q}" for q in (0.6, 0.6, 0.6000010, 0.6)]
@@ -361,6 +371,11 @@ CONFIG_ERRORS = {
     "dual-negative-y": ("--y", ["two-power", "dual", "--y", "-1"], None),
     "dual-gamma-above-half": ("--gamma", ["two-power", "dual", "--y", "1",
                                           "--gamma", "0.7"], None),
+    # x* underflows to 0, overflows to inf, or underflows at a small gamma
+    "dual-huge-y": ("--y: y = 1e+308", ["two-power", "dual", "--y", "1e308"], None),
+    "dual-tiny-y": ("--y: y = ", ["two-power", "dual", "--y", "1e-320"], None),
+    "dual-huge-y-small-gamma": ("--y: y = 1e+300", ["two-power", "dual", "--y", "1e300",
+                                                    "--gamma", "0.01"], None),
     "validate-non-numeric": ("{csv}", ["two-power", "validate", "--file", "{csv}"],
                              None),
     "three-power-preset": ("--preset: three-power", ["--preset", "fig3", "three-power"],

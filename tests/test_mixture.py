@@ -1,12 +1,16 @@
 """Mixture criteria: loadings, drifts, evaluation, optimal portfolios, constants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fpplab.market
+import fpplab.mixture
 from fpplab.errors import (FactorDegeneracyError, InvalidExponentError,
-                           NoExactSolutionError)
-from fpplab.market import MarketSpec, TimeGrid, brownian_batch
+                           NoExactSolutionError, StrategyEvaluationError)
+from fpplab.market import MarketSpec, TimeGrid, brownian_batch, evolve_log_wealth_batch
 from fpplab.mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture,
                             check_admissibility_moments, drift_term, factor_j,
                             hgamma, market_view_density, mixture_value,
@@ -559,16 +563,50 @@ def test_constants_reject_invalid_exponents(v, u, p1, p2, p3):
 # admissibility moment diagnostics
 # ---------------------------------------------------------------------------
 
-def test_moments_null_portfolio_integral_is_zero():
-    market = base_market()
-    mix = RiskMixture.single(0.5)
-    grid = TimeGrid.regular(1.0, 0.25)
-    report = check_admissibility_moments(
-        np.zeros((grid.n_steps, 1)), market, mix, v=1.5, u=1.5,
-        n_paths=200, grid=grid, seed=1)
-    assert report.integral_mean == 0.0
-    assert not report.any_nonfinite
-    assert "indicator" in report.note
+def mix3_setup():
+    """A 3-atom mixture on a d_w = 3 market, weekly grid over one year."""
+    grid = TimeGrid.regular(1.0, 1 / 52)
+    market = MarketSpec(n_stocks=3, d_w=3, d_wperp=1,
+                        sigma=[[0.2, 0.0, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.3]],
+                        mu=[0.04, 0.05, 0.06])
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (0.8, 0.25)), gamma0=0.5,
+                      h0=H0Spec.portfolio_inversion([0.5, 0.3, 0.2]),
+                      j=JSpec.constant([0.1]))
+    return grid, market, mix
+
+
+def monte_carlo_moments(sp, market, mix, v, u, grid, n_paths=40_000, seed=3):
+    """Sample estimates of both admissibility moments, each with its standard error.
+
+    Returns the integral moment's mean and SE, then the per-column means and
+    SEs of the sup moment's integrand, a (N+1,) array each.
+    """
+    dw, _ = brownian_batch(grid, market.d_w, market.d_wperp, seed, range(n_paths))
+    log_x = evolve_log_wealth_batch(1.0, sp, market.sharpe_path(grid), grid, dw)
+    spv = np.einsum("kd,kd->k", sp, sp) ** v * grid.dt
+    integral = sum(w * np.exp(2 * v * (1 - g) * log_x[:, :-1])
+                   for g, w in mix.atoms) @ spv
+    sup = sum(w * np.exp(2 * u * v * (1 - g) * log_x) for g, w in mix.atoms)
+    root_n = np.sqrt(n_paths)
+    return (integral.mean(), integral.std(ddof=1) / root_n,
+            sup.mean(axis=0), sup.std(axis=0, ddof=1) / root_n)
+
+
+@pytest.mark.parametrize("schedule", ["sp_star", "zero", "sine"])
+def test_moments_agree_with_monte_carlo(schedule):
+    # the closed form is the expectation of the sample estimator, for the
+    # engine's log scheme, so 40k paths land within 3 SE of it
+    grid, market, mix = mix3_setup()
+    sp_star = MixtureFpp(mix, market, grid).sp_star
+    sp = {"sp_star": sp_star, "zero": np.zeros_like(sp_star),
+          "sine": sp_star * (1 + 0.5 * np.sin(2 * np.pi * grid.times[:-1]))[:, None]}
+    sp = sp[schedule]
+    report = check_admissibility_moments(sp, market, mix, v=1.5, u=1.5, grid=grid)
+    integral, integral_se, sup, sup_se = monte_carlo_moments(sp, market, mix, 1.5, 1.5,
+                                                             grid)
+    assert abs(integral - report.integral_mean) <= 3 * integral_se
+    k = int(np.flatnonzero(grid.times == report.sup_time)[0])
+    assert abs(sup[k] - report.sup_moment) <= 3 * sup_se[k]
 
 
 def test_moments_match_lognormal_closed_form():
@@ -577,19 +615,68 @@ def test_moments_match_lognormal_closed_form():
     g = 0.5
     mix = RiskMixture.single(g)
     grid = TimeGrid.regular(1.0, 1 / 12)
-    v_exp, u_exp, c, lam, n = 1.5, 1.5, 0.3, 0.2, 40_000
+    v_exp, u_exp, c, lam = 1.5, 1.5, 0.3, 0.2
     report = check_admissibility_moments(
-        np.full((grid.n_steps, 1), c), market, mix, v=v_exp, u=u_exp,
-        n_paths=n, grid=grid, seed=44)
+        np.full((grid.n_steps, 1), c), market, mix, v=v_exp, u=u_exp, grid=grid)
     a = 2 * v_exp * (1 - g)
     growth = a * (c * lam - 0.5 * c * c) + 0.5 * a * a * c * c
     moment = np.exp(growth * grid.times[:-1])  # left endpoints
     expected_integral = float(np.sum(moment * c ** (2 * v_exp) * grid.dt))
-    assert abs(report.integral_mean - expected_integral) < 3 * report.integral_se
+    assert report.integral_mean == pytest.approx(expected_integral, rel=1e-12)
     b = 2 * u_exp * v_exp * (1 - g)
     growth_b = b * (c * lam - 0.5 * c * c) + 0.5 * b * b * c * c
-    expected_sup = float(np.max(np.exp(growth_b * grid.times)))
-    assert abs(report.sup_moment - expected_sup) < 3 * report.sup_moment_se
+    expected_sup = np.exp(growth_b * grid.times)
+    assert report.sup_moment == pytest.approx(float(np.max(expected_sup)), rel=1e-12)
+    assert report.sup_time == grid.times[np.argmax(expected_sup)]
+
+
+def test_moments_null_portfolio_integral_is_zero():
+    grid, market, mix = mix3_setup()
+    x0, v, u = 2.0, 1.5, 1.2
+    report = check_admissibility_moments(np.zeros((grid.n_steps, 3)), market, mix,
+                                         v=v, u=u, grid=grid, x0=x0)
+    assert report.integral_mean == 0.0
+    expected = sum(w * x0 ** (2 * u * v * (1 - g)) for g, w in mix.atoms)
+    assert report.sup_moment == pytest.approx(expected, rel=1e-14)
+    assert report.sup_time == 0.0
+
+
+def test_moments_draw_no_normals(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the moments are exact and sample nothing")
+
+    for module in (fpplab.market, fpplab.mixture):
+        monkeypatch.setattr(module, "brownian_batch", boom, raising=False)
+    monkeypatch.setattr(fpplab.market, "_normals_for_paths", boom)
+    grid, market, mix = mix3_setup()
+    sp = MixtureFpp(mix, market, grid).sp_star
+    report = check_admissibility_moments(sp, market, mix, v=1.5, u=1.5, grid=grid)
+    assert report.integral_mean > 0
+
+
+@pytest.mark.parametrize("level", [1e3, 1e200])
+def test_moments_past_float_range_read_inf_without_warning(level):
+    grid, market, mix = mix3_setup()
+    sp = np.full((grid.n_steps, 3), level)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_admissibility_moments(sp, market, mix, v=1.5, u=1.5, grid=grid)
+    assert report.integral_mean == np.inf
+    assert report.sup_moment == np.inf
+
+
+def test_moments_reject_a_bad_schedule_and_wealth():
+    grid, market, mix = mix3_setup()
+    with pytest.raises(StrategyEvaluationError, match="shape"):
+        check_admissibility_moments(np.zeros((grid.n_steps, 2)), market, mix,
+                                    v=1.5, u=1.5, grid=grid)
+    sp = np.zeros((grid.n_steps, 3))
+    sp[5, 1] = np.nan
+    with pytest.raises(StrategyEvaluationError, match="non-finite"):
+        check_admissibility_moments(sp, market, mix, v=1.5, u=1.5, grid=grid)
+    with pytest.raises(ValueError, match="wealth"):
+        check_admissibility_moments(np.zeros((grid.n_steps, 3)), market, mix,
+                                    v=1.5, u=1.5, grid=grid, x0=0.0)
 
 
 def test_moments_reject_boundary_exponent():
@@ -598,4 +685,4 @@ def test_moments_reject_boundary_exponent():
     grid = TimeGrid.regular(1.0, 0.5)
     with pytest.raises(InvalidExponentError):
         check_admissibility_moments(np.zeros((grid.n_steps, 1)), market, mix,
-                                    v=1.0, u=2.0, n_paths=10, grid=grid, seed=0)
+                                    v=1.0, u=2.0, grid=grid)

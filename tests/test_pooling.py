@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +396,22 @@ def test_overflowing_lam_squared_is_rejected():
         preset("fig1", lam=1e200)
     with pytest.raises(ValueError, match=r"^dt must keep lam\^2 dt finite"):
         one_period_greedy(1.0, 1.0, 1.0, preset("fig3"), dt=1e308)
+
+
+@pytest.mark.parametrize("entry, lead", [
+    (lambda spec: constant_z_expected_utility(0.1, 1e308, spec), "lam^2 t must be finite"),
+    (lambda spec: optimize_constant_z(spec, 1e308), "lam^2 t must be finite"),
+    (lambda spec: utility_surface(spec, [0.1, 0.5], [1.0, 1e308]), "lam^2 t must be finite"),
+    (lambda spec: one_period_greedy(1.0, 1.0, 1.0, spec, dt=1e308),
+     "dt must keep lam^2 dt finite"),
+], ids=["constant_z_expected_utility", "optimize_constant_z", "utility_surface",
+        "one_period_greedy"])
+def test_overflowing_lam_squared_t_is_rejected_without_warning(entry, lead):
+    # lam^2 t = inf scored NaN, with an "invalid value" RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{re.escape(lead)}, got d?t = 1e\+308"):
+            entry(preset("fig3"))
 
 
 def test_greedy_short_period_continuity():

@@ -254,6 +254,20 @@ def test_dual_first_order_condition_roundtrip(y, a_coeff, d_coeff, gamma):
     assert dual_marginal(x_star, a_coeff, d_coeff, gamma) == pytest.approx(y, rel=1e-10)
 
 
+def test_dual_meets_first_order_condition_at_huge_y():
+    # D^2 + 4Ay overflows; the root is formed without it
+    x_star, value = legendre_dual(1e308, 1.0, 1.0, 0.49)
+    assert 0.0 < x_star < 1e-300 and np.isfinite(value)
+    assert dual_marginal(x_star, 1.0, 1.0, 0.49) == pytest.approx(1e308, rel=1e-9)
+
+
+@pytest.mark.parametrize("y, gamma", [(1e308, 0.25), (1e-320, 0.25), (1e300, 0.01)])
+def test_dual_outside_float_range_names_y(y, gamma):
+    # x* underflows to 0 or overflows to inf; neither is a maximiser
+    with pytest.raises(ValueError, match=r"^y = .* outside float range"):
+        legendre_dual(y, 1.0, 1.0, gamma)
+
+
 def test_dual_rejects_bad_domain():
     with pytest.raises(ValueError):
         legendre_dual(-1.0, 1.0, 1.0, 0.25)
