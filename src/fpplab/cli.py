@@ -84,9 +84,9 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     dw, dwp = brownian_batch(grid, cfg.market.d_w, cfg.market.d_wperp,
                              cfg.sim.seed, range(8))
     m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
-    picks = [(b, k) for b in range(m.shape[0])
+    picks = [(b, k) for b in range(m.shape[2])
              for k in (grid.n_steps // 2, grid.n_steps)]
-    states = [(m[b, k], qv[k], v[k]) for b, k in picks]
+    states = [(m[:, k, b], qv[:, k], v[:, k]) for b, k in picks]
 
     def evaluate(state, x):
         sm, sqv, sv = state
@@ -99,18 +99,18 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     ok = ok and scan.passed
 
     # per-path criterion states, and U at wealth 1, for a handful of paths
-    sample_ids = range(min(N_SAMPLE_PATHS, m.shape[0]))
-    u = fpp.utility_paths(m, np.zeros(m.shape[:2]))
+    sample_ids = range(min(N_SAMPLE_PATHS, m.shape[2]))
+    u = fpp.utility_paths(m, np.zeros(m.shape[1:]))
     rows = []
     for b, pid in enumerate(sample_ids):
         for k, t in enumerate(grid.times):
             for a in range(cfg.mixture.n_atoms):
-                rows.append([pid, _fmt(t), a, _fmt(m[b, k, a]), _fmt(qv[k, a]),
-                             _fmt(v[k, a]), _fmt(u[b, k])])
+                rows.append([pid, _fmt(t), a, _fmt(m[a, k, b]), _fmt(qv[a, k]),
+                             _fmt(v[a, k]), _fmt(u[b, k])])
     _write_csv(os.path.join(out_dir, "fpp_states.csv"),
                ["path_id", "t", "atom", "m", "qv_m", "v", "utility"], rows)
     write_paths_csv(os.path.join(out_dir, "brownian_paths.csv"), grid,
-                    dw[:len(sample_ids)], dwp[:len(sample_ids)], sample_ids)
+                    dw[:, :, :len(sample_ids)], dwp[:, :, :len(sample_ids)], sample_ids)
     return 0 if ok else 1
 
 
@@ -253,14 +253,14 @@ def cmd_three_power(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
     dw, _ = brownian_batch(grid, cfg.market.d_w, cfg.market.d_wperp,
                            cfg.sim.seed, range(N_SAMPLE_PATHS))
-    z = np.exp(fpp.accumulators(dw))
+    z = np.exp(fpp.accumulators(dw)[0])
     xs = cfg.three_power_x
-    u = three_power_value(np.array(xs), z[:, :, None], fpp.i_path[None, :, None], spec)
+    u = three_power_value(np.array(xs), z[:, :, None], fpp.i_path[:, None, None], spec)
     rows = []
-    for b in range(dw.shape[0]):
+    for b in range(dw.shape[2]):
         for k, t in enumerate(grid.times):
-            rows.append([b, _fmt(t), _fmt(z[b, k]), _fmt(fpp.i_path[k])]
-                        + [_fmt(val) for val in u[b, k]])
+            rows.append([b, _fmt(t), _fmt(z[k, b]), _fmt(fpp.i_path[k])]
+                        + [_fmt(val) for val in u[k, b]])
     header = ["path_id", "t", "Z", "I"] + [f"U_x={x:g}" for x in xs]
     _write_csv(os.path.join(out_dir, "three_power_paths.csv"), header, rows)
     return 0 if report.passed else 1

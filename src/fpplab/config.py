@@ -199,8 +199,8 @@ def _mixture_from(cfg: dict, market: MarketSpec) -> RiskMixture:
         _reject_unknown(atom, _ALLOWED_ATOM, path)
         atoms.append((_number(f"{path}.gamma", atom["gamma"]),
                       _number(f"{path}.weight", atom.get("weight", 1.0))))
-    mixture = RiskMixture(atoms=tuple(atoms),
-                          gamma0=_number("mixture.gamma0", cfg["gamma0"]))
+    mixture = _keyed("mixture", RiskMixture, atoms=tuple(atoms),
+                     gamma0=_number("mixture.gamma0", cfg["gamma0"]))
     h0 = _volatility_spec(H0Spec, cfg["h0"], "mixture.h0", market)
     j = _volatility_spec(JSpec, cfg["j"], "mixture.j", market, mixture.n_atoms)
     return replace(mixture, h0=h0, j=j)
@@ -211,7 +211,7 @@ def _two_power_from(cfg: dict, market: MarketSpec) -> TwoPowerSpec:
         _number(f"two_power.{key}", cfg[key])
     for key in ("a_vol", "d_vol", "a_perp", "d_perp"):
         _numbers(f"two_power.{key}", cfg[key])
-    spec = TwoPowerSpec(**cfg)
+    spec = _keyed("two_power", TwoPowerSpec, **cfg)
     _keyed("two_power", spec.check, market.d_w)
     return spec
 
@@ -229,12 +229,9 @@ def _pool_from(cfg: dict) -> PoolSpec:
     if name is None and missing:
         raise ConfigError(f"pool.{missing[0]}: missing (without a preset, the "
                           f"section lacks {', '.join(missing)})")
-    try:
-        return PoolSpec(**cfg) if name is None else pool_preset(name, **cfg)
-    except ValueError as exc:
-        if str(exc).partition(":")[0] in _ALLOWED["pool"]:  # it names its field
-            raise ConfigError(f"pool.{exc}") from exc
-        raise
+    if name is None:
+        return _keyed("pool", PoolSpec, **cfg)
+    return _keyed("pool", pool_preset, name, **cfg)
 
 
 def _three_power_from(cfg: dict) -> tuple[ThreePowerSpec, tuple[float, ...]]:

@@ -35,7 +35,7 @@ from .errors import NoExactSolutionError, SingularMarketError, StrategyEvaluatio
 NORMALS_BLOCK = 128  # paths per draw block: a (128, N, n_cols) buffer stays in L2
 PINV_RCOND = 1e-10  # singular values below rcond * s_max are treated as zero
 # most grid steps (or rebalance periods) in one run: refuses a horizon / step
-# ratio that overflows round() or that no (B, N+1) batch array could hold
+# ratio that overflows round() or that no (N+1, B) batch array could hold
 MAX_STEPS = 10 ** 7
 
 
@@ -288,18 +288,18 @@ def _normals_for_paths(grid: TimeGrid, n_cols: int, seed: int,
 def brownian_batch(grid: TimeGrid, d_w: int, d_wperp: int, seed: int,
                    path_ids: Sequence[int],
                    out: np.ndarray = None) -> tuple[np.ndarray, np.ndarray]:
-    """Increment arrays (B, N, d_w) and (B, N, d_wperp) for a batch of paths.
+    """Increment arrays (d_w, N, B) and (d_wperp, N, B) for a batch of paths.
 
-    Both are transposed views of one time-major (d_w + d_wperp, N, B) array,
-    ``out`` when given (see ``_normals_for_paths``): ``dw.T`` is C-ordered,
-    so each driver's increments at one grid cell are a contiguous row over
-    the paths.  Row ``b`` depends only on ``(seed, path_ids[b], grid, dims)``,
-    so a single path is the batch ``[path_id]`` and equals that row of any
+    Both are C-ordered slices of one (d_w + d_wperp, N, B) array, ``out``
+    when given (see ``_normals_for_paths``), so each driver's increments at
+    one grid cell are a contiguous row over the paths.  Path ``b``,
+    ``dw[:, :, b]``, depends only on ``(seed, path_ids[b], grid, dims)``, so
+    a single path is the batch ``[path_id]`` and equals that path of any
     larger batch bit for bit.
     """
     z = _normals_for_paths(grid, d_w + d_wperp, seed, path_ids, out)
     z *= np.sqrt(grid.dt)[None, :, None]
-    return z[:d_w].T, z[d_w:].T
+    return z[:d_w], z[d_w:]
 
 
 def einsum_dot(x: np.ndarray, y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -367,11 +367,12 @@ def running_integral(loadings: np.ndarray, dw: np.ndarray, cols: slice = slice(N
 
     ``loadings`` and ``j`` are (N, rows, d_w) and (N, rows, d_wperp) arrays
     of per-cell loadings on the whole-grid ``brownian_batch`` increments
-    ``dw`` and ``dwperp``; ``drift`` holds one value per cell of the chunk.
-    The result is the time-major (rows, len(cols), B) value at the grid
-    columns ``cols``.  The first chunk holds column 0, ``start``; a later
-    chunk continues from ``carry``, the (rows, B) or (B,) value at the
-    column before it, so chunks equal the whole horizon bit for bit.  Every
+    ``dw`` and ``dwperp``, (d_w, N, B) and (d_wperp, N, B); ``drift`` holds
+    one value per cell of the chunk.  The result is the C-ordered
+    (rows, len(cols), B) value at the grid columns ``cols``.  The first
+    chunk holds column 0, ``start``; a later chunk continues from ``carry``,
+    the (rows, B) or (B,) value at the column before it, ``value[:, -1]``
+    of the chunk before, so chunks equal the whole horizon bit for bit.  Every
     bit is fixed here: ``loadings . dW`` and ``j . dW_perp`` are separate
     ``einsum_dot`` calls, added in that order, and a step is
     ``x_{k-1} + inc_k``, or ``(x_{k-1} + drift_k) + inc_k``.
@@ -379,45 +380,42 @@ def running_integral(loadings: np.ndarray, dw: np.ndarray, cols: slice = slice(N
     n_steps = dw.shape[1]
     lo, hi, _ = cols.indices(n_steps + 1)
     cells = slice(max(lo - 1, 0), hi - 1)
-    dwt = dw.T[:, cells]
-    # row 0 of the time axis is the column before the chunk, or t = 0
-    acc = np.empty((loadings.shape[1], cells.stop - cells.start + 1, dw.shape[0]))
-    acc[:, 0] = start if lo == 0 else carry
+    acc = np.empty((loadings.shape[1], hi - lo, dw.shape[2]))
+    first = int(lo == 0)  # column 0 of the first chunk is start; a cell adds to its end
     for r in range(acc.shape[0]):
-        inc = einsum_dot(dwt, loadings[cells, r].T[:, :, None], out=acc[r, 1:])
+        inc = einsum_dot(dw[:, cells], loadings[cells, r].T[:, :, None], out=acc[r, first:])
         if j is not None:
-            inc += einsum_dot(dwperp.T[:, cells], j[cells, r].T[:, :, None])
-    if drift is None:
-        for k in range(1, acc.shape[1]):
-            np.add(acc[:, k - 1], acc[:, k], out=acc[:, k])
-    else:
-        step = np.empty(acc[:, 0].shape)
-        for k in range(1, acc.shape[1]):
-            np.add(acc[:, k - 1], drift[k - 1], out=step)
-            np.add(step, acc[:, k], out=acc[:, k])
-    return acc[:, 1:] if lo else acc
+            inc += einsum_dot(dwperp[:, cells], j[cells, r].T[:, :, None])
+    if first:
+        acc[:, 0] = start
+    step = None if drift is None else np.empty(acc[:, 0].shape)
+    for k in range(first, acc.shape[1]):
+        prev = acc[:, k - 1] if k else carry
+        if drift is not None:
+            prev = np.add(prev, drift[k - first], out=step)
+        np.add(prev, acc[:, k], out=acc[:, k])
+    return acc
 
 
 def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
                             grid: TimeGrid, dw: np.ndarray, cols: slice = None,
                             carry: np.ndarray = None) -> np.ndarray:
-    """Vectorised log-wealth paths (B, len(cols)) for an ensemble.
+    """Log-wealth paths of an ensemble, a C-ordered (len(cols), B) array.
 
     ``sp`` is the (N, d_w) sigma*pi schedule shared by every path: row ``k``
     holds on grid cell ``k``.  ``lam_path`` is the (N, d_w) Sharpe path on
-    the same grid, and ``dw`` holds the (B, N, d_w) increments of the whole
+    the same grid, and ``dw`` holds the (d_w, N, B) increments of the whole
     grid, as ``brownian_batch`` returns them.  ``cols`` is a slice of grid
-    columns; ``None``, the whole horizon (B, N+1), is the one-chunk case.  A
+    columns; ``None``, the whole horizon (N+1, B), is the one-chunk case.  A
     chunk past column 0 continues from ``carry``, the (B,) log wealth at the
     column before it, as in ``running_integral``.  A zero allocation keeps
-    log wealth exactly at ``log(x0)``.  The result is the transposed view of
-    a time-major (len(cols), B) array.
+    log wealth exactly at ``log(x0)``.
 
     The whole-horizon call checks the schedule with ``check_schedule``
     (and raises its ``StrategyEvaluationError``); a chunk call expects a
     schedule that has passed it.
     """
-    n_paths, n_steps, d_w = dw.shape
+    d_w, n_steps, n_paths = dw.shape
     if cols is None:
         sp = check_schedule(sp, grid, d_w)
         cols = slice(None)
@@ -426,14 +424,14 @@ def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
     if not sp[cells].any():
         out = np.empty((hi - lo, n_paths))
         out[...] = np.log(x0) if lo == 0 else carry
-        return out.T
+        return out
     # one drift per cell for every path; sp . lam left to right fixes the rounding
     spc, lam = sp[cells], lam_path[cells]
     sp_lam = spc[:, 0] * lam[:, 0]
     for d in range(1, d_w):
         sp_lam = sp_lam + spc[:, d] * lam[:, d]
     drift_dt = (sp_lam - 0.5 * np.einsum("kd,kd->k", spc, spc)) * grid.dt[cells]
-    return running_integral(sp[:, None, :], dw, cols, carry, np.log(x0), drift_dt)[0].T
+    return running_integral(sp[:, None, :], dw, cols, carry, np.log(x0), drift_dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +442,20 @@ def write_paths_csv(path, grid: TimeGrid, dw: np.ndarray, dwperp: np.ndarray,
                     path_ids: Sequence[int]) -> None:
     """Write cumulative (W, W_perp) levels: path_id, t, W_1.., Wp_1.. per row.
 
-    ``dw`` and ``dwperp`` are ``brownian_batch`` increments for ``path_ids``.
+    ``dw`` and ``dwperp`` are the (d_w, N, B) and (d_wperp, N, B)
+    ``brownian_batch`` increments for ``path_ids``.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        d_w, d_wp = dw.shape[2], dwperp.shape[2]
+        d_w, d_wp = len(dw), len(dwperp)
         header = (["path_id", "t"] + [f"W_{i + 1}" for i in range(d_w)]
                   + [f"Wp_{j + 1}" for j in range(d_wp)])
         writer.writerow(header)
         for b, pid in enumerate(path_ids):
-            w = np.vstack([np.zeros((1, d_w)), np.cumsum(dw[b], axis=0)])
-            wp = np.vstack([np.zeros((1, d_wp)), np.cumsum(dwperp[b], axis=0)])
+            w = np.hstack([np.zeros((d_w, 1)), np.cumsum(dw[:, :, b], axis=1)])
+            wp = np.hstack([np.zeros((d_wp, 1)), np.cumsum(dwperp[:, :, b], axis=1)])
             for k, t in enumerate(grid.times):
                 row = [pid, format(float(t), ".17g")]
-                row += [format(v, ".17g") for v in w[k]]
-                row += [format(v, ".17g") for v in wp[k]]
+                row += [format(v, ".17g") for v in w[:, k]]
+                row += [format(v, ".17g") for v in wp[:, k]]
                 writer.writerow(row)

@@ -192,7 +192,8 @@ class RiskMixture:
 
     Atoms are ``(gamma_i, w_i)`` with ``gamma_i > 0``, ``gamma_i != 1`` and
     ``w_i > 0``; ``gamma0`` must lie in ``[min gamma_i, max gamma_i]``.
-    ``h0`` and ``j`` default to their zero kind.
+    ``h0`` and ``j`` default to their zero kind.  A bad field raises a
+    ValueError that names the field first (``atoms[0].weight: ...``).
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -205,22 +206,24 @@ class RiskMixture:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "gamma0", float(self.gamma0))
         if not atoms:
-            raise ValueError("mixture needs at least one atom")
-        for g, w in atoms:
-            if not (np.isfinite(g) and np.isfinite(w)):
-                raise ValueError(f"atom ({g}, {w}) must be finite")
+            raise ValueError("atoms: need at least one atom")
+        for i, (g, w) in enumerate(atoms):
+            if not np.isfinite(g):
+                raise ValueError(f"atoms[{i}].gamma: must be finite, got {g}")
+            if not np.isfinite(w):
+                raise ValueError(f"atoms[{i}].weight: must be finite, got {w}")
             if g <= 0:
-                raise ValueError(f"risk aversion must be positive, got {g}")
+                raise ValueError(f"atoms[{i}].gamma: must be positive, got {g}")
             if abs(g - 1.0) <= GAMMA_ONE_TOL:
-                raise ValueError(f"risk aversion {g} is too close to 1")
+                raise ValueError(f"atoms[{i}].gamma: risk aversion {g} is too close to 1")
             if w <= 0:
-                raise ValueError(f"atom weight must be positive, got {w}")
+                raise ValueError(f"atoms[{i}].weight: must be positive, got {w}")
         gs = [g for g, _ in atoms]
         if not (min(gs) <= self.gamma0 <= max(gs)):
             raise ValueError(
-                f"gamma0={self.gamma0} outside the atom range [{min(gs)}, {max(gs)}]")
+                f"gamma0: {self.gamma0} outside the atom range [{min(gs)}, {max(gs)}]")
         if abs(self.gamma0 - 1.0) <= GAMMA_ONE_TOL:
-            raise ValueError("gamma0 is too close to 1")
+            raise ValueError("gamma0: too close to 1")
 
     @property
     def gammas(self) -> np.ndarray:
@@ -320,28 +323,28 @@ def monotone_power_value(x: float, lam_plus_h: np.ndarray, gamma: float) -> floa
 def mixture_value(gammas: np.ndarray, weights: np.ndarray, log_x, m, qv, v):
     """Mixture value at log wealth ``log_x`` given per-atom state (m, qv, v).
 
-    Atoms lie along the last axis of ``m``, ``qv`` and ``v`` (a scalar
-    applies to every atom); computed in log space, so the value is -inf where
-    the sum genuinely diverges below.  Weights may carry signs (used by the
-    explicit signed constructions); ``RiskMixture``-validated criteria always
-    pass positive ones.
+    Atoms lie along the first axis of ``m``, ``qv`` and ``v``, one per row as
+    in ``signed_exp_sum`` (a scalar applies to every atom); computed in log
+    space, so the value is -inf where the sum genuinely diverges below.
+    Weights may carry signs (used by the explicit signed constructions);
+    ``RiskMixture``-validated criteria always pass positive ones.
     """
     gammas = np.asarray(gammas, float)
     weights = np.asarray(weights, float)
     log_x = np.asarray(log_x, float)
     n = gammas.size
-    m, qv, v = (np.broadcast_to(np.asarray(a, float), np.shape(a)[:-1] + (n,))
+    m, qv, v = (np.broadcast_to(np.asarray(a, float), (n,) + np.shape(a)[1:])
                 for a in (m, qv, v))
     coef = np.log(np.abs(weights)) - np.log(np.abs(1.0 - gammas))
-    logs = np.empty((n,) + np.broadcast_shapes(log_x.shape, m.shape[:-1],
-                                               qv.shape[:-1], v.shape[:-1]))
+    logs = np.empty((n,) + np.broadcast_shapes(log_x.shape, m.shape[1:],
+                                               qv.shape[1:], v.shape[1:]))
     for i in range(n):  # coef + (1-g) log_x + m - qv/2 + v; this order fixes the rounding
         row = logs[i, ...]  # a view even when the value is a scalar
         np.multiply(1.0 - gammas[i], log_x, out=row)
         row += coef[i]
-        row += m[..., i]
-        row -= 0.5 * qv[..., i]
-        row += v[..., i]
+        row += m[i]
+        row -= 0.5 * qv[i]
+        row += v[i]
     signs = np.sign(weights) * np.sign(1.0 - gammas)
     return signed_exp_sum(logs, signs)
 
@@ -355,7 +358,7 @@ class MixtureFpp:
 
     Everything set by lam(t) and h0(t) is computed once, here: ``lam_path``
     and ``sp_star`` = (lam + h0)/gamma0, (N, d_w) at the left endpoints, the
-    loadings ``h`` and ``j``, and the deterministic (N+1, n_atoms) ``qv``, ``v``.
+    loadings ``h`` and ``j``, and the deterministic (n_atoms, N+1) ``qv``, ``v``.
     """
 
     def __init__(self, mixture: RiskMixture, market: MarketSpec, grid: TimeGrid):
@@ -365,7 +368,7 @@ class MixtureFpp:
         n_steps, n_atoms, gamma0 = grid.n_steps, mixture.n_atoms, mixture.gamma0
         self.h = h = np.empty((n_steps, n_atoms, market.d_w))
         self.j = j = np.empty((n_steps, n_atoms, market.d_wperp))
-        vr = np.empty((n_steps, n_atoms))
+        vr = np.empty((n_atoms, n_steps))
         self.lam_path = market.sharpe_path(grid)
         self.sp_star = np.empty((n_steps, market.d_w))
         for k in range(n_steps):
@@ -375,13 +378,13 @@ class MixtureFpp:
             for i, g in enumerate(mixture.gammas):
                 h[k, i] = hgamma(g, gamma0, lam, h0)
                 j[k, i] = mixture.j.for_atom(i, h[k, i], market)
-                vr[k, i] = vgamma_rate(g, lam, h[k, i])
+                vr[i, k] = vgamma_rate(g, lam, h[k, i])
         dt = grid.dt
-        self.qv = np.vstack([np.zeros((1, n_atoms)),
-                             np.cumsum((np.einsum("kad,kad->ka", h, h)
-                                        + np.einsum("kad,kad->ka", j, j)) * dt[:, None],
-                                       axis=0)])
-        self.v = np.vstack([np.zeros((1, n_atoms)), np.cumsum(vr * dt[:, None], axis=0)])
+        qvr = np.einsum("kad,kad->ka", h, h) + np.einsum("kad,kad->ka", j, j)
+        self.qv = np.zeros((n_atoms, n_steps + 1))
+        self.v = np.zeros((n_atoms, n_steps + 1))
+        np.cumsum(qvr.T * dt, axis=1, out=self.qv[:, 1:])
+        np.cumsum(vr * dt, axis=1, out=self.v[:, 1:])
 
     def u0(self, x: float) -> float:
         """U_0(x) = sum_i w_i x^(1-gamma_i)/(1-gamma_i)."""
@@ -394,30 +397,28 @@ class MixtureFpp:
                     cols: slice = slice(None), carry=None):
         """Accumulated ``m`` along an ensemble, at the grid columns ``cols``.
 
-        ``m`` is (B, len(cols), n_atoms), the transposed view of a time-major
-        (n_atoms, len(cols), B) array: the state that ``utility_paths``
-        evaluates at the same ``cols``.  ``dw`` and ``dwperp`` are the
-        ``brownian_batch`` increments of the whole grid.  The whole horizon
-        is the one-chunk case; a chunk past column 0 continues from
-        ``carry``, the (B, n_atoms) ``m`` at the column before it, as in
-        ``running_integral``.
+        ``m`` is the C-ordered (n_atoms, len(cols), B) ``running_integral``:
+        the state that ``utility_paths`` evaluates at the same ``cols``.
+        ``dw`` and ``dwperp`` are the ``brownian_batch`` increments of the
+        whole grid.  The whole horizon is the one-chunk case; a chunk past
+        column 0 continues from ``carry``, the (n_atoms, B) ``m[:, -1]`` of
+        the chunk before, as in ``running_integral``.
         """
         j = self.j if self.market.d_wperp else None  # dm = H.dW + J.dW_perp per cell
-        return running_integral(self.h, dw, cols, None if carry is None else carry.T,
-                                j=j, dwperp=dwperp).T
+        return running_integral(self.h, dw, cols, carry, j=j, dwperp=dwperp)
 
     def utility_paths(self, state, log_x: np.ndarray,
                       cols: slice = slice(None)) -> np.ndarray:
         """U_t(X_t) at the grid columns ``cols``.
 
         ``state`` is the ``state_paths`` ``m`` of the same ``cols``, and
-        ``log_x`` is log wealth at those columns, shape (B, len(cols)).  The
-        terms are evaluated time-major; the result is a C-ordered
+        ``log_x`` is log wealth at those columns, shape (len(cols), B).  The
+        terms are evaluated in that layout; the result is a C-ordered
         (B, len(cols)) copy, the layout in which a sum over paths runs row
         by row.
         """
-        u = mixture_value(self.mixture.gammas, self.mixture.weights, log_x.T,
-                          state.transpose(1, 0, 2), self.qv[cols, None], self.v[cols, None])
+        u = mixture_value(self.mixture.gammas, self.mixture.weights, log_x, state,
+                          self.qv[:, cols, None], self.v[:, cols, None])
         return np.ascontiguousarray(u.T)
 
 

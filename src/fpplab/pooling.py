@@ -67,7 +67,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PoolSpec:
-    """Two-investor pooling problem on a one-stock complete market."""
+    """Two-investor pooling problem on a one-stock complete market.
+
+    A bad field raises a ValueError that names the field first (``a0: ...``).
+    """
 
     p: float
     q: float
@@ -81,18 +84,19 @@ class PoolSpec:
     def __post_init__(self):
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+                raise ValueError(f"{f.name}: must be finite")
         if not (0.0 < self.p < self.q < 1.0):
-            raise ValueError(f"need 0 < p < q < 1, got p={self.p}, q={self.q}")
+            raise ValueError(f"{'q' if 0.0 < self.p < 1.0 else 'p'}: need 0 < p < q < 1, "
+                             f"got p={self.p}, q={self.q}")
         for name in ("a0", "d0", "x0", "horizon", "rebalance_dt"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name}: must be positive")
         n = self.horizon / self.rebalance_dt
         if not 0.5 <= n <= MAX_STEPS:
-            raise ValueError(f"horizon / rebalance_dt must be between 1 and "
+            raise ValueError(f"horizon: horizon / rebalance_dt must be between 1 and "
                              f"{MAX_STEPS} periods")
         if abs(n - round(n)) > 1e-9:
-            raise ValueError("horizon must be a whole number of rebalance periods")
+            raise ValueError("horizon: must be a whole number of rebalance periods")
         if not math.isfinite(self.lam * self.lam * self.horizon):
             raise ValueError(f"lam: lam^2 horizon must be finite, got lam = "
                              f"{self.lam:g} at horizon = {self.horizon:g}")
@@ -453,7 +457,7 @@ def simulated_expected_utility(spec: PoolSpec, z: float, t: float, n_paths: int,
     dw, _ = brownian_batch(grid, 1, 0, seed, range(n_paths))
     sp = np.full((grid.n_steps, 1), spec.lam / (1.0 - z))
     lam_path = np.full((grid.n_steps, 1), spec.lam)
-    log_x = evolve_log_wealth_batch(spec.x0, sp, lam_path, grid, dw)[:, -1]
+    log_x = evolve_log_wealth_batch(spec.x0, sp, lam_path, grid, dw)[-1]
     u = spec.utility(t, log_x)
     return float(np.mean(u)), float(np.std(u, ddof=1) / np.sqrt(n_paths))
 
@@ -516,7 +520,6 @@ def compare_strategies(spec: PoolSpec, n_paths: int, seed: int) -> ComparisonRes
     n_per = spec.n_periods
     grid = TimeGrid.regular(spec.horizon, spec.rebalance_dt)
     dw, _ = brownian_batch(grid, 1, 0, seed, range(n_paths))
-    dwk = dw[:, :, 0]
     alpha, delta = spec.drifts()
     lam = spec.lam
     p, q = spec.p, spec.q
@@ -564,7 +567,7 @@ def compare_strategies(spec: PoolSpec, n_paths: int, seed: int) -> ComparisonRes
             mean_z[j, k] = (z.mean() if n_per == 1
                             else _path_order_sum(z, scratch) / n_paths)
             sp = lam / (1.0 - z)
-            log_x[j] = log_x[j] + (sp * lam - 0.5 * sp * sp) * dt + sp * dwk[:, k]
+            log_x[j] = log_x[j] + (sp * lam - 0.5 * sp * sp) * dt + sp * dw[0][k]
 
     paired = {frozenset((a, b)): float(np.std(u_a - u_b, ddof=1) / root_n)
               for (a, u_a), (b, u_b) in combinations(zip(rules, terminal), 2)}

@@ -152,19 +152,19 @@ class ThreePowerFpp:
     def accumulators(self, dw: np.ndarray, cols: slice = slice(None), carry=None):
         """log Z along an ensemble, at the grid columns ``cols``.
 
-        log Z is (B, len(cols)), the transposed view of a time-major
-        (len(cols), B) array; I is the deterministic ``i_path``.  ``dw``
-        holds the ``brownian_batch`` increments of the whole grid.  The
-        whole horizon is the one-chunk case; a chunk past column 0 continues
-        from ``carry``, the (B,) log Z at the column before it.
+        log Z is the C-ordered (1, len(cols), B) ``running_integral`` of the
+        one loading ``h``; I is the deterministic ``i_path``.  ``dw`` holds
+        the ``brownian_batch`` increments of the whole grid.  The whole
+        horizon is the one-chunk case; a chunk past column 0 continues from
+        ``carry``, the (1, B) ``log_z[:, -1]`` of the chunk before.
         """
-        return running_integral(self.h, dw, cols, carry)[0].T
+        return running_integral(self.h, dw, cols, carry)
 
     def state_paths(self, dw: np.ndarray, dwperp: np.ndarray,
                     cols: slice = slice(None), carry=None):
         """The ``accumulators`` at ``cols``: the state ``utility_paths`` evaluates.
 
-        ``carry`` is the (B,) log Z at the column before ``cols``, as in
+        ``carry`` is the (1, B) log Z at the column before ``cols``, as in
         ``MixtureFpp.state_paths``.  W_perp does not enter this criterion.
         """
         return self.accumulators(dw, cols, carry)
@@ -174,9 +174,9 @@ class ThreePowerFpp:
         """U_t(X_t) at the grid columns ``cols``.
 
         ``state`` is the ``state_paths`` log Z of the same ``cols``, and
-        ``log_x`` is log wealth at those columns, shape (B, len(cols)).  As
-        in ``MixtureFpp.utility_paths`` the terms are evaluated time-major
-        and the result is a C-ordered (B, len(cols)) copy.
+        ``log_x`` is log wealth at those columns, shape (len(cols), B).  As
+        in ``MixtureFpp.utility_paths`` the terms are evaluated in that
+        layout and the result is a C-ordered (B, len(cols)) copy.
         """
-        logs = _term_logs(log_x.T, state.T, self.i_path[cols, None], self.spec.gamma)
+        logs = _term_logs(log_x, state[0], self.i_path[cols, None], self.spec.gamma)
         return np.ascontiguousarray(signed_exp_sum(logs, self.spec.weights).T)

@@ -32,7 +32,10 @@ POWER_PATH_TOL = 1e-12  # monotonicity slack for sampled power paths
 
 @dataclass(frozen=True)
 class TwoPowerSpec:
-    """Powers, initial coefficients, and coefficient volatility loadings."""
+    """Powers, initial coefficients, and coefficient volatility loadings.
+
+    A bad field raises a ValueError that names the field first (``a0: ...``).
+    """
 
     p: float
     q: float
@@ -50,9 +53,11 @@ class TwoPowerSpec:
                 raise ValueError(f"{name}: non-finite value")
             object.__setattr__(self, name, value)
         if not (0.0 < self.p < self.q < 1.0):
-            raise ValueError(f"need 0 < p < q < 1, got p={self.p}, q={self.q}")
-        if not (0.0 < self.a0 < np.inf and 0.0 < self.d0 < np.inf):
-            raise ValueError("initial coefficients must be positive and finite")
+            raise ValueError(f"{'q' if 0.0 < self.p < 1.0 else 'p'}: need 0 < p < q < 1, "
+                             f"got p={self.p}, q={self.q}")
+        for name in ("a0", "d0"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name}: must be positive and finite")
 
     def check(self, d_w: int) -> None:
         """Raise ValueError unless each W loading has 1 (shared) or d_w entries."""

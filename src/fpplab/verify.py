@@ -116,8 +116,8 @@ def _batch_moments(fpp, sps, seed, path_ids):
     The batch runs ``TILE_PATHS`` paths at a time.  Each tile's increments
     are drawn into one buffer, reused for every tile, and shared by all runs
     (common random numbers).  A tile is one pass over the grid,
-    ``TIME_CHUNK`` columns at a time: per chunk the criterion state continues
-    from its previous chunk, each run's log wealth from its own last column,
+    ``TIME_CHUNK`` columns at a time: per chunk the (rows, w, B) state goes on
+    from ``state[:, -1]``, each run's (w, B) log wealth from its ``log_x[-1]``,
     and U goes straight into the per-time sums, so no full-horizon wealth,
     state or utility array, and no batch-wide increments, are ever held.
     ``utility_paths`` returns U as a C-ordered (B, w) copy, so each sum over
@@ -146,12 +146,12 @@ def _batch_moments(fpp, sps, seed, path_ids):
         carry = None  # the criterion state at the last column done
         for cols in chunks:
             state = fpp.state_paths(dw, dwp, cols, carry)
-            carry = state[:, -1]  # a view; a (B,) copy among the chunk arrays raised peak RSS
+            carry = state[:, -1]  # a view; a copy among the chunk arrays raised peak RSS
             w = cols.stop - cols.start
             buf = rows[:(len(ids) + 1) * w].reshape(len(ids) + 1, w)
             for r, sp in enumerate(sps):
                 log_x = evolve_log_wealth_batch(X0, sp, fpp.lam_path, grid, dw, cols, last[r])
-                last[r] = log_x[:, -1].copy()
+                last[r] = log_x[-1].copy()
                 u = fpp.utility_paths(state, log_x, cols)
                 diverged[r, paths] |= np.isneginf(u).any(axis=1)
                 terminal[r, paths] = u[:, -1]
@@ -209,11 +209,11 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
     bound to its grid: it exposes ``grid``, ``market`` (for the Brownian
     dimensions), ``lam_path`` (the (N, d_w) Sharpe path), ``u0(x)``,
     ``state_paths(dw, dwperp, cols, carry)`` (the state at the grid columns
-    ``cols``, one array of paths by columns, continuing from ``carry``, the
+    ``cols``, one (rows, len(cols), B) array, continuing from ``carry``, the
     previous chunk's ``state[:, -1]``, or None for the first chunk) and
-    ``utility_paths(state, log_x, cols)`` (U at log wealth ``log_x`` for the
-    same ``cols``).  Each schedule is checked once, here.  All runs ride the
-    same Brownian batches and criterion state (common random numbers).
+    ``utility_paths(state, log_x, cols)`` ((B, len(cols)) U at the (len(cols),
+    B) log wealth ``log_x``).  Each schedule is checked once, here.  All runs
+    ride the same Brownian batches and criterion state (common random numbers).
     Every path starts at wealth ``X0``.  Paths are split into batches of
     ``DEFAULT_BATCH``, the unit of the reduction and of the thread split, and
     a batch runs ``TILE_PATHS`` paths at a time.  A tile is one pass over the

@@ -122,8 +122,12 @@ def test_criterion_03_two_power_characterisation():
         # constant loadings: A and D are exact lognormals in the running W, W_perp
         alpha, delta = coefficient_drifts(p, q, lam, a, d)
         t = grid.times
-        w_t = np.concatenate([np.zeros((2, 1, 1)), np.cumsum(dw, axis=1)], axis=1)
-        wp_t = np.concatenate([np.zeros((2, 1, 1)), np.cumsum(dwp, axis=1)], axis=1)
+        # running levels (N+1, B, d) of each driver
+        w_t = np.concatenate([np.zeros((1, 1, 2)), np.cumsum(dw, axis=1)],
+                             axis=1).transpose(1, 2, 0)
+        wp_t = np.concatenate([np.zeros((1, 1, 2)), np.cumsum(dwp, axis=1)],
+                              axis=1).transpose(1, 2, 0)
+        t = t[:, None]
         log_a = (np.log(1.1) + (alpha - 0.5 * (a @ a + a_perp @ a_perp)) * t
                  + w_t @ a + wp_t @ a_perp)
         log_d = (np.log(0.8) + (delta - 0.5 * (d @ d + d_perp @ d_perp)) * t
@@ -136,7 +140,7 @@ def test_criterion_03_two_power_characterisation():
                           j=JSpec.constant([a_perp, d_perp]))
         generic_fpp = MixtureFpp(mix, market, grid)
         generic = generic_fpp.utility_paths(generic_fpp.state_paths(dw, dwp), log_x)
-        np.testing.assert_allclose(joint, generic, rtol=1e-10)
+        np.testing.assert_allclose(joint.T, generic, rtol=1e-10)
     print("criterion 3: PASS (1000 draws; zero-gap paths match to 1e-10)")
 
 

@@ -228,7 +228,7 @@ def test_verify_fpp_csvs_reproducible(tmp_path):
 
 
 def test_verify_fpp_brownian_paths_are_cumulative_batch_draws(tmp_path):
-    # row (path_id, t_k) holds the running sum of brownian_batch row path_id
+    # row (path_id, t_k) holds the running sum of brownian_batch path path_id
     # over the first k cells, drawn at the config seed
     config = """
 market: {n_stocks: 1, d_w: 1, d_wperp: 1, sigma: 0.2, mu: 0.04}
@@ -242,7 +242,7 @@ simulation: {n_paths: 500, seed: 11, grid_step: 0.25, horizon: 1.0}
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     assert len(rows) == 4 * (grid.n_steps + 1)
     for pid in range(4):
-        incs = np.concatenate([dw[pid], dwp[pid]], axis=1)
+        incs = np.concatenate([dw[:, :, pid], dwp[:, :, pid]]).T
         levels = np.vstack([np.zeros((1, 2)), np.cumsum(incs, axis=0)])
         for k, t in enumerate(grid.times):
             row = rows[pid * (grid.n_steps + 1) + k]
@@ -331,10 +331,15 @@ CONFIG_ERRORS = {
     "j-constant-length": ("mixture.j.value", ["verify-fpp"],
                           "market: {d_wperp: 1}\n"
                           "mixture:\n  j: {kind: constant, value: [0.1, 0.2]}\n"),
-    "atom-weight-nan": ("mixture", ["verify-fpp"],
+    "atom-weight-nan": ("mixture.atoms[0].weight: must be finite", ["verify-fpp"],
                         "mixture:\n  atoms: [{gamma: 0.5, weight: .nan}]\n"),
-    "atom-weight-inf": ("mixture", ["verify-fpp"],
+    "atom-weight-inf": ("mixture.atoms[0].weight: must be finite", ["verify-fpp"],
                         "mixture:\n  atoms: [{gamma: 0.5, weight: .inf}]\n"),
+    "atom-weight-negative": ("mixture.atoms[0].weight: must be positive, got -1.0",
+                             ["verify-fpp"],
+                             "mixture:\n  atoms: [{gamma: 0.5, weight: -1.0}]\n"),
+    "gamma0-outside-atoms": ("mixture.gamma0: 2.0 outside the atom range", ["verify-fpp"],
+                             "mixture:\n  gamma0: 2.0\n"),
     "perturbed-scale-nan": ("verify.perturbed_scale", ["verify-fpp"],
                             "verify:\n  perturbed_scale: .nan\n"),
     "x-values-nan": ("three_power.x_values", ["three-power"],
@@ -343,7 +348,10 @@ CONFIG_ERRORS = {
                                None),
     "a-vol-length": ("two_power.a_vol", ["two-power", "drifts"],
                      "two_power:\n  a_vol: [0.1, 0.2]\n"),
-    "a0-nan": ("two_power", ["two-power", "drifts"], "two_power:\n  a0: .nan\n"),
+    "a0-nan": ("two_power.a0: must be positive and finite", ["two-power", "drifts"],
+               "two_power:\n  a0: .nan\n"),
+    "two-power-a0-negative": ("two_power.a0: must be positive and finite",
+                              ["two-power", "drifts"], "two_power:\n  a0: -1.0\n"),
     "verify-unknown-preset": ("preset", ["--preset", "fig9", "verify-fpp"], None),
     "pool-unknown-preset": ("pool.preset", ["--preset", "power_base", "pool", "compare"],
                             None),
@@ -366,6 +374,13 @@ CONFIG_ERRORS = {
                                        "pool: {preset: null, p: 0.1, q: 0.3, a0: 1.0, "
                                        "d0: 1.0, lam: 1.0e+154, x0: 1.0, horizon: 2.0e+4, "
                                        "rebalance_dt: 1.0e+3}\n"),
+    "pool-a0-negative": ("pool.a0: must be positive", ["pool", "compare"],
+                         "pool: {preset: fig1, a0: -1.0}\n"),
+    "pool-fractional-periods": ("pool.horizon: must be a whole number of rebalance periods",
+                                ["pool", "compare"],
+                                "pool: {preset: fig1, rebalance_dt: 0.7}\n"),
+    "pool-p-above-q": ("pool.q: need 0 < p < q < 1, got p=0.5, q=0.3", ["pool", "compare"],
+                       "pool: {preset: fig1, p: 0.5}\n"),
     "pool-surface-empty-grid": ("pool.horizon", ["pool", "surface"],
                                 "pool:\n  horizon: 0.4\n  rebalance_dt: 0.4\n"),
     "dual-negative-y": ("--y", ["two-power", "dual", "--y", "-1"], None),
@@ -532,13 +547,19 @@ def test_two_power_validate_rejects_nan_row(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("setting", ["lam: .nan", "lam: .inf", "horizon: .inf",
-                                     "rebalance_dt: 1.0e-300", "horizon: 1.0e-12"])
-def test_out_of_range_pool_setting_is_a_config_error(tmp_path, capsys, setting):
+@pytest.mark.parametrize("setting, message", [
+    ("lam: .nan", "pool.lam: must be finite"),
+    ("lam: .inf", "pool.lam: must be finite"),
+    ("horizon: .inf", "pool.horizon: must be finite"),
+    ("rebalance_dt: 1.0e-300", "pool.horizon: horizon / rebalance_dt must be between"),
+    ("horizon: 1.0e-12", "pool.horizon: horizon / rebalance_dt must be between")],
+    ids=["lam: .nan", "lam: .inf", "horizon: .inf", "rebalance_dt: 1.0e-300",
+         "horizon: 1.0e-12"])
+def test_out_of_range_pool_setting_is_a_config_error(tmp_path, capsys, setting, message):
     code = run(tmp_path, "pool", "compare", config=f"pool:\n  preset: fig1\n  {setting}\n")
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("configuration error: pool: ")
+    assert err.startswith(f"configuration error: {message}")
     assert err.count("\n") == 1  # one line, no traceback
 
 

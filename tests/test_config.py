@@ -120,7 +120,7 @@ def test_unknown_pool_preset(tmp_path):
                                  "rebalance_dt"])
 def test_non_finite_pool_setting_rejected(tmp_path, key, value):
     path = write(tmp_path, f"pool:\n  preset: fig1\n  {key}: {value}\n")
-    with pytest.raises(ConfigError, match=f"^pool: {key} must be finite$"):
+    with pytest.raises(ConfigError, match=rf"^pool\.{key}: must be finite$"):
         load_config(path)
 
 

@@ -1,5 +1,6 @@
-"""The time-major engine: einsum's summation order, the normals blocks, and
-batch-of-one equality under the (driver, step, path) layout."""
+"""The engine's one layout: einsum's summation order, the normals blocks,
+batch-of-one equality, and C-ordered (rows, time, paths) arrays from the
+increments to the criterion state."""
 
 import tracemalloc
 
@@ -11,7 +12,7 @@ from fpplab.market import (NORMALS_BLOCK, MarketSpec, TimeGrid, _normals_for_pat
                            brownian_batch, einsum_dot, evolve_log_wealth_batch)
 from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture
 from fpplab.three_power import ThreePowerFpp, ThreePowerSpec
-from fpplab.verify import TIME_CHUNK
+from fpplab.verify import TIME_CHUNK, _time_chunks
 
 
 def assert_same_values_and_zero_signs(got, want):
@@ -129,7 +130,8 @@ def test_normals_fill_a_reused_buffer():
 @pytest.mark.parametrize("d_w", [1, 2, 3, 4])
 def test_one_path_batch_equals_its_row(d_w):
     # increments, log wealth, criterion state and U of a batch of one equal
-    # that path's row of a batch spanning two normals blocks, bit for bit
+    # that path of a batch spanning two normals blocks, bit for bit; paths
+    # run along the last axis (U is (B, w), so it is compared transposed)
     rng = np.random.default_rng(d_w)
     grid = TimeGrid.regular(1.0, 1 / 20)
     sigma = np.diag(rng.uniform(0.15, 0.4, d_w))
@@ -148,13 +150,14 @@ def test_one_path_batch_equals_its_row(d_w):
         out = [dw, dwp, log_x]
         for fpp in criteria:
             state = fpp.state_paths(dw, dwp)
-            out += [state, fpp.utility_paths(state, log_x)]
+            out += [state, fpp.utility_paths(state, log_x).T]
         return out
 
     batch = engine(range(NORMALS_BLOCK + 1))
     for pid in (0, NORMALS_BLOCK - 1, NORMALS_BLOCK):
         for whole, single in zip(batch, engine([pid])):
-            assert np.array_equal(whole[pid].view(np.int64), single[0].view(np.int64))
+            assert np.array_equal(whole[..., pid].view(np.int64),
+                                  single[..., 0].view(np.int64))
 
 
 def test_three_power_utility_builds_its_terms_in_place():
@@ -168,7 +171,7 @@ def test_three_power_utility_builds_its_terms_in_place():
     cols = slice(TIME_CHUNK, 2 * TIME_CHUNK)
     carry = fpp.state_paths(dw, dwp, slice(0, TIME_CHUNK))[:, -1]
     state = fpp.state_paths(dw, dwp, cols, carry)
-    log_x = evolve_log_wealth_batch(1.0, fpp.sp_star, fpp.lam_path, grid, dw)[:, cols]
+    log_x = evolve_log_wealth_batch(1.0, fpp.sp_star, fpp.lam_path, grid, dw)[cols]
     row = n_paths * TIME_CHUNK * 8
     tracemalloc.start()
     try:
@@ -177,3 +180,39 @@ def test_three_power_utility_builds_its_terms_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 7 * row
+
+
+def test_engine_arrays_are_c_ordered_rows_by_time_by_paths():
+    # the increments are slices of the draw buffer; log wealth (under a live
+    # and a zero schedule) and both criteria's states are C-ordered
+    # (rows, w, B) arrays, whole-horizon and chunk by chunk, each carry a
+    # view of its chunk; only U is path-major
+    grid = TimeGrid.regular(1.0, 1 / 40)
+    n_paths, d_w, d_wp = 6, 2, 1
+    market = MarketSpec(n_stocks=d_w, d_w=d_w, d_wperp=d_wp, sigma=np.diag([0.2, 0.3]),
+                        mu=[0.05, 0.02])
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5,
+                      j=JSpec.constant([0.2]))
+    buf = np.empty((d_w + d_wp, grid.n_steps, n_paths))
+    dw, dwp = brownian_batch(grid, d_w, d_wp, 3, range(n_paths), out=buf)
+    assert dw.shape == (d_w, grid.n_steps, n_paths)
+    assert dwp.shape == (d_wp, grid.n_steps, n_paths)
+    for z in (dw, dwp):
+        assert z.flags.c_contiguous and np.shares_memory(z, buf)
+    whole = slice(0, grid.n_steps + 1)
+    for fpp, rows in ((MixtureFpp(mix, market, grid), mix.n_atoms),
+                      (ThreePowerFpp(ThreePowerSpec(0.2), market, grid), 1)):
+        for sp in (np.full((grid.n_steps, d_w), 0.3), np.zeros((grid.n_steps, d_w))):
+            carry = last = None
+            for cols in [whole] + _time_chunks(grid.n_steps + 1):
+                w = cols.stop - cols.start
+                log_x = evolve_log_wealth_batch(1.0, sp, fpp.lam_path, grid, dw,
+                                                None if cols == whole else cols, last)
+                state = fpp.state_paths(dw, dwp, cols, carry)
+                u = fpp.utility_paths(state, log_x, cols)
+                assert log_x.shape == (w, n_paths) and log_x.flags.c_contiguous
+                assert state.shape == (rows, w, n_paths) and state.flags.c_contiguous
+                assert u.shape == (n_paths, w) and u.flags.c_contiguous
+                if cols != whole:
+                    carry, last = state[:, -1], log_x[-1]
+                    assert np.shares_memory(carry, state)

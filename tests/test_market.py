@@ -16,17 +16,17 @@ def make_market(sigma=0.2, mu=0.04, d_wperp=0):
     return MarketSpec(n_stocks=1, d_w=1, d_wperp=d_wperp, sigma=sigma, mu=mu)
 
 
-def stepwise_log_wealth(x0, sp_at, lam_path, grid, dw_row):
+def stepwise_log_wealth(x0, sp_at, lam_path, grid, dw_path):
     """One path of the log scheme, one cell at a time: the batch engine's oracle.
 
-    ``sp_at(t)`` gives sigma*pi on the cell starting at ``t``; ``dw_row`` is
-    the (N, d_w) increment array of that path.
+    ``sp_at(t)`` gives sigma*pi on the cell starting at ``t``; ``dw_path`` is
+    the (d_w, N) increment array of that path, ``dw[:, :, b]``.
     """
     log_x = [np.log(x0)]
     for k in range(grid.n_steps):
         sp = np.atleast_1d(np.asarray(sp_at(float(grid.times[k])), float))
         drift = sp @ lam_path[k] - 0.5 * (sp @ sp)
-        log_x.append(log_x[-1] + drift * grid.dt[k] + sp @ dw_row[k])
+        log_x.append(log_x[-1] + drift * grid.dt[k] + sp @ dw_path[:, k])
     return np.array(log_x)
 
 
@@ -130,18 +130,18 @@ def test_brownian_deterministic():
 
 
 def test_brownian_batch_matches_single_paths():
-    # every row of a batch equals the batch of one for its path id, and both
+    # every path of a batch equals the batch of one for its path id, and both
     # equal a Philox stream opened directly at counter block [0, 0, pid, 0]
     grid = TimeGrid.regular(0.5, 0.1)
     dw, dwp = brownian_batch(grid, 2, 1, seed=3, path_ids=range(17))
     for pid in (0, 5, 16):
         single_dw, single_dwp = brownian_batch(grid, 2, 1, seed=3, path_ids=[pid])
-        assert np.array_equal(dw[pid], single_dw[0])
-        assert np.array_equal(dwp[pid], single_dwp[0])
+        assert np.array_equal(dw[:, :, pid], single_dw[:, :, 0])
+        assert np.array_equal(dwp[:, :, pid], single_dwp[:, :, 0])
         gen = np.random.Generator(np.random.Philox(key=3, counter=[0, 0, pid, 0]))
         ref = gen.standard_normal((grid.n_steps, 3)) * np.sqrt(grid.dt)[:, None]
-        assert np.array_equal(dw[pid], ref[:, :2])
-        assert np.array_equal(dwp[pid], ref[:, 2:])
+        assert np.array_equal(dw[:, :, pid], ref[:, :2].T)
+        assert np.array_equal(dwp[:, :, pid], ref[:, 2:].T)
 
 
 @pytest.mark.parametrize("seed, ids, name", [
@@ -168,7 +168,7 @@ def test_brownian_ensemble_statistics():
     grid = TimeGrid.regular(1.0, 1.0)
     n = 100_000
     dw, _ = brownian_batch(grid, 1, 0, seed=123, path_ids=range(n))
-    z = dw[:, 0, 0]
+    z = dw[0, 0]
     assert abs(z.mean()) < 3.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 0.01
 
@@ -176,14 +176,14 @@ def test_brownian_ensemble_statistics():
 def test_brownian_increment_variance_scales_with_dt():
     grid = TimeGrid.regular(1.0, 0.25)
     dw, _ = brownian_batch(grid, 1, 0, seed=5, path_ids=range(20_000))
-    var = dw[:, :, 0].var(axis=0)
+    var = dw[0].var(axis=1)
     assert var == pytest.approx(grid.dt, rel=0.05)
 
 
 def test_brownian_no_perp_columns():
     grid = TimeGrid.regular(1.0, 0.5)
     _, dwp = brownian_batch(grid, 2, 0, seed=1, path_ids=[0])
-    assert dwp.shape == (1, 2, 0)
+    assert dwp.shape == (0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def test_log_scheme_single_step_arithmetic():
     sp = market.sigma_at(0.0) @ np.array([2.0])  # pi = 2 -> sigma*pi = 0.4
     log_x = evolve_log_wealth_batch(1.0, sp[None, :], market.sharpe_path(grid),
                                     grid, np.array([[[0.5]]]))
-    assert log_x[0, -1] == pytest.approx(0.2, abs=1e-15)
+    assert log_x[-1, 0] == pytest.approx(0.2, abs=1e-15)
     assert sp[0] == pytest.approx(0.4)
 
 
@@ -221,7 +221,7 @@ def test_constant_allocation_matches_stochastic_exponential():
                                     market.sharpe_path(grid), grid, dw)
     w_t = np.concatenate([[0.0], np.cumsum(dw[0, :, 0])])
     expected = 1.5 * np.exp((c * 0.2 - 0.5 * c * c) * grid.times + c * w_t)
-    np.testing.assert_allclose(np.exp(log_x[0]), expected, rtol=1e-12)
+    np.testing.assert_allclose(np.exp(log_x[:, 0]), expected, rtol=1e-12)
 
 
 def test_piecewise_constant_allocation_matches_closed_form():
@@ -236,7 +236,7 @@ def test_piecewise_constant_allocation_matches_closed_form():
     for k in range(grid.n_steps):
         c = 0.2 * (1.0 if grid.times[k] < 0.5 else 3.0)
         expected += (c * 0.2 - 0.5 * c * c) * 0.125 + c * dw[0, k, 0]
-    assert log_x[0, -1] == pytest.approx(expected, rel=1e-12)
+    assert log_x[-1, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_wealth_stays_positive_for_wild_strategies():
@@ -249,12 +249,12 @@ def test_wealth_stays_positive_for_wild_strategies():
     wave = 0.2 * np.sin(37 * grid.times[:-1])
     for b, scale in enumerate(scales):
         log_x = evolve_log_wealth_batch(1.0, (scale * wave)[:, None], lam_path, grid,
-                                        dw[b:b + 1])
+                                        dw[:, :, b:b + 1])
         assert np.all(np.isfinite(log_x))
         assert np.all(np.exp(log_x) > 0.0)
         ref = stepwise_log_wealth(1.0, lambda t: 0.2 * scale * np.sin(37 * t),
-                                  lam_path, grid, dw[b])
-        np.testing.assert_allclose(log_x[0], ref, rtol=1e-12)
+                                  lam_path, grid, dw[:, :, b])
+        np.testing.assert_allclose(log_x[:, 0], ref, rtol=1e-12)
 
 
 def test_non_finite_allocation_names_grid_time():
@@ -293,9 +293,9 @@ def test_batch_evolution_matches_single_path():
     for pid in range(5):
         one, _ = brownian_batch(grid, 1, 0, seed=6, path_ids=[pid])
         single = evolve_log_wealth_batch(2.0, sp, lam_path, grid, one)
-        assert np.array_equal(log_x[pid], single[0])
-        ref = stepwise_log_wealth(2.0, lambda t: 0.3, lam_path, grid, dw[pid])
-        np.testing.assert_allclose(log_x[pid], ref, rtol=1e-13)
+        assert np.array_equal(log_x[:, pid], single[:, 0])
+        ref = stepwise_log_wealth(2.0, lambda t: 0.3, lam_path, grid, dw[:, :, pid])
+        np.testing.assert_allclose(log_x[:, pid], ref, rtol=1e-13)
 
 
 def test_three_stock_evolution_is_bitwise_the_per_path_sum():
@@ -312,14 +312,14 @@ def test_three_stock_evolution_is_bitwise_the_per_path_sum():
     for b in range(6):
         ref = [np.log(1.7)]
         for k in range(grid.n_steps):
-            s, lam, w = sp[k], lam_path[k], dw[b, k]
+            s, lam, w = sp[k], lam_path[k], dw[:, k, b]
             sp_lam = (s[0] * lam[0] + s[1] * lam[1]) + s[2] * lam[2]
             sp_sq = (s[0] * s[0] + s[2] * s[2]) + s[1] * s[1]
             sp_dw = (s[0] * w[0] + s[2] * w[2]) + s[1] * w[1]
             ref.append(ref[-1] + (sp_lam - 0.5 * sp_sq) * grid.dt[k] + sp_dw)
-        assert np.array_equal(log_x[b], ref)
-        single = evolve_log_wealth_batch(1.7, sp, lam_path, grid, dw[b:b + 1])
-        assert np.array_equal(single[0], log_x[b])
+        assert np.array_equal(log_x[:, b], ref)
+        single = evolve_log_wealth_batch(1.7, sp, lam_path, grid, dw[:, :, b:b + 1])
+        assert np.array_equal(single[:, 0], log_x[:, b])
 
 
 @pytest.mark.parametrize("d_w", [1, 2, 3, 4])
@@ -336,8 +336,8 @@ def test_chunked_evolution_equals_whole_horizon(d_w):
         chunks, start = [], None
         for cols in _time_chunks(grid.n_steps + 1):
             chunks.append(evolve_log_wealth_batch(1.3, sp, lam_path, grid, dw, cols, start))
-            start = chunks[-1][:, -1]
-        assert np.array_equal(np.concatenate(chunks, axis=1).view(np.int64),
+            start = chunks[-1][-1]
+        assert np.array_equal(np.concatenate(chunks).view(np.int64),
                               whole.view(np.int64))
     assert np.all(whole == np.log(1.3))
 
@@ -345,13 +345,17 @@ def test_chunked_evolution_equals_whole_horizon(d_w):
 def stepwise_running_integral(loadings, dw, start, drift=None, j=None, dwperp=None):
     """The whole-horizon (rows, N+1, B) running sums, one grid cell at a time.
 
-    Each increment is ``np.einsum`` on C-ordered path-major copies (the bits
-    ``einsum_dot`` gives time-major), ``H.dW`` then ``+ J.dW_perp``, and each
-    step is ``x_{k-1} + inc_k``, or ``(x_{k-1} + drift_k) + inc_k``.
+    Each increment is ``np.einsum`` on C-ordered path-major (B, N, d) copies
+    of the increments (the bits ``einsum_dot`` gives on the (d, N, B) ones),
+    ``H.dW`` then ``+ J.dW_perp``, and each step is ``x_{k-1} + inc_k``, or
+    ``(x_{k-1} + drift_k) + inc_k``.
     """
-    inc = np.einsum("bkd,kad->bka", np.ascontiguousarray(dw), loadings)
+    def path_major(z):
+        return np.ascontiguousarray(z.transpose(2, 1, 0))
+
+    inc = np.einsum("bkd,kad->bka", path_major(dw), loadings)
     if j is not None:
-        inc = inc + np.einsum("bkd,kad->bka", np.ascontiguousarray(dwperp), j)
+        inc = inc + np.einsum("bkd,kad->bka", path_major(dwperp), j)
     n_paths, n_steps, rows = inc.shape
     x = np.empty((n_paths, n_steps + 1, rows))
     x[:, 0] = start

@@ -30,11 +30,11 @@ def initial_value(mix, x):
     return MixtureFpp(mix, base_market(), grid).u0(x)
 
 
-def stepwise_state(mix, lam, h0, j_atoms, dw_row, dwp_row, dt):
+def stepwise_state(mix, lam, h0, j_atoms, dw_path, dwp_path, dt):
     """Per-atom (m, <M>, V) of one path, one cell at a time, from the formulas.
 
-    ``j_atoms[i]`` is atom i's W_perp loading; ``dw_row`` and ``dwp_row`` are
-    the (N, d_w) and (N, d_wperp) increments of the path.
+    ``j_atoms[i]`` is atom i's W_perp loading; ``dw_path`` and ``dwp_path``
+    are the (d_w, N) and (d_wperp, N) increments of the path, ``dw[:, :, b]``.
     """
     g0 = mix.gamma0
     m, qv, v = (np.zeros(mix.n_atoms) for _ in range(3))
@@ -42,7 +42,7 @@ def stepwise_state(mix, lam, h0, j_atoms, dw_row, dwp_row, dt):
         for i, (g, _) in enumerate(mix.atoms):
             hg = ((g - g0) / g0) * lam + (g / g0) * h0
             jg = np.asarray(j_atoms[i], float)
-            m[i] += hg @ dw_row[k] + jg @ dwp_row[k]
+            m[i] += hg @ dw_path[:, k] + jg @ dwp_path[:, k]
             qv[i] += (hg @ hg + jg @ jg) * dt[k]
             v[i] += -(1 - g) / (2 * g) * ((lam + hg) @ (lam + hg)) * dt[k]
     return m, qv, v
@@ -240,10 +240,10 @@ def test_accumulate_zero_dynamics():
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.0)
     grid = TimeGrid(np.array([0.0, 0.5]))
     fpp = MixtureFpp(RiskMixture.single(0.5), market, grid)
-    m, qv, v = fpp.state_paths(np.array([[[0.3]]]), np.zeros((1, 1, 0))), fpp.qv, fpp.v
-    assert m[0, -1] == pytest.approx([0.0])
-    assert qv[-1] == pytest.approx([0.0])
-    assert v[-1] == pytest.approx([0.0])
+    m, qv, v = fpp.state_paths(np.array([[[0.3]]]), np.zeros((0, 1, 1))), fpp.qv, fpp.v
+    assert m[:, -1, 0] == pytest.approx([0.0])
+    assert qv[:, -1] == pytest.approx([0.0])
+    assert v[:, -1] == pytest.approx([0.0])
 
 
 def test_accumulate_single_atom_base_loading_vanishes():
@@ -253,9 +253,10 @@ def test_accumulate_single_atom_base_loading_vanishes():
     fpp = MixtureFpp(mix, base_market(), grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=0, path_ids=[0])
     m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
-    assert m[0, -1] == pytest.approx([0.0])
-    assert v[-1] == pytest.approx([-0.02], abs=1e-15)
-    value = mixture_value(mix.gammas, mix.weights, np.log(1.0), m[0, -1], qv[-1], v[-1])
+    assert m[:, -1, 0] == pytest.approx([0.0])
+    assert v[:, -1] == pytest.approx([-0.02], abs=1e-15)
+    value = mixture_value(mix.gammas, mix.weights, np.log(1.0), m[:, -1, 0], qv[:, -1],
+                          v[:, -1])
     assert value == pytest.approx(2 * np.exp(-0.02))
 
 
@@ -267,16 +268,16 @@ def test_accumulate_matches_brute_force_recomputation():
     grid = TimeGrid.regular(1.0, 0.05)
     fpp = MixtureFpp(mix, market, grid)
     rng = np.random.default_rng(5)
-    dw = rng.normal(size=(1, 20, 2)) * np.sqrt(0.05)
-    dwp = rng.normal(size=(1, 20, 1)) * np.sqrt(0.05)
+    dw = rng.normal(size=(1, 20, 2)).T * np.sqrt(0.05)  # (d_w, N, B)
+    dwp = rng.normal(size=(1, 20, 1)).T * np.sqrt(0.05)
     m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
     m_ref, qv_ref, v_ref = stepwise_state(mix, np.array([0.3, 0.1]),
                                           np.array([0.1, -0.05]), [[0.2], [0.3]],
-                                          dw[0], dwp[0], grid.dt)
-    assert m[0, -1] == pytest.approx(m_ref, rel=1e-12)
-    assert qv[-1] == pytest.approx(qv_ref, rel=1e-12)
-    assert v[-1] == pytest.approx(v_ref, rel=1e-12)
-    assert np.all(np.diff(qv, axis=0) >= 0.0)
+                                          dw[:, :, 0], dwp[:, :, 0], grid.dt)
+    assert m[:, -1, 0] == pytest.approx(m_ref, rel=1e-12)
+    assert qv[:, -1] == pytest.approx(qv_ref, rel=1e-12)
+    assert v[:, -1] == pytest.approx(v_ref, rel=1e-12)
+    assert np.all(np.diff(qv, axis=1) >= 0.0)
 
 
 def test_factor_loadings_enter_the_state():
@@ -296,9 +297,10 @@ def test_factor_loadings_enter_the_state():
         assert fpp.j[k] == pytest.approx(np.array(j_atoms), rel=1e-12)
     dw, dwp = brownian_batch(grid, 2, 1, seed=3, path_ids=[0])
     m, qv = fpp.state_paths(dw, dwp), fpp.qv
-    m_ref, qv_ref, _ = stepwise_state(mix, lam, h0, j_atoms, dw[0], dwp[0], grid.dt)
-    assert m[0, -1] == pytest.approx(m_ref, rel=1e-12)
-    assert qv[-1] == pytest.approx(qv_ref, rel=1e-12)
+    m_ref, qv_ref, _ = stepwise_state(mix, lam, h0, j_atoms, dw[:, :, 0], dwp[:, :, 0],
+                                      grid.dt)
+    assert m[:, -1, 0] == pytest.approx(m_ref, rel=1e-12)
+    assert qv[:, -1] == pytest.approx(qv_ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("rho, a, field", [
@@ -321,10 +323,11 @@ def test_state_paths_match_stepwise_accumulation():
     dw, dwp = brownian_batch(grid, 1, 1, seed=8, path_ids=[0])
     m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
     m_ref, qv_ref, v_ref = stepwise_state(mix, market.sharpe_at(0.0), np.array([0.1]),
-                                          [[0.2], [0.2]], dw[0], dwp[0], grid.dt)
-    assert m[0, -1] == pytest.approx(m_ref, rel=1e-12)
-    assert qv[-1] == pytest.approx(qv_ref, rel=1e-12)
-    assert v[-1] == pytest.approx(v_ref, rel=1e-12)
+                                          [[0.2], [0.2]], dw[:, :, 0], dwp[:, :, 0],
+                                          grid.dt)
+    assert m[:, -1, 0] == pytest.approx(m_ref, rel=1e-12)
+    assert qv[:, -1] == pytest.approx(qv_ref, rel=1e-12)
+    assert v[:, -1] == pytest.approx(v_ref, rel=1e-12)
 
 
 
@@ -455,7 +458,7 @@ def test_pointwise_concavity_of_reachable_states():
     fpp = MixtureFpp(mix, market, grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=12, path_ids=range(6))
     m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
-    states = [(m[b, k], qv[k], v[k]) for b in range(6) for k in (10, 20)]
+    states = [(m[:, k, b], qv[:, k], v[:, k]) for b in range(6) for k in (10, 20)]
 
     def evaluate(state, x):
         sm, sqv, sv = state
@@ -486,7 +489,7 @@ def test_market_view_density_mc_mean_is_one():
     n = 100_000
     dw, dwp = brownian_batch(grid, 1, 0, seed=77, path_ids=range(n))
     m, qv = fpp.state_paths(dw, dwp), fpp.qv
-    dens = market_view_density(m[:, -1, 0], qv[-1, 0])
+    dens = market_view_density(m[0, -1], qv[0, -1])
     se = dens.std(ddof=1) / np.sqrt(n)
     assert abs(dens.mean() - 1.0) < 3 * se
 
@@ -511,9 +514,10 @@ def test_monotone_power_factorisation_along_path():
     m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
     lam_plus_h = market.sharpe_at(0.0) + h
     for x in (0.5, 1.0, 3.0):
-        full = mixture_value(mix.gammas, mix.weights, np.log(x), m[0, -1], qv[-1], v[-1])
+        full = mixture_value(mix.gammas, mix.weights, np.log(x), m[:, -1, 0], qv[:, -1],
+                             v[:, -1])
         factored = (monotone_power_value(x, lam_plus_h, g)
-                    * market_view_density(m[0, -1, 0], qv[-1, 0]))
+                    * market_view_density(m[0, -1, 0], qv[0, -1]))
         assert full == pytest.approx(factored, rel=1e-10)
 
 
@@ -584,12 +588,11 @@ def monte_carlo_moments(sp, market, mix, v, u, grid, n_paths=40_000, seed=3):
     dw, _ = brownian_batch(grid, market.d_w, market.d_wperp, seed, range(n_paths))
     log_x = evolve_log_wealth_batch(1.0, sp, market.sharpe_path(grid), grid, dw)
     spv = np.einsum("kd,kd->k", sp, sp) ** v * grid.dt
-    integral = sum(w * np.exp(2 * v * (1 - g) * log_x[:, :-1])
-                   for g, w in mix.atoms) @ spv
+    integral = spv @ sum(w * np.exp(2 * v * (1 - g) * log_x[:-1]) for g, w in mix.atoms)
     sup = sum(w * np.exp(2 * u * v * (1 - g) * log_x) for g, w in mix.atoms)
     root_n = np.sqrt(n_paths)
     return (integral.mean(), integral.std(ddof=1) / root_n,
-            sup.mean(axis=0), sup.std(axis=0, ddof=1) / root_n)
+            sup.mean(axis=1), sup.std(axis=1, ddof=1) / root_n)
 
 
 @pytest.mark.parametrize("schedule", ["sp_star", "zero", "sine"])

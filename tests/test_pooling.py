@@ -234,7 +234,7 @@ def greedy_log_ratios(spec, n_paths, seed):
         log_r = log_wr0 + (delta - alpha) * (k * dt) + (q - p) * log_x
         yield log_r
         sp = lam / (1.0 - _greedy_z_batch(log_r, p, q, lam * lam * dt))
-        log_x = log_x + (sp * lam - 0.5 * sp * sp) * dt + sp * dw[:, k, 0]
+        log_x = log_x + (sp * lam - 0.5 * sp * sp) * dt + sp * dw[0, k]
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
@@ -537,7 +537,7 @@ def whole_horizon_comparison(spec, n_paths, seed):
                 break
             z = rule(k * dt, log_x)
             sp = lam / (1.0 - z)
-            log_x = log_x + (sp * lam - 0.5 * sp * sp) * dt + sp * dw[:, k, 0]
+            log_x = log_x + (sp * lam - 0.5 * sp * sp) * dt + sp * dw[0, k]
             allocations[:, k] = z
         runs[name] = utilities, allocations
     return runs

@@ -87,12 +87,12 @@ def test_matches_generic_signed_mixture_along_path():
         dt = float(grid.dt[k])
         for i, gam in enumerate(gammas):
             hg = hgamma(gam, 2 * g, lam, [0.0])
-            m[i] += float(hg @ dw[0, k])
+            m[i] += float(hg @ dw[:, k, 0])
             qv[i] += float(hg @ hg) * dt
             v[i] += vgamma_rate(gam, lam, hg) * dt
         x = 0.5 + k * 0.1  # arbitrary positive wealth probe per time
         generic = float(mixture_value(gammas, weights, np.log(x), m, qv, v))
-        explicit = three_power_value(x, float(np.exp(log_z[0, k + 1])),
+        explicit = three_power_value(x, float(np.exp(log_z[0, k + 1, 0])),
                                      float(i_path[k + 1]), spec)
         assert explicit == pytest.approx(generic, rel=1e-10)
 
@@ -103,12 +103,12 @@ def test_utility_paths_match_pointwise_values():
     grid = TimeGrid.regular(1.0, 0.25)
     fpp = ThreePowerFpp(spec, market, grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=3, path_ids=range(4))
-    log_x = np.log(1.7) * np.ones((4, grid.n_steps + 1))
+    log_x = np.log(1.7) * np.ones((grid.n_steps + 1, 4))
     u = fpp.utility_paths(fpp.state_paths(dw, dwp), log_x)
     log_z, i_path = fpp.accumulators(dw), fpp.i_path
     for b in (0, 3):
         for k in (0, 2, 4):
-            expected = three_power_value(1.7, float(np.exp(log_z[b, k])),
+            expected = three_power_value(1.7, float(np.exp(log_z[0, k, b])),
                                          float(i_path[k]), spec)
             assert u[b, k] == pytest.approx(expected, rel=1e-12)
 

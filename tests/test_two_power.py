@@ -187,8 +187,12 @@ def test_zero_gap_joint_process_matches_atom_sum():
         # constant loadings: A and D are exact lognormals in the running W, W_perp
         alpha, delta = coefficient_drifts(p, q, lam, a, d)
         t = grid.times
-        w_t = np.concatenate([np.zeros((3, 1, 1)), np.cumsum(dw, axis=1)], axis=1)
-        wp_t = np.concatenate([np.zeros((3, 1, 1)), np.cumsum(dwp, axis=1)], axis=1)
+        # running levels (N+1, B, d) of each driver
+        w_t = np.concatenate([np.zeros((1, 1, 3)), np.cumsum(dw, axis=1)],
+                             axis=1).transpose(1, 2, 0)
+        wp_t = np.concatenate([np.zeros((1, 1, 3)), np.cumsum(dwp, axis=1)],
+                              axis=1).transpose(1, 2, 0)
+        t = t[:, None]
         a_path = np.exp(np.log(1.3) + (alpha - 0.5 * (a @ a + a_perp @ a_perp)) * t
                         + w_t @ a + wp_t @ a_perp)
         d_path = np.exp(np.log(0.6) + (delta - 0.5 * (d @ d + d_perp @ d_perp)) * t
@@ -204,10 +208,10 @@ def test_zero_gap_joint_process_matches_atom_sum():
                           j=JSpec.constant([a_perp, d_perp]))
         fpp = MixtureFpp(mix, market, grid)
         generic = fpp.utility_paths(fpp.state_paths(dw, dwp), log_x)
-        np.testing.assert_allclose(joint, generic, rtol=1e-10)
+        np.testing.assert_allclose(joint.T, generic, rtol=1e-10)
         # and the shared optimiser matches the mixture allocation target
-        sp = mixture_sp_target(p, q, a_path[0, -1], d_path[0, -1],
-                               x_path[0, -1], lam, a, d)
+        sp = mixture_sp_target(p, q, a_path[-1, 0], d_path[-1, 0],
+                               x_path[-1, 0], lam, a, d)
         assert sp == pytest.approx(fpp.sp_star[0], rel=1e-12)
 
 
