@@ -16,12 +16,12 @@ closed form,
     E[U_t] = A0 X0^p exp(-p (z-p)^2 lam^2 t / (2(1-p)(1-z)^2))
            + D0 X0^q exp(-q (z-q)^2 lam^2 t / (2(1-q)(1-z)^2)),
 
-which this module evaluates, optimises over z (grid scan plus golden-section
-refinement, reporting every interior local maximum), and cross-checks by
-simulation.  Three rebalanced strategies are compared on common random
-numbers: the best constant z, the wealth-feedback joint optimiser, and a
-one-period greedy rule that re-optimises the closed form each period with
-the current per-investor utility levels as weights.
+which this module evaluates and optimises over z (grid scan plus
+golden-section refinement, reporting every interior local maximum); the
+tests cross-check it by simulation.  Three rebalanced strategies are
+compared on common random numbers: the best constant z, the wealth-feedback
+joint optimiser, and a one-period greedy rule that re-optimises the closed
+form each period with the current per-investor utility levels as weights.
 """
 
 from __future__ import annotations
@@ -34,18 +34,21 @@ from typing import Callable
 import numpy as np
 
 from . import two_power
-from .market import MAX_STEPS, TimeGrid, brownian_batch, evolve_log_wealth_batch
+from .market import MAX_STEPS, TimeGrid, brownian_batch
 
 Z_EDGE = 1e-3       # scan clip: the objective has a pole at z = 1
 Z_SCAN_STEP = 1e-3
 Z_REFINE_TOL = 1e-6
 Z_TIE_TOL = 1e-12   # maxima closer than this in value tie-break to smaller z
-# Doubles in one row block of the greedy score scan: 64k x 8 B = 512 KB, small
-# enough to stay in a core's L2 cache between the multiply, the add and the
-# argmax that each pass over it.  On a 2-core x86-64 host (2 MB L2 per core)
-# budgets of 8k-1M elements scanned fig3's window within 30% of each other,
-# and all about 6x faster than the unblocked (20k rows x 203) 32 MB matrix.
-SCAN_BLOCK_ELEMS = 1 << 16
+# Elements in one block of the greedy scan's work arrays (``_first_argmax``):
+# rows of the pairwise interval bounds, and rows x candidates of the scores.
+# 16k x 8 B = 128 KB per array keeps a 20k-row call's heap peak under the
+# bracket tree's, which comes after it.
+SCAN_BLOCK_ELEMS = 1 << 14
+# The slack c and the interval-end widening of the greedy scan's candidate
+# table, in units of u = 2^-53; ``_first_argmax`` derives both.
+SCORE_SLACK = 2.0 ** -48    # 32 u
+BOUND_WIDEN = 2.0 ** -50    # 8 u
 # the z scan grid of both optimisers: (Z_EDGE, 1 - Z_EDGE) in steps of Z_SCAN_STEP
 Z_GRID = np.linspace(Z_EDGE, 1.0 - Z_EDGE,
                      int(round((1.0 - 2.0 * Z_EDGE) / Z_SCAN_STEP)) + 1)
@@ -277,22 +280,128 @@ def one_period_greedy(a_eff: float, d_eff: float, x: float, spec: PoolSpec,
     return float(_greedy_z_batch(np.array([log_ratio]), spec.p, spec.q, lam2dt)[0])
 
 
-def _first_argmax(r: np.ndarray, ea: np.ndarray, ed: np.ndarray) -> np.ndarray:
-    """Each row's first argmax of ``ea + r[i] ed``, scanned in row blocks.
+def _candidate_table(ea: np.ndarray, ed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_first_argmax``'s table: the segment starts, ascending from 0, and
+    each segment's candidate points in ascending order, one row per segment,
+    padded by repeating its last candidate."""
+    n = ea.size
+    tiny = np.finfo(float).tiny
+    ea_slack = ea + SCORE_SLACK * max(float(np.max(np.abs(ea))), tiny)
+    ed_slack = ed + SCORE_SLACK * max(float(np.max(np.abs(ed))), tiny)
+    lo, hi = np.empty(n), np.empty(n)
+    rows = max(SCAN_BLOCK_ELEMS // n, 1)
+    for start in range(0, n, rows):
+        blk = slice(start, start + rows)
+        # alpha, beta and their negations, each one subtraction, so that an
+        # exact zero is +0.  Dividing by beta where it is positive and by +0
+        # elsewhere gives each lower bound -alpha/beta, +inf where point j
+        # can never win (beta <= 0 < -alpha), and -inf or NaN where k sets
+        # no lower bound; fmax skips the NaN.  The upper bounds alike, from
+        # alpha clipped at 0: where alpha and beta are both negative, lo_j
+        # is +inf already.
+        alpha = ea_slack[blk, None] - ea
+        neg_alpha = ea - ea_slack[blk, None]
+        beta = ed_slack[blk, None] - ed
+        neg_beta = ed - ed_slack[blk, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bound = np.divide(neg_alpha, np.maximum(beta, 0.0, out=beta), out=neg_alpha)
+            lo[blk] = np.fmax.reduce(bound, axis=1, initial=0.0)
+            bound = np.divide(np.maximum(alpha, 0.0, out=alpha),
+                              np.maximum(neg_beta, 0.0, out=neg_beta), out=alpha)
+            hi[blk] = np.fmin.reduce(bound, axis=1, initial=np.inf)
+        del alpha, neg_alpha, beta, neg_beta, bound
+    lo = np.maximum(lo * (1.0 - BOUND_WIDEN) - tiny, 0.0)
+    hi = hi * (1.0 + BOUND_WIDEN) + tiny
+    cols = np.flatnonzero((lo <= hi) & np.isfinite(lo))
+    lo, hi = lo[cols], hi[cols]
+    ends = np.sort(np.append(lo, 0.0))
+    starts = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
+    # point cols[i] is a candidate of the segments first[i] .. last[i]
+    first = np.searchsorted(starts, lo)
+    span = np.searchsorted(starts, hi, side="right") - first
+    seg = np.repeat(first - np.cumsum(span) + span, span) + np.arange(span.sum())
+    order = np.argsort(seg, kind="stable")
+    cand = np.repeat(cols, span)[order]
+    counts = np.bincount(seg, minlength=starts.size)
+    head = np.cumsum(counts) - counts
+    slot = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    return starts, cand[head[:, None] + slot]
 
-    The ``(len(r), len(ea))`` score matrix is never built: rows are scored
-    ``SCAN_BLOCK_ELEMS // len(ea)`` at a time into one reused buffer.
+
+def _first_argmax(r: np.ndarray, ea: np.ndarray, ed: np.ndarray) -> np.ndarray:
+    """Each row's first argmax of ``ea + r[i] ed`` over the points, for ratios
+    ``r >= 0``, scored only at the points that can win.
+
+    At a fixed point ``j`` the score is the line ``ea_j + r ed_j`` in ``r``,
+    and every row shares the lines, so which points can win depends on ``r``
+    alone.  ``_candidate_table`` cuts ``[0, inf)`` into segments and lists,
+    for each segment, the points whose score can be the computed maximum
+    somewhere in it.  Each row is scored only at its segment's candidates,
+    with the full scan's expression ``r ed + ea``, and the first maximum is
+    kept.  The rows go in blocks, each sorted by ratio, so that one
+    ``np.searchsorted`` of the segment starts into the block cuts it into
+    its segments (a search per row, on unsorted ratios, took about twice as
+    long on fig3's traffic).  Near fig3's peaks a segment of the 203-point
+    window holds at most two candidates; a nearly flat objective (``lam^2
+    dt`` of 1e-14) can hold all of them.
+
+    Why this is ``np.argmax(ea + r ed)`` bit for bit.  Let ``u = 2^-53`` and
+    ``A = max(max|ea|, m)``, ``E = max(max|ed|, m)``, with ``m = 2^-1022``
+    the smallest normal double.  A computed score ``fl(fl(r ed_j) + ea_j)``
+    is within ``2.01u (A + rE)`` of the exact one, plus at most ``2^-1074 <=
+    2uA`` where a rounding falls among the subnormals.  So if point ``j``
+    ties or beats point ``k`` in floats, then exactly
+
+        (ea_j - ea_k + c0 A) + r (ed_j - ed_k + c0 E) >= 0,   c0 = 8.02u.
+
+    The table forms ``alpha = fl(fl(ea_j + cA) - ea_k)`` and ``beta`` from
+    ``ed`` alike, with ``c = SCORE_SLACK = 32u``.  Forming them errs by at
+    most ``6uA`` (``6uE``), which leaves ``alpha`` and ``beta`` above the
+    left side's coefficients, so ``alpha + r beta >= 0`` holds exactly for
+    every ``k``.  For each ``j`` that is an interval ``[lo_j, hi_j]``:
+    ``lo_j`` is the largest ``-alpha/beta`` over ``beta > 0`` (or 0),
+    ``hi_j`` the smallest over ``beta < 0`` (or inf), and it is empty if some
+    ``beta = 0`` has ``alpha < 0``.  Each computed quotient errs by ``u``
+    relative, or ``2^-1075`` below ``m``, so its ends are moved out by
+    ``BOUND_WIDEN = 8u`` relative and by ``m`` absolute; a quotient that
+    overflows to inf excludes no finite ratio.  Every point outside its
+    interval therefore scores strictly below the row's maximum, and the first
+    maximum among the candidates, in ascending order, is the first maximum
+    over all points.
+
+    A segment starts at 0 and at each ``lo_j``, so there are at most
+    ``n + 1`` of them, and a segment's candidates are the ``j`` whose
+    interval holds its start: since ``lo_j`` is a start, a ratio in
+    ``[s_i, s_{i+1})`` lies in ``[lo_j, hi_j]`` only if
+    ``lo_j <= s_i <= hi_j``.  The pairwise bounds
+    and the rows' candidate scores are each formed in blocks of about
+    ``SCAN_BLOCK_ELEMS`` elements.
+
+    A row whose ``r`` overflowed to inf scores ``ed`` alone, the limit of its
+    scores over ``r``: its argmax is the first maximum of ``ed``.
     """
-    n_rows, width = r.size, ea.size
-    rows = max(SCAN_BLOCK_ELEMS // width, 1)
-    buf = np.empty((min(rows, n_rows), width))
-    idx = np.empty(n_rows, dtype=np.intp)
-    for start in range(0, n_rows, rows):
-        stop = min(start + rows, n_rows)
-        blk = buf[:stop - start]
-        np.multiply(r[start:stop, None], ed, out=blk)
-        blk += ea
-        np.argmax(blk, axis=1, out=idx[start:stop])
+    over = np.isposinf(r)
+    if over.any():
+        idx = np.empty(r.size, dtype=np.intp)
+        idx[over] = np.argmax(ed)
+        idx[~over] = _first_argmax(r[~over], ea, ed)
+        return idx
+    starts, table = _candidate_table(ea, ed)
+    rows = max(SCAN_BLOCK_ELEMS // table.shape[1], 1)
+    idx = np.empty(r.size, dtype=np.intp)
+    for start in range(0, r.size, rows):
+        order = np.argsort(r[start:start + rows])
+        order += start
+        blk = r[order]
+        # sorted by ratio, the block's rows fill the segments in turn
+        cut = np.searchsorted(blk, starts)
+        cand = table[np.repeat(np.arange(starts.size), np.diff(cut, append=blk.size))]
+        score = ed[cand]
+        score *= blk[:, None]
+        score += ea[cand]
+        best = np.argmax(score, axis=1)
+        del score
+        idx[order] = np.take_along_axis(cand, best[:, None], axis=1)[:, 0]
     return idx
 
 
@@ -327,12 +436,13 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     scanned again on the full grid, which keeps the full scan's first-maximum
     choice.
 
-    Both scans go through ``_first_argmax``, which scores the rows in blocks
-    of about ``SCAN_BLOCK_ELEMS`` doubles instead of building the whole
-    (batch, window) score matrix.  The bits cannot change: each score is the
-    same IEEE product ``r ed`` plus ``ea`` (addition is commutative, so
-    ``r ed + ea == ea + r ed`` exactly), a row's argmax reads only that row,
-    and ``np.argmax`` still takes the first maximum.
+    Both scans go through ``_first_argmax``, which scores each row only at
+    the points that can be its computed maximum, found from a table of the
+    lines ``ea_j + r ed_j`` that all rows share, and proves there that every
+    other point scores strictly lower.  Each score it forms is the same IEEE
+    product ``r ed`` plus ``ea`` (addition is commutative, so ``r ed + ea ==
+    ea + r ed`` exactly), and it keeps the first maximum, so each row gets
+    ``np.argmax`` of the whole row's scores bit for bit.
 
     The refinement starts each row on the bracket ``[z_{i-1}, z_{i+1}]``
     around its grid argmax ``i`` and takes ``n_iter`` golden-section steps:
@@ -350,8 +460,14 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     one ``2t + 1``.  Every value is the same elementwise IEEE expression of
     the same operands as in a per-row loop, so each row gets that loop's
     bits (``full_grid_greedy_z`` in the tests is that loop).
+
+    A ratio past float range (a log ratio above about 709.78) overflows to
+    ``r = inf``, where ``inf * 0`` would score NaN.  Such a row scores ``ed``
+    alone, the limit of its scores over ``r``, in the scan and in the
+    refinement; every finite row keeps its bits.
     """
-    r = np.exp(log_ratio)
+    with np.errstate(over="ignore"):
+        r = np.exp(log_ratio)
     zs, n = Z_GRID, Z_GRID.size
     ea, ed = _objective_terms(zs, p, q, lam2dt)
     dea, ded = np.diff(ea), np.diff(ed)
@@ -381,6 +497,8 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     a = zs[np.maximum(kids - 1, 0)]
     b = zs[np.minimum(kids + 1, n - 1)]
     fc, fd = np.empty(r.size), np.empty(r.size)
+    over = np.flatnonzero(np.isposinf(r))  # rows that score ed alone
+    r[over] = 0.0
     for _ in range(n_iter):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
@@ -389,6 +507,8 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
             np.take(ed, node, out=f)
             f *= r
             f += ea[node]
+            if over.size:
+                f[over] = ed[node[over]]
             del ea, ed
         node *= 2
         node += ~(fc >= fd)
@@ -435,32 +555,8 @@ def utility_surface(spec: PoolSpec, z_grid, t_grid) -> UtilitySurface:
 
 
 # ---------------------------------------------------------------------------
-# Simulation: oracle for the closed form, and the strategy comparison
+# Simulation: the strategy comparison
 # ---------------------------------------------------------------------------
-
-def simulated_expected_utility(spec: PoolSpec, z: float, t: float, n_paths: int,
-                               seed: int, n_steps: int = 4) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, standard error) of E[U_t] under constant z.
-
-    Simulates the wealth paths with the market engine (the log scheme is
-    exact for a constant allocation) and averages the joint utility at t.
-    """
-    if not (0.0 < z < 1.0):
-        raise ValueError(f"z must lie strictly inside (0, 1), got {z}")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    grid = TimeGrid.regular(t, t / n_steps)
-    dw, _ = brownian_batch(grid, 1, 0, seed, range(n_paths))
-    sp = np.full((grid.n_steps, 1), spec.lam / (1.0 - z))
-    lam_path = np.full((grid.n_steps, 1), spec.lam)
-    log_x = evolve_log_wealth_batch(spec.x0, sp, lam_path, grid, dw)[-1]
-    u = spec.utility(t, log_x)
-    return float(np.mean(u)), float(np.std(u, ddof=1) / np.sqrt(n_paths))
-
 
 def _path_order_sum(x: np.ndarray, scratch: np.ndarray) -> np.float64:
     """``x`` summed one path at a time, in path order, through ``scratch``.

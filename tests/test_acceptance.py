@@ -15,14 +15,14 @@ from fpplab.market import MarketSpec, TimeGrid, brownian_batch
 from fpplab.mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture, optimal_portfolio,
                             true_fpp_constants, vgamma_rate)
 from fpplab.pooling import (compare_strategies, constant_z_expected_utility,
-                            optimize_constant_z, preset,
-                            simulated_expected_utility, utility_surface)
+                            optimize_constant_z, preset, utility_surface)
 from fpplab.three_power import (ThreePowerFpp, ThreePowerSpec,
                                 concavity_discriminants, three_power_value)
 from fpplab.two_power import (coefficient_drifts, consistency_gap, dual_marginal,
                               joint_drift, legendre_dual, zero_gap_d_vol)
 from fpplab.verify import (VERDICT_MARTINGALE, VERDICT_SUPER_STRICT,
                            martingale_test, structure_scan)
+from test_pooling import simulated_expected_utility
 
 BASE_MARKET = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.04)  # lam 0.2
 UNIT_SHARPE_MARKET = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.2)

@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -11,13 +14,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fpplab import pooling
-from fpplab.market import TimeGrid, brownian_batch
-from fpplab.pooling import (_INVPHI, SCAN_BLOCK_ELEMS, Z_EDGE, Z_REFINE_TOL,
-                            Z_SCAN_STEP, PoolSpec, _greedy_z_batch,
-                            _weighted_objective, compare_strategies,
-                            constant_z_expected_utility, one_period_greedy,
-                            optimize_constant_z, preset,
-                            simulated_expected_utility, utility_surface)
+from fpplab.market import TimeGrid, brownian_batch, evolve_log_wealth_batch
+from fpplab.pooling import (_INVPHI, SCAN_BLOCK_ELEMS, Z_EDGE, Z_GRID, Z_REFINE_TOL,
+                            Z_SCAN_STEP, PoolSpec, _first_argmax, _greedy_z_batch,
+                            _objective_terms, _weighted_objective,
+                            compare_strategies, constant_z_expected_utility,
+                            one_period_greedy, optimize_constant_z, preset,
+                            utility_surface)
 
 FIG1 = preset("fig1")
 
@@ -61,6 +64,30 @@ def test_closed_form_rejects_boundary_z():
     for z in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError):
             constant_z_expected_utility(z, 1.0, FIG1)
+
+
+def simulated_expected_utility(spec, z, t, n_paths, seed, n_steps=4):
+    """Monte Carlo oracle of ``constant_z_expected_utility``: the estimate
+    (mean, standard error) of E[U_t] under constant z.
+
+    Simulates the wealth paths with the market engine (the log scheme is
+    exact for a constant allocation) and averages the joint utility at t.
+    """
+    if not (0.0 < z < 1.0):
+        raise ValueError(f"z must lie strictly inside (0, 1), got {z}")
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if n_paths < 2:
+        raise ValueError("need at least two paths")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    grid = TimeGrid.regular(t, t / n_steps)
+    dw, _ = brownian_batch(grid, 1, 0, seed, range(n_paths))
+    sp = np.full((grid.n_steps, 1), spec.lam / (1.0 - z))
+    lam_path = np.full((grid.n_steps, 1), spec.lam)
+    log_x = evolve_log_wealth_batch(spec.x0, sp, lam_path, grid, dw)[-1]
+    u = spec.utility(t, log_x)
+    return float(np.mean(u)), float(np.std(u, ddof=1) / np.sqrt(n_paths))
 
 
 def test_closed_form_matches_simulation():
@@ -158,16 +185,24 @@ N_ITER = int(math.ceil(math.log(Z_REFINE_TOL / (2 * Z_SCAN_STEP)) / math.log(_IN
 
 
 def full_grid_greedy_z(log_ratio, p, q, lam2dt):
-    """Reference for ``_greedy_z_batch``: every row scored on the whole z-grid."""
-    r = np.exp(log_ratio)[:, None]
+    """Reference for ``_greedy_z_batch``: every row scored on the whole z-grid.
+
+    A row whose ratio overflows to inf scores ``ed`` alone (weights 0 and 1);
+    every other row scores ``1.0 ea + r ed``, which is ``ea + r ed`` exactly.
+    """
+    with np.errstate(over="ignore"):
+        r = np.exp(log_ratio)
+    over = np.isinf(r)
+    wa, wd = np.where(over, 0.0, 1.0), np.where(over, 1.0, r)
     n = int(round((1.0 - 2.0 * Z_EDGE) / Z_SCAN_STEP)) + 1
     zs = np.linspace(Z_EDGE, 1.0 - Z_EDGE, n)
-    idx = np.argmax(_weighted_objective(zs[None, :], 1.0, r, p, q, lam2dt), axis=1)
+    idx = np.argmax(_weighted_objective(zs[None, :], wa[:, None], wd[:, None],
+                                        p, q, lam2dt), axis=1)
     a = zs[np.maximum(idx - 1, 0)]
     b = zs[np.minimum(idx + 1, n - 1)]
 
     def fvec(z):
-        return _weighted_objective(z, 1.0, r[:, 0], p, q, lam2dt)
+        return _weighted_objective(z, wa, wd, p, q, lam2dt)
 
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -211,14 +246,25 @@ def test_greedy_window_matches_full_grid_scan(p, q, lam2dt, sd, seed, extra):
 def test_greedy_repeated_rows_match_full_grid_scan(rows, lam2dt):
     # rows that share their brackets: one ratio (every path at the first
     # period), two alternating ones, one ratio with a single outlier, and
-    # ratios whose exp overflows, so that inf * 0 makes NaN scores
+    # ratios whose exp overflows, which score ed alone (with no warning)
     log_ratio = {"all-equal": np.full(1000, 0.3),
                  "two-interleaved": np.resize([-1.5, 2.0], 1000),
                  "one-outlier": np.where(np.arange(1000) == 617, 40.0, -0.7),
                  "overflowing": np.resize([750.0, -750.0, 0.0], 1000)}[rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _greedy_z_batch(log_ratio, 0.1, 0.3, lam2dt)
-        assert np.array_equal(z, full_grid_greedy_z(log_ratio, 0.1, 0.3, lam2dt))
+    z = _greedy_z_batch(log_ratio, 0.1, 0.3, lam2dt)
+    assert np.array_equal(z, full_grid_greedy_z(log_ratio, 0.1, 0.3, lam2dt))
+
+
+@pytest.mark.parametrize("lam2dt", [1.0, 16.0])
+@pytest.mark.parametrize("log_ratio", [710.0, 750.0, 1e300, math.inf])
+def test_greedy_overflowing_ratio_maximises_ed(log_ratio, lam2dt):
+    # the limit of ea + r ed over r: z maximises ed, which peaks at q; inf * 0
+    # scored NaN here and sent the refinement right, to z = 0.957 at 16
+    z = _greedy_z_batch(np.array([log_ratio, 0.0]), 0.1, 0.3, lam2dt)
+    assert abs(z[0] - 0.3) <= Z_REFINE_TOL
+    assert z[1] == _greedy_z_batch(np.array([0.0]), 0.1, 0.3, lam2dt)[0]
+    # a finite ratio past any preset's reach tends to the same limit
+    assert abs(_greedy_z_batch(np.array([700.0]), 0.1, 0.3, lam2dt)[0] - 0.3) <= Z_REFINE_TOL
 
 
 def greedy_log_ratios(spec, n_paths, seed):
@@ -328,17 +374,19 @@ FIG3_LAM2DT = preset("fig3").lam ** 2 * preset("fig3").rebalance_dt
 
 
 def _scan_block_rows(p, q, lam2dt, monkeypatch):
-    """Rows per block of the last argmax scan a single row goes through:
-    the window scan, or the full-grid rescan when every row takes it."""
+    """Rows per block of the last argmax scan a single row goes through (the
+    window scan, or the full-grid rescan when every row takes it): the
+    block holds rows x candidates of its candidate table's widest segment."""
     widths = []
-    first_argmax = pooling._first_argmax
+    candidate_table = pooling._candidate_table
 
-    def spy(r, ea, ed):
-        widths.append(ea.size)
-        return first_argmax(r, ea, ed)
+    def spy(ea, ed):
+        starts, table = candidate_table(ea, ed)
+        widths.append(table.shape[1])
+        return starts, table
 
     with monkeypatch.context() as m:
-        m.setattr(pooling, "_first_argmax", spy)
+        m.setattr(pooling, "_candidate_table", spy)
         _greedy_z_batch(np.zeros(1), p, q, lam2dt)
     return SCAN_BLOCK_ELEMS // widths[-1]
 
@@ -364,6 +412,98 @@ def test_greedy_row_does_not_depend_on_its_batch(lam2dt, monkeypatch):
     z = _greedy_z_batch(log_ratio, 0.1, 0.3, lam2dt)
     for i in (0, rows - 1, rows, 2 * rows + 1, 12_345, 19_999):
         assert z[i] == _greedy_z_batch(log_ratio[i:i + 1], 0.1, 0.3, lam2dt)[0]
+
+
+def _tie_ratios(ea, ed):
+    """Every ratio at which two adjacent points' scores tie in exact
+    arithmetic, (ea_j - ea_k) / (ed_k - ed_j), and 1 and 2 ulps either side."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tie = (ea[:-1] - ea[1:]) / (ed[1:] - ed[:-1])
+    tie = tie[np.isfinite(tie) & (tie >= 0.0)]
+    out = [tie]
+    for direction in (0.0, np.inf):
+        near = tie
+        for _ in range(2):
+            near = np.nextafter(near, direction)
+            out.append(near)
+    return np.concatenate(out)
+
+
+@given(p=_UNIT, q=_UNIT,
+       lam2dt=st.one_of(st.sampled_from([0.0, 1e-14, 1e-8, 16.0]),
+                        _LOG10_LAM2DT.map(lambda e: 10.0 ** e)),
+       window=st.tuples(st.integers(0, Z_GRID.size - 1), st.integers(1, Z_GRID.size)),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_first_argmax_equals_full_scan_argmax(p, q, lam2dt, window, seed):
+    # scored only at its segment's candidates, each row still gets the first
+    # maximum of all its scores, also at and next to every adjacent-pair tie
+    assume(p < q)
+    lo, width = window
+    ea, ed = _objective_terms(Z_GRID[lo:lo + width], p, q, lam2dt)
+    rng = np.random.default_rng(seed)
+    r = np.concatenate([np.exp(rng.normal(0.0, 5.0, 300)), _tie_ratios(ea, ed),
+                        [0.0, math.exp(700.0)]])
+    assert np.array_equal(_first_argmax(r, ea, ed),
+                          np.argmax(ea + r[:, None] * ed, axis=1))
+
+
+def test_first_argmax_scores_an_overflowed_ratio_by_ed_alone():
+    ea, ed = _objective_terms(Z_GRID, 0.1, 0.3, 16.0)
+    r = np.array([math.inf, 1.0, 0.0])
+    assert np.array_equal(_first_argmax(r, ea, ed),
+                          [np.argmax(ed), np.argmax(ea + ed), np.argmax(ea)])
+
+
+@pytest.mark.parametrize("lam2dt", [1e-3, 0.25, 1.0, 16.0, 100.0, 1000.0])
+def test_candidate_table_is_narrow_near_fig3_peaks(lam2dt):
+    # the fig3 window's lines cross cleanly: two candidates per segment
+    ea, ed = _objective_terms(Z_GRID, 0.1, 0.3, lam2dt)
+    starts, table = pooling._candidate_table(ea[98:301], ed[98:301])
+    assert starts[0] == 0.0 and np.all(np.diff(starts) > 0)
+    assert table.shape == (starts.size, 2)
+
+
+def test_greedy_first_period_memory():
+    # 20k equal rows, every path at a comparison's first period, so the scan
+    # sets the peak; the row-block scan peaked at 0.96 MB
+    log_ratio = np.zeros(20_000)
+    tracemalloc.start()
+    try:
+        _greedy_z_batch(log_ratio, 0.1, 0.3, FIG3_LAM2DT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * 2 ** 20
+
+
+def test_compare_fig3_memory():
+    # the whole pool-greedy comparison; the row-block scan peaked at 8.40 MB
+    tracemalloc.start()
+    try:
+        compare_strategies(preset("fig3"), 20_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.40 * 2 ** 20
+
+
+def test_greedy_first_call_imports_nothing():
+    # np.unique, for one, imports numpy.ma on its first call, which raised
+    # the pool-greedy RSS peak by about 2 MB
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from fpplab.pooling import _greedy_z_batch\n"
+            "log_ratio = np.random.default_rng(0).normal(0.0, 5.0, 1000)\n"
+            "before = set(sys.modules)\n"
+            "_greedy_z_batch(log_ratio, 0.1, 0.3, 16.0)\n"
+            "_greedy_z_batch(log_ratio, 0.1, 0.3, 1e-14)\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pooling.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("lam2dt", [1e-14, FIG3_LAM2DT])
