@@ -106,7 +106,7 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
         for k, t in enumerate(grid.times):
             for a in range(cfg.mixture.n_atoms):
                 rows.append([pid, _fmt(t), a, _fmt(m[a, k, b]), _fmt(qv[a, k]),
-                             _fmt(v[a, k]), _fmt(u[b, k])])
+                             _fmt(v[a, k]), _fmt(u[k, b])])
     _write_csv(os.path.join(out_dir, "fpp_states.csv"),
                ["path_id", "t", "atom", "m", "qv_m", "v", "utility"], rows)
     write_paths_csv(os.path.join(out_dir, "brownian_paths.csv"), grid,

@@ -236,10 +236,7 @@ def _pool_from(cfg: dict) -> PoolSpec:
 
 def _three_power_from(cfg: dict) -> tuple[ThreePowerSpec, tuple[float, ...]]:
     gamma = _number("three_power.gamma", cfg["gamma"])
-    try:
-        spec = ThreePowerSpec(gamma=gamma)
-    except ValueError as exc:
-        raise ConfigError(f"three_power.gamma: {exc}") from exc
+    spec = _keyed("three_power", ThreePowerSpec, gamma=gamma)
     xs = tuple(float(_number(f"three_power.x_values[{i}]", v))
                for i, v in enumerate(cfg["x_values"]))
     if not all(0 < v < math.inf for v in xs):

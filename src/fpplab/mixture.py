@@ -358,10 +358,13 @@ class MixtureFpp:
 
     Everything set by lam(t) and h0(t) is computed once, here: ``lam_path``
     and ``sp_star`` = (lam + h0)/gamma0, (N, d_w) at the left endpoints, the
-    loadings ``h`` and ``j``, and the deterministic (n_atoms, N+1) ``qv``, ``v``.
+    loadings ``h`` and ``j``, and the deterministic (n_atoms, N+1) ``qv``, ``v``,
+    after checking ``h0`` and ``j`` against the market and the atom count.
     """
 
     def __init__(self, mixture: RiskMixture, market: MarketSpec, grid: TimeGrid):
+        mixture.h0.check(market)
+        mixture.j.check(market, mixture.n_atoms)
         self.mixture = mixture
         self.market = market
         self.grid = grid
@@ -413,13 +416,11 @@ class MixtureFpp:
 
         ``state`` is the ``state_paths`` ``m`` of the same ``cols``, and
         ``log_x`` is log wealth at those columns, shape (len(cols), B).  The
-        terms are evaluated in that layout; the result is a C-ordered
-        (B, len(cols)) copy, the layout in which a sum over paths runs row
-        by row.
+        terms are evaluated in that layout, and U is returned in it, a
+        C-ordered (len(cols), B) array.
         """
-        u = mixture_value(self.mixture.gammas, self.mixture.weights, log_x, state,
-                          self.qv[:, cols, None], self.v[:, cols, None])
-        return np.ascontiguousarray(u.T)
+        return mixture_value(self.mixture.gammas, self.mixture.weights, log_x, state,
+                             self.qv[:, cols, None], self.v[:, cols, None])
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ class ThreePowerSpec:
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0 / 3.0):
-            raise ValueError(f"gamma must lie in (0, 1/3), got {self.gamma}")
+            raise ValueError(f"gamma: must lie in (0, 1/3), got {self.gamma}")
 
     @property
     def weights(self) -> np.ndarray:
@@ -176,7 +176,7 @@ class ThreePowerFpp:
         ``state`` is the ``state_paths`` log Z of the same ``cols``, and
         ``log_x`` is log wealth at those columns, shape (len(cols), B).  As
         in ``MixtureFpp.utility_paths`` the terms are evaluated in that
-        layout and the result is a C-ordered (B, len(cols)) copy.
+        layout and U is returned in it, a C-ordered (len(cols), B) array.
         """
         logs = _term_logs(log_x, state[0], self.i_path[cols, None], self.spec.gamma)
-        return np.ascontiguousarray(signed_exp_sum(logs, self.spec.weights).T)
+        return signed_exp_sum(logs, self.spec.weights)

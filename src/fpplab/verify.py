@@ -98,10 +98,10 @@ def _reduce_rows(sums: np.ndarray, rows: np.ndarray, first: bool) -> None:
     """Add the rows of ``rows[1:]``, one path at a time, onto the per-time ``sums``.
 
     ``rows`` is a C-ordered (n + 1, w) buffer, ``w >= 2``, whose rows
-    ``1..n`` hold one tile's values; numpy sums it over axis 0 row by row.
-    The batch's first tile sums its own rows alone.  A later tile puts the
-    running ``sums`` in row 0, so the batch's sum continues in path order,
-    as if all of its paths were one array.
+    ``1..n`` hold one tile's values, one path per row; numpy sums it over
+    axis 0 row by row.  The batch's first tile sums its own rows alone.  A
+    later tile puts the running ``sums`` in row 0, so the batch's sum
+    continues in path order, as if all of its paths were one array.
     """
     if first:
         sums[...] = rows[1:].sum(axis=0)
@@ -120,9 +120,11 @@ def _batch_moments(fpp, sps, seed, path_ids):
     from ``state[:, -1]``, each run's (w, B) log wealth from its ``log_x[-1]``,
     and U goes straight into the per-time sums, so no full-horizon wealth,
     state or utility array, and no batch-wide increments, are ever held.
-    ``utility_paths`` returns U as a C-ordered (B, w) copy, so each sum over
-    paths adds whole rows one path at a time; ``_reduce_rows`` carries that
-    order across tiles, so the sums are those of the whole batch at once.
+    U comes in the engine's (w, B) layout; the terminal values and -inf
+    flags are read from it, and its transpose, zeroed where non-finite, is
+    the one path-major copy: rows ``1..n`` of the reused buffer, which
+    ``_reduce_rows`` sums one path at a time in order across tiles, so the
+    sums are those of the whole batch at once.
     """
     grid, market = fpp.grid, fpp.market
     n_times = grid.n_steps + 1
@@ -153,11 +155,11 @@ def _batch_moments(fpp, sps, seed, path_ids):
                 log_x = evolve_log_wealth_batch(X0, sp, fpp.lam_path, grid, dw, cols, last[r])
                 last[r] = log_x[-1].copy()
                 u = fpp.utility_paths(state, log_x, cols)
-                diverged[r, paths] |= np.isneginf(u).any(axis=1)
-                terminal[r, paths] = u[:, -1]
+                diverged[r, paths] |= np.isneginf(u).any(axis=0)
+                terminal[r, paths] = u[-1]
                 finite = buf[1:]
-                finite[...] = u
-                finite[~np.isfinite(u)] = 0.0  # diverged paths counted, zeroed
+                finite[...] = u.T  # the one path-major copy of U
+                finite[~np.isfinite(finite)] = 0.0  # diverged paths counted, zeroed
                 _reduce_rows(s1[r, cols], buf, lo == 0)
                 np.square(finite, out=finite)
                 _reduce_rows(s2[r, cols], buf, lo == 0)
@@ -211,21 +213,21 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
     ``state_paths(dw, dwperp, cols, carry)`` (the state at the grid columns
     ``cols``, one (rows, len(cols), B) array, continuing from ``carry``, the
     previous chunk's ``state[:, -1]``, or None for the first chunk) and
-    ``utility_paths(state, log_x, cols)`` ((B, len(cols)) U at the (len(cols),
-    B) log wealth ``log_x``).  Each schedule is checked once, here.  All runs
-    ride the same Brownian batches and criterion state (common random numbers).
-    Every path starts at wealth ``X0``.  Paths are split into batches of
-    ``DEFAULT_BATCH``, the unit of the reduction and of the thread split, and
-    a batch runs ``TILE_PATHS`` paths at a time.  A tile is one pass over the
-    grid in ``TIME_CHUNK`` columns: the state and every run's log wealth
-    continue chunk by chunk from their carried last column, and are
-    evaluated into the per-time sums, so a batch holds one tile's increments
-    and one chunk's tile-sized work arrays at a time, whatever the batch
-    size.  In martingale mode the verdict is consistent iff every grid time
-    stays inside the 3-standard-error band around U_0; in supermartingale
-    mode the mean must stay below U_0 plus the band everywhere, with a
-    strict verdict when the terminal mean separates below by more than the
-    band.
+    ``utility_paths(state, log_x, cols)`` (U at the (len(cols), B) log
+    wealth ``log_x``, in its layout).  Each schedule is checked once, here.
+    All runs ride the same Brownian batches and criterion state (common
+    random numbers).  Every path starts at wealth ``X0``.  Paths are split
+    into batches of ``DEFAULT_BATCH``, the unit of the reduction and of the
+    thread split, and a batch runs ``TILE_PATHS`` paths at a time.  A tile
+    is one pass over the grid in ``TIME_CHUNK`` columns: the state and every
+    run's log wealth continue chunk by chunk from their carried last column,
+    and are evaluated into the per-time sums, so a batch holds one tile's
+    increments and one chunk's tile-sized work arrays at a time, whatever
+    the batch size.  In martingale mode the verdict is consistent iff every
+    grid time stays inside the 3-standard-error band around U_0; in
+    supermartingale mode the mean must stay below U_0 plus the band
+    everywhere, with a strict verdict when the terminal mean separates below
+    by more than the band.
 
     Batches are combined in fixed order, and a batch's sums run over its
     paths in order across tiles, so the reports are bit-identical for any

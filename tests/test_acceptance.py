@@ -140,7 +140,7 @@ def test_criterion_03_two_power_characterisation():
                           j=JSpec.constant([a_perp, d_perp]))
         generic_fpp = MixtureFpp(mix, market, grid)
         generic = generic_fpp.utility_paths(generic_fpp.state_paths(dw, dwp), log_x)
-        np.testing.assert_allclose(joint.T, generic, rtol=1e-10)
+        np.testing.assert_allclose(joint, generic, rtol=1e-10)
     print("criterion 3: PASS (1000 draws; zero-gap paths match to 1e-10)")
 
 

@@ -71,6 +71,13 @@ def test_three_power_gamma_out_of_range(tmp_path):
         load_config(path)
 
 
+def test_three_power_error_is_keyed_at_its_field(tmp_path):
+    path = write(tmp_path, "three_power:\n  gamma: 0.4\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == "three_power.gamma: must lie in (0, 1/3), got 0.4"
+
+
 def test_pool_preset_with_overrides(tmp_path):
     path = write(tmp_path, "pool:\n  preset: fig3\n  x0: 2.0\n")
     cfg = load_config(path)

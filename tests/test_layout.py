@@ -1,6 +1,6 @@
 """The engine's one layout: einsum's summation order, the normals blocks,
 batch-of-one equality, and C-ordered (rows, time, paths) arrays from the
-increments to the criterion state."""
+increments to the criterion value."""
 
 import tracemalloc
 
@@ -131,7 +131,7 @@ def test_normals_fill_a_reused_buffer():
 def test_one_path_batch_equals_its_row(d_w):
     # increments, log wealth, criterion state and U of a batch of one equal
     # that path of a batch spanning two normals blocks, bit for bit; paths
-    # run along the last axis (U is (B, w), so it is compared transposed)
+    # run along the last axis
     rng = np.random.default_rng(d_w)
     grid = TimeGrid.regular(1.0, 1 / 20)
     sigma = np.diag(rng.uniform(0.15, 0.4, d_w))
@@ -150,7 +150,7 @@ def test_one_path_batch_equals_its_row(d_w):
         out = [dw, dwp, log_x]
         for fpp in criteria:
             state = fpp.state_paths(dw, dwp)
-            out += [state, fpp.utility_paths(state, log_x).T]
+            out += [state, fpp.utility_paths(state, log_x)]
         return out
 
     batch = engine(range(NORMALS_BLOCK + 1))
@@ -185,8 +185,8 @@ def test_three_power_utility_builds_its_terms_in_place():
 def test_engine_arrays_are_c_ordered_rows_by_time_by_paths():
     # the increments are slices of the draw buffer; log wealth (under a live
     # and a zero schedule) and both criteria's states are C-ordered
-    # (rows, w, B) arrays, whole-horizon and chunk by chunk, each carry a
-    # view of its chunk; only U is path-major
+    # (rows, w, B) arrays and both criteria's U a C-ordered (w, B) array,
+    # whole-horizon and chunk by chunk, each carry a view of its chunk
     grid = TimeGrid.regular(1.0, 1 / 40)
     n_paths, d_w, d_wp = 6, 2, 1
     market = MarketSpec(n_stocks=d_w, d_w=d_w, d_wperp=d_wp, sigma=np.diag([0.2, 0.3]),
@@ -212,7 +212,7 @@ def test_engine_arrays_are_c_ordered_rows_by_time_by_paths():
                 u = fpp.utility_paths(state, log_x, cols)
                 assert log_x.shape == (w, n_paths) and log_x.flags.c_contiguous
                 assert state.shape == (rows, w, n_paths) and state.flags.c_contiguous
-                assert u.shape == (n_paths, w) and u.flags.c_contiguous
+                assert u.shape == (w, n_paths) and u.flags.c_contiguous
                 if cols != whole:
                     carry, last = state[:, -1], log_x[-1]
                     assert np.shares_memory(carry, state)

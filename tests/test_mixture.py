@@ -314,6 +314,19 @@ def test_factor_loadings_must_fit_the_market(rho, a, field):
         JSpec.factor(rho, a).check(market, 2)
 
 
+@pytest.mark.parametrize("h0, j", [
+    (H0Spec.constant([0.1]), JSpec()),  # one entry on a d_w = 2 market
+    (H0Spec(), JSpec.constant([[0.1], [0.2], [0.3]])),  # three rows for two atoms
+])
+def test_criterion_loadings_must_fit_the_market(h0, j):
+    # a criterion built in code is checked as one built from a config: a
+    # loading of the wrong shape raises, rather than being broadcast or cut
+    market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1, sigma=np.eye(2), mu=[0.3, 0.1])
+    mix = RiskMixture(atoms=((0.5, 1.0), (2.0, 0.5)), gamma0=0.5, h0=h0, j=j)
+    with pytest.raises(ValueError, match="^value: needs shape"):
+        MixtureFpp(mix, market, TimeGrid.regular(1.0, 0.25))
+
+
 def test_state_paths_match_stepwise_accumulation():
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=1, sigma=0.25, mu=0.05)
     mix = RiskMixture(atoms=((0.5, 1.0), (0.8, 2.0)), gamma0=0.5,

@@ -110,7 +110,7 @@ def test_utility_paths_match_pointwise_values():
         for k in (0, 2, 4):
             expected = three_power_value(1.7, float(np.exp(log_z[0, k, b])),
                                          float(i_path[k]), spec)
-            assert u[b, k] == pytest.approx(expected, rel=1e-12)
+            assert u[k, b] == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def test_zero_gap_joint_process_matches_atom_sum():
                           j=JSpec.constant([a_perp, d_perp]))
         fpp = MixtureFpp(mix, market, grid)
         generic = fpp.utility_paths(fpp.state_paths(dw, dwp), log_x)
-        np.testing.assert_allclose(joint.T, generic, rtol=1e-10)
+        np.testing.assert_allclose(joint, generic, rtol=1e-10)
         # and the shared optimiser matches the mixture allocation target
         sp = mixture_sp_target(p, q, a_path[-1, 0], d_path[-1, 0],
                                x_path[-1, 0], lam, a, d)

@@ -78,7 +78,7 @@ class InflatedFpp(Wrapped):
         self.bump = np.exp(0.05 * fpp.grid.times)
 
     def utility_paths(self, state, log_x, cols=slice(None)):
-        return super().utility_paths(state, log_x, cols) * self.bump[cols]
+        return super().utility_paths(state, log_x, cols) * self.bump[cols, None]
 
 
 def test_martingale_at_the_optimiser():
@@ -173,7 +173,8 @@ def test_streamed_sums_equal_full_horizon_sums(n_steps):
     [report] = martingale_test(fpp, [(sp, "supermartingale")], n_paths=n, seed=4)
     dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, 4, range(n))
     log_x = evolve_log_wealth_batch(1.0, sp, fpp.lam_path, grid, dw)
-    u = fpp.utility_paths(fpp.state_paths(dw, dwp), log_x)
+    # path-major, so the sums run over the paths one path at a time
+    u = np.ascontiguousarray(fpp.utility_paths(fpp.state_paths(dw, dwp), log_x).T)
     mean = u.sum(axis=0) / n
     var = np.maximum((u ** 2).sum(axis=0) / n - mean ** 2, 0.0) * n / (n - 1)
     assert np.array_equal(report.mean, mean)
@@ -191,8 +192,8 @@ def whole_horizon_reports(fpp, runs, n_paths, seed, batch_size):
         dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, ids)
         state = fpp.state_paths(dw, dwp)
         for acc, (sp, _) in zip(sums, runs):
-            u = fpp.utility_paths(state, evolve_log_wealth_batch(
-                1.0, sp, fpp.lam_path, grid, dw))
+            u = np.ascontiguousarray(fpp.utility_paths(state, evolve_log_wealth_batch(
+                1.0, sp, fpp.lam_path, grid, dw)).T)  # path-major (B, w)
             finite = np.where(np.isfinite(u), u, 0.0)
             acc[0] += finite.sum(axis=0)
             acc[1] += (finite ** 2).sum(axis=0)
@@ -319,9 +320,9 @@ def test_paired_sampling_reduces_variance():
     state = fpp.state_paths(dw, dwp)
     star = fpp.sp_star
     u_star = fpp.utility_paths(state, evolve_log_wealth_batch(
-        1.0, star, fpp.lam_path, grid, dw))[:, -1]
+        1.0, star, fpp.lam_path, grid, dw))[-1]
     u_half = fpp.utility_paths(state, evolve_log_wealth_batch(
-        1.0, 0.5 * star, fpp.lam_path, grid, dw))[:, -1]
+        1.0, 0.5 * star, fpp.lam_path, grid, dw))[-1]
     assert np.var(u_star - u_half) < np.var(u_star) + np.var(u_half)
 
 
@@ -344,7 +345,7 @@ def test_degenerate_utility_warning():
     class Degenerate(Wrapped):
         def utility_paths(self, state, log_x, cols=slice(None)):
             u = super().utility_paths(state, log_x, cols)
-            u[: max(1, len(u) // 50), -1] = -np.inf  # 2% of paths diverge
+            u[-1, : max(1, u.shape[1] // 50)] = -np.inf  # 2% of paths diverge
             return u
 
     [report] = martingale_test(Degenerate(fpp), [(null_path(grid), "supermartingale")],
@@ -352,9 +353,9 @@ def test_degenerate_utility_warning():
     assert report.warnings and "degenerate" in report.warnings[0]
 
 
-# (row, grid column) cells set to -inf in every utility_paths call: row 0
-# diverges in the first and the second chunk, row 1 only in the first; neither
-# in the last chunk, which holds the terminal column
+# (path column, grid column) cells of U set to -inf in every utility_paths
+# call: path column 0 diverges in the first and the second chunk, column 1
+# only in the first; neither in the last chunk, which holds the terminal column
 NEG_INF_CELLS = [(0, 2), (0, TIME_CHUNK + 3), (1, 1)]
 
 
@@ -363,8 +364,8 @@ class Diverging(Wrapped):
         u = super().utility_paths(state, log_x, cols)
         first = cols.start or 0
         for b, k in NEG_INF_CELLS:
-            if b < len(u) and first <= k < first + u.shape[1]:
-                u[b, k - first] = -np.inf
+            if b < u.shape[1] and first <= k < first + len(u):
+                u[k - first, b] = -np.inf
         return u
 
 
@@ -373,16 +374,16 @@ def test_neg_inf_paths_counted_once_across_chunks():
     market, fpp = single_atom_setup(grid)
     n_times = grid.n_steps + 1
     assert n_times > 2 * TIME_CHUNK  # at least three chunks
-    assert TILE_PATHS >= 10  # one tile: rows are paths 0 and 1
+    assert TILE_PATHS >= 10  # one tile: the columns are paths 0 and 1
     [report] = martingale_test(Diverging(fpp), [(null_path(grid), "supermartingale")],
                                n_paths=10, seed=0)
     assert report.warnings == ("degenerate utility: 2 of 10 paths hit -inf",)
 
 
 def test_neg_inf_paths_counted_once_per_tile(monkeypatch):
-    # with 3-path tiles a utility_paths call covers one tile, so rows 0 and 1
-    # are the first two paths of each tile: 10 paths give tiles of 3, 3, 3
-    # and 1, and the last holds row 0 alone
+    # with 3-path tiles a utility_paths call covers one tile, so path columns
+    # 0 and 1 are the first two paths of each tile: 10 paths give tiles of 3,
+    # 3, 3 and 1, and the last holds column 0 alone
     grid = TimeGrid.regular(1.0, 1 / 40)
     market, fpp = single_atom_setup(grid)
     tile, n_paths = 3, 10
