@@ -142,9 +142,17 @@ def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag) -> int:
             result = pooling.optimize_constant_z(spec, t)
         except ValueError as exc:
             raise ConfigError(f"--t: {exc}") from exc
-        print(f"z_star = {result.z_star:.6f} (value {result.value:.9g}) at t = {t:g}")
-        for z, val in result.local_maxima:
-            print(f"  local maximum: z = {z:.6f}, value = {val:.9g}")
+
+        def shown(log_value):  # the log where the value is not a normal float
+            with np.errstate(over="ignore"):
+                value = np.exp(log_value)
+            normal = np.finfo(float).tiny <= value < np.inf
+            return ("value", value) if normal else ("log value", log_value)
+
+        print("z_star = {:.6f} ({} {:.9g}) at t = {:g}".format(
+            result.z_star, *shown(result.log_value), t))
+        for z, log_value in result.local_maxima:
+            print("  local maximum: z = {:.6f}, {} = {:.9g}".format(z, *shown(log_value)))
         return 0
     result = pooling.compare_strategies(spec, n_paths=cfg.sim.n_paths,
                                         seed=cfg.sim.seed)

@@ -123,6 +123,10 @@ class Schedule:
     def at(self, t: float) -> np.ndarray:
         return self._knot_values[int(self.knot_index(t))]
 
+    def path(self, times) -> np.ndarray:
+        """The values at every time of ``times``, stacked along a new first axis."""
+        return np.stack(self._knot_values)[self.knot_index(times)]
+
 
 # ---------------------------------------------------------------------------
 # Market specification

@@ -129,14 +129,15 @@ class H0Spec:
         elif self.kind == "portfolio_inversion":
             _check_shape("value", self.value, (market.n_stocks,))
 
-    def at(self, t: float, market: MarketSpec, gamma0: float,
-           lam: np.ndarray) -> np.ndarray:
-        """h0 at time t, given the market's Sharpe ratio ``lam`` there."""
+    def path(self, grid: TimeGrid, market: MarketSpec, gamma0: float,
+             lam_path: np.ndarray) -> np.ndarray:
+        """h0 at the left endpoint of every grid cell, (N, d_w), given the
+        market's ``sharpe_path`` ``lam_path`` there."""
         if self.kind == "constant":
-            return self.value
+            return np.broadcast_to(self.value, lam_path.shape)
         if self.kind == "portfolio_inversion":
-            return gamma0 * (market.sigma_at(t) @ self.value) - lam
-        return np.zeros(market.d_w)
+            return gamma0 * (market.sigma.path(grid.times[:-1]) @ self.value) - lam_path
+        return np.zeros(lam_path.shape)
 
 
 @dataclass(frozen=True)
@@ -177,12 +178,14 @@ class JSpec:
             _check_shape("rho", rho, (market.d_w, rho.shape[1]))
             _check_shape("a", a, (market.d_wperp, rho.shape[1]))
 
-    def for_atom(self, atom_index: int, hg: np.ndarray, market: MarketSpec) -> np.ndarray:
+    def loadings(self, h: np.ndarray, market: MarketSpec) -> np.ndarray:
+        """J, C-ordered (..., n_atoms, d_wperp), for the W-loadings ``h``."""
+        shape = h.shape[:-1] + (market.d_wperp,)
         if self.kind == "constant":
-            return self.value[atom_index] if self.value.ndim == 2 else self.value
+            return np.broadcast_to(self.value, shape).copy()
         if self.kind == "factor":
-            return factor_j(self.rho, self.a, hg)
-        return np.zeros(market.d_wperp)
+            return factor_j(self.rho, self.a, h)
+        return np.zeros(shape)
 
 
 @dataclass(frozen=True)
@@ -246,21 +249,29 @@ class RiskMixture:
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def hgamma(gamma: float, gamma0: float, lam: np.ndarray, h0: np.ndarray) -> np.ndarray:
-    """W-loading of atom gamma: ((gamma-gamma0)/gamma0) lam + (gamma/gamma0) h0."""
+def hgamma(gamma, gamma0: float, lam: np.ndarray, h0: np.ndarray) -> np.ndarray:
+    """W-loading of atom gamma: ((gamma-gamma0)/gamma0) lam + (gamma/gamma0) h0.
+
+    Broadcasts ``gamma`` (...) against ``lam`` and ``h0`` (..., d_w).
+    """
     if gamma0 == 0:
         raise ValueError("gamma0 must be nonzero")
-    lam = np.atleast_1d(np.asarray(lam, float))
-    h0 = np.atleast_1d(np.asarray(h0, float))
-    return ((gamma - gamma0) / gamma0) * lam + (gamma / gamma0) * h0
+    g = np.asarray(gamma, float)[..., None]
+    return ((g - gamma0) / gamma0) * lam + (g / gamma0) * h0
 
 
-def vgamma_rate(gamma: float, lam: np.ndarray, hg: np.ndarray) -> float:
-    """Finite-variation rate -(1-gamma)/(2 gamma) |lam + hg|^2."""
-    if gamma == 0:
+def vgamma_rate(gamma, lam: np.ndarray, hg: np.ndarray):
+    """Finite-variation rate -(1-gamma)/(2 gamma) |lam + hg|^2.
+
+    Broadcasts like ``hgamma``; a float for one atom.  ``|u|^2`` is a
+    stacked ``u @ u``, with the 1-d product's bits (einsum's differ).
+    """
+    g = np.asarray(gamma, float)
+    if np.any(g == 0):
         raise ValueError("gamma must be nonzero")
     u = np.atleast_1d(lam) + np.atleast_1d(hg)
-    return float(-(1.0 - gamma) / (2.0 * gamma) * (u @ u))
+    out = -(1.0 - g) / (2.0 * g) * (u[..., None, :] @ u[..., :, None])[..., 0, 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def drift_term(gamma: float, sp: np.ndarray, lam: np.ndarray, hg: np.ndarray) -> float:
@@ -292,7 +303,7 @@ def optimal_portfolio(lam: np.ndarray, h0: np.ndarray, gamma0: float,
 
 
 def factor_j(rho: np.ndarray, a: np.ndarray, hg: np.ndarray) -> np.ndarray:
-    """Factor-generated W_perp loading A (rho'rho)^-1 rho' hg."""
+    """Factor-generated W_perp loading A (rho'rho)^-1 rho' hg, over hg's last axis."""
     rho = np.atleast_2d(np.asarray(rho, float))
     a = np.atleast_2d(np.asarray(a, float))
     hg = np.atleast_1d(np.asarray(hg, float))
@@ -300,7 +311,7 @@ def factor_j(rho: np.ndarray, a: np.ndarray, hg: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(gram, compute_uv=False)
     if s[-1] <= PINV_RCOND * max(s[0], 1.0):
         raise FactorDegeneracyError("rho'rho is singular")
-    return a @ np.linalg.solve(gram, rho.T @ hg)
+    return (a @ np.linalg.solve(gram, rho.T @ hg[..., None]))[..., 0]
 
 
 def market_view_density(m, qv_m):
@@ -320,32 +331,40 @@ def monotone_power_value(x: float, lam_plus_h: np.ndarray, gamma: float) -> floa
                  / (1.0 - gamma))
 
 
+def power_logs(gammas, weights, log_x, shape=()):
+    """Log-magnitudes and signs of the power terms w_i x^(1-g_i)/(1-g_i).
+
+    Row i, over ``log_x``'s shape broadcast with ``shape``, is
+    ``(1-g_i) log x + log|w_i| - log|1-g_i|`` in that order, with the sign
+    ``sign(w_i) sign(1-g_i)``; a criterion adds its own exponents to the rows.
+    """
+    gammas = np.asarray(gammas, float)
+    logs = np.empty(gammas.shape + np.broadcast_shapes(np.shape(log_x), shape))
+    col = (-1,) + (1,) * (logs.ndim - 1)
+    np.multiply(np.reshape(1.0 - gammas, col), log_x, out=logs)
+    logs += np.reshape(np.log(np.abs(weights)) - np.log(np.abs(1.0 - gammas)), col)
+    return logs, np.sign(weights) * np.sign(1.0 - gammas)
+
+
 def mixture_value(gammas: np.ndarray, weights: np.ndarray, log_x, m, qv, v):
     """Mixture value at log wealth ``log_x`` given per-atom state (m, qv, v).
 
     Atoms lie along the first axis of ``m``, ``qv`` and ``v``, one per row as
-    in ``signed_exp_sum`` (a scalar applies to every atom); computed in log
-    space, so the value is -inf where the sum genuinely diverges below.
-    Weights may carry signs (used by the explicit signed constructions);
+    in ``signed_exp_sum`` (a scalar applies to every atom); each row is the
+    ``power_logs`` row + m - qv/2 + v.  In log space, the value is -inf where
+    the sum genuinely diverges below.  Weights may carry signs;
     ``RiskMixture``-validated criteria always pass positive ones.
     """
-    gammas = np.asarray(gammas, float)
-    weights = np.asarray(weights, float)
-    log_x = np.asarray(log_x, float)
-    n = gammas.size
+    n = np.size(gammas)
     m, qv, v = (np.broadcast_to(np.asarray(a, float), (n,) + np.shape(a)[1:])
                 for a in (m, qv, v))
-    coef = np.log(np.abs(weights)) - np.log(np.abs(1.0 - gammas))
-    logs = np.empty((n,) + np.broadcast_shapes(log_x.shape, m.shape[1:],
-                                               qv.shape[1:], v.shape[1:]))
-    for i in range(n):  # coef + (1-g) log_x + m - qv/2 + v; this order fixes the rounding
+    logs, signs = power_logs(gammas, weights, log_x,
+                             np.broadcast_shapes(m.shape[1:], qv.shape[1:], v.shape[1:]))
+    for i in range(n):  # this order fixes the rounding
         row = logs[i, ...]  # a view even when the value is a scalar
-        np.multiply(1.0 - gammas[i], log_x, out=row)
-        row += coef[i]
         row += m[i]
         row -= 0.5 * qv[i]
         row += v[i]
-    signs = np.sign(weights) * np.sign(1.0 - gammas)
     return signed_exp_sum(logs, signs)
 
 
@@ -356,10 +375,10 @@ def mixture_value(gammas: np.ndarray, weights: np.ndarray, log_x, m, qv, v):
 class MixtureFpp:
     """A mixture criterion bound to a market and a time grid.
 
-    Everything set by lam(t) and h0(t) is computed once, here: ``lam_path``
-    and ``sp_star`` = (lam + h0)/gamma0, (N, d_w) at the left endpoints, the
-    loadings ``h`` and ``j``, and the deterministic (n_atoms, N+1) ``qv``, ``v``,
-    after checking ``h0`` and ``j`` against the market and the atom count.
+    Everything set by lam(t) and h0(t) is computed once, here, as whole-grid
+    arrays after checking ``h0`` and ``j``: ``lam_path`` and ``sp_star`` =
+    (lam + h0)/gamma0, (N, d_w) at the left endpoints, the (N, n_atoms, d)
+    loadings ``h`` and ``j``, and the (n_atoms, N+1) ``qv`` and ``v``.
     """
 
     def __init__(self, mixture: RiskMixture, market: MarketSpec, grid: TimeGrid):
@@ -368,26 +387,17 @@ class MixtureFpp:
         self.mixture = mixture
         self.market = market
         self.grid = grid
-        n_steps, n_atoms, gamma0 = grid.n_steps, mixture.n_atoms, mixture.gamma0
-        self.h = h = np.empty((n_steps, n_atoms, market.d_w))
-        self.j = j = np.empty((n_steps, n_atoms, market.d_wperp))
-        vr = np.empty((n_atoms, n_steps))
-        self.lam_path = market.sharpe_path(grid)
-        self.sp_star = np.empty((n_steps, market.d_w))
-        for k in range(n_steps):
-            lam = self.lam_path[k]
-            h0 = mixture.h0.at(float(grid.times[k]), market, gamma0, lam)
-            self.sp_star[k] = (lam + h0) / gamma0
-            for i, g in enumerate(mixture.gammas):
-                h[k, i] = hgamma(g, gamma0, lam, h0)
-                j[k, i] = mixture.j.for_atom(i, h[k, i], market)
-                vr[i, k] = vgamma_rate(g, lam, h[k, i])
-        dt = grid.dt
+        gammas, gamma0 = mixture.gammas, mixture.gamma0
+        self.lam_path = lam = market.sharpe_path(grid)
+        h0 = mixture.h0.path(grid, market, gamma0, lam)
+        self.sp_star = (lam + h0) / gamma0
+        self.h = h = hgamma(gammas, gamma0, lam[:, None], h0[:, None])
+        self.j = j = mixture.j.loadings(h, market)
         qvr = np.einsum("kad,kad->ka", h, h) + np.einsum("kad,kad->ka", j, j)
-        self.qv = np.zeros((n_atoms, n_steps + 1))
-        self.v = np.zeros((n_atoms, n_steps + 1))
-        np.cumsum(qvr.T * dt, axis=1, out=self.qv[:, 1:])
-        np.cumsum(vr * dt, axis=1, out=self.v[:, 1:])
+        vr = vgamma_rate(gammas, lam[:, None], h)
+        self.qv, self.v = np.zeros((2, mixture.n_atoms, grid.n_steps + 1))
+        np.cumsum(qvr.T * grid.dt, axis=1, out=self.qv[:, 1:])
+        np.cumsum(vr.T * grid.dt, axis=1, out=self.v[:, 1:])
 
     def u0(self, x: float) -> float:
         """U_0(x) = sum_i w_i x^(1-gamma_i)/(1-gamma_i)."""

@@ -39,7 +39,7 @@ from .market import MAX_STEPS, TimeGrid, brownian_batch
 Z_EDGE = 1e-3       # scan clip: the objective has a pole at z = 1
 Z_SCAN_STEP = 1e-3
 Z_REFINE_TOL = 1e-6
-Z_TIE_TOL = 1e-12   # maxima closer than this in value tie-break to smaller z
+Z_TIE_TOL = 1e-12   # maxima closer than this in log value tie-break to smaller z
 # Elements in one block of the greedy scan's work arrays (``_first_argmax``):
 # rows of the pairwise interval bounds, and rows x candidates of the scores.
 # 16k x 8 B = 128 KB per array keeps a 20k-row call's heap peak under the
@@ -55,17 +55,6 @@ Z_GRID = np.linspace(Z_EDGE, 1.0 - Z_EDGE,
 Z_GRID.flags.writeable = False
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe 1 / (1 + exp(-x))."""
-    x = np.asarray(x, float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 @dataclass(frozen=True)
@@ -145,12 +134,18 @@ def preset(name: str, **overrides) -> PoolSpec:
 # Closed form and optimisers
 # ---------------------------------------------------------------------------
 
-def _objective_terms(z, p, q, lam2t):
-    """The two factors e^{-p(z-p)^2 s / (2(1-p)(1-z)^2)} and e^{...q...}, s = lam^2 t."""
+def _objective_logs(z, p, q, lam2t):
+    """The two exponents la = -p(z-p)^2 s / (2(1-p)(1-z)^2) and ld (...q...), s = lam^2 t."""
     z = np.asarray(z, float)
-    ea = np.exp(-p * (z - p) ** 2 * lam2t / (2.0 * (1.0 - p) * (1.0 - z) ** 2))
-    ed = np.exp(-q * (z - q) ** 2 * lam2t / (2.0 * (1.0 - q) * (1.0 - z) ** 2))
-    return ea, ed
+    la = -p * (z - p) ** 2 * lam2t / (2.0 * (1.0 - p) * (1.0 - z) ** 2)
+    ld = -q * (z - q) ** 2 * lam2t / (2.0 * (1.0 - q) * (1.0 - z) ** 2)
+    return la, ld
+
+
+def _objective_terms(z, p, q, lam2t):
+    """The two factors ea = e^la and ed = e^ld."""
+    la, ld = _objective_logs(z, p, q, lam2t)
+    return np.exp(la), np.exp(ld)
 
 
 def _weighted_objective(z, wa, wd, p, q, lam2t):
@@ -227,8 +222,14 @@ def _scan_local_maxima(f: Callable) -> list[tuple[float, float]]:
 @dataclass(frozen=True)
 class OptimizeResult:
     z_star: float
-    value: float
-    local_maxima: tuple[tuple[float, float], ...]  # sorted by value, best first
+    log_value: float  # log of the expected utility at z_star
+    local_maxima: tuple[tuple[float, float], ...]  # (z, log value), best first
+
+    @property
+    def value(self) -> float:
+        """The expected utility at ``z_star``: 0 or inf past float range."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_value))
 
 
 def _pick_global(maxima: list[tuple[float, float]]) -> OptimizeResult:
@@ -239,24 +240,28 @@ def _pick_global(maxima: list[tuple[float, float]]) -> OptimizeResult:
     # near-ties resolve to the smaller z (the more risk-averse compromise)
     contenders = [zv for zv in ordered if best_val - zv[1] < Z_TIE_TOL]
     z_star, value = min(contenders, key=lambda zv: zv[0])
-    return OptimizeResult(z_star=z_star, value=value, local_maxima=tuple(ordered))
+    return OptimizeResult(z_star=z_star, log_value=value, local_maxima=tuple(ordered))
 
 
 def optimize_constant_z(spec: PoolSpec, t: float) -> OptimizeResult:
     """Best constant proportion at horizon t, with every local maximum found.
 
-    The result depends on the spec and ``t`` only through ``p``, ``q``, the
-    weight ratio ``d0 x0^q / (a0 x0^p)`` and ``lam^2 t``; for example fig2
-    (lam = 0.5) at t = 30 gives the same z* as fig1 (lam = 1) at t = 7.5.
-    For equal weights the small-horizon maximiser is ``(p^2+q^2)/(p+q)``.
+    The scan, the refinement and the tie rule use the log of the closed form,
+    ``logaddexp(log wa + la, log wd + ld)``, so z* exists where both factors
+    underflow on the whole grid.  The result depends on the spec and ``t``
+    only through ``p``, ``q``, the weight ratio ``d0 x0^q / (a0 x0^p)`` and
+    ``lam^2 t``; for example fig2 (lam = 0.5) at t = 30 gives the same z* as
+    fig1 (lam = 1) at t = 7.5.  For equal weights the small-horizon
+    maximiser is ``(p^2+q^2)/(p+q)``.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    wa, wd = spec.weights()
+    log_wa, log_wd = np.log(spec.weights())
     lam2t = _lam2t(spec, t)
 
     def f(z):
-        return _weighted_objective(z, wa, wd, spec.p, spec.q, lam2t)
+        la, ld = _objective_logs(z, spec.p, spec.q, lam2t)
+        return np.logaddexp(log_wa + la, log_wd + ld)
 
     return _pick_global(_scan_local_maxima(f))
 
@@ -633,7 +638,7 @@ def compare_strategies(spec: PoolSpec, n_paths: int, seed: int) -> ComparisonRes
         # sigma*pi = lam/(1-z)
         log_r = (math.log(q / p) + log_wr0
                  + (delta - alpha) * t + (q - p) * log_x)
-        omega = _sigmoid(-log_r)
+        omega = two_power._sigmoid(-log_r)
         return omega * p + (1.0 - omega) * q
 
     def greedy_rule(k, t, log_x):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import MarketSpec, TimeGrid, running_integral
-from .mixture import signed_exp_sum
+from .mixture import power_logs, signed_exp_sum
 
 
 @dataclass(frozen=True)
@@ -41,35 +41,23 @@ class ThreePowerSpec:
         if not (0.0 < self.gamma < 1.0 / 3.0):
             raise ValueError(f"gamma: must lie in (0, 1/3), got {self.gamma}")
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([1.0, -1.0, 1.0])
 
-
-def _term_logs(log_x, log_z, int_lam2, gamma):
-    """Log-magnitudes of the three summands, one per row; signs are carried separately.
-
-    The rows are written in place into one (3, ...) array, each in the
-    order of the closed form's left-to-right expression.
+def _term_logs(log_x, log_z, int_lam2, g):
+    """Log-magnitudes and signs of the three summands, one per row: the
+    ``power_logs`` of atoms (g, 2g, 3g) with weights (+1, -1, +1), plus the
+    closed form's I and log Z exponents, added in its left-to-right order.
     """
-    g = gamma
-    lx = np.asarray(log_x, float)
     i = np.asarray(int_lam2, float)
     lz = np.asarray(log_z, float)
-    logs = np.empty((3,) + np.broadcast_shapes(lx.shape, i.shape, lz.shape))
+    logs, signs = power_logs(g * np.arange(1.0, 4.0), (1.0, -1.0, 1.0), log_x,
+                             np.broadcast_shapes(i.shape, lz.shape))
     l1, l2, l3 = (logs[k, ...] for k in range(3))  # views even for scalar terms
-    np.multiply(1.0 - g, lx, out=l1)
-    l1 -= np.log(1.0 - g)
     l1 -= i / (8.0 * g)
     l1 -= lz
-    np.multiply(1.0 - 2.0 * g, lx, out=l2)
-    l2 -= np.log(1.0 - 2.0 * g)
     l2 -= (1.0 - 2.0 * g) * i / (4.0 * g)
-    np.multiply(1.0 - 3.0 * g, lx, out=l3)
-    l3 -= np.log(1.0 - 3.0 * g)
     l3 += (1.0 - 3.0 / (8.0 * g)) * i
     l3 += lz
-    return logs
+    return logs, signs
 
 
 def three_power_value(x, z_factor, int_lam2, spec: ThreePowerSpec):
@@ -84,8 +72,7 @@ def three_power_value(x, z_factor, int_lam2, spec: ThreePowerSpec):
         raise ValueError("wealth must be positive")
     if np.any(z <= 0):
         raise ValueError("z_factor must be positive")
-    logs = _term_logs(np.log(x), np.log(z), int_lam2, spec.gamma)
-    out = signed_exp_sum(logs, spec.weights)
+    out = signed_exp_sum(*_term_logs(np.log(x), np.log(z), int_lam2, spec.gamma))
     return float(out) if out.ndim == 0 else out
 
 
@@ -178,5 +165,5 @@ class ThreePowerFpp:
         in ``MixtureFpp.utility_paths`` the terms are evaluated in that
         layout and U is returned in it, a C-ordered (len(cols), B) array.
         """
-        logs = _term_logs(log_x, state[0], self.i_path[cols, None], self.spec.gamma)
-        return signed_exp_sum(logs, self.spec.weights)
+        return signed_exp_sum(*_term_logs(log_x, state[0], self.i_path[cols, None],
+                                          self.spec.gamma))

@@ -93,6 +93,12 @@ def zero_gap_d_vol(p: float, q: float, lam, a_vol) -> np.ndarray:
     return (1.0 - q) / (1.0 - p) * (lam + np.atleast_1d(a_vol)) - lam
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Overflow-safe 1 / (1 + exp(-x)): e / (1 + e) with e = exp(x) below 0."""
+    e = np.exp(-np.abs(x))
+    return np.where(np.asarray(x) >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _log_side_weights(p, q, a_coeff, d_coeff, x):
     """log of the positive weights p(1-p)A x^p and q(1-q)D x^q."""
     lx = np.log(float(x))
@@ -107,15 +113,14 @@ def mixture_sp_target(p: float, q: float, a_coeff: float, d_coeff: float, x: flo
 
     A convex combination of the two one-power targets (lam+a)/(1-p) and
     (lam+d)/(1-q) with weights p(1-p)A x^p and q(1-q)D x^q, evaluated in log
-    space so extreme wealth cannot overflow.
+    space so extreme wealth or coefficients cannot overflow.
     """
     if x <= 0 or a_coeff <= 0 or d_coeff <= 0:
         raise ValueError("wealth and coefficients must be positive")
     ta = (np.atleast_1d(lam) + np.atleast_1d(a_vol)) / (1.0 - p)
     td = (np.atleast_1d(lam) + np.atleast_1d(d_vol)) / (1.0 - q)
     wu, wv = _log_side_weights(p, q, a_coeff, d_coeff, x)
-    # weight of the p side in (0, 1)
-    omega = 1.0 / (1.0 + np.exp(wv - wu))
+    omega = _sigmoid(wu - wv)  # weight of the p side, in [0, 1]
     return omega * ta + (1.0 - omega) * td
 
 

@@ -96,6 +96,16 @@ def test_pool_optimize_fig3_reports_two_maxima(tmp_path, capsys):
     assert out.count("local maximum") == 2
 
 
+def test_pool_optimize_prints_the_log_value_where_the_value_underflows(tmp_path, capsys):
+    code = run(tmp_path, "--preset", "fig3", "pool", "optimize", "--t", "1e300")
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("z_star = 0.100000 (log value -")
+    assert out.count("local maximum") == 2 and out.count("log value = -") == 2
+    code = run(tmp_path, "--preset", "fig3", "pool", "optimize", "--t", "30")
+    assert "(value 1.1279777)" in capsys.readouterr().out
+
+
 def test_pool_surface_csv(tmp_path):
     code = run(tmp_path, "--preset", "fig4", "pool", "surface")
     assert code == 0

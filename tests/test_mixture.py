@@ -408,9 +408,115 @@ def test_sp_star_rows_equal_the_per_time_formula():
     for k, t in enumerate(grid.times[:-1]):
         lam = market.sharpe_at(float(t))
         assert np.array_equal(fpp.lam_path[k], lam)
-        expected = (lam + h0.at(float(t), market, 0.6, lam)) / 0.6
-        assert np.array_equal(fpp.sp_star[k], expected)
+        h0_t = 0.6 * (market.sigma_at(float(t)) @ np.array([0.5, 0.3])) - lam
+        assert np.array_equal(fpp.sp_star[k], (lam + h0_t) / 0.6)
     assert not np.array_equal(fpp.sp_star[0], fpp.sp_star[-1])
+
+
+def per_cell_construction(mix, market, grid):
+    """``MixtureFpp``'s per-grid arrays built one cell and one atom at a time.
+
+    The reference for the whole-grid construction: h0 at each time, then
+    each atom's H, J and finite-variation rate from the scalar formulas,
+    with ``|lam + H|^2`` as the 1-d ``u @ u``.
+    """
+    n_steps, n_atoms, g0 = grid.n_steps, mix.n_atoms, mix.gamma0
+    lam_path = market.sharpe_path(grid)
+    sp_star = np.empty((n_steps, market.d_w))
+    h = np.empty((n_steps, n_atoms, market.d_w))
+    j = np.empty((n_steps, n_atoms, market.d_wperp))
+    vr = np.empty((n_atoms, n_steps))
+    for k in range(n_steps):
+        lam, t = lam_path[k], float(grid.times[k])
+        if mix.h0.kind == "constant":
+            h0 = mix.h0.value
+        elif mix.h0.kind == "portfolio_inversion":
+            h0 = g0 * (market.sigma_at(t) @ mix.h0.value) - lam
+        else:
+            h0 = np.zeros(market.d_w)
+        sp_star[k] = (lam + h0) / g0
+        for i, g in enumerate(mix.gammas):
+            h[k, i] = ((g - g0) / g0) * lam + (g / g0) * h0
+            if mix.j.kind == "constant":
+                j[k, i] = mix.j.value[i] if mix.j.value.ndim == 2 else mix.j.value
+            elif mix.j.kind == "factor":
+                j[k, i] = factor_j(mix.j.rho, mix.j.a, h[k, i])
+            else:
+                j[k, i] = 0.0
+            u = lam + h[k, i]
+            vr[i, k] = float(-(1.0 - g) / (2.0 * g) * (u @ u))
+    qvr = np.einsum("kad,kad->ka", h, h) + np.einsum("kad,kad->ka", j, j)
+    qv, v = np.zeros((n_atoms, n_steps + 1)), np.zeros((n_atoms, n_steps + 1))
+    np.cumsum(qvr.T * grid.dt, axis=1, out=qv[:, 1:])
+    np.cumsum(vr * grid.dt, axis=1, out=v[:, 1:])
+    return {"sp_star": sp_star, "h": h, "j": j, "qv": qv, "v": v}
+
+
+PIECEWISE_MARKET = MarketSpec(
+    n_stocks=2, d_w=2, d_wperp=2,
+    sigma=[{"t": 0.0, "value": [[0.2, 0.0], [0.05, 0.3]]},
+           {"t": 0.4, "value": [[0.25, 0.02], [0.0, 0.15]]}],
+    mu=[{"t": 0.0, "value": [0.04, 0.06]}, {"t": 0.7, "value": [0.08, 0.01]}])
+
+
+@pytest.mark.parametrize("mix, market", [
+    # the mix3 benchmark criterion: portfolio_inversion h0, constant J
+    (RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (0.8, 0.25)), gamma0=0.5,
+                 h0=H0Spec.portfolio_inversion([0.5, 0.3, 0.2]), j=JSpec.constant([0.1])),
+     MarketSpec(n_stocks=3, d_w=3, d_wperp=1,
+                sigma=[[0.2, 0.0, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.3]],
+                mu=[0.04, 0.05, 0.06])),
+    # sigma and mu jump inside the horizon
+    (RiskMixture(atoms=((0.3, 1.0), (0.8, 0.5), (1.7, 0.2)), gamma0=0.8,
+                 h0=H0Spec.portfolio_inversion([0.5, 0.3])), PIECEWISE_MARKET),
+    # a per-atom (n_atoms, d_wperp) constant J and a constant h0
+    (RiskMixture(atoms=((0.4, 1.0), (2.0, 0.7)), gamma0=0.4,
+                 h0=H0Spec.constant([0.1, -0.05]), j=JSpec.constant([[0.2, -0.1], [0.3, 0.4]])),
+     PIECEWISE_MARKET),
+], ids=["mix3", "piecewise", "per-atom-j"])
+def test_whole_grid_construction_equals_the_per_cell_loop(mix, market):
+    grid = TimeGrid.regular(1.0, 1.0 / 252)
+    fpp = MixtureFpp(mix, market, grid)
+    for name, expected in per_cell_construction(mix, market, grid).items():
+        got = getattr(fpp, name)
+        assert got.shape == expected.shape and got.flags.c_contiguous, name
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), name
+
+
+def test_factor_loadings_equal_the_per_cell_loop():
+    # a vectorised solve may round differently; no digest reads factor J
+    mix = RiskMixture(atoms=((0.4, 1.0), (2.0, 0.7), (0.9, 0.3)), gamma0=0.9,
+                      h0=H0Spec.portfolio_inversion([0.5, 0.3]),
+                      j=JSpec.factor([[1.0, 0.2], [0.5, -0.3]], [[0.4, 0.1], [-0.2, 0.6]]))
+    grid = TimeGrid.regular(1.0, 0.01)
+    fpp = MixtureFpp(mix, PIECEWISE_MARKET, grid)
+    expected = per_cell_construction(mix, PIECEWISE_MARKET, grid)
+    assert np.array_equal(fpp.h, expected["h"])
+    np.testing.assert_allclose(fpp.j, expected["j"], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fpp.qv, expected["qv"], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d_w", [1, 2, 3, 5, 9])
+def test_hgamma_and_vgamma_rate_on_arrays_equal_their_scalar_calls(d_w):
+    # at d_w = 3 np.einsum's |u|^2 differs from u @ u in some rows; the
+    # stacked product keeps u @ u's bits
+    rng = np.random.default_rng(d_w)
+    gammas, g0 = rng.uniform(0.1, 3.0, 4), 0.7
+    lam, h0 = rng.normal(size=(50, 1, d_w)), rng.normal(size=(50, 1, d_w))
+    h = hgamma(gammas, g0, lam, h0)
+    rates = vgamma_rate(gammas, lam, h)
+    assert h.shape == (50, 4, d_w) and rates.shape == (50, 4)
+    for k in range(50):
+        for i, g in enumerate(gammas):
+            hg = hgamma(g, g0, lam[k, 0], h0[k, 0])
+            assert np.array_equal(h[k, i].view(np.int64), hg.view(np.int64))
+            rate = vgamma_rate(g, lam[k, 0], hg)
+            assert isinstance(rate, float)
+            assert np.float64(rate).view(np.int64) == rates[k, i].view(np.int64)
+    if d_w == 3:
+        u = lam + h
+        assert not np.array_equal(np.einsum("kad,kad->ka", u, u),
+                                  np.array([[r @ r for r in row] for row in u]))
 
 # ---------------------------------------------------------------------------
 # evaluation

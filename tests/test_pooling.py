@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fpplab import pooling
+from fpplab import pooling, two_power
 from fpplab.market import TimeGrid, brownian_batch, evolve_log_wealth_batch
 from fpplab.pooling import (_INVPHI, SCAN_BLOCK_ELEMS, Z_EDGE, Z_GRID, Z_REFINE_TOL,
                             Z_SCAN_STEP, PoolSpec, _first_argmax, _greedy_z_batch,
@@ -148,6 +148,36 @@ def test_optimizer_fig3_two_local_maxima():
     assert 0.22 < zs[1] < 0.40
     # the global maximiser leans to the less risk-averse side
     assert res.z_star == pytest.approx(zs[1], abs=1e-9)
+
+
+def linear_constant_z(spec, t):
+    """``optimize_constant_z`` scoring the closed form's value, not its log."""
+    wa, wd = spec.weights()
+    lam2t = spec.lam ** 2 * t
+    return pooling._pick_global(pooling._scan_local_maxima(
+        lambda z: _weighted_objective(z, wa, wd, spec.p, spec.q, lam2t))).z_star
+
+
+def test_optimizer_keeps_its_maximiser_where_the_value_underflows():
+    # at t = 1e300 (lam^2 t of 1e300 and 1.6e301) both factors underflow on
+    # the whole grid, so the value scores 0 everywhere; its log still peaks
+    # next to p
+    for name in ("fig1", "fig3"):
+        res = optimize_constant_z(preset(name), 1e300)
+        assert res.z_star == pytest.approx(0.1, abs=1e-6)
+        assert res.value == 0.0 and -np.inf < res.log_value < 0.0
+
+
+def test_log_optimizer_agrees_with_the_linear_one_on_the_sweep():
+    # 4 presets x 204 horizons spaced geometrically in [1e-6, 1e6]; at the
+    # presets' own horizon the log objective gives the linear one's z* bit
+    # for bit, so the comparison's z* holds
+    for name in ("fig1", "fig2", "fig3", "fig4"):
+        spec = preset(name)
+        for t in np.geomspace(1e-6, 1e6, 204):
+            z_log = optimize_constant_z(spec, float(t)).z_star
+            assert z_log == pytest.approx(linear_constant_z(spec, float(t)), abs=1e-4)
+        assert optimize_constant_z(spec, 30.0).z_star == linear_constant_z(spec, 30.0)
 
 
 def test_optimizer_flat_objective_is_deterministic():
@@ -656,8 +686,8 @@ def whole_horizon_comparison(spec, n_paths, seed):
     log_wr0 = math.log(spec.d0 / spec.a0)
 
     def feedback(t, log_x):
-        omega = pooling._sigmoid(-(math.log(q / p) + log_wr0 + (delta - alpha) * t
-                                   + (q - p) * log_x))
+        omega = two_power._sigmoid(-(math.log(q / p) + log_wr0 + (delta - alpha) * t
+                                     + (q - p) * log_x))
         return omega * p + (1.0 - omega) * q
 
     def greedy(t, log_x):

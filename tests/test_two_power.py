@@ -1,5 +1,7 @@
 """Two-power mixtures: drifts, consistency gap, portfolio, dual, validators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +91,20 @@ def test_portfolio_single_term_limit():
     lam, a, d = np.array([0.5]), np.array([0.0]), np.array([0.2])
     sp = mixture_sp_target(0.1, 0.3, 1e-280, 1.0, 1.0, lam, a, d)
     assert sp == pytest.approx((lam + d) / 0.7, rel=1e-10)
+
+
+@pytest.mark.parametrize("a_coeff, d_coeff, side", [
+    (1e-300, 1e300, "q"), (1e300, 1e-300, "p"), (1e-300, 1.0, "q"), (1.0, 1e-300, "p")])
+def test_portfolio_extreme_coefficient_ratios_give_one_power_targets(a_coeff, d_coeff, side):
+    # the p-side weight is an overflow-safe sigmoid of the log weights: at
+    # coefficient ratios of 1e300 and beyond float range it selects one
+    # target, with no warning
+    lam, a, d = np.array([1.0]), np.array([0.3]), np.array([-0.2])
+    target = (lam + a) / 0.9 if side == "p" else (lam + d) / 0.7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp = mixture_sp_target(0.1, 0.3, a_coeff, d_coeff, 1.0, lam, a, d)
+    assert sp == pytest.approx(target, rel=1e-15)
 
 
 def test_portfolio_arithmetic():
