@@ -379,7 +379,9 @@ def running_integral(loadings: np.ndarray, dw: np.ndarray, cols: slice = slice(N
     of the chunk before, so chunks equal the whole horizon bit for bit.  Every
     bit is fixed here: ``loadings . dW`` and ``j . dW_perp`` are separate
     ``einsum_dot`` calls, added in that order, and a step is
-    ``x_{k-1} + inc_k``, or ``(x_{k-1} + drift_k) + inc_k``.
+    ``x_{k-1} + inc_k``, or ``(x_{k-1} + drift_k) + inc_k``.  The steps
+    run over the result's (rows, B) column views, listed once per call and
+    each written in place, so a step slices nothing and allocates nothing.
     """
     n_steps = dw.shape[1]
     lo, hi, _ = cols.indices(n_steps + 1)
@@ -390,14 +392,15 @@ def running_integral(loadings: np.ndarray, dw: np.ndarray, cols: slice = slice(N
         inc = einsum_dot(dw[:, cells], loadings[cells, r].T[:, :, None], out=acc[r, first:])
         if j is not None:
             inc += einsum_dot(dwperp[:, cells], j[cells, r].T[:, :, None])
+    views = list(acc.swapaxes(0, 1))  # the (rows, B) column views, made once
     if first:
-        acc[:, 0] = start
-    step = None if drift is None else np.empty(acc[:, 0].shape)
-    for k in range(first, acc.shape[1]):
-        prev = acc[:, k - 1] if k else carry
+        views[0][...] = start
+    prev = views[0] if first else carry
+    step = None if drift is None else np.empty(views[0].shape)
+    for k, col in enumerate(views[first:]):
         if drift is not None:
-            prev = np.add(prev, drift[k - first], out=step)
-        np.add(prev, acc[:, k], out=acc[:, k])
+            prev = np.add(prev, drift[k], out=step)
+        prev = np.add(prev, col, out=col)
     return acc
 
 

@@ -100,10 +100,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _log_side_weights(p, q, a_coeff, d_coeff, x):
-    """log of the positive weights p(1-p)A x^p and q(1-q)D x^q."""
+    """log of the positive weights p(1-p)A x^p and q(1-q)D x^q.
+
+    Each log is a sum of logs, as in ``joint_drift``'s numerator: the
+    product ``p(1-p)A`` underflows to 0 for a coefficient near the bottom
+    of float range, whose own log is finite.
+    """
     lx = np.log(float(x))
-    wu = np.log(p * (1.0 - p) * a_coeff) + p * lx
-    wv = np.log(q * (1.0 - q) * d_coeff) + q * lx
+    wu = np.log(p * (1.0 - p)) + np.log(a_coeff) + p * lx
+    wv = np.log(q * (1.0 - q)) + np.log(d_coeff) + q * lx
     return wu, wv
 
 

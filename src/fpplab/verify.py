@@ -24,17 +24,16 @@ SE_MULTIPLE = 3.0
 NEGINF_WARN_FRACTION = 1e-3
 X0 = 1.0  # initial wealth of every ensemble path
 DEFAULT_BATCH = 20_000  # paths per batch: the unit of the reduction and the thread split
-# grid times streamed at once, so a chunk's work arrays stay cache-sized (the tiles
-# bound memory).  perfbench, 2-core x86-64 host: unchunked 512-path tiles cut the
-# mix3-verify peak 79 -> 55 MB but cost 5% wall_rel there and 18-20% on
-# three-power-signed; chunking only the evaluation cost 8-16%.
-TIME_CHUNK = 16
-# paths of a batch drawn and evaluated at once; bounds the normals held per batch.
-# Median CPU s / peak RSS MB of 6 one-thread runs of perfbench's mix3-verify and
-# three-power-signed commands (2-core x86-64 host) at 2048, 4096 and 8192 paths:
-# mix3-verify 1.87 / 61, 1.78 / 80, 1.87 / 119 (229 MB untiled);
-# three-power-signed 1.16 / 48, 1.15 / 55, 1.22 / 68.
-TILE_PATHS = 4096
+# grid times streamed at once.  TIME_CHUNK x TILE_PATHS = 65 536 cells per row of
+# every chunk array, which keeps a chunk's work arrays cache-sized; the tile bounds
+# the normals held per batch.  perfbench medians of wall_rel / peak RSS MB, 2-core
+# x86-64 host, 4096 x 16 -> 2048 x 32: mix3-verify 2.65 / 78.4 -> 2.65 / 62.8,
+# three-power-signed 1.63 / 53.7 -> 1.63 / 49.0.  Slower than 2048 x 32: 1024 x 64
+# (mix3-verify +1.8%, peak 55.1 MB), 1024 x 32 (three-power-signed +6%), 2048 x 16
+# and 1024 x 16 (mix3-verify +15% and +25%), 512 x 128 (mix3-verify +6%).
+TIME_CHUNK = 32
+# paths of a batch drawn and evaluated at once
+TILE_PATHS = 2048
 
 VERDICT_MARTINGALE = "consistent-with-martingale"
 VERDICT_SUPER_STRICT = "supermartingale-strict"

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpplab.market import (NORMALS_BLOCK, MarketSpec, TimeGrid, _normals_for_paths,
-                           brownian_batch, einsum_dot, evolve_log_wealth_batch)
+                           brownian_batch, einsum_dot, evolve_log_wealth_batch,
+                           running_integral)
 from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture
 from fpplab.three_power import ThreePowerFpp, ThreePowerSpec
-from fpplab.verify import TIME_CHUNK, _time_chunks
+from fpplab.verify import TILE_PATHS, TIME_CHUNK, _time_chunks
 
 
 def assert_same_values_and_zero_signs(got, want):
@@ -160,6 +161,15 @@ def test_one_path_batch_equals_its_row(d_w):
                                   single[..., 0].view(np.int64))
 
 
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_three_power_utility_builds_its_terms_in_place():
     # one (3, TIME_CHUNK, B) term buffer, evaluated in place, plus a few
     # (TIME_CHUNK, B) rows: no stacked copy and no per-operation temporaries
@@ -173,13 +183,31 @@ def test_three_power_utility_builds_its_terms_in_place():
     state = fpp.state_paths(dw, dwp, cols, carry)
     log_x = evolve_log_wealth_batch(1.0, fpp.sp_star, fpp.lam_path, grid, dw)[cols]
     row = n_paths * TIME_CHUNK * 8
-    tracemalloc.start()
-    try:
-        fpp.utility_paths(state, log_x, cols)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7 * row
+    assert traced_peak(lambda: fpp.utility_paths(state, log_x, cols)) < 7 * row
+
+
+@pytest.mark.parametrize("rows, drift", [(3, False), (1, True)], ids=["state", "wealth"])
+def test_running_integral_steps_allocate_no_column_copies(rows, drift):
+    # one (rows, TIME_CHUNK, TILE_PATHS) chunk call, a criterion state or a
+    # drifted log wealth, peaks under its result plus one einsum_dot call's
+    # own peak (two (TIME_CHUNK, TILE_PATHS) product rows and numpy's ufunc
+    # buffer) plus one (rows, TILE_PATHS) step row: the steps add in place
+    # over column views made once per call
+    d_w, n_paths = 3, TILE_PATHS
+    grid = TimeGrid(np.linspace(0.0, 1.0, 2 * TIME_CHUNK + 1))
+    dw, _ = brownian_batch(grid, d_w, 0, 5, range(n_paths))
+    rng = np.random.default_rng(rows)
+    loadings = rng.normal(size=(grid.n_steps, rows, d_w))
+    cols = slice(TIME_CHUNK, 2 * TIME_CHUNK)
+    cells = slice(TIME_CHUNK - 1, 2 * TIME_CHUNK - 1)  # the cells ending in cols
+    carry = rng.normal(size=n_paths if drift else (rows, n_paths))  # wealth carries (B,)
+    drift_dt = rng.normal(scale=0.01, size=TIME_CHUNK) if drift else None
+    row = np.empty((TIME_CHUNK, n_paths))
+    products = traced_peak(lambda: einsum_dot(dw[:, cells], loadings[cells, 0].T[:, :, None],
+                                              out=row))
+    assert products >= 2 * row.nbytes
+    peak = traced_peak(lambda: running_integral(loadings, dw, cols, carry, drift=drift_dt))
+    assert peak < rows * row.nbytes + products + rows * n_paths * 8
 
 
 def test_engine_arrays_are_c_ordered_rows_by_time_by_paths():

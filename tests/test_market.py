@@ -9,7 +9,7 @@ from fpplab.errors import (NoExactSolutionError, SingularMarketError,
 from fpplab.market import (MarketSpec, Schedule, TimeGrid, brownian_batch,
                            evolve_log_wealth_batch, running_integral, sharpe_ratio,
                            solve_allocation, write_paths_csv)
-from fpplab.verify import _time_chunks
+from fpplab.verify import TIME_CHUNK, _time_chunks
 
 
 def make_market(sigma=0.2, mu=0.04, d_wperp=0):
@@ -367,7 +367,8 @@ def stepwise_running_integral(loadings, dw, start, drift=None, j=None, dwperp=No
 
 @pytest.mark.parametrize("with_drift", [False, True], ids=["no-drift", "drift"])
 @pytest.mark.parametrize("with_j", [False, True], ids=["no-j", "j"])
-@pytest.mark.parametrize("d_w, rows, n_steps", [(1, 1, 20), (3, 3, 40), (4, 2, 33)])
+@pytest.mark.parametrize("d_w, rows, n_steps",
+                         [(1, 1, TIME_CHUNK + 4), (3, 3, 40), (4, 2, 33)])
 def test_running_integral_matches_stepwise_reference(with_drift, with_j, d_w, rows,
                                                      n_steps):
     # whole-horizon and chunk-by-chunk calls, each chunk carried from the last

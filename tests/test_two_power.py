@@ -107,6 +107,20 @@ def test_portfolio_extreme_coefficient_ratios_give_one_power_targets(a_coeff, d_
     assert sp == pytest.approx(target, rel=1e-15)
 
 
+@pytest.mark.parametrize("a_coeff, d_coeff, side", [(5e-324, 1.0, "q"), (1.0, 5e-324, "p")])
+def test_subnormal_coefficient_gives_one_power_limit(a_coeff, d_coeff, side):
+    # p(1-p)A underflows to 0 at A = 5e-324 while log(A) is finite: with the
+    # log weights formed as sums of logs neither call warns, the target is the
+    # other side's one-power target and the pooling cost vanishes
+    lam, a, d = [1.0], [0.0], [0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp = mixture_sp_target(0.1, 0.3, a_coeff, d_coeff, 1.0, lam, a, d)
+        drift = joint_drift(0.1, 0.3, a_coeff, d_coeff, 1.0, lam, a, d)
+    assert sp == pytest.approx([1.0 / 0.9 if side == "p" else 1.0 / 0.7], rel=1e-15)
+    assert drift == 0.0
+
+
 def test_portfolio_arithmetic():
     sp = mixture_sp_target(0.1, 0.3, 1.0, 1.0, 1.0, [1.0], [0.0], [0.0])
     assert sp == pytest.approx([0.4 / 0.3])

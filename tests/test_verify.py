@@ -208,15 +208,25 @@ def bits(x):
     return np.asarray(x, float).view(np.int64)
 
 
+def assert_same_bits(reports, references):
+    for got, want in zip(reports, references, strict=True):
+        assert np.array_equal(bits(got.mean), bits(want.mean))
+        assert np.array_equal(bits(got.se), bits(want.se))
+        assert bits(got.kurtosis_terminal) == bits(want.kurtosis_terminal)
+        assert got.warnings == want.warnings
+
+
 @settings(max_examples=25, deadline=None)
 @given(d_w=st.integers(1, 4), d_wperp=st.integers(0, 2), n_atoms=st.integers(1, 3),
-       n_steps=st.sampled_from([15, 16, 17, 33, 252]), three_power=st.booleans(),
+       n_steps=st.sampled_from([TIME_CHUNK - 1, TIME_CHUNK, TIME_CHUNK + 1,
+                                2 * TIME_CHUNK, 252]), three_power=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_streamed_engine_equals_whole_horizon_reference(d_w, d_wperp, n_atoms,
                                                         n_steps, three_power, seed):
     # chunk-by-chunk wealth and state, carried from each chunk's last column,
-    # give the whole-horizon reports bit for bit; 16 and 33 steps end on a
-    # width-one chunk that the chunking folds into the one before it
+    # give the whole-horizon reports bit for bit; TIME_CHUNK and 2 * TIME_CHUNK
+    # steps end on a width-one chunk that the chunking folds into the one
+    # before it
     rng = np.random.default_rng(seed)
     grid = TimeGrid(np.linspace(0.0, 1.0, n_steps + 1))
     sigma = np.diag(rng.uniform(0.15, 0.4, d_w)) + np.triu(
@@ -239,19 +249,16 @@ def test_streamed_engine_equals_whole_horizon_reference(d_w, d_wperp, n_atoms,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "DEFAULT_BATCH", 40)
         streamed = martingale_test(fpp, runs, **kw)
-    for got, want in zip(streamed, whole_horizon_reports(fpp, runs, batch_size=40, **kw)):
-        assert np.array_equal(bits(got.mean), bits(want.mean))
-        assert np.array_equal(bits(got.se), bits(want.se))
-        assert bits(got.kurtosis_terminal) == bits(want.kurtosis_terminal)
-        assert got.warnings == want.warnings
+    assert_same_bits(streamed, whole_horizon_reports(fpp, runs, batch_size=40, **kw))
 
 
 @pytest.mark.parametrize("tile", [1, 3, 7, TILE_PATHS])
 @settings(max_examples=6, deadline=None)
-@given(three_power=st.booleans(), n_steps=st.sampled_from([15, 16, 33]),
+@given(three_power=st.booleans(),
+       n_steps=st.sampled_from([TIME_CHUNK - 1, TIME_CHUNK, 2 * TIME_CHUNK + 1]),
        full=st.integers(1, 2), rem=st.integers(1, 6), last=st.integers(1, 50),
        seed=st.integers(0, 999))
-@example(three_power=False, n_steps=16, full=2, rem=1, last=1, seed=0)
+@example(three_power=False, n_steps=TIME_CHUNK, full=2, rem=1, last=1, seed=0)
 def test_tiled_reports_equal_whole_horizon_reference(tile, three_power, n_steps, full,
                                                      rem, last, seed):
     # each batch runs TILE_PATHS paths at a time: with a tile that does not
@@ -266,11 +273,28 @@ def test_tiled_reports_equal_whole_horizon_reference(tile, three_power, n_steps,
         mp.setattr(verify, "TILE_PATHS", tile)
         mp.setattr(verify, "DEFAULT_BATCH", batch)
         tiled = martingale_test(fpp, runs, **kw)
-    for got, want in zip(tiled, whole_horizon_reports(fpp, runs, batch_size=batch, **kw)):
-        assert np.array_equal(bits(got.mean), bits(want.mean))
-        assert np.array_equal(bits(got.se), bits(want.se))
-        assert bits(got.kurtosis_terminal) == bits(want.kurtosis_terminal)
-        assert got.warnings == want.warnings
+    assert_same_bits(tiled, whole_horizon_reports(fpp, runs, batch_size=batch, **kw))
+
+
+@pytest.mark.parametrize("tile, chunk", [(4096, 16), (2048, 32), (1, 2), (7, 3), (3, 64)])
+@settings(max_examples=10, deadline=None)
+@given(three_power=st.booleans(), n_steps=st.integers(1, 70), n_paths=st.integers(2, 40),
+       seed=st.integers(0, 999))
+def test_reports_invariant_to_tile_and_chunk_widths(tile, chunk, three_power, n_steps,
+                                                    n_paths, seed):
+    # TILE_PATHS and TIME_CHUNK set only how a batch is walked: at every
+    # (tile, chunk) shape, from one-path tiles of two-column chunks to a tile
+    # wider than the batch, the reports equal those reduced from whole-batch
+    # arrays, bit for bit
+    grid = TimeGrid(np.linspace(0.0, 1.0, n_steps + 1))
+    market, fpp = (three_power_setup if three_power else three_atom_setup)(grid)
+    runs = three_runs(fpp, grid)
+    kw = dict(n_paths=n_paths, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "TILE_PATHS", tile)
+        mp.setattr(verify, "TIME_CHUNK", chunk)
+        walked = martingale_test(fpp, runs, **kw)
+    assert_same_bits(walked, whole_horizon_reports(fpp, runs, batch_size=DEFAULT_BATCH, **kw))
 
 
 def traced_peak(fn):
@@ -359,6 +383,11 @@ def test_degenerate_utility_warning():
 NEG_INF_CELLS = [(0, 2), (0, TIME_CHUNK + 3), (1, 1)]
 
 
+def three_chunk_grid():
+    """A grid of two full chunks and a last one of 9 grid times."""
+    return TimeGrid(np.linspace(0.0, 1.0, 2 * TIME_CHUNK + 9))
+
+
 class Diverging(Wrapped):
     def utility_paths(self, state, log_x, cols=slice(None)):
         u = super().utility_paths(state, log_x, cols)
@@ -370,7 +399,7 @@ class Diverging(Wrapped):
 
 
 def test_neg_inf_paths_counted_once_across_chunks():
-    grid = TimeGrid.regular(1.0, 1 / 40)
+    grid = three_chunk_grid()
     market, fpp = single_atom_setup(grid)
     n_times = grid.n_steps + 1
     assert n_times > 2 * TIME_CHUNK  # at least three chunks
@@ -384,7 +413,7 @@ def test_neg_inf_paths_counted_once_per_tile(monkeypatch):
     # with 3-path tiles a utility_paths call covers one tile, so path columns
     # 0 and 1 are the first two paths of each tile: 10 paths give tiles of 3,
     # 3, 3 and 1, and the last holds column 0 alone
-    grid = TimeGrid.regular(1.0, 1 / 40)
+    grid = three_chunk_grid()
     market, fpp = single_atom_setup(grid)
     tile, n_paths = 3, 10
     monkeypatch.setattr(verify, "TILE_PATHS", tile)
