@@ -45,6 +45,8 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header, rows):
+    """Write ``header`` and then ``rows``, any iterable, as they come: callers
+    pass generators, so no output table is held whole."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -54,9 +56,9 @@ def _write_csv(path, header, rows):
 
 def _write_report_csv(path, report: MartingaleReport):
     margins = report.margins()
-    rows = [[_fmt(t), _fmt(report.mean[k]), _fmt(report.se[k]),
+    rows = ([_fmt(t), _fmt(report.mean[k]), _fmt(report.se[k]),
              _fmt(report.reference), _fmt(margins[k])]
-            for k, t in enumerate(report.t_grid)]
+            for k, t in enumerate(report.t_grid))
     _write_csv(path, ["t", "mean", "se", "reference", "margin"], rows)
 
 
@@ -101,12 +103,10 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     # per-path criterion states, and U at wealth 1, for a handful of paths
     sample_ids = range(min(N_SAMPLE_PATHS, m.shape[2]))
     u = fpp.utility_paths(m, np.zeros(m.shape[1:]))
-    rows = []
-    for b, pid in enumerate(sample_ids):
-        for k, t in enumerate(grid.times):
-            for a in range(cfg.mixture.n_atoms):
-                rows.append([pid, _fmt(t), a, _fmt(m[a, k, b]), _fmt(qv[a, k]),
-                             _fmt(v[a, k]), _fmt(u[k, b])])
+    rows = ([pid, _fmt(t), a, _fmt(m[a, k, b]), _fmt(qv[a, k]), _fmt(v[a, k]),
+             _fmt(u[k, b])]
+            for b, pid in enumerate(sample_ids) for k, t in enumerate(grid.times)
+            for a in range(cfg.mixture.n_atoms))
     _write_csv(os.path.join(out_dir, "fpp_states.csv"),
                ["path_id", "t", "atom", "m", "qv_m", "v", "utility"], rows)
     write_paths_csv(os.path.join(out_dir, "brownian_paths.csv"), grid,
@@ -128,8 +128,8 @@ def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag) -> int:
             raise ConfigError(f"pool.horizon: the surface needs a horizon of at least 1, "
                               f"got {spec.horizon:g}")
         surface = pooling.utility_surface(spec, z_grid, t_grid)
-        rows = [[_fmt(z), _fmt(t), _fmt(surface.values[i, j])]
-                for i, t in enumerate(t_grid) for j, z in enumerate(z_grid)]
+        rows = ([_fmt(z), _fmt(t), _fmt(surface.values[i, j])]
+                for i, t in enumerate(t_grid) for j, z in enumerate(z_grid))
         path = os.path.join(out_dir, f"pool_surface_{label}.csv")
         _write_csv(path, ["z", "t", "value"], rows)
         print(f"surface written to {path}")
@@ -156,13 +156,10 @@ def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag) -> int:
         return 0
     result = pooling.compare_strategies(spec, n_paths=cfg.sim.n_paths,
                                         seed=cfg.sim.seed)
-    rows = []
-    for name, stats in result.strategies.items():
-        for k, t in enumerate(result.t_grid):
-            alloc = _fmt(stats.mean_allocation[k]) \
-                if k < stats.mean_allocation.size else ""
-            rows.append([_fmt(t), name, _fmt(stats.mean_utility[k]),
-                         _fmt(stats.se_utility[k]), alloc])
+    rows = ([_fmt(t), name, _fmt(stats.mean_utility[k]), _fmt(stats.se_utility[k]),
+             _fmt(stats.mean_allocation[k]) if k < stats.mean_allocation.size else ""]
+            for name, stats in result.strategies.items()
+            for k, t in enumerate(result.t_grid))
     path = os.path.join(out_dir, f"pool_comparison_{label}.csv")
     _write_csv(path, ["t", "strategy", "mean_utility", "se", "mean_allocation"],
                rows)
@@ -241,10 +238,8 @@ def _read_power_paths(path):
 def cmd_three_power(cfg: RunConfig, out_dir: str, threads: int) -> int:
     spec = cfg.three_power
     grid_gammas = np.linspace(1.0 / 3.0 / 51.0, 1.0 / 3.0 * 50.0 / 51.0, 50)
-    rows = []
-    for g in grid_gammas:
-        mono, conc = concavity_discriminants(float(g))
-        rows.append([_fmt(g), _fmt(mono), _fmt(conc)])
+    rows = ([_fmt(g), *map(_fmt, concavity_discriminants(float(g)))]
+            for g in grid_gammas)
     disc_path = os.path.join(out_dir, "three_power_discriminants.csv")
     _write_csv(disc_path, ["gamma", "disc_monotone", "disc_concave"], rows)
     mono, conc = concavity_discriminants(spec.gamma)
@@ -264,11 +259,8 @@ def cmd_three_power(cfg: RunConfig, out_dir: str, threads: int) -> int:
     z = np.exp(fpp.accumulators(dw)[0])
     xs = cfg.three_power_x
     u = three_power_value(np.array(xs), z[:, :, None], fpp.i_path[:, None, None], spec)
-    rows = []
-    for b in range(dw.shape[2]):
-        for k, t in enumerate(grid.times):
-            rows.append([b, _fmt(t), _fmt(z[k, b]), _fmt(fpp.i_path[k])]
-                        + [_fmt(val) for val in u[k, b]])
+    rows = ([b, _fmt(t), _fmt(z[k, b]), _fmt(fpp.i_path[k]), *map(_fmt, u[k, b])]
+            for b in range(dw.shape[2]) for k, t in enumerate(grid.times))
     header = ["path_id", "t", "Z", "I"] + [f"U_x={x:g}" for x in xs]
     _write_csv(os.path.join(out_dir, "three_power_paths.csv"), header, rows)
     return 0 if report.passed else 1

@@ -25,6 +25,7 @@ bit-identical whether simulated alone, inside a batch, or on another thread.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,6 +35,7 @@ from .errors import NoExactSolutionError, SingularMarketError, StrategyEvaluatio
 
 NORMALS_BLOCK = 128  # paths per draw block: a (128, N, n_cols) buffer stays in L2
 PINV_RCOND = 1e-10  # singular values below rcond * s_max are treated as zero
+HEDGE_RTOL = 1e-8  # largest hedging residual, relative to max(1, |target|)
 # most grid steps (or rebalance periods) in one run: refuses a horizon / step
 # ratio that overflows round() or that no (N+1, B) batch array could hold
 MAX_STEPS = 10 ** 7
@@ -132,28 +134,27 @@ class Schedule:
 # Market specification
 # ---------------------------------------------------------------------------
 
-def solve_allocation(sigma: np.ndarray, target: np.ndarray,
-                     rtol: float = 1e-8) -> np.ndarray:
+def solve_allocation(sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Minimum-norm pi with sigma pi = target, via pseudoinverse.
 
     Raises
     ------
     NoExactSolutionError
-        If the target is not in the column space of sigma; the error carries
-        the range-space projection residual.
+        If the target is not in the column space of sigma, up to
+        ``HEDGE_RTOL``; the error carries the range-space projection residual.
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     target = np.atleast_1d(np.asarray(target, dtype=float))
     pi = np.linalg.pinv(sigma, rcond=PINV_RCOND) @ target
     residual = float(np.linalg.norm(sigma @ pi - target))
-    if residual > rtol * max(1.0, float(np.linalg.norm(target))):
+    if residual > HEDGE_RTOL * max(1.0, float(np.linalg.norm(target))):
         raise NoExactSolutionError(
             f"allocation target not hedgeable, projection residual {residual:.3e}",
             residual)
     return pi
 
 
-def sharpe_ratio(sigma: np.ndarray, mu: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
+def sharpe_ratio(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Market price of risk ``pinv(sigma)' mu`` for a (d_w, n) volatility matrix.
 
     Raises
@@ -167,10 +168,21 @@ def sharpe_ratio(sigma: np.ndarray, mu: np.ndarray, rcond: float = PINV_RCOND) -
     if mu.shape != (n,):
         raise ValueError(f"mu has shape {mu.shape}, expected ({n},)")
     s = np.linalg.svd(sigma, compute_uv=False)
-    if n > d_w or s[-1] <= rcond * s[0]:
+    if n > d_w or s[-1] <= PINV_RCOND * s[0]:
         raise SingularMarketError(
             f"sigma is column-rank deficient (singular values {s})")
-    return np.linalg.pinv(sigma, rcond=rcond).T @ mu
+    return np.linalg.pinv(sigma, rcond=PINV_RCOND).T @ mu
+
+
+def _dimension(name: str, value) -> int:
+    """``value`` as an int if it is an integral number and not a bool, else a
+    ValueError that names ``name`` first."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name}: must be an integer, got {value!r}")
 
 
 @dataclass
@@ -189,11 +201,12 @@ class MarketSpec:
     mu: Schedule = field(repr=False)
 
     def __init__(self, n_stocks, d_w, d_wperp, sigma, mu):
+        n_stocks = _dimension("n_stocks", n_stocks)
+        d_w = _dimension("d_w", d_w)
+        d_wperp = _dimension("d_wperp", d_wperp)
         if n_stocks < 1 or d_w < 1 or d_wperp < 0:
             raise ValueError("need n_stocks >= 1, d_w >= 1, d_wperp >= 0")
-        self.n_stocks = int(n_stocks)
-        self.d_w = int(d_w)
-        self.d_wperp = int(d_wperp)
+        self.n_stocks, self.d_w, self.d_wperp = n_stocks, d_w, d_wperp
         for name, value, shape in (("sigma", sigma, (d_w, n_stocks)),
                                    ("mu", mu, (n_stocks,))):
             try:
@@ -327,7 +340,7 @@ def einsum_dot(x: np.ndarray, y: np.ndarray, out: np.ndarray = None) -> np.ndarr
     lane1 = ([s + j for s in range(0, full, 8) for j in (7, 5, 3, 1)]
              + list(range(full + 1, n, 2)))
     out = np.multiply(x[lane0[0]], y[lane0[0]], out=out)
-    prod = np.empty_like(out)
+    prod = np.empty_like(out) if n >= 3 else None  # a lane's second product
     for i in lane0[1:]:
         out += np.multiply(x[i], y[i], out=prod)
     if lane1:

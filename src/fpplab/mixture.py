@@ -36,8 +36,13 @@ GAMMA_ONE_TOL = 1e-9  # risk aversions this close to 1 are rejected
 def signed_exp_sum(logs: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Stable ``sum_i signs[i] * exp(logs[i])``, one term per row of ``logs``.
 
-    The terms run along the first axis, so each step works on whole
-    contiguous rows; ``logs`` is the scratch buffer and is overwritten.
+    The terms run along the first axis of the C-ordered ``logs``, so each
+    step works on whole contiguous rows.  ``logs`` is the scratch buffer:
+    it is overwritten, and the result is a view of its row 0, so the
+    caller holds all of ``logs`` for as long as it holds the result.  The
+    sum is formed in row 0 and, unless every sign is +1, its sign in row
+    1; the per-cell max is the one row allocated (with the sign row, for a
+    lone negative term).
     Overflows only when the true value leaves float range, in which case
     the IEEE infinity of the correct sign is returned (-inf is the
     legitimate sentinel for criteria that diverge below).  When every sign
@@ -46,18 +51,25 @@ def signed_exp_sum(logs: np.ndarray, signs: np.ndarray) -> np.ndarray:
     ``sign(part) * exp(m + log|part|)`` for ``part >= 0`` and for NaN.
     """
     m = np.max(logs, axis=0, keepdims=True)  # kept axes: scalars stay arrays
-    m[~np.isfinite(m)] = 0.0
+    bad = np.isfinite(m)
+    np.logical_not(bad, out=bad)  # one bool row, inverted in place
+    m[bad] = 0.0
     logs -= m
     terms = np.exp(logs, out=logs)
     same_sign = bool(np.all(np.asarray(signs) == 1.0))
     if not same_sign:
         terms *= np.reshape(signs, (-1,) + (1,) * (m.ndim - 1))
-    part = np.sum(terms, axis=0, keepdims=True)
+    part = terms[:1]
+    if part.size == 1:  # numpy sums a lone column pairwise
+        part[...] = np.sum(terms, axis=0, keepdims=True)
+    else:
+        for row in terms[1:]:  # numpy's order over the first axis
+            part += row
     with np.errstate(divide="ignore", over="ignore"):
         if same_sign:
             np.log(part, out=part)
         else:
-            sign = np.sign(part)
+            sign = np.sign(part, out=terms[1:2] if len(terms) > 1 else None)
             np.log(np.abs(part, out=part), out=part)
         np.exp(np.add(m, part, out=part), out=part)
     if not same_sign:
@@ -289,17 +301,18 @@ def drift_term(gamma: float, sp: np.ndarray, lam: np.ndarray, hg: np.ndarray) ->
 
 
 def optimal_portfolio(lam: np.ndarray, h0: np.ndarray, gamma0: float,
-                      sigma: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+                      sigma: np.ndarray) -> np.ndarray:
     """Minimum-norm pi solving sigma pi = (lam + h0)/gamma0.
 
     Raises
     ------
     NoExactSolutionError
         If the target is not hedgeable: the residual of its projection onto
-        the column space of sigma exceeds ``rtol`` (relative to the target).
+        the column space of sigma exceeds ``market.HEDGE_RTOL`` (relative
+        to the target).
     """
     target = (np.atleast_1d(lam) + np.atleast_1d(h0)) / gamma0
-    return solve_allocation(sigma, target, rtol=rtol)
+    return solve_allocation(sigma, target)
 
 
 def factor_j(rho: np.ndarray, a: np.ndarray, hg: np.ndarray) -> np.ndarray:

@@ -123,7 +123,9 @@ def _batch_moments(fpp, sps, seed, path_ids):
     flags are read from it, and its transpose, zeroed where non-finite, is
     the one path-major copy: rows ``1..n`` of the reused buffer, which
     ``_reduce_rows`` sums one path at a time in order across tiles, so the
-    sums are those of the whole batch at once.
+    sums are those of the whole batch at once.  A run's log wealth and U
+    (a view of its term rows) are dropped once reduced, before the next
+    run's are made.
     """
     grid, market = fpp.grid, fpp.market
     n_times = grid.n_steps + 1
@@ -162,6 +164,7 @@ def _batch_moments(fpp, sps, seed, path_ids):
                 _reduce_rows(s1[r, cols], buf, lo == 0)
                 np.square(finite, out=finite)
                 _reduce_rows(s2[r, cols], buf, lo == 0)
+                del u, log_x  # U holds its term rows: free both before the next run
     return [(s1[r], s2[r], int(np.sum(diverged[r])), terminal[r])
             for r in range(len(sps))]
 

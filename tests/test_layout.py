@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fpplab.market import (NORMALS_BLOCK, MarketSpec, TimeGrid, _normals_for_paths,
                            brownian_batch, einsum_dot, evolve_log_wealth_batch,
                            running_integral)
-from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture
+from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture, signed_exp_sum
 from fpplab.three_power import ThreePowerFpp, ThreePowerSpec
 from fpplab.verify import TILE_PATHS, TIME_CHUNK, _time_chunks
 
@@ -184,6 +184,33 @@ def test_three_power_utility_builds_its_terms_in_place():
     log_x = evolve_log_wealth_batch(1.0, fpp.sp_star, fpp.lam_path, grid, dw)[cols]
     row = n_paths * TIME_CHUNK * 8
     assert traced_peak(lambda: fpp.utility_paths(state, log_x, cols)) < 7 * row
+
+
+@pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0), (1.0, -1.0, 1.0)],
+                         ids=["same-sign", "signed"])
+def test_signed_exp_sum_allocates_only_the_max_row(signs):
+    # on a (3, TIME_CHUNK, TILE_PATHS) chunk of term logs the sum, its sign and
+    # U are formed in the term rows: the call allocates one (TIME_CHUNK,
+    # TILE_PATHS) max row, the one-byte-per-cell mask of its non-finite
+    # entries (64 KB) and array headers, where a new sum row and sign row
+    # would add 512 KB each
+    logs = np.random.default_rng(2).normal(scale=5.0, size=(3, TIME_CHUNK, TILE_PATHS))
+    row = logs[0].nbytes
+    peak = traced_peak(lambda: signed_exp_sum(logs, signs))
+    assert peak <= row + logs[0].size + 4096
+
+
+def test_one_term_einsum_dot_allocates_no_product_row():
+    # one loading per row (a one-stock state or wealth) writes its one product
+    # into ``out``: no spare (TIME_CHUNK, TILE_PATHS) product row; the only
+    # allocation is the ufunc buffer numpy's broadcast multiply itself takes
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(1, TIME_CHUNK, TILE_PATHS))
+    y = rng.normal(size=(1, TIME_CHUNK, 1))
+    out = np.empty((TIME_CHUNK, TILE_PATHS))
+    bare = traced_peak(lambda: np.multiply(x[0], y[0], out=out))
+    assert traced_peak(lambda: einsum_dot(x, y, out=out)) <= bare + 1024
+    assert bare < out.nbytes // 4
 
 
 @pytest.mark.parametrize("rows, drift", [(3, False), (1, True)], ids=["state", "wealth"])

@@ -118,6 +118,23 @@ def test_solve_allocation_residual_reported():
     assert excinfo.value.residual == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, False, "1", float("nan")],
+                         ids=["fraction", "true", "false", "text", "nan"])
+@pytest.mark.parametrize("field", ["n_stocks", "d_w", "d_wperp"])
+def test_market_dimensions_must_be_integers(field, bad):
+    # a dimension that is not an integral number, or is a bool, is a
+    # ValueError that names the field first, not an error from inside numpy
+    dims = {"n_stocks": 1, "d_w": 1, "d_wperp": 0, field: bad}
+    with pytest.raises(ValueError, match=rf"^{field}: must be an integer, got {bad!r}$"):
+        MarketSpec(**dims, sigma=0.2, mu=0.2)
+
+
+def test_market_dimensions_accept_integral_numbers():
+    market = MarketSpec(1.0, np.int64(1), np.float64(1.0), sigma=0.2, mu=0.2)
+    assert (market.n_stocks, market.d_w, market.d_wperp) == (1, 1, 1)
+    assert all(type(d) is int for d in (market.n_stocks, market.d_w, market.d_wperp))
+
+
 # ---------------------------------------------------------------------------
 # Brownian paths
 # ---------------------------------------------------------------------------

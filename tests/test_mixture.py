@@ -393,6 +393,55 @@ def test_same_sign_exp_sum_matches_signed_path_bitwise():
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def summed_exp_sum(logs, signs):
+    """``signed_exp_sum`` as it was written before it worked in ``logs``: one
+    ``np.sum`` over the terms into a new row and a separate sign row."""
+    m = np.max(logs, axis=0, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    logs -= m
+    terms = np.exp(logs, out=logs)
+    same_sign = bool(np.all(np.asarray(signs) == 1.0))
+    if not same_sign:
+        terms *= np.reshape(signs, (-1,) + (1,) * (m.ndim - 1))
+    part = np.sum(terms, axis=0, keepdims=True)
+    with np.errstate(divide="ignore", over="ignore"):
+        if same_sign:
+            np.log(part, out=part)
+        else:
+            sign = np.sign(part)
+            np.log(np.abs(part, out=part), out=part)
+        np.exp(np.add(m, part, out=part), out=part)
+    if not same_sign:
+        np.multiply(sign, part, out=part)
+    return part[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_terms=st.integers(1, 9),
+       shape=st.sampled_from([(), (1,), (1, 1), (2,), (7,), (3, 1), (1, 5), (4, 6)]),
+       sign_bits=st.integers(0, 2 ** 9 - 1), fraction=st.sampled_from([0.0, 0.1, 0.4]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_exp_sum_in_its_term_rows_matches_the_summed_formula(n_terms, shape, sign_bits,
+                                                             fraction, seed):
+    # the sum, its sign and U formed in the rows of ``logs`` give the bits of
+    # one np.sum into a new row, signs of zero included: row by row in numpy's
+    # order, and through np.sum where numpy sums a lone column pairwise
+    rng = np.random.default_rng(seed)
+    logs = rng.normal(scale=300.0, size=(n_terms,) + shape)
+    specials = np.array([-np.inf, np.inf, np.nan])
+    pick = rng.integers(0, specials.size, logs.shape)
+    logs = np.where(rng.random(logs.shape) < fraction, specials[pick], logs)
+    signs = np.where([(sign_bits >> i) & 1 for i in range(n_terms)], -1.0, 1.0)
+    with np.errstate(all="ignore"):  # both overflow where a max was non-finite
+        want = summed_exp_sum(logs.copy(), signs)
+        scratch = logs.copy()
+        got = signed_exp_sum(scratch, signs)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+    if shape:
+        assert np.shares_memory(got, scratch)  # U is a view of row 0
+
+
 def test_sp_star_rows_equal_the_per_time_formula():
     # sigma and mu jump inside the horizon; h0 inverts a target portfolio
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=0,

@@ -306,6 +306,38 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def mix3_setup(grid):
+    """Three stocks, one W_perp factor and three atoms: every engine layer runs."""
+    market = MarketSpec(n_stocks=3, d_w=3, d_wperp=1,
+                        sigma=[[0.2, 0.0, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.3]],
+                        mu=[0.04, 0.05, 0.06])
+    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (0.8, 0.25)), gamma0=0.5,
+                      h0=H0Spec.portfolio_inversion([0.5, 0.3, 0.2]),
+                      j=JSpec.constant([0.1]))
+    return market, MixtureFpp(mix, market, grid)
+
+
+@pytest.mark.parametrize("setup, n_runs, bound", [(mix3_setup, 3, 4.25 * 3),
+                                                  (three_power_setup, 1, 8.5)],
+                         ids=["mix3", "three-power"])
+def test_each_chunk_array_lives_only_while_used(setup, n_runs, bound):
+    # a DEFAULT_BATCH batch peaks at one tile's normals plus ``bound``
+    # (TIME_CHUNK, TILE_PATHS) rows: a run's log wealth and U (a view of its
+    # term rows, which also hold the sum and its sign) are freed once reduced,
+    # before the next run's are made.  Each bound lies between this layout's
+    # peak (3.85 chunk arrays of mix3's three atom rows; 7.5 rows on the
+    # one-run three-power check) and that of holding them across runs with
+    # a separate sum row (4.52 chunk arrays; 10.4 rows)
+    grid = TimeGrid.regular(1.0, 1 / 252)
+    market, fpp = setup(grid)
+    runs = three_runs(fpp, grid)[:n_runs]
+    normals = TILE_PATHS * grid.n_steps * (market.d_w + market.d_wperp) * 8
+    row = TILE_PATHS * TIME_CHUNK * 8
+    peak = traced_peak(lambda: martingale_test(fpp, runs, n_paths=DEFAULT_BATCH, seed=3,
+                                               threads=1))
+    assert peak <= normals + bound * row
+
+
 def test_martingale_test_memory_is_normals_plus_chunks(monkeypatch):
     # a batch runs TILE_PATHS paths at a time, and each tile's normals are the
     # only O(N) array: the criterion state, log wealth and utility exist one
@@ -314,18 +346,12 @@ def test_martingale_test_memory_is_normals_plus_chunks(monkeypatch):
     # TIME_CHUNK, n_atoms) arrays, whatever the batch size; each worker
     # thread holds its own, so two threads peak at about twice one
     grid = TimeGrid.regular(1.0, 1 / 252)
-    market = MarketSpec(n_stocks=3, d_w=3, d_wperp=1,
-                        sigma=[[0.2, 0.0, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.3]],
-                        mu=[0.04, 0.05, 0.06])
-    mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (0.8, 0.25)), gamma0=0.5,
-                      h0=H0Spec.portfolio_inversion([0.5, 0.3, 0.2]),
-                      j=JSpec.constant([0.1]))
-    fpp = MixtureFpp(mix, market, grid)
+    market, fpp = mix3_setup(grid)
     runs = three_runs(fpp, grid)
     n_paths = DEFAULT_BATCH
     assert n_paths >= 4 * TILE_PATHS
     normals = TILE_PATHS * grid.n_steps * (market.d_w + market.d_wperp) * 8
-    chunk = TILE_PATHS * TIME_CHUNK * mix.n_atoms * 8
+    chunk = TILE_PATHS * TIME_CHUNK * fpp.mixture.n_atoms * 8
     one_batch = traced_peak(lambda: martingale_test(fpp, runs, n_paths=n_paths,
                                                     seed=3, threads=1))
     assert one_batch < normals + 6 * chunk
