@@ -179,7 +179,7 @@ def _market_from(cfg: dict) -> MarketSpec:
     dims = {k: _integer(f"market.{k}", cfg[k]) for k in ("n_stocks", "d_w", "d_wperp")}
     for key in ("sigma", "mu"):
         _schedule(f"market.{key}", cfg[key])
-    return MarketSpec(**{**cfg, **dims})
+    return _keyed("market", MarketSpec, **{**cfg, **dims})
 
 
 def _volatility_spec(cls, cfg: dict, path: str, *dims):

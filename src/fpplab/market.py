@@ -174,15 +174,16 @@ def sharpe_ratio(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(sigma, rcond=PINV_RCOND).T @ mu
 
 
-def _dimension(name: str, value) -> int:
-    """``value`` as an int if it is an integral number and not a bool, else a
-    ValueError that names ``name`` first."""
-    if not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            return int(value)
-        if isinstance(value, numbers.Real) and float(value).is_integer():
-            return int(value)
-    raise ValueError(f"{name}: must be an integer, got {value!r}")
+def _dimension(name: str, value, least: int) -> int:
+    """``value`` as an int if it is an integral number, not a bool, of at
+    least ``least``, else a ValueError that names ``name`` first."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name}: must be at least {least}, got {int(value)}")
+    return int(value)
 
 
 @dataclass
@@ -201,11 +202,9 @@ class MarketSpec:
     mu: Schedule = field(repr=False)
 
     def __init__(self, n_stocks, d_w, d_wperp, sigma, mu):
-        n_stocks = _dimension("n_stocks", n_stocks)
-        d_w = _dimension("d_w", d_w)
-        d_wperp = _dimension("d_wperp", d_wperp)
-        if n_stocks < 1 or d_w < 1 or d_wperp < 0:
-            raise ValueError("need n_stocks >= 1, d_w >= 1, d_wperp >= 0")
+        n_stocks = _dimension("n_stocks", n_stocks, 1)
+        d_w = _dimension("d_w", d_w, 1)
+        d_wperp = _dimension("d_wperp", d_wperp, 0)
         self.n_stocks, self.d_w, self.d_wperp = n_stocks, d_w, d_wperp
         for name, value, shape in (("sigma", sigma, (d_w, n_stocks)),
                                    ("mu", mu, (n_stocks,))):

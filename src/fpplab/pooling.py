@@ -40,6 +40,8 @@ Z_EDGE = 1e-3       # scan clip: the objective has a pole at z = 1
 Z_SCAN_STEP = 1e-3
 Z_REFINE_TOL = 1e-6
 Z_TIE_TOL = 1e-12   # maxima closer than this in log value tie-break to smaller z
+Z_POLISH_GAP = 1e-9   # top two maxima this close in value are refined again,
+Z_POLISH_TOL = 1e-13  # to this width, before the tie rule compares them
 # Elements in one block of the greedy scan's work arrays (``_first_argmax``):
 # rows of the pairwise interval bounds, and rows x candidates of the scores.
 # 16k x 8 B = 128 KB per array keeps a 20k-row call's heap peak under the
@@ -204,7 +206,10 @@ def _scan_local_maxima(f: Callable) -> list[tuple[float, float]]:
     Detection is by sign change of the discrete first difference on the scan
     grid; each bracket is then refined to width ``Z_REFINE_TOL``.  Degenerate
     objectives without an interior sign change (flat or monotone) fall back
-    to the grid argmax so a deterministic maximiser always exists.
+    to the grid argmax so a deterministic maximiser always exists.  A sharp
+    maximum refined that far can lose 1e-10 of log value (fig4 at t = 300),
+    more than ``Z_TIE_TOL``, so if the top two lie within ``Z_POLISH_GAP``,
+    every maximum is refined again on ``z +- Z_REFINE_TOL`` to ``Z_POLISH_TOL``.
     """
     zs, vals = Z_GRID, f(Z_GRID)
     s = np.sign(np.diff(vals))
@@ -216,6 +221,11 @@ def _scan_local_maxima(f: Callable) -> list[tuple[float, float]]:
         else:  # a grid-edge argmax has no bracket to refine
             z = float(zs[i])
         maxima.append((float(z), float(f(z))))
+    top = sorted(v for _, v in maxima)[-2:]
+    if len(top) == 2 and top[1] - top[0] < Z_POLISH_GAP:
+        polished = [_golden_max(f, z - Z_REFINE_TOL, z + Z_REFINE_TOL, Z_POLISH_TOL)
+                    for z, _ in maxima]
+        maxima = [(z, float(f(z))) for z in polished]
     return maxima
 
 
@@ -289,10 +299,16 @@ def _candidate_table(ea: np.ndarray, ed: np.ndarray) -> tuple[np.ndarray, np.nda
     """``_first_argmax``'s table: the segment starts, ascending from 0, and
     each segment's candidate points in ascending order, one row per segment,
     padded by repeating its last candidate."""
-    n = ea.size
     tiny = np.finfo(float).tiny
     ea_slack = ea + SCORE_SLACK * max(float(np.max(np.abs(ea))), tiny)
     ed_slack = ed + SCORE_SLACK * max(float(np.max(np.abs(ed))), tiny)
+    # keep only the points j that no point k beats in both slack
+    # coefficients: top_ed[i] is the largest ed from the i-th smallest ea up
+    by_ea = np.argsort(ea, kind="stable")
+    top_ed = np.append(np.maximum.accumulate(ed[by_ea][::-1])[::-1], -np.inf)
+    kept = np.flatnonzero(top_ed[np.searchsorted(ea[by_ea], ea_slack)] < ed_slack)
+    ea, ed, ea_slack, ed_slack = ea[kept], ed[kept], ea_slack[kept], ed_slack[kept]
+    n = ea.size
     lo, hi = np.empty(n), np.empty(n)
     rows = max(SCAN_BLOCK_ELEMS // n, 1)
     for start in range(0, n, rows):
@@ -317,8 +333,8 @@ def _candidate_table(ea: np.ndarray, ed: np.ndarray) -> tuple[np.ndarray, np.nda
         del alpha, neg_alpha, beta, neg_beta, bound
     lo = np.maximum(lo * (1.0 - BOUND_WIDEN) - tiny, 0.0)
     hi = hi * (1.0 + BOUND_WIDEN) + tiny
-    cols = np.flatnonzero((lo <= hi) & np.isfinite(lo))
-    lo, hi = lo[cols], hi[cols]
+    live = (lo <= hi) & np.isfinite(lo)
+    cols, lo, hi = kept[live], lo[live], hi[live]
     ends = np.sort(np.append(lo, 0.0))
     starts = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
     # point cols[i] is a candidate of the segments first[i] .. last[i]
@@ -346,9 +362,9 @@ def _first_argmax(r: np.ndarray, ea: np.ndarray, ed: np.ndarray) -> np.ndarray:
     kept.  The rows go in blocks, each sorted by ratio, so that one
     ``np.searchsorted`` of the segment starts into the block cuts it into
     its segments (a search per row, on unsorted ratios, took about twice as
-    long on fig3's traffic).  Near fig3's peaks a segment of the 203-point
-    window holds at most two candidates; a nearly flat objective (``lam^2
-    dt`` of 1e-14) can hold all of them.
+    long on fig3's traffic).  On fig3's grid 201 of the 999 points are
+    left, at most two to a segment; on a nearly flat objective (``lam^2 dt``
+    of 1e-14) one segment holds 740 of them, and at ``lam^2 dt = 0`` all.
 
     Why this is ``np.argmax(ea + r ed)`` bit for bit.  Let ``u = 2^-53`` and
     ``A = max(max|ea|, m)``, ``E = max(max|ed|, m)``, with ``m = 2^-1022``
@@ -373,6 +389,14 @@ def _first_argmax(r: np.ndarray, ea: np.ndarray, ed: np.ndarray) -> np.ndarray:
     interval therefore scores strictly below the row's maximum, and the first
     maximum among the candidates, in ascending order, is the first maximum
     over all points.
+
+    The table first drops each point ``j`` that some ``k`` beats in both
+    slack coefficients, ``ea_k >= fl(ea_j + cA)`` and ``ed_k >= fl(ed_j +
+    cE)``.  That sum errs by less than ``u(1 + c)A``, so ``ea_k - ea_j``
+    exceeds ``c0 A`` by more than ``(32 - 1 - 8.02)uA``, and ``ed`` alike:
+    the inequality above fails at every finite ``r >= 0``, and at ``r = inf``
+    ``ed_k > ed_j``.  So ``j`` is never a row's first maximum, and bounding
+    the points left by those alone only widens their intervals.
 
     A segment starts at 0 and at each ``lo_j``, so there are at most
     ``n + 1`` of them, and a segment's candidates are the ``j`` whose
@@ -428,26 +452,12 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     are scanned jointly on the shared z-grid and then refined by a
     fixed-length golden-section loop on a shared tree of brackets.
 
-    Only a grid window around ``[p, q]`` is scanned: ``ea`` peaks at ``p``
-    and ``ed`` at ``q``, both rise below ``p`` and fall above ``q``.  Rounding
-    can break that monotonicity where the factors are flat to the last bit
-    (a tiny ``lam2dt``), so the window is widened until the computed ``ea``
-    and ``ed`` columns are non-decreasing left of it and non-increasing right
-    of it.  Rounding is monotone, so ``ea + r ed`` then is too, for every
-    ratio ``r``, and no grid point outside the window beats its edge.  The
-    window values are the full-grid columns themselves, so the window argmax
-    is bit for bit the full-grid one.  A row whose window argmax falls on a
-    window edge that is not a grid edge (a tie with the points beyond it) is
-    scanned again on the full grid, which keeps the full scan's first-maximum
-    choice.
-
-    Both scans go through ``_first_argmax``, which scores each row only at
-    the points that can be its computed maximum, found from a table of the
-    lines ``ea_j + r ed_j`` that all rows share, and proves there that every
-    other point scores strictly lower.  Each score it forms is the same IEEE
-    product ``r ed`` plus ``ea`` (addition is commutative, so ``r ed + ea ==
-    ea + r ed`` exactly), and it keeps the first maximum, so each row gets
-    ``np.argmax`` of the whole row's scores bit for bit.
+    The scan is one ``_first_argmax`` call on the whole grid, which scores
+    each row only at the points that can be its computed maximum (found
+    from a table of the lines ``ea_j + r ed_j`` that all rows share) and
+    keeps the first maximum.  Each score is the same IEEE product ``r ed``
+    plus ``ea`` (``r ed + ea == ea + r ed`` exactly), so each row gets
+    ``np.argmax`` of its whole-grid scores bit for bit.
 
     The refinement starts each row on the bracket ``[z_{i-1}, z_{i+1}]``
     around its grid argmax ``i`` and takes ``n_iter`` golden-section steps:
@@ -474,20 +484,7 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     with np.errstate(over="ignore"):
         r = np.exp(log_ratio)
     zs, n = Z_GRID, Z_GRID.size
-    ea, ed = _objective_terms(zs, p, q, lam2dt)
-    dea, ded = np.diff(ea), np.diff(ed)
-    w0 = max(int(np.searchsorted(zs, p)) - 1, 0)
-    w1 = min(int(np.searchsorted(zs, q)) + 1, n - 1)
-    not_rising = np.flatnonzero(~((dea >= 0) & (ded >= 0))[:w0])
-    if not_rising.size:
-        w0 = int(not_rising[0])
-    not_falling = np.flatnonzero(~((dea <= 0) & (ded <= 0))[w1:])
-    if not_falling.size:
-        w1 += int(not_falling[-1]) + 1
-    idx = w0 + _first_argmax(r, ea[w0:w1 + 1], ed[w0:w1 + 1])
-    edge = ((idx == w0) & (w0 > 0)) | ((idx == w1) & (w1 < n - 1))
-    if edge.any():
-        idx[edge] = _first_argmax(r[edge], ea, ed)
+    idx = _first_argmax(r, *_objective_terms(zs, p, q, lam2dt))
     n_iter = int(math.ceil(math.log(Z_REFINE_TOL / (2 * Z_SCAN_STEP))
                            / math.log(_INVPHI)))
     # A table can hold a bracket per row (at the second period of a

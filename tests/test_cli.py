@@ -78,7 +78,7 @@ def test_non_finite_market_is_a_config_error(tmp_path, capsys, command, key, mar
     code = run(tmp_path, command, config=config)
     err = capsys.readouterr().err
     assert code == 2
-    assert f"market: {key}: non-finite value" in err
+    assert f"market.{key}: non-finite value" in err
 
 
 def test_pool_optimize_fig1(tmp_path, capsys):
@@ -87,6 +87,16 @@ def test_pool_optimize_fig1(tmp_path, capsys):
     assert code == 0
     z_star = float(out.split("z_star = ")[1].split()[0])
     assert 0.20 <= z_star <= 0.30
+
+
+def test_pool_optimize_fig4_picks_the_higher_of_two_near_tied_maxima(tmp_path, capsys):
+    # the maximum near q = 0.6 is higher by about 5e-12 in log value, but
+    # a refinement to width 1e-6 alone loses 1e-10 of it, which would hand
+    # the win to the one near p = 0.1
+    code = run(tmp_path, "--preset", "fig4", "pool", "optimize", "--t", "300")
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "z_star = 0.600000" in out
 
 
 def test_pool_optimize_fig3_reports_two_maxima(tmp_path, capsys):
@@ -421,6 +431,12 @@ CONFIG_ERRORS = {
     "d-w-fraction": ("market.d_w", ["three-power"], "market:\n  d_w: 1.5\n"),
     "d-w-bool": ("market.d_w", ["three-power"], "market:\n  d_w: true\n"),
     "d-wperp-inf": ("market.d_wperp", ["three-power"], "market:\n  d_wperp: .inf\n"),
+    "n-stocks-zero": ("market.n_stocks: must be at least 1, got 0", ["three-power"],
+                      "market:\n  n_stocks: 0\n"),
+    "d-w-zero": ("market.d_w: must be at least 1, got 0", ["three-power"],
+                 "market:\n  d_w: 0\n"),
+    "d-wperp-negative": ("market.d_wperp: must be at least 0, got -1", ["verify-fpp"],
+                         "market:\n  d_wperp: -1\n"),
     "grid-step-string": ("simulation.grid_step: must be a number, got 'abc'",
                          ["three-power"], "simulation:\n  grid_step: abc\n"),
     "horizon-bool": ("simulation.horizon: must be a number, got True", ["three-power"],

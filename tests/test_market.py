@@ -129,6 +129,14 @@ def test_market_dimensions_must_be_integers(field, bad):
         MarketSpec(**dims, sigma=0.2, mu=0.2)
 
 
+@pytest.mark.parametrize("field, bad, least", [("n_stocks", 0, 1), ("d_w", 0, 1),
+                                               ("d_wperp", -1, 0)])
+def test_market_dimension_below_its_least_names_the_field(field, bad, least):
+    dims = {"n_stocks": 1, "d_w": 1, "d_wperp": 0, field: bad}
+    with pytest.raises(ValueError, match=rf"^{field}: must be at least {least}, got {bad}$"):
+        MarketSpec(**dims, sigma=0.2, mu=0.2)
+
+
 def test_market_dimensions_accept_integral_numbers():
     market = MarketSpec(1.0, np.int64(1), np.float64(1.0), sigma=0.2, mu=0.2)
     assert (market.n_stocks, market.d_w, market.d_wperp) == (1, 1, 1)

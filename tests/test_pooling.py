@@ -180,6 +180,33 @@ def test_log_optimizer_agrees_with_the_linear_one_on_the_sweep():
         assert optimize_constant_z(spec, 30.0).z_star == linear_constant_z(spec, 30.0)
 
 
+def dense_constant_z(spec, t, maxima, half_width=2e-6, step=2e-9):
+    """The tie rule applied to each maximum's best log value on a dense grid
+    of ``step`` over ``z +- half_width``."""
+    log_wa, log_wd = np.log(spec.weights())
+    lam2t = spec.lam ** 2 * t
+    dense = []
+    for z, _ in maxima:
+        zs = z + np.linspace(-half_width, half_width, round(2 * half_width / step) + 1)
+        la, ld = pooling._objective_logs(zs, spec.p, spec.q, lam2t)
+        dense.append((z, float(np.max(np.logaddexp(log_wa + la, log_wd + ld)))))
+    return pooling._pick_global(dense).z_star
+
+
+@pytest.mark.parametrize("name, t", [("fig1", 5671.0), ("fig2", 22122.0),
+                                     ("fig3", 325.0), ("fig3", 373.0),
+                                     ("fig4", 284.0), ("fig4", 300.0)])
+def test_optimizer_picks_the_higher_of_two_near_tied_maxima(name, t):
+    # the two maxima lie within 1e-10 in log value; a refinement to width
+    # Z_REFINE_TOL alone loses more than Z_TIE_TOL at the sharper one, near
+    # q, which would hand the win to the lower one, near p
+    spec = preset(name)
+    res = optimize_constant_z(spec, t)
+    assert len(res.local_maxima) == 2
+    assert res.z_star == dense_constant_z(spec, t, res.local_maxima)
+    assert res.z_star == pytest.approx(spec.q, abs=1e-6)
+
+
 def test_optimizer_flat_objective_is_deterministic():
     spec = PoolSpec(p=0.1, q=0.3, a0=1, d0=1, lam=0.0, x0=1, horizon=30)
     res = optimize_constant_z(spec, 30.0)
@@ -258,11 +285,11 @@ _LOG10_LAM2DT = st.floats(min_value=-14.0, max_value=3.0)
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
        extra=st.lists(st.floats(min_value=-700.0, max_value=700.0), max_size=8))
 @settings(max_examples=200, deadline=None)
-# ea is flat to the last bit left of the window here: rounding, not the
-# closed form, puts the first full-grid maximum outside [p, q]
+# ea is flat to the last bit left of p here: rounding, not the closed
+# form, puts the first full-grid maximum outside [p, q]
 @example(p=0.5, q=0.9999999999999998, lam2dt=1e-14, sd=50.0, seed=0, extra=[])
-def test_greedy_window_matches_full_grid_scan(p, q, lam2dt, sd, seed, extra):
-    # the argmax over [p, q] (plus the edge rescan) is the full-grid argmax
+def test_greedy_matches_full_grid_scan_on_random_ratios(p, q, lam2dt, sd, seed, extra):
+    # the scan, scored only at each row's candidates, is the full-grid scan
     assume(p < q)
     normal = np.random.default_rng(seed).normal(0.0, sd, 256)
     log_ratio = np.concatenate([np.clip(normal, -700.0, 700.0), extra, [-700.0, 700.0]])
@@ -369,19 +396,18 @@ def test_greedy_refinement_memory_on_distinct_brackets():
     assert peak <= 16 * log_ratio.size * 8
 
 
-def test_greedy_flat_objective_rescans_full_grid():
-    # at lam^2 dt = 0 every z ties, so each row's window argmax is the window's
-    # left edge; the full-grid rescan moves it to the first grid point
+def test_greedy_flat_objective_starts_at_the_first_grid_point():
+    # at lam^2 dt = 0 every z ties, so each row's first maximum is the first
+    # grid point, far left of p
     log_ratio = np.linspace(-5.0, 5.0, 11)
     z = _greedy_z_batch(log_ratio, 0.1, 0.3, 0.0)
     assert np.array_equal(z, full_grid_greedy_z(log_ratio, 0.1, 0.3, 0.0))
     assert np.all((Z_EDGE <= z) & (z <= Z_EDGE + Z_SCAN_STEP))
 
 
-def test_greedy_window_widens_right_to_a_rise(monkeypatch):
+def test_greedy_finds_a_rise_right_of_q(monkeypatch):
     # a rise in ed right of q, as rounding can make where it is flat to the
-    # last bit, widens the window up to it: rows that peak there still get
-    # the full-grid argmax
+    # last bit: rows that peak there still get the full-grid argmax
     zs = pooling.Z_GRID
     k = int(np.searchsorted(zs, 0.8))
     terms = pooling._objective_terms
@@ -404,9 +430,8 @@ FIG3_LAM2DT = preset("fig3").lam ** 2 * preset("fig3").rebalance_dt
 
 
 def _scan_block_rows(p, q, lam2dt, monkeypatch):
-    """Rows per block of the last argmax scan a single row goes through (the
-    window scan, or the full-grid rescan when every row takes it): the
-    block holds rows x candidates of its candidate table's widest segment."""
+    """Rows per block of the argmax scan of a single row: the block holds
+    rows x candidates of its candidate table's widest segment."""
     widths = []
     candidate_table = pooling._candidate_table
 
@@ -465,6 +490,10 @@ def _tie_ratios(ea, ed):
        window=st.tuples(st.integers(0, Z_GRID.size - 1), st.integers(1, Z_GRID.size)),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=150, deadline=None)
+# the whole grid, as the greedy scan serves it: flat, nearly flat and fig3
+@example(p=0.1, q=0.3, lam2dt=0.0, window=(0, Z_GRID.size), seed=0)
+@example(p=0.1, q=0.3, lam2dt=1e-14, window=(0, Z_GRID.size), seed=0)
+@example(p=0.1, q=0.3, lam2dt=16.0, window=(0, Z_GRID.size), seed=0)
 def test_first_argmax_equals_full_scan_argmax(p, q, lam2dt, window, seed):
     # scored only at its segment's candidates, each row still gets the first
     # maximum of all its scores, also at and next to every adjacent-pair tie
@@ -487,11 +516,16 @@ def test_first_argmax_scores_an_overflowed_ratio_by_ed_alone():
 
 @pytest.mark.parametrize("lam2dt", [1e-3, 0.25, 1.0, 16.0, 100.0, 1000.0])
 def test_candidate_table_is_narrow_near_fig3_peaks(lam2dt):
-    # the fig3 window's lines cross cleanly: two candidates per segment
+    # the lines of fig3's [p, q] window cross cleanly: two candidates per
+    # segment; on the whole grid the points beyond it are dropped, which
+    # leaves the same table
     ea, ed = _objective_terms(Z_GRID, 0.1, 0.3, lam2dt)
     starts, table = pooling._candidate_table(ea[98:301], ed[98:301])
     assert starts[0] == 0.0 and np.all(np.diff(starts) > 0)
     assert table.shape == (starts.size, 2)
+    whole_starts, whole_table = pooling._candidate_table(ea, ed)
+    assert np.array_equal(whole_starts, starts)
+    assert np.array_equal(whole_table, table + 98)
 
 
 def test_greedy_first_period_memory():
