@@ -64,7 +64,7 @@ class TimeGrid:
     @classmethod
     def regular(cls, horizon: float, step: float) -> "TimeGrid":
         """Uniform grid over [0, horizon] with the closest whole number of steps."""
-        if horizon <= 0 or step <= 0:
+        if not (horizon > 0 and step > 0):
             raise ValueError("horizon and step must be positive")
         if not horizon / step <= MAX_STEPS:
             raise ValueError(f"horizon / step must be at most {MAX_STEPS} steps")

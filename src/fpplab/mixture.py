@@ -335,7 +335,7 @@ def market_view_density(m, qv_m):
 
 def monotone_power_value(x: float, lam_plus_h: np.ndarray, gamma: float) -> float:
     """Time-monotone power criterion (x exp(-|lam+H|^2/(2 gamma)))^(1-gamma)/(1-gamma)."""
-    if x <= 0:
+    if not x > 0:
         raise ValueError("wealth must be positive")
     if gamma in (0.0, 1.0):
         raise ValueError("gamma must avoid 0 and 1")
@@ -414,7 +414,7 @@ class MixtureFpp:
 
     def u0(self, x: float) -> float:
         """U_0(x) = sum_i w_i x^(1-gamma_i)/(1-gamma_i)."""
-        if x <= 0:
+        if not x > 0:
             raise ValueError("wealth must be positive")
         return float(mixture_value(self.mixture.gammas, self.mixture.weights,
                                    np.log(x), 0.0, 0.0, 0.0))

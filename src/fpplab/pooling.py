@@ -350,8 +350,8 @@ def _candidate_table(ea: np.ndarray, ed: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _first_argmax(r: np.ndarray, ea: np.ndarray, ed: np.ndarray) -> np.ndarray:
-    """Each row's first argmax of ``ea + r[i] ed`` over the points, for ratios
-    ``r >= 0``, scored only at the points that can win.
+    """Each row's first argmax of ``ea + r[i] ed`` over the points, for finite
+    ratios ``r >= 0``, scored only at the points that can win.
 
     At a fixed point ``j`` the score is the line ``ea_j + r ed_j`` in ``r``,
     and every row shares the lines, so which points can win depends on ``r``
@@ -361,10 +361,11 @@ def _first_argmax(r: np.ndarray, ea: np.ndarray, ed: np.ndarray) -> np.ndarray:
     with the full scan's expression ``r ed + ea``, and the first maximum is
     kept.  The rows go in blocks, each sorted by ratio, so that one
     ``np.searchsorted`` of the segment starts into the block cuts it into
-    its segments (a search per row, on unsorted ratios, took about twice as
-    long on fig3's traffic).  On fig3's grid 201 of the 999 points are
-    left, at most two to a segment; on a nearly flat objective (``lam^2 dt``
-    of 1e-14) one segment holds 740 of them, and at ``lam^2 dt = 0`` all.
+    its segments (a search per row, on unsorted ratios, is as fast on fig3's
+    comparison traffic but about a third slower on fig1's).  On fig3's grid
+    201 of the 999 points are left, at most two to a segment; on a nearly
+    flat objective (``lam^2 dt`` of 1e-14) one segment holds 740 of them,
+    and at ``lam^2 dt = 0`` all.
 
     Why this is ``np.argmax(ea + r ed)`` bit for bit.  Let ``u = 2^-53`` and
     ``A = max(max|ea|, m)``, ``E = max(max|ed|, m)``, with ``m = 2^-1022``
@@ -405,16 +406,7 @@ def _first_argmax(r: np.ndarray, ea: np.ndarray, ed: np.ndarray) -> np.ndarray:
     ``lo_j <= s_i <= hi_j``.  The pairwise bounds
     and the rows' candidate scores are each formed in blocks of about
     ``SCAN_BLOCK_ELEMS`` elements.
-
-    A row whose ``r`` overflowed to inf scores ``ed`` alone, the limit of its
-    scores over ``r``: its argmax is the first maximum of ``ed``.
     """
-    over = np.isposinf(r)
-    if over.any():
-        idx = np.empty(r.size, dtype=np.intp)
-        idx[over] = np.argmax(ed)
-        idx[~over] = _first_argmax(r[~over], ea, ed)
-        return idx
     starts, table = _candidate_table(ea, ed)
     rows = max(SCAN_BLOCK_ELEMS // table.shape[1], 1)
     idx = np.empty(r.size, dtype=np.intp)
@@ -477,12 +469,20 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     bits (``full_grid_greedy_z`` in the tests is that loop).
 
     A ratio past float range (a log ratio above about 709.78) overflows to
-    ``r = inf``, where ``inf * 0`` would score NaN.  Such a row scores ``ed``
-    alone, the limit of its scores over ``r``, in the scan and in the
-    refinement; every finite row keeps its bits.
+    ``r = inf``, where ``inf * 0`` scores NaN.  Its limit, ``ed`` alone, is
+    the objective with the investors swapped at ratio 0:
+    ``_objective_terms(z, q, p, s)`` is ``(ed, ea)`` bit for bit, and
+    ``ed + 0 ea`` is ``ed`` as ``ea`` is finite.  One swapped call serves
+    all such rows; the scan and the bracket tree see no infinite ratio.
     """
     with np.errstate(over="ignore"):
         r = np.exp(log_ratio)
+    over = np.isposinf(r)
+    if over.any():
+        z = np.full(r.size, _greedy_z_batch(np.array([-np.inf]), q, p, lam2dt)[0])
+        z[~over] = _greedy_z_batch(log_ratio[~over], p, q, lam2dt)
+        return z
+    del over
     zs, n = Z_GRID, Z_GRID.size
     idx = _first_argmax(r, *_objective_terms(zs, p, q, lam2dt))
     n_iter = int(math.ceil(math.log(Z_REFINE_TOL / (2 * Z_SCAN_STEP))
@@ -499,8 +499,6 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
     a = zs[np.maximum(kids - 1, 0)]
     b = zs[np.minimum(kids + 1, n - 1)]
     fc, fd = np.empty(r.size), np.empty(r.size)
-    over = np.flatnonzero(np.isposinf(r))  # rows that score ed alone
-    r[over] = 0.0
     for _ in range(n_iter):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
@@ -509,8 +507,6 @@ def _greedy_z_batch(log_ratio: np.ndarray, p: float, q: float,
             np.take(ed, node, out=f)
             f *= r
             f += ea[node]
-            if over.size:
-                f[over] = ed[node[over]]
             del ea, ed
         node *= 2
         node += ~(fc >= fd)
@@ -546,9 +542,9 @@ def utility_surface(spec: PoolSpec, z_grid, t_grid) -> UtilitySurface:
     t = np.asarray(t_grid, float)
     if z.size == 0 or t.size == 0:
         raise ValueError("grids must be non-empty")
-    if np.any((z <= 0.0) | (z >= 1.0)):
+    if not np.all((z > 0.0) & (z < 1.0)):
         raise ValueError("z grid must lie strictly inside (0, 1)")
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise ValueError("t grid must be nonnegative")
     wa, wd = spec.weights()
     lam2t = _lam2t(spec, t)[:, None]

@@ -68,9 +68,9 @@ def three_power_value(x, z_factor, int_lam2, spec: ThreePowerSpec):
     """
     x = np.asarray(x, float)
     z = np.asarray(z_factor, float)
-    if np.any(x <= 0):
+    if not np.all(x > 0):
         raise ValueError("wealth must be positive")
-    if np.any(z <= 0):
+    if not np.all(z > 0):
         raise ValueError("z_factor must be positive")
     out = signed_exp_sum(*_term_logs(np.log(x), np.log(z), int_lam2, spec.gamma))
     return float(out) if out.ndim == 0 else out
@@ -99,7 +99,7 @@ def three_power_drift_factors(x: float, z_factor: float, int_lam2: float,
     -Z^-1 x^(1-g) * positive_factor * quadratic_factor <= 0.
     """
     g = spec.gamma
-    if x <= 0 or z_factor <= 0:
+    if not (x > 0 and z_factor > 0):
         raise ValueError("wealth and z_factor must be positive")
     i = float(int_lam2)
     a = np.exp(-i / (8.0 * g))

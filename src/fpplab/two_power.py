@@ -120,7 +120,7 @@ def mixture_sp_target(p: float, q: float, a_coeff: float, d_coeff: float, x: flo
     (lam+d)/(1-q) with weights p(1-p)A x^p and q(1-q)D x^q, evaluated in log
     space so extreme wealth or coefficients cannot overflow.
     """
-    if x <= 0 or a_coeff <= 0 or d_coeff <= 0:
+    if not (x > 0 and a_coeff > 0 and d_coeff > 0):
         raise ValueError("wealth and coefficients must be positive")
     ta = (np.atleast_1d(lam) + np.atleast_1d(a_vol)) / (1.0 - p)
     td = (np.atleast_1d(lam) + np.atleast_1d(d_vol)) / (1.0 - q)
@@ -145,7 +145,7 @@ def joint_drift(p: float, q: float, a_coeff: float, d_coeff: float, x: float,
     Zero exactly when the consistency gap vanishes; the magnitude is the
     instantaneous cost of pooling the two investors.
     """
-    if x <= 0 or a_coeff <= 0 or d_coeff <= 0:
+    if not (x > 0 and a_coeff > 0 and d_coeff > 0):
         raise ValueError("wealth and coefficients must be positive")
     gap = consistency_gap(p, q, lam, a_vol, d_vol)
     if gap == 0.0:
@@ -166,9 +166,9 @@ def legendre_dual(y: float, a_coeff: float, d_coeff: float,
     A x*^(-2g) + D x*^(-g) = y holds to machine precision.  Raises
     ValueError naming ``y`` when x* or the dual value leaves float range.
     """
-    if y <= 0:
+    if not y > 0:
         raise ValueError("marginal utility y must be positive")
-    if a_coeff <= 0 or d_coeff <= 0:
+    if not (a_coeff > 0 and d_coeff > 0):
         raise ValueError("coefficients must be positive")
     if not (0.0 < gamma < 0.5):
         raise ValueError("gamma must lie in (0, 1/2) so both powers are in (0, 1)")
@@ -218,29 +218,34 @@ class PowerPathReport:
         return "\n".join(lines)
 
 
-def validate_power_paths(p_path: Sequence[float], q_path: Sequence[float],
-                         tol: float = POWER_PATH_TOL) -> PowerPathReport:
+def validate_power_paths(p_path: Sequence[float], q_path: Sequence[float]) -> PowerPathReport:
     """Check sampled power paths against the necessary conditions.
 
     p may only rise, q may only fall, p_t < q_t throughout; and if p is
-    constant (to tolerance) then q must be constant as well.
+    constant (to ``POWER_PATH_TOL``) then q must be constant as well.  A
+    non-finite entry raises ValueError: no comparison with NaN fails.
     """
     p = np.asarray(p_path, float)
     q = np.asarray(q_path, float)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError("p_path and q_path must be 1-d of equal length")
+    finite = np.isfinite(p) & np.isfinite(q)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"p_path and q_path must be finite, got p = {p[i]:g}, "
+                         f"q = {q[i]:g} at index {i}")
     bad: list[PowerPathViolation] = []
     dp = np.diff(p)
     dq = np.diff(q)
-    for i in np.nonzero(dp < -tol)[0]:
+    for i in np.nonzero(dp < -POWER_PATH_TOL)[0]:
         bad.append(PowerPathViolation(int(i) + 1, "p decrease", float(dp[i])))
-    for i in np.nonzero(dq > tol)[0]:
+    for i in np.nonzero(dq > POWER_PATH_TOL)[0]:
         bad.append(PowerPathViolation(int(i) + 1, "q increase", float(dq[i])))
     for i in np.nonzero(p >= q)[0]:
         bad.append(PowerPathViolation(int(i), "p >= q", float(p[i] - q[i])))
-    if p.size and np.max(np.abs(p - p[0])) <= tol:
+    if p.size and np.max(np.abs(p - p[0])) <= POWER_PATH_TOL:
         drift = np.abs(q - q[0])
-        if np.max(drift) > tol:
+        if np.max(drift) > POWER_PATH_TOL:
             i = int(np.argmax(drift))
             bad.append(PowerPathViolation(i, "q varies while p constant",
                                           float(q[i] - q[0])))

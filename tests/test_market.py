@@ -48,11 +48,17 @@ def test_time_grid_rejects_bad_input(times):
         TimeGrid(np.array(times))
 
 
-@pytest.mark.parametrize("horizon, step", [(1e300, 1e-10), (1e300, 1.0),
-                                           (float("nan"), 1.0)])
+@pytest.mark.parametrize("horizon, step", [(1e300, 1e-10), (1e300, 1.0)])
 def test_time_grid_regular_rejects_step_count_beyond_bound(horizon, step):
     # 1e300 / 1e-10 overflows to inf, which round() cannot convert
     with pytest.raises(ValueError, match="steps"):
+        TimeGrid.regular(horizon, step)
+
+
+@pytest.mark.parametrize("horizon, step", [(float("nan"), 1.0), (1.0, float("nan"))])
+def test_time_grid_regular_rejects_nan(horizon, step):
+    # NaN is not positive; it once got past to the step-count check
+    with pytest.raises(ValueError, match="must be positive"):
         TimeGrid.regular(horizon, step)
 
 

@@ -591,6 +591,10 @@ def test_evaluate_two_atoms_initial():
 def test_evaluate_rejects_nonpositive_wealth():
     with pytest.raises(ValueError):
         initial_value(RiskMixture.single(0.5), 0.0)
+    with pytest.raises(ValueError, match="wealth must be positive"):
+        initial_value(RiskMixture.single(0.5), np.nan)
+    with pytest.raises(ValueError, match="wealth must be positive"):
+        monotone_power_value(np.nan, [0.2], 0.5)
 
 
 def test_evaluate_negative_infinity_sentinel():

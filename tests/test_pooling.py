@@ -283,13 +283,19 @@ _LOG10_LAM2DT = st.floats(min_value=-14.0, max_value=3.0)
                         _LOG10_LAM2DT.map(lambda e: 10.0 ** e)),
        sd=st.sampled_from([1.0, 5.0, 50.0]),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-       extra=st.lists(st.floats(min_value=-700.0, max_value=700.0), max_size=8))
+       extra=st.lists(st.one_of(st.floats(min_value=-1e4, max_value=1e4),
+                                st.sampled_from([math.inf, -math.inf])), max_size=8))
 @settings(max_examples=200, deadline=None)
+# ratios whose exp overflows, alone and beside finite ones
+@example(p=0.1, q=0.3, lam2dt=16.0, sd=5.0, seed=0, extra=[709.79, 710.0, 1e4, math.inf])
+@example(p=0.1, q=0.6, lam2dt=1e-14, sd=1.0, seed=1, extra=[math.inf, -math.inf])
 # ea is flat to the last bit left of p here: rounding, not the closed
 # form, puts the first full-grid maximum outside [p, q]
 @example(p=0.5, q=0.9999999999999998, lam2dt=1e-14, sd=50.0, seed=0, extra=[])
 def test_greedy_matches_full_grid_scan_on_random_ratios(p, q, lam2dt, sd, seed, extra):
-    # the scan, scored only at each row's candidates, is the full-grid scan
+    # the scan, scored only at each row's candidates, is the full-grid scan;
+    # a row whose ratio overflows gets the swapped solve, which is the
+    # reference's ed alone
     assume(p < q)
     normal = np.random.default_rng(seed).normal(0.0, sd, 256)
     log_ratio = np.concatenate([np.clip(normal, -700.0, 700.0), extra, [-700.0, 700.0]])
@@ -464,6 +470,7 @@ def test_greedy_blocked_scan_matches_full_grid(lam2dt, size, monkeypatch):
 def test_greedy_row_does_not_depend_on_its_batch(lam2dt, monkeypatch):
     rows = _scan_block_rows(0.1, 0.3, lam2dt, monkeypatch)
     log_ratio = np.random.default_rng(3).normal(0.0, 5.0, 20_000)
+    log_ratio[-1] = 750.0  # overflows: solved apart, after the finite rows
     z = _greedy_z_batch(log_ratio, 0.1, 0.3, lam2dt)
     for i in (0, rows - 1, rows, 2 * rows + 1, 12_345, 19_999):
         assert z[i] == _greedy_z_batch(log_ratio[i:i + 1], 0.1, 0.3, lam2dt)[0]
@@ -508,10 +515,18 @@ def test_first_argmax_equals_full_scan_argmax(p, q, lam2dt, window, seed):
 
 
 def test_first_argmax_scores_an_overflowed_ratio_by_ed_alone():
-    ea, ed = _objective_terms(Z_GRID, 0.1, 0.3, 16.0)
-    r = np.array([math.inf, 1.0, 0.0])
-    assert np.array_equal(_first_argmax(r, ea, ed),
-                          [np.argmax(ed), np.argmax(ea + ed), np.argmax(ea)])
+    # _greedy_z_batch solves an overflowed row as the objective with the
+    # investors swapped, at ratio 0: the swapped factors are (ed, ea) bit
+    # for bit, and at ratio 0 the scan keeps the first maximum of ed
+    figs = [preset(name) for name in ("fig1", "fig2", "fig3", "fig4")]
+    for p, q in {(spec.p, spec.q) for spec in figs}:
+        for lam2dt in (0.0, 1e-14, 16.0):
+            ea, ed = _objective_terms(Z_GRID, p, q, lam2dt)
+            swapped = _objective_terms(Z_GRID, q, p, lam2dt)
+            assert swapped[0].tobytes() == ed.tobytes()
+            assert swapped[1].tobytes() == ea.tobytes()
+            assert np.array_equal(_first_argmax(np.zeros(3), *swapped),
+                                  np.full(3, np.argmax(ed)))
 
 
 @pytest.mark.parametrize("lam2dt", [1e-3, 0.25, 1.0, 16.0, 100.0, 1000.0])
@@ -672,6 +687,10 @@ def test_surface_validates_grids():
         utility_surface(FIG1, [0.0, 0.5], [1.0])
     with pytest.raises(ValueError):
         utility_surface(FIG1, [0.5], [-1.0])
+    with pytest.raises(ValueError, match="z grid"):
+        utility_surface(FIG1, [math.nan], [1.0])
+    with pytest.raises(ValueError, match="t grid"):
+        utility_surface(FIG1, [0.5], [math.nan])
 
 
 # ---------------------------------------------------------------------------

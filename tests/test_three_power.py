@@ -54,6 +54,16 @@ def test_value_rejects_bad_domain():
         three_power_value(-1.0, 1.0, 0.0, spec)
     with pytest.raises(ValueError):
         three_power_value(1.0, 0.0, 0.0, spec)
+    with pytest.raises(ValueError, match="wealth"):
+        three_power_value(np.nan, 1.0, 0.0, spec)
+    with pytest.raises(ValueError, match="z_factor"):
+        three_power_value(1.0, [1.0, np.nan], 0.0, spec)
+
+
+@pytest.mark.parametrize("x, z_factor", [(np.nan, 1.0), (1.0, np.nan)])
+def test_drift_factors_reject_nan(x, z_factor):
+    with pytest.raises(ValueError, match="must be positive"):
+        three_power_drift_factors(x, z_factor, 0.0, [0.2], [0.0], ThreePowerSpec(0.25))
 
 
 def test_value_survives_small_gamma_long_horizon():

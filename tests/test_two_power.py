@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpplab import two_power
 from fpplab.market import MarketSpec, TimeGrid, brownian_batch
 from fpplab.mixture import H0Spec, JSpec, MixtureFpp, RiskMixture
 from fpplab.two_power import (TwoPowerSpec, coefficient_drifts, consistency_gap,
@@ -148,6 +149,15 @@ def test_portfolio_interpolates_between_targets():
 # ---------------------------------------------------------------------------
 # joint drift
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x, a_coeff, d_coeff", [(np.nan, 1.0, 1.0), (1.0, np.nan, 1.0),
+                                                 (1.0, 1.0, np.nan)])
+@pytest.mark.parametrize("function", [mixture_sp_target, joint_drift],
+                         ids=["mixture_sp_target", "joint_drift"])
+def test_joint_criterion_rejects_nan(function, x, a_coeff, d_coeff):
+    with pytest.raises(ValueError, match="wealth and coefficients must be positive"):
+        function(0.1, 0.3, a_coeff, d_coeff, x, [1.0], [0.0], [0.5])
+
 
 def test_joint_drift_zero_gap():
     # exactly representable zero gap
@@ -307,6 +317,11 @@ def test_dual_rejects_bad_domain():
         legendre_dual(-1.0, 1.0, 1.0, 0.25)
     with pytest.raises(ValueError):
         legendre_dual(1.0, 1.0, 1.0, 0.7)
+    with pytest.raises(ValueError, match="y must be positive"):
+        legendre_dual(np.nan, 1.0, 1.0, 0.25)
+    for a_coeff, d_coeff in ((np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="coefficients must be positive"):
+            legendre_dual(1.0, a_coeff, d_coeff, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +347,21 @@ def test_validator_flags_single_uptick_in_q():
     kinds = {(v.quantity, v.index) for v in report.violations}
     assert ("q increase", 6) in kinds
     assert ("q varies while p constant", 6) in kinds
+
+
+@pytest.mark.parametrize("p, q", [([0.1, np.nan, 0.2], [0.5, 0.5, 0.5]),
+                                  ([0.1, 0.1, 0.2], [0.5, np.inf, np.nan])])
+def test_validator_rejects_non_finite_entries(p, q):
+    # no comparison with NaN fails, so a NaN entry once reported "ok"
+    with pytest.raises(ValueError, match="must be finite, got .* at index 1$"):
+        validate_power_paths(p, q)
+
+
+def test_validator_tolerance_is_the_module_constant(monkeypatch):
+    q = np.array([0.6, 0.6 + 1e-9])
+    assert not validate_power_paths([0.2, 0.2], q).ok
+    monkeypatch.setattr(two_power, "POWER_PATH_TOL", 1e-6)
+    assert validate_power_paths([0.2, 0.2], q).ok
 
 
 def test_validator_flags_p_decrease_and_crossing():
