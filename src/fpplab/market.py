@@ -94,10 +94,10 @@ def _finite_value(value, shape: tuple[int, ...], where: str) -> np.ndarray:
 class Schedule:
     """Deterministic map t -> array, piecewise constant and left-continuous.
 
-    Built from ``(t_i, value_i)`` breakpoints (see ``Schedule.piecewise``; in
-    configuration files they appear as a list of ``{t: ..., value: ...}``
-    entries): the value at ``t`` is the one attached to the largest
-    ``t_i <= t``.  A constant is the one breakpoint ``(0, value)``.
+    Built from a knot list, ``[{"t": t_i, "value": value_i}, ...]`` (the
+    ``{t: ..., value: ...}`` entries of a configuration file), in any order:
+    the value at ``t`` is the one of the largest ``t_i <= t``.  A bare value
+    is a constant, the one knot ``{"t": 0, "value": value}``.
     """
 
     def __init__(self, value, shape: tuple[int, ...]):
@@ -113,17 +113,9 @@ class Schedule:
         self._knot_times = np.array([t for t, _ in knots])
         self._knot_values = [v for _, v in knots]
 
-    @classmethod
-    def piecewise(cls, knots, shape: tuple[int, ...]) -> "Schedule":
-        """Build from an iterable of (t, value) breakpoints."""
-        return cls([{"t": t, "value": v} for t, v in knots], shape)
-
     def knot_index(self, t) -> np.ndarray:
         """Index of the breakpoint in force at each time of ``t``."""
         return np.maximum(np.searchsorted(self._knot_times, t, side="right") - 1, 0)
-
-    def at(self, t: float) -> np.ndarray:
-        return self._knot_values[int(self.knot_index(t))]
 
     def path(self, times) -> np.ndarray:
         """The values at every time of ``times``, stacked along a new first axis."""
@@ -142,9 +134,14 @@ def solve_allocation(sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
     NoExactSolutionError
         If the target is not in the column space of sigma, up to
         ``HEDGE_RTOL``; the error carries the range-space projection residual.
+    ValueError
+        If sigma or the target holds a non-finite value, naming which.
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     target = np.atleast_1d(np.asarray(target, dtype=float))
+    for name, arr in (("sigma", sigma), ("target", target)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name}: must be finite, got {arr}")
     pi = np.linalg.pinv(sigma, rcond=PINV_RCOND) @ target
     residual = float(np.linalg.norm(sigma @ pi - target))
     if residual > HEDGE_RTOL * max(1.0, float(np.linalg.norm(target))):
@@ -190,8 +187,8 @@ def _dimension(name: str, value, least: int) -> int:
 class MarketSpec:
     """Stock count, driving dimensions, and deterministic sigma/mu schedules.
 
-    ``sigma`` accepts a scalar (1x1 market), a (d_w, n) matrix, or a list of
-    ``(t, value)`` breakpoints; likewise ``mu``.  ``d_wperp = 0`` is the
+    ``sigma`` accepts a scalar (1x1 market), a (d_w, n) matrix, or a knot
+    list (see ``Schedule``); likewise ``mu``.  ``d_wperp = 0`` is the
     complete-market case.
     """
 
@@ -214,14 +211,8 @@ class MarketSpec:
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from exc
 
-    def sigma_at(self, t: float) -> np.ndarray:
-        return self.sigma.at(t)
-
-    def mu_at(self, t: float) -> np.ndarray:
-        return self.mu.at(t)
-
     def sharpe_at(self, t: float) -> np.ndarray:
-        return sharpe_ratio(self.sigma_at(t), self.mu_at(t))
+        return sharpe_ratio(self.sigma.path(t), self.mu.path(t))
 
     def sharpe_path(self, grid: TimeGrid) -> np.ndarray:
         """lam at the left endpoint of every grid cell, shape (N, d_w).
@@ -368,10 +359,10 @@ def check_schedule(sp, grid: TimeGrid, d_w: int) -> np.ndarray:
     if sp.shape != (grid.n_steps, d_w):
         raise StrategyEvaluationError(
             f"allocation of shape {sp.shape}, expected ({grid.n_steps}, {d_w})")
-    bad = ~np.all(np.isfinite(sp), axis=1)
-    if bad.any():
+    finite = np.isfinite(sp)
+    if not finite.all():  # a whole-array test: a per-row one on every chunk raised peak RSS
         raise StrategyEvaluationError(
-            f"non-finite allocation at t={float(grid.times[np.argmax(bad)])}")
+            f"non-finite allocation at t={float(grid.times[np.argmin(finite.all(axis=1))])}")
     return sp
 
 
@@ -417,7 +408,7 @@ def running_integral(loadings: np.ndarray, dw: np.ndarray, cols: slice = slice(N
 
 
 def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
-                            grid: TimeGrid, dw: np.ndarray, cols: slice = None,
+                            grid: TimeGrid, dw: np.ndarray, cols: slice = slice(None),
                             carry: np.ndarray = None) -> np.ndarray:
     """Log-wealth paths of an ensemble, a C-ordered (len(cols), B) array.
 
@@ -425,19 +416,14 @@ def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
     holds on grid cell ``k``.  ``lam_path`` is the (N, d_w) Sharpe path on
     the same grid, and ``dw`` holds the (d_w, N, B) increments of the whole
     grid, as ``brownian_batch`` returns them.  ``cols`` is a slice of grid
-    columns; ``None``, the whole horizon (N+1, B), is the one-chunk case.  A
-    chunk past column 0 continues from ``carry``, the (B,) log wealth at the
-    column before it, as in ``running_integral``.  A zero allocation keeps
-    log wealth exactly at ``log(x0)``.
-
-    The whole-horizon call checks the schedule with ``check_schedule``
-    (and raises its ``StrategyEvaluationError``); a chunk call expects a
-    schedule that has passed it.
+    columns, by default the whole horizon (N+1, B).  A chunk past column 0
+    continues from ``carry``, the (B,) log wealth at the column before it,
+    as in ``running_integral``.  A zero allocation keeps log wealth exactly
+    at ``log(x0)``.  Every call checks the schedule with ``check_schedule``
+    (and raises its ``StrategyEvaluationError``).
     """
     d_w, n_steps, n_paths = dw.shape
-    if cols is None:
-        sp = check_schedule(sp, grid, d_w)
-        cols = slice(None)
+    sp = check_schedule(sp, grid, d_w)
     lo, hi, _ = cols.indices(n_steps + 1)
     cells = slice(max(lo - 1, 0), hi - 1)  # the cells ending in cols
     if not sp[cells].any():

@@ -126,14 +126,6 @@ class H0Spec:
     def __post_init__(self):
         _check_kind(self, self.KINDS)
 
-    @classmethod
-    def constant(cls, vec):
-        return cls("constant", vec)
-
-    @classmethod
-    def portfolio_inversion(cls, target_pi):
-        return cls("portfolio_inversion", target_pi)
-
     def check(self, market: MarketSpec) -> None:
         """Raise ValueError unless the value fits the market's dimensions."""
         if self.kind == "constant":
@@ -171,14 +163,6 @@ class JSpec:
 
     def __post_init__(self):
         _check_kind(self, self.KINDS)
-
-    @classmethod
-    def constant(cls, vec_or_per_atom):
-        return cls("constant", vec_or_per_atom)
-
-    @classmethod
-    def factor(cls, rho, a):
-        return cls("factor", rho=rho, a=a)
 
     def check(self, market: MarketSpec, n_atoms: int) -> None:
         """Raise ValueError unless the loadings fit the market and the atom count."""
@@ -252,10 +236,6 @@ class RiskMixture:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    @classmethod
-    def single(cls, gamma: float, weight: float = 1.0) -> "RiskMixture":
-        return cls(atoms=((gamma, weight),), gamma0=gamma)
-
 
 # ---------------------------------------------------------------------------
 # Elementary operations
@@ -266,8 +246,8 @@ def hgamma(gamma, gamma0: float, lam: np.ndarray, h0: np.ndarray) -> np.ndarray:
 
     Broadcasts ``gamma`` (...) against ``lam`` and ``h0`` (..., d_w).
     """
-    if gamma0 == 0:
-        raise ValueError("gamma0 must be nonzero")
+    if not abs(gamma0) > 0:  # NaN is not nonzero either
+        raise ValueError(f"gamma0 must be nonzero, got {gamma0}")
     g = np.asarray(gamma, float)[..., None]
     return ((g - gamma0) / gamma0) * lam + (g / gamma0) * h0
 
@@ -279,11 +259,17 @@ def vgamma_rate(gamma, lam: np.ndarray, hg: np.ndarray):
     stacked ``u @ u``, with the 1-d product's bits (einsum's differ).
     """
     g = np.asarray(gamma, float)
-    if np.any(g == 0):
-        raise ValueError("gamma must be nonzero")
+    if not np.all(np.abs(g) > 0):  # NaN is not nonzero either
+        raise ValueError(f"gamma must be nonzero, got {gamma}")
     u = np.atleast_1d(lam) + np.atleast_1d(hg)
     out = -(1.0 - g) / (2.0 * g) * (u[..., None, :] @ u[..., :, None])[..., 0, 0]
     return float(out) if out.ndim == 0 else out
+
+
+def _check_gamma(gamma: float) -> None:
+    """Raise ValueError unless the aversion is a number other than 0 and 1."""
+    if not abs(gamma) > 0 or gamma == 1.0:  # NaN fails the first test
+        raise ValueError(f"gamma must avoid 0 and 1, got {gamma}")
 
 
 def drift_term(gamma: float, sp: np.ndarray, lam: np.ndarray, hg: np.ndarray) -> float:
@@ -292,8 +278,7 @@ def drift_term(gamma: float, sp: np.ndarray, lam: np.ndarray, hg: np.ndarray) ->
     Equals ``-(gamma/2) |sp - sp*|^2`` with ``sp* = (lam + hg)/gamma``: zero
     exactly at the optimiser, strictly negative elsewhere.
     """
-    if gamma in (0.0, 1.0):
-        raise ValueError("gamma must avoid 0 and 1")
+    _check_gamma(gamma)
     sp = np.atleast_1d(np.asarray(sp, float))
     u = np.atleast_1d(lam) + np.atleast_1d(hg)
     return float(vgamma_rate(gamma, lam, hg) / (1.0 - gamma) + sp @ u
@@ -337,8 +322,7 @@ def monotone_power_value(x: float, lam_plus_h: np.ndarray, gamma: float) -> floa
     """Time-monotone power criterion (x exp(-|lam+H|^2/(2 gamma)))^(1-gamma)/(1-gamma)."""
     if not x > 0:
         raise ValueError("wealth must be positive")
-    if gamma in (0.0, 1.0):
-        raise ValueError("gamma must avoid 0 and 1")
+    _check_gamma(gamma)
     u = np.atleast_1d(np.asarray(lam_plus_h, float))
     return float(np.exp((1.0 - gamma) * (np.log(x) - (u @ u) / (2.0 * gamma)))
                  / (1.0 - gamma))
@@ -477,6 +461,12 @@ class TrueFppConstants:
         return max(branch1, branch2)
 
 
+def _check_integrability(v: float, u: float) -> None:
+    """Raise InvalidExponentError unless v > 1 and u > 1; NaN is neither."""
+    if not (v > 1 and u > 1):
+        raise InvalidExponentError(f"need v > 1 and u > 1, got v={v}, u={u}")
+
+
 def true_fpp_constants(v: float, u: float, p1: float, p2: float, p3: float,
                        gamma0: float, mixture: RiskMixture) -> TrueFppConstants:
     """Derive q = 2v/(v-1) and the lower bounds for the Novikov constants.
@@ -486,9 +476,8 @@ def true_fpp_constants(v: float, u: float, p1: float, p2: float, p3: float,
     InvalidExponentError
         Unless v, u, p1, p2, p3 > 1 and 1/p1 + 1/p2 + 1/p3 < 1.
     """
-    if v <= 1 or u <= 1:
-        raise InvalidExponentError(f"need v > 1 and u > 1, got v={v}, u={u}")
-    if min(p1, p2, p3) <= 1:
+    _check_integrability(v, u)
+    if not (p1 > 1 and p2 > 1 and p3 > 1):  # NaN exceeds nothing
         raise InvalidExponentError("all Holder exponents must exceed 1")
     if 1.0 / p1 + 1.0 / p2 + 1.0 / p3 >= 1.0:
         raise InvalidExponentError(
@@ -530,8 +519,7 @@ def check_admissibility_moments(sp: np.ndarray, market: MarketSpec,
     max_k sum_i w_i E[X_{t_k}^(2uv(1-g_i))], first attained at ``sup_time``.
     Both are summed in log space, so a moment past float range reads inf.
     """
-    if v <= 1 or u <= 1:
-        raise InvalidExponentError(f"need v > 1 and u > 1, got v={v}, u={u}")
+    _check_integrability(v, u)
     if not 0 < x0 < np.inf:
         raise ValueError("wealth must be positive and finite")
     sp = check_schedule(sp, grid, market.d_w)

@@ -235,12 +235,6 @@ class OptimizeResult:
     log_value: float  # log of the expected utility at z_star
     local_maxima: tuple[tuple[float, float], ...]  # (z, log value), best first
 
-    @property
-    def value(self) -> float:
-        """The expected utility at ``z_star``: 0 or inf past float range."""
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_value))
-
 
 def _pick_global(maxima: list[tuple[float, float]]) -> OptimizeResult:
     if not maxima:

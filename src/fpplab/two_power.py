@@ -188,6 +188,8 @@ def legendre_dual(y: float, a_coeff: float, d_coeff: float,
 
 def dual_marginal(x: float, a_coeff: float, d_coeff: float, gamma: float) -> float:
     """U'(x) = A x^(-2g) + D x^(-g) for the double-aversion family."""
+    if not x > 0:
+        raise ValueError(f"wealth must be positive, got {x}")
     return float(a_coeff * x ** (-2.0 * gamma) + d_coeff * x ** (-gamma))
 
 

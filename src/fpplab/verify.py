@@ -306,7 +306,7 @@ def structure_scan(evaluate: Callable, states: Sequence, x_grid) -> StructureRep
     x = np.asarray(x_grid, float)
     if x.size < 8:
         raise ValueError("need at least 8 grid points")
-    if np.any(np.diff(x) <= 0):
+    if not np.all(np.diff(x) > 0):  # NaN is not increasing
         raise ValueError("x grid must be strictly increasing")
     worst_inc = np.inf
     worst_conc = -np.inf

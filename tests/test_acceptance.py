@@ -31,7 +31,7 @@ UNIT_SHARPE_MARKET = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.2)
 def test_criterion_01_martingale_suite():
     """Single-atom criterion: martingale at the optimiser, exact decay at null."""
     start = time.monotonic()
-    mix = RiskMixture.single(0.5)
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
     grid = TimeGrid.regular(1.0, 1 / 252)
     fpp = MixtureFpp(mix, BASE_MARKET, grid)
     [report] = martingale_test(fpp, [(fpp.sp_star, "martingale")],
@@ -69,7 +69,7 @@ def test_criterion_02_h_inversion():
 
     # one representative inverted criterion through the Monte Carlo suite
     mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5,
-                      h0=H0Spec.portfolio_inversion([1.7]))
+                      h0=H0Spec("portfolio_inversion", [1.7]))
     grid = TimeGrid.regular(1.0, 1 / 252)
     fpp = MixtureFpp(mix, BASE_MARKET, grid)
     assert fpp.sp_star[0] == pytest.approx([0.2 * 1.7])
@@ -136,8 +136,8 @@ def test_criterion_03_two_power_characterisation():
         log_x = (c * lam[0] - 0.5 * c * c) * t + c * w_t[:, :, 0]
         joint = np.exp(log_a + p * log_x) + np.exp(log_d + q * log_x)
         mix = RiskMixture(atoms=((1 - p, p * 1.1), (1 - q, q * 0.8)),
-                          gamma0=1 - p, h0=H0Spec.constant(a),
-                          j=JSpec.constant([a_perp, d_perp]))
+                          gamma0=1 - p, h0=H0Spec("constant", a),
+                          j=JSpec("constant", [a_perp, d_perp]))
         generic_fpp = MixtureFpp(mix, market, grid)
         generic = generic_fpp.utility_paths(generic_fpp.state_paths(dw, dwp), log_x)
         np.testing.assert_allclose(joint, generic, rtol=1e-10)
@@ -324,7 +324,7 @@ def test_criterion_08_three_power_suite():
 
 def test_criterion_09_constants_calculator():
     """q and the Novikov lower bound at the reference exponents, plus rejection."""
-    mix = RiskMixture.single(0.5)
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
     consts = true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, 0.5, mix)
     assert consts.q == 4.0
     assert consts.cj_lower == 120.0

@@ -138,8 +138,8 @@ def test_pool_surface_fig4_decays_fast():
     from fpplab.pooling import optimize_constant_z, preset
 
     spec = preset("fig4")
-    best_late = optimize_constant_z(spec, 30.0).value
-    assert best_late < 0.6 * 2.0  # below 60% of the t = 0 level
+    best_late = optimize_constant_z(spec, 30.0).log_value
+    assert best_late < np.log(0.6 * 2.0)  # below 60% of the t = 0 level
 
 
 def test_pool_compare_csv_and_reproducibility(tmp_path):

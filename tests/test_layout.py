@@ -2,7 +2,6 @@
 batch-of-one equality, and C-ordered (rows, time, paths) arrays from the
 increments to the criterion value."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,8 +138,8 @@ def test_one_path_batch_equals_its_row(d_w):
     market = MarketSpec(n_stocks=d_w, d_w=d_w, d_wperp=1, sigma=sigma,
                         mu=rng.uniform(0.0, 0.1, d_w))
     mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5,
-                      h0=H0Spec.constant(rng.normal(0.0, 0.1, d_w)),
-                      j=JSpec.constant([0.2]))
+                      h0=H0Spec("constant", rng.normal(0.0, 0.1, d_w)),
+                      j=JSpec("constant", [0.2]))
     criteria = [MixtureFpp(mix, market, grid),
                 ThreePowerFpp(ThreePowerSpec(0.2), market, grid)]
     sp = rng.normal(size=(grid.n_steps, d_w))
@@ -161,16 +160,7 @@ def test_one_path_batch_equals_its_row(d_w):
                                   single[..., 0].view(np.int64))
 
 
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_three_power_utility_builds_its_terms_in_place():
+def test_three_power_utility_builds_its_terms_in_place(traced_peak):
     # one (3, TIME_CHUNK, B) term buffer, evaluated in place, plus a few
     # (TIME_CHUNK, B) rows: no stacked copy and no per-operation temporaries
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.2)
@@ -188,7 +178,7 @@ def test_three_power_utility_builds_its_terms_in_place():
 
 @pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0), (1.0, -1.0, 1.0)],
                          ids=["same-sign", "signed"])
-def test_signed_exp_sum_allocates_only_the_max_row(signs):
+def test_signed_exp_sum_allocates_only_the_max_row(signs, traced_peak):
     # on a (3, TIME_CHUNK, TILE_PATHS) chunk of term logs the sum, its sign and
     # U are formed in the term rows: the call allocates one (TIME_CHUNK,
     # TILE_PATHS) max row, the one-byte-per-cell mask of its non-finite
@@ -200,7 +190,7 @@ def test_signed_exp_sum_allocates_only_the_max_row(signs):
     assert peak <= row + logs[0].size + 4096
 
 
-def test_one_term_einsum_dot_allocates_no_product_row():
+def test_one_term_einsum_dot_allocates_no_product_row(traced_peak):
     # one loading per row (a one-stock state or wealth) writes its one product
     # into ``out``: no spare (TIME_CHUNK, TILE_PATHS) product row; the only
     # allocation is the ufunc buffer numpy's broadcast multiply itself takes
@@ -214,7 +204,7 @@ def test_one_term_einsum_dot_allocates_no_product_row():
 
 
 @pytest.mark.parametrize("rows, drift", [(3, False), (1, True)], ids=["state", "wealth"])
-def test_running_integral_steps_allocate_no_column_copies(rows, drift):
+def test_running_integral_steps_allocate_no_column_copies(rows, drift, traced_peak):
     # one (rows, TIME_CHUNK, TILE_PATHS) chunk call, a criterion state or a
     # drifted log wealth, peaks under its result plus one einsum_dot call's
     # own peak (two (TIME_CHUNK, TILE_PATHS) product rows and numpy's ufunc
@@ -247,7 +237,7 @@ def test_engine_arrays_are_c_ordered_rows_by_time_by_paths():
     market = MarketSpec(n_stocks=d_w, d_w=d_w, d_wperp=d_wp, sigma=np.diag([0.2, 0.3]),
                         mu=[0.05, 0.02])
     mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5,
-                      j=JSpec.constant([0.2]))
+                      j=JSpec("constant", [0.2]))
     buf = np.empty((d_w + d_wp, grid.n_steps, n_paths))
     dw, dwp = brownian_batch(grid, d_w, d_wp, 3, range(n_paths), out=buf)
     assert dw.shape == (d_w, grid.n_steps, n_paths)
@@ -261,8 +251,7 @@ def test_engine_arrays_are_c_ordered_rows_by_time_by_paths():
             carry = last = None
             for cols in [whole] + _time_chunks(grid.n_steps + 1):
                 w = cols.stop - cols.start
-                log_x = evolve_log_wealth_batch(1.0, sp, fpp.lam_path, grid, dw,
-                                                None if cols == whole else cols, last)
+                log_x = evolve_log_wealth_batch(1.0, sp, fpp.lam_path, grid, dw, cols, last)
                 state = fpp.state_paths(dw, dwp, cols, carry)
                 u = fpp.utility_paths(state, log_x, cols)
                 assert log_x.shape == (w, n_paths) and log_x.flags.c_contiguous

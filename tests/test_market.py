@@ -63,16 +63,16 @@ def test_time_grid_regular_rejects_nan(horizon, step):
 
 
 def test_schedule_piecewise_left_continuous():
-    sched = Schedule.piecewise([(0.0, 1.0), (2.0, 3.0)], shape=(1,))
-    assert sched.at(0.0) == 1.0
-    assert sched.at(1.999) == 1.0
-    assert sched.at(2.0) == 3.0
-    assert sched.at(10.0) == 3.0
+    sched = Schedule([{"t": 0.0, "value": 1.0}, {"t": 2.0, "value": 3.0}], shape=(1,))
+    assert sched.path(0.0) == 1.0
+    assert sched.path(1.999) == 1.0
+    assert sched.path(2.0) == 3.0
+    assert sched.path(10.0) == 3.0
 
 
 def test_schedule_piecewise_requires_zero_knot():
     with pytest.raises(ValueError):
-        Schedule.piecewise([(1.0, 2.0)], shape=(1,))
+        Schedule([{"t": 1.0, "value": 2.0}], shape=(1,))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +122,16 @@ def test_solve_allocation_residual_reported():
     with pytest.raises(NoExactSolutionError) as excinfo:
         solve_allocation(sigma, [0.0, 1.0])
     assert excinfo.value.residual == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("sigma,target,name", [
+    ([[0.2]], [float("nan")], "target"),  # residual > tol is False for NaN
+    ([[float("nan")]], [0.1], "sigma"),  # once numpy's LinAlgError
+    ([[0.2]], [float("inf")], "target"),  # once a RuntimeWarning
+], ids=["nan-target", "nan-sigma", "inf-target"])
+def test_solve_allocation_rejects_non_finite_input(sigma, target, name):
+    with pytest.raises(ValueError, match=f"^{name}: must be finite"):
+        solve_allocation(sigma, target)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, False, "1", float("nan")],
@@ -235,7 +245,7 @@ def test_log_scheme_single_step_arithmetic():
     # dlog x = (0.4*0.2 - 0.5*0.16) + 0.4*0.5 = 0.2
     market = make_market()
     grid = TimeGrid(np.array([0.0, 1.0]))
-    sp = market.sigma_at(0.0) @ np.array([2.0])  # pi = 2 -> sigma*pi = 0.4
+    sp = market.sigma.path(0.0) @ np.array([2.0])  # pi = 2 -> sigma*pi = 0.4
     log_x = evolve_log_wealth_batch(1.0, sp[None, :], market.sharpe_path(grid),
                                     grid, np.array([[[0.5]]]))
     assert log_x[-1, 0] == pytest.approx(0.2, abs=1e-15)
@@ -260,7 +270,7 @@ def test_piecewise_constant_allocation_matches_closed_form():
     grid = TimeGrid.regular(1.0, 0.125)
     dw, _ = brownian_batch(grid, 1, 0, seed=21, path_ids=[0])
     # pi jumps from 1 to 3 at t = 0.5
-    sp = np.array([market.sigma_at(t) @ np.array([1.0 if t < 0.5 else 3.0])
+    sp = np.array([market.sigma.path(t) @ np.array([1.0 if t < 0.5 else 3.0])
                    for t in grid.times[:-1]])
     log_x = evolve_log_wealth_batch(1.0, sp, market.sharpe_path(grid), grid, dw)
     expected = 0.0
@@ -428,7 +438,7 @@ def test_running_integral_matches_stepwise_reference(with_drift, with_j, d_w, ro
 def test_piecewise_market_schedule_in_sharpe_path():
     market = MarketSpec(
         n_stocks=1, d_w=1, d_wperp=0,
-        sigma=Schedule.piecewise([(0.0, [[0.2]]), (0.5, [[0.4]])], (1, 1)),
+        sigma=Schedule([{"t": 0.0, "value": [[0.2]]}, {"t": 0.5, "value": [[0.4]]}], (1, 1)),
         mu=0.04)
     grid = TimeGrid.regular(1.0, 0.25)
     lam = market.sharpe_path(grid)
@@ -441,7 +451,7 @@ def test_sharpe_path_checks_the_horizon():
     # the horizon starts no cell, yet a market singular there is rejected
     market = MarketSpec(
         n_stocks=1, d_w=1, d_wperp=0,
-        sigma=Schedule.piecewise([(0.0, [[0.2]]), (1.0, [[0.0]])], (1, 1)),
+        sigma=Schedule([{"t": 0.0, "value": [[0.2]]}, {"t": 1.0, "value": [[0.0]]}], (1, 1)),
         mu=0.04)
     assert market.sharpe_path(TimeGrid.regular(0.75, 0.25)).shape == (3, 1)
     with pytest.raises(SingularMarketError, match="column-rank deficient"):
@@ -451,10 +461,11 @@ def test_sharpe_path_solves_each_knot_run_once(monkeypatch):
     # sigma and mu change at knots on and between grid times: every row holds
     # sharpe_at of its own time bit for bit, from one solve per run of times
     # that share both knots
-    sigma = Schedule.piecewise([(0.0, [[0.3, 0.1], [0.0, 0.2]]),
-                                (0.3, [[0.25, 0.0], [0.05, 0.4]]),
-                                (0.5, [[0.2, 0.1], [0.1, 0.3]])], (2, 2))
-    mu = Schedule.piecewise([(0.0, [0.05, 0.02]), (0.75, [0.01, 0.07])], (2,))
+    sigma = Schedule([{"t": 0.0, "value": [[0.3, 0.1], [0.0, 0.2]]},
+                      {"t": 0.3, "value": [[0.25, 0.0], [0.05, 0.4]]},
+                      {"t": 0.5, "value": [[0.2, 0.1], [0.1, 0.3]]}], (2, 2))
+    mu = Schedule([{"t": 0.0, "value": [0.05, 0.02]},
+                   {"t": 0.75, "value": [0.01, 0.07]}], (2,))
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=0, sigma=sigma, mu=mu)
     grid = TimeGrid.regular(1.0, 0.125)
     calls = []
@@ -465,14 +476,14 @@ def test_sharpe_path_solves_each_knot_run_once(monkeypatch):
     assert len(calls) == 4  # [0, 0.3), [0.3, 0.5), [0.5, 0.75), [0.75, 1]
     for k, t in enumerate(grid.times[:-1]):
         assert np.array_equal(lam[k].view(np.int64),
-                              original(sigma.at(t), mu.at(t)).view(np.int64))
+                              original(sigma.path(t), mu.path(t)).view(np.int64))
 
 
 def test_sharpe_path_names_the_first_singular_time():
     # sigma turns rank deficient at t = 0.55, between grid times: the error
     # names 0.75, the first grid time at or after that knot
-    sigma = Schedule.piecewise([(0.0, [[0.2, 0.1], [0.0, 0.3]]),
-                                (0.55, [[0.2, 0.1], [0.4, 0.2]])], (2, 2))
+    sigma = Schedule([{"t": 0.0, "value": [[0.2, 0.1], [0.0, 0.3]]},
+                      {"t": 0.55, "value": [[0.2, 0.1], [0.4, 0.2]]}], (2, 2))
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=0, sigma=sigma, mu=[0.05, 0.02])
     assert market.sharpe_path(TimeGrid.regular(0.5, 0.25)).shape == (2, 2)
     with pytest.raises(SingularMarketError, match=r"column-rank deficient .* at t=0\.75$"):

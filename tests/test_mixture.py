@@ -17,7 +17,10 @@ from fpplab.mixture import (H0Spec, JSpec, MixtureFpp, RiskMixture,
                             monotone_power_value, optimal_portfolio, signed_exp_sum,
                             true_fpp_constants, vgamma_rate)
 from fpplab.three_power import ThreePowerFpp, ThreePowerSpec
+from fpplab.two_power import dual_marginal
 from fpplab.verify import _time_chunks, structure_scan
+
+NAN = float("nan")
 
 
 def base_market(d_wperp=0):
@@ -239,7 +242,7 @@ def test_factor_j_degenerate():
 def test_accumulate_zero_dynamics():
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.0)
     grid = TimeGrid(np.array([0.0, 0.5]))
-    fpp = MixtureFpp(RiskMixture.single(0.5), market, grid)
+    fpp = MixtureFpp(RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5), market, grid)
     m, qv, v = fpp.state_paths(np.array([[[0.3]]]), np.zeros((0, 1, 1))), fpp.qv, fpp.v
     assert m[:, -1, 0] == pytest.approx([0.0])
     assert qv[:, -1] == pytest.approx([0.0])
@@ -248,7 +251,7 @@ def test_accumulate_zero_dynamics():
 
 def test_accumulate_single_atom_base_loading_vanishes():
     # h0 = 0 at the base aversion: M stays 0, V integrates the rate exactly
-    mix = RiskMixture.single(0.5)
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
     grid = TimeGrid.regular(1.0, 0.1)
     fpp = MixtureFpp(mix, base_market(), grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=0, path_ids=[0])
@@ -264,7 +267,7 @@ def test_accumulate_matches_brute_force_recomputation():
     # two drivers with lam = (0.3, 0.1), one W_perp, per-atom J
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1, sigma=np.eye(2), mu=[0.3, 0.1])
     mix = RiskMixture(atoms=((0.4, 1.0), (2.0, 0.7)), gamma0=0.4,
-                      h0=H0Spec.constant([0.1, -0.05]), j=JSpec.constant([[0.2], [0.3]]))
+                      h0=H0Spec("constant", [0.1, -0.05]), j=JSpec("constant", [[0.2], [0.3]]))
     grid = TimeGrid.regular(1.0, 0.05)
     fpp = MixtureFpp(mix, market, grid)
     rng = np.random.default_rng(5)
@@ -281,13 +284,13 @@ def test_accumulate_matches_brute_force_recomputation():
 
 
 def test_factor_loadings_enter_the_state():
-    # JSpec.factor gives atom i the W_perp loading A (rho'rho)^-1 rho' H_i on
+    # a factor JSpec gives atom i the W_perp loading A (rho'rho)^-1 rho' H_i on
     # every cell, and the state and its quadratic variation carry it
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1, sigma=np.eye(2), mu=[0.3, 0.1])
     rho, a = [[1.0], [0.5]], [[0.4]]
     lam, h0 = np.array([0.3, 0.1]), np.array([0.1, -0.05])
     mix = RiskMixture(atoms=((0.4, 1.0), (2.0, 0.7)), gamma0=0.4,
-                      h0=H0Spec.constant(h0), j=JSpec.factor(rho, a))
+                      h0=H0Spec("constant", h0), j=JSpec("factor", rho=rho, a=a))
     mix.j.check(market, mix.n_atoms)
     grid = TimeGrid.regular(1.0, 0.05)
     fpp = MixtureFpp(mix, market, grid)
@@ -311,12 +314,12 @@ def test_factor_loadings_enter_the_state():
 def test_factor_loadings_must_fit_the_market(rho, a, field):
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1, sigma=np.eye(2), mu=[0.3, 0.1])
     with pytest.raises(ValueError, match=f"^{field}: needs shape"):
-        JSpec.factor(rho, a).check(market, 2)
+        JSpec("factor", rho=rho, a=a).check(market, 2)
 
 
 @pytest.mark.parametrize("h0, j", [
-    (H0Spec.constant([0.1]), JSpec()),  # one entry on a d_w = 2 market
-    (H0Spec(), JSpec.constant([[0.1], [0.2], [0.3]])),  # three rows for two atoms
+    (H0Spec("constant", [0.1]), JSpec()),  # one entry on a d_w = 2 market
+    (H0Spec(), JSpec("constant", [[0.1], [0.2], [0.3]])),  # three rows for two atoms
 ])
 def test_criterion_loadings_must_fit_the_market(h0, j):
     # a criterion built in code is checked as one built from a config: a
@@ -330,7 +333,7 @@ def test_criterion_loadings_must_fit_the_market(h0, j):
 def test_state_paths_match_stepwise_accumulation():
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=1, sigma=0.25, mu=0.05)
     mix = RiskMixture(atoms=((0.5, 1.0), (0.8, 2.0)), gamma0=0.5,
-                      h0=H0Spec.constant([0.1]), j=JSpec.constant([0.2]))
+                      h0=H0Spec("constant", [0.1]), j=JSpec("constant", [0.2]))
     grid = TimeGrid.regular(1.0, 0.125)
     fpp = MixtureFpp(mix, market, grid)
     dw, dwp = brownian_batch(grid, 1, 1, seed=8, path_ids=[0])
@@ -352,7 +355,7 @@ def test_state_paths_chunks_equal_whole_horizon(n_steps):
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1, sigma=[[0.2, 0.0], [0.05, 0.3]],
                         mu=[0.04, 0.06])
     mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5,
-                      j=JSpec.constant([[0.1], [0.0], [-0.2]]))
+                      j=JSpec("constant", [[0.1], [0.0], [-0.2]]))
     grid = TimeGrid(np.linspace(0.0, 1.0, n_steps + 1))
     dw, dwp = brownian_batch(grid, 2, 1, seed=5, path_ids=range(30))
     for fpp in (MixtureFpp(mix, market, grid),
@@ -449,7 +452,7 @@ def test_sp_star_rows_equal_the_per_time_formula():
                                {"t": 0.4, "value": [[0.25, 0.02], [0.0, 0.15]]}],
                         mu=[{"t": 0.0, "value": [0.04, 0.06]},
                             {"t": 0.7, "value": [0.08, 0.01]}])
-    h0 = H0Spec.portfolio_inversion([0.5, 0.3])
+    h0 = H0Spec("portfolio_inversion", [0.5, 0.3])
     mix = RiskMixture(atoms=((0.3, 1.0), (0.8, 0.5)), gamma0=0.6, h0=h0)
     grid = TimeGrid.regular(1.0, 0.1)
     fpp = MixtureFpp(mix, market, grid)
@@ -457,7 +460,7 @@ def test_sp_star_rows_equal_the_per_time_formula():
     for k, t in enumerate(grid.times[:-1]):
         lam = market.sharpe_at(float(t))
         assert np.array_equal(fpp.lam_path[k], lam)
-        h0_t = 0.6 * (market.sigma_at(float(t)) @ np.array([0.5, 0.3])) - lam
+        h0_t = 0.6 * (market.sigma.path(float(t)) @ np.array([0.5, 0.3])) - lam
         assert np.array_equal(fpp.sp_star[k], (lam + h0_t) / 0.6)
     assert not np.array_equal(fpp.sp_star[0], fpp.sp_star[-1])
 
@@ -480,7 +483,7 @@ def per_cell_construction(mix, market, grid):
         if mix.h0.kind == "constant":
             h0 = mix.h0.value
         elif mix.h0.kind == "portfolio_inversion":
-            h0 = g0 * (market.sigma_at(t) @ mix.h0.value) - lam
+            h0 = g0 * (market.sigma.path(t) @ mix.h0.value) - lam
         else:
             h0 = np.zeros(market.d_w)
         sp_star[k] = (lam + h0) / g0
@@ -511,16 +514,18 @@ PIECEWISE_MARKET = MarketSpec(
 @pytest.mark.parametrize("mix, market", [
     # the mix3 benchmark criterion: portfolio_inversion h0, constant J
     (RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (0.8, 0.25)), gamma0=0.5,
-                 h0=H0Spec.portfolio_inversion([0.5, 0.3, 0.2]), j=JSpec.constant([0.1])),
+                 h0=H0Spec("portfolio_inversion", [0.5, 0.3, 0.2]),
+                 j=JSpec("constant", [0.1])),
      MarketSpec(n_stocks=3, d_w=3, d_wperp=1,
                 sigma=[[0.2, 0.0, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.3]],
                 mu=[0.04, 0.05, 0.06])),
     # sigma and mu jump inside the horizon
     (RiskMixture(atoms=((0.3, 1.0), (0.8, 0.5), (1.7, 0.2)), gamma0=0.8,
-                 h0=H0Spec.portfolio_inversion([0.5, 0.3])), PIECEWISE_MARKET),
+                 h0=H0Spec("portfolio_inversion", [0.5, 0.3])), PIECEWISE_MARKET),
     # a per-atom (n_atoms, d_wperp) constant J and a constant h0
     (RiskMixture(atoms=((0.4, 1.0), (2.0, 0.7)), gamma0=0.4,
-                 h0=H0Spec.constant([0.1, -0.05]), j=JSpec.constant([[0.2, -0.1], [0.3, 0.4]])),
+                 h0=H0Spec("constant", [0.1, -0.05]),
+                 j=JSpec("constant", [[0.2, -0.1], [0.3, 0.4]])),
      PIECEWISE_MARKET),
 ], ids=["mix3", "piecewise", "per-atom-j"])
 def test_whole_grid_construction_equals_the_per_cell_loop(mix, market):
@@ -535,8 +540,9 @@ def test_whole_grid_construction_equals_the_per_cell_loop(mix, market):
 def test_factor_loadings_equal_the_per_cell_loop():
     # a vectorised solve may round differently; no digest reads factor J
     mix = RiskMixture(atoms=((0.4, 1.0), (2.0, 0.7), (0.9, 0.3)), gamma0=0.9,
-                      h0=H0Spec.portfolio_inversion([0.5, 0.3]),
-                      j=JSpec.factor([[1.0, 0.2], [0.5, -0.3]], [[0.4, 0.1], [-0.2, 0.6]]))
+                      h0=H0Spec("portfolio_inversion", [0.5, 0.3]),
+                      j=JSpec("factor", rho=[[1.0, 0.2], [0.5, -0.3]],
+                              a=[[0.4, 0.1], [-0.2, 0.6]]))
     grid = TimeGrid.regular(1.0, 0.01)
     fpp = MixtureFpp(mix, PIECEWISE_MARKET, grid)
     expected = per_cell_construction(mix, PIECEWISE_MARKET, grid)
@@ -572,11 +578,12 @@ def test_hgamma_and_vgamma_rate_on_arrays_equal_their_scalar_calls(d_w):
 # ---------------------------------------------------------------------------
 
 def test_evaluate_initial_condition_single_atom():
-    assert initial_value(RiskMixture.single(0.5), 4.0) == pytest.approx(4.0)
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
+    assert initial_value(mix, 4.0) == pytest.approx(4.0)
 
 
 def test_evaluate_with_state():
-    mix = RiskMixture.single(0.5)
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
     value = mixture_value(mix.gammas, mix.weights, np.log(1.0), np.array([0.0]),
                           np.array([0.0]), np.array([-0.02]))
     assert value == pytest.approx(2 * np.exp(-0.02))
@@ -590,16 +597,16 @@ def test_evaluate_two_atoms_initial():
 
 def test_evaluate_rejects_nonpositive_wealth():
     with pytest.raises(ValueError):
-        initial_value(RiskMixture.single(0.5), 0.0)
+        initial_value(RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5), 0.0)
     with pytest.raises(ValueError, match="wealth must be positive"):
-        initial_value(RiskMixture.single(0.5), np.nan)
+        initial_value(RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5), np.nan)
     with pytest.raises(ValueError, match="wealth must be positive"):
         monotone_power_value(np.nan, [0.2], 0.5)
 
 
 def test_evaluate_negative_infinity_sentinel():
     # an aversion above one turns a diverging exponential into -inf
-    mix = RiskMixture.single(2.0)
+    mix = RiskMixture(atoms=((2.0, 1.0),), gamma0=2.0)
     value = mixture_value(mix.gammas, mix.weights, np.log(1.0), np.array([800.0]),
                           np.array([0.0]), np.array([0.0]))
     assert np.isneginf(value)
@@ -619,13 +626,14 @@ def test_single_power_evaluation_matches_direct_formula(x, gamma):
     if abs(gamma - 1.0) < 1e-3:
         return
     direct = x ** (1 - gamma) / (1 - gamma)
-    assert initial_value(RiskMixture.single(gamma), x) == pytest.approx(direct, rel=1e-12)
+    mix = RiskMixture(atoms=((gamma, 1.0),), gamma0=gamma)
+    assert initial_value(mix, x) == pytest.approx(direct, rel=1e-12)
 
 
 def test_pointwise_concavity_of_reachable_states():
     market = base_market(d_wperp=0)
     mix = RiskMixture(atoms=((0.5, 1.0), (2.0, 0.5)), gamma0=0.8,
-                      h0=H0Spec.constant([0.15]))
+                      h0=H0Spec("constant", [0.15]))
     grid = TimeGrid.regular(1.0, 0.05)
     fpp = MixtureFpp(mix, market, grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=12, path_ids=range(6))
@@ -655,7 +663,7 @@ def test_market_view_density_arithmetic():
 def test_market_view_density_mc_mean_is_one():
     # E exp(H W_T - H^2 T / 2) = 1 for constant H
     market = base_market()
-    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5, h0=H0Spec.constant([0.4]))
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5, h0=H0Spec("constant", [0.4]))
     grid = TimeGrid.regular(1.0, 1 / 64)
     fpp = MixtureFpp(mix, market, grid)
     n = 100_000
@@ -679,7 +687,7 @@ def test_monotone_power_factorisation_along_path():
     market = base_market()
     g = 0.5
     h = 0.1
-    mix = RiskMixture(atoms=((g, 1.0),), gamma0=g, h0=H0Spec.constant([h]))
+    mix = RiskMixture(atoms=((g, 1.0),), gamma0=g, h0=H0Spec("constant", [h]))
     grid = TimeGrid.regular(1.0, 1 / 128)  # T = 1 so int |lam+H|^2 = |lam+H|^2
     fpp = MixtureFpp(mix, market, grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=5, path_ids=[0])
@@ -698,7 +706,7 @@ def test_monotone_power_factorisation_along_path():
 # ---------------------------------------------------------------------------
 
 def test_constants_reference_point():
-    mix = RiskMixture.single(0.5)
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
     consts = true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, 0.5, mix)
     assert consts.q == pytest.approx(4.0)
     assert consts.cj_lower == pytest.approx(120.0)
@@ -706,7 +714,7 @@ def test_constants_reference_point():
 
 
 def test_constants_q_decreases_to_two():
-    mix = RiskMixture.single(0.5)
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
     qs = [true_fpp_constants(v, 2.0, 4.0, 4.0, 4.0, 0.5, mix).q
           for v in (1.5, 2.0, 5.0, 100.0, 1e8)]
     assert all(a > b for a, b in zip(qs, qs[1:]))
@@ -714,7 +722,7 @@ def test_constants_q_decreases_to_two():
 
 
 def test_constants_first_branch_vanishes_near_one():
-    mix = RiskMixture.single(0.5)
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
     consts = true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, 0.5, mix)
     u, v, p1, p3, g0 = consts.u, consts.v, consts.p1, consts.p3, consts.gamma0
     for eps in (1e-2, 1e-4, 1e-6):
@@ -728,11 +736,36 @@ def test_constants_first_branch_vanishes_near_one():
     (2.0, 1.0, 4.0, 4.0, 4.0),     # u must exceed 1
     (2.0, 2.0, 2.0, 2.0, 2.0),     # Holder sum 3/2 >= 1
     (2.0, 2.0, 0.5, 4.0, 4.0),     # p1 <= 1
+    (NAN, 2.0, 4.0, 4.0, 4.0),     # NaN compares false both ways: q was NaN
+    (2.0, NAN, 4.0, 4.0, 4.0),
+    (2.0, 2.0, NAN, 4.0, 4.0),     # cj_lower was NaN
+    (2.0, 2.0, 4.0, 4.0, NAN),
 ])
 def test_constants_reject_invalid_exponents(v, u, p1, p2, p3):
-    mix = RiskMixture.single(0.5)
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
     with pytest.raises(InvalidExponentError):
         true_fpp_constants(v, u, p1, p2, p3, 0.5, mix)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: drift_term(NAN, [0.1], [0.2], [0.0]), "gamma must avoid 0 and 1"),
+    (lambda: monotone_power_value(1.0, [0.2], NAN), "gamma must avoid 0 and 1"),
+    (lambda: hgamma(0.5, NAN, np.array([0.2]), np.array([0.0])), "gamma0 must be nonzero"),
+    (lambda: vgamma_rate(NAN, [0.2], [0.0]), "gamma must be nonzero"),
+    (lambda: vgamma_rate([0.5, NAN], [0.2], [0.0]), "gamma must be nonzero"),
+    (lambda: dual_marginal(NAN, 1.0, 1.0, 0.5), "wealth must be positive"),
+    (lambda: dual_marginal(-1.0, 1.0, 1.0, 0.5), "wealth must be positive"),
+    (lambda: dual_marginal(0.0, 1.0, 1.0, 0.5), "wealth must be positive"),
+    (lambda: optimal_portfolio([0.2], [0.0], NAN, [[0.2]]), "^target: must be finite"),
+], ids=["drift-term", "monotone-power", "hgamma", "vgamma-rate", "vgamma-rate-atom",
+        "dual-marginal-nan", "dual-marginal-negative", "dual-marginal-zero",
+        "optimal-portfolio"])
+def test_nan_aversions_and_wealth_are_rejected(call, message):
+    # each guard was an equality test (gamma in (0, 1), gamma0 == 0), which
+    # NaN passes; dual_marginal had none, so x < 0 raised a complex TypeError,
+    # and a NaN gamma0 made optimal_portfolio's target NaN
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +779,8 @@ def mix3_setup():
                         sigma=[[0.2, 0.0, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.3]],
                         mu=[0.04, 0.05, 0.06])
     mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (0.8, 0.25)), gamma0=0.5,
-                      h0=H0Spec.portfolio_inversion([0.5, 0.3, 0.2]),
-                      j=JSpec.constant([0.1]))
+                      h0=H0Spec("portfolio_inversion", [0.5, 0.3, 0.2]),
+                      j=JSpec("constant", [0.1]))
     return grid, market, mix
 
 
@@ -788,7 +821,7 @@ def test_moments_match_lognormal_closed_form():
     # constant sigma*pi = c: X_t is lognormal with known power moments
     market = base_market()
     g = 0.5
-    mix = RiskMixture.single(g)
+    mix = RiskMixture(atoms=((g, 1.0),), gamma0=g)
     grid = TimeGrid.regular(1.0, 1 / 12)
     v_exp, u_exp, c, lam = 1.5, 1.5, 0.3, 0.2
     report = check_admissibility_moments(
@@ -856,8 +889,18 @@ def test_moments_reject_a_bad_schedule_and_wealth():
 
 def test_moments_reject_boundary_exponent():
     market = base_market()
-    mix = RiskMixture.single(0.5)
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
     grid = TimeGrid.regular(1.0, 0.5)
     with pytest.raises(InvalidExponentError):
         check_admissibility_moments(np.zeros((grid.n_steps, 1)), market, mix,
                                     v=1.0, u=2.0, grid=grid)
+
+
+@pytest.mark.parametrize("v, u", [(NAN, 2.0), (2.0, NAN)], ids=["v", "u"])
+def test_moments_reject_nan_exponent(v, u):
+    # v <= 1 is False for NaN: the moments read NaN, after a RuntimeWarning
+    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
+    grid = TimeGrid.regular(1.0, 0.5)
+    with pytest.raises(InvalidExponentError):
+        check_admissibility_moments(np.full((grid.n_steps, 1), 0.2), base_market(), mix,
+                                    v=v, u=u, grid=grid)

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -165,7 +164,7 @@ def test_optimizer_keeps_its_maximiser_where_the_value_underflows():
     for name in ("fig1", "fig3"):
         res = optimize_constant_z(preset(name), 1e300)
         assert res.z_star == pytest.approx(0.1, abs=1e-6)
-        assert res.value == 0.0 and -np.inf < res.log_value < 0.0
+        assert np.exp(res.log_value) == 0.0 and -np.inf < res.log_value < 0.0
 
 
 def test_log_optimizer_agrees_with_the_linear_one_on_the_sweep():
@@ -387,18 +386,13 @@ def test_greedy_refinement_scores_no_more_than_per_row(lam2dt, monkeypatch):
             <= 2 * (N_ITER + 1) * log_ratio.size)
 
 
-def test_greedy_refinement_memory_on_distinct_brackets():
+def test_greedy_refinement_memory_on_distinct_brackets(traced_peak):
     # at fig3's second period nearly every row ends on a bracket of its own,
     # so the last bracket tables hold about a bracket per row; the call
     # still peaks below 16 (B,) doubles, which the per-row loop exceeded
     spec = preset("fig3")
     log_ratio = list(itertools.islice(greedy_log_ratios(spec, 20_000, seed=7), 2))[1]
-    tracemalloc.start()
-    try:
-        _greedy_z_batch(log_ratio, spec.p, spec.q, FIG3_LAM2DT)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: _greedy_z_batch(log_ratio, spec.p, spec.q, FIG3_LAM2DT))
     assert peak <= 16 * log_ratio.size * 8
 
 
@@ -543,27 +537,17 @@ def test_candidate_table_is_narrow_near_fig3_peaks(lam2dt):
     assert np.array_equal(whole_table, table + 98)
 
 
-def test_greedy_first_period_memory():
+def test_greedy_first_period_memory(traced_peak):
     # 20k equal rows, every path at a comparison's first period, so the scan
     # sets the peak; the row-block scan peaked at 0.96 MB
     log_ratio = np.zeros(20_000)
-    tracemalloc.start()
-    try:
-        _greedy_z_batch(log_ratio, 0.1, 0.3, FIG3_LAM2DT)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: _greedy_z_batch(log_ratio, 0.1, 0.3, FIG3_LAM2DT))
     assert peak <= 1.0 * 2 ** 20
 
 
-def test_compare_fig3_memory():
+def test_compare_fig3_memory(traced_peak):
     # the whole pool-greedy comparison; the row-block scan peaked at 8.40 MB
-    tracemalloc.start()
-    try:
-        compare_strategies(preset("fig3"), 20_000, seed=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: compare_strategies(preset("fig3"), 20_000, seed=7))
     assert peak <= 8.40 * 2 ** 20
 
 
@@ -586,16 +570,11 @@ def test_greedy_first_call_imports_nothing():
 
 
 @pytest.mark.parametrize("lam2dt", [1e-14, FIG3_LAM2DT])
-def test_greedy_scan_memory_is_bounded(lam2dt):
+def test_greedy_scan_memory_is_bounded(lam2dt, traced_peak):
     # 40k rows x 999 grid points would be 320 MB as one score matrix; the
     # row blocks and the (B,) golden-section vectors need a few MB
     log_ratio = np.random.default_rng(5).normal(0.0, 5.0, 40_000)
-    tracemalloc.start()
-    try:
-        _greedy_z_batch(log_ratio, 0.1, 0.3, lam2dt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: _greedy_z_batch(log_ratio, 0.1, 0.3, lam2dt))
     assert peak < 16 * 2 ** 20
 
 
@@ -788,16 +767,11 @@ def test_compare_streamed_statistics_match_whole_horizon_arrays(spec, n_paths):
 
 
 @pytest.mark.parametrize("horizon", [30.0, 60.0])
-def test_compare_memory_is_the_increments_plus_a_few_path_vectors(horizon):
+def test_compare_memory_is_the_increments_plus_a_few_path_vectors(horizon, traced_peak):
     # no per-strategy (B, K+1) array: beyond the (B, K) increments the peak
     # is a fixed number of (B,) vectors, whatever the horizon
     spec, n_paths = preset("fig3", horizon=horizon), 8192
-    tracemalloc.start()
-    try:
-        compare_strategies(spec, n_paths, seed=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: compare_strategies(spec, n_paths, seed=7))
     assert peak <= spec.n_periods * n_paths * 8 + 48 * n_paths * 8
 
 

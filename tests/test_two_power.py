@@ -244,8 +244,8 @@ def test_zero_gap_joint_process_matches_atom_sum():
         # the same object through the generic mixture machinery: atoms at
         # aversions (1-p, 1-q) weighted so w x^p / p = a0 x^p, h0 = a
         mix = RiskMixture(atoms=(((1 - p), p * 1.3), ((1 - q), q * 0.6)),
-                          gamma0=(1 - p), h0=H0Spec.constant(a),
-                          j=JSpec.constant([a_perp, d_perp]))
+                          gamma0=(1 - p), h0=H0Spec("constant", a),
+                          j=JSpec("constant", [a_perp, d_perp]))
         fpp = MixtureFpp(mix, market, grid)
         generic = fpp.utility_paths(fpp.state_paths(dw, dwp), log_x)
         np.testing.assert_allclose(joint, generic, rtol=1e-10)

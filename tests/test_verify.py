@@ -1,6 +1,5 @@
 """Ensemble martingale tests and structure scans."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from fpplab.verify import (DEFAULT_BATCH, TILE_PATHS, TIME_CHUNK, VERDICT_MARTIN
 
 def single_atom_setup(grid, lam=0.2, gamma=0.5):
     market = MarketSpec(n_stocks=1, d_w=1, d_wperp=0, sigma=0.2, mu=0.2 * lam)
-    mix = RiskMixture.single(gamma)
+    mix = RiskMixture(atoms=((gamma, 1.0),), gamma0=gamma)
     return market, MixtureFpp(mix, market, grid)
 
 
@@ -26,7 +25,7 @@ def three_atom_setup(grid):
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=1,
                         sigma=[[0.2, 0.0], [0.05, 0.3]], mu=[0.04, 0.06])
     mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (2.0, 0.25)), gamma0=0.5,
-                      h0=H0Spec.portfolio_inversion([0.6, 0.4]), j=JSpec.constant([0.1]))
+                      h0=H0Spec("portfolio_inversion", [0.6, 0.4]), j=JSpec("constant", [0.1]))
     return market, MixtureFpp(mix, market, grid)
 
 
@@ -239,8 +238,8 @@ def test_streamed_engine_equals_whole_horizon_reference(d_w, d_wperp, n_atoms,
         gammas = rng.choice([0.3, 0.5, 0.8, 1.5, 3.0], n_atoms, replace=False)
         mix = RiskMixture(atoms=tuple(zip(gammas, rng.uniform(0.2, 1.0, n_atoms))),
                           gamma0=float(gammas.min()),
-                          h0=H0Spec.constant(rng.normal(0.0, 0.1, d_w)),
-                          j=JSpec.constant(rng.normal(0.0, 0.2, d_wperp)))
+                          h0=H0Spec("constant", rng.normal(0.0, 0.1, d_w)),
+                          j=JSpec("constant", rng.normal(0.0, 0.2, d_wperp)))
         fpp = MixtureFpp(mix, market, grid)
     runs = [(fpp.sp_star, "martingale"),
             (null_path(grid, d_w), "supermartingale"),
@@ -297,30 +296,21 @@ def test_reports_invariant_to_tile_and_chunk_widths(tile, chunk, three_power, n_
     assert_same_bits(walked, whole_horizon_reports(fpp, runs, batch_size=DEFAULT_BATCH, **kw))
 
 
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def mix3_setup(grid):
     """Three stocks, one W_perp factor and three atoms: every engine layer runs."""
     market = MarketSpec(n_stocks=3, d_w=3, d_wperp=1,
                         sigma=[[0.2, 0.0, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.3]],
                         mu=[0.04, 0.05, 0.06])
     mix = RiskMixture(atoms=((0.3, 1.0), (0.5, 0.5), (0.8, 0.25)), gamma0=0.5,
-                      h0=H0Spec.portfolio_inversion([0.5, 0.3, 0.2]),
-                      j=JSpec.constant([0.1]))
+                      h0=H0Spec("portfolio_inversion", [0.5, 0.3, 0.2]),
+                      j=JSpec("constant", [0.1]))
     return market, MixtureFpp(mix, market, grid)
 
 
 @pytest.mark.parametrize("setup, n_runs, bound", [(mix3_setup, 3, 4.25 * 3),
                                                   (three_power_setup, 1, 8.5)],
                          ids=["mix3", "three-power"])
-def test_each_chunk_array_lives_only_while_used(setup, n_runs, bound):
+def test_each_chunk_array_lives_only_while_used(setup, n_runs, bound, traced_peak):
     # a DEFAULT_BATCH batch peaks at one tile's normals plus ``bound``
     # (TIME_CHUNK, TILE_PATHS) rows: a run's log wealth and U (a view of its
     # term rows, which also hold the sum and its sign) are freed once reduced,
@@ -338,7 +328,7 @@ def test_each_chunk_array_lives_only_while_used(setup, n_runs, bound):
     assert peak <= normals + bound * row
 
 
-def test_martingale_test_memory_is_normals_plus_chunks(monkeypatch):
+def test_martingale_test_memory_is_normals_plus_chunks(monkeypatch, traced_peak):
     # a batch runs TILE_PATHS paths at a time, and each tile's normals are the
     # only O(N) array: the criterion state, log wealth and utility exist one
     # TIME_CHUNK of columns at a time, so the allocation peak of a whole
@@ -521,3 +511,8 @@ def test_structure_scan_validates_grid():
         structure_scan(lambda s, x: x, [None], np.geomspace(1, 10, 4))
     with pytest.raises(ValueError):
         structure_scan(lambda s, x: x, [None], np.ones(10))
+    # np.diff(x) <= 0 is False at a NaN, so the scan once ran and blamed log
+    x = np.geomspace(0.1, 10.0, 12)
+    x[5] = np.nan
+    with pytest.raises(ValueError, match="x grid must be strictly increasing"):
+        structure_scan(lambda s, xs: np.log(xs), [None], x)
