@@ -86,17 +86,13 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
     dw, dwp = brownian_batch(grid, cfg.market.d_w, cfg.market.d_wperp,
                              cfg.sim.seed, range(8))
     m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
-    picks = [(b, k) for b in range(m.shape[2])
-             for k in (grid.n_steps // 2, grid.n_steps)]
-    states = [(m[:, k, b], qv[:, k], v[:, k]) for b, k in picks]
-
-    def evaluate(state, x):
-        sm, sqv, sv = state
-        return mixture_value(cfg.mixture.gammas, cfg.mixture.weights, np.log(x),
-                             sm, sqv, sv)
-
+    # states in path order, each at mid-horizon and then at the horizon
+    paths = np.repeat(np.arange(m.shape[2]), 2)
+    times = np.tile([grid.n_steps // 2, grid.n_steps], m.shape[2])
     x_grid = np.geomspace(0.05, 20.0, 25)
-    scan = structure_scan(evaluate, states, x_grid)
+    values = mixture_value(cfg.mixture.gammas, cfg.mixture.weights, np.log(x_grid),
+                           m[:, times, paths, None], qv[:, times, None], v[:, times, None])
+    scan = structure_scan(values, x_grid)
     print(scan.to_text())
     ok = ok and scan.passed
 

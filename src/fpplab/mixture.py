@@ -241,14 +241,21 @@ class RiskMixture:
 # Elementary operations
 # ---------------------------------------------------------------------------
 
+def _check_gamma0(gamma0: float) -> None:
+    """Raise ValueError unless the reference aversion is finite and nonzero."""
+    if not 0 < abs(gamma0) < np.inf:  # NaN fails it too
+        raise ValueError(f"gamma0 must be nonzero, got {gamma0}")
+
+
 def hgamma(gamma, gamma0: float, lam: np.ndarray, h0: np.ndarray) -> np.ndarray:
     """W-loading of atom gamma: ((gamma-gamma0)/gamma0) lam + (gamma/gamma0) h0.
 
     Broadcasts ``gamma`` (...) against ``lam`` and ``h0`` (..., d_w).
     """
-    if not abs(gamma0) > 0:  # NaN is not nonzero either
-        raise ValueError(f"gamma0 must be nonzero, got {gamma0}")
+    _check_gamma0(gamma0)
     g = np.asarray(gamma, float)[..., None]
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     return ((g - gamma0) / gamma0) * lam + (g / gamma0) * h0
 
 
@@ -259,7 +266,7 @@ def vgamma_rate(gamma, lam: np.ndarray, hg: np.ndarray):
     stacked ``u @ u``, with the 1-d product's bits (einsum's differ).
     """
     g = np.asarray(gamma, float)
-    if not np.all(np.abs(g) > 0):  # NaN is not nonzero either
+    if not np.all(np.isfinite(g) & (g != 0)):
         raise ValueError(f"gamma must be nonzero, got {gamma}")
     u = np.atleast_1d(lam) + np.atleast_1d(hg)
     out = -(1.0 - g) / (2.0 * g) * (u[..., None, :] @ u[..., :, None])[..., 0, 0]
@@ -267,8 +274,8 @@ def vgamma_rate(gamma, lam: np.ndarray, hg: np.ndarray):
 
 
 def _check_gamma(gamma: float) -> None:
-    """Raise ValueError unless the aversion is a number other than 0 and 1."""
-    if not abs(gamma) > 0 or gamma == 1.0:  # NaN fails the first test
+    """Raise ValueError unless the aversion is a finite number other than 0 and 1."""
+    if not 0 < abs(gamma) < np.inf or gamma == 1.0:  # NaN fails the first test
         raise ValueError(f"gamma must avoid 0 and 1, got {gamma}")
 
 
@@ -462,9 +469,9 @@ class TrueFppConstants:
 
 
 def _check_integrability(v: float, u: float) -> None:
-    """Raise InvalidExponentError unless v > 1 and u > 1; NaN is neither."""
-    if not (v > 1 and u > 1):
-        raise InvalidExponentError(f"need v > 1 and u > 1, got v={v}, u={u}")
+    """Raise InvalidExponentError unless v and u are finite and exceed 1; NaN does not."""
+    if not (1 < v < np.inf and 1 < u < np.inf):
+        raise InvalidExponentError(f"need finite v > 1 and u > 1, got v={v}, u={u}")
 
 
 def true_fpp_constants(v: float, u: float, p1: float, p2: float, p3: float,
@@ -474,14 +481,17 @@ def true_fpp_constants(v: float, u: float, p1: float, p2: float, p3: float,
     Raises
     ------
     InvalidExponentError
-        Unless v, u, p1, p2, p3 > 1 and 1/p1 + 1/p2 + 1/p3 < 1.
+        Unless v, u, p1, p2, p3 are finite and > 1 and 1/p1 + 1/p2 + 1/p3 < 1.
+    ValueError
+        Unless gamma0 is finite and nonzero.
     """
     _check_integrability(v, u)
-    if not (p1 > 1 and p2 > 1 and p3 > 1):  # NaN exceeds nothing
-        raise InvalidExponentError("all Holder exponents must exceed 1")
+    if not all(1 < p < np.inf for p in (p1, p2, p3)):  # NaN exceeds nothing
+        raise InvalidExponentError("all Holder exponents must be finite and exceed 1")
     if 1.0 / p1 + 1.0 / p2 + 1.0 / p3 >= 1.0:
         raise InvalidExponentError(
             f"Holder constraint violated: 1/{p1} + 1/{p2} + 1/{p3} >= 1")
+    _check_gamma0(gamma0)
     q = 2.0 * v / (v - 1.0)
     cj = 0.5 * q * p2 * (q * p1 - 1.0)
     consts = TrueFppConstants(v=v, u=u, p1=p1, p2=p2, p3=p3, gamma0=gamma0, q=q,

@@ -79,9 +79,7 @@ class PoolSpec:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name}: must be finite")
-        if not (0.0 < self.p < self.q < 1.0):
-            raise ValueError(f"{'q' if 0.0 < self.p < 1.0 else 'p'}: need 0 < p < q < 1, "
-                             f"got p={self.p}, q={self.q}")
+        two_power.check_powers(self.p, self.q)
         for name in ("a0", "d0", "x0", "horizon", "rebalance_dt"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive")

@@ -52,9 +52,7 @@ class TwoPowerSpec:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name}: non-finite value")
             object.__setattr__(self, name, value)
-        if not (0.0 < self.p < self.q < 1.0):
-            raise ValueError(f"{'q' if 0.0 < self.p < 1.0 else 'p'}: need 0 < p < q < 1, "
-                             f"got p={self.p}, q={self.q}")
+        check_powers(self.p, self.q)
         for name in ("a0", "d0"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name}: must be positive and finite")
@@ -65,6 +63,13 @@ class TwoPowerSpec:
             n = getattr(self, name).size
             if n not in (1, d_w):
                 raise ValueError(f"{name}: must have 1 or d_w = {d_w} entries, got {n}")
+
+
+def check_powers(p: float, q: float) -> None:
+    """Raise ValueError, naming the field at fault first, unless 0 < p < q < 1."""
+    if not (0.0 < p < q < 1.0):
+        raise ValueError(f"{'q' if 0.0 < p < 1.0 else 'p'}: need 0 < p < q < 1, "
+                         f"got p={p}, q={q}")
 
 
 def coefficient_drifts(p: float, q: float, lam, a_vol, d_vol) -> tuple[float, float]:
@@ -157,6 +162,14 @@ def joint_drift(p: float, q: float, a_coeff: float, d_coeff: float, x: float,
     return float(-np.exp(log_num - log_den) * gap ** 2)
 
 
+def _check_double_aversion(a_coeff: float, d_coeff: float, gamma: float) -> None:
+    """Raise ValueError unless A, D > 0 and g lies in (0, 1/2); NaN fails both."""
+    if not (a_coeff > 0 and d_coeff > 0):
+        raise ValueError("coefficients must be positive")
+    if not (0.0 < gamma < 0.5):
+        raise ValueError("gamma must lie in (0, 1/2) so both powers are in (0, 1)")
+
+
 def legendre_dual(y: float, a_coeff: float, d_coeff: float,
                   gamma: float) -> tuple[float, float]:
     """Closed-form dual of U(x) = A x^(1-2g)/(1-2g) + D x^(1-g)/(1-g), g in (0, 1/2).
@@ -168,10 +181,7 @@ def legendre_dual(y: float, a_coeff: float, d_coeff: float,
     """
     if not y > 0:
         raise ValueError("marginal utility y must be positive")
-    if not (a_coeff > 0 and d_coeff > 0):
-        raise ValueError("coefficients must be positive")
-    if not (0.0 < gamma < 0.5):
-        raise ValueError("gamma must lie in (0, 1/2) so both powers are in (0, 1)")
+    _check_double_aversion(a_coeff, d_coeff, gamma)
     # (-D + sqrt(D^2 + 4Ay)) / (2A) in its cancellation-free form; the hypot
     # keeps D^2 + 4Ay from overflowing
     root = y / (0.5 * (d_coeff + np.hypot(d_coeff, 2.0 * np.sqrt(a_coeff) * np.sqrt(y))))
@@ -190,6 +200,7 @@ def dual_marginal(x: float, a_coeff: float, d_coeff: float, gamma: float) -> flo
     """U'(x) = A x^(-2g) + D x^(-g) for the double-aversion family."""
     if not x > 0:
         raise ValueError(f"wealth must be positive, got {x}")
+    _check_double_aversion(a_coeff, d_coeff, gamma)
     return float(a_coeff * x ** (-2.0 * gamma) + d_coeff * x ** (-gamma))
 
 

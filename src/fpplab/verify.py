@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +40,15 @@ VERDICT_SUPER_STRICT = "supermartingale-strict"
 VERDICT_VIOLATION = "violation"
 
 
+def _margins(mode, mean, se, reference):
+    """Slack of each grid time against its acceptance band: the one acceptance
+    rule, which decides the verdict and fills the CSV ``margin`` column."""
+    band = SE_MULTIPLE * se
+    if mode == "martingale":
+        return band - np.abs(mean - reference)
+    return reference + band - mean
+
+
 @dataclass(frozen=True)
 class MartingaleReport:
     """Per-time ensemble means of U_t(X_t) against the reference U_0(X0)."""
@@ -62,10 +71,7 @@ class MartingaleReport:
 
     def margins(self) -> np.ndarray:
         """Slack of each grid time against its acceptance band (>= 0 passes)."""
-        band = SE_MULTIPLE * self.se
-        if self.mode == "martingale":
-            return band - np.abs(self.mean - self.reference)
-        return self.reference + band - self.mean
+        return _margins(self.mode, self.mean, self.se, self.reference)
 
     def to_text(self) -> str:
         margins = self.margins()
@@ -110,7 +116,7 @@ def _reduce_rows(sums: np.ndarray, rows: np.ndarray, first: bool) -> None:
 
 
 def _batch_moments(fpp, sps, seed, path_ids):
-    """(sum U, sum U^2, -inf path count, terminal U) of every schedule over one batch.
+    """(sum U, sum U^2, -inf path count, terminal U) over one batch, one row per schedule.
 
     The batch runs ``TILE_PATHS`` paths at a time.  Each tile's increments
     are drawn into one buffer, reused for every tile, and shared by all runs
@@ -165,8 +171,7 @@ def _batch_moments(fpp, sps, seed, path_ids):
                 np.square(finite, out=finite)
                 _reduce_rows(s2[r, cols], buf, lo == 0)
                 del u, log_x  # U holds its term rows: free both before the next run
-    return [(s1[r], s2[r], int(np.sum(diverged[r])), terminal[r])
-            for r in range(len(sps))]
+    return s1, s2, np.sum(diverged, axis=1), terminal
 
 
 def _report(mode, s1, s2, neg_inf, terminal, reference, grid, n_paths, seed):
@@ -180,19 +185,12 @@ def _report(mode, s1, s2, neg_inf, terminal, reference, grid, n_paths, seed):
     else:
         kurt = float("nan")
 
-    band = SE_MULTIPLE * se[1:]
-    dev = mean[1:] - reference
-    if mode == "martingale":
-        ok = bool(np.all(np.abs(dev) <= band))
-        verdict = VERDICT_MARTINGALE if ok else VERDICT_VIOLATION
+    if not np.all(_margins(mode, mean, se, reference)[1:] >= 0.0):  # NaN fails
+        verdict = VERDICT_VIOLATION
+    elif mode == "supermartingale" and mean[-1] - reference < -SE_MULTIPLE * se[-1]:
+        verdict = VERDICT_SUPER_STRICT
     else:
-        ok = bool(np.all(dev <= band))
-        if not ok:
-            verdict = VERDICT_VIOLATION
-        elif dev[-1] < -band[-1]:
-            verdict = VERDICT_SUPER_STRICT
-        else:
-            verdict = VERDICT_MARTINGALE
+        verdict = VERDICT_MARTINGALE
     warnings = ()
     if neg_inf > NEGINF_WARN_FRACTION * n_paths:
         warnings = (f"degenerate utility: {neg_inf} of {n_paths} paths hit -inf",)
@@ -216,7 +214,8 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
     ``cols``, one (rows, len(cols), B) array, continuing from ``carry``, the
     previous chunk's ``state[:, -1]``, or None for the first chunk) and
     ``utility_paths(state, log_x, cols)`` (U at the (len(cols), B) log
-    wealth ``log_x``, in its layout).  Each schedule is checked once, here.
+    wealth ``log_x``, in its layout).  Each schedule is checked here, before
+    any path is drawn, and again by every ``evolve_log_wealth_batch`` call.
     All runs ride the same Brownian batches and criterion state (common
     random numbers).  Every path starts at wealth ``X0``.  Paths are split
     into batches of ``DEFAULT_BATCH``, the unit of the reduction and of the
@@ -244,7 +243,6 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
     if n_paths < 2:
         raise ValueError("need at least two paths")
     grid = fpp.grid
-    n_times = grid.n_steps + 1
     sps = [check_schedule(sp, grid, fpp.market.d_w) for sp, _ in runs]
     batches = [range(lo, min(lo + DEFAULT_BATCH, n_paths))
                for lo in range(0, n_paths, DEFAULT_BATCH)]
@@ -258,22 +256,12 @@ def martingale_test(fpp, runs: Sequence[tuple[np.ndarray, str]], *,
     else:
         results = [work(ids) for ids in batches]
 
+    # batch order fixes the bits; sum() starts from 0, and 0 + a has zeros + a's bits
+    s1, s2, neg_inf = (sum(batch[i] for batch in results) for i in range(3))
+    terminal = np.concatenate([batch[3] for batch in results], axis=1)
     reference = float(fpp.u0(X0))
-    reports = []
-    for r, (_, mode) in enumerate(runs):
-        s1 = np.zeros(n_times)
-        s2 = np.zeros(n_times)
-        terminal_parts = []
-        neg_inf = 0
-        for batch in results:  # fixed order keeps reduction deterministic
-            bs1, bs2, bneg, bterm = batch[r]
-            s1 += bs1
-            s2 += bs2
-            neg_inf += bneg
-            terminal_parts.append(bterm)
-        reports.append(_report(mode, s1, s2, neg_inf, np.concatenate(terminal_parts),
-                               reference, grid, n_paths, seed))
-    return reports
+    return [_report(mode, s1[r], s2[r], neg_inf[r], terminal[r], reference, grid,
+                    n_paths, seed) for r, (_, mode) in enumerate(runs)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,39 +283,40 @@ class StructureReport:
                 f"worst state {self.worst_state_index})")
 
 
-def structure_scan(evaluate: Callable, states: Sequence, x_grid) -> StructureReport:
-    """Check that x -> evaluate(state, x) is increasing and strictly concave.
+def structure_scan(values, x_grid) -> StructureReport:
+    """Check that every state's criterion is increasing and strictly concave in x.
 
-    ``x_grid`` must be log-spaced with at least 8 points; divided differences
-    handle the uneven spacing.  The worst margins across all states are
-    reported.  A non-finite divided difference (a NaN or infinite value)
-    fails the scan at the first state that has one, with its margins.
+    ``values`` is an (n_states, len(x_grid)) array: row s holds one state's
+    criterion at the wealth points ``x_grid``, which must be log-spaced with
+    at least 8 points; divided differences along each row handle the uneven
+    spacing.  The worst margins across all states are reported, with the
+    last state to set a new running worst in state order.  A non-finite
+    divided difference (a NaN or infinite value) fails the scan at the first
+    state that has one, with its margins.
     """
     x = np.asarray(x_grid, float)
     if x.size < 8:
         raise ValueError("need at least 8 grid points")
     if not np.all(np.diff(x) > 0):  # NaN is not increasing
         raise ValueError("x grid must be strictly increasing")
-    worst_inc = np.inf
-    worst_conc = -np.inf
-    worst_idx = -1
-    for idx, state in enumerate(states):
-        u = np.asarray(evaluate(state, x), float)
-        first = (u[2:] - u[:-2]) / (x[2:] - x[:-2])
-        h_plus = x[2:] - x[1:-1]
-        h_minus = x[1:-1] - x[:-2]
-        second = 2.0 * ((u[2:] - u[1:-1]) / h_plus - (u[1:-1] - u[:-2]) / h_minus) \
-            / (h_plus + h_minus)
-        inc = float(np.min(first))
-        conc = float(np.max(second))
-        if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
-            return StructureReport(passed=False, worst_increase_margin=inc,
-                                   worst_concavity_margin=conc, worst_state_index=idx)
-        if inc < worst_inc or conc > worst_conc:
-            worst_idx = idx
-        worst_inc = min(worst_inc, inc)
-        worst_conc = max(worst_conc, conc)
-    return StructureReport(passed=bool(worst_inc > 0.0 and worst_conc < 0.0),
+    u = np.asarray(values, float)
+    if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] != x.size:
+        raise ValueError(f"values must be (n_states >= 1, {x.size}), got {u.shape}")
+    first = (u[:, 2:] - u[:, :-2]) / (x[2:] - x[:-2])
+    h_plus = x[2:] - x[1:-1]
+    h_minus = x[1:-1] - x[:-2]
+    second = 2.0 * ((u[:, 2:] - u[:, 1:-1]) / h_plus - (u[:, 1:-1] - u[:, :-2]) / h_minus) \
+        / (h_plus + h_minus)
+    inc = np.min(first, axis=1)
+    conc = np.max(second, axis=1)
+    finite = np.all(np.isfinite(first), axis=1) & np.all(np.isfinite(second), axis=1)
+    if not finite.all():
+        idx = int(np.argmin(finite))
+        return StructureReport(passed=False, worst_increase_margin=float(inc[idx]),
+                               worst_concavity_margin=float(conc[idx]), worst_state_index=idx)
+    worst_inc, worst_conc = float(np.min(inc)), float(np.max(conc))
+    # scanned in state order, a running worst is last set where its value first occurs
+    return StructureReport(passed=worst_inc > 0.0 and worst_conc < 0.0,
                            worst_increase_margin=worst_inc,
                            worst_concavity_margin=worst_conc,
-                           worst_state_index=worst_idx)
+                           worst_state_index=max(int(np.argmin(inc)), int(np.argmax(conc))))

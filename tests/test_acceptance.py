@@ -301,10 +301,10 @@ def test_criterion_08_three_power_suite():
 
     spec = ThreePowerSpec(0.25)
     rng = np.random.default_rng(8)
-    states = [(float(np.exp(rng.normal(scale=0.8))), float(rng.uniform(0.0, 3.0)))
-              for _ in range(100)]
-    scan = structure_scan(lambda s, x: three_power_value(x, s[0], s[1], spec),
-                          states, np.geomspace(1e-2, 1e2, 24))
+    states = np.array([(float(np.exp(rng.normal(scale=0.8))), float(rng.uniform(0.0, 3.0)))
+                       for _ in range(100)])
+    x = np.geomspace(1e-2, 1e2, 24)
+    scan = structure_scan(three_power_value(x, states[:, :1], states[:, 1:], spec), x)
     assert scan.passed
 
     grid = TimeGrid.regular(1.0, 1 / 12)

@@ -1,10 +1,14 @@
 """Command line front end: exit codes, CSV outputs, reproducibility."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fpplab.cli import main
+from fpplab.cli import _write_report_csv, main
 from fpplab.market import TimeGrid, brownian_batch
+from fpplab.verify import SE_MULTIPLE, VERDICT_VIOLATION, _report
 
 
 def run(tmp_path, *args, config=None):
@@ -244,6 +248,51 @@ def test_verify_fpp_csvs_reproducible(tmp_path):
     code = run(tmp_path, "verify-fpp", config=SMALL_SIM)
     assert code == 0
     assert (tmp_path / "out" / "verify_pi_star.csv").read_bytes() == first
+
+
+MIX3 = """
+market:
+  n_stocks: 3
+  d_w: 3
+  d_wperp: 1
+  sigma: [[0.2, 0.0, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.3]]
+  mu: [0.04, 0.05, 0.06]
+mixture:
+  atoms: [{gamma: 0.3, weight: 1.0}, {gamma: 0.5, weight: 0.5}, {gamma: 0.8, weight: 0.25}]
+  gamma0: 0.5
+  h0: {kind: portfolio_inversion, value: [0.5, 0.3, 0.2]}
+  j: {kind: constant, value: [0.1]}
+"""
+
+
+def test_verify_fpp_structure_scan_line_on_mix3(tmp_path, capsys):
+    # the scan evaluates paths 0..7 of the seed at mid-horizon and at the
+    # horizon, whatever n_paths is; 16 states, the worst the last one to set
+    # a new worst margin
+    run(tmp_path, "verify-fpp", config=MIX3 + "simulation: {n_paths: 500, seed: 7}\n")
+    assert ("structure scan: pass (min dU = 4.867e-01, max d2U = -1.147e-02, "
+            "worst state 13)") in capsys.readouterr().out.splitlines()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(["martingale", "supermartingale"]),
+       z=st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4))
+@example(mode="supermartingale", z=[0.0, 0.0, 0.0, -1.2])  # strict
+@example(mode="martingale", z=[0.0, 1.0, -1.0, 0.0])  # on the band
+def test_verdict_is_violation_iff_a_csv_margin_is_negative(tmp_path_factory, mode, z):
+    # the verdict and the CSV margin column come from one acceptance rule;
+    # z places each mean in units of its band around the reference
+    n, reference = 100, 1.0
+    grid = TimeGrid(np.linspace(0.0, 1.0, 5))
+    sd = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+    mean = reference + np.r_[0.0, z] * SE_MULTIPLE * sd / np.sqrt(n)
+    report = _report(mode, mean * n, n * (sd ** 2 * (n - 1) / n + mean ** 2), 0,
+                     np.linspace(0.5, 1.5, n), reference, grid, n, 0)
+    path = tmp_path_factory.mktemp("report") / "report.csv"
+    _write_report_csv(str(path), report)
+    with open(path) as fh:
+        margins = [float(row["margin"]) for row in csv.DictReader(fh)]
+    assert (report.verdict == VERDICT_VIOLATION) == any(m < 0 for m in margins[1:])
 
 
 

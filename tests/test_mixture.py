@@ -21,6 +21,7 @@ from fpplab.two_power import dual_marginal
 from fpplab.verify import _time_chunks, structure_scan
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def base_market(d_wperp=0):
@@ -638,13 +639,10 @@ def test_pointwise_concavity_of_reachable_states():
     fpp = MixtureFpp(mix, market, grid)
     dw, dwp = brownian_batch(grid, 1, 0, seed=12, path_ids=range(6))
     m, qv, v = fpp.state_paths(dw, dwp), fpp.qv, fpp.v
-    states = [(m[:, k, b], qv[:, k], v[:, k]) for b in range(6) for k in (10, 20)]
-
-    def evaluate(state, x):
-        sm, sqv, sv = state
-        return mixture_value(mix.gammas, mix.weights, np.log(x), sm, sqv, sv)
-
-    report = structure_scan(evaluate, states, np.geomspace(1e-2, 1e2, 20))
+    b, k = np.repeat(np.arange(6), 2), np.tile([10, 20], 6)
+    x = np.geomspace(1e-2, 1e2, 20)
+    report = structure_scan(mixture_value(mix.gammas, mix.weights, np.log(x),
+                                          m[:, k, b, None], qv[:, k, None], v[:, k, None]), x)
     assert report.passed
 
 
@@ -740,6 +738,9 @@ def test_constants_first_branch_vanishes_near_one():
     (2.0, NAN, 4.0, 4.0, 4.0),
     (2.0, 2.0, NAN, 4.0, 4.0),     # cj_lower was NaN
     (2.0, 2.0, 4.0, 4.0, NAN),
+    (INF, 2.0, 4.0, 4.0, 4.0),     # q = 2v/(v-1) was NaN
+    (2.0, INF, 4.0, 4.0, 4.0),
+    (2.0, 2.0, INF, 4.0, 4.0),     # cj_lower was inf
 ])
 def test_constants_reject_invalid_exponents(v, u, p1, p2, p3):
     mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
@@ -757,13 +758,35 @@ def test_constants_reject_invalid_exponents(v, u, p1, p2, p3):
     (lambda: dual_marginal(-1.0, 1.0, 1.0, 0.5), "wealth must be positive"),
     (lambda: dual_marginal(0.0, 1.0, 1.0, 0.5), "wealth must be positive"),
     (lambda: optimal_portfolio([0.2], [0.0], NAN, [[0.2]]), "^target: must be finite"),
+    (lambda: drift_term(INF, [0.1], [0.2], [0.0]), "gamma must avoid 0 and 1"),
+    (lambda: monotone_power_value(1.0, [0.2], INF), "gamma must avoid 0 and 1"),
+    (lambda: hgamma(0.5, INF, np.array([0.2]), np.array([0.0])), "gamma0 must be nonzero"),
+    (lambda: hgamma(INF, 0.5, np.array([0.2]), np.array([0.0])), "gamma must be finite"),
+    (lambda: hgamma([0.5, NAN], 0.5, np.array([0.2]), np.array([0.0])),
+     "gamma must be finite"),
+    (lambda: vgamma_rate(INF, [0.2], [0.0]), "gamma must be nonzero"),
+    (lambda: true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, NAN,
+                                RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)),
+     "gamma0 must be nonzero"),
+    (lambda: true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, INF,
+                                RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)),
+     "gamma0 must be nonzero"),
+    (lambda: dual_marginal(1.0, 1.0, 1.0, NAN), "gamma must lie in"),
+    (lambda: dual_marginal(1.0, 1.0, 1.0, 0.5), "gamma must lie in"),
+    (lambda: dual_marginal(1.0, NAN, 1.0, 0.25), "coefficients must be positive"),
 ], ids=["drift-term", "monotone-power", "hgamma", "vgamma-rate", "vgamma-rate-atom",
         "dual-marginal-nan", "dual-marginal-negative", "dual-marginal-zero",
-        "optimal-portfolio"])
+        "optimal-portfolio", "drift-term-inf", "monotone-power-inf", "hgamma-inf",
+        "hgamma-gamma-inf", "hgamma-gamma-atom", "vgamma-rate-inf", "constants-gamma0",
+        "constants-gamma0-inf", "dual-marginal-gamma", "dual-marginal-gamma-range",
+        "dual-marginal-coefficient"])
 def test_nan_aversions_and_wealth_are_rejected(call, message):
     # each guard was an equality test (gamma in (0, 1), gamma0 == 0), which
-    # NaN passes; dual_marginal had none, so x < 0 raised a complex TypeError,
-    # and a NaN gamma0 made optimal_portfolio's target NaN
+    # NaN passes, or an order test, which inf passes; hgamma never checked
+    # gamma, true_fpp_constants never checked gamma0, and dual_marginal
+    # checked no aversion or coefficient, so x < 0 raised a complex TypeError
+    # and a NaN gamma read 1.0 ** nan = 1; a NaN gamma0 made
+    # optimal_portfolio's target NaN
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -896,9 +919,11 @@ def test_moments_reject_boundary_exponent():
                                     v=1.0, u=2.0, grid=grid)
 
 
-@pytest.mark.parametrize("v, u", [(NAN, 2.0), (2.0, NAN)], ids=["v", "u"])
+@pytest.mark.parametrize("v, u", [(NAN, 2.0), (2.0, NAN), (INF, 2.0), (2.0, INF)],
+                         ids=["v", "u", "v-inf", "u-inf"])
 def test_moments_reject_nan_exponent(v, u):
-    # v <= 1 is False for NaN: the moments read NaN, after a RuntimeWarning
+    # v <= 1 is False for NaN: the moments read NaN, after a RuntimeWarning;
+    # an infinite exponent passed it too
     mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
     grid = TimeGrid.regular(1.0, 0.5)
     with pytest.raises(InvalidExponentError):

@@ -154,14 +154,10 @@ def test_discriminants_domain_error():
 def test_finite_difference_concavity_random_states():
     spec = ThreePowerSpec(0.25)
     rng = np.random.default_rng(6)
-    states = [(float(np.exp(rng.normal(scale=0.8))), float(rng.uniform(0.0, 3.0)))
-              for _ in range(100)]
-
-    def evaluate(state, x):
-        z, i = state
-        return three_power_value(x, z, i, spec)
-
-    report = structure_scan(evaluate, states, np.geomspace(1e-2, 1e2, 24))
+    states = np.array([(float(np.exp(rng.normal(scale=0.8))), float(rng.uniform(0.0, 3.0)))
+                       for _ in range(100)])
+    x = np.geomspace(1e-2, 1e2, 24)
+    report = structure_scan(three_power_value(x, states[:, :1], states[:, 1:], spec), x)
     assert report.passed
 
 

@@ -472,8 +472,7 @@ def test_report_passes_unless_violation(mode, verdict, passed):
 def test_structure_scan_power_margins_match_derivatives():
     gamma = 0.5
     x = np.geomspace(0.1, 10.0, 16)
-    report = structure_scan(lambda s, xs: xs ** (1 - gamma) / (1 - gamma),
-                            [None], x)
+    report = structure_scan([x ** (1 - gamma) / (1 - gamma)], x)
     assert report.passed
     deriv = x ** (-gamma)  # U' for the power criterion
     assert deriv.min() <= report.worst_increase_margin <= deriv.max()
@@ -483,10 +482,8 @@ def test_structure_scan_power_margins_match_derivatives():
 
 def test_structure_scan_flags_flipped_weight():
     # two-power sum with one sign flipped stops being increasing in x
-    def corrupted(state, x):
-        return x ** 0.1 - x ** 0.3
-
-    report = structure_scan(corrupted, [None], np.geomspace(0.1, 10.0, 16))
+    x = np.geomspace(0.1, 10.0, 16)
+    report = structure_scan([x ** 0.1 - x ** 0.3], x)
     assert not report.passed
     assert "FAIL" in report.to_text()
 
@@ -494,13 +491,10 @@ def test_structure_scan_flags_flipped_weight():
 def test_structure_scan_fails_on_nan_values():
     # min/max seeded with +-inf would keep their seeds past a NaN margin;
     # the scan must fail instead, naming the first state with a bad value
-    def evaluate(state, x):
-        u = np.sqrt(x)
-        if state == 1:
-            u[3] = np.nan
-        return u
-
-    report = structure_scan(evaluate, [0, 1, 2], np.geomspace(0.1, 10.0, 16))
+    x = np.geomspace(0.1, 10.0, 16)
+    values = np.tile(np.sqrt(x), (3, 1))
+    values[1, 3] = np.nan
+    report = structure_scan(values, x)
     assert not report.passed
     assert report.worst_state_index == 1
     assert report.to_text().startswith("structure scan: FAIL")
@@ -508,11 +502,73 @@ def test_structure_scan_fails_on_nan_values():
 
 def test_structure_scan_validates_grid():
     with pytest.raises(ValueError):
-        structure_scan(lambda s, x: x, [None], np.geomspace(1, 10, 4))
+        structure_scan([np.geomspace(1, 10, 4)], np.geomspace(1, 10, 4))
     with pytest.raises(ValueError):
-        structure_scan(lambda s, x: x, [None], np.ones(10))
+        structure_scan([np.ones(10)], np.ones(10))
     # np.diff(x) <= 0 is False at a NaN, so the scan once ran and blamed log
     x = np.geomspace(0.1, 10.0, 12)
     x[5] = np.nan
     with pytest.raises(ValueError, match="x grid must be strictly increasing"):
-        structure_scan(lambda s, xs: np.log(xs), [None], x)
+        structure_scan([np.log(x)], x)
+
+
+@pytest.mark.parametrize("values", [np.zeros((0, 12)), np.zeros(12), np.zeros((2, 11))],
+                         ids=["no-state", "one-row", "short-row"])
+def test_structure_scan_rejects_misshaped_values(values):
+    with pytest.raises(ValueError, match="values must be"):
+        structure_scan(values, np.geomspace(0.1, 10.0, 12))
+
+
+def loop_structure_scan(values, x):
+    """The per-state scan that ``structure_scan`` replaced: the test oracle."""
+    worst_inc, worst_conc, worst_idx = np.inf, -np.inf, -1
+    for idx, u in enumerate(values):
+        first = (u[2:] - u[:-2]) / (x[2:] - x[:-2])
+        h_plus = x[2:] - x[1:-1]
+        h_minus = x[1:-1] - x[:-2]
+        second = 2.0 * ((u[2:] - u[1:-1]) / h_plus - (u[1:-1] - u[:-2]) / h_minus) \
+            / (h_plus + h_minus)
+        inc = float(np.min(first))
+        conc = float(np.max(second))
+        if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
+            return False, inc, conc, idx
+        if inc < worst_inc or conc > worst_conc:
+            worst_idx = idx
+        worst_inc = min(worst_inc, inc)
+        worst_conc = max(worst_conc, conc)
+    return bool(worst_inc > 0.0 and worst_conc < 0.0), worst_inc, worst_conc, worst_idx
+
+
+SCAN_X = np.geomspace(0.1, 10.0, 10)
+# a few shared row shapes make ties between states likely
+SCAN_ROWS = [np.sqrt(SCAN_X), np.log(SCAN_X), -1.0 / SCAN_X, SCAN_X ** 0.1 - SCAN_X ** 0.3,
+             SCAN_X]
+
+
+@st.composite
+def scan_values(draw):
+    """1-6 states of scaled shared rows, a few cells of which may be NaN or inf."""
+    n_states = draw(st.integers(1, 6))
+    values = np.array([SCAN_ROWS[draw(st.integers(0, len(SCAN_ROWS) - 1))]
+                       * draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(n_states)])
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, n_states - 1)), draw(st.integers(0, SCAN_X.size - 1))] = \
+            draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=scan_values())
+@example(values=np.array([SCAN_ROWS[0]]))  # a single state
+@example(values=np.array([SCAN_ROWS[1], SCAN_ROWS[0], SCAN_ROWS[1], SCAN_ROWS[0]]))  # ties
+@example(values=np.array([SCAN_ROWS[0], SCAN_ROWS[1] + np.r_[0, np.nan, np.zeros(8)],
+                          SCAN_ROWS[2]]))  # a NaN row
+@example(values=np.array([SCAN_ROWS[0], SCAN_ROWS[2] + np.r_[np.zeros(9), np.inf]]))  # inf
+def test_structure_scan_equals_per_state_loop(values):
+    # inf - inf is a quiet NaN here; the scan fails on it either way
+    with np.errstate(invalid="ignore"):
+        report = structure_scan(values, SCAN_X)
+        want = loop_structure_scan(values, SCAN_X)
+    assert (report.passed, report.worst_state_index) == (want[0], want[3])
+    assert np.array_equal([report.worst_increase_margin, report.worst_concavity_margin],
+                          want[1:3], equal_nan=True)
