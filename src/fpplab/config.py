@@ -17,7 +17,7 @@ import yaml
 from .errors import ConfigError
 from .market import MAX_STEPS, MarketSpec
 from .mixture import H0Spec, JSpec, RiskMixture
-from .pooling import POOL_PRESETS, PoolSpec, preset as pool_preset
+from .pooling import PoolSpec, preset as pool_preset
 from .three_power import ThreePowerSpec
 from .two_power import TwoPowerSpec
 
@@ -221,9 +221,6 @@ def _pool_from(cfg: dict) -> PoolSpec:
     name = cfg.pop("preset", None)
     for key, value in cfg.items():
         _number(f"pool.{key}", value)
-    if name is not None and name not in POOL_PRESETS:
-        raise ConfigError(f"pool.preset: unknown preset {name!r}, "
-                          f"choose from {sorted(POOL_PRESETS)}")
     missing = [f.name for f in fields(PoolSpec)
                if f.default is MISSING and f.name not in cfg]
     if name is None and missing:

@@ -85,7 +85,11 @@ class TimeGrid:
 # ---------------------------------------------------------------------------
 
 def _finite_value(value, shape: tuple[int, ...], where: str) -> np.ndarray:
-    arr = np.broadcast_to(np.asarray(value, float), shape).copy()
+    try:
+        arr = np.broadcast_to(np.asarray(value, float), shape).copy()
+    except TypeError:
+        raise ValueError(f"not a number or an array of numbers{where}, "
+                         f"got {type(value).__name__}") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite value{where}")
     return arr
@@ -187,9 +191,9 @@ def _dimension(name: str, value, least: int) -> int:
 class MarketSpec:
     """Stock count, driving dimensions, and deterministic sigma/mu schedules.
 
-    ``sigma`` accepts a scalar (1x1 market), a (d_w, n) matrix, or a knot
-    list (see ``Schedule``); likewise ``mu``.  ``d_wperp = 0`` is the
-    complete-market case.
+    ``sigma`` takes a scalar (1x1 market), a (d_w, n) matrix, or a knot
+    list (see ``Schedule``), and the spec builds its schedule of that shape;
+    likewise ``mu``.  ``d_wperp = 0`` is the complete-market case.
     """
 
     n_stocks: int
@@ -206,8 +210,7 @@ class MarketSpec:
         for name, value, shape in (("sigma", sigma, (d_w, n_stocks)),
                                    ("mu", mu, (n_stocks,))):
             try:
-                setattr(self, name, value if isinstance(value, Schedule)
-                        else Schedule(value, shape))
+                setattr(self, name, Schedule(value, shape))
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from exc
 

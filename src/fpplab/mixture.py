@@ -22,7 +22,7 @@ Evaluation is done in log space; values live in R union {-inf}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -457,7 +457,6 @@ class TrueFppConstants:
     gamma0: float
     q: float
     cj_lower: float
-    ch_lower_atoms: tuple[tuple[float, float], ...]
 
     def ch_lower(self, gamma: float) -> float:
         branch1 = (self.u * self.v * self.p3 * (1.0 - gamma)
@@ -475,7 +474,7 @@ def _check_integrability(v: float, u: float) -> None:
 
 
 def true_fpp_constants(v: float, u: float, p1: float, p2: float, p3: float,
-                       gamma0: float, mixture: RiskMixture) -> TrueFppConstants:
+                       gamma0: float) -> TrueFppConstants:
     """Derive q = 2v/(v-1) and the lower bounds for the Novikov constants.
 
     Raises
@@ -494,10 +493,8 @@ def true_fpp_constants(v: float, u: float, p1: float, p2: float, p3: float,
     _check_gamma0(gamma0)
     q = 2.0 * v / (v - 1.0)
     cj = 0.5 * q * p2 * (q * p1 - 1.0)
-    consts = TrueFppConstants(v=v, u=u, p1=p1, p2=p2, p3=p3, gamma0=gamma0, q=q,
-                              cj_lower=cj, ch_lower_atoms=())
-    atoms = tuple((g, consts.ch_lower(g)) for g in mixture.gammas)
-    return replace(consts, ch_lower_atoms=atoms)
+    return TrueFppConstants(v=v, u=u, p1=p1, p2=p2, p3=p3, gamma0=gamma0, q=q,
+                            cj_lower=cj)
 
 
 @dataclass(frozen=True)

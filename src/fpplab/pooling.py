@@ -122,11 +122,12 @@ POOL_PRESETS: dict[str, PoolSpec] = {
 
 
 def preset(name: str, **overrides) -> PoolSpec:
+    """``POOL_PRESETS[name]`` with ``overrides``; ValueError ``preset: ...`` if unknown."""
     try:
         spec = POOL_PRESETS[name]
     except KeyError:
-        raise KeyError(f"unknown pool preset {name!r}; "
-                       f"choose from {sorted(POOL_PRESETS)}") from None
+        raise ValueError(f"preset: unknown preset {name!r}, "
+                         f"choose from {sorted(POOL_PRESETS)}") from None
     return replace(spec, **overrides) if overrides else spec
 
 
@@ -173,12 +174,7 @@ def _lam2t(spec: PoolSpec, t, lead: str = "lam^2 t must be finite, got t"):
 
 def constant_z_expected_utility(z: float, t: float, spec: PoolSpec) -> float:
     """Expected joint utility of holding sigma*pi = lam/(1-z) up to time t."""
-    if not (0.0 < z < 1.0):
-        raise ValueError(f"z must lie strictly inside (0, 1), got {z}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    wa, wd = spec.weights()
-    return float(_weighted_objective(z, wa, wd, spec.p, spec.q, _lam2t(spec, t)))
+    return float(utility_surface(spec, [z], [t]).values[0, 0])
 
 
 def _golden_max(f: Callable, a: float, b: float, tol: float) -> float:
@@ -235,8 +231,6 @@ class OptimizeResult:
 
 
 def _pick_global(maxima: list[tuple[float, float]]) -> OptimizeResult:
-    if not maxima:
-        raise ValueError("no interior local maximum found")
     ordered = sorted(maxima, key=lambda zv: (-zv[1], zv[0]))
     best_val = ordered[0][1]
     # near-ties resolve to the smaller z (the more risk-averse compromise)

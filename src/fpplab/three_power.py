@@ -82,8 +82,7 @@ def concavity_discriminants(gamma: float) -> tuple[float, float]:
     Both equal a negative constant times exp(-(1-2g)/(2g)) and stay strictly
     negative on (0, 1/3), so the two quadratics in Z x^-g have no real roots.
     """
-    if not (0.0 < gamma < 1.0 / 3.0):
-        raise ValueError(f"gamma must lie in (0, 1/3), got {gamma}")
+    ThreePowerSpec(gamma)  # the one check of 0 < gamma < 1/3
     e = np.exp(-(1.0 - 2.0 * gamma) / (2.0 * gamma))
     return -3.0 * e, -8.0 * e
 

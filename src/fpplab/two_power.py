@@ -72,10 +72,29 @@ def check_powers(p: float, q: float) -> None:
                          f"got p={p}, q={q}")
 
 
-def coefficient_drifts(p: float, q: float, lam, a_vol, d_vol) -> tuple[float, float]:
-    """Necessary drifts (alpha, delta) of the two coefficient processes."""
+def _check_unit_powers(p: float, q: float) -> None:
+    """Raise ValueError unless p and q each lie in (0, 1); NaN does not, p = q may."""
     if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
         raise ValueError("powers must lie in (0, 1)")
+
+
+def _check_positive_finite(what: str, *values: float) -> None:
+    """Raise ValueError, naming ``what``, unless every value lies in (0, inf)."""
+    if not all(0.0 < v < np.inf for v in values):
+        raise ValueError(f"{what} must be positive and finite")
+
+
+def _one_power_targets(p: float, q: float, lam, a_vol, d_vol):
+    """The one-power targets (lam + a)/(1-p) and (lam + d)/(1-q)."""
+    _check_unit_powers(p, q)
+    ta = (np.atleast_1d(lam) + np.atleast_1d(a_vol)) / (1.0 - p)
+    td = (np.atleast_1d(lam) + np.atleast_1d(d_vol)) / (1.0 - q)
+    return ta, td
+
+
+def coefficient_drifts(p: float, q: float, lam, a_vol, d_vol) -> tuple[float, float]:
+    """Necessary drifts (alpha, delta) of the two coefficient processes."""
+    _check_unit_powers(p, q)
     la = np.atleast_1d(lam) + np.atleast_1d(a_vol)
     ld = np.atleast_1d(lam) + np.atleast_1d(d_vol)
     alpha = -p / (2.0 * (1.0 - p)) * float(la @ la)
@@ -85,15 +104,13 @@ def coefficient_drifts(p: float, q: float, lam, a_vol, d_vol) -> tuple[float, fl
 
 def consistency_gap(p: float, q: float, lam, a_vol, d_vol) -> float:
     """Norm of (lam + a)/(1-p) - (lam + d)/(1-q); zero iff the sum is consistent."""
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise ValueError("powers must lie in (0, 1)")
-    la = (np.atleast_1d(lam) + np.atleast_1d(a_vol)) / (1.0 - p)
-    ld = (np.atleast_1d(lam) + np.atleast_1d(d_vol)) / (1.0 - q)
-    return float(np.linalg.norm(la - ld))
+    ta, td = _one_power_targets(p, q, lam, a_vol, d_vol)
+    return float(np.linalg.norm(ta - td))
 
 
 def zero_gap_d_vol(p: float, q: float, lam, a_vol) -> np.ndarray:
     """The unique d loading closing the consistency gap for given (p, q, lam, a)."""
+    _check_unit_powers(p, q)
     lam = np.atleast_1d(np.asarray(lam, float))
     return (1.0 - q) / (1.0 - p) * (lam + np.atleast_1d(a_vol)) - lam
 
@@ -125,10 +142,8 @@ def mixture_sp_target(p: float, q: float, a_coeff: float, d_coeff: float, x: flo
     (lam+d)/(1-q) with weights p(1-p)A x^p and q(1-q)D x^q, evaluated in log
     space so extreme wealth or coefficients cannot overflow.
     """
-    if not (x > 0 and a_coeff > 0 and d_coeff > 0):
-        raise ValueError("wealth and coefficients must be positive")
-    ta = (np.atleast_1d(lam) + np.atleast_1d(a_vol)) / (1.0 - p)
-    td = (np.atleast_1d(lam) + np.atleast_1d(d_vol)) / (1.0 - q)
+    _check_positive_finite("wealth and coefficients", x, a_coeff, d_coeff)
+    ta, td = _one_power_targets(p, q, lam, a_vol, d_vol)
     wu, wv = _log_side_weights(p, q, a_coeff, d_coeff, x)
     omega = _sigmoid(wu - wv)  # weight of the p side, in [0, 1]
     return omega * ta + (1.0 - omega) * td
@@ -150,8 +165,7 @@ def joint_drift(p: float, q: float, a_coeff: float, d_coeff: float, x: float,
     Zero exactly when the consistency gap vanishes; the magnitude is the
     instantaneous cost of pooling the two investors.
     """
-    if not (x > 0 and a_coeff > 0 and d_coeff > 0):
-        raise ValueError("wealth and coefficients must be positive")
+    _check_positive_finite("wealth and coefficients", x, a_coeff, d_coeff)
     gap = consistency_gap(p, q, lam, a_vol, d_vol)
     if gap == 0.0:
         return 0.0
@@ -163,9 +177,8 @@ def joint_drift(p: float, q: float, a_coeff: float, d_coeff: float, x: float,
 
 
 def _check_double_aversion(a_coeff: float, d_coeff: float, gamma: float) -> None:
-    """Raise ValueError unless A, D > 0 and g lies in (0, 1/2); NaN fails both."""
-    if not (a_coeff > 0 and d_coeff > 0):
-        raise ValueError("coefficients must be positive")
+    """Raise ValueError unless 0 < A, D < inf and g lies in (0, 1/2); NaN fails both."""
+    _check_positive_finite("coefficients", a_coeff, d_coeff)
     if not (0.0 < gamma < 0.5):
         raise ValueError("gamma must lie in (0, 1/2) so both powers are in (0, 1)")
 

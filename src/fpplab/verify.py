@@ -302,11 +302,12 @@ def structure_scan(values, x_grid) -> StructureReport:
     u = np.asarray(values, float)
     if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] != x.size:
         raise ValueError(f"values must be (n_states >= 1, {x.size}), got {u.shape}")
-    first = (u[:, 2:] - u[:, :-2]) / (x[2:] - x[:-2])
     h_plus = x[2:] - x[1:-1]
     h_minus = x[1:-1] - x[:-2]
-    second = 2.0 * ((u[:, 2:] - u[:, 1:-1]) / h_plus - (u[:, 1:-1] - u[:, :-2]) / h_minus) \
-        / (h_plus + h_minus)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN the finite check fails
+        first = (u[:, 2:] - u[:, :-2]) / (x[2:] - x[:-2])
+        second = 2.0 * ((u[:, 2:] - u[:, 1:-1]) / h_plus
+                        - (u[:, 1:-1] - u[:, :-2]) / h_minus) / (h_plus + h_minus)
     inc = np.min(first, axis=1)
     conc = np.max(second, axis=1)
     finite = np.all(np.isfinite(first), axis=1) & np.all(np.isfinite(second), axis=1)

@@ -324,14 +324,13 @@ def test_criterion_08_three_power_suite():
 
 def test_criterion_09_constants_calculator():
     """q and the Novikov lower bound at the reference exponents, plus rejection."""
-    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
-    consts = true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, 0.5, mix)
+    consts = true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, 0.5)
     assert consts.q == 4.0
     assert consts.cj_lower == 120.0
     with pytest.raises(InvalidExponentError):
-        true_fpp_constants(2.0, 2.0, 2.0, 2.0, 2.0, 0.5, mix)
+        true_fpp_constants(2.0, 2.0, 2.0, 2.0, 2.0, 0.5)
     with pytest.raises(InvalidExponentError):
-        true_fpp_constants(1.0, 2.0, 4.0, 4.0, 4.0, 0.5, mix)
+        true_fpp_constants(1.0, 2.0, 4.0, 4.0, 4.0, 0.5)
     print("criterion 9: PASS")
 
 

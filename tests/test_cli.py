@@ -1,12 +1,14 @@
 """Command line front end: exit codes, CSV outputs, reproducibility."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fpplab.cli import _write_report_csv, main
+from fpplab.cli import _overrides, _write_report_csv, build_parser, main
+from fpplab.config import load_config
 from fpplab.market import TimeGrid, brownian_batch
 from fpplab.verify import SE_MULTIPLE, VERDICT_VIOLATION, _report
 
@@ -18,6 +20,24 @@ def run(tmp_path, *args, config=None):
         path.write_text(config)
         argv += ["--config", str(path)]
     return main(argv + list(args))
+
+
+def readme_commands():
+    """The concrete ``fpplab ...`` lines of README's Command line block; the
+    ``a|b`` and ``[...]`` templates are skipped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines()
+             if line.startswith("fpplab ") and not set("|[") & set(line)]
+    assert lines, "README's Command line block lists no concrete command"
+    return lines
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_parses_and_resolves(line):
+    # a renamed flag, subaction or preset exits here, without running the command
+    args = build_parser().parse_args(line.split()[1:])
+    load_config(overrides=_overrides(args))
 
 
 SMALL_SIM = """

@@ -117,8 +117,10 @@ def test_malformed_entry_names_its_key(overrides, message):
 
 
 def test_unknown_pool_preset(tmp_path):
+    # pooling.preset is the one lookup; the config keys its error at pool
     path = write(tmp_path, "pool:\n  preset: fig9\n")
-    with pytest.raises(ConfigError, match="fig9"):
+    with pytest.raises(ConfigError, match=r"^pool\.preset: unknown preset 'fig9', choose "
+                                          r"from \['fig1', 'fig2', 'fig3', 'fig4'\]$"):
         load_config(path)
 
 

@@ -159,6 +159,18 @@ def test_market_dimensions_accept_integral_numbers():
     assert all(type(d) is int for d in (market.n_stocks, market.d_w, market.d_wperp))
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("sigma", Schedule(0.2, (1, 1))), ("mu", Schedule(0.04, (1,))), ("mu", {"t": 0.0})],
+    ids=["sigma-schedule", "mu-schedule", "mu-mapping"])
+def test_market_takes_plain_values_only(name, bad):
+    # a built Schedule was taken as it stood, whatever its shape: a 1x1 sigma
+    # in a 2-stock market gave a two-factor Sharpe path from one factor
+    values = {"sigma": [[0.2, 0.0], [0.0, 0.2]], "mu": [0.04, 0.04], name: bad}
+    with pytest.raises(ValueError, match=rf"^{name}: not a number or an array of "
+                                         rf"numbers, got {type(bad).__name__}$"):
+        MarketSpec(2, 2, 0, **values)
+
+
 # ---------------------------------------------------------------------------
 # Brownian paths
 # ---------------------------------------------------------------------------
@@ -438,7 +450,7 @@ def test_running_integral_matches_stepwise_reference(with_drift, with_j, d_w, ro
 def test_piecewise_market_schedule_in_sharpe_path():
     market = MarketSpec(
         n_stocks=1, d_w=1, d_wperp=0,
-        sigma=Schedule([{"t": 0.0, "value": [[0.2]]}, {"t": 0.5, "value": [[0.4]]}], (1, 1)),
+        sigma=[{"t": 0.0, "value": [[0.2]]}, {"t": 0.5, "value": [[0.4]]}],
         mu=0.04)
     grid = TimeGrid.regular(1.0, 0.25)
     lam = market.sharpe_path(grid)
@@ -451,7 +463,7 @@ def test_sharpe_path_checks_the_horizon():
     # the horizon starts no cell, yet a market singular there is rejected
     market = MarketSpec(
         n_stocks=1, d_w=1, d_wperp=0,
-        sigma=Schedule([{"t": 0.0, "value": [[0.2]]}, {"t": 1.0, "value": [[0.0]]}], (1, 1)),
+        sigma=[{"t": 0.0, "value": [[0.2]]}, {"t": 1.0, "value": [[0.0]]}],
         mu=0.04)
     assert market.sharpe_path(TimeGrid.regular(0.75, 0.25)).shape == (3, 1)
     with pytest.raises(SingularMarketError, match="column-rank deficient"):
@@ -461,12 +473,12 @@ def test_sharpe_path_solves_each_knot_run_once(monkeypatch):
     # sigma and mu change at knots on and between grid times: every row holds
     # sharpe_at of its own time bit for bit, from one solve per run of times
     # that share both knots
-    sigma = Schedule([{"t": 0.0, "value": [[0.3, 0.1], [0.0, 0.2]]},
-                      {"t": 0.3, "value": [[0.25, 0.0], [0.05, 0.4]]},
-                      {"t": 0.5, "value": [[0.2, 0.1], [0.1, 0.3]]}], (2, 2))
-    mu = Schedule([{"t": 0.0, "value": [0.05, 0.02]},
-                   {"t": 0.75, "value": [0.01, 0.07]}], (2,))
-    market = MarketSpec(n_stocks=2, d_w=2, d_wperp=0, sigma=sigma, mu=mu)
+    market = MarketSpec(n_stocks=2, d_w=2, d_wperp=0,
+                        sigma=[{"t": 0.0, "value": [[0.3, 0.1], [0.0, 0.2]]},
+                               {"t": 0.3, "value": [[0.25, 0.0], [0.05, 0.4]]},
+                               {"t": 0.5, "value": [[0.2, 0.1], [0.1, 0.3]]}],
+                        mu=[{"t": 0.0, "value": [0.05, 0.02]},
+                            {"t": 0.75, "value": [0.01, 0.07]}])
     grid = TimeGrid.regular(1.0, 0.125)
     calls = []
     original = fpplab.market.sharpe_ratio
@@ -475,15 +487,16 @@ def test_sharpe_path_solves_each_knot_run_once(monkeypatch):
     lam = market.sharpe_path(grid)
     assert len(calls) == 4  # [0, 0.3), [0.3, 0.5), [0.5, 0.75), [0.75, 1]
     for k, t in enumerate(grid.times[:-1]):
-        assert np.array_equal(lam[k].view(np.int64),
-                              original(sigma.path(t), mu.path(t)).view(np.int64))
+        assert np.array_equal(
+            lam[k].view(np.int64),
+            original(market.sigma.path(t), market.mu.path(t)).view(np.int64))
 
 
 def test_sharpe_path_names_the_first_singular_time():
     # sigma turns rank deficient at t = 0.55, between grid times: the error
     # names 0.75, the first grid time at or after that knot
-    sigma = Schedule([{"t": 0.0, "value": [[0.2, 0.1], [0.0, 0.3]]},
-                      {"t": 0.55, "value": [[0.2, 0.1], [0.4, 0.2]]}], (2, 2))
+    sigma = [{"t": 0.0, "value": [[0.2, 0.1], [0.0, 0.3]]},
+             {"t": 0.55, "value": [[0.2, 0.1], [0.4, 0.2]]}]
     market = MarketSpec(n_stocks=2, d_w=2, d_wperp=0, sigma=sigma, mu=[0.05, 0.02])
     assert market.sharpe_path(TimeGrid.regular(0.5, 0.25)).shape == (2, 2)
     with pytest.raises(SingularMarketError, match=r"column-rank deficient .* at t=0\.75$"):

@@ -704,24 +704,21 @@ def test_monotone_power_factorisation_along_path():
 # ---------------------------------------------------------------------------
 
 def test_constants_reference_point():
-    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
-    consts = true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, 0.5, mix)
+    consts = true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, 0.5)
     assert consts.q == pytest.approx(4.0)
     assert consts.cj_lower == pytest.approx(120.0)
     assert np.isfinite(consts.ch_lower(0.5))
 
 
 def test_constants_q_decreases_to_two():
-    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
-    qs = [true_fpp_constants(v, 2.0, 4.0, 4.0, 4.0, 0.5, mix).q
+    qs = [true_fpp_constants(v, 2.0, 4.0, 4.0, 4.0, 0.5).q
           for v in (1.5, 2.0, 5.0, 100.0, 1e8)]
     assert all(a > b for a, b in zip(qs, qs[1:]))
     assert qs[-1] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_constants_first_branch_vanishes_near_one():
-    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
-    consts = true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, 0.5, mix)
+    consts = true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, 0.5)
     u, v, p1, p3, g0 = consts.u, consts.v, consts.p1, consts.p3, consts.gamma0
     for eps in (1e-2, 1e-4, 1e-6):
         g = 1 - eps
@@ -743,9 +740,8 @@ def test_constants_first_branch_vanishes_near_one():
     (2.0, 2.0, INF, 4.0, 4.0),     # cj_lower was inf
 ])
 def test_constants_reject_invalid_exponents(v, u, p1, p2, p3):
-    mix = RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)
     with pytest.raises(InvalidExponentError):
-        true_fpp_constants(v, u, p1, p2, p3, 0.5, mix)
+        true_fpp_constants(v, u, p1, p2, p3, 0.5)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -765,28 +761,28 @@ def test_constants_reject_invalid_exponents(v, u, p1, p2, p3):
     (lambda: hgamma([0.5, NAN], 0.5, np.array([0.2]), np.array([0.0])),
      "gamma must be finite"),
     (lambda: vgamma_rate(INF, [0.2], [0.0]), "gamma must be nonzero"),
-    (lambda: true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, NAN,
-                                RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)),
+    (lambda: true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, NAN),
      "gamma0 must be nonzero"),
-    (lambda: true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, INF,
-                                RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5)),
+    (lambda: true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, INF),
      "gamma0 must be nonzero"),
     (lambda: dual_marginal(1.0, 1.0, 1.0, NAN), "gamma must lie in"),
     (lambda: dual_marginal(1.0, 1.0, 1.0, 0.5), "gamma must lie in"),
     (lambda: dual_marginal(1.0, NAN, 1.0, 0.25), "coefficients must be positive"),
+    (lambda: dual_marginal(1.0, INF, 1.0, 0.25), "coefficients must be positive and finite"),
+    (lambda: dual_marginal(1.0, 1.0, INF, 0.25), "coefficients must be positive and finite"),
 ], ids=["drift-term", "monotone-power", "hgamma", "vgamma-rate", "vgamma-rate-atom",
         "dual-marginal-nan", "dual-marginal-negative", "dual-marginal-zero",
         "optimal-portfolio", "drift-term-inf", "monotone-power-inf", "hgamma-inf",
         "hgamma-gamma-inf", "hgamma-gamma-atom", "vgamma-rate-inf", "constants-gamma0",
         "constants-gamma0-inf", "dual-marginal-gamma", "dual-marginal-gamma-range",
-        "dual-marginal-coefficient"])
+        "dual-marginal-coefficient", "dual-marginal-a-inf", "dual-marginal-d-inf"])
 def test_nan_aversions_and_wealth_are_rejected(call, message):
     # each guard was an equality test (gamma in (0, 1), gamma0 == 0), which
     # NaN passes, or an order test, which inf passes; hgamma never checked
     # gamma, true_fpp_constants never checked gamma0, and dual_marginal
     # checked no aversion or coefficient, so x < 0 raised a complex TypeError
     # and a NaN gamma read 1.0 ** nan = 1; a NaN gamma0 made
-    # optimal_portfolio's target NaN
+    # optimal_portfolio's target NaN; an infinite A or D made dual_marginal inf
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -27,7 +27,7 @@ FIG1 = preset("fig1")
 def brute_force_argmax(spec, t, step=1e-5):
     zs = np.arange(step, 1.0, step)
     zs = zs[(zs > 1e-4) & (zs < 1 - 1e-3)]
-    vals = [constant_z_expected_utility(float(z), t, spec) for z in zs]
+    vals = utility_surface(spec, zs, [t]).values[0]
     return float(zs[int(np.argmax(vals))])
 
 
@@ -41,7 +41,8 @@ def test_pool_spec_validation():
     with pytest.raises(ValueError):
         PoolSpec(p=0.1, q=0.3, a0=1, d0=1, lam=1, x0=1, horizon=30,
                  rebalance_dt=0.7)  # not a whole number of periods
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^preset: unknown preset 'fig9', choose from "
+                                         r"\['fig1', 'fig2', 'fig3', 'fig4'\]$"):
         preset("fig9")
 
 
@@ -636,9 +637,14 @@ def test_surface_time_zero_row_constant():
 
 
 def test_surface_single_point_matches_scalar_form():
-    surf = utility_surface(FIG1, [0.25], [7.0])
-    assert surf.values[0, 0] == pytest.approx(
-        constant_z_expected_utility(0.25, 7.0, FIG1))
+    # the module docstring's closed form, written out at one (t, z)
+    spec, z, t = preset("fig4", a0=1.5, d0=0.5, x0=2.0), 0.25, 7.0
+    closed = sum(c * spec.x0 ** g * np.exp(-g * (z - g) ** 2 * spec.lam ** 2 * t
+                                           / (2 * (1 - g) * (1 - z) ** 2))
+                 for c, g in ((spec.a0, spec.p), (spec.d0, spec.q)))
+    surf = utility_surface(spec, [z], [t])
+    assert surf.values[0, 0] == pytest.approx(closed, rel=1e-14)
+    assert constant_z_expected_utility(z, t, spec) == surf.values[0, 0]
 
 
 def test_surface_never_exceeds_initial_row_and_decays():
@@ -696,6 +702,19 @@ def test_compare_allocations_within_bounds():
     greedy = result.strategies["pi_e"]
     assert np.all(greedy.mean_allocation > 0.0)
     assert np.all(greedy.mean_allocation < 1.0)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_compare_feedback_is_the_two_power_optimiser(name):
+    # pi_star writes the joint optimiser as z = w p + (1-w) q; at t = 0 every
+    # path holds x0, and lam / (1 - z) must be two_power's state-feedback target
+    for x0, a0, d0 in ((1.0, 1.0, 1.0), (0.05, 2.0, 0.5), (40.0, 0.3, 3.0)):
+        spec = preset(name, x0=x0, a0=a0, d0=d0)
+        result = compare_strategies(spec, n_paths=8, seed=5)
+        target = two_power.mixture_sp_target(spec.p, spec.q, a0, d0, x0,
+                                             [spec.lam], [0.0], [0.0])[0]
+        assert result.strategies["pi_star"].mean_allocation[0] == pytest.approx(
+            1.0 - spec.lam / target, rel=1e-12)
 
 
 def test_compare_common_random_numbers_shrink_variance():

@@ -151,12 +151,41 @@ def test_portfolio_interpolates_between_targets():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("x, a_coeff, d_coeff", [(np.nan, 1.0, 1.0), (1.0, np.nan, 1.0),
-                                                 (1.0, 1.0, np.nan)])
+                                                 (1.0, 1.0, np.nan), (np.inf, 1.0, 1.0),
+                                                 (1.0, np.inf, 1.0), (1.0, 1.0, np.inf)])
 @pytest.mark.parametrize("function", [mixture_sp_target, joint_drift],
                          ids=["mixture_sp_target", "joint_drift"])
 def test_joint_criterion_rejects_nan(function, x, a_coeff, d_coeff):
-    with pytest.raises(ValueError, match="wealth and coefficients must be positive"):
+    # an infinite wealth or coefficient made joint_drift warn and return NaN
+    with pytest.raises(ValueError, match="^wealth and coefficients must be positive "
+                                         "and finite$"):
         function(0.1, 0.3, a_coeff, d_coeff, x, [1.0], [0.0], [0.5])
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 0.3), (1.5, 0.3), (0.1, np.nan), (0.0, 0.3)],
+                         ids=["p-one", "p-above-one", "q-nan", "p-zero"])
+@pytest.mark.parametrize("call", [
+    lambda p, q: coefficient_drifts(p, q, [1.0], [0.0], [0.5]),
+    lambda p, q: consistency_gap(p, q, [1.0], [0.0], [0.5]),
+    lambda p, q: zero_gap_d_vol(p, q, [1.0], [0.0]),
+    lambda p, q: mixture_sp_target(p, q, 1.0, 1.0, 1.0, [1.0], [0.0], [0.5]),
+    lambda p, q: mixture_portfolio(p, q, 1.0, 1.0, 1.0, [1.0], [0.0], [0.5], [[0.2]]),
+    lambda p, q: joint_drift(p, q, 1.0, 1.0, 1.0, [1.0], [0.0], [0.5]),
+], ids=["coefficient_drifts", "consistency_gap", "zero_gap_d_vol", "mixture_sp_target",
+        "mixture_portfolio", "joint_drift"])
+def test_powers_outside_the_unit_interval_are_rejected(call, p, q):
+    # zero_gap_d_vol and mixture_sp_target checked no power: p = 1 divided
+    # by zero, p = 1.5 took a log of a negative number, q = NaN gave NaN
+    with pytest.raises(ValueError, match=r"^powers must lie in \(0, 1\)$"):
+        call(p, q)
+
+
+def test_equal_powers_stay_allowed():
+    # p = q is one power criterion split in two: the targets coincide
+    lam, a = [0.6], [0.1]
+    assert zero_gap_d_vol(0.2, 0.2, lam, a) == pytest.approx(a)
+    assert mixture_sp_target(0.2, 0.2, 1.0, 2.0, 3.0, lam, a, a) == pytest.approx(
+        [0.7 / 0.8])
 
 
 def test_joint_drift_zero_gap():
@@ -319,8 +348,9 @@ def test_dual_rejects_bad_domain():
         legendre_dual(1.0, 1.0, 1.0, 0.7)
     with pytest.raises(ValueError, match="y must be positive"):
         legendre_dual(np.nan, 1.0, 1.0, 0.25)
-    for a_coeff, d_coeff in ((np.nan, 1.0), (1.0, np.nan)):
-        with pytest.raises(ValueError, match="coefficients must be positive"):
+    for a_coeff, d_coeff in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
+        # an infinite A once blamed y after a divide-by-zero RuntimeWarning
+        with pytest.raises(ValueError, match="^coefficients must be positive and finite$"):
             legendre_dual(1.0, a_coeff, d_coeff, 0.25)
 
 

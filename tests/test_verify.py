@@ -500,6 +500,20 @@ def test_structure_scan_fails_on_nan_values():
     assert report.to_text().startswith("structure scan: FAIL")
 
 
+def test_structure_scan_fails_quietly_on_adjacent_infinities():
+    # inf - inf in the second difference raised numpy's "invalid value"
+    # RuntimeWarning on top of the FAIL report
+    x = np.geomspace(0.1, 10.0, 16)
+    values = np.tile(np.log(x), (3, 1))
+    values[1, :2] = -np.inf
+    report = structure_scan(values, x)
+    assert (report.passed, report.worst_state_index) == (False, 1)
+    # the row's margins: its finite first differences and a NaN second one
+    assert report.worst_increase_margin == np.min((values[1, 4:] - values[1, 2:-2])
+                                                  / (x[4:] - x[2:-2]))
+    assert np.isnan(report.worst_concavity_margin)
+
+
 def test_structure_scan_validates_grid():
     with pytest.raises(ValueError):
         structure_scan([np.geomspace(1, 10, 4)], np.geomspace(1, 10, 4))
@@ -564,10 +578,11 @@ def scan_values(draw):
 @example(values=np.array([SCAN_ROWS[0], SCAN_ROWS[1] + np.r_[0, np.nan, np.zeros(8)],
                           SCAN_ROWS[2]]))  # a NaN row
 @example(values=np.array([SCAN_ROWS[0], SCAN_ROWS[2] + np.r_[np.zeros(9), np.inf]]))  # inf
+@example(values=np.array([SCAN_ROWS[0], SCAN_ROWS[1] + np.r_[-np.inf, -np.inf,
+                                                             np.zeros(8)]]))  # inf - inf
 def test_structure_scan_equals_per_state_loop(values):
-    # inf - inf is a quiet NaN here; the scan fails on it either way
-    with np.errstate(invalid="ignore"):
-        report = structure_scan(values, SCAN_X)
+    report = structure_scan(values, SCAN_X)  # warns of nothing, inf - inf included
+    with np.errstate(invalid="ignore"):  # inf - inf is a quiet NaN in the oracle
         want = loop_structure_scan(values, SCAN_X)
     assert (report.passed, report.worst_state_index) == (want[0], want[3])
     assert np.array_equal([report.worst_increase_margin, report.worst_concavity_margin],
