@@ -14,10 +14,9 @@ two-power validate    monotonicity checks on sampled power paths
 three-power           discriminant table, sample paths, martingale check
 
 Settings resolve once, in ``config.load_config``: defaults < --config file <
---preset < the other flags, which are overrides of configuration keys.
-Exit codes: 0 success, 1 check failure, 2 configuration error.  Output
-directory resolves from --out, then $FPPLAB_OUT, then the configured value.
-All CSV output is byte-stable for a fixed config and seed.
+the flags, which are overrides of configuration keys (--out sets output_dir,
+--preset pool.preset).  Exit codes: 0 success, 1 check failure, 2
+configuration error.  All CSV output is byte-stable for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ from .three_power import ThreePowerFpp, concavity_discriminants, three_power_val
 from .verify import MartingaleReport, martingale_test, structure_scan
 
 N_SAMPLE_PATHS = 4  # paths dumped to per-path CSVs
+PERTURBED_SCALE = 2.0  # verify-fpp's perturbed run holds this multiple of sp_star
+SAMPLE_WEALTH = (0.5, 1.0, 2.0)  # three-power's per-path CSV evaluates U here
 
 
 def _fmt(value) -> str:
@@ -72,7 +73,7 @@ def cmd_verify_fpp(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
     runs = [("pi_star", fpp.sp_star, "martingale"),
             ("null", np.zeros_like(fpp.sp_star), "supermartingale"),
-            ("perturbed", cfg.perturbed_scale * fpp.sp_star, "supermartingale")]
+            ("perturbed", PERTURBED_SCALE * fpp.sp_star, "supermartingale")]
     reports = martingale_test(fpp, [(sp, mode) for _, sp, mode in runs],
                               n_paths=cfg.sim.n_paths, seed=cfg.sim.seed,
                               threads=threads)
@@ -132,8 +133,6 @@ def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag) -> int:
         return 0
     if subaction == "optimize":
         t = t_flag if t_flag is not None else spec.horizon
-        if not 0 < t < np.inf:
-            raise ConfigError(f"--t: must be positive and finite, got {t:g}")
         try:
             result = pooling.optimize_constant_z(spec, t)
         except ValueError as exc:
@@ -186,8 +185,6 @@ def cmd_two_power(cfg: RunConfig, subaction: str, y_flag, gamma_flag,
         if y_flag is None:
             raise ConfigError("two-power dual requires --y")
         gamma = gamma_flag if gamma_flag is not None else 0.25
-        if not 0 < y_flag < np.inf:
-            raise ConfigError(f"--y: must be positive and finite, got {y_flag:g}")
         if not 0 < gamma < 0.5:
             raise ConfigError(f"--gamma: must lie in (0, 1/2), got {gamma:g}")
         try:
@@ -253,11 +250,11 @@ def cmd_three_power(cfg: RunConfig, out_dir: str, threads: int) -> int:
     dw, _ = brownian_batch(grid, cfg.market.d_w, cfg.market.d_wperp,
                            cfg.sim.seed, range(N_SAMPLE_PATHS))
     z = np.exp(fpp.accumulators(dw)[0])
-    xs = cfg.three_power_x
-    u = three_power_value(np.array(xs), z[:, :, None], fpp.i_path[:, None, None], spec)
+    u = three_power_value(np.array(SAMPLE_WEALTH), z[:, :, None],
+                          fpp.i_path[:, None, None], spec)
     rows = ([b, _fmt(t), _fmt(z[k, b]), _fmt(fpp.i_path[k]), *map(_fmt, u[k, b])]
             for b in range(dw.shape[2]) for k, t in enumerate(grid.times))
-    header = ["path_id", "t", "Z", "I"] + [f"U_x={x:g}" for x in xs]
+    header = ["path_id", "t", "Z", "I"] + [f"U_x={x:g}" for x in SAMPLE_WEALTH]
     _write_csv(os.path.join(out_dir, "three_power_paths.csv"), header, rows)
     return 0 if report.passed else 1
 
@@ -273,13 +270,12 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="YAML configuration file", **kw)
     parser.add_argument("--seed", type=int, help="override simulation.seed", **kw)
     parser.add_argument("--paths", type=int, help="override simulation.n_paths", **kw)
-    parser.add_argument("--out", metavar="DIR", help="output directory", **kw)
+    parser.add_argument("--out", metavar="DIR", help="override output_dir", **kw)
     parser.add_argument("--threads", type=int,
                         help="worker pool size (results do not depend on it)",
                         **(kw if suppress else {"default": os.cpu_count()}))
     parser.add_argument("--preset", metavar="NAME",
-                        help="named parameter bundle (pool: fig1..fig4; "
-                             "verify-fpp: power_base)", **kw)
+                        help="override pool.preset (fig1..fig4)", **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,14 +320,13 @@ def _overrides(args) -> dict:
         overrides.setdefault("simulation", {})["seed"] = args.seed
     if args.paths is not None:
         overrides.setdefault("simulation", {})["n_paths"] = args.paths
+    if args.out is not None:
+        overrides["output_dir"] = args.out
     if args.preset is not None:
-        if args.command == "verify-fpp":
-            overrides["preset"] = args.preset
-        elif args.command == "pool":
-            overrides["pool"] = {"preset": args.preset}
-        else:
+        if args.command != "pool":
             raise ConfigError(f"--preset: {args.command} takes no preset "
-                              f"(presets apply to verify-fpp and pool)")
+                              f"(presets apply to pool)")
+        overrides["pool"] = {"preset": args.preset}
     if args.command == "three-power" and args.gamma is not None:
         overrides["three_power"] = {"gamma": args.gamma}
     return overrides
@@ -342,7 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, overrides=_overrides(args))
-        out_dir = args.out or os.environ.get("FPPLAB_OUT") or cfg.output_dir
+        out_dir = cfg.output_dir
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "verify-fpp":
             return cmd_verify_fpp(cfg, out_dir, args.threads)

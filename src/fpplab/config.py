@@ -1,9 +1,10 @@
 """Configuration loading and validation for the experiment front end.
 
 One YAML file with per-command sections; anything omitted falls back to the
-bundled defaults.  Unknown keys are rejected with the full key path, YAML
-syntax errors surface with their line and column, and semantic errors name
-the offending key.
+bundled defaults, and the CLI's flags override both.  YAML syntax errors
+surface with their line and column.  The merged settings are checked once:
+unknown sections and keys are rejected with the full key path, and semantic
+errors name the offending key.
 """
 
 from __future__ import annotations
@@ -30,18 +31,12 @@ DEFAULT_CONFIG = {
         "j": {},
     },
     "two_power": {"p": 0.1, "q": 0.3, "a0": 1.0, "d0": 1.0,
-                  "a_vol": [0.0], "d_vol": [0.0], "a_perp": [], "d_perp": []},
+                  "a_vol": [0.0], "d_vol": [0.0]},
     "pool": {"preset": "fig1"},
-    "three_power": {"gamma": 0.25, "x_values": [0.5, 1.0, 2.0]},
+    "three_power": {"gamma": 0.25},
     "simulation": {"n_paths": 20000, "seed": 7, "grid_step": 1.0 / 252.0,
                    "horizon": 1.0},
-    "verify": {"perturbed_scale": 2.0},
     "output_dir": "out",
-}
-
-# named bundles pinning whole market + mixture sections (power_base: the defaults)
-MIXTURE_PRESETS = {
-    "power_base": {key: DEFAULT_CONFIG[key] for key in ("market", "mixture")},
 }
 
 # the keys of each section: those of its defaults, and for pool every PoolSpec field
@@ -68,9 +63,7 @@ class RunConfig:
     pool: PoolSpec
     pool_preset: str | None  # the named bundle behind ``pool``, if any
     three_power: ThreePowerSpec
-    three_power_x: tuple[float, ...]
     sim: SimulationConfig
-    perturbed_scale: float
     output_dir: str
 
 
@@ -209,7 +202,7 @@ def _mixture_from(cfg: dict, market: MarketSpec) -> RiskMixture:
 def _two_power_from(cfg: dict, market: MarketSpec) -> TwoPowerSpec:
     for key in ("p", "q", "a0", "d0"):
         _number(f"two_power.{key}", cfg[key])
-    for key in ("a_vol", "d_vol", "a_perp", "d_perp"):
+    for key in ("a_vol", "d_vol"):
         _numbers(f"two_power.{key}", cfg[key])
     spec = _keyed("two_power", TwoPowerSpec, **cfg)
     _keyed("two_power", spec.check, market.d_w)
@@ -231,15 +224,9 @@ def _pool_from(cfg: dict) -> PoolSpec:
     return _keyed("pool", pool_preset, name, **cfg)
 
 
-def _three_power_from(cfg: dict) -> tuple[ThreePowerSpec, tuple[float, ...]]:
+def _three_power_from(cfg: dict) -> ThreePowerSpec:
     gamma = _number("three_power.gamma", cfg["gamma"])
-    spec = _keyed("three_power", ThreePowerSpec, gamma=gamma)
-    xs = tuple(float(_number(f"three_power.x_values[{i}]", v))
-               for i, v in enumerate(cfg["x_values"]))
-    if not all(0 < v < math.inf for v in xs):
-        raise ConfigError("three_power.x_values: wealth values must be positive "
-                          "and finite")
-    return spec, xs
+    return _keyed("three_power", ThreePowerSpec, gamma=gamma)
 
 
 def _simulation_from(cfg: dict) -> SimulationConfig:
@@ -261,41 +248,27 @@ def _simulation_from(cfg: dict) -> SimulationConfig:
     return sim
 
 
-def _perturbed_scale_from(cfg: dict) -> float:
-    scale = float(_number("verify.perturbed_scale", cfg["perturbed_scale"]))
-    if not 0 <= scale < math.inf:
-        raise ConfigError("verify.perturbed_scale: must be nonnegative and finite")
-    return scale
-
-
 def load_config(path: str = None, overrides: dict = None) -> RunConfig:
-    """Resolve every setting: defaults < file < ``overrides["preset"]`` (a
-    ``MIXTURE_PRESETS`` bundle) < the rest of ``overrides``, shaped like the file."""
+    """Resolve every setting: defaults < the YAML file at ``path`` <
+    ``overrides``, a dict shaped like the file (the CLI's flags)."""
     raw = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        user = _parse_yaml(path)
-        for key in user:
-            if key != "output_dir" and key not in _ALLOWED:
-                raise ConfigError(f"{key}: unknown section")
-        raw = _deep_merge(raw, user)
-    overrides = dict(overrides or {})
-    preset = overrides.pop("preset", None)
-    if preset is not None:
-        if preset not in MIXTURE_PRESETS:
-            raise ConfigError(f"preset: unknown preset {preset!r}, "
-                              f"choose from {sorted(MIXTURE_PRESETS)}")
-        raw.update(copy.deepcopy(MIXTURE_PRESETS[preset]))
-    raw = _deep_merge(raw, overrides)
+        raw = _deep_merge(raw, _parse_yaml(path))
+    raw = _deep_merge(raw, overrides or {})
+    for key in raw:
+        if key not in DEFAULT_CONFIG:
+            raise ConfigError(f"{key}: unknown section")
 
     market = _build("market", raw, _market_from)
     mixture = _build("mixture", raw, _mixture_from, market)
     two_power_spec = _build("two_power", raw, _two_power_from, market)
     pool_spec = _build("pool", raw, _pool_from)
-    three_spec, three_x = _build("three_power", raw, _three_power_from)
+    three_spec = _build("three_power", raw, _three_power_from)
     sim = _build("simulation", raw, _simulation_from)
-    scale = _build("verify", raw, _perturbed_scale_from)
+    if not (isinstance(raw["output_dir"], str) and raw["output_dir"]):
+        raise ConfigError(f"output_dir: must be a directory path, got {raw['output_dir']!r}")
     return RunConfig(market=market, mixture=mixture,
                      two_power=two_power_spec, pool=pool_spec,
                      pool_preset=raw["pool"].get("preset"),
-                     three_power=three_spec, three_power_x=three_x, sim=sim,
-                     perturbed_scale=scale, output_dir=str(raw["output_dir"]))
+                     three_power=three_spec, sim=sim,
+                     output_dir=raw["output_dir"])

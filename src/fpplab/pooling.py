@@ -250,8 +250,8 @@ def optimize_constant_z(spec: PoolSpec, t: float) -> OptimizeResult:
     fig1 (lam = 1) at t = 7.5.  For equal weights the small-horizon
     maximiser is ``(p^2+q^2)/(p+q)``.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t:g}")
     log_wa, log_wd = np.log(spec.weights())
     lam2t = _lam2t(spec, t)
 

@@ -32,7 +32,7 @@ POWER_PATH_TOL = 1e-12  # monotonicity slack for sampled power paths
 
 @dataclass(frozen=True)
 class TwoPowerSpec:
-    """Powers, initial coefficients, and coefficient volatility loadings.
+    """Powers, initial coefficients, and the coefficients' loadings on W.
 
     A bad field raises a ValueError that names the field first (``a0: ...``).
     """
@@ -43,11 +43,9 @@ class TwoPowerSpec:
     d0: float
     a_vol: np.ndarray    # (d_w,) loading of A on W
     d_vol: np.ndarray    # (d_w,)
-    a_perp: np.ndarray   # (d_wperp,) loading of A on W_perp
-    d_perp: np.ndarray   # (d_wperp,)
 
     def __post_init__(self):
-        for name in ("a_vol", "d_vol", "a_perp", "d_perp"):
+        for name in ("a_vol", "d_vol"):
             value = np.atleast_1d(np.asarray(getattr(self, name), float))
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name}: non-finite value")
@@ -84,19 +82,27 @@ def _check_positive_finite(what: str, *values: float) -> None:
         raise ValueError(f"{what} must be positive and finite")
 
 
+def _shifted_loadings(lam, a_vol, d_vol):
+    """lam + a and lam + d as 1-d arrays; ValueError naming the first of lam,
+    a_vol and d_vol with a non-finite entry."""
+    for name, value in (("lam", lam), ("a_vol", a_vol), ("d_vol", d_vol)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+    return (np.atleast_1d(lam) + np.atleast_1d(a_vol),
+            np.atleast_1d(lam) + np.atleast_1d(d_vol))
+
+
 def _one_power_targets(p: float, q: float, lam, a_vol, d_vol):
     """The one-power targets (lam + a)/(1-p) and (lam + d)/(1-q)."""
     _check_unit_powers(p, q)
-    ta = (np.atleast_1d(lam) + np.atleast_1d(a_vol)) / (1.0 - p)
-    td = (np.atleast_1d(lam) + np.atleast_1d(d_vol)) / (1.0 - q)
-    return ta, td
+    la, ld = _shifted_loadings(lam, a_vol, d_vol)
+    return la / (1.0 - p), ld / (1.0 - q)
 
 
 def coefficient_drifts(p: float, q: float, lam, a_vol, d_vol) -> tuple[float, float]:
     """Necessary drifts (alpha, delta) of the two coefficient processes."""
     _check_unit_powers(p, q)
-    la = np.atleast_1d(lam) + np.atleast_1d(a_vol)
-    ld = np.atleast_1d(lam) + np.atleast_1d(d_vol)
+    la, ld = _shifted_loadings(lam, a_vol, d_vol)
     alpha = -p / (2.0 * (1.0 - p)) * float(la @ la)
     delta = -q / (2.0 * (1.0 - q)) * float(ld @ ld)
     return alpha, delta
@@ -111,8 +117,8 @@ def consistency_gap(p: float, q: float, lam, a_vol, d_vol) -> float:
 def zero_gap_d_vol(p: float, q: float, lam, a_vol) -> np.ndarray:
     """The unique d loading closing the consistency gap for given (p, q, lam, a)."""
     _check_unit_powers(p, q)
-    lam = np.atleast_1d(np.asarray(lam, float))
-    return (1.0 - q) / (1.0 - p) * (lam + np.atleast_1d(a_vol)) - lam
+    la, _ = _shifted_loadings(lam, a_vol, 0.0)
+    return (1.0 - q) / (1.0 - p) * la - np.atleast_1d(np.asarray(lam, float))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -192,8 +198,8 @@ def legendre_dual(y: float, a_coeff: float, d_coeff: float,
     A x*^(-2g) + D x*^(-g) = y holds to machine precision.  Raises
     ValueError naming ``y`` when x* or the dual value leaves float range.
     """
-    if not y > 0:
-        raise ValueError("marginal utility y must be positive")
+    if not 0.0 < y < np.inf:
+        raise ValueError(f"marginal utility y must be positive and finite, got {y:g}")
     _check_double_aversion(a_coeff, d_coeff, gamma)
     # (-D + sqrt(D^2 + 4Ay)) / (2A) in its cancellation-free form; the hypot
     # keeps D^2 + 4Ay from overflowing

@@ -304,7 +304,7 @@ def structure_scan(values, x_grid) -> StructureReport:
         raise ValueError(f"values must be (n_states >= 1, {x.size}), got {u.shape}")
     h_plus = x[2:] - x[1:-1]
     h_minus = x[1:-1] - x[:-2]
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN the finite check fails
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf: fails the check below
         first = (u[:, 2:] - u[:, :-2]) / (x[2:] - x[:-2])
         second = 2.0 * ((u[:, 2:] - u[:, 1:-1]) / h_plus
                         - (u[:, 1:-1] - u[:, :-2]) / h_minus) / (h_plus + h_minus)

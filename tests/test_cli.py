@@ -50,7 +50,8 @@ simulation:
 
 
 def test_verify_fpp_power_base_exits_zero(tmp_path, capsys):
-    code = run(tmp_path, "--preset", "power_base", "verify-fpp", config=SMALL_SIM)
+    # the default market and mixture: one power atom on a one-stock market
+    code = run(tmp_path, "verify-fpp", config=SMALL_SIM)
     out = capsys.readouterr().out
     assert code == 0
     assert "consistent-with-martingale" in out
@@ -179,7 +180,7 @@ def test_pool_compare_csv_and_reproducibility(tmp_path):
 
 def test_two_power_gap_zero_config(tmp_path, capsys):
     config = "two_power:\n  p: 0.1\n  q: 0.3\n  a0: 1.0\n  d0: 1.0\n" \
-             "  a_vol: [-0.2]\n  d_vol: [-0.2]\n  a_perp: []\n  d_perp: []\n" \
+             "  a_vol: [-0.2]\n  d_vol: [-0.2]\n" \
              "market:\n  n_stocks: 1\n  d_w: 1\n  d_wperp: 0\n  sigma: 0.2\n  mu: 0.04\n"
     # a = d = -lam closes the gap exactly
     code = run(tmp_path, "two-power", "gap", config=config)
@@ -254,11 +255,16 @@ def test_three_power_small_gamma_finishes(tmp_path):
     assert code == 0
 
 
-def test_output_dir_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("FPPLAB_OUT", str(tmp_path / "envdir"))
-    code = main(["--preset", "fig1", "pool", "surface"])
-    assert code == 0
-    assert (tmp_path / "envdir" / "pool_surface_fig1.csv").exists()
+def test_output_dir_from_config_file_and_out_flag(tmp_path):
+    # output_dir resolves as every setting does: the file's value, which --out beats
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"output_dir: {tmp_path / 'from_file'}\n")
+    assert main(["--config", str(config), "pool", "surface"]) == 0
+    assert [p.name for p in (tmp_path / "from_file").iterdir()] == ["pool_surface_fig1.csv"]
+    assert main(["--config", str(config), "--out", str(tmp_path / "from_flag"),
+                 "pool", "surface"]) == 0
+    assert [p.name for p in (tmp_path / "from_flag").iterdir()] == ["pool_surface_fig1.csv"]
+    assert len(list((tmp_path / "from_file").iterdir())) == 1
 
 
 def test_verify_fpp_csvs_reproducible(tmp_path):
@@ -408,7 +414,8 @@ def test_pool_preset_flag_keeps_file_fields(tmp_path, monkeypatch):
 POWER_CSV = "p,q\n0.2,0.6\n0.21,abc\n"
 
 # (key, argv, config): every input that must exit 2
-# with one stderr line "configuration error: <key>: ..."
+# with one stderr line "configuration error: <key>: ..."; a key ending in a
+# newline is the whole line
 CONFIG_ERRORS = {
     "h0-constant-length": ("mixture.h0.value", ["verify-fpp"],
                            "mixture:\n  h0: {kind: constant, value: [0.1, 0.2]}\n"),
@@ -429,9 +436,9 @@ CONFIG_ERRORS = {
                              "mixture:\n  atoms: [{gamma: 0.5, weight: -1.0}]\n"),
     "gamma0-outside-atoms": ("mixture.gamma0: 2.0 outside the atom range", ["verify-fpp"],
                              "mixture:\n  gamma0: 2.0\n"),
-    "perturbed-scale-nan": ("verify.perturbed_scale", ["verify-fpp"],
+    "perturbed-scale-nan": ("verify: unknown section\n", ["verify-fpp"],
                             "verify:\n  perturbed_scale: .nan\n"),
-    "x-values-nan": ("three_power.x_values", ["three-power"],
+    "x-values-nan": ("three_power.x_values: unknown key\n", ["three-power"],
                      "three_power:\n  x_values: [.nan, 1.0]\n"),
     "three-power-gamma-flag": ("three_power.gamma", ["three-power", "--gamma", "0.4"],
                                None),
@@ -441,7 +448,8 @@ CONFIG_ERRORS = {
                "two_power:\n  a0: .nan\n"),
     "two-power-a0-negative": ("two_power.a0: must be positive and finite",
                               ["two-power", "drifts"], "two_power:\n  a0: -1.0\n"),
-    "verify-unknown-preset": ("preset", ["--preset", "fig9", "verify-fpp"], None),
+    "verify-unknown-preset": ("--preset: verify-fpp takes no preset (presets apply to "
+                              "pool)\n", ["--preset", "fig9", "verify-fpp"], None),
     "pool-unknown-preset": ("pool.preset", ["--preset", "power_base", "pool", "compare"],
                             None),
     "pool-optimize-negative-t": ("--t", ["pool", "optimize", "--t", "-1"], None),
@@ -482,6 +490,8 @@ CONFIG_ERRORS = {
                                                     "--gamma", "0.01"], None),
     "validate-non-numeric": ("{csv}", ["two-power", "validate", "--file", "{csv}"],
                              None),
+    "out-empty": ("output_dir: must be a directory path, got ''\n",
+                  ["--out", "", "two-power", "gap"], None),
     "three-power-preset": ("--preset: three-power", ["--preset", "fig3", "three-power"],
                            None),
     "two-power-preset": ("--preset: two-power", ["two-power", "gap", "--preset",
@@ -510,11 +520,11 @@ CONFIG_ERRORS = {
                          ["three-power"], "simulation:\n  grid_step: abc\n"),
     "horizon-bool": ("simulation.horizon: must be a number, got True", ["three-power"],
                      "simulation:\n  horizon: true\n"),
-    "perturbed-scale-string": ("verify.perturbed_scale: must be a number",
+    "perturbed-scale-string": ("verify: unknown section\n",
                                ["verify-fpp"], "verify:\n  perturbed_scale: abc\n"),
     "three-power-gamma-bool": ("three_power.gamma: must be a number", ["three-power"],
                                "three_power:\n  gamma: true\n"),
-    "x-values-bool": ("three_power.x_values[0]: must be a number", ["three-power"],
+    "x-values-bool": ("three_power.x_values: unknown key\n", ["three-power"],
                       "three_power:\n  x_values: [true, 1.0]\n"),
     "pool-lam-bool": ("pool.lam: must be a number", ["pool", "optimize"],
                       "pool: {lam: true}\n"),
@@ -546,9 +556,9 @@ CONFIG_ERRORS = {
                    "two_power:\n  a_vol: [true]\n"),
     "d-vol-bool": ("two_power.d_vol: must be a number", ["two-power", "drifts"],
                    "two_power:\n  d_vol: true\n"),
-    "a-perp-bool": ("two_power.a_perp[0]: must be a number", ["two-power", "drifts"],
+    "a-perp-bool": ("two_power.a_perp: unknown key\n", ["two-power", "drifts"],
                     "two_power:\n  a_perp: [true]\n"),
-    "d-perp-string": ("two_power.d_perp[0]: must be a number", ["two-power", "drifts"],
+    "d-perp-string": ("two_power.d_perp: unknown key\n", ["two-power", "drifts"],
                       "two_power:\n  d_perp: [abc]\n"),
     "h0-value-bool": ("mixture.h0.value[0]: must be a number", ["verify-fpp"],
                       "mixture:\n  h0: {kind: constant, value: [true]}\n"),

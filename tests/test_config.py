@@ -1,8 +1,10 @@
 """Configuration loading: defaults, merging, presets, rejection of bad keys."""
 
 import re
+from pathlib import Path
 
 import pytest
+import yaml
 
 from fpplab.config import DEFAULT_CONFIG, load_config
 from fpplab.errors import ConfigError
@@ -107,11 +109,15 @@ def test_pool_section_without_preset(tmp_path):
     ({"pool": {"preset": None, "p": 0.2, "q": 0.4, "a0": 1.0, "d0": 1.0, "lam": 1.0,
                "x0": 1.0}},
      "pool.horizon: missing"),
+    ({"verify": {"perturbed_scale": 2.0}}, "verify: unknown section"),
+    ({"output_dir": ""}, "output_dir: must be a directory path, got ''"),
+    ({"output_dir": None}, "output_dir: must be a directory path, got None"),
 ], ids=["value-after-knot", "knot-after-value", "knot-time-list", "pool-no-preset-q",
-        "pool-no-preset-horizon"])
+        "pool-no-preset-horizon", "verify-section", "output-dir-empty", "output-dir-null"])
 def test_malformed_entry_names_its_key(overrides, message):
-    # a schedule mixing knots and values, or a preset-less pool short of a
-    # field, is an exit-2 config error keyed at the entry, not Python's message
+    # a schedule mixing knots and values, a preset-less pool short of a field,
+    # a section of no layer or an empty output_dir is an exit-2 config error
+    # keyed at the entry, not Python's message
     with pytest.raises(ConfigError, match=rf"^{re.escape(message)}"):
         load_config(overrides=overrides)
 
@@ -150,10 +156,10 @@ def test_non_number_override_names_its_key(overrides, key):
 
 
 def test_mixture_preset_application():
-    cfg = load_config(overrides={"preset": "power_base"})
-    assert cfg.mixture.gamma0 == 0.5
-    with pytest.raises(ConfigError, match="preset"):
-        load_config(overrides={"preset": "nope"})
+    # the market and mixture resolve like every other section; no bundle replaces them
+    for preset in ("power_base", "nope"):
+        with pytest.raises(ConfigError, match=r"^preset: unknown section$"):
+            load_config(overrides={"preset": preset})
 
 
 def test_h0_and_j_kinds(tmp_path):
@@ -193,3 +199,17 @@ market:
     cfg = load_config(path)
     assert cfg.market.sharpe_at(0.0) == pytest.approx([0.2])
     assert cfg.market.sharpe_at(0.75) == pytest.approx([0.1])
+
+
+def test_readme_configuration_block_is_the_defaults(tmp_path):
+    # a key added to or removed from DEFAULT_CONFIG without its README line fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("## Configuration", 1)[1].split("```yaml", 1)[1].split("```")[0]
+    block = yaml.safe_load(text)
+    assert list(block) == list(DEFAULT_CONFIG)
+    for name, section in DEFAULT_CONFIG.items():
+        if isinstance(section, dict):
+            assert sorted(block[name]) == sorted(section), name
+        else:
+            assert block[name] == section, name
+    load_config(write(tmp_path, text))

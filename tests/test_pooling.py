@@ -597,6 +597,14 @@ def test_overflowing_lam_squared_is_rejected():
         one_period_greedy(1.0, 1.0, 1.0, preset("fig3"), dt=1e308)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+def test_optimize_constant_z_rejects_horizon_outside_range(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^t must be positive and finite, got "):
+            optimize_constant_z(FIG1, t)
+
+
 @pytest.mark.parametrize("entry, lead", [
     (lambda spec: constant_z_expected_utility(0.1, 1e308, spec), "lam^2 t must be finite"),
     (lambda spec: optimize_constant_z(spec, 1e308), "lam^2 t must be finite"),

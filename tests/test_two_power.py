@@ -21,14 +21,11 @@ JOINT_DRIFT_REFERENCE = -25.2 / 3969.0
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        TwoPowerSpec(p=0.3, q=0.1, a0=1.0, d0=1.0, a_vol=[0.0], d_vol=[0.0],
-                     a_perp=[], d_perp=[])
+        TwoPowerSpec(p=0.3, q=0.1, a0=1.0, d0=1.0, a_vol=[0.0], d_vol=[0.0])
     with pytest.raises(ValueError):
-        TwoPowerSpec(p=0.1, q=1.2, a0=1.0, d0=1.0, a_vol=[0.0], d_vol=[0.0],
-                     a_perp=[], d_perp=[])
+        TwoPowerSpec(p=0.1, q=1.2, a0=1.0, d0=1.0, a_vol=[0.0], d_vol=[0.0])
     with pytest.raises(ValueError):
-        TwoPowerSpec(p=0.1, q=0.3, a0=0.0, d0=1.0, a_vol=[0.0], d_vol=[0.0],
-                     a_perp=[], d_perp=[])
+        TwoPowerSpec(p=0.1, q=0.3, a0=0.0, d0=1.0, a_vol=[0.0], d_vol=[0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +343,38 @@ def test_dual_rejects_bad_domain():
         legendre_dual(-1.0, 1.0, 1.0, 0.25)
     with pytest.raises(ValueError):
         legendre_dual(1.0, 1.0, 1.0, 0.7)
-    with pytest.raises(ValueError, match="y must be positive"):
-        legendre_dual(np.nan, 1.0, 1.0, 0.25)
+    for y in (np.nan, np.inf):  # inf once warned "invalid value" in the root first
+        with pytest.raises(ValueError, match="y must be positive and finite"):
+            legendre_dual(y, 1.0, 1.0, 0.25)
     for a_coeff, d_coeff in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
         # an infinite A once blamed y after a divide-by-zero RuntimeWarning
         with pytest.raises(ValueError, match="^coefficients must be positive and finite$"):
             legendre_dual(1.0, a_coeff, d_coeff, 0.25)
+
+
+LOADING_ENTRIES = {
+    "coefficient_drifts": lambda lam, a, d: coefficient_drifts(0.1, 0.3, lam, a, d),
+    "consistency_gap": lambda lam, a, d: consistency_gap(0.1, 0.3, lam, a, d),
+    "zero_gap_d_vol": lambda lam, a, d: zero_gap_d_vol(0.1, 0.3, lam, a),
+    "mixture_sp_target": lambda lam, a, d: mixture_sp_target(0.1, 0.3, 1.0, 1.0, 1.0,
+                                                             lam, a, d),
+    "mixture_portfolio": lambda lam, a, d: mixture_portfolio(0.1, 0.3, 1.0, 1.0, 1.0,
+                                                             lam, a, d, [[0.2]]),
+    "joint_drift": lambda lam, a, d: joint_drift(0.1, 0.3, 1.0, 1.0, 1.0, lam, a, d),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, arg", [
+    (name, arg) for name in LOADING_ENTRIES for arg in ("lam", "a_vol", "d_vol")
+    if (name, arg) != ("zero_gap_d_vol", "d_vol")])  # it takes no d loading
+def test_non_finite_loading_is_rejected_without_warning(name, arg, value):
+    # a NaN lam made [nan] targets and drifts, and an infinite one warned
+    args = {"lam": [1.0], "a_vol": [0.0], "d_vol": [0.0], arg: [value]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{arg} must be finite$"):
+            LOADING_ENTRIES[name](args["lam"], args["a_vol"], args["d_vol"])
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,11 @@ def test_structure_scan_fails_quietly_on_adjacent_infinities():
     assert report.worst_increase_margin == np.min((values[1, 4:] - values[1, 2:-2])
                                                   / (x[4:] - x[2:-2]))
     assert np.isnan(report.worst_concavity_margin)
+    # a divided difference of finite values overflowing to inf raised numpy's
+    # "overflow" RuntimeWarning the same way
+    x = np.geomspace(0.1, 10.0, 12)
+    report = structure_scan([np.log(x) * 1e307], x)
+    assert (report.passed, report.worst_state_index) == (False, 0)
 
 
 def test_structure_scan_validates_grid():
