@@ -221,6 +221,8 @@ def _read_power_paths(path):
                 q_path.append(q)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if not p_path:
+        raise ConfigError(f"{path}: no p, q rows")
     return p_path, q_path
 
 
@@ -338,7 +340,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides=_overrides(args))
         out_dir = cfg.output_dir
-        os.makedirs(out_dir, exist_ok=True)
         if args.command == "verify-fpp":
             return cmd_verify_fpp(cfg, out_dir, args.threads)
         if args.command == "pool":

@@ -43,8 +43,6 @@ DEFAULT_CONFIG = {
 _ALLOWED = {name: set(section) for name, section in DEFAULT_CONFIG.items()
             if isinstance(section, dict)}
 _ALLOWED["pool"] |= {f.name for f in fields(PoolSpec)}
-_ALLOWED_ATOM = {"gamma", "weight"}
-_ALLOWED_KNOT = {"t", "value"}
 
 
 @dataclass(frozen=True)
@@ -67,10 +65,18 @@ class RunConfig:
     output_dir: str
 
 
-def _reject_unknown(section: dict, allowed: set, path: str) -> None:
-    for key in section:
+def _mapping(path: str, node, allowed, required=(), what="a mapping") -> dict:
+    """``node``, if it is a mapping whose keys lie in ``allowed`` and include
+    every key of ``required``; the one shape check of every configuration node."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: not {what}, got {node!r}")
+    for key in node:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown key")
+    for key in required:
+        if key not in node:
+            raise ConfigError(f"{path}.{key}: missing")
+    return node
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -101,14 +107,8 @@ def _parse_yaml(path: str) -> dict:
 
 
 def _build(name: str, raw: dict, builder, *args):
-    """``builder(raw[name], *args)``; unknown keys and errors are keyed at ``name``."""
-    try:
-        _reject_unknown(raw[name], _ALLOWED[name], name)
-        return builder(raw[name], *args)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    """``builder(raw[name], *args)``, once the section has passed ``_mapping``."""
+    return builder(_mapping(name, raw[name], _ALLOWED[name]), *args)
 
 
 def _keyed(path: str, build, *args, **kwargs):
@@ -151,12 +151,7 @@ def _schedule(path: str, value) -> None:
         return
     for i, knot in enumerate(value):
         knot_path = f"{path}[{i}]"
-        if not isinstance(knot, dict):
-            raise ConfigError(f"{knot_path}: not a {{t, value}} knot, got {knot!r}")
-        _reject_unknown(knot, _ALLOWED_KNOT, knot_path)
-        missing = sorted(_ALLOWED_KNOT - knot.keys())
-        if missing:
-            raise ConfigError(f"{knot_path}.{missing[0]}: missing")
+        _mapping(knot_path, knot, ("t", "value"), ("t", "value"), "a {t, value} knot")
         _number(f"{knot_path}.t", knot["t"])
         _numbers(f"{knot_path}.value", knot["value"])
 
@@ -175,8 +170,8 @@ def _market_from(cfg: dict) -> MarketSpec:
     return _keyed("market", MarketSpec, **{**cfg, **dims})
 
 
-def _volatility_spec(cls, cfg: dict, path: str, *dims):
-    _reject_unknown(cfg, {f.name for f in fields(cls)}, path)
+def _volatility_spec(cls, cfg, path: str, *dims):
+    _mapping(path, cfg, {f.name for f in fields(cls)})
     for key, value in cfg.items():
         if key != "kind" and value is not None:
             _numbers(f"{path}.{key}", value)
@@ -186,10 +181,12 @@ def _volatility_spec(cls, cfg: dict, path: str, *dims):
 
 
 def _mixture_from(cfg: dict, market: MarketSpec) -> RiskMixture:
+    if not isinstance(cfg["atoms"], list):
+        raise ConfigError(f"mixture.atoms: not a list of atoms, got {cfg['atoms']!r}")
     atoms = []
     for i, atom in enumerate(cfg["atoms"]):
         path = f"mixture.atoms[{i}]"
-        _reject_unknown(atom, _ALLOWED_ATOM, path)
+        _mapping(path, atom, ("gamma", "weight"), ("gamma",))
         atoms.append((_number(f"{path}.gamma", atom["gamma"]),
                       _number(f"{path}.weight", atom.get("weight", 1.0))))
     mixture = _keyed("mixture", RiskMixture, atoms=tuple(atoms),

@@ -84,6 +84,14 @@ class TimeGrid:
 # Deterministic coefficient schedules
 # ---------------------------------------------------------------------------
 
+def check_finite(**arrays) -> None:
+    """Raise ValueError, naming the first keyword whose value holds a NaN or an
+    infinity (``lam: must be finite``)."""
+    for name, value in arrays.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name}: must be finite")
+
+
 def _finite_value(value, shape: tuple[int, ...], where: str) -> np.ndarray:
     try:
         arr = np.broadcast_to(np.asarray(value, float), shape).copy()
@@ -143,9 +151,7 @@ def solve_allocation(sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     target = np.atleast_1d(np.asarray(target, dtype=float))
-    for name, arr in (("sigma", sigma), ("target", target)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name}: must be finite, got {arr}")
+    check_finite(sigma=sigma, target=target)
     pi = np.linalg.pinv(sigma, rcond=PINV_RCOND) @ target
     residual = float(np.linalg.norm(sigma @ pi - target))
     if residual > HEDGE_RTOL * max(1.0, float(np.linalg.norm(target))):
@@ -165,6 +171,7 @@ def sharpe_ratio(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    check_finite(sigma=sigma, mu=mu)
     d_w, n = sigma.shape
     if mu.shape != (n,):
         raise ValueError(f"mu has shape {mu.shape}, expected ({n},)")
@@ -421,10 +428,13 @@ def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
     grid, as ``brownian_batch`` returns them.  ``cols`` is a slice of grid
     columns, by default the whole horizon (N+1, B).  A chunk past column 0
     continues from ``carry``, the (B,) log wealth at the column before it,
-    as in ``running_integral``.  A zero allocation keeps log wealth exactly
-    at ``log(x0)``.  Every call checks the schedule with ``check_schedule``
-    (and raises its ``StrategyEvaluationError``).
+    as in ``running_integral``.  ``x0`` must be positive and finite, and a
+    zero allocation keeps log wealth exactly at ``log(x0)``.  Every call
+    checks the schedule with ``check_schedule`` (and raises its
+    ``StrategyEvaluationError``).
     """
+    if not 0 < x0 < np.inf:
+        raise ValueError(f"x0: must be positive and finite, got {x0}")
     d_w, n_steps, n_paths = dw.shape
     sp = check_schedule(sp, grid, d_w)
     lo, hi, _ = cols.indices(n_steps + 1)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import FactorDegeneracyError, InvalidExponentError
-from .market import (MarketSpec, TimeGrid, check_schedule, running_integral,
-                     solve_allocation, PINV_RCOND)
+from .market import (MarketSpec, TimeGrid, check_finite, check_schedule,
+                     running_integral, solve_allocation, PINV_RCOND)
 
 GAMMA_ONE_TOL = 1e-9  # risk aversions this close to 1 are rejected
 
@@ -87,7 +87,7 @@ def _check_kind(spec, kinds: dict) -> None:
     A field the kind does not read must be None.  Errors name the offending
     field first (``value: ...``).
     """
-    if spec.kind not in kinds:
+    if not isinstance(spec.kind, str) or spec.kind not in kinds:
         raise ValueError(f"kind: unknown kind {spec.kind!r}, choose from {list(kinds)}")
     for f in fields(spec):
         unread = f.name != "kind" and f.name not in kinds[spec.kind]
@@ -256,6 +256,7 @@ def hgamma(gamma, gamma0: float, lam: np.ndarray, h0: np.ndarray) -> np.ndarray:
     g = np.asarray(gamma, float)[..., None]
     if not np.all(np.isfinite(g)):
         raise ValueError(f"gamma must be finite, got {gamma}")
+    check_finite(lam=lam, h0=h0)
     return ((g - gamma0) / gamma0) * lam + (g / gamma0) * h0
 
 
@@ -268,6 +269,7 @@ def vgamma_rate(gamma, lam: np.ndarray, hg: np.ndarray):
     g = np.asarray(gamma, float)
     if not np.all(np.isfinite(g) & (g != 0)):
         raise ValueError(f"gamma must be nonzero, got {gamma}")
+    check_finite(lam=lam, hg=hg)
     u = np.atleast_1d(lam) + np.atleast_1d(hg)
     out = -(1.0 - g) / (2.0 * g) * (u[..., None, :] @ u[..., :, None])[..., 0, 0]
     return float(out) if out.ndim == 0 else out
@@ -286,6 +288,7 @@ def drift_term(gamma: float, sp: np.ndarray, lam: np.ndarray, hg: np.ndarray) ->
     exactly at the optimiser, strictly negative elsewhere.
     """
     _check_gamma(gamma)
+    check_finite(sp=sp, lam=lam, hg=hg)
     sp = np.atleast_1d(np.asarray(sp, float))
     u = np.atleast_1d(lam) + np.atleast_1d(hg)
     return float(vgamma_rate(gamma, lam, hg) / (1.0 - gamma) + sp @ u
@@ -303,6 +306,7 @@ def optimal_portfolio(lam: np.ndarray, h0: np.ndarray, gamma0: float,
         the column space of sigma exceeds ``market.HEDGE_RTOL`` (relative
         to the target).
     """
+    _check_gamma0(gamma0)
     target = (np.atleast_1d(lam) + np.atleast_1d(h0)) / gamma0
     return solve_allocation(sigma, target)
 
@@ -312,6 +316,7 @@ def factor_j(rho: np.ndarray, a: np.ndarray, hg: np.ndarray) -> np.ndarray:
     rho = np.atleast_2d(np.asarray(rho, float))
     a = np.atleast_2d(np.asarray(a, float))
     hg = np.atleast_1d(np.asarray(hg, float))
+    check_finite(rho=rho, a=a, hg=hg)
     gram = rho.T @ rho
     s = np.linalg.svd(gram, compute_uv=False)
     if s[-1] <= PINV_RCOND * max(s[0], 1.0):
@@ -321,6 +326,7 @@ def factor_j(rho: np.ndarray, a: np.ndarray, hg: np.ndarray) -> np.ndarray:
 
 def market_view_density(m, qv_m):
     """Stochastic-exponential density exp(m - qv/2) of one atom's (H, J) pair."""
+    check_finite(m=m, qv_m=qv_m)
     out = np.exp(np.asarray(m, float) - 0.5 * np.asarray(qv_m, float))
     return float(out) if out.ndim == 0 else out
 
@@ -330,6 +336,7 @@ def monotone_power_value(x: float, lam_plus_h: np.ndarray, gamma: float) -> floa
     if not x > 0:
         raise ValueError("wealth must be positive")
     _check_gamma(gamma)
+    check_finite(x=x, lam_plus_h=lam_plus_h)
     u = np.atleast_1d(np.asarray(lam_plus_h, float))
     return float(np.exp((1.0 - gamma) * (np.log(x) - (u @ u) / (2.0 * gamma)))
                  / (1.0 - gamma))

@@ -123,11 +123,10 @@ POOL_PRESETS: dict[str, PoolSpec] = {
 
 def preset(name: str, **overrides) -> PoolSpec:
     """``POOL_PRESETS[name]`` with ``overrides``; ValueError ``preset: ...`` if unknown."""
-    try:
-        spec = POOL_PRESETS[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in POOL_PRESETS:
         raise ValueError(f"preset: unknown preset {name!r}, "
-                         f"choose from {sorted(POOL_PRESETS)}") from None
+                         f"choose from {sorted(POOL_PRESETS)}")
+    spec = POOL_PRESETS[name]
     return replace(spec, **overrides) if overrides else spec
 
 

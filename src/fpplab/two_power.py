@@ -46,7 +46,10 @@ class TwoPowerSpec:
 
     def __post_init__(self):
         for name in ("a_vol", "d_vol"):
-            value = np.atleast_1d(np.asarray(getattr(self, name), float))
+            try:
+                value = np.atleast_1d(np.asarray(getattr(self, name), float))
+            except (TypeError, ValueError):
+                raise ValueError(f"{name}: not a number or an array of numbers") from None
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name}: non-finite value")
             object.__setattr__(self, name, value)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import brownian_batch, check_schedule, evolve_log_wealth_batch
+from .market import brownian_batch, check_finite, check_schedule, evolve_log_wealth_batch
 
 SE_MULTIPLE = 3.0
 NEGINF_WARN_FRACTION = 1e-3
@@ -99,20 +99,19 @@ def _time_chunks(n_times: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_times])]
 
 
-def _reduce_rows(sums: np.ndarray, rows: np.ndarray, first: bool) -> None:
+def _reduce_rows(sums: np.ndarray, rows: np.ndarray) -> None:
     """Add the rows of ``rows[1:]``, one path at a time, onto the per-time ``sums``.
 
     ``rows`` is a C-ordered (n + 1, w) buffer, ``w >= 2``, whose rows
     ``1..n`` hold one tile's values, one path per row; numpy sums it over
-    axis 0 row by row.  The batch's first tile sums its own rows alone.  A
-    later tile puts the running ``sums`` in row 0, so the batch's sum
-    continues in path order, as if all of its paths were one array.
+    axis 0 row by row.  The running ``sums``, zero before the batch's first
+    tile, go in row 0, so the batch's sum continues in path order, as if all
+    of its paths were one array.  Starting from +0 changes only the sign of
+    a sum that is zero throughout, which ``martingale_test``'s merge of the
+    batches (``0 + s``) drops anyway.
     """
-    if first:
-        sums[...] = rows[1:].sum(axis=0)
-    else:
-        rows[0] = sums
-        sums[...] = rows.sum(axis=0)
+    rows[0] = sums
+    sums[...] = rows.sum(axis=0)
 
 
 def _batch_moments(fpp, sps, seed, path_ids):
@@ -141,8 +140,8 @@ def _batch_moments(fpp, sps, seed, path_ids):
     n_cols = market.d_w + market.d_wperp
     normals = np.empty(n_cols * grid.n_steps * tile)  # reused by every tile
     rows = np.empty((tile + 1) * width)  # reused by every chunk's reduction
-    s1 = np.empty((len(sps), n_times))
-    s2 = np.empty((len(sps), n_times))
+    s1 = np.zeros((len(sps), n_times))
+    s2 = np.zeros((len(sps), n_times))
     diverged = np.zeros((len(sps), len(path_ids)), dtype=bool)
     terminal = np.empty((len(sps), len(path_ids)))
     for lo in range(0, len(path_ids), tile):
@@ -167,9 +166,9 @@ def _batch_moments(fpp, sps, seed, path_ids):
                 finite = buf[1:]
                 finite[...] = u.T  # the one path-major copy of U
                 finite[~np.isfinite(finite)] = 0.0  # diverged paths counted, zeroed
-                _reduce_rows(s1[r, cols], buf, lo == 0)
+                _reduce_rows(s1[r, cols], buf)
                 np.square(finite, out=finite)
-                _reduce_rows(s2[r, cols], buf, lo == 0)
+                _reduce_rows(s2[r, cols], buf)
                 del u, log_x  # U holds its term rows: free both before the next run
     return s1, s2, np.sum(diverged, axis=1), terminal
 
@@ -299,6 +298,7 @@ def structure_scan(values, x_grid) -> StructureReport:
         raise ValueError("need at least 8 grid points")
     if not np.all(np.diff(x) > 0):  # NaN is not increasing
         raise ValueError("x grid must be strictly increasing")
+    check_finite(x_grid=x)  # an infinite last point is increasing
     u = np.asarray(values, float)
     if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] != x.size:
         raise ValueError(f"values must be (n_states >= 1, {x.size}), got {u.shape}")

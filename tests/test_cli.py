@@ -588,16 +588,44 @@ CONFIG_ERRORS = {
                            f"simulation:\n  horizon: {10 ** 400}\n"),
     "pool-lam-400-digits": ("pool.lam: must be a number", ["pool", "optimize"],
                             f"pool:\n  lam: {10 ** 400}\n"),
+    "validate-no-rows": ("{empty}: no p, q rows\n",
+                         ["two-power", "validate", "--file", "{empty}"], None),
+    # every configuration node is a mapping of its own keys, an atom list a list
+    "j-list": ("mixture.j: not a mapping, got []\n", ["pool", "optimize"],
+               "mixture: {j: []}\n"),
+    "two-power-string": ("two_power: not a mapping, got 'constant'\n",
+                         ["pool", "optimize"], "two_power: constant\n"),
+    "h0-list": ("mixture.h0: not a mapping, got [1]\n", ["pool", "optimize"],
+                "mixture: {h0: [1]}\n"),
+    "market-list": ("market: not a mapping, got [1, 2]\n", ["pool", "optimize"],
+                    "market: [1, 2]\n"),
+    "simulation-number": ("simulation: not a mapping, got 5\n", ["pool", "optimize"],
+                          "simulation: 5\n"),
+    "atoms-number": ("mixture.atoms: not a list of atoms, got 5\n", ["pool", "optimize"],
+                     "mixture: {atoms: 5}\n"),
+    "atom-number": ("mixture.atoms[0]: not a mapping, got 5\n", ["pool", "optimize"],
+                    "mixture: {atoms: [5]}\n"),
+    "atom-no-gamma": ("mixture.atoms[0].gamma: missing\n", ["pool", "optimize"],
+                      "mixture: {atoms: [{weight: 1}]}\n"),
+    "d-vol-ragged": ("two_power.d_vol: not a number or an array of numbers\n",
+                     ["pool", "optimize"], "two_power: {d_vol: [[1, 2], [3]]}\n"),
+    "h0-kind-list": ("mixture.h0.kind: unknown kind [1], choose from ['zero', 'constant', "
+                     "'portfolio_inversion']\n", ["pool", "optimize"],
+                     "mixture: {h0: {kind: [1]}}\n"),
+    "pool-preset-list": ("pool.preset: unknown preset [1], choose from ['fig1', 'fig2', "
+                         "'fig3', 'fig4']\n", ["pool", "optimize"],
+                         "pool: {preset: [1]}\n"),
 }
 
 
 @pytest.mark.parametrize("key, args, config", CONFIG_ERRORS.values(),
                          ids=CONFIG_ERRORS.keys())
 def test_config_error_contract(tmp_path, capsys, key, args, config):
-    csv_path = tmp_path / "powers.csv"
-    csv_path.write_text(POWER_CSV)
-    key = key.format(csv=csv_path)
-    code = run(tmp_path, *[arg.format(csv=csv_path) for arg in args], config=config)
+    files = {"csv": tmp_path / "powers.csv", "empty": tmp_path / "empty.csv"}
+    files["csv"].write_text(POWER_CSV)
+    files["empty"].write_text("p,q\n")
+    key = key.format(**files)
+    code = run(tmp_path, *[arg.format(**files) for arg in args], config=config)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"configuration error: {key}")
@@ -628,6 +656,32 @@ def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads, command)
     assert code == 2
     assert err == f"configuration error: --threads: must be at least 1, got {threads}\n"
     assert not (tmp_path / "out").exists()  # rejected before anything runs
+
+
+@pytest.mark.parametrize("args, code", [
+    (["two-power", "gap"], 0),
+    (["two-power", "dual", "--y", "inf"], 2),
+    (["pool", "optimize"], 0),
+])
+def test_command_that_writes_no_file_makes_no_output_directory(tmp_path, capsys, args,
+                                                                code):
+    assert run(tmp_path, *args) == code
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, written", [
+    (["verify-fpp"], "brownian_paths.csv"),
+    (["three-power"], "three_power_paths.csv"),
+    (["pool", "surface"], "pool_surface_fig1.csv"),
+    (["pool", "compare"], "pool_comparison_fig1.csv"),
+])
+def test_first_file_written_creates_a_nested_output_directory(tmp_path, capsys, args,
+                                                              written):
+    config = tmp_path / "cfg.yaml"
+    config.write_text(SMALL_SIM)
+    out = tmp_path / "a" / "b"
+    main(["--out", str(out), "--config", str(config), "--paths", "200", *args])
+    assert (out / written).is_file()
 
 
 def test_two_power_drifts_print_the_coefficient_drifts(tmp_path, capsys):

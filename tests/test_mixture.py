@@ -753,7 +753,7 @@ def test_constants_reject_invalid_exponents(v, u, p1, p2, p3):
     (lambda: dual_marginal(NAN, 1.0, 1.0, 0.5), "wealth must be positive"),
     (lambda: dual_marginal(-1.0, 1.0, 1.0, 0.5), "wealth must be positive"),
     (lambda: dual_marginal(0.0, 1.0, 1.0, 0.5), "wealth must be positive"),
-    (lambda: optimal_portfolio([0.2], [0.0], NAN, [[0.2]]), "^target: must be finite"),
+    (lambda: optimal_portfolio([0.2], [0.0], NAN, [[0.2]]), "gamma0 must be nonzero"),
     (lambda: drift_term(INF, [0.1], [0.2], [0.0]), "gamma must avoid 0 and 1"),
     (lambda: monotone_power_value(1.0, [0.2], INF), "gamma must avoid 0 and 1"),
     (lambda: hgamma(0.5, INF, np.array([0.2]), np.array([0.0])), "gamma0 must be nonzero"),
