@@ -39,6 +39,9 @@ HEDGE_RTOL = 1e-8  # largest hedging residual, relative to max(1, |target|)
 # most grid steps (or rebalance periods) in one run: refuses a horizon / step
 # ratio that overflows round() or that no (N+1, B) batch array could hold
 MAX_STEPS = 10 ** 7
+# most stocks, or Brownian drivers of either kind, in a market: refuses a
+# dimension before a (d_w, n_stocks) schedule or a draw array is sized from it
+MAX_DIMENSION = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +101,9 @@ def _finite_value(value, shape: tuple[int, ...], where: str) -> np.ndarray:
     except TypeError:
         raise ValueError(f"not a number or an array of numbers{where}, "
                          f"got {type(value).__name__}") from None
+    except ValueError:  # a ragged list, text, or a shape that does not broadcast
+        raise ValueError(f"needs numbers of shape {shape}{where}, "
+                         f"got {value!r}") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite value{where}")
     return arr
@@ -183,14 +189,16 @@ def sharpe_ratio(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _dimension(name: str, value, least: int) -> int:
-    """``value`` as an int if it is an integral number, not a bool, of at
-    least ``least``, else a ValueError that names ``name`` first."""
+    """``value`` as an int if it is an integral number, not a bool, from
+    ``least`` to ``MAX_DIMENSION``, else a ValueError that names ``name`` first."""
     if isinstance(value, bool) or not (
             isinstance(value, numbers.Integral)
             or isinstance(value, numbers.Real) and float(value).is_integer()):
         raise ValueError(f"{name}: must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name}: must be at least {least}, got {int(value)}")
+    if value > MAX_DIMENSION:
+        raise ValueError(f"{name}: must be at most {MAX_DIMENSION}, got {int(value)}")
     return int(value)
 
 

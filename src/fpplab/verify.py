@@ -13,6 +13,7 @@ proof.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,6 +115,26 @@ def _reduce_rows(sums: np.ndarray, rows: np.ndarray) -> None:
     sums[...] = rows.sum(axis=0)
 
 
+@contextmanager
+def _row_buffer(n_paths):
+    """numpy's ufunc buffer at most one row of ``n_paths``, for the block.
+
+    With a row shorter than the default buffer, numpy packs several rows into
+    one buffer and copies a broadcast (w, 1) operand into it; with one row
+    per buffer it reads the column in place.  Elementwise results, and the
+    tile's reductions over the leading axis, round the same for any size.
+    The size is a multiple of 16 of at least 16, as numpy 1.x requires.
+    numpy >= 2 keeps it to the ``errstate`` block and the thread; numpy 1.x
+    does not, hence the reset.
+    """
+    with np.errstate():
+        size = np.setbufsize(max(16, n_paths - n_paths % 16))
+        try:
+            yield
+        finally:
+            np.setbufsize(size)
+
+
 def _batch_moments(fpp, sps, seed, path_ids):
     """(sum U, sum U^2, -inf path count, terminal U) over one batch, one row per schedule.
 
@@ -128,9 +149,10 @@ def _batch_moments(fpp, sps, seed, path_ids):
     flags are read from it, and its transpose, zeroed where non-finite, is
     the one path-major copy: rows ``1..n`` of the reused buffer, which
     ``_reduce_rows`` sums one path at a time in order across tiles, so the
-    sums are those of the whole batch at once.  A run's log wealth and U
-    (a view of its term rows) are dropped once reduced, before the next
-    run's are made.
+    sums are those of the whole batch at once.  The flags and the zeroing
+    run only for a chunk whose U holds a non-finite value.  A run's log
+    wealth and U (a view of its term rows) are dropped once reduced, before
+    the next run's are made.  Each tile runs under ``_row_buffer``.
     """
     grid, market = fpp.grid, fpp.market
     n_times = grid.n_steps + 1
@@ -147,29 +169,32 @@ def _batch_moments(fpp, sps, seed, path_ids):
     for lo in range(0, len(path_ids), tile):
         ids = path_ids[lo:lo + tile]
         paths = slice(lo, lo + len(ids))
-        dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, ids,
-                                 out=normals[:n_cols * grid.n_steps * len(ids)]
-                                 .reshape(n_cols, grid.n_steps, len(ids)))
-        last = [None] * len(sps)  # each run's log wealth at the last column done
-        carry = None  # the criterion state at the last column done
-        for cols in chunks:
-            state = fpp.state_paths(dw, dwp, cols, carry)
-            carry = state[:, -1]  # a view; a copy among the chunk arrays raised peak RSS
-            w = cols.stop - cols.start
-            buf = rows[:(len(ids) + 1) * w].reshape(len(ids) + 1, w)
-            for r, sp in enumerate(sps):
-                log_x = evolve_log_wealth_batch(X0, sp, fpp.lam_path, grid, dw, cols, last[r])
-                last[r] = log_x[-1].copy()
-                u = fpp.utility_paths(state, log_x, cols)
-                diverged[r, paths] |= np.isneginf(u).any(axis=0)
-                terminal[r, paths] = u[-1]
-                finite = buf[1:]
-                finite[...] = u.T  # the one path-major copy of U
-                finite[~np.isfinite(finite)] = 0.0  # diverged paths counted, zeroed
-                _reduce_rows(s1[r, cols], buf)
-                np.square(finite, out=finite)
-                _reduce_rows(s2[r, cols], buf)
-                del u, log_x  # U holds its term rows: free both before the next run
+        with _row_buffer(len(ids)):  # the tile's draws, chunks and reduction
+            dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, seed, ids,
+                                     out=normals[:n_cols * grid.n_steps * len(ids)]
+                                     .reshape(n_cols, grid.n_steps, len(ids)))
+            last = [None] * len(sps)  # each run's log wealth at the last column done
+            carry = None  # the criterion state at the last column done
+            for cols in chunks:
+                state = fpp.state_paths(dw, dwp, cols, carry)
+                carry = state[:, -1]  # a view; a copy among the chunk arrays raised peak RSS
+                w = cols.stop - cols.start
+                buf = rows[:(len(ids) + 1) * w].reshape(len(ids) + 1, w)
+                for r, sp in enumerate(sps):
+                    log_x = evolve_log_wealth_batch(X0, sp, fpp.lam_path, grid, dw, cols,
+                                                    last[r])
+                    last[r] = log_x[-1].copy()
+                    u = fpp.utility_paths(state, log_x, cols)
+                    terminal[r, paths] = u[-1]
+                    finite = buf[1:]
+                    finite[...] = u.T  # the one path-major copy of U
+                    if not np.isfinite(u).all():  # diverged paths counted, zeroed
+                        diverged[r, paths] |= np.isneginf(u).any(axis=0)
+                        finite[~np.isfinite(finite)] = 0.0
+                    _reduce_rows(s1[r, cols], buf)
+                    np.square(finite, out=finite)
+                    _reduce_rows(s2[r, cols], buf)
+                    del u, log_x  # U holds its term rows: free both before the next run
     return s1, s2, np.sum(diverged, axis=1), terminal
 
 

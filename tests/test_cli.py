@@ -516,6 +516,12 @@ CONFIG_ERRORS = {
                  "market:\n  d_w: 0\n"),
     "d-wperp-negative": ("market.d_wperp: must be at least 0, got -1", ["verify-fpp"],
                          "market:\n  d_wperp: -1\n"),
+    # a dimension is refused before any array is sized from it
+    "d-w-huge": ("market.d_w: must be at most 1000, got 60000000000000000\n",
+                 ["pool", "optimize"], "market:\n  d_w: 6.0e+16\n"),
+    "sigma-ragged": ("market.sigma: needs numbers of shape (1, 2), got "
+                     "[[0.2, 0.1], [0.3]]\n", ["pool", "optimize"],
+                     "market:\n  n_stocks: 2\n  sigma: [[0.2, 0.1], [0.3]]\n"),
     "grid-step-string": ("simulation.grid_step: must be a number, got 'abc'",
                          ["three-power"], "simulation:\n  grid_step: abc\n"),
     "horizon-bool": ("simulation.horizon: must be a number, got True", ["three-power"],

@@ -256,6 +256,11 @@ README_ERRORS = {
     "pool.horizon: must be a whole number of rebalance periods":
         {"pool": {"rebalance_dt": 0.7}},
     "market.d_w: must be at least 1, got 0": {"market": {"d_w": 0}},
+    "market.d_w: must be at most 1000, got 1000000000000": {"market": {"d_w": 10 ** 12}},
+    "market.sigma: needs numbers of shape (1, 2), got [[0.2, 0.1], [0.3]]":
+        {"market": {"n_stocks": 2, "sigma": [[0.2, 0.1], [0.3]]}},
+    "market.sigma: needs numbers of shape (1, 1), got [0.2, 0.3]":
+        {"market": {"sigma": [0.2, 0.3]}},
     "two_power.a0: must be positive and finite": {"two_power": {"a0": -1.0}},
     "mixture.gamma0: 2.0 outside the atom range [0.5, 0.5]": {"mixture": {"gamma0": 2.0}},
     "mixture.atoms[0].weight: must be positive, got -1.0":
@@ -283,8 +288,7 @@ def test_readme_configuration_errors_are_the_messages():
         assert str(err.value) == line
 
 
-# numbers stay small: a dimension such as market.d_w = 1e9 would make the
-# market's schedules allocate gigabytes
+# numbers stay small; the market dimensions' upper bound has its own tests
 SCALARS = st.one_of(st.floats(-10.0, 10.0), st.integers(-2, 3),
                     st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, True, False,
                                      None, "", "abc", "constant", "fig1"]))

@@ -6,7 +6,7 @@ import pytest
 import fpplab.market
 from fpplab.errors import (NoExactSolutionError, SingularMarketError,
                            StrategyEvaluationError)
-from fpplab.market import (MarketSpec, Schedule, TimeGrid, brownian_batch,
+from fpplab.market import (MAX_DIMENSION, MarketSpec, Schedule, TimeGrid, brownian_batch,
                            evolve_log_wealth_batch, running_integral, sharpe_ratio,
                            solve_allocation, write_paths_csv)
 from fpplab.verify import TIME_CHUNK, _time_chunks
@@ -151,6 +151,41 @@ def test_market_dimension_below_its_least_names_the_field(field, bad, least):
     dims = {"n_stocks": 1, "d_w": 1, "d_wperp": 0, field: bad}
     with pytest.raises(ValueError, match=rf"^{field}: must be at least {least}, got {bad}$"):
         MarketSpec(**dims, sigma=0.2, mu=0.2)
+
+
+@pytest.mark.parametrize("bad", [MAX_DIMENSION + 1, 10 ** 12, 1e12])
+@pytest.mark.parametrize("field", ["n_stocks", "d_w", "d_wperp"])
+def test_market_dimension_above_its_bound_allocates_nothing(field, bad, traced_peak):
+    # the bound is checked before a schedule or a draw array is sized from
+    # it: d_w = 1e12 tried to allocate 7.28 TiB
+    dims = {"n_stocks": 1, "d_w": 1, "d_wperp": 0, field: bad}
+
+    def build():
+        with pytest.raises(ValueError, match=rf"^{field}: must be at most "
+                                             rf"{MAX_DIMENSION}, got {int(bad)}$"):
+            MarketSpec(**dims, sigma=0.2, mu=0.2)
+    assert traced_peak(build) < 64 * 1024
+
+
+def test_market_dimensions_reach_their_bound():
+    market = MarketSpec(1, MAX_DIMENSION, MAX_DIMENSION, sigma=0.2, mu=0.2)
+    assert market.sigma.path(0.0).shape == (MAX_DIMENSION, 1)
+
+
+@pytest.mark.parametrize("n_stocks, name, value, message", [
+    (2, "sigma", [[0.2, 0.1], [0.3]], "(1, 2), got [[0.2, 0.1], [0.3]]"),
+    (1, "sigma", [0.2, 0.3], "(1, 1), got [0.2, 0.3]"),
+    (1, "mu", [{"t": 0.0, "value": 0.1}, {"t": 0.5, "value": [0.1, 0.2]}],
+     "(1,) at knot t=0.5, got [0.1, 0.2]"),
+    (1, "sigma", "abc", "(1, 1), got 'abc'"),
+], ids=["ragged", "too-many", "knot", "text"])
+def test_misshaped_schedule_names_the_shape_it_needs(n_stocks, name, value, message):
+    # numpy's own text ("inhomogeneous shape", "could not be broadcast",
+    # "could not convert string to float") named no expected shape
+    values = {"sigma": 0.2, "mu": [0.04] * n_stocks, name: value}
+    with pytest.raises(ValueError) as err:
+        MarketSpec(n_stocks, 1, 0, **values)
+    assert str(err.value) == f"{name}: needs numbers of shape {message}"
 
 
 def test_market_dimensions_accept_integral_numbers():

@@ -353,6 +353,87 @@ def test_martingale_test_memory_is_normals_plus_chunks(monkeypatch, traced_peak)
     assert two_threads < 2.1 * one_thread
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n_paths", [2, 17, 2053, 4099])
+@pytest.mark.parametrize("setup", [mix3_setup, three_power_setup],
+                         ids=["mix3", "three-power"])
+def test_reports_equal_those_of_the_default_ufunc_buffer(setup, n_paths, threads,
+                                                         monkeypatch):
+    # a tile runs with a ufunc buffer of one row; elementwise results and the
+    # reductions over the leading axis round the same with numpy's default
+    # buffer, so the reports are the same bits.  Batches of 2100 paths split
+    # 4099 paths over two threads, in tiles of 2048, 52 and 1999 paths
+    grid = TimeGrid.regular(1.0, 1 / 40)
+    market, fpp = setup(grid)
+    runs = three_runs(fpp, grid)
+    monkeypatch.setattr(verify, "DEFAULT_BATCH", 2100)
+    kw = dict(n_paths=n_paths, seed=13, threads=threads)
+    tiled = martingale_test(fpp, runs, **kw)
+    monkeypatch.setattr(np, "setbufsize", lambda size: np.getbufsize())
+    assert_same_bits(tiled, martingale_test(fpp, runs, **kw))
+
+
+class BufferSizes(Wrapped):
+    """Records (ufunc buffer size, tile paths) at each state and utility call."""
+
+    def __init__(self, fpp):
+        super().__init__(fpp)
+        self.seen = []
+
+    def state_paths(self, dw, dwperp, cols=slice(None), carry=None):
+        self.seen.append((np.getbufsize(), dw.shape[2]))
+        return super().state_paths(dw, dwperp, cols, carry)
+
+    def utility_paths(self, state, log_x, cols=slice(None)):
+        self.seen.append((np.getbufsize(), log_x.shape[1]))
+        return super().utility_paths(state, log_x, cols)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tile_runs_with_a_buffer_of_one_tile_row(threads, monkeypatch):
+    # batches of 2070 and 30 paths: tiles of 2048, 22 and 30 paths, whose
+    # buffers are their path counts rounded down to a multiple of 16
+    grid = TimeGrid.regular(1.0, 1 / 40)
+    market, fpp = mix3_setup(grid)
+    spy = BufferSizes(fpp)
+    monkeypatch.setattr(verify, "DEFAULT_BATCH", 2070)
+    martingale_test(spy, three_runs(fpp, grid), n_paths=2100, seed=1, threads=threads)
+    assert {b for _, b in spy.seen} == {2048, 22, 30}
+    for size, paths in spy.seen:
+        assert size % 16 == 0 and paths - 16 < size <= paths
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_callers_ufunc_buffer_is_left_as_it_was(threads):
+    grid = TimeGrid.regular(1.0, 1 / 40)
+    market, fpp = mix3_setup(grid)
+    with np.errstate():
+        size = np.setbufsize(4096)
+        try:
+            martingale_test(fpp, three_runs(fpp, grid), n_paths=40, seed=2, threads=threads)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(size)
+
+
+def test_mix3_chunk_state_takes_no_default_ufunc_buffer(traced_peak):
+    # each einsum_dot product broadcasts a (TIME_CHUNK, 1) loading column over a
+    # (TIME_CHUNK, TILE_PATHS) row; under numpy's default buffer that took a
+    # 64 KB buffer per product.  Under the tile's one-row buffer a later chunk's
+    # state peaks at its (3, TIME_CHUNK, TILE_PATHS) result and einsum_dot's
+    # two product rows, plus less than a buffer of one row
+    grid = TimeGrid(np.linspace(0.0, 1.0, 2 * TIME_CHUNK + 1))
+    market, fpp = mix3_setup(grid)
+    dw, dwp = brownian_batch(grid, market.d_w, market.d_wperp, 5, range(TILE_PATHS))
+    carry = fpp.state_paths(dw, dwp, slice(0, TIME_CHUNK))[:, -1].copy()
+    row = TIME_CHUNK * TILE_PATHS * 8
+
+    def chunk():
+        with verify._row_buffer(TILE_PATHS):
+            fpp.state_paths(dw, dwp, slice(TIME_CHUNK, 2 * TIME_CHUNK), carry)
+    assert traced_peak(chunk) < 5 * row + TILE_PATHS * 8
+
+
 def test_paired_sampling_reduces_variance():
     grid = TimeGrid.regular(1.0, 1 / 12)
     market, fpp = single_atom_setup(grid)
@@ -440,6 +521,21 @@ def test_neg_inf_paths_counted_once_per_tile(monkeypatch):
     [report] = martingale_test(Diverging(fpp), [(null_path(grid), "supermartingale")],
                                n_paths=n_paths, seed=0)
     assert report.warnings == (f"degenerate utility: {expected} of 10 paths hit -inf",)
+
+
+def test_all_finite_chunks_skip_only_the_neg_inf_bookkeeping():
+    # NEG_INF_CELLS mix -inf and finite paths in the first two chunks and leave
+    # the last all finite, where the -inf flags and zeroing are skipped; the
+    # count and the sums equal those of the whole-horizon reference, which
+    # flags and zeroes every chunk
+    grid = three_chunk_grid()
+    market, fpp = single_atom_setup(grid)
+    runs = [(null_path(grid), "supermartingale"), (fpp.sp_star, "martingale")]
+    kw = dict(n_paths=10, seed=0)
+    reports = martingale_test(Diverging(fpp), runs, **kw)
+    assert reports[0].warnings == ("degenerate utility: 2 of 10 paths hit -inf",)
+    assert_same_bits(reports, whole_horizon_reports(Diverging(fpp), runs,
+                                                    batch_size=DEFAULT_BATCH, **kw))
 
 
 def test_report_text_names_time_of_worst_margin():
