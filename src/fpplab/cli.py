@@ -135,8 +135,8 @@ def cmd_pool(cfg: RunConfig, out_dir: str, subaction: str, t_flag) -> int:
         t = t_flag if t_flag is not None else spec.horizon
         try:
             result = pooling.optimize_constant_z(spec, t)
-        except ValueError as exc:
-            raise ConfigError(f"--t: {exc}") from exc
+        except ValueError as exc:  # the error names the argument, t
+            raise ConfigError(f"--{exc}") from exc
 
         def shown(log_value):  # the log where the value is not a normal float
             with np.errstate(over="ignore"):
@@ -185,12 +185,10 @@ def cmd_two_power(cfg: RunConfig, subaction: str, y_flag, gamma_flag,
         if y_flag is None:
             raise ConfigError("two-power dual requires --y")
         gamma = gamma_flag if gamma_flag is not None else 0.25
-        if not 0 < gamma < 0.5:
-            raise ConfigError(f"--gamma: must lie in (0, 1/2), got {gamma:g}")
         try:
             x_star, value = two_power.legendre_dual(y_flag, spec.a0, spec.d0, gamma)
-        except ValueError as exc:
-            raise ConfigError(f"--y: {exc}") from exc
+        except ValueError as exc:  # the error names the argument, y or gamma
+            raise ConfigError(f"--{exc}") from exc
         print(f"x_star = {x_star:.12g}")
         print(f"dual value = {value:.12g}")
         return 0

@@ -10,13 +10,12 @@ errors name the offending key.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import MISSING, dataclass, fields, replace
 
 import yaml
 
 from .errors import ConfigError
-from .market import MAX_STEPS, MarketSpec
+from .market import MAX_STEPS, MarketSpec, check_positive
 from .mixture import H0Spec, JSpec, RiskMixture
 from .pooling import PoolSpec, preset as pool_preset
 from .three_power import ThreePowerSpec
@@ -236,9 +235,7 @@ def _simulation_from(cfg: dict) -> SimulationConfig:
         raise ConfigError("simulation.n_paths: must be at least 2")
     if not 0 <= sim.seed < 2 ** 64:
         raise ConfigError("simulation.seed: must be an integer in [0, 2^64)")
-    for key in ("grid_step", "horizon"):
-        if not 0 < getattr(sim, key) < math.inf:
-            raise ConfigError(f"simulation.{key}: must be positive and finite")
+    _keyed("simulation", check_positive, grid_step=sim.grid_step, horizon=sim.horizon)
     if not sim.horizon / sim.grid_step <= MAX_STEPS:
         raise ConfigError(f"simulation.grid_step: horizon / grid_step must be at most "
                           f"{MAX_STEPS} steps")

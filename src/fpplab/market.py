@@ -67,8 +67,7 @@ class TimeGrid:
     @classmethod
     def regular(cls, horizon: float, step: float) -> "TimeGrid":
         """Uniform grid over [0, horizon] with the closest whole number of steps."""
-        if not (horizon > 0 and step > 0):
-            raise ValueError("horizon and step must be positive")
+        check_positive(horizon=horizon, step=step)
         if not horizon / step <= MAX_STEPS:
             raise ValueError(f"horizon / step must be at most {MAX_STEPS} steps")
         n = max(1, round(horizon / step))
@@ -93,6 +92,16 @@ def check_finite(**arrays) -> None:
     for name, value in arrays.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name}: must be finite")
+
+
+def check_positive(**values) -> None:
+    """Raise ValueError, naming the first keyword whose value holds an entry
+    outside (0, inf), and that entry (``x0: must be positive and finite, got 0.0``)."""
+    for name, value in values.items():
+        v = np.asarray(value, float)
+        bad = ~((v > 0) & (v < np.inf))  # NaN is neither
+        if bad.any():
+            raise ValueError(f"{name}: must be positive and finite, got {v[bad][0]}")
 
 
 def _finite_value(value, shape: tuple[int, ...], where: str) -> np.ndarray:
@@ -441,8 +450,7 @@ def evolve_log_wealth_batch(x0: float, sp: np.ndarray, lam_path: np.ndarray,
     checks the schedule with ``check_schedule`` (and raises its
     ``StrategyEvaluationError``).
     """
-    if not 0 < x0 < np.inf:
-        raise ValueError(f"x0: must be positive and finite, got {x0}")
+    check_positive(x0=x0)
     d_w, n_steps, n_paths = dw.shape
     sp = check_schedule(sp, grid, d_w)
     lo, hi, _ = cols.indices(n_steps + 1)

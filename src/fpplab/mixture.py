@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import FactorDegeneracyError, InvalidExponentError
-from .market import (MarketSpec, TimeGrid, check_finite, check_schedule,
+from .market import (MarketSpec, TimeGrid, check_finite, check_positive, check_schedule,
                      running_integral, solve_allocation, PINV_RCOND)
 
 GAMMA_ONE_TOL = 1e-9  # risk aversions this close to 1 are rejected
@@ -207,16 +207,9 @@ class RiskMixture:
         if not atoms:
             raise ValueError("atoms: need at least one atom")
         for i, (g, w) in enumerate(atoms):
-            if not np.isfinite(g):
-                raise ValueError(f"atoms[{i}].gamma: must be finite, got {g}")
-            if not np.isfinite(w):
-                raise ValueError(f"atoms[{i}].weight: must be finite, got {w}")
-            if g <= 0:
-                raise ValueError(f"atoms[{i}].gamma: must be positive, got {g}")
+            check_positive(**{f"atoms[{i}].gamma": g, f"atoms[{i}].weight": w})
             if abs(g - 1.0) <= GAMMA_ONE_TOL:
                 raise ValueError(f"atoms[{i}].gamma: risk aversion {g} is too close to 1")
-            if w <= 0:
-                raise ValueError(f"atoms[{i}].weight: must be positive, got {w}")
         gs = [g for g, _ in atoms]
         if not (min(gs) <= self.gamma0 <= max(gs)):
             raise ValueError(
@@ -254,9 +247,7 @@ def hgamma(gamma, gamma0: float, lam: np.ndarray, h0: np.ndarray) -> np.ndarray:
     """
     _check_gamma0(gamma0)
     g = np.asarray(gamma, float)[..., None]
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"gamma must be finite, got {gamma}")
-    check_finite(lam=lam, h0=h0)
+    check_finite(gamma=g, lam=lam, h0=h0)
     return ((g - gamma0) / gamma0) * lam + (g / gamma0) * h0
 
 
@@ -333,10 +324,9 @@ def market_view_density(m, qv_m):
 
 def monotone_power_value(x: float, lam_plus_h: np.ndarray, gamma: float) -> float:
     """Time-monotone power criterion (x exp(-|lam+H|^2/(2 gamma)))^(1-gamma)/(1-gamma)."""
-    if not x > 0:
-        raise ValueError("wealth must be positive")
+    check_positive(x=x)
     _check_gamma(gamma)
-    check_finite(x=x, lam_plus_h=lam_plus_h)
+    check_finite(lam_plus_h=lam_plus_h)
     u = np.atleast_1d(np.asarray(lam_plus_h, float))
     return float(np.exp((1.0 - gamma) * (np.log(x) - (u @ u) / (2.0 * gamma)))
                  / (1.0 - gamma))
@@ -412,8 +402,7 @@ class MixtureFpp:
 
     def u0(self, x: float) -> float:
         """U_0(x) = sum_i w_i x^(1-gamma_i)/(1-gamma_i)."""
-        if not x > 0:
-            raise ValueError("wealth must be positive")
+        check_positive(x=x)
         return float(mixture_value(self.mixture.gammas, self.mixture.weights,
                                    np.log(x), 0.0, 0.0, 0.0))
 
@@ -534,8 +523,7 @@ def check_admissibility_moments(sp: np.ndarray, market: MarketSpec,
     Both are summed in log space, so a moment past float range reads inf.
     """
     _check_integrability(v, u)
-    if not 0 < x0 < np.inf:
-        raise ValueError("wealth must be positive and finite")
+    check_positive(x0=x0)
     sp = check_schedule(sp, grid, market.d_w)
     norm = np.hypot.reduce(sp, axis=1)  # |sp| per cell, without overflow
     sp_lam = np.einsum("kd,kd->k", sp, market.sharpe_path(grid))

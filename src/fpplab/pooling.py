@@ -27,14 +27,14 @@ form each period with the current per-investor utility levels as weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
 from . import two_power
-from .market import MAX_STEPS, TimeGrid, brownian_batch
+from .market import MAX_STEPS, TimeGrid, brownian_batch, check_finite, check_positive
 
 Z_EDGE = 1e-3       # scan clip: the objective has a pole at z = 1
 Z_SCAN_STEP = 1e-3
@@ -76,13 +76,10 @@ class PoolSpec:
     rebalance_dt: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name}: must be finite")
+        check_finite(p=self.p, q=self.q, lam=self.lam)
         two_power.check_powers(self.p, self.q)
-        for name in ("a0", "d0", "x0", "horizon", "rebalance_dt"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be positive")
+        check_positive(a0=self.a0, d0=self.d0, x0=self.x0, horizon=self.horizon,
+                       rebalance_dt=self.rebalance_dt)
         n = self.horizon / self.rebalance_dt
         if not 0.5 <= n <= MAX_STEPS:
             raise ValueError(f"horizon: horizon / rebalance_dt must be between 1 and "
@@ -158,7 +155,7 @@ def _weighted_objective(z, wa, wd, p, q, lam2t):
     return wa * ea + wd * ed
 
 
-def _lam2t(spec: PoolSpec, t, lead: str = "lam^2 t must be finite, got t"):
+def _lam2t(spec: PoolSpec, t, lead: str = "t: lam^2 t must be finite, got t"):
     """``lam^2 t`` for a horizon ``t`` (a number or an array of them).
 
     Raises ValueError, led by ``lead`` (which names the argument), unless
@@ -249,8 +246,7 @@ def optimize_constant_z(spec: PoolSpec, t: float) -> OptimizeResult:
     fig1 (lam = 1) at t = 7.5.  For equal weights the small-horizon
     maximiser is ``(p^2+q^2)/(p+q)``.
     """
-    if not 0 < t < np.inf:
-        raise ValueError(f"t must be positive and finite, got {t:g}")
+    check_positive(t=t)
     log_wa, log_wd = np.log(spec.weights())
     lam2t = _lam2t(spec, t)
 
@@ -272,10 +268,8 @@ def one_period_greedy(a_eff: float, d_eff: float, x: float, spec: PoolSpec,
     applies per path, run on a batch of one.
     """
     dt = spec.rebalance_dt if dt is None else dt
-    for name, value in (("a_eff", a_eff), ("d_eff", d_eff), ("x", x), ("dt", dt)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    lam2dt = _lam2t(spec, dt, "dt must keep lam^2 dt finite, got dt")
+    check_positive(a_eff=a_eff, d_eff=d_eff, x=x, dt=dt)
+    lam2dt = _lam2t(spec, dt, "dt: must keep lam^2 dt finite, got dt")
     log_ratio = math.log(d_eff) - math.log(a_eff) + (spec.q - spec.p) * math.log(x)
     return float(_greedy_z_batch(np.array([log_ratio]), spec.p, spec.q, lam2dt)[0])
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketSpec, TimeGrid, check_finite, running_integral
+from .market import MarketSpec, TimeGrid, check_finite, check_positive, running_integral
 from .mixture import power_logs, signed_exp_sum
 
 
@@ -66,14 +66,9 @@ def three_power_value(x, z_factor, int_lam2, spec: ThreePowerSpec):
     Evaluated in log space, so long horizons and extreme Z cannot overflow
     intermediate products.  Accepts arrays broadcastable against each other.
     """
-    x = np.asarray(x, float)
-    z = np.asarray(z_factor, float)
-    if not np.all(x > 0):
-        raise ValueError("wealth must be positive")
-    if not np.all(z > 0):
-        raise ValueError("z_factor must be positive")
-    check_finite(x=x, z_factor=z, int_lam2=int_lam2)
-    out = signed_exp_sum(*_term_logs(np.log(x), np.log(z), int_lam2, spec.gamma))
+    check_positive(x=x, z_factor=z_factor)
+    check_finite(int_lam2=int_lam2)
+    out = signed_exp_sum(*_term_logs(np.log(x), np.log(z_factor), int_lam2, spec.gamma))
     return float(out) if out.ndim == 0 else out
 
 
@@ -99,9 +94,8 @@ def three_power_drift_factors(x: float, z_factor: float, int_lam2: float,
     -Z^-1 x^(1-g) * positive_factor * quadratic_factor <= 0.
     """
     g = spec.gamma
-    if not (x > 0 and z_factor > 0):
-        raise ValueError("wealth and z_factor must be positive")
-    check_finite(x=x, z_factor=z_factor, int_lam2=int_lam2, lam=lam, sp=sp)
+    check_positive(x=x, z_factor=z_factor)
+    check_finite(int_lam2=int_lam2, lam=lam, sp=sp)
     i = float(int_lam2)
     a = np.exp(-i / (8.0 * g))
     b = np.exp(-(1.0 - 2.0 * g) * i / (4.0 * g))

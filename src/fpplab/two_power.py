@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import solve_allocation
+from .market import check_finite, check_positive, solve_allocation
 
 POWER_PATH_TOL = 1e-12  # monotonicity slack for sampled power paths
 
@@ -50,13 +50,10 @@ class TwoPowerSpec:
                 value = np.atleast_1d(np.asarray(getattr(self, name), float))
             except (TypeError, ValueError):
                 raise ValueError(f"{name}: not a number or an array of numbers") from None
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name}: non-finite value")
+            check_finite(**{name: value})
             object.__setattr__(self, name, value)
         check_powers(self.p, self.q)
-        for name in ("a0", "d0"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name}: must be positive and finite")
+        check_positive(a0=self.a0, d0=self.d0)
 
     def check(self, d_w: int) -> None:
         """Raise ValueError unless each W loading has 1 (shared) or d_w entries."""
@@ -79,18 +76,10 @@ def _check_unit_powers(p: float, q: float) -> None:
         raise ValueError("powers must lie in (0, 1)")
 
 
-def _check_positive_finite(what: str, *values: float) -> None:
-    """Raise ValueError, naming ``what``, unless every value lies in (0, inf)."""
-    if not all(0.0 < v < np.inf for v in values):
-        raise ValueError(f"{what} must be positive and finite")
-
-
 def _shifted_loadings(lam, a_vol, d_vol):
     """lam + a and lam + d as 1-d arrays; ValueError naming the first of lam,
     a_vol and d_vol with a non-finite entry."""
-    for name, value in (("lam", lam), ("a_vol", a_vol), ("d_vol", d_vol)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite")
+    check_finite(lam=lam, a_vol=a_vol, d_vol=d_vol)
     return (np.atleast_1d(lam) + np.atleast_1d(a_vol),
             np.atleast_1d(lam) + np.atleast_1d(d_vol))
 
@@ -151,7 +140,7 @@ def mixture_sp_target(p: float, q: float, a_coeff: float, d_coeff: float, x: flo
     (lam+d)/(1-q) with weights p(1-p)A x^p and q(1-q)D x^q, evaluated in log
     space so extreme wealth or coefficients cannot overflow.
     """
-    _check_positive_finite("wealth and coefficients", x, a_coeff, d_coeff)
+    check_positive(a_coeff=a_coeff, d_coeff=d_coeff, x=x)
     ta, td = _one_power_targets(p, q, lam, a_vol, d_vol)
     wu, wv = _log_side_weights(p, q, a_coeff, d_coeff, x)
     omega = _sigmoid(wu - wv)  # weight of the p side, in [0, 1]
@@ -174,7 +163,7 @@ def joint_drift(p: float, q: float, a_coeff: float, d_coeff: float, x: float,
     Zero exactly when the consistency gap vanishes; the magnitude is the
     instantaneous cost of pooling the two investors.
     """
-    _check_positive_finite("wealth and coefficients", x, a_coeff, d_coeff)
+    check_positive(a_coeff=a_coeff, d_coeff=d_coeff, x=x)
     gap = consistency_gap(p, q, lam, a_vol, d_vol)
     if gap == 0.0:
         return 0.0
@@ -187,9 +176,10 @@ def joint_drift(p: float, q: float, a_coeff: float, d_coeff: float, x: float,
 
 def _check_double_aversion(a_coeff: float, d_coeff: float, gamma: float) -> None:
     """Raise ValueError unless 0 < A, D < inf and g lies in (0, 1/2); NaN fails both."""
-    _check_positive_finite("coefficients", a_coeff, d_coeff)
+    check_positive(a_coeff=a_coeff, d_coeff=d_coeff)
     if not (0.0 < gamma < 0.5):
-        raise ValueError("gamma must lie in (0, 1/2) so both powers are in (0, 1)")
+        raise ValueError(f"gamma: must lie in (0, 1/2) so both powers are in (0, 1), "
+                         f"got {gamma:g}")
 
 
 def legendre_dual(y: float, a_coeff: float, d_coeff: float,
@@ -201,8 +191,7 @@ def legendre_dual(y: float, a_coeff: float, d_coeff: float,
     A x*^(-2g) + D x*^(-g) = y holds to machine precision.  Raises
     ValueError naming ``y`` when x* or the dual value leaves float range.
     """
-    if not 0.0 < y < np.inf:
-        raise ValueError(f"marginal utility y must be positive and finite, got {y:g}")
+    check_positive(y=y)
     _check_double_aversion(a_coeff, d_coeff, gamma)
     # (-D + sqrt(D^2 + 4Ay)) / (2A) in its cancellation-free form; the hypot
     # keeps D^2 + 4Ay from overflowing
@@ -213,15 +202,14 @@ def legendre_dual(y: float, a_coeff: float, d_coeff: float,
              + d_coeff * x_star ** (1.0 - gamma) / (1.0 - gamma))
         value = float(u - x_star * y)
     if not (0.0 < x_star < np.inf and np.isfinite(value)):
-        raise ValueError(f"y = {y:g} puts x* or the dual value outside float "
+        raise ValueError(f"y: {y:g} puts x* or the dual value outside float "
                          f"range at gamma = {gamma:g}")
     return x_star, value
 
 
 def dual_marginal(x: float, a_coeff: float, d_coeff: float, gamma: float) -> float:
     """U'(x) = A x^(-2g) + D x^(-g) for the double-aversion family."""
-    if not x > 0:
-        raise ValueError(f"wealth must be positive, got {x}")
+    check_positive(x=x)
     _check_double_aversion(a_coeff, d_coeff, gamma)
     return float(a_coeff * x ** (-2.0 * gamma) + d_coeff * x ** (-gamma))
 

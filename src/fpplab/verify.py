@@ -321,9 +321,9 @@ def structure_scan(values, x_grid) -> StructureReport:
     x = np.asarray(x_grid, float)
     if x.size < 8:
         raise ValueError("need at least 8 grid points")
-    if not np.all(np.diff(x) > 0):  # NaN is not increasing
+    check_finite(x_grid=x)
+    if not np.all(np.diff(x) > 0):
         raise ValueError("x grid must be strictly increasing")
-    check_finite(x_grid=x)  # an infinite last point is increasing
     u = np.asarray(values, float)
     if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] != x.size:
         raise ValueError(f"values must be (n_states >= 1, {x.size}), got {u.shape}")

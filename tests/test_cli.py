@@ -427,11 +427,12 @@ CONFIG_ERRORS = {
     "j-constant-length": ("mixture.j.value", ["verify-fpp"],
                           "market: {d_wperp: 1}\n"
                           "mixture:\n  j: {kind: constant, value: [0.1, 0.2]}\n"),
-    "atom-weight-nan": ("mixture.atoms[0].weight: must be finite", ["verify-fpp"],
-                        "mixture:\n  atoms: [{gamma: 0.5, weight: .nan}]\n"),
-    "atom-weight-inf": ("mixture.atoms[0].weight: must be finite", ["verify-fpp"],
-                        "mixture:\n  atoms: [{gamma: 0.5, weight: .inf}]\n"),
-    "atom-weight-negative": ("mixture.atoms[0].weight: must be positive, got -1.0",
+    "atom-weight-nan": ("mixture.atoms[0].weight: must be positive and finite, got nan\n",
+                        ["verify-fpp"], "mixture:\n  atoms: [{gamma: 0.5, weight: .nan}]\n"),
+    "atom-weight-inf": ("mixture.atoms[0].weight: must be positive and finite, got inf\n",
+                        ["verify-fpp"], "mixture:\n  atoms: [{gamma: 0.5, weight: .inf}]\n"),
+    "atom-weight-negative": ("mixture.atoms[0].weight: must be positive and finite, "
+                             "got -1.0\n",
                              ["verify-fpp"],
                              "mixture:\n  atoms: [{gamma: 0.5, weight: -1.0}]\n"),
     "gamma0-outside-atoms": ("mixture.gamma0: 2.0 outside the atom range", ["verify-fpp"],
@@ -454,6 +455,8 @@ CONFIG_ERRORS = {
                             None),
     "pool-optimize-negative-t": ("--t", ["pool", "optimize", "--t", "-1"], None),
     "pool-optimize-nan-t": ("--t", ["pool", "optimize", "--t", "nan"], None),
+    "pool-optimize-zero-t": ("--t: must be positive and finite, got 0.0\n",
+                             ["pool", "optimize", "--t", "0"], None),
     "pool-optimize-overflowing-t": ("--t: lam^2 t must be finite",
                                     ["--preset", "fig3", "pool", "optimize", "--t", "1e308"],
                                     None),
@@ -483,11 +486,20 @@ CONFIG_ERRORS = {
     "dual-negative-y": ("--y", ["two-power", "dual", "--y", "-1"], None),
     "dual-gamma-above-half": ("--gamma", ["two-power", "dual", "--y", "1",
                                           "--gamma", "0.7"], None),
+    "dual-gamma-nan": ("--gamma: must lie in (0, 1/2) so both powers are in (0, 1), "
+                       "got nan\n", ["two-power", "dual", "--y", "1", "--gamma", "nan"],
+                       None),
+    "dual-zero-y": ("--y: must be positive and finite, got 0.0\n",
+                    ["two-power", "dual", "--y", "0"], None),
     # x* underflows to 0, overflows to inf, or underflows at a small gamma
-    "dual-huge-y": ("--y: y = 1e+308", ["two-power", "dual", "--y", "1e308"], None),
-    "dual-tiny-y": ("--y: y = ", ["two-power", "dual", "--y", "1e-320"], None),
-    "dual-huge-y-small-gamma": ("--y: y = 1e+300", ["two-power", "dual", "--y", "1e300",
-                                                    "--gamma", "0.01"], None),
+    "dual-huge-y": ("--y: 1e+308 puts x* or the dual value outside float range at "
+                    "gamma = 0.25\n", ["two-power", "dual", "--y", "1e308"], None),
+    "dual-tiny-y": ("--y: 9.99989e-321 puts x* or the dual value outside float range at "
+                    "gamma = 0.25\n", ["two-power", "dual", "--y", "1e-320"], None),
+    "dual-huge-y-small-gamma": ("--y: 1e+300 puts x* or the dual value outside float "
+                                "range at gamma = 0.01\n",
+                                ["two-power", "dual", "--y", "1e300", "--gamma", "0.01"],
+                                None),
     "validate-non-numeric": ("{csv}", ["two-power", "validate", "--file", "{csv}"],
                              None),
     "out-empty": ("output_dir: must be a directory path, got ''\n",
@@ -715,7 +727,7 @@ def test_two_power_validate_rejects_nan_row(tmp_path, capsys):
 @pytest.mark.parametrize("setting, message", [
     ("lam: .nan", "pool.lam: must be finite"),
     ("lam: .inf", "pool.lam: must be finite"),
-    ("horizon: .inf", "pool.horizon: must be finite"),
+    ("horizon: .inf", "pool.horizon: must be positive and finite, got inf"),
     ("rebalance_dt: 1.0e-300", "pool.horizon: horizon / rebalance_dt must be between"),
     ("horizon: 1.0e-12", "pool.horizon: horizon / rebalance_dt must be between")],
     ids=["lam: .nan", "lam: .inf", "horizon: .inf", "rebalance_dt: 1.0e-300",

@@ -1,5 +1,6 @@
 """Configuration loading: defaults, merging, presets, rejection of bad keys."""
 
+import inspect
 import math
 import re
 from dataclasses import fields
@@ -9,6 +10,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
+import fpplab
 from fpplab.config import DEFAULT_CONFIG, load_config
 from fpplab.errors import ConfigError
 from fpplab.pooling import PoolSpec
@@ -138,7 +140,10 @@ def test_unknown_pool_preset(tmp_path):
                                  "rebalance_dt"])
 def test_non_finite_pool_setting_rejected(tmp_path, key, value):
     path = write(tmp_path, f"pool:\n  preset: fig1\n  {key}: {value}\n")
-    with pytest.raises(ConfigError, match=rf"^pool\.{key}: must be finite$"):
+    got = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}[value]
+    condition = ("must be finite" if key in ("p", "q", "lam")
+                 else f"must be positive and finite, got {got}")
+    with pytest.raises(ConfigError, match=rf"^pool\.{key}: {condition}$"):
         load_config(path)
 
 
@@ -252,7 +257,7 @@ README_ERRORS = {
         {"pool": {"preset": "fig9"}},
     "pool.q: missing (without a preset, the section lacks q, a0, d0, lam, x0, horizon)":
         {"pool": {"preset": None, "p": 0.2}},
-    "pool.a0: must be positive": {"pool": {"a0": -1.0}},
+    "pool.a0: must be positive and finite, got -1.0": {"pool": {"a0": -1.0}},
     "pool.horizon: must be a whole number of rebalance periods":
         {"pool": {"rebalance_dt": 0.7}},
     "market.d_w: must be at least 1, got 0": {"market": {"d_w": 0}},
@@ -261,9 +266,9 @@ README_ERRORS = {
         {"market": {"n_stocks": 2, "sigma": [[0.2, 0.1], [0.3]]}},
     "market.sigma: needs numbers of shape (1, 1), got [0.2, 0.3]":
         {"market": {"sigma": [0.2, 0.3]}},
-    "two_power.a0: must be positive and finite": {"two_power": {"a0": -1.0}},
+    "two_power.a0: must be positive and finite, got -1.0": {"two_power": {"a0": -1.0}},
     "mixture.gamma0: 2.0 outside the atom range [0.5, 0.5]": {"mixture": {"gamma0": 2.0}},
-    "mixture.atoms[0].weight: must be positive, got -1.0":
+    "mixture.atoms[0].weight: must be positive and finite, got -1.0":
         {"mixture": {"atoms": [{"gamma": 0.5, "weight": -1.0}]}},
     "output_dir: must be a directory path, got ''": {"output_dir": ""},
 }
@@ -286,6 +291,17 @@ def test_readme_configuration_errors_are_the_messages():
         with pytest.raises(ConfigError) as err:
             load_config(overrides=document)
         assert str(err.value) == line
+
+
+def test_readme_library_layout_names_every_export():
+    # half of the exports were named nowhere in the table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Library layout", 1)[1].split("\n#", 1)[0]
+    named = {word for span in re.findall(r"`([^`]+)`", table)
+             for word in re.findall(r"\w+", span)}
+    exported = {name for name, value in vars(fpplab).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(exported - named) == []
 
 
 # numbers stay small; the market dimensions' upper bound has its own tests

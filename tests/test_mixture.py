@@ -599,9 +599,9 @@ def test_evaluate_two_atoms_initial():
 def test_evaluate_rejects_nonpositive_wealth():
     with pytest.raises(ValueError):
         initial_value(RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5), 0.0)
-    with pytest.raises(ValueError, match="wealth must be positive"):
+    with pytest.raises(ValueError, match="^x: must be positive and finite, got nan$"):
         initial_value(RiskMixture(atoms=((0.5, 1.0),), gamma0=0.5), np.nan)
-    with pytest.raises(ValueError, match="wealth must be positive"):
+    with pytest.raises(ValueError, match="^x: must be positive and finite, got nan$"):
         monotone_power_value(np.nan, [0.2], 0.5)
 
 
@@ -750,26 +750,26 @@ def test_constants_reject_invalid_exponents(v, u, p1, p2, p3):
     (lambda: hgamma(0.5, NAN, np.array([0.2]), np.array([0.0])), "gamma0 must be nonzero"),
     (lambda: vgamma_rate(NAN, [0.2], [0.0]), "gamma must be nonzero"),
     (lambda: vgamma_rate([0.5, NAN], [0.2], [0.0]), "gamma must be nonzero"),
-    (lambda: dual_marginal(NAN, 1.0, 1.0, 0.5), "wealth must be positive"),
-    (lambda: dual_marginal(-1.0, 1.0, 1.0, 0.5), "wealth must be positive"),
-    (lambda: dual_marginal(0.0, 1.0, 1.0, 0.5), "wealth must be positive"),
+    (lambda: dual_marginal(NAN, 1.0, 1.0, 0.5), "^x: must be positive and finite"),
+    (lambda: dual_marginal(-1.0, 1.0, 1.0, 0.5), "^x: must be positive and finite"),
+    (lambda: dual_marginal(0.0, 1.0, 1.0, 0.5), "^x: must be positive and finite"),
     (lambda: optimal_portfolio([0.2], [0.0], NAN, [[0.2]]), "gamma0 must be nonzero"),
     (lambda: drift_term(INF, [0.1], [0.2], [0.0]), "gamma must avoid 0 and 1"),
     (lambda: monotone_power_value(1.0, [0.2], INF), "gamma must avoid 0 and 1"),
     (lambda: hgamma(0.5, INF, np.array([0.2]), np.array([0.0])), "gamma0 must be nonzero"),
-    (lambda: hgamma(INF, 0.5, np.array([0.2]), np.array([0.0])), "gamma must be finite"),
+    (lambda: hgamma(INF, 0.5, np.array([0.2]), np.array([0.0])), "^gamma: must be finite"),
     (lambda: hgamma([0.5, NAN], 0.5, np.array([0.2]), np.array([0.0])),
-     "gamma must be finite"),
+     "^gamma: must be finite"),
     (lambda: vgamma_rate(INF, [0.2], [0.0]), "gamma must be nonzero"),
     (lambda: true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, NAN),
      "gamma0 must be nonzero"),
     (lambda: true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, INF),
      "gamma0 must be nonzero"),
-    (lambda: dual_marginal(1.0, 1.0, 1.0, NAN), "gamma must lie in"),
-    (lambda: dual_marginal(1.0, 1.0, 1.0, 0.5), "gamma must lie in"),
-    (lambda: dual_marginal(1.0, NAN, 1.0, 0.25), "coefficients must be positive"),
-    (lambda: dual_marginal(1.0, INF, 1.0, 0.25), "coefficients must be positive and finite"),
-    (lambda: dual_marginal(1.0, 1.0, INF, 0.25), "coefficients must be positive and finite"),
+    (lambda: dual_marginal(1.0, 1.0, 1.0, NAN), "^gamma: must lie in"),
+    (lambda: dual_marginal(1.0, 1.0, 1.0, 0.5), "^gamma: must lie in"),
+    (lambda: dual_marginal(1.0, NAN, 1.0, 0.25), "^a_coeff: must be positive and finite"),
+    (lambda: dual_marginal(1.0, INF, 1.0, 0.25), "^a_coeff: must be positive and finite"),
+    (lambda: dual_marginal(1.0, 1.0, INF, 0.25), "^d_coeff: must be positive and finite"),
 ], ids=["drift-term", "monotone-power", "hgamma", "vgamma-rate", "vgamma-rate-atom",
         "dual-marginal-nan", "dual-marginal-negative", "dual-marginal-zero",
         "optimal-portfolio", "drift-term-inf", "monotone-power-inf", "hgamma-inf",
@@ -901,7 +901,7 @@ def test_moments_reject_a_bad_schedule_and_wealth():
     sp[5, 1] = np.nan
     with pytest.raises(StrategyEvaluationError, match="non-finite"):
         check_admissibility_moments(sp, market, mix, v=1.5, u=1.5, grid=grid)
-    with pytest.raises(ValueError, match="wealth"):
+    with pytest.raises(ValueError, match="^x0: must be positive and finite, got 0.0$"):
         check_admissibility_moments(np.zeros((grid.n_steps, 3)), market, mix,
                                     v=1.5, u=1.5, grid=grid, x0=0.0)
 

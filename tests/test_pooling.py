@@ -585,7 +585,7 @@ def test_greedy_rejects_non_finite_inputs(arg, bad):
     # argmax of NaN scores would silently return the first grid point
     kwargs = dict(a_eff=1.0, d_eff=1.0, x=1.0, dt=1.0)
     kwargs[arg] = bad
-    with pytest.raises(ValueError, match=rf"^{arg} must be positive and finite"):
+    with pytest.raises(ValueError, match=rf"^{arg}: must be positive and finite, got {bad}$"):
         one_period_greedy(spec=FIG1, **kwargs)
 
 
@@ -593,7 +593,7 @@ def test_overflowing_lam_squared_is_rejected():
     # lam^2 t past the largest double made NaN scores, or an OverflowError
     with pytest.raises(ValueError, match=r"^lam: lam\^2 horizon must be finite"):
         preset("fig1", lam=1e200)
-    with pytest.raises(ValueError, match=r"^dt must keep lam\^2 dt finite"):
+    with pytest.raises(ValueError, match=r"^dt: must keep lam\^2 dt finite"):
         one_period_greedy(1.0, 1.0, 1.0, preset("fig3"), dt=1e308)
 
 
@@ -601,16 +601,17 @@ def test_overflowing_lam_squared_is_rejected():
 def test_optimize_constant_z_rejects_horizon_outside_range(t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^t must be positive and finite, got "):
+        with pytest.raises(ValueError, match=rf"^t: must be positive and finite, got {t}$"):
             optimize_constant_z(FIG1, t)
 
 
 @pytest.mark.parametrize("entry, lead", [
-    (lambda spec: constant_z_expected_utility(0.1, 1e308, spec), "lam^2 t must be finite"),
-    (lambda spec: optimize_constant_z(spec, 1e308), "lam^2 t must be finite"),
-    (lambda spec: utility_surface(spec, [0.1, 0.5], [1.0, 1e308]), "lam^2 t must be finite"),
+    (lambda spec: constant_z_expected_utility(0.1, 1e308, spec), "t: lam^2 t must be finite"),
+    (lambda spec: optimize_constant_z(spec, 1e308), "t: lam^2 t must be finite"),
+    (lambda spec: utility_surface(spec, [0.1, 0.5], [1.0, 1e308]),
+     "t: lam^2 t must be finite"),
     (lambda spec: one_period_greedy(1.0, 1.0, 1.0, spec, dt=1e308),
-     "dt must keep lam^2 dt finite"),
+     "dt: must keep lam^2 dt finite"),
 ], ids=["constant_z_expected_utility", "optimize_constant_z", "utility_surface",
         "one_period_greedy"])
 def test_overflowing_lam_squared_t_is_rejected_without_warning(entry, lead):

@@ -54,7 +54,7 @@ def test_value_rejects_bad_domain():
         three_power_value(-1.0, 1.0, 0.0, spec)
     with pytest.raises(ValueError):
         three_power_value(1.0, 0.0, 0.0, spec)
-    with pytest.raises(ValueError, match="wealth"):
+    with pytest.raises(ValueError, match="^x: must be positive and finite, got nan$"):
         three_power_value(np.nan, 1.0, 0.0, spec)
     with pytest.raises(ValueError, match="z_factor"):
         three_power_value(1.0, [1.0, np.nan], 0.0, spec)

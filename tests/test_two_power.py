@@ -154,8 +154,10 @@ def test_portfolio_interpolates_between_targets():
                          ids=["mixture_sp_target", "joint_drift"])
 def test_joint_criterion_rejects_nan(function, x, a_coeff, d_coeff):
     # an infinite wealth or coefficient made joint_drift warn and return NaN
-    with pytest.raises(ValueError, match="^wealth and coefficients must be positive "
-                                         "and finite$"):
+    [(name, bad)] = [(k, v) for k, v in (("a_coeff", a_coeff), ("d_coeff", d_coeff),
+                                         ("x", x)) if v != 1.0]
+    with pytest.raises(ValueError, match=rf"^{name}: must be positive and finite, "
+                                         rf"got {bad}$"):
         function(0.1, 0.3, a_coeff, d_coeff, x, [1.0], [0.0], [0.5])
 
 
@@ -334,7 +336,7 @@ def test_dual_meets_first_order_condition_at_huge_y():
 @pytest.mark.parametrize("y, gamma", [(1e308, 0.25), (1e-320, 0.25), (1e300, 0.01)])
 def test_dual_outside_float_range_names_y(y, gamma):
     # x* underflows to 0 or overflows to inf; neither is a maximiser
-    with pytest.raises(ValueError, match=r"^y = .* outside float range"):
+    with pytest.raises(ValueError, match=r"^y: .* outside float range"):
         legendre_dual(y, 1.0, 1.0, gamma)
 
 
@@ -344,11 +346,12 @@ def test_dual_rejects_bad_domain():
     with pytest.raises(ValueError):
         legendre_dual(1.0, 1.0, 1.0, 0.7)
     for y in (np.nan, np.inf):  # inf once warned "invalid value" in the root first
-        with pytest.raises(ValueError, match="y must be positive and finite"):
+        with pytest.raises(ValueError, match="^y: must be positive and finite"):
             legendre_dual(y, 1.0, 1.0, 0.25)
     for a_coeff, d_coeff in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
         # an infinite A once blamed y after a divide-by-zero RuntimeWarning
-        with pytest.raises(ValueError, match="^coefficients must be positive and finite$"):
+        name = "a_coeff" if a_coeff != 1.0 else "d_coeff"
+        with pytest.raises(ValueError, match=rf"^{name}: must be positive and finite"):
             legendre_dual(1.0, a_coeff, d_coeff, 0.25)
 
 
@@ -373,7 +376,7 @@ def test_non_finite_loading_is_rejected_without_warning(name, arg, value):
     args = {"lam": [1.0], "a_vol": [0.0], "d_vol": [0.0], arg: [value]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"^{arg} must be finite$"):
+        with pytest.raises(ValueError, match=rf"^{arg}: must be finite$"):
             LOADING_ENTRIES[name](args["lam"], args["a_vol"], args["d_vol"])
 
 
