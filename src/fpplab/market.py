@@ -57,6 +57,7 @@ class TimeGrid:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", t)
+        check_finite(times=t)  # an infinite last time passes the order test
         if t.ndim != 1 or t.size < 2:
             raise ValueError("time grid needs at least two points")
         if t[0] != 0.0:
@@ -102,6 +103,19 @@ def check_positive(**values) -> None:
         bad = ~((v > 0) & (v < np.inf))  # NaN is neither
         if bad.any():
             raise ValueError(f"{name}: must be positive and finite, got {v[bad][0]}")
+
+
+def check_between(lo, hi, **values) -> None:
+    """Raise ValueError, naming the first keyword whose value holds an entry outside
+    the open interval (lo, hi), and that entry (``gamma: must lie in (0, 1/3), got
+    0.4``).  A bound is a number or a ratio as text (``"1/3"``); each prints as given."""
+    a, b = (float(num) / float(den or 1)
+            for num, _, den in (str(bound).partition("/") for bound in (lo, hi)))
+    for name, value in values.items():
+        v = np.asarray(value, float)
+        bad = ~((v > a) & (v < b))  # NaN is neither
+        if bad.any():
+            raise ValueError(f"{name}: must lie in ({lo}, {hi}), got {v[bad][0]}")
 
 
 def _finite_value(value, shape: tuple[int, ...], where: str) -> np.ndarray:

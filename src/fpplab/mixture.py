@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import FactorDegeneracyError, InvalidExponentError
-from .market import (MarketSpec, TimeGrid, check_finite, check_positive, check_schedule,
-                     running_integral, solve_allocation, PINV_RCOND)
+from .market import (MarketSpec, TimeGrid, check_between, check_finite, check_positive,
+                     check_schedule, running_integral, solve_allocation, PINV_RCOND)
 
 GAMMA_ONE_TOL = 1e-9  # risk aversions this close to 1 are rejected
 
@@ -234,20 +234,14 @@ class RiskMixture:
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def _check_gamma0(gamma0: float) -> None:
-    """Raise ValueError unless the reference aversion is finite and nonzero."""
-    if not 0 < abs(gamma0) < np.inf:  # NaN fails it too
-        raise ValueError(f"gamma0 must be nonzero, got {gamma0}")
-
-
 def hgamma(gamma, gamma0: float, lam: np.ndarray, h0: np.ndarray) -> np.ndarray:
     """W-loading of atom gamma: ((gamma-gamma0)/gamma0) lam + (gamma/gamma0) h0.
 
     Broadcasts ``gamma`` (...) against ``lam`` and ``h0`` (..., d_w).
     """
-    _check_gamma0(gamma0)
+    check_positive(gamma=gamma, gamma0=gamma0)
+    check_finite(lam=lam, h0=h0)
     g = np.asarray(gamma, float)[..., None]
-    check_finite(gamma=g, lam=lam, h0=h0)
     return ((g - gamma0) / gamma0) * lam + (g / gamma0) * h0
 
 
@@ -257,19 +251,12 @@ def vgamma_rate(gamma, lam: np.ndarray, hg: np.ndarray):
     Broadcasts like ``hgamma``; a float for one atom.  ``|u|^2`` is a
     stacked ``u @ u``, with the 1-d product's bits (einsum's differ).
     """
-    g = np.asarray(gamma, float)
-    if not np.all(np.isfinite(g) & (g != 0)):
-        raise ValueError(f"gamma must be nonzero, got {gamma}")
+    check_positive(gamma=gamma)
     check_finite(lam=lam, hg=hg)
+    g = np.asarray(gamma, float)
     u = np.atleast_1d(lam) + np.atleast_1d(hg)
     out = -(1.0 - g) / (2.0 * g) * (u[..., None, :] @ u[..., :, None])[..., 0, 0]
     return float(out) if out.ndim == 0 else out
-
-
-def _check_gamma(gamma: float) -> None:
-    """Raise ValueError unless the aversion is a finite number other than 0 and 1."""
-    if not 0 < abs(gamma) < np.inf or gamma == 1.0:  # NaN fails the first test
-        raise ValueError(f"gamma must avoid 0 and 1, got {gamma}")
 
 
 def drift_term(gamma: float, sp: np.ndarray, lam: np.ndarray, hg: np.ndarray) -> float:
@@ -278,7 +265,9 @@ def drift_term(gamma: float, sp: np.ndarray, lam: np.ndarray, hg: np.ndarray) ->
     Equals ``-(gamma/2) |sp - sp*|^2`` with ``sp* = (lam + hg)/gamma``: zero
     exactly at the optimiser, strictly negative elsewhere.
     """
-    _check_gamma(gamma)
+    check_positive(gamma=gamma)
+    if gamma == 1.0:  # the formula divides by 1 - gamma
+        raise ValueError("gamma: must not be 1")
     check_finite(sp=sp, lam=lam, hg=hg)
     sp = np.atleast_1d(np.asarray(sp, float))
     u = np.atleast_1d(lam) + np.atleast_1d(hg)
@@ -297,7 +286,8 @@ def optimal_portfolio(lam: np.ndarray, h0: np.ndarray, gamma0: float,
         the column space of sigma exceeds ``market.HEDGE_RTOL`` (relative
         to the target).
     """
-    _check_gamma0(gamma0)
+    check_finite(lam=lam, h0=h0)
+    check_positive(gamma0=gamma0)
     target = (np.atleast_1d(lam) + np.atleast_1d(h0)) / gamma0
     return solve_allocation(sigma, target)
 
@@ -324,8 +314,9 @@ def market_view_density(m, qv_m):
 
 def monotone_power_value(x: float, lam_plus_h: np.ndarray, gamma: float) -> float:
     """Time-monotone power criterion (x exp(-|lam+H|^2/(2 gamma)))^(1-gamma)/(1-gamma)."""
-    check_positive(x=x)
-    _check_gamma(gamma)
+    check_positive(x=x, gamma=gamma)
+    if gamma == 1.0:  # the formula divides by 1 - gamma
+        raise ValueError("gamma: must not be 1")
     check_finite(lam_plus_h=lam_plus_h)
     u = np.atleast_1d(np.asarray(lam_plus_h, float))
     return float(np.exp((1.0 - gamma) * (np.log(x) - (u @ u) / (2.0 * gamma)))
@@ -463,12 +454,6 @@ class TrueFppConstants:
         return max(branch1, branch2)
 
 
-def _check_integrability(v: float, u: float) -> None:
-    """Raise InvalidExponentError unless v and u are finite and exceed 1; NaN does not."""
-    if not (1 < v < np.inf and 1 < u < np.inf):
-        raise InvalidExponentError(f"need finite v > 1 and u > 1, got v={v}, u={u}")
-
-
 def true_fpp_constants(v: float, u: float, p1: float, p2: float, p3: float,
                        gamma0: float) -> TrueFppConstants:
     """Derive q = 2v/(v-1) and the lower bounds for the Novikov constants.
@@ -476,17 +461,18 @@ def true_fpp_constants(v: float, u: float, p1: float, p2: float, p3: float,
     Raises
     ------
     InvalidExponentError
-        Unless v, u, p1, p2, p3 are finite and > 1 and 1/p1 + 1/p2 + 1/p3 < 1.
+        Unless v, u, p1, p2, p3 lie in (1, inf) and 1/p1 + 1/p2 + 1/p3 < 1.
     ValueError
-        Unless gamma0 is finite and nonzero.
+        Unless gamma0 is positive and finite.
     """
-    _check_integrability(v, u)
-    if not all(1 < p < np.inf for p in (p1, p2, p3)):  # NaN exceeds nothing
-        raise InvalidExponentError("all Holder exponents must be finite and exceed 1")
+    try:
+        check_between(1, np.inf, v=v, u=u, p1=p1, p2=p2, p3=p3)
+    except ValueError as exc:
+        raise InvalidExponentError(str(exc)) from None
     if 1.0 / p1 + 1.0 / p2 + 1.0 / p3 >= 1.0:
-        raise InvalidExponentError(
-            f"Holder constraint violated: 1/{p1} + 1/{p2} + 1/{p3} >= 1")
-    _check_gamma0(gamma0)
+        raise InvalidExponentError(f"p3: need 1/p1 + 1/p2 + 1/p3 < 1, "
+                                   f"got p1={p1}, p2={p2}, p3={p3}")
+    check_positive(gamma0=gamma0)
     q = 2.0 * v / (v - 1.0)
     cj = 0.5 * q * p2 * (q * p1 - 1.0)
     return TrueFppConstants(v=v, u=u, p1=p1, p2=p2, p3=p3, gamma0=gamma0, q=q,
@@ -522,7 +508,10 @@ def check_admissibility_moments(sp: np.ndarray, market: MarketSpec,
     max_k sum_i w_i E[X_{t_k}^(2uv(1-g_i))], first attained at ``sup_time``.
     Both are summed in log space, so a moment past float range reads inf.
     """
-    _check_integrability(v, u)
+    try:
+        check_between(1, np.inf, v=v, u=u)
+    except ValueError as exc:
+        raise InvalidExponentError(str(exc)) from None
     check_positive(x0=x0)
     sp = check_schedule(sp, grid, market.d_w)
     norm = np.hypot.reduce(sp, axis=1)  # |sp| per cell, without overflow

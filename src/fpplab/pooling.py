@@ -34,7 +34,8 @@ from typing import Callable
 import numpy as np
 
 from . import two_power
-from .market import MAX_STEPS, TimeGrid, brownian_batch, check_finite, check_positive
+from .market import (MAX_STEPS, TimeGrid, brownian_batch, check_between, check_finite,
+                     check_positive)
 
 Z_EDGE = 1e-3       # scan clip: the objective has a pole at z = 1
 Z_SCAN_STEP = 1e-3
@@ -76,7 +77,7 @@ class PoolSpec:
     rebalance_dt: float = 1.0
 
     def __post_init__(self):
-        check_finite(p=self.p, q=self.q, lam=self.lam)
+        check_finite(lam=self.lam)
         two_power.check_powers(self.p, self.q)
         check_positive(a0=self.a0, d0=self.d0, x0=self.x0, horizon=self.horizon,
                        rebalance_dt=self.rebalance_dt)
@@ -168,9 +169,22 @@ def _lam2t(spec: PoolSpec, t, lead: str = "t: lam^2 t must be finite, got t"):
     return lam2t
 
 
+def _closed_form(spec: PoolSpec, z, t, z_name: str, t_name: str) -> np.ndarray:
+    """The (t.size, z.size) expected joint utility; a z outside (0, 1) or a
+    negative or non-finite t raises ValueError led by ``z_name`` or ``t_name``."""
+    check_between(0, 1, **{z_name: z})
+    check_finite(**{t_name: t})
+    if np.any(t < 0.0):
+        raise ValueError(f"{t_name}: must be nonnegative, got {np.min(t)}")
+    wa, wd = spec.weights()
+    lam2t = _lam2t(spec, t, f"{t_name}: lam^2 t must be finite, got {t_name}")
+    return _weighted_objective(np.reshape(z, (1, -1)), wa, wd, spec.p, spec.q,
+                               np.reshape(lam2t, (-1, 1)))
+
+
 def constant_z_expected_utility(z: float, t: float, spec: PoolSpec) -> float:
     """Expected joint utility of holding sigma*pi = lam/(1-z) up to time t."""
-    return float(utility_surface(spec, [z], [t]).values[0, 0])
+    return float(_closed_form(spec, z, t, "z", "t")[0, 0])
 
 
 def _golden_max(f: Callable, a: float, b: float, tol: float) -> float:
@@ -521,14 +535,8 @@ def utility_surface(spec: PoolSpec, z_grid, t_grid) -> UtilitySurface:
     t = np.asarray(t_grid, float)
     if z.size == 0 or t.size == 0:
         raise ValueError("grids must be non-empty")
-    if not np.all((z > 0.0) & (z < 1.0)):
-        raise ValueError("z grid must lie strictly inside (0, 1)")
-    if not np.all(t >= 0.0):
-        raise ValueError("t grid must be nonnegative")
-    wa, wd = spec.weights()
-    lam2t = _lam2t(spec, t)[:, None]
-    vals = _weighted_objective(z[None, :], wa, wd, spec.p, spec.q, lam2t)
-    return UtilitySurface(z_grid=z, t_grid=t, values=vals)
+    return UtilitySurface(z_grid=z, t_grid=t,
+                          values=_closed_form(spec, z, t, "z_grid", "t_grid"))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketSpec, TimeGrid, check_finite, check_positive, running_integral
+from .market import (MarketSpec, TimeGrid, check_between, check_finite, check_positive,
+                     running_integral)
 from .mixture import power_logs, signed_exp_sum
 
 
@@ -38,8 +39,7 @@ class ThreePowerSpec:
     gamma: float
 
     def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0 / 3.0):
-            raise ValueError(f"gamma: must lie in (0, 1/3), got {self.gamma}")
+        check_between(0, "1/3", gamma=self.gamma)
 
 
 def _term_logs(log_x, log_z, int_lam2, g):

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import check_finite, check_positive, solve_allocation
+from .market import check_between, check_finite, check_positive, solve_allocation
 
 POWER_PATH_TOL = 1e-12  # monotonicity slack for sampled power paths
 
@@ -65,15 +65,9 @@ class TwoPowerSpec:
 
 def check_powers(p: float, q: float) -> None:
     """Raise ValueError, naming the field at fault first, unless 0 < p < q < 1."""
-    if not (0.0 < p < q < 1.0):
-        raise ValueError(f"{'q' if 0.0 < p < 1.0 else 'p'}: need 0 < p < q < 1, "
-                         f"got p={p}, q={q}")
-
-
-def _check_unit_powers(p: float, q: float) -> None:
-    """Raise ValueError unless p and q each lie in (0, 1); NaN does not, p = q may."""
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise ValueError("powers must lie in (0, 1)")
+    check_between(0, 1, p=p, q=q)
+    if not p < q:
+        raise ValueError(f"q: must exceed p, got p={p}, q={q}")
 
 
 def _shifted_loadings(lam, a_vol, d_vol):
@@ -86,14 +80,14 @@ def _shifted_loadings(lam, a_vol, d_vol):
 
 def _one_power_targets(p: float, q: float, lam, a_vol, d_vol):
     """The one-power targets (lam + a)/(1-p) and (lam + d)/(1-q)."""
-    _check_unit_powers(p, q)
+    check_between(0, 1, p=p, q=q)
     la, ld = _shifted_loadings(lam, a_vol, d_vol)
     return la / (1.0 - p), ld / (1.0 - q)
 
 
 def coefficient_drifts(p: float, q: float, lam, a_vol, d_vol) -> tuple[float, float]:
     """Necessary drifts (alpha, delta) of the two coefficient processes."""
-    _check_unit_powers(p, q)
+    check_between(0, 1, p=p, q=q)
     la, ld = _shifted_loadings(lam, a_vol, d_vol)
     alpha = -p / (2.0 * (1.0 - p)) * float(la @ la)
     delta = -q / (2.0 * (1.0 - q)) * float(ld @ ld)
@@ -108,7 +102,7 @@ def consistency_gap(p: float, q: float, lam, a_vol, d_vol) -> float:
 
 def zero_gap_d_vol(p: float, q: float, lam, a_vol) -> np.ndarray:
     """The unique d loading closing the consistency gap for given (p, q, lam, a)."""
-    _check_unit_powers(p, q)
+    check_between(0, 1, p=p, q=q)
     la, _ = _shifted_loadings(lam, a_vol, 0.0)
     return (1.0 - q) / (1.0 - p) * la - np.atleast_1d(np.asarray(lam, float))
 
@@ -174,14 +168,6 @@ def joint_drift(p: float, q: float, a_coeff: float, d_coeff: float, x: float,
     return float(-np.exp(log_num - log_den) * gap ** 2)
 
 
-def _check_double_aversion(a_coeff: float, d_coeff: float, gamma: float) -> None:
-    """Raise ValueError unless 0 < A, D < inf and g lies in (0, 1/2); NaN fails both."""
-    check_positive(a_coeff=a_coeff, d_coeff=d_coeff)
-    if not (0.0 < gamma < 0.5):
-        raise ValueError(f"gamma: must lie in (0, 1/2) so both powers are in (0, 1), "
-                         f"got {gamma:g}")
-
-
 def legendre_dual(y: float, a_coeff: float, d_coeff: float,
                   gamma: float) -> tuple[float, float]:
     """Closed-form dual of U(x) = A x^(1-2g)/(1-2g) + D x^(1-g)/(1-g), g in (0, 1/2).
@@ -191,8 +177,8 @@ def legendre_dual(y: float, a_coeff: float, d_coeff: float,
     A x*^(-2g) + D x*^(-g) = y holds to machine precision.  Raises
     ValueError naming ``y`` when x* or the dual value leaves float range.
     """
-    check_positive(y=y)
-    _check_double_aversion(a_coeff, d_coeff, gamma)
+    check_positive(y=y, a_coeff=a_coeff, d_coeff=d_coeff)
+    check_between(0, "1/2", gamma=gamma)  # both powers in (0, 1)
     # (-D + sqrt(D^2 + 4Ay)) / (2A) in its cancellation-free form; the hypot
     # keeps D^2 + 4Ay from overflowing
     root = y / (0.5 * (d_coeff + np.hypot(d_coeff, 2.0 * np.sqrt(a_coeff) * np.sqrt(y))))
@@ -209,8 +195,8 @@ def legendre_dual(y: float, a_coeff: float, d_coeff: float,
 
 def dual_marginal(x: float, a_coeff: float, d_coeff: float, gamma: float) -> float:
     """U'(x) = A x^(-2g) + D x^(-g) for the double-aversion family."""
-    check_positive(x=x)
-    _check_double_aversion(a_coeff, d_coeff, gamma)
+    check_positive(x=x, a_coeff=a_coeff, d_coeff=d_coeff)
+    check_between(0, "1/2", gamma=gamma)
     return float(a_coeff * x ** (-2.0 * gamma) + d_coeff * x ** (-gamma))
 
 
@@ -246,17 +232,18 @@ def validate_power_paths(p_path: Sequence[float], q_path: Sequence[float]) -> Po
 
     p may only rise, q may only fall, p_t < q_t throughout; and if p is
     constant (to ``POWER_PATH_TOL``) then q must be constant as well.  A
-    non-finite entry raises ValueError: no comparison with NaN fails.
+    non-finite entry raises ValueError, naming its path and the first index
+    with one: no comparison with NaN fails.
     """
     p = np.asarray(p_path, float)
     q = np.asarray(q_path, float)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError("p_path and q_path must be 1-d of equal length")
-    finite = np.isfinite(p) & np.isfinite(q)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"p_path and q_path must be finite, got p = {p[i]:g}, "
-                         f"q = {q[i]:g} at index {i}")
+    i = int(np.argmin(np.isfinite(p) & np.isfinite(q))) if p.size else 0
+    try:
+        check_finite(p_path=p[i:i + 1], q_path=q[i:i + 1])
+    except ValueError as exc:
+        raise ValueError(f"{exc}, got p = {p[i]:g}, q = {q[i]:g} at index {i}") from None
     bad: list[PowerPathViolation] = []
     dp = np.diff(p)
     dq = np.diff(q)

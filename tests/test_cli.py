@@ -479,16 +479,15 @@ CONFIG_ERRORS = {
     "pool-fractional-periods": ("pool.horizon: must be a whole number of rebalance periods",
                                 ["pool", "compare"],
                                 "pool: {preset: fig1, rebalance_dt: 0.7}\n"),
-    "pool-p-above-q": ("pool.q: need 0 < p < q < 1, got p=0.5, q=0.3", ["pool", "compare"],
+    "pool-p-above-q": ("pool.q: must exceed p, got p=0.5, q=0.3\n", ["pool", "compare"],
                        "pool: {preset: fig1, p: 0.5}\n"),
     "pool-surface-empty-grid": ("pool.horizon", ["pool", "surface"],
                                 "pool:\n  horizon: 0.4\n  rebalance_dt: 0.4\n"),
     "dual-negative-y": ("--y", ["two-power", "dual", "--y", "-1"], None),
     "dual-gamma-above-half": ("--gamma", ["two-power", "dual", "--y", "1",
                                           "--gamma", "0.7"], None),
-    "dual-gamma-nan": ("--gamma: must lie in (0, 1/2) so both powers are in (0, 1), "
-                       "got nan\n", ["two-power", "dual", "--y", "1", "--gamma", "nan"],
-                       None),
+    "dual-gamma-nan": ("--gamma: must lie in (0, 1/2), got nan\n",
+                       ["two-power", "dual", "--y", "1", "--gamma", "nan"], None),
     "dual-zero-y": ("--y: must be positive and finite, got 0.0\n",
                     ["two-power", "dual", "--y", "0"], None),
     # x* underflows to 0, overflows to inf, or underflows at a small gamma

@@ -141,8 +141,11 @@ def test_unknown_pool_preset(tmp_path):
 def test_non_finite_pool_setting_rejected(tmp_path, key, value):
     path = write(tmp_path, f"pool:\n  preset: fig1\n  {key}: {value}\n")
     got = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}[value]
-    condition = ("must be finite" if key in ("p", "q", "lam")
-                 else f"must be positive and finite, got {got}")
+    if key in ("p", "q"):
+        condition = rf"must lie in \(0, 1\), got {got}"
+    else:
+        condition = ("must be finite" if key == "lam"
+                     else f"must be positive and finite, got {got}")
     with pytest.raises(ConfigError, match=rf"^pool\.{key}: {condition}$"):
         load_config(path)
 

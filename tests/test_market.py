@@ -48,6 +48,15 @@ def test_time_grid_rejects_bad_input(times):
         TimeGrid(np.array(times))
 
 
+@pytest.mark.parametrize("times", [[0.0, 0.5, np.inf], [0.0, np.nan, 1.0]],
+                         ids=["inf", "nan"])
+def test_time_grid_rejects_non_finite_times(times):
+    # inf - 0.5 > 0 passed the order test, and MixtureFpp then built a NaN qv
+    # with a RuntimeWarning; a NaN read as "must be strictly increasing"
+    with pytest.raises(ValueError, match="^times: must be finite$"):
+        TimeGrid(times)
+
+
 @pytest.mark.parametrize("horizon, step", [(1e300, 1e-10), (1e300, 1.0)])
 def test_time_grid_regular_rejects_step_count_beyond_bound(horizon, step):
     # 1e300 / 1e-10 overflows to inf, which round() cannot convert

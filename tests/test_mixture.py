@@ -745,45 +745,67 @@ def test_constants_reject_invalid_exponents(v, u, p1, p2, p3):
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: drift_term(NAN, [0.1], [0.2], [0.0]), "gamma must avoid 0 and 1"),
-    (lambda: monotone_power_value(1.0, [0.2], NAN), "gamma must avoid 0 and 1"),
-    (lambda: hgamma(0.5, NAN, np.array([0.2]), np.array([0.0])), "gamma0 must be nonzero"),
-    (lambda: vgamma_rate(NAN, [0.2], [0.0]), "gamma must be nonzero"),
-    (lambda: vgamma_rate([0.5, NAN], [0.2], [0.0]), "gamma must be nonzero"),
+    (lambda: drift_term(NAN, [0.1], [0.2], [0.0]),
+     "gamma: must be positive and finite, got nan"),
+    (lambda: monotone_power_value(1.0, [0.2], NAN),
+     "gamma: must be positive and finite, got nan"),
+    (lambda: hgamma(0.5, NAN, np.array([0.2]), np.array([0.0])),
+     "gamma0: must be positive and finite, got nan"),
+    (lambda: vgamma_rate(NAN, [0.2], [0.0]), "gamma: must be positive and finite, got nan"),
+    (lambda: vgamma_rate([0.5, NAN], [0.2], [0.0]),
+     "gamma: must be positive and finite, got nan"),
     (lambda: dual_marginal(NAN, 1.0, 1.0, 0.5), "^x: must be positive and finite"),
     (lambda: dual_marginal(-1.0, 1.0, 1.0, 0.5), "^x: must be positive and finite"),
     (lambda: dual_marginal(0.0, 1.0, 1.0, 0.5), "^x: must be positive and finite"),
-    (lambda: optimal_portfolio([0.2], [0.0], NAN, [[0.2]]), "gamma0 must be nonzero"),
-    (lambda: drift_term(INF, [0.1], [0.2], [0.0]), "gamma must avoid 0 and 1"),
-    (lambda: monotone_power_value(1.0, [0.2], INF), "gamma must avoid 0 and 1"),
-    (lambda: hgamma(0.5, INF, np.array([0.2]), np.array([0.0])), "gamma0 must be nonzero"),
-    (lambda: hgamma(INF, 0.5, np.array([0.2]), np.array([0.0])), "^gamma: must be finite"),
+    (lambda: optimal_portfolio([0.2], [0.0], NAN, [[0.2]]),
+     "gamma0: must be positive and finite, got nan"),
+    (lambda: drift_term(INF, [0.1], [0.2], [0.0]),
+     "gamma: must be positive and finite, got inf"),
+    (lambda: monotone_power_value(1.0, [0.2], INF),
+     "gamma: must be positive and finite, got inf"),
+    (lambda: hgamma(0.5, INF, np.array([0.2]), np.array([0.0])),
+     "gamma0: must be positive and finite, got inf"),
+    (lambda: hgamma(INF, 0.5, np.array([0.2]), np.array([0.0])),
+     "gamma: must be positive and finite, got inf"),
     (lambda: hgamma([0.5, NAN], 0.5, np.array([0.2]), np.array([0.0])),
-     "^gamma: must be finite"),
-    (lambda: vgamma_rate(INF, [0.2], [0.0]), "gamma must be nonzero"),
+     "gamma: must be positive and finite, got nan"),
+    (lambda: vgamma_rate(INF, [0.2], [0.0]), "gamma: must be positive and finite, got inf"),
     (lambda: true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, NAN),
-     "gamma0 must be nonzero"),
+     "gamma0: must be positive and finite, got nan"),
     (lambda: true_fpp_constants(2.0, 2.0, 4.0, 4.0, 4.0, INF),
-     "gamma0 must be nonzero"),
-    (lambda: dual_marginal(1.0, 1.0, 1.0, NAN), "^gamma: must lie in"),
-    (lambda: dual_marginal(1.0, 1.0, 1.0, 0.5), "^gamma: must lie in"),
+     "gamma0: must be positive and finite, got inf"),
+    (lambda: dual_marginal(1.0, 1.0, 1.0, NAN), r"gamma: must lie in \(0, 1/2\), got nan"),
+    (lambda: dual_marginal(1.0, 1.0, 1.0, 0.5), r"gamma: must lie in \(0, 1/2\), got 0.5"),
     (lambda: dual_marginal(1.0, NAN, 1.0, 0.25), "^a_coeff: must be positive and finite"),
     (lambda: dual_marginal(1.0, INF, 1.0, 0.25), "^a_coeff: must be positive and finite"),
     (lambda: dual_marginal(1.0, 1.0, INF, 0.25), "^d_coeff: must be positive and finite"),
+    (lambda: drift_term(1.0, [0.1], [0.2], [0.0]), "gamma: must not be 1"),
+    (lambda: monotone_power_value(1.0, [0.2], 1.0), "gamma: must not be 1"),
+    (lambda: monotone_power_value(1.0, [0.2], -2.0),
+     "gamma: must be positive and finite, got -2.0"),
+    (lambda: optimal_portfolio([0.2], [0.0], -0.5, [[0.2]]),
+     "gamma0: must be positive and finite, got -0.5"),
+    (lambda: optimal_portfolio([NAN], [0.0], 0.5, [[0.2]]), "lam: must be finite"),
+    (lambda: optimal_portfolio([0.2], [INF], 0.5, [[0.2]]), "h0: must be finite"),
 ], ids=["drift-term", "monotone-power", "hgamma", "vgamma-rate", "vgamma-rate-atom",
         "dual-marginal-nan", "dual-marginal-negative", "dual-marginal-zero",
         "optimal-portfolio", "drift-term-inf", "monotone-power-inf", "hgamma-inf",
         "hgamma-gamma-inf", "hgamma-gamma-atom", "vgamma-rate-inf", "constants-gamma0",
         "constants-gamma0-inf", "dual-marginal-gamma", "dual-marginal-gamma-range",
-        "dual-marginal-coefficient", "dual-marginal-a-inf", "dual-marginal-d-inf"])
+        "dual-marginal-coefficient", "dual-marginal-a-inf", "dual-marginal-d-inf",
+        "drift-term-one", "monotone-power-one", "monotone-power-negative",
+        "optimal-portfolio-negative", "optimal-portfolio-lam", "optimal-portfolio-h0"])
 def test_nan_aversions_and_wealth_are_rejected(call, message):
     # each guard was an equality test (gamma in (0, 1), gamma0 == 0), which
     # NaN passes, or an order test, which inf passes; hgamma never checked
     # gamma, true_fpp_constants never checked gamma0, and dual_marginal
     # checked no aversion or coefficient, so x < 0 raised a complex TypeError
     # and a NaN gamma read 1.0 ** nan = 1; a NaN gamma0 made
-    # optimal_portfolio's target NaN; an infinite A or D made dual_marginal inf
-    with pytest.raises(ValueError, match=message):
+    # optimal_portfolio's target NaN; an infinite A or D made dual_marginal inf.
+    # A negative aversion once gave a value (monotone_power_value) or an
+    # allocation (optimal_portfolio); a bad lam or h0 was named as the target
+    anchored = message if message.startswith("^") else f"^{message}$"
+    with pytest.raises(ValueError, match=anchored):
         call()
 
 

@@ -606,19 +606,20 @@ def test_optimize_constant_z_rejects_horizon_outside_range(t):
 
 
 @pytest.mark.parametrize("entry, lead", [
-    (lambda spec: constant_z_expected_utility(0.1, 1e308, spec), "t: lam^2 t must be finite"),
-    (lambda spec: optimize_constant_z(spec, 1e308), "t: lam^2 t must be finite"),
+    (lambda spec: constant_z_expected_utility(0.1, 1e308, spec),
+     "t: lam^2 t must be finite, got t"),
+    (lambda spec: optimize_constant_z(spec, 1e308), "t: lam^2 t must be finite, got t"),
     (lambda spec: utility_surface(spec, [0.1, 0.5], [1.0, 1e308]),
-     "t: lam^2 t must be finite"),
+     "t_grid: lam^2 t must be finite, got t_grid"),
     (lambda spec: one_period_greedy(1.0, 1.0, 1.0, spec, dt=1e308),
-     "dt: must keep lam^2 dt finite"),
+     "dt: must keep lam^2 dt finite, got dt"),
 ], ids=["constant_z_expected_utility", "optimize_constant_z", "utility_surface",
         "one_period_greedy"])
 def test_overflowing_lam_squared_t_is_rejected_without_warning(entry, lead):
     # lam^2 t = inf scored NaN, with an "invalid value" RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"^{re.escape(lead)}, got d?t = 1e\+308"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(lead)} = 1e\+308 at lam = 4$"):
             entry(preset("fig3"))
 
 
@@ -677,14 +678,25 @@ def test_surface_fig1_has_single_ridge():
 
 
 def test_surface_validates_grids():
-    with pytest.raises(ValueError):
-        utility_surface(FIG1, [0.0, 0.5], [1.0])
-    with pytest.raises(ValueError):
-        utility_surface(FIG1, [0.5], [-1.0])
-    with pytest.raises(ValueError, match="z grid"):
-        utility_surface(FIG1, [math.nan], [1.0])
-    with pytest.raises(ValueError, match="t grid"):
-        utility_surface(FIG1, [0.5], [math.nan])
+    # a NaN read "z grid must lie strictly inside (0, 1)" or "t grid must be
+    # nonnegative", and the scalar form named the grid, not its argument
+    cases = [
+        (lambda: utility_surface(FIG1, [0.0, 0.5], [1.0]),
+         r"z_grid: must lie in \(0, 1\), got 0.0"),
+        (lambda: utility_surface(FIG1, [0.5], [-1.0]),
+         "t_grid: must be nonnegative, got -1.0"),
+        (lambda: utility_surface(FIG1, [math.nan], [1.0]),
+         r"z_grid: must lie in \(0, 1\), got nan"),
+        (lambda: utility_surface(FIG1, [0.5], [math.nan]), "t_grid: must be finite"),
+        (lambda: constant_z_expected_utility(math.nan, 1.0, FIG1),
+         r"z: must lie in \(0, 1\), got nan"),
+        (lambda: constant_z_expected_utility(0.5, math.nan, FIG1), "t: must be finite"),
+        (lambda: constant_z_expected_utility(0.5, -1.0, FIG1),
+         "t: must be nonnegative, got -1.0"),
+    ]
+    for entry, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            entry()
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,8 @@ def test_joint_criterion_rejects_nan(function, x, a_coeff, d_coeff):
 def test_powers_outside_the_unit_interval_are_rejected(call, p, q):
     # zero_gap_d_vol and mixture_sp_target checked no power: p = 1 divided
     # by zero, p = 1.5 took a log of a negative number, q = NaN gave NaN
-    with pytest.raises(ValueError, match=r"^powers must lie in \(0, 1\)$"):
+    name, value = ("q", q) if 0.0 < p < 1.0 else ("p", p)
+    with pytest.raises(ValueError, match=rf"^{name}: must lie in \(0, 1\), got {value}$"):
         call(p, q)
 
 
@@ -406,10 +407,14 @@ def test_validator_flags_single_uptick_in_q():
 
 
 @pytest.mark.parametrize("p, q", [([0.1, np.nan, 0.2], [0.5, 0.5, 0.5]),
-                                  ([0.1, 0.1, 0.2], [0.5, np.inf, np.nan])])
+                                  ([0.1, 0.1, 0.2], [0.5, np.inf, np.nan]),
+                                  ([0.1, 0.1, np.nan], [0.5, -np.inf, 0.5])])
 def test_validator_rejects_non_finite_entries(p, q):
-    # no comparison with NaN fails, so a NaN entry once reported "ok"
-    with pytest.raises(ValueError, match="must be finite, got .* at index 1$"):
+    # no comparison with NaN fails, so a NaN entry once reported "ok"; the
+    # error names the path whose entry is non-finite at the first such index
+    name = "p_path" if np.isnan(p[1]) else "q_path"
+    with pytest.raises(ValueError, match=rf"^{name}: must be finite, "
+                                         rf"got p = {p[1]:g}, q = {q[1]:g} at index 1$"):
         validate_power_paths(p, q)
 
 
